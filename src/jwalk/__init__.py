@@ -6,12 +6,12 @@ matrix-free engine over the full arc space, and an exact engine inside the
 Dense brute-force oracles certify the closed forms on small instances.
 """
 
-from .arc_engine import SearchConfig, evolve_and_record, uniform_state
+from .arc_engine import evolve_and_record, uniform_state
 from .errors import CapacityError, CertificationError, DegenerateInstanceError
 from .johnson import (GraphParams, IntersectionRow, distance_class, graph_params,
                       intersection_numbers, rank_vertex, shell_size, unrank_vertex)
-from .reduced import (ReducedWalk, build_reduced, eigenphases, evolve,
-                      evolve_series, find_peak, success_probability)
+from .reduced import (ReducedWalk, build_reduced, eigenphases, evolve_series, states,
+                      success_probability, sweep_point)
 from .spectral import (Schedule, SpectralRow, eigenphase, eigenvalue, multiplicity,
                        projector_weight, run_time, spectral_table,
                        verify_eigenphase_asymptotics)
@@ -24,9 +24,9 @@ __all__ = [
     "unrank_vertex", "distance_class", "shell_size", "intersection_numbers",
     "Schedule", "SpectralRow", "eigenvalue", "multiplicity", "projector_weight",
     "eigenphase", "spectral_table", "run_time", "verify_eigenphase_asymptotics",
-    "SearchConfig", "uniform_state", "evolve_and_record",
-    "ReducedWalk", "build_reduced", "evolve", "evolve_series", "eigenphases",
-    "find_peak", "success_probability",
+    "uniform_state", "evolve_and_record",
+    "ReducedWalk", "build_reduced", "states", "evolve_series", "sweep_point",
+    "eigenphases", "success_probability",
     "certify",
     "CapacityError", "CertificationError", "DegenerateInstanceError",
     "__version__",

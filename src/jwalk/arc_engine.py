@@ -10,7 +10,6 @@ Block reductions are evaluated by numpy in a fixed slot order, so repeated
 runs produce identical bytes regardless of BLAS threading.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +20,6 @@ from .johnson import GraphParams, opposite_permutation
 __all__ = [
     "DEFAULT_CAPACITY",
     "HARD_CAPACITY",
-    "SearchConfig",
     "uniform_state",
     "state_norm",
     "apply_coin",
@@ -39,16 +37,6 @@ DEFAULT_CAPACITY = 2 ** 23
 # Absolute ceiling even when forced; keeps arc indices well inside int64
 # and allocation failures predictable.
 HARD_CAPACITY = 2 ** 31
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """One simulation request: instance, marked vertex rank, length."""
-
-    params: GraphParams
-    marked: int
-    steps: int
-    stride: int = 1
 
 
 def _check_capacity(params: GraphParams, capacity: int) -> None:
@@ -89,6 +77,8 @@ def apply_oracle(params: GraphParams, state: np.ndarray, marked: int) -> np.ndar
     Only the marked block changes; every other amplitude is returned
     bitwise unchanged.
     """
+    if not 0 <= marked < params.num_vertices:
+        raise ValueError(f"marked rank {marked} out of range")
     d = params.degree
     out = state.copy()
     block = slice(marked * d, (marked + 1) * d)
@@ -98,15 +88,13 @@ def apply_oracle(params: GraphParams, state: np.ndarray, marked: int) -> np.ndar
 
 def step(params: GraphParams,
          state: np.ndarray,
-         opposite: Optional[np.ndarray] = None,
-         marked: Optional[int] = None,
-         with_oracle: bool = True) -> np.ndarray:
-    """One walk step: shift∘coin, preceded by the oracle when searching."""
-    if opposite is None:
-        opposite = opposite_permutation(params)
-    if with_oracle:
-        if marked is None:
-            raise ValueError("a marked vertex is required when with_oracle=True")
+         opposite: np.ndarray,
+         marked: Optional[int] = None) -> np.ndarray:
+    """One walk step: shift∘coin, preceded by the oracle on ``marked``.
+
+    ``marked=None`` is the unmarked walk.
+    """
+    if marked is not None:
         state = apply_oracle(params, state, marked)
     return apply_shift(apply_coin(params, state), opposite)
 
@@ -131,7 +119,7 @@ def alt_vertex_probability(params: GraphParams, state: np.ndarray, v: int,
     return float(np.vdot(tails, tails).real + np.vdot(heads, heads).real)
 
 
-def evolve_and_record(config: SearchConfig,
+def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1,
                       capacity: int = DEFAULT_CAPACITY) -> list:
     """Run the search walk and sample the probability series.
 
@@ -140,25 +128,24 @@ def evolve_and_record(config: SearchConfig,
     is the tail-block mass at the marked vertex, ``p_alt`` the tail-or-head
     diagnostic, ``norm`` the state 2-norm.
     """
-    params = config.params
-    if config.steps < 0:
+    if steps < 0:
         raise ValueError("steps must be >= 0")
-    if config.stride < 1:
+    if stride < 1:
         raise ValueError("stride must be >= 1")
-    if not 0 <= config.marked < params.num_vertices:
-        raise ValueError(f"marked rank {config.marked} out of range")
+    if not 0 <= marked < params.num_vertices:
+        raise ValueError(f"marked rank {marked} out of range")
     _check_capacity(params, capacity)
     opposite = opposite_permutation(params)
     state = uniform_state(params, capacity)
     rows = []
-    for t in range(config.steps + 1):
-        if t % config.stride == 0 or t == config.steps:
+    for t in range(steps + 1):
+        if t % stride == 0 or t == steps:
             rows.append((
                 t,
-                vertex_probability(params, state, config.marked),
-                alt_vertex_probability(params, state, config.marked, opposite),
+                vertex_probability(params, state, marked),
+                alt_vertex_probability(params, state, marked, opposite),
                 state_norm(state),
             ))
-        if t < config.steps:
-            state = step(params, state, opposite, config.marked, with_oracle=True)
+        if t < steps:
+            state = step(params, state, opposite, marked)
     return rows

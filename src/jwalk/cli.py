@@ -66,10 +66,8 @@ def cmd_simulate(args) -> int:
     if args.engine == "full":
         capacity = arc_engine.HARD_CAPACITY if args.force_capacity \
             else arc_engine.DEFAULT_CAPACITY
-        config = arc_engine.SearchConfig(
-            params=params, marked=rank_vertex(params, marked),
-            steps=steps, stride=args.stride)
-        raw = arc_engine.evolve_and_record(config, capacity=capacity)
+        raw = arc_engine.evolve_and_record(params, rank_vertex(params, marked), steps,
+                                           stride=args.stride, capacity=capacity)
         rows = [reports.RunRow(t=t, p_succ=p, p_alt=alt, norm=norm)
                 for t, p, alt, norm in raw]
     else:
@@ -95,9 +93,7 @@ def cmd_sweep(args) -> int:
     for params in instances:
         schedule = spectral.run_time(params)
         walk = reduced.build_reduced(params)
-        state = reduced.evolve(walk, walk.initial, schedule.t_run)
-        p_run = reduced.success_probability(walk.target, state)
-        t_opt, p_max = reduced.find_peak(walk, max(1, 2 * schedule.t_run))
+        p_run, t_opt, p_max = reduced.sweep_point(walk, schedule.t_run)
         rows.append(reports.SweepRow(
             n=params.n, t_run=schedule.t_run, p_succ=p_run,
             deviation=abs(p_run - 0.5), t_opt=t_opt, p_max=p_max))

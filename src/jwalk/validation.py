@@ -73,13 +73,13 @@ def dense_adjacency(params: GraphParams) -> np.ndarray:
 
 def dense_step(params: GraphParams,
                marked: Optional[int] = None,
-               with_oracle: bool = False,
                opposite: Optional[np.ndarray] = None) -> np.ndarray:
     """Walk step as an explicit arc-space matrix, from the closed form.
 
     Column a carries 2/degree on every arc whose head equals tail(a),
-    minus 1 on the reverse of a.  With the oracle the marked reflection is
-    folded in as a rank-1 update on the right.
+    minus 1 on the reverse of a.  With a ``marked`` vertex the oracle's
+    reflection is folded in as a rank-1 update on the right; ``None`` is
+    the unmarked walk.
     """
     _require_dense(params)
     d = params.degree
@@ -89,18 +89,15 @@ def dense_step(params: GraphParams,
     for a in range(A):
         U[opp[(a // d) * d:(a // d + 1) * d], a] = 2.0 / d
         U[opp[a], a] -= 1.0
-    if not with_oracle:
-        return U
     if marked is None:
-        raise ValueError("with_oracle=True requires a marked vertex")
+        return U
     target = np.zeros(A)
     target[marked * d:(marked + 1) * d] = 1.0 / np.sqrt(d)
     return U - 2.0 * np.outer(U @ target, target)
 
 
 def dense_step_from_engine(params: GraphParams,
-                           marked: Optional[int] = None,
-                           with_oracle: bool = False) -> np.ndarray:
+                           marked: Optional[int] = None) -> np.ndarray:
     """Same matrix assembled column-by-column from the matrix-free engine."""
     _require_dense(params)
     opp = opposite_permutation(params)
@@ -109,7 +106,7 @@ def dense_step_from_engine(params: GraphParams,
     for a in range(A):
         e = np.zeros(A, dtype=np.complex128)
         e[a] = 1.0
-        U[:, a] = arc_engine.step(params, e, opp, marked, with_oracle=with_oracle)
+        U[:, a] = arc_engine.step(params, e, opp, marked)
     return U
 
 
@@ -298,9 +295,9 @@ def verify_dense_step(params: GraphParams, marked: int, tol: float = 1e-10) -> d
     residuals["step_closed_form_vs_engine"] = float(np.abs(
         U - dense_step_from_engine(params)).max())
     residuals["step_unitarity"] = float(np.abs(U.conj().T @ U - eye).max())
-    Um = dense_step(params, marked, with_oracle=True, opposite=opp)
+    Um = dense_step(params, marked, opposite=opp)
     residuals["marked_step_closed_form_vs_engine"] = float(np.abs(
-        Um - dense_step_from_engine(params, marked, with_oracle=True)).max())
+        Um - dense_step_from_engine(params, marked)).max())
     residuals["marked_step_unitarity"] = float(np.abs(Um.conj().T @ Um - eye).max())
     residuals["marked_step_det_modulus"] = abs(abs(np.linalg.det(Um)) - 1.0)
     return _finish(residuals, tol)
@@ -325,8 +322,7 @@ def verify_eigenbasis(params: GraphParams, marked: int, tol: float = 1e-10,
     eig_residual = 0.0
     stepped = np.empty_like(B)
     for col in range(2 * k + 1):
-        stepped[:, col] = arc_engine.step(params, B[:, col], b.opposite,
-                                          with_oracle=False)
+        stepped[:, col] = arc_engine.step(params, B[:, col], b.opposite)
     eig_residual = max(eig_residual,
                        float(np.linalg.norm(stepped[:, 0] - B[:, 0])))
     for l in range(1, k + 1):
@@ -359,7 +355,7 @@ def verify_subspace_invariance(params: GraphParams, marked: int,
     """
     b = basis if basis is not None else build_invariant_basis(params, marked)
     Um = dense_marked_step if dense_marked_step is not None else dense_step(
-        params, marked, with_oracle=True, opposite=b.opposite)
+        params, marked, opposite=b.opposite)
     B = b.basis
     image = Um @ B
     residuals = {
@@ -389,7 +385,7 @@ def verify_target_and_initial(params: GraphParams, marked: int,
     e0[0] = 1.0
     return _finish({
         "target_coordinates": float(np.abs(
-            coords_target - reduced.target_coords(params)).max()),
+            coords_target - reduced.build_reduced(params).target).max()),
         "initial_coordinates": float(np.abs(coords_initial - e0).max()),
         "target_initial_overlap": abs(
             np.vdot(b.target_arc, psi0) - 1.0 / np.sqrt(params.num_vertices)),
@@ -404,11 +400,12 @@ def verify_reduced_compression(params: GraphParams, marked: int,
     """The reduced step matrix equals the basis compression of the dense one."""
     b = basis if basis is not None else build_invariant_basis(params, marked)
     Um = dense_marked_step if dense_marked_step is not None else dense_step(
-        params, marked, with_oracle=True, opposite=b.opposite)
+        params, marked, opposite=b.opposite)
     walk = reduced.build_reduced(params)
     compressed = b.basis.conj().T @ Um @ b.basis
     return _finish({
-        "reduced_compression": float(np.abs(compressed - walk.matrix).max()),
+        "reduced_compression": float(np.abs(
+            compressed - walk.matrix.astype(np.complex128)).max()),
     }, tol)
 
 
@@ -416,7 +413,7 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     """Run the whole certification battery; never raises on check failure."""
     _require_dense(params)
     basis = build_invariant_basis(params, marked)
-    dense_marked = dense_step(params, marked, with_oracle=True, opposite=basis.opposite)
+    dense_marked = dense_step(params, marked, opposite=basis.opposite)
     stages = [
         lambda: verify_spectral_closed_forms(params, marked, tol),
         lambda: verify_dense_step(params, marked, tol),

@@ -35,8 +35,7 @@ def test_criterion_1_asymptotic_success_probability():
         p = graph_params(n, 2)
         walk = reduced.build_reduced(p)
         t_run = spectral.run_time(p).t_run
-        state = reduced.evolve(walk, walk.initial, t_run)
-        p_succ = reduced.success_probability(walk.target, state)
+        p_succ = reduced.evolve_series(walk, t_run)[-1][1]
         assert p_succ == pytest.approx(pinned, abs=1e-9), f"regression at n={n}"
         deviation[n] = abs(p_succ - 0.5)
     elapsed = time.perf_counter() - start
@@ -59,8 +58,7 @@ def test_criterion_2_cross_engine_exactness():
         p = graph_params(n, k)
         t_run = spectral.run_time(p).t_run
         steps = 2 * t_run
-        full = arc_engine.evolve_and_record(
-            arc_engine.SearchConfig(params=p, marked=0, steps=steps))
+        full = arc_engine.evolve_and_record(p, 0, steps)
         small = reduced.evolve_series(reduced.build_reduced(p), steps)
         assert len(full) == len(small) == steps + 1
         worst = max(worst, max(abs(f[1] - r[1]) for f, r in zip(full, small)))
@@ -142,14 +140,14 @@ def test_criterion_6_conservation_and_symmetry():
     # norm drift on J(10,3) over 2*t_run
     p = graph_params(10, 3)
     steps = 2 * spectral.run_time(p).t_run
-    rows = arc_engine.evolve_and_record(arc_engine.SearchConfig(p, 0, steps))
+    rows = arc_engine.evolve_and_record(p, 0, steps)
     drift = max(abs(r[3] - 1.0) for r in rows)
 
     # marked-vertex invariance on J(8,2)
     p8 = graph_params(8, 2)
     series = []
     for marked in (0, 9, 27):
-        got = arc_engine.evolve_and_record(arc_engine.SearchConfig(p8, marked, 80))
+        got = arc_engine.evolve_and_record(p8, marked, 80)
         series.append(np.array([r[1] for r in got]))
     invariance = max(np.abs(s - series[0]).max() for s in series[1:])
 
@@ -181,8 +179,7 @@ def test_criterion_7_probability_definition_diagnostic():
     for n in (15, 21):
         p = graph_params(n, 3)
         steps = 2 * spectral.run_time(p).t_run
-        rows = arc_engine.evolve_and_record(
-            arc_engine.SearchConfig(params=p, marked=0, steps=steps))
+        rows = arc_engine.evolve_and_record(p, 0, steps)
         assert all(r[2] is not None for r in rows)
         assert all(r[2] >= r[1] for r in rows)
         peak = max(r[1] for r in rows)

@@ -121,6 +121,15 @@ def test_oracle_changes_only_marked_block():
     assert np.array_equal(out[mask], state[mask])
 
 
+@pytest.mark.parametrize("marked", [-2, -1, 15])
+def test_oracle_rejects_out_of_range_marked(marked):
+    # J(6,2) has 15 vertices: a negative rank would wrap onto another block,
+    # and rank 15 would reflect an empty slice
+    p = graph_params(6, 2)
+    with pytest.raises(ValueError):
+        arc_engine.apply_oracle(p, arc_engine.uniform_state(p), marked)
+
+
 def test_oracle_involution_on_random_states():
     p = graph_params(6, 2)
     for state in random_states(p, 100, seed=11):
@@ -138,7 +147,7 @@ def test_step_single_arc_closed_form():
     for a in range(p.num_arcs):
         e = np.zeros(p.num_arcs, dtype=complex)
         e[a] = 1.0
-        out = arc_engine.step(p, e, opp, with_oracle=False)
+        out = arc_engine.step(p, e, opp)
         expected = np.where(heads == a // d, 2.0 / d, 0.0).astype(complex)
         expected[opp[a]] -= 1.0
         assert np.abs(out - expected).max() <= 1e-15
@@ -148,14 +157,8 @@ def test_step_preserves_uniform():
     p = graph_params(6, 2)
     opp = opposite_permutation(p)
     uniform = arc_engine.uniform_state(p)
-    out = arc_engine.step(p, uniform, opp, with_oracle=False)
+    out = arc_engine.step(p, uniform, opp)
     assert np.abs(out - uniform).max() <= 1e-14
-
-
-def test_step_requires_marked_with_oracle():
-    p = graph_params(4, 2)
-    with pytest.raises(ValueError):
-        arc_engine.step(p, arc_engine.uniform_state(p), with_oracle=True)
 
 
 def test_modified_coin_fusion_equivalent():
@@ -169,7 +172,7 @@ def test_modified_coin_fusion_equivalent():
         fused = arc_engine.apply_coin(p, state)
         fused[marked * d:(marked + 1) * d] = -state[marked * d:(marked + 1) * d]
         via_fusion = arc_engine.apply_shift(fused, opp)
-        via_oracle = arc_engine.step(p, state, opp, marked, with_oracle=True)
+        via_oracle = arc_engine.step(p, state, opp, marked)
         assert np.abs(via_fusion - via_oracle).max() <= 1e-13
 
 
@@ -178,9 +181,9 @@ def test_step_matches_dense_operator_on_random_states(n, k):
     p = graph_params(n, k)
     opp = opposite_permutation(p)
     marked = 1
-    dense = validation.dense_step(p, marked, with_oracle=True, opposite=opp)
+    dense = validation.dense_step(p, marked, opposite=opp)
     for state in random_states(p, 100, seed=5):
-        direct = arc_engine.step(p, state, opp, marked, with_oracle=True)
+        direct = arc_engine.step(p, state, opp, marked)
         assert np.abs(dense @ state - direct).max() <= 1e-12
 
 
@@ -192,7 +195,7 @@ def test_vertex_probability_uniform_and_total():
             1.0 / p.num_vertices, abs=1e-15)
     opp = opposite_permutation(p)
     for _ in range(20):
-        state = arc_engine.step(p, state, opp, 0, with_oracle=True)
+        state = arc_engine.step(p, state, opp, 0)
     total = sum(arc_engine.vertex_probability(p, state, v)
                 for v in range(p.num_vertices))
     assert abs(total - 1.0) <= 1e-12
@@ -217,8 +220,7 @@ def test_alt_probability_uniform_dominance_and_total():
 
 def test_evolve_and_record_start_and_stride():
     p = graph_params(8, 2)
-    config = arc_engine.SearchConfig(params=p, marked=0, steps=10, stride=4)
-    rows = arc_engine.evolve_and_record(config)
+    rows = arc_engine.evolve_and_record(p, 0, 10, stride=4)
     assert [r[0] for r in rows] == [0, 4, 8, 10]  # final step always recorded
     assert rows[0][1] == pytest.approx(1.0 / p.num_vertices, abs=1e-15)
     assert all(rows[i][0] < rows[i + 1][0] for i in range(len(rows) - 1))
@@ -226,20 +228,19 @@ def test_evolve_and_record_start_and_stride():
 
 def test_evolve_and_record_deterministic():
     p = graph_params(8, 2)
-    config = arc_engine.SearchConfig(params=p, marked=2, steps=40)
-    first = arc_engine.evolve_and_record(config)
-    second = arc_engine.evolve_and_record(config)
+    first = arc_engine.evolve_and_record(p, 2, 40)
+    second = arc_engine.evolve_and_record(p, 2, 40)
     assert first == second
 
 
 def test_evolve_and_record_validation():
     p = graph_params(8, 2)
     with pytest.raises(ValueError):
-        arc_engine.evolve_and_record(arc_engine.SearchConfig(p, 0, -1))
+        arc_engine.evolve_and_record(p, 0, -1)
     with pytest.raises(ValueError):
-        arc_engine.evolve_and_record(arc_engine.SearchConfig(p, 0, 5, stride=0))
+        arc_engine.evolve_and_record(p, 0, 5, stride=0)
     with pytest.raises(ValueError):
-        arc_engine.evolve_and_record(arc_engine.SearchConfig(p, p.num_vertices, 5))
+        arc_engine.evolve_and_record(p, p.num_vertices, 5)
 
 
 def test_marked_vertex_invariance():
@@ -248,7 +249,7 @@ def test_marked_vertex_invariance():
     p = graph_params(8, 2)
     reference = None
     for marked in (0, 7, 19):
-        rows = arc_engine.evolve_and_record(arc_engine.SearchConfig(p, marked, 100))
+        rows = arc_engine.evolve_and_record(p, marked, 100)
         series = np.array([r[1] for r in rows])
         if reference is None:
             reference = series
@@ -258,7 +259,7 @@ def test_marked_vertex_invariance():
 
 def test_cross_engine_series_j82():
     p = graph_params(8, 2)
-    full = arc_engine.evolve_and_record(arc_engine.SearchConfig(p, 0, 200))
+    full = arc_engine.evolve_and_record(p, 0, 200)
     walk = reduced.build_reduced(p)
     small = reduced.evolve_series(walk, 200)
     diffs = [abs(f[1] - r[1]) for f, r in zip(full, small)]
@@ -268,5 +269,5 @@ def test_cross_engine_series_j82():
 def test_norm_preserved_over_2_trun():
     p = graph_params(10, 3)
     t_run = spectral.run_time(p).t_run
-    rows = arc_engine.evolve_and_record(arc_engine.SearchConfig(p, 0, 2 * t_run))
+    rows = arc_engine.evolve_and_record(p, 0, 2 * t_run)
     assert max(abs(r[3] - 1.0) for r in rows) <= 1e-10

@@ -36,7 +36,7 @@ def test_build_j42_structure():
 
 @pytest.mark.parametrize("n,k", [(100, 2), (5, 2), (16, 8), (10 ** 6, 4)])
 def test_target_coords_unit_norm(n, k):
-    w = reduced.target_coords(graph_params(n, k))
+    w = reduced.build_reduced(graph_params(n, k)).target
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
 
 
@@ -52,7 +52,8 @@ def test_evolve_identity_at_zero_and_stationary_diagonal():
     p = graph_params(8, 2)
     walk = reduced.build_reduced(p)
     state = walk.initial.copy()
-    assert np.array_equal(reduced.evolve(walk, state, 0), state)
+    (only,) = reduced.states(walk, 0)
+    assert np.array_equal(only, state)
     # without the reflection the stationary coordinate never moves
     phases = np.array([1.0] + [np.exp(s * 1j * spectral.eigenphase(p, l))
                                for l in (1, 2) for s in (+1, -1)])
@@ -60,7 +61,7 @@ def test_evolve_identity_at_zero_and_stationary_diagonal():
         assert (np.diag(phases) @ state)[0] == 1.0
         state = np.diag(phases) @ state
     with pytest.raises(ValueError):
-        reduced.evolve(walk, walk.initial, -1)
+        next(reduced.states(walk, -1))
 
 
 def test_success_probability_endpoints():
@@ -77,8 +78,7 @@ def test_success_probability_regression(n):
     p = graph_params(n, 2)
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    state = reduced.evolve(walk, walk.initial, t_run)
-    got = reduced.success_probability(walk.target, state)
+    got = reduced.evolve_series(walk, t_run)[-1][1]
     assert got == pytest.approx(P_SUCC_AT_T_RUN_K2[n], abs=1e-9)
 
 
@@ -86,8 +86,7 @@ def test_success_probability_band_at_n100():
     got = P_SUCC_AT_T_RUN_K2[100]
     p = graph_params(100, 2)
     walk = reduced.build_reduced(p)
-    state = reduced.evolve(walk, walk.initial, 78)
-    assert reduced.success_probability(walk.target, state) == pytest.approx(got, abs=1e-9)
+    assert reduced.evolve_series(walk, 78)[-1][1] == pytest.approx(got, abs=1e-9)
     assert abs(got - 0.5) <= 0.1
 
 
@@ -109,7 +108,7 @@ def test_evolve_series_rows():
 def test_eigenphases_unit_modulus_and_pairing():
     for n, k in [(100, 2), (50, 3), (12, 4)]:
         walk = reduced.build_reduced(graph_params(n, k))
-        eig = np.linalg.eigvals(walk.matrix)
+        eig = np.linalg.eigvals(walk.matrix.astype(complex))
         assert np.abs(np.abs(eig) - 1.0).max() <= 1e-10
         phases = reduced.eigenphases(walk)
         assert len(phases) == walk.dim
@@ -131,23 +130,35 @@ def test_smallest_phase_regression_j100():
     assert theta == pytest.approx(0.02, rel=0.5)  # leading-order prediction
 
 
-def test_find_peak_j100():
+def test_sweep_point_j100():
     p = graph_params(100, 2)
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    t_opt, p_max = reduced.find_peak(walk, 2 * t_run)
+    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
     assert abs(t_opt - t_run) <= 5
-    state = reduced.evolve(walk, walk.initial, t_run)
-    assert p_max >= reduced.success_probability(walk.target, state)
+    assert p_max >= p_run
     with pytest.raises(ValueError):
-        reduced.find_peak(walk, 0)
+        reduced.sweep_point(walk, -1)
+
+
+@pytest.mark.parametrize("n,k", [(100, 2), (400, 2), (20, 3)])
+def test_sweep_point_matches_series(n, k):
+    # the one-pass sweep reads the same values as the full series, bitwise
+    p = graph_params(n, k)
+    walk = reduced.build_reduced(p)
+    t_run = spectral.run_time(p).t_run
+    series = [row[1] for row in reduced.evolve_series(walk, 2 * t_run)]
+    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
+    assert p_run == series[t_run]
+    assert t_opt == series.index(max(series))
+    assert p_max == max(series)
 
 
 def test_norm_drift_over_one_million_steps():
     walk = reduced.build_reduced(graph_params(100, 2))
     state = walk.initial.astype(np.clongdouble)
     for _ in range(10 ** 6):
-        state = walk.matrix_ext @ state
+        state = walk.matrix @ state
     norm = float(np.sqrt((state.conj() * state).real.sum()))
     assert abs(norm - 1.0) <= 1e-12
 

@@ -34,7 +34,7 @@ def test_dense_step_unitary_and_det(n, k):
     eye = np.eye(p.num_arcs)
     U = validation.dense_step(p)
     assert np.abs(U.conj().T @ U - eye).max() <= 1e-13
-    Um = validation.dense_step(p, marked=0, with_oracle=True)
+    Um = validation.dense_step(p, marked=0)
     assert np.abs(Um.conj().T @ Um - eye).max() <= 1e-13
     assert abs(abs(np.linalg.det(Um)) - 1.0) <= 1e-10
 
@@ -53,16 +53,13 @@ def test_dense_step_matches_engine_columns():
     p = graph_params(4, 2)
     assert np.abs(validation.dense_step(p)
                   - validation.dense_step_from_engine(p)).max() <= 1e-15
-    assert np.abs(validation.dense_step(p, 2, with_oracle=True)
-                  - validation.dense_step_from_engine(p, 2, with_oracle=True)
-                  ).max() <= 1e-14
+    assert np.abs(validation.dense_step(p, 2)
+                  - validation.dense_step_from_engine(p, 2)).max() <= 1e-14
 
 
 def test_dense_step_guards():
     with pytest.raises(CapacityError):
         validation.dense_step(graph_params(30, 3))
-    with pytest.raises(ValueError):
-        validation.dense_step(graph_params(4, 2), with_oracle=True)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2)])
@@ -192,7 +189,7 @@ def test_cross_engine_probability_identity():
     p = graph_params(5, 2)
     basis = validation.build_invariant_basis(p, marked=0)
     walk = reduced.build_reduced(p)
-    dense = validation.dense_step(p, 0, with_oracle=True, opposite=basis.opposite)
+    dense = validation.dense_step(p, 0, opposite=basis.opposite)
     psi = arc_engine.uniform_state(p)
     coords = walk.initial.copy()
     for _ in range(30):
