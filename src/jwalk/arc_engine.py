@@ -6,6 +6,14 @@ the outgoing arcs of one vertex occupy a contiguous block of length
 reflection, the Grover coin on every block, and the arc-reversal shift;
 each pass is O(num_arcs) with no operator ever materialized.
 
+The passes work in place where they can.  :func:`apply_oracle` and
+:func:`apply_coin` overwrite their input and return it; :func:`apply_shift`
+gathers into one new array, the only whole-state allocation of a
+:func:`step`, which therefore consumes its input.  A caller that needs the
+input afterwards passes ``state.copy()``.  The in-place passes refuse a
+state that is not a 1-D C-contiguous complex128 vector over all arcs, since
+reshaping a strided view would silently update a copy.
+
 Block reductions are evaluated by numpy in a fixed slot order, so repeated
 runs produce identical bytes regardless of BLAS threading.
 """
@@ -15,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError
-from .johnson import GraphParams, opposite_permutation
+from .johnson import GraphParams, opposite_permutation, permutation_scratch_bytes
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -39,12 +47,47 @@ DEFAULT_CAPACITY = 2 ** 23
 HARD_CAPACITY = 2 ** 31
 
 
+def _mem_available() -> Optional[int]:
+    """``MemAvailable`` from /proc/meminfo in bytes, or None if unreadable."""
+    try:
+        with open("/proc/meminfo") as handle:
+            for line in handle:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _check_capacity(params: GraphParams, capacity: int) -> None:
+    """Refuse an instance above the amplitude cap, or one that cannot fit.
+
+    Above the default cap the run also needs its bytes to fit in the
+    memory the system reports available: per arc, 16 for the state, 16 for
+    the shift's gather target (or the norm's two float64 temporaries) and
+    8 for the int64 permutation, plus the permutation build's scratch.
+    """
     cap = min(capacity, HARD_CAPACITY)
     if params.num_arcs > cap:
         raise CapacityError(
             f"instance J({params.n},{params.k}) needs {params.num_arcs} amplitudes, "
             f"above the cap of {cap}; use the reduced engine instead")
+    if capacity <= DEFAULT_CAPACITY:
+        return
+    available = _mem_available()
+    needed = (2 * 16 + 8) * params.num_arcs + permutation_scratch_bytes(params)
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"instance J({params.n},{params.k}) needs {needed} bytes, above the "
+            f"{available} bytes of available memory; use the reduced engine instead")
+
+
+def _check_state(params: GraphParams, state: np.ndarray) -> None:
+    if not (isinstance(state, np.ndarray) and state.dtype == np.complex128
+            and state.shape == (params.num_arcs,) and state.flags.c_contiguous):
+        raise ValueError(
+            f"state must be a C-contiguous complex128 vector of {params.num_arcs} "
+            f"amplitudes (passes update it in place)")
 
 
 def uniform_state(params: GraphParams, capacity: int = DEFAULT_CAPACITY) -> np.ndarray:
@@ -55,35 +98,50 @@ def uniform_state(params: GraphParams, capacity: int = DEFAULT_CAPACITY) -> np.n
 
 
 def state_norm(state: np.ndarray) -> float:
-    """2-norm via pairwise summation (BLAS nrm2's rescaling loses bits)."""
-    return float(np.sqrt(np.sum(state.real ** 2 + state.imag ** 2)))
+    """2-norm via pairwise summation (BLAS nrm2's rescaling loses bits).
+
+    Holds two float64 temporaries the length of the state.
+    """
+    squares = np.square(state.real)
+    squares += np.square(state.imag)
+    return float(np.sqrt(np.sum(squares)))
 
 
 def apply_coin(params: GraphParams, state: np.ndarray) -> np.ndarray:
-    """Grover coin per tail block: out = 2*mean(block) - in."""
+    """Grover coin per tail block, in place: block = 2*mean(block) - block.
+
+    Allocates only the O(num_vertices) block means; returns ``state``.
+    """
+    _check_state(params, state)
     blocks = state.reshape(params.num_vertices, params.degree)
-    means = blocks.mean(axis=1)
-    return (2.0 * means[:, None] - blocks).reshape(-1)
+    means = np.mean(blocks, axis=1)
+    means *= 2.0
+    np.subtract(means[:, None], blocks, out=blocks)
+    return state
 
 
 def apply_shift(state: np.ndarray, opposite: np.ndarray) -> np.ndarray:
-    """Flip-flop shift: the amplitude of every arc moves to its reverse."""
+    """Flip-flop shift: the amplitude of every arc moves to its reverse.
+
+    The one fancy-index gather into a new array (``np.take`` with ``out=``
+    measured slower).
+    """
     return state[opposite]
 
 
 def apply_oracle(params: GraphParams, state: np.ndarray, marked: int) -> np.ndarray:
     """Reflect through the uniform superposition of arcs leaving ``marked``.
 
-    Only the marked block changes; every other amplitude is returned
-    bitwise unchanged.
+    In place, touching only the ``degree`` marked amplitudes; every other
+    amplitude stays bitwise unchanged.  Returns ``state``.
     """
+    _check_state(params, state)
     if not 0 <= marked < params.num_vertices:
         raise ValueError(f"marked rank {marked} out of range")
     d = params.degree
-    out = state.copy()
-    block = slice(marked * d, (marked + 1) * d)
-    out[block] -= 2.0 * state[block].mean()
-    return out
+    block = state[marked * d:(marked + 1) * d]
+    block -= 2.0 * block.mean()
+    return state
 
 
 def step(params: GraphParams,
@@ -92,10 +150,12 @@ def step(params: GraphParams,
          marked: Optional[int] = None) -> np.ndarray:
     """One walk step: shift∘coin, preceded by the oracle on ``marked``.
 
-    ``marked=None`` is the unmarked walk.
+    ``marked=None`` is the unmarked walk.  Consumes ``state`` (the oracle
+    and the coin run in place on it) and returns the next state, the one
+    whole-state allocation of the step.
     """
     if marked is not None:
-        state = apply_oracle(params, state, marked)
+        apply_oracle(params, state, marked)
     return apply_shift(apply_coin(params, state), opposite)
 
 

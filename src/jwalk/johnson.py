@@ -11,6 +11,12 @@ where ``removed_index`` positions the outgoing element inside the sorted
 tail subset and ``inserted_index`` positions the incoming element inside
 the sorted complement of the tail.  All combinatorial quantities are exact
 Python integers; subsets are 1-based tuples at the API surface.
+
+The scalar functions (:func:`rank_vertex`, :func:`arc_head`,
+:func:`arc_opposite`, ...) decode one arc at a time.  The full engine's
+arc-reversal table comes from :func:`opposite_permutation`, which does the
+same colex ranking vectorized with numpy over all arcs, in int64; the
+scalar functions are kept as its independent oracle.
 """
 
 from bisect import bisect_left
@@ -31,6 +37,7 @@ __all__ = [
     "arc_opposite",
     "arc_components",
     "opposite_permutation",
+    "permutation_scratch_bytes",
     "distance_class",
     "shell_size",
     "intersection_numbers",
@@ -162,28 +169,96 @@ def arc_opposite(params: GraphParams, arc: int) -> int:
     return head * params.degree + slot
 
 
+# Arcs per block of the vectorized permutation build (whole tails, at least
+# one).  Sizing blocks by arcs rather than tails keeps the build's temporaries
+# near a megabyte for every n and k (see permutation_scratch_bytes).
+CHUNK_ARCS = 2 ** 16
+
+
+def _binomial_table(n: int, k: int) -> np.ndarray:
+    """``table[e, i] = C(e, i)`` for 0 <= e < n and 0 <= i <= k + 1, int64."""
+    return np.array([[comb(e, i) for i in range(k + 2)] for e in range(n)],
+                    dtype=np.int64)
+
+
+def _colex_subsets(n: int, k: int) -> np.ndarray:
+    """All sorted 1-based k-subsets of {1..n} in colex order, shape (C(n,k), k).
+
+    The j-subsets with largest element e are the (j-1)-subsets of
+    {1..e-1}, which are the first C(e-1, j-1) rows of the previous level.
+    """
+    subsets = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    for j in range(2, k + 1):
+        subsets = np.concatenate([
+            np.column_stack((subsets[:comb(e - 1, j - 1)],
+                             np.full(comb(e - 1, j - 1), e, dtype=np.int64)))
+            for e in range(j, n + 1)])
+    return subsets
+
+
+def permutation_scratch_bytes(params: GraphParams) -> int:
+    """Upper bound on the bytes :func:`opposite_permutation` holds besides its output.
+
+    The subset table and its build take three int64 per subset element, a
+    block under ten int64 per (tail, ground element) pair, and the small
+    per-instance tables under 64 KiB.
+    """
+    block = min(max(1, CHUNK_ARCS // params.degree), params.num_vertices)
+    return 8 * (3 * params.num_vertices * params.k + 10 * block * params.n) + 2 ** 16
+
+
 def opposite_permutation(params: GraphParams) -> np.ndarray:
-    """Arc-reversal permutation as an int64 array over all arcs.
+    """Arc-reversal permutation as a read-only int64 array over all arcs.
+
+    Vectorized colex ranking over blocks of whole tails, about CHUNK_ARCS
+    arcs each; the scalar :func:`arc_opposite` is its independent oracle.
+
+    Take the arc that removes r = T[i] from the sorted tail T and inserts
+    s, the j-th element of its complement.  Then c = #{t in T : t < s} =
+    s - 1 - j, and the reversed arc removes s from the head H at index
+    c - [i < c] and re-inserts r at complement index (r - 1) - i - [c <= i].
+    In the colex rank ``sum_p C(T[p] - 1, p + 1)``, s enters at 1-based
+    place c - [i < c] + 1, r leaves, and the tail elements strictly between
+    them shift one place: down for i < p < c, up for c <= p < i.  Prefix
+    sums of those shifts over p make every reversed arc a (tail, i) term
+    plus a (tail, j) term, one pair for each sign of c - i, so the work per
+    arc is two adds and a compare.
 
     Head ranks are recoverable as ``opposite_permutation(p) // p.degree``.
     """
     n, k, d = params.n, params.k, params.degree
     m = n - k
     opp = np.empty(params.num_arcs, dtype=np.int64)
-    for tail in range(params.num_vertices):
-        tail_subset = unrank_vertex(params, tail)
-        complement = _complement(params, tail_subset)
-        base = tail * d
-        for removed_idx, removed in enumerate(tail_subset):
-            head_minus = [e for e in tail_subset if e != removed]
-            for inserted_idx, inserted in enumerate(complement):
-                pos = bisect_left(head_minus, inserted)
-                head_subset = head_minus[:pos] + [inserted] + head_minus[pos:]
-                head = rank_vertex(params, head_subset)
-                rev_removed_idx = pos
-                rev_inserted_idx = (removed - 1) - bisect_left(head_subset, removed)
-                opp[base + removed_idx * m + inserted_idx] = (
-                    head * d + rev_removed_idx * m + rev_inserted_idx)
+    binom = _binomial_table(n, k)
+    subsets = _colex_subsets(n, k)
+    idx = np.arange(k)
+    block = max(1, CHUNK_ARCS // d)
+    for lo in range(0, params.num_vertices, block):
+        tails = subsets[lo:lo + block]                    # (B, k), sorted
+        B = len(tails)
+        free = np.ones((B, n), dtype=bool)
+        free[np.arange(B)[:, None], tails - 1] = False
+        s0 = np.nonzero(free)[1].reshape(B, m)           # s - 1, (B, m), sorted
+        c = s0 - np.arange(m)                             # tail elements below s
+
+        # per (tail, i): C(T[p]-1, p), C(T[p]-1, p+1), C(T[p]-1, p+2)
+        g0, g1, g2 = (binom[tails - 1, idx + shift] for shift in range(3))
+        zero = np.zeros((B, 1), dtype=np.int64)
+        down = np.hstack((zero, np.cumsum(g0 - g1, axis=1)))   # (B, k+1)
+        up = np.hstack((zero, np.cumsum(g2 - g1, axis=1)))     # (B, k+1)
+        base = g1.sum(axis=1)[:, None] - g1                    # rank(T) - C(r-1, i+1)
+        r_term = tails - 1 - idx
+        i_low = d * (base - down[:, 1:]) + r_term              # i < c
+        i_high = d * (base + up[:, :k]) + r_term - 1           # c <= i
+
+        # per (tail, j)
+        s_low = d * (binom[s0, c] + np.take_along_axis(down, c, axis=1)) + m * (c - 1)
+        s_high = d * (binom[s0, c + 1] - np.take_along_axis(up, c, axis=1)) + m * c
+
+        out = opp[lo * d:(lo + B) * d].reshape(B, k, m)
+        np.add(i_high[:, :, None], s_high[:, None, :], out=out)
+        np.add(i_low[:, :, None], s_low[:, None, :], out=out,
+               where=idx[None, :, None] < c[:, None, :])
     opp.setflags(write=False)
     return opp
 

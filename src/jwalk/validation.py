@@ -98,7 +98,10 @@ def dense_step(params: GraphParams,
 
 def dense_step_from_engine(params: GraphParams,
                            marked: Optional[int] = None) -> np.ndarray:
-    """Same matrix assembled column-by-column from the matrix-free engine."""
+    """Same matrix assembled column-by-column from the matrix-free engine.
+
+    Each column steps a fresh basis vector, which the step consumes.
+    """
     _require_dense(params)
     opp = opposite_permutation(params)
     A = params.num_arcs
@@ -322,7 +325,9 @@ def verify_eigenbasis(params: GraphParams, marked: int, tol: float = 1e-10,
     eig_residual = 0.0
     stepped = np.empty_like(B)
     for col in range(2 * k + 1):
-        stepped[:, col] = arc_engine.step(params, B[:, col], b.opposite)
+        # a contiguous copy: the step updates its input in place
+        stepped[:, col] = arc_engine.step(params, np.ascontiguousarray(B[:, col]),
+                                          b.opposite)
     eig_residual = max(eig_residual,
                        float(np.linalg.norm(stepped[:, 0] - B[:, 0])))
     for l in range(1, k + 1):
@@ -364,7 +369,7 @@ def verify_subspace_invariance(params: GraphParams, marked: int,
 
     b0 = b.outward[0].astype(np.complex128)
     c1 = b.inward[1].astype(np.complex128)
-    oracle_b0 = arc_engine.apply_oracle(params, b0, marked)
+    oracle_b0 = arc_engine.apply_oracle(params, b0.copy(), marked)
     oracle_mix = arc_engine.apply_oracle(params, b0 - c1, marked)
     exact = float(max(np.abs(oracle_b0 + b0).max(),
                       np.abs(oracle_mix + b0 + c1).max()))

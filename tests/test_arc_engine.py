@@ -1,11 +1,13 @@
 """Full arc-space engine: operator identities, closed form, cross-engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError
-from jwalk.johnson import graph_params, opposite_permutation
+from jwalk.johnson import graph_params, opposite_permutation, permutation_scratch_bytes
 
 
 def random_states(params, count, seed=7):
@@ -57,13 +59,13 @@ def test_coin_block_example():
 def test_coin_fixes_uniform():
     p = graph_params(6, 2)
     state = arc_engine.uniform_state(p)
-    assert np.allclose(arc_engine.apply_coin(p, state), state, atol=1e-15)
+    assert np.allclose(arc_engine.apply_coin(p, state.copy()), state, atol=1e-15)
 
 
 def test_coin_involution_on_random_states():
     p = graph_params(6, 2)
     for state in random_states(p, 100):
-        twice = arc_engine.apply_coin(p, arc_engine.apply_coin(p, state))
+        twice = arc_engine.apply_coin(p, arc_engine.apply_coin(p, state.copy()))
         assert np.abs(twice - state).max() <= 1e-12
 
 
@@ -94,7 +96,7 @@ def test_oracle_reflects_marked_superposition():
     marked = 3
     target = np.zeros(p.num_arcs, dtype=complex)
     target[marked * d:(marked + 1) * d] = 1.0 / np.sqrt(d)
-    out = arc_engine.apply_oracle(p, target, marked)
+    out = arc_engine.apply_oracle(p, target.copy(), marked)
     assert np.abs(out + target).max() <= 1e-15
 
 
@@ -106,7 +108,7 @@ def test_oracle_fixes_orthogonal_states_bitwise():
     d = p.degree
     state[:d] = 0.0
     state[0], state[1] = 0.25, -0.25
-    out = arc_engine.apply_oracle(p, state, marked)
+    out = arc_engine.apply_oracle(p, state.copy(), marked)
     assert np.array_equal(out, state)
 
 
@@ -114,11 +116,86 @@ def test_oracle_changes_only_marked_block():
     p = graph_params(6, 2)
     marked = 5
     state = random_states(p, 1)[0]
-    out = arc_engine.apply_oracle(p, state, marked)
+    out = arc_engine.apply_oracle(p, state.copy(), marked)
     d = p.degree
     mask = np.ones(p.num_arcs, dtype=bool)
     mask[marked * d:(marked + 1) * d] = False
     assert np.array_equal(out[mask], state[mask])
+
+
+def test_capacity_checks_available_memory(monkeypatch):
+    # above the default cap the state, the gather target, the int64
+    # permutation and the build's scratch must fit in available memory
+    p = graph_params(8, 2)
+    needed = 40 * p.num_arcs + permutation_scratch_bytes(p)
+    forced = arc_engine.HARD_CAPACITY
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
+    with pytest.raises(CapacityError, match="available memory"):
+        arc_engine.evolve_and_record(p, 0, 2, capacity=forced)
+    arc_engine.uniform_state(p)  # the default cap does not read the budget
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed)
+    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced)) == 3
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
+    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced)) == 3
+
+
+def test_in_place_passes_refuse_other_layouts():
+    # reshaping a strided view would copy it, and the update would be lost
+    p = graph_params(6, 2)
+    opp = opposite_permutation(p)
+    columns = random_states(p, 2).T.copy()
+    bad = [columns[:, 0],                                   # strided view
+           np.ones(p.num_arcs, dtype=np.complex64),         # wrong dtype
+           np.ones(p.num_arcs - 1, dtype=np.complex128),    # wrong length
+           np.ones((p.num_vertices, p.degree), dtype=np.complex128)]  # 2-D
+    for state in bad:
+        with pytest.raises(ValueError):
+            arc_engine.apply_coin(p, state)
+        with pytest.raises(ValueError):
+            arc_engine.apply_oracle(p, state, 0)
+        for marked in (None, 0):
+            with pytest.raises(ValueError):
+                arc_engine.step(p, state, opp, marked)
+
+
+def test_passes_update_in_place():
+    p = graph_params(6, 2)
+    opp = opposite_permutation(p)
+    state = random_states(p, 1)[0].copy()
+    expected = arc_engine.apply_coin(p, arc_engine.apply_oracle(p, state.copy(), 3))
+    assert arc_engine.apply_oracle(p, state, 3) is state
+    assert arc_engine.apply_coin(p, state) is state
+    assert np.array_equal(state, expected)
+    assert np.array_equal(arc_engine.apply_shift(state, opp), expected[opp])
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_allocates_only_the_gather_target():
+    # one step holds the shift's new state plus the O(N) block means; the
+    # in-place passes alone hold the means and numpy's fixed-size ufunc
+    # buffer, far below one state, so a whole-state copy anywhere fails one
+    # of these bounds
+    p = graph_params(20, 3)
+    opp = opposite_permutation(p)
+    state = arc_engine.uniform_state(p)
+    nxt, peak = _peak_bytes(lambda: arc_engine.step(p, state, opp, 0))
+    assert nxt is not state
+    assert peak <= 1.1 * state.nbytes
+    _, peak = _peak_bytes(lambda: arc_engine.apply_oracle(p, nxt, 0))
+    assert peak <= 0.25 * state.nbytes
+    _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, nxt))
+    assert peak <= 0.25 * state.nbytes
+    # sampling the norm fits the same budget: two float64 temporaries
+    _, peak = _peak_bytes(lambda: arc_engine.state_norm(nxt))
+    assert peak <= 1.1 * state.nbytes
 
 
 @pytest.mark.parametrize("marked", [-2, -1, 15])
@@ -133,7 +210,7 @@ def test_oracle_rejects_out_of_range_marked(marked):
 def test_oracle_involution_on_random_states():
     p = graph_params(6, 2)
     for state in random_states(p, 100, seed=11):
-        twice = arc_engine.apply_oracle(p, arc_engine.apply_oracle(p, state, 2), 2)
+        twice = arc_engine.apply_oracle(p, arc_engine.apply_oracle(p, state.copy(), 2), 2)
         assert np.abs(twice - state).max() <= 1e-12
 
 
@@ -157,7 +234,7 @@ def test_step_preserves_uniform():
     p = graph_params(6, 2)
     opp = opposite_permutation(p)
     uniform = arc_engine.uniform_state(p)
-    out = arc_engine.step(p, uniform, opp)
+    out = arc_engine.step(p, uniform.copy(), opp)
     assert np.abs(out - uniform).max() <= 1e-14
 
 
@@ -169,10 +246,10 @@ def test_modified_coin_fusion_equivalent():
     marked = 4
     d = p.degree
     for state in random_states(p, 20, seed=3):
-        fused = arc_engine.apply_coin(p, state)
+        fused = arc_engine.apply_coin(p, state.copy())
         fused[marked * d:(marked + 1) * d] = -state[marked * d:(marked + 1) * d]
         via_fusion = arc_engine.apply_shift(fused, opp)
-        via_oracle = arc_engine.step(p, state, opp, marked)
+        via_oracle = arc_engine.step(p, state.copy(), opp, marked)
         assert np.abs(via_fusion - via_oracle).max() <= 1e-13
 
 
@@ -183,7 +260,7 @@ def test_step_matches_dense_operator_on_random_states(n, k):
     marked = 1
     dense = validation.dense_step(p, marked, opposite=opp)
     for state in random_states(p, 100, seed=5):
-        direct = arc_engine.step(p, state, opp, marked)
+        direct = arc_engine.step(p, state.copy(), opp, marked)
         assert np.abs(dense @ state - direct).max() <= 1e-12
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from jwalk import cli, reports
+from jwalk import arc_engine, cli, reports
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +76,19 @@ def test_simulate_capacity_exceeded(capsys):
 def test_simulate_force_capacity_flag(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--engine", "full", "--steps", "3", "--force-capacity")
+    assert code == 0
+    assert len(reports.read_run_rows(out)) == 4
+
+
+def test_simulate_force_capacity_checks_available_memory(capsys, monkeypatch):
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 1024)
+    code, _, err = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
+                           "--engine", "full", "--steps", "3", "--force-capacity")
+    assert code == 3
+    assert "available memory" in err
+    # without --force-capacity the amplitude cap alone applies
+    code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
+                           "--engine", "full", "--steps", "3")
     assert code == 0
     assert len(reports.read_run_rows(out)) == 4
 

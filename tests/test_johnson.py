@@ -1,5 +1,6 @@
 """Combinatorics layer: ranking, arcs, shells, intersection numbers."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -121,14 +122,55 @@ def test_arc_opposite_example():
     assert johnson.arc_components(p, opp) == (johnson.rank_vertex(p, (2, 3)), 3, 1)
 
 
-@pytest.mark.parametrize("n,k", [(5, 2), (6, 3)])
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (6, 3), (7, 3), (8, 4),
+                                 (9, 4), (12, 5)])
 def test_opposite_permutation_matches_scalar(n, k):
     p = johnson.graph_params(n, k)
     table = johnson.opposite_permutation(p)
     assert table.dtype == np.int64
-    assert np.array_equal(table[table], np.arange(p.num_arcs))
+    assert not table.flags.writeable
+    arcs = np.arange(p.num_arcs)
+    assert np.array_equal(table[table], arcs)
+    assert not np.any(table == arcs)
     for arc in range(p.num_arcs):
         assert table[arc] == johnson.arc_opposite(p, arc)
+        assert table[arc] // p.degree == johnson.arc_head(p, arc)
+
+
+def test_opposite_permutation_across_blocks():
+    # J(30,3) builds in several blocks of whole tails, the last one partial
+    p = johnson.graph_params(30, 3)
+    block = johnson.CHUNK_ARCS // p.degree
+    assert p.num_vertices > 2 * block and p.num_vertices % block != 0
+    table = johnson.opposite_permutation(p)
+    arcs = np.arange(p.num_arcs)
+    assert np.array_equal(table[table], arcs)
+    assert not np.any(table == arcs)
+
+    colex = sorted(combinations(range(1, p.n + 1), p.k),
+                   key=lambda s: s[::-1])
+    members = np.zeros((p.num_vertices, p.n + 1), dtype=bool)
+    members[np.arange(p.num_vertices)[:, None], np.array(colex)] = True
+    tails, heads = arcs // p.degree, table // p.degree
+    shared = (members[tails] & members[heads]).sum(axis=1)
+    assert np.all(shared == p.k - 1)
+
+    rng = np.random.default_rng(2021)
+    for arc in rng.choice(p.num_arcs, size=2000, replace=False):
+        assert table[arc] == johnson.arc_opposite(p, int(arc))
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (40, 3), (130, 2), (600, 1), (20, 6)])
+def test_permutation_scratch_bound(n, k):
+    # the capacity check counts the build's temporaries by this bound
+    p = johnson.graph_params(n, k)
+    tracemalloc.start()
+    try:
+        table = johnson.opposite_permutation(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes <= johnson.permutation_scratch_bytes(p)
 
 
 def test_distance_class():
