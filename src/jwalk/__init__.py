@@ -7,7 +7,8 @@ Dense brute-force oracles certify the closed forms on small instances.
 """
 
 from .arc_engine import evolve_and_record, uniform_state
-from .errors import CapacityError, CertificationError, DegenerateInstanceError
+from .errors import (CapacityError, CertificationError, DegenerateInstanceError,
+                     PrecisionError)
 from .johnson import (GraphParams, IntersectionRow, distance_class, graph_params,
                       intersection_numbers, rank_vertex, shell_size, unrank_vertex)
 from .reduced import (ReducedWalk, build_reduced, eigenphases, evolve_series, states,
@@ -29,5 +30,6 @@ __all__ = [
     "eigenphases", "success_probability",
     "certify",
     "CapacityError", "CertificationError", "DegenerateInstanceError",
+    "PrecisionError",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: spectrum, simulate, sweep, validate.  Exit codes: 0 success,
-1 certification failure, 2 usage or domain error, 3 capacity refusal.
+1 certification failure, 2 usage or domain error (including an instance
+beyond the spectral solver's precision), 3 capacity refusal.
 """
 
 import argparse
@@ -9,7 +10,7 @@ import sys
 from typing import Optional
 
 from . import arc_engine, reduced, reports, spectral, validation
-from .errors import CapacityError
+from .errors import CapacityError, PrecisionError
 from .johnson import graph_params, rank_vertex
 
 EXIT_OK = 0
@@ -180,7 +181,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
+    except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

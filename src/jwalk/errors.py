@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: usage/domain problems exit 2,
-certification failures exit 1, capacity refusals exit 3.
+The CLI maps these onto process exit codes: usage/domain problems exit 2
+(an instance beyond the working precision among them), certification
+failures exit 1, capacity refusals exit 3.
 """
 
 
@@ -10,6 +11,14 @@ class DegenerateInstanceError(ValueError):
 
     On such graphs (only J(2,1) among the accepted parameter range) the
     walk eigenbasis construction breaks down, so the instance is refused.
+    """
+
+
+class PrecisionError(ArithmeticError):
+    """A result the working precision cannot resolve, so none is returned.
+
+    Raised when a secular root of the reduced step lies closer to its pole
+    than 40 digits separate, or its polish does not settle.
     """
 
 

@@ -17,26 +17,53 @@ the first basis vector, and the success probability at any time is
 There is one operator, ``ReducedWalk.matrix``, built and stored in numpy's
 extended precision where the platform provides one (a double-rounded step
 matrix has eigenvalue moduli off by a few 1e-18, which over 1e6 steps
-inflates the norm by about 1e-11).  It is cast to double only where double
-is all the consumer takes: ``np.linalg.eigvals`` in ``eigenphases`` and the
+inflates the norm by about 1e-11).  It is cast to double only for the
 dense compression check in ``jwalk.validation``.  States and probabilities
 are reported in double.
 
-``states`` is the only loop that applies the operator; ``evolve_series``
-and ``sweep_point`` consume it.  A step is one dense (2k+1)^2 matvec.  The
-structured form D(x - 2 w (w . x)) is O(k) in arithmetic but takes three
-numpy calls instead of one, and call overhead dominates at this size.  On
-an x86-64 host (numpy 2.4.6, 80-bit longdouble; best of five runs of 5e4
-steps) it took 6.1 us/step against 1.7 us/step for the dense matvec on
-J(10^6, 2), and 6.8 against 2.0 us/step on J(4000, 3).
+``states`` is the only loop that applies the operator, and
+``evolve_series`` its only reader.  A step is one dense (2k+1)^2 matvec.
+The structured form D(x - 2 w (w . x)) is O(k) in arithmetic but takes
+three numpy calls instead of one, and call overhead dominates at this
+size.  On an x86-64 host (numpy 2.4.6, 80-bit longdouble; best of five
+runs of 5e4 steps) it took 6.1 us/step against 1.7 us/step for the dense
+matvec on J(10^6, 2), and 6.8 against 2.0 us/step on J(4000, 3).
+
+``sweep_point`` and ``eigenphases`` do not iterate.  The marked step is a
+rank-one change of the diagonal unitary D = diag(e^{i phi_j}), so its
+eigenphases are the roots of the secular equation (Golub 1973; Bunch,
+Nielsen and Sorensen 1978)
+
+    f(theta) = sum_j w_j**2 cot((theta - phi_j) / 2) = 0.
+
+f falls from +inf to -inf between consecutive walk phases, counting the
+gap that wraps through pi, so each of the 2k+1 gaps holds exactly one
+root.  ``spectrum`` brackets it by bisection and polishes it by Newton at
+``spectral._MP_DPS`` (40) digits, from the integer eigenvalues and the
+exact Fraction weights, never from ``matrix``.  The eigenvector
+(e^{i theta} - D)^{-1} D w gives the start state's amplitudes in closed
+form, and
+
+    p(t) = |sum_m a_m e^{i theta_m t}|**2.
+
+Precision: a root good to 40 digits keeps theta*t good to about 1e-33 at
+t = 10^6.  ``probability_blocks`` reduces every theta*t modulo 2 pi in
+mpmath before rounding it to longdouble, so the error of p(t) does not
+grow with t, and sums the 2k+1 terms in extended precision, so p is good
+to about one double rounding.  On J(10^6, 2) the scan's p(t_run) equals a
+60-digit evaluation to the last bit, while the iterated engine's differs
+by 2.8e-14, its own drift over 785,398 steps.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import spectral
+from .errors import PrecisionError
 from .johnson import GraphParams
 
 __all__ = [
@@ -44,10 +71,19 @@ __all__ = [
     "build_reduced",
     "states",
     "evolve_series",
+    "spectrum",
+    "probability_blocks",
     "sweep_point",
     "success_probability",
     "eigenphases",
 ]
+
+# values of t per block of the spectral scan; a perfect square, since the
+# e^{i theta j} table is stored as two factors of sqrt(SCAN_CHUNK) rows
+SCAN_CHUNK = 2 ** 12
+
+# Newton steps allowed after bisection; reaching the cap raises
+_MAX_NEWTON = 20
 
 
 @dataclass(frozen=True)
@@ -62,6 +98,16 @@ class ReducedWalk:
     @property
     def dim(self) -> int:
         return 2 * self.params.k + 1
+
+
+@dataclass(frozen=True)
+class SecularSpectrum:
+    """Marked-step spectrum at ``spectral._MP_DPS`` digits (mpmath numbers)."""
+
+    phases: tuple       # walk phases -omega_k..-omega_1, 0, omega_1..omega_k
+    weights: tuple      # w_j**2 for each phase
+    roots: tuple        # eigenphase theta_m in the gap above phases[m]
+    amplitudes: tuple   # a_m, with p(t) = |sum_m a_m e^{i theta_m t}|**2
 
 
 def _longdouble_ratio(frac: Fraction) -> np.longdouble:
@@ -142,8 +188,114 @@ def evolve_series(walk: ReducedWalk, steps: int, stride: int = 1) -> list:
     return rows
 
 
+def _ld(x) -> np.longdouble:
+    # an mpf as the sum of its two leading doubles, rounded once to longdouble
+    hi = float(x)
+    return np.longdouble(hi) + np.longdouble(float(x - hi))
+
+
+def _rotations(roots: tuple, times) -> np.ndarray:
+    """e^{i theta t} in clongdouble, one row per t, with theta*t mod 2 pi in mpmath."""
+    with mpmath.workdps(spectral._MP_DPS):
+        turn = 2 * mpmath.pi
+        angles = np.array([[_ld(theta * t % turn) for theta in roots] for t in times])
+    return np.exp(1j * angles)
+
+
+def _secular_root(phases: list, weights: list, lo, hi):
+    """The one root of sum_j w_j**2 cot((theta - phi_j)/2) in the gap (lo, hi).
+
+    The function falls from +inf at ``lo`` to -inf at ``hi``.  Bisection
+    narrows the gap until the midpoint is known to a 2**-24 share of its
+    distance to the nearer pole; Newton then polishes it until a step is
+    down to the rounding error of theta and of the sum.  Raises
+    PrecisionError, never returns a guess, if the root is too close to a
+    pole for the working precision, if Newton does not settle within
+    _MAX_NEWTON steps, or if it leaves the gap.
+    """
+    def cots(theta):
+        return [1 / mpmath.tan((theta - phi) / 2) for phi in phases]
+
+    pole_lo, pole_hi = lo, hi
+    while True:
+        theta = (lo + hi) / 2
+        if hi - lo <= mpmath.ldexp(min(theta - pole_lo, pole_hi - theta), -24):
+            break
+        if not lo < theta < hi:
+            raise PrecisionError(
+                f"secular root in ({pole_lo}, {pole_hi}) is closer to a pole "
+                f"than {mpmath.mp.dps} digits resolve")
+        if mpmath.fdot(weights, cots(theta)) > 0:
+            lo = theta
+        else:
+            hi = theta
+    for _ in range(_MAX_NEWTON):
+        c = cots(theta)
+        terms = [w * x for w, x in zip(weights, c)]
+        slope = -mpmath.fsum(w * (1 + x * x) for w, x in zip(weights, c)) / 2
+        step = mpmath.fsum(terms) / slope
+        theta -= step
+        # done once the step is down to the rounding of theta and of the sum
+        noise = abs(theta) + mpmath.fsum(terms, absolute=True) / abs(slope)
+        if abs(step) <= noise * mpmath.eps * 2 ** 8:
+            break
+    else:
+        raise PrecisionError(f"secular Newton in ({pole_lo}, {pole_hi}) did not converge")
+    if not pole_lo < theta < pole_hi:
+        raise PrecisionError(f"secular root {theta} left its gap ({pole_lo}, {pole_hi})")
+    return theta
+
+
+def spectrum(walk: ReducedWalk) -> SecularSpectrum:
+    """Eigenphases and start-state amplitudes of the marked step, in mpmath.
+
+    Solved at ``spectral._MP_DPS`` digits from the integer eigenvalues and
+    the exact projector weights, never from ``walk.matrix``.
+    """
+    params = walk.params
+    k = params.k
+    with mpmath.workdps(spectral._MP_DPS):
+        omegas = [mpmath.acos(mpmath.mpf(spectral.eigenvalue(params, l)) / params.degree)
+                  for l in range(1, k + 1)]
+        exact = [spectral.projector_weight_exact(params, l) for l in range(k + 1)]
+        squares = [mpmath.mpf(f.numerator) / f.denominator for f in exact]
+        phases = [-omega for omega in reversed(omegas)] + [mpmath.mpf(0)] + omegas
+        weights = [s / 2 for s in reversed(squares[1:])] + [squares[0]] \
+            + [s / 2 for s in squares[1:]]
+        gaps = list(zip(phases, phases[1:] + [phases[0] + 2 * mpmath.pi]))
+        roots = [_secular_root(phases, weights, lo, hi) for lo, hi in gaps]
+        w0 = mpmath.sqrt(squares[0])
+        amplitudes = []
+        for theta in roots:
+            norm = mpmath.fsum(w / (4 * mpmath.sin((theta - phi) / 2) ** 2)
+                               for phi, w in zip(phases, weights))
+            amplitudes.append(w0 / 4 * (1 - 1j * mpmath.cot(theta / 2)) / norm)
+    return SecularSpectrum(phases=tuple(phases), weights=tuple(weights),
+                           roots=tuple(roots), amplitudes=tuple(amplitudes))
+
+
+def probability_blocks(walk: ReducedWalk, steps: int):
+    """Yield (s, p) for t = 0..``steps``, p[j] the success probability at s + j.
+
+    p(t) = |sum_m a_m e^{i theta_m t}|**2 from ``spectrum(walk)``, in
+    blocks of at most SCAN_CHUNK values of t.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    spec = spectrum(walk)
+    amplitudes = np.array([_ld(a.real) + 1j * _ld(a.imag) for a in spec.amplitudes])
+    # e^{i theta j} for j = side*q + r is coarse[q] * fine[r]
+    side = math.isqrt(SCAN_CHUNK)
+    coarse = _rotations(spec.roots, range(0, SCAN_CHUNK, side))
+    fine = _rotations(spec.roots, range(side)).T.copy()
+    for start in range(0, steps + 1, SCAN_CHUNK):
+        coeffs = amplitudes * _rotations(spec.roots, [start])[0]
+        z = np.dot(coarse * coeffs, fine).reshape(-1)[:steps + 1 - start]
+        yield start, (z.real * z.real + z.imag * z.imag).astype(np.float64)
+
+
 def sweep_point(walk: ReducedWalk, t_run: int) -> tuple:
-    """(p_run, t_opt, p_max) in one pass over t in [0, max(1, 2*t_run)].
+    """(p_run, t_opt, p_max) from one scan of t in [0, max(1, 2*t_run)].
 
     ``p_run`` is the success probability at ``t_run``; ``t_opt`` is the
     first t at which the window's maximum ``p_max`` is reached.
@@ -151,16 +303,16 @@ def sweep_point(walk: ReducedWalk, t_run: int) -> tuple:
     if t_run < 0:
         raise ValueError("t_run must be >= 0")
     p_run = t_opt = p_max = None
-    for t, state in enumerate(states(walk, max(1, 2 * t_run))):
-        p = success_probability(walk.target, state.astype(np.complex128))
-        if t == t_run:
-            p_run = p
-        if p_max is None or p > p_max:
-            t_opt, p_max = t, p
+    for start, p in probability_blocks(walk, max(1, 2 * t_run)):
+        if start <= t_run < start + len(p):
+            p_run = float(p[t_run - start])
+        peak = int(np.argmax(p))
+        if p_max is None or p[peak] > p_max:
+            t_opt, p_max = start + peak, float(p[peak])
     return p_run, t_opt, p_max
 
 
 def eigenphases(walk: ReducedWalk) -> np.ndarray:
-    """Sorted principal arguments of the step-matrix eigenvalues."""
-    eig = np.linalg.eigvals(walk.matrix.astype(np.complex128))
-    return np.sort(np.angle(eig))
+    """Sorted principal arguments of the step-matrix eigenvalues, in double."""
+    phases = [float(theta) for theta in spectrum(walk).roots]
+    return np.sort([p - 2 * math.pi if p > math.pi else p for p in phases])

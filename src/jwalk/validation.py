@@ -289,16 +289,19 @@ def verify_spectral_closed_forms(params: GraphParams, marked: int = 0,
     }, tol)
 
 
-def verify_dense_step(params: GraphParams, marked: int, tol: float = 1e-10) -> dict:
+def verify_dense_step(params: GraphParams, marked: int, tol: float = 1e-10,
+                      opposite: Optional[np.ndarray] = None,
+                      dense_marked_step: Optional[np.ndarray] = None) -> dict:
     """Closed-form step matrix versus the engine, plus unitarity."""
-    opp = opposite_permutation(params)
+    opp = opposite_permutation(params) if opposite is None else opposite
     eye = np.eye(params.num_arcs)
     residuals = {}
     U = dense_step(params, opposite=opp)
     residuals["step_closed_form_vs_engine"] = float(np.abs(
         U - dense_step_from_engine(params)).max())
     residuals["step_unitarity"] = float(np.abs(U.conj().T @ U - eye).max())
-    Um = dense_step(params, marked, opposite=opp)
+    Um = dense_marked_step if dense_marked_step is not None else dense_step(
+        params, marked, opposite=opp)
     residuals["marked_step_closed_form_vs_engine"] = float(np.abs(
         Um - dense_step_from_engine(params, marked)).max())
     residuals["marked_step_unitarity"] = float(np.abs(Um.conj().T @ Um - eye).max())
@@ -421,7 +424,7 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     dense_marked = dense_step(params, marked, opposite=basis.opposite)
     stages = [
         lambda: verify_spectral_closed_forms(params, marked, tol),
-        lambda: verify_dense_step(params, marked, tol),
+        lambda: verify_dense_step(params, marked, tol, basis.opposite, dense_marked),
         lambda: verify_eigenbasis(params, marked, tol, basis),
         lambda: verify_subspace_invariance(params, marked, tol, basis, dense_marked),
         lambda: verify_target_and_initial(params, marked, tol, basis),

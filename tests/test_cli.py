@@ -37,6 +37,13 @@ def test_spectrum_degenerate_instance(capsys):
     assert "degenerate instance" in err
 
 
+def test_sweep_beyond_working_precision(capsys):
+    # J(10^12, 4): a secular root sits closer to its pole than 40 digits resolve
+    code, _, err = run_cli(capsys, "sweep", "--k", "4", "--n-list", "1000000000000")
+    assert code == 2
+    assert "closer to a pole" in err
+
+
 def test_spectrum_requires_n_at_least_2k(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--n", "5", "--k", "3")
     assert code == 2

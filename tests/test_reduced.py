@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from jwalk import reduced, spectral
+from jwalk.errors import PrecisionError
 from jwalk.johnson import graph_params
 
 # regression constants from the first run of this engine (extended-precision
@@ -122,6 +124,17 @@ def test_eigenphases_unit_modulus_and_pairing():
         assert len(at_pi) == 1
 
 
+@pytest.mark.parametrize("n,k", [(100, 2), (50, 3), (12, 4)])
+def test_eigenphases_are_the_secular_roots(n, k):
+    # one derivation: the roots, checked against the double-precision eig
+    walk = reduced.build_reduced(graph_params(n, k))
+    on_circle = np.exp(1j * reduced.eigenphases(walk))
+    eig = np.linalg.eigvals(walk.matrix.astype(complex))
+    gap = np.abs(on_circle[:, None] - eig[None, :])
+    assert gap.min(axis=1).max() <= 1e-10 and gap.min(axis=0).max() <= 1e-10
+    assert np.all(np.diff(reduced.eigenphases(walk)) > 0)
+
+
 def test_smallest_phase_regression_j100():
     walk = reduced.build_reduced(graph_params(100, 2))
     phases = reduced.eigenphases(walk)
@@ -143,15 +156,129 @@ def test_sweep_point_j100():
 
 @pytest.mark.parametrize("n,k", [(100, 2), (400, 2), (20, 3)])
 def test_sweep_point_matches_series(n, k):
-    # the one-pass sweep reads the same values as the full series, bitwise
+    # the spectral sweep reads the iterated series' values to 1e-12
     p = graph_params(n, k)
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
     series = [row[1] for row in reduced.evolve_series(walk, 2 * t_run)]
     p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
-    assert p_run == series[t_run]
-    assert t_opt == series.index(max(series))
-    assert p_max == max(series)
+    assert abs(p_run - series[t_run]) <= 1e-12
+    assert abs(series[t_opt] - max(series)) <= 1e-12
+    assert abs(p_max - max(series)) <= 1e-12
+
+
+# k = 1..4: the smallest instance of each k (J(2k, k), or J(3, 1) since J(2, 1)
+# is degenerate) and one with a long window (2*t_run from 1,632 to 28,678 steps)
+CERTIFIED = [(3, 1), (10 ** 6, 1), (4, 2), (6400, 2), (6, 3), (1000, 3), (8, 4), (60, 4)]
+
+
+def _spectral_series(walk, steps):
+    return np.concatenate([p for _, p in reduced.probability_blocks(walk, steps)])
+
+
+@pytest.mark.parametrize("n,k", CERTIFIED)
+def test_spectral_scan_matches_iteration(n, k):
+    p = graph_params(n, k)
+    walk = reduced.build_reduced(p)
+    t_run = spectral.run_time(p).t_run
+    steps = max(1, 2 * t_run)
+    iterated = np.array([row[1] for row in reduced.evolve_series(walk, steps)])
+    scanned = _spectral_series(walk, steps)
+    assert scanned.shape == iterated.shape
+    assert np.abs(scanned - iterated).max() <= 1e-12
+    assert scanned[0] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
+    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
+    assert abs(p_run - iterated[t_run]) <= 1e-12
+    assert abs(p_max - iterated.max()) <= 1e-12
+    assert abs(iterated[t_opt] - iterated.max()) <= 1e-12
+    assert p_run <= p_max
+    assert t_opt == int(np.argmax(scanned)) and p_max == scanned[t_opt]
+
+
+@pytest.mark.parametrize("n,k", CERTIFIED)
+def test_secular_roots_bracketed_and_solved(n, k):
+    spec = reduced.spectrum(reduced.build_reduced(graph_params(n, k)))
+    dim = 2 * k + 1
+    assert len(spec.phases) == len(spec.weights) == len(spec.roots) == dim
+    with mpmath.workdps(spectral._MP_DPS):
+        assert abs(mpmath.fsum(spec.weights) - 1) <= 1e-35
+        poles = list(spec.phases) + [spec.phases[0] + 2 * mpmath.pi]
+        for m, theta in enumerate(spec.roots):
+            assert poles[m] < theta < poles[m + 1]
+            residual = mpmath.fsum(w / mpmath.tan((theta - phi) / 2)
+                                   for phi, w in zip(spec.phases, spec.weights))
+            assert abs(residual) <= 1e-30
+        # the amplitudes resolve the start state: p(0) = w_0**2 = 1/N
+        assert abs(abs(mpmath.fsum(spec.amplitudes)) ** 2 - spec.weights[k]) <= 1e-35
+
+
+def test_sweep_at_t_run_j1e6_2_against_60_digits_and_iteration(monkeypatch):
+    p = graph_params(10 ** 6, 2)
+    walk = reduced.build_reduced(p)
+    t_run = spectral.run_time(p).t_run
+    p_run, _, _ = reduced.sweep_point(walk, t_run)
+    monkeypatch.setattr(spectral, "_MP_DPS", 60)
+    spec = reduced.spectrum(walk)
+    with mpmath.workdps(60):
+        exact = abs(mpmath.fsum(a * mpmath.expj(theta * t_run)
+                                for theta, a in zip(spec.roots, spec.amplitudes))) ** 2
+    assert abs(p_run - float(exact)) <= 1e-15
+    for state in reduced.states(walk, t_run):
+        pass
+    assert abs(p_run - reduced.success_probability(walk.target, state)) <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the one-rounding bound needs an extended longdouble")
+def test_scan_within_one_rounding_of_60_digits(monkeypatch):
+    p = graph_params(10 ** 6, 2)
+    walk = reduced.build_reduced(p)
+    steps = 2 * spectral.run_time(p).t_run
+    scanned = _spectral_series(walk, steps)
+    monkeypatch.setattr(spectral, "_MP_DPS", 60)
+    spec = reduced.spectrum(walk)
+    for t in np.linspace(0, steps, 41).astype(int):
+        with mpmath.workdps(60):
+            z = mpmath.fsum(a * mpmath.expj(theta * t)
+                            for theta, a in zip(spec.roots, spec.amplitudes))
+            exact = float(abs(z) ** 2)
+        # one unit in the last place of p near its peak of 1/2
+        assert abs(scanned[t] - exact) <= np.spacing(0.5)
+
+
+def test_rotation_angles_reduced_before_rounding():
+    # theta*t is taken mod 2 pi in mpmath, so e^{i theta t} at t = 10^15 is
+    # as accurate as at t = 1
+    roots = reduced.spectrum(reduced.build_reduced(graph_params(100, 2))).roots
+    times = [1, 10 ** 15]
+    got = reduced._rotations(roots, times)
+    with mpmath.workdps(spectral._MP_DPS):
+        for row, t in zip(got, times):
+            for z, theta in zip(row, roots):
+                assert abs(complex(z) - complex(mpmath.expj(theta * t))) <= 1e-15
+
+
+def test_probability_blocks_layout():
+    walk = reduced.build_reduced(graph_params(100, 2))
+    blocks = list(reduced.probability_blocks(walk, reduced.SCAN_CHUNK))
+    assert [(s, len(p)) for s, p in blocks] == [(0, reduced.SCAN_CHUNK),
+                                                (reduced.SCAN_CHUNK, 1)]
+    assert [len(p) for _, p in reduced.probability_blocks(walk, 0)] == [1]
+    with pytest.raises(ValueError):
+        next(reduced.probability_blocks(walk, -1))
+
+
+def test_unconverged_root_raises(monkeypatch):
+    monkeypatch.setattr(reduced, "_MAX_NEWTON", 0)
+    with pytest.raises(PrecisionError, match="did not converge"):
+        reduced.spectrum(reduced.build_reduced(graph_params(100, 2)))
+
+
+def test_root_beyond_working_precision_raises():
+    # level-1 weight ~ 24/n**3: its root sits ~1e-35 from the pole, below
+    # what 40 digits resolve next to a phase of order 1
+    with pytest.raises(PrecisionError, match="closer to a pole"):
+        reduced.spectrum(reduced.build_reduced(graph_params(10 ** 12, 4)))
 
 
 def test_norm_drift_over_one_million_steps():

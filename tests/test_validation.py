@@ -162,6 +162,23 @@ def test_certify_passes_default_tolerance(n, k):
     assert all(c.residual <= 1e-10 for c in report.checks)
 
 
+def test_certify_builds_each_dense_step_once(monkeypatch):
+    # certify hands its one marked dense step to every stage that needs it
+    built = []
+    original = validation.dense_step
+
+    def counting(params, marked=None, opposite=None):
+        built.append(marked)
+        return original(params, marked, opposite)
+
+    monkeypatch.setattr(validation, "dense_step", counting)
+    p = graph_params(6, 3)
+    marked = rank_vertex(p, (1, 3, 5))
+    report = validation.certify(p, marked=marked)
+    assert report.passed
+    assert built.count(None) == 1 and built.count(marked) == 1 and len(built) == 2
+
+
 def test_certify_fails_impossible_tolerance():
     report = validation.certify(graph_params(6, 2), marked=0, tol=1e-30)
     assert not report.passed
