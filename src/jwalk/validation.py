@@ -17,6 +17,13 @@ and the antisymmetric lift with a minus sign.  These lifts satisfy
 S^T S = degree*I + A and T^T T = degree*I - A, and combining them with the
 walk eigenphases yields the orthonormal eigenbasis of the invariant
 subspace that the reduced engine works in.
+
+The step matrices are real float64: the Grover coin, the flip-flop shift
+and the oracle's reflection through a real vector have no imaginary part,
+and the engine-built columns are refused unless theirs is exactly zero.
+The invariant basis is complex128, since its columns carry the walk
+eigenphases.  A dense matrix only ever meets the basis through its real
+and imaginary parts separately, so no A x A matrix is upcast to complex.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +39,7 @@ from .johnson import (GraphParams, distance_class, intersection_numbers,
 __all__ = [
     "DENSE_VERTEX_CAPACITY",
     "DENSE_ARC_CAPACITY",
+    "DENSE_PEAK_MATRICES",
     "InvariantBasis",
     "CheckResult",
     "CertificationReport",
@@ -50,6 +58,9 @@ __all__ = [
 
 DENSE_VERTEX_CAPACITY = 5000
 DENSE_ARC_CAPACITY = 20000
+# arc-space float64 matrices certify holds at its peak: the marked step, the
+# unmarked step, and an engine-built or Gram matrix beside them
+DENSE_PEAK_MATRICES = 3
 
 
 def _require_dense(params: GraphParams) -> None:
@@ -58,6 +69,15 @@ def _require_dense(params: GraphParams) -> None:
             f"dense oracles refuse J({params.n},{params.k}): "
             f"{params.num_vertices} vertices / {params.num_arcs} arcs exceed "
             f"caps {DENSE_VERTEX_CAPACITY} / {DENSE_ARC_CAPACITY}")
+
+
+def _require_memory(params: GraphParams) -> None:
+    available = arc_engine._mem_available()
+    needed = DENSE_PEAK_MATRICES * params.num_arcs ** 2 * 8
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"dense oracles refuse J({params.n},{params.k}): {needed} bytes of "
+            f"arc-space matrices exceed the {available} bytes of available memory")
 
 
 def dense_adjacency(params: GraphParams) -> np.ndarray:
@@ -77,39 +97,49 @@ def dense_step(params: GraphParams,
     """Walk step as an explicit arc-space matrix, from the closed form.
 
     Column a carries 2/degree on every arc whose head equals tail(a),
-    minus 1 on the reverse of a.  With a ``marked`` vertex the oracle's
-    reflection is folded in as a rank-1 update on the right; ``None`` is
-    the unmarked walk.
+    minus 1 on the reverse of a; float64.  With a ``marked`` vertex the
+    oracle's reflection is folded in as the rank-1 update
+    U - 2 (U t) t^T on the right, where t is the uniform superposition of
+    the marked out-arcs; only the marked block's columns change, so only
+    they are updated.  ``None`` is the unmarked walk.
     """
     _require_dense(params)
     d = params.degree
     A = params.num_arcs
     opp = opposite_permutation(params) if opposite is None else opposite
-    U = np.zeros((A, A), dtype=np.complex128)
-    for a in range(A):
-        U[opp[(a // d) * d:(a // d + 1) * d], a] = 2.0 / d
-        U[opp[a], a] -= 1.0
+    cols = np.arange(A)
+    U = np.zeros((A, A))
+    U[opp.reshape(-1, d)[cols // d], cols[:, None]] = 2.0 / d
+    U[opp, cols] -= 1.0
     if marked is None:
         return U
+    block = slice(marked * d, (marked + 1) * d)
     target = np.zeros(A)
-    target[marked * d:(marked + 1) * d] = 1.0 / np.sqrt(d)
-    return U - 2.0 * np.outer(U @ target, target)
+    target[block] = 1.0 / np.sqrt(d)
+    U[:, block] -= 2.0 * np.outer(U @ target, target[block])
+    return U
 
 
 def dense_step_from_engine(params: GraphParams,
                            marked: Optional[int] = None) -> np.ndarray:
     """Same matrix assembled column-by-column from the matrix-free engine.
 
-    Each column steps a fresh basis vector, which the step consumes.
+    Each column steps a fresh complex128 basis vector, which the step
+    consumes, and stores its real part; a column whose imaginary part is
+    not exactly zero raises CertificationError.
     """
     _require_dense(params)
     opp = opposite_permutation(params)
     A = params.num_arcs
-    U = np.empty((A, A), dtype=np.complex128)
+    U = np.empty((A, A))
     for a in range(A):
         e = np.zeros(A, dtype=np.complex128)
         e[a] = 1.0
-        U[:, a] = arc_engine.step(params, e, opp, marked)
+        column = arc_engine.step(params, e, opp, marked)
+        if np.any(column.imag):
+            raise CertificationError(f"engine_column_{a}_imaginary_part",
+                                     float(np.abs(column.imag).max()), 0.0)
+        U[:, a] = column.real
     return U
 
 
@@ -234,16 +264,31 @@ class CertificationReport:
 
 
 def _finish(residuals: dict, tol: float) -> dict:
-    worst = max(residuals, key=residuals.get)
-    if residuals[worst] > tol:
-        err = CertificationError(worst, residuals[worst], tol)
-        err.residuals = residuals
-        raise err
+    """Raise on the first residual not within ``tol``, NaN included."""
+    for name, value in residuals.items():
+        if not value <= tol:
+            err = CertificationError(name, value, tol)
+            err.residuals = residuals
+            raise err
     return residuals
 
 
+def _max_abs_difference(U: np.ndarray, other: np.ndarray) -> float:
+    """max |U - other|, computed in ``other``'s storage, which it overwrites."""
+    other -= U
+    return float(np.abs(other, out=other).max())
+
+
+def _unitarity_residual(U: np.ndarray) -> float:
+    """max |U^T U - I| of a real matrix, the identity subtracted in place."""
+    gram = U.T @ U
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram, out=gram).max())
+
+
 def verify_spectral_closed_forms(params: GraphParams, marked: int = 0,
-                                 tol: float = 1e-8) -> dict:
+                                 tol: float = 1e-8,
+                                 basis: Optional[InvariantBasis] = None) -> dict:
     """Dense adjacency eigendecomposition against every closed form.
 
     Checks eigenvalues, their multiplicities (exact after nearest-value
@@ -268,7 +313,8 @@ def verify_spectral_closed_forms(params: GraphParams, marked: int = 0,
         weight_residual = max(weight_residual,
                               abs(dense_weight - spectral.projector_weight(params, l)))
 
-    basis = build_invariant_basis(params, marked)
+    if basis is None:
+        basis = build_invariant_basis(params, marked)
     action_residual = 0
     zero = np.zeros(params.num_vertices, dtype=np.int64)
     for l in range(k + 1):
@@ -292,19 +338,24 @@ def verify_spectral_closed_forms(params: GraphParams, marked: int = 0,
 def verify_dense_step(params: GraphParams, marked: int, tol: float = 1e-10,
                       opposite: Optional[np.ndarray] = None,
                       dense_marked_step: Optional[np.ndarray] = None) -> dict:
-    """Closed-form step matrix versus the engine, plus unitarity."""
+    """Closed-form step matrix versus the engine, plus unitarity.
+
+    Each engine-built matrix is differenced in its own storage and each
+    Gram matrix shifted in place, so at most DENSE_PEAK_MATRICES
+    arc-space matrices are alive at once, a caller's
+    ``dense_marked_step`` included.
+    """
     opp = opposite_permutation(params) if opposite is None else opposite
-    eye = np.eye(params.num_arcs)
     residuals = {}
     U = dense_step(params, opposite=opp)
-    residuals["step_closed_form_vs_engine"] = float(np.abs(
-        U - dense_step_from_engine(params)).max())
-    residuals["step_unitarity"] = float(np.abs(U.conj().T @ U - eye).max())
+    residuals["step_closed_form_vs_engine"] = _max_abs_difference(
+        U, dense_step_from_engine(params))
+    residuals["step_unitarity"] = _unitarity_residual(U)
     Um = dense_marked_step if dense_marked_step is not None else dense_step(
         params, marked, opposite=opp)
-    residuals["marked_step_closed_form_vs_engine"] = float(np.abs(
-        Um - dense_step_from_engine(params, marked)).max())
-    residuals["marked_step_unitarity"] = float(np.abs(Um.conj().T @ Um - eye).max())
+    residuals["marked_step_closed_form_vs_engine"] = _max_abs_difference(
+        Um, dense_step_from_engine(params, marked))
+    residuals["marked_step_unitarity"] = _unitarity_residual(Um)
     residuals["marked_step_det_modulus"] = abs(abs(np.linalg.det(Um)) - 1.0)
     return _finish(residuals, tol)
 
@@ -365,7 +416,7 @@ def verify_subspace_invariance(params: GraphParams, marked: int,
     Um = dense_marked_step if dense_marked_step is not None else dense_step(
         params, marked, opposite=b.opposite)
     B = b.basis
-    image = Um @ B
+    image = Um @ B.real + 1j * (Um @ B.imag)
     residuals = {
         "subspace_invariance": float(np.abs(image - B @ (B.conj().T @ image)).max()),
     }
@@ -410,7 +461,8 @@ def verify_reduced_compression(params: GraphParams, marked: int,
     Um = dense_marked_step if dense_marked_step is not None else dense_step(
         params, marked, opposite=b.opposite)
     walk = reduced.build_reduced(params)
-    compressed = b.basis.conj().T @ Um @ b.basis
+    Bh = b.basis.conj().T
+    compressed = (Bh.real @ Um + 1j * (Bh.imag @ Um)) @ b.basis
     return _finish({
         "reduced_compression": float(np.abs(
             compressed - walk.matrix.astype(np.complex128)).max()),
@@ -418,12 +470,18 @@ def verify_reduced_compression(params: GraphParams, marked: int,
 
 
 def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> CertificationReport:
-    """Run the whole certification battery; never raises on check failure."""
+    """Run the whole certification battery; never raises on check failure.
+
+    Refuses with CapacityError, before allocating, an instance whose
+    DENSE_PEAK_MATRICES arc-space float64 matrices exceed ``MemAvailable``
+    (skipped where /proc/meminfo cannot be read).
+    """
     _require_dense(params)
+    _require_memory(params)
     basis = build_invariant_basis(params, marked)
     dense_marked = dense_step(params, marked, opposite=basis.opposite)
     stages = [
-        lambda: verify_spectral_closed_forms(params, marked, tol),
+        lambda: verify_spectral_closed_forms(params, marked, tol, basis),
         lambda: verify_dense_step(params, marked, tol, basis.opposite, dense_marked),
         lambda: verify_eigenbasis(params, marked, tol, basis),
         lambda: verify_subspace_invariance(params, marked, tol, basis, dense_marked),
@@ -432,13 +490,17 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     ]
     checks = []
     for stage in stages:
+        limit = tol
         try:
             residuals = stage()
         except CertificationError as err:
-            residuals = getattr(err, "residuals", {err.check: err.residual})
+            if hasattr(err, "residuals"):
+                residuals = err.residuals
+            else:  # a check that stopped its stage, judged by its own tolerance
+                residuals, limit = {err.check: err.residual}, err.tol
         for name, value in residuals.items():
-            checks.append(CheckResult(name=name, residual=float(value), tol=tol,
-                                      passed=bool(value <= tol)))
+            checks.append(CheckResult(name=name, residual=float(value), tol=limit,
+                                      passed=bool(value <= limit)))
     return CertificationReport(
         params=params, marked=marked, tol=tol, checks=checks,
         passed=all(c.passed for c in checks),

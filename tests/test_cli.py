@@ -202,6 +202,18 @@ def test_validate_capacity(capsys):
     assert "dense oracles refuse" in err
 
 
+def test_validate_checks_available_memory(capsys, monkeypatch):
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 1024)
+    code, out, err = run_cli(capsys, "validate", "--n", "7", "--k", "2")
+    assert code == 3
+    assert out == ""
+    assert "available memory" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "validate", "--n", "7", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "simulate", "--n", "8")[0] == 2   # missing --k
     assert run_cli(capsys, "unknown-command")[0] == 2

@@ -1,13 +1,14 @@
 """Dense-oracle certifications on small instances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jwalk import arc_engine, reduced, validation
 from jwalk.errors import CapacityError, CertificationError
-from jwalk.johnson import graph_params, rank_vertex
+from jwalk.johnson import graph_params, opposite_permutation, rank_vertex
 
 
 def test_dense_adjacency_octahedron():
@@ -51,6 +52,7 @@ def test_dense_step_entries_closed_form_j42():
 
 def test_dense_step_matches_engine_columns():
     p = graph_params(4, 2)
+    assert validation.dense_step_from_engine(p).dtype == np.float64
     assert np.abs(validation.dense_step(p)
                   - validation.dense_step_from_engine(p)).max() <= 1e-15
     assert np.abs(validation.dense_step(p, 2)
@@ -163,20 +165,144 @@ def test_certify_passes_default_tolerance(n, k):
 
 
 def test_certify_builds_each_dense_step_once(monkeypatch):
-    # certify hands its one marked dense step to every stage that needs it
+    # certify hands its one marked dense step and its one invariant basis to
+    # every stage that needs them
     built = []
+    bases = []
     original = validation.dense_step
+    original_basis = validation.build_invariant_basis
 
     def counting(params, marked=None, opposite=None):
         built.append(marked)
         return original(params, marked, opposite)
 
+    def counting_basis(params, marked):
+        bases.append(marked)
+        return original_basis(params, marked)
+
     monkeypatch.setattr(validation, "dense_step", counting)
+    monkeypatch.setattr(validation, "build_invariant_basis", counting_basis)
     p = graph_params(6, 3)
     marked = rank_vertex(p, (1, 3, 5))
     report = validation.certify(p, marked=marked)
     assert report.passed
     assert built.count(None) == 1 and built.count(marked) == 1 and len(built) == 2
+    assert bases == [marked]
+
+
+def _complex_dense_step(params, marked=None):
+    """The complex128 per-column construction the float64 build replaced."""
+    d, A = params.degree, params.num_arcs
+    opp = opposite_permutation(params)
+    U = np.zeros((A, A), dtype=np.complex128)
+    for a in range(A):
+        U[opp[(a // d) * d:(a // d + 1) * d], a] = 2.0 / d
+        U[opp[a], a] -= 1.0
+    if marked is None:
+        return U
+    target = np.zeros(A)
+    target[marked * d:(marked + 1) * d] = 1.0 / np.sqrt(d)
+    return U - 2.0 * np.outer(U @ target, target)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4)])
+def test_dense_step_matches_complex_loop(n, k):
+    p = graph_params(n, k)
+    oracle = _complex_dense_step(p)
+    assert np.all(oracle.imag == 0)
+    U = validation.dense_step(p)
+    assert U.dtype == np.float64
+    assert np.array_equal(U, oracle.real)
+    marked = p.num_vertices // 2
+    Um = validation.dense_step(p, marked)
+    assert Um.dtype == np.float64
+    assert np.abs(Um - _complex_dense_step(p, marked)).max() <= 1e-15
+    # updating only the marked block's columns is bit-equal to the full
+    # rank-1 update in float64
+    d = p.degree
+    target = np.zeros(p.num_arcs)
+    target[marked * d:(marked + 1) * d] = 1.0 / np.sqrt(d)
+    assert np.array_equal(Um, U - 2.0 * np.outer(U @ target, target))
+
+
+def test_dense_step_from_engine_refuses_complex_column(monkeypatch):
+    p = graph_params(4, 2)
+    original = arc_engine.step
+
+    def leaky(params, state, opposite, marked=None):
+        out = original(params, state, opposite, marked)
+        out[-1] += 1e-300j
+        return out
+
+    monkeypatch.setattr(arc_engine, "step", leaky)
+    with pytest.raises(CertificationError) as excinfo:
+        validation.dense_step_from_engine(p)
+    assert excinfo.value.residual == 1e-300
+    assert excinfo.value.check == "engine_column_0_imaginary_part"
+    # certify judges the refusal by its zero tolerance, not by its own
+    report = validation.certify(p)
+    assert not report.passed
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [excinfo.value.check]
+    assert failed[0].tol == 0.0
+
+
+@pytest.mark.parametrize("n,k,marked", [(5, 2, None), (5, 2, 4), (6, 3, 7)])
+def test_unitarity_residual_in_place(n, k, marked):
+    p = graph_params(n, k)
+    U = validation.dense_step(p, marked)
+    before = U.copy()
+    want = float(np.abs(U.T @ U - np.eye(p.num_arcs)).max())
+    assert validation._unitarity_residual(U) == want
+    assert np.array_equal(U, before)
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_finish_refuses_nan(position):
+    residuals = {"a": 0.0, "b": 1e-16, "c": 0.0}
+    name = "a" if position == "first" else "c"
+    residuals[name] = float("nan")
+    with pytest.raises(CertificationError) as excinfo:
+        validation._finish(residuals, 1e-10)
+    assert excinfo.value.check == name
+    assert math.isnan(excinfo.value.residual)
+    assert excinfo.value.residuals is residuals
+
+
+def test_certify_checks_available_memory(monkeypatch):
+    p = graph_params(5, 2)
+    needed = validation.DENSE_PEAK_MATRICES * p.num_arcs ** 2 * 8
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
+    with pytest.raises(CapacityError, match="available memory"):
+        validation.certify(p)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed)
+    assert validation.certify(p).passed
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
+    assert validation.certify(p).passed
+
+
+def test_certify_peak_memory_matches_model():
+    # the byte check's model: no more than DENSE_PEAK_MATRICES arc-space
+    # float64 matrices (a complex upcast of one would add two)
+    p = graph_params(10, 3)
+    matrix = p.num_arcs ** 2 * 8
+    basis = validation.build_invariant_basis(p, 5)
+    tracemalloc.start()
+    try:
+        report = validation.certify(p, marked=5)
+        _, peak = tracemalloc.get_traced_memory()
+        # the stages that take the marked step from certify add no matrix
+        Um = validation.dense_step(p, 5, opposite=basis.opposite)
+        for stage in (validation.verify_subspace_invariance,
+                      validation.verify_reduced_compression):
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            stage(p, 5, basis=basis, dense_marked_step=Um)
+            assert tracemalloc.get_traced_memory()[1] - held <= 0.5 * matrix
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= (validation.DENSE_PEAK_MATRICES + 0.5) * matrix
 
 
 def test_certify_fails_impossible_tolerance():
