@@ -16,9 +16,13 @@ reshaping a strided view would silently update a copy.
 
 Block reductions are evaluated by numpy in a fixed slot order, so repeated
 runs produce identical bytes regardless of BLAS threading.
+
+:class:`Series` is the sampled record both engines return, as numpy
+columns; ``jwalk.reduced`` takes its sample times from here too, so the
+two engines record the same rows and refuse the same impossible counts.
 """
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,6 +40,7 @@ __all__ = [
     "step",
     "vertex_probability",
     "alt_vertex_probability",
+    "Series",
     "evolve_and_record",
 ]
 
@@ -80,6 +85,36 @@ def _check_capacity(params: GraphParams, capacity: int) -> None:
         raise CapacityError(
             f"instance J({params.n},{params.k}) needs {needed} bytes, above the "
             f"{available} bytes of available memory; use the reduced engine instead")
+
+
+class Series(NamedTuple):
+    """A sampled probability series as columns, one entry per recorded step."""
+
+    t: np.ndarray                  # int64 step numbers, increasing
+    p_succ: np.ndarray             # float64 success probability
+    p_alt: Optional[np.ndarray]    # float64 tail-or-head diagnostic; None if not computed
+    norm: np.ndarray               # float64 state norm
+
+
+def _sample_times(steps: int, stride: int, columns: int) -> np.ndarray:
+    """t = 0, stride, 2*stride, ... and ``steps`` itself, as an int64 column.
+
+    Refuses, before anything is evaluated, a series whose ``columns``
+    8-byte columns exceed the memory the system reports available.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    count = steps // stride + 1 + (steps % stride != 0)
+    needed = 8 * columns * count
+    available = _mem_available()
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"a series of {count} rows needs {needed} bytes, above the {available} "
+            f"bytes of available memory; raise the stride")
+    times = np.arange(0, steps + 1, stride, dtype=np.int64)
+    return times if times[-1] == steps else np.append(times, np.int64(steps))
 
 
 def _check_state(params: GraphParams, state: np.ndarray) -> None:
@@ -180,32 +215,28 @@ def alt_vertex_probability(params: GraphParams, state: np.ndarray, v: int,
 
 
 def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1,
-                      capacity: int = DEFAULT_CAPACITY) -> list:
+                      capacity: int = DEFAULT_CAPACITY) -> Series:
     """Run the search walk and sample the probability series.
 
-    Returns rows ``(t, p_succ, p_alt, norm)`` for every stride-th step
-    (t = 0 always included, the final step always recorded).  ``p_succ``
-    is the tail-block mass at the marked vertex, ``p_alt`` the tail-or-head
-    diagnostic, ``norm`` the state 2-norm.
+    Records every stride-th step (t = 0 always included, the final step
+    always recorded): ``p_succ`` is the tail-block mass at the marked
+    vertex, ``p_alt`` the tail-or-head diagnostic, ``norm`` the state
+    2-norm.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    times = _sample_times(steps, stride, columns=4)
     if not 0 <= marked < params.num_vertices:
         raise ValueError(f"marked rank {marked} out of range")
     _check_capacity(params, capacity)
     opposite = opposite_permutation(params)
     state = uniform_state(params, capacity)
-    rows = []
+    p_succ, p_alt, norm = (np.empty(len(times)) for _ in range(3))
+    row = 0
     for t in range(steps + 1):
-        if t % stride == 0 or t == steps:
-            rows.append((
-                t,
-                vertex_probability(params, state, marked),
-                alt_vertex_probability(params, state, marked, opposite),
-                state_norm(state),
-            ))
+        if t == times[row]:
+            p_succ[row] = vertex_probability(params, state, marked)
+            p_alt[row] = alt_vertex_probability(params, state, marked, opposite)
+            norm[row] = state_norm(state)
+            row += 1
         if t < steps:
             state = step(params, state, opposite, marked)
-    return rows
+    return Series(t=times, p_succ=p_succ, p_alt=p_alt, norm=norm)

@@ -67,23 +67,19 @@ def cmd_simulate(args) -> int:
     if args.engine == "full":
         capacity = arc_engine.HARD_CAPACITY if args.force_capacity \
             else arc_engine.DEFAULT_CAPACITY
-        raw = arc_engine.evolve_and_record(params, rank_vertex(params, marked), steps,
-                                           stride=args.stride, capacity=capacity)
-        rows = [reports.RunRow(t=t, p_succ=p, p_alt=alt, norm=norm)
-                for t, p, alt, norm in raw]
+        series = arc_engine.evolve_and_record(params, rank_vertex(params, marked), steps,
+                                              stride=args.stride, capacity=capacity)
     else:
-        walk = reduced.build_reduced(params)
-        raw = reduced.evolve_series(walk, steps, stride=args.stride)
-        rows = [reports.RunRow(t=t, p_succ=p, p_alt=None, norm=norm)
-                for t, p, norm in raw]
+        series = reduced.evolve_series(reduced.build_reduced(params), steps,
+                                       stride=args.stride)
 
     report = reports.RunReport(params=params, marked=marked, engine=args.engine,
-                               t_run=schedule.t_run, stride=args.stride, rows=rows)
+                               t_run=schedule.t_run, stride=args.stride, series=series)
     if args.format == "json":
-        text = reports.run_report_to_json(report)
+        chunks = reports.run_report_to_json(report)
     else:
-        text = reports.run_report_to_csv(report)
-    reports.write_output(text, args.out)
+        chunks = reports.run_report_to_csv(report)
+    reports.write_output(chunks, args.out)
     return EXIT_OK
 
 

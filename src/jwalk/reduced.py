@@ -17,22 +17,23 @@ the first basis vector, and the success probability at any time is
 There is one operator, ``ReducedWalk.matrix``, built and stored in numpy's
 extended precision where the platform provides one (a double-rounded step
 matrix has eigenvalue moduli off by a few 1e-18, which over 1e6 steps
-inflates the norm by about 1e-11).  It is cast to double only for the
-dense compression check in ``jwalk.validation``.  States and probabilities
-are reported in double.
+inflates the norm by about 1e-11).  ``jwalk.validation`` checks it against
+the compression of the dense step, cast to double.
 
-``states`` is the only loop that applies the operator, and
-``evolve_series`` its only reader.  A step is one dense (2k+1)^2 matvec.
-The structured form D(x - 2 w (w . x)) is O(k) in arithmetic but takes
-three numpy calls instead of one, and call overhead dominates at this
-size.  On an x86-64 host (numpy 2.4.6, 80-bit longdouble; best of five
-runs of 5e4 steps) it took 6.1 us/step against 1.7 us/step for the dense
-matvec on J(10^6, 2), and 6.8 against 2.0 us/step on J(4000, 3).
+``states`` applies it one step at a time.  No reported result comes from
+it: it is the independent reference the tests certify the spectral path
+against.
+A step is one dense (2k+1)^2 matvec.  The structured form D(x - 2 w (w . x))
+is O(k) in arithmetic but takes three numpy calls instead of one, and call
+overhead dominates at this size.  On an x86-64 host (numpy 2.4.6, 80-bit
+longdouble; best of five runs of 5e4 steps) it took 6.1 us/step against
+1.7 us/step for the dense matvec on J(10^6, 2), and 6.8 against 2.0
+us/step on J(4000, 3).
 
-``sweep_point`` and ``eigenphases`` do not iterate.  The marked step is a
-rank-one change of the diagonal unitary D = diag(e^{i phi_j}), so its
-eigenphases are the roots of the secular equation (Golub 1973; Bunch,
-Nielsen and Sorensen 1978)
+The reported results come from the spectrum.  The marked step is a rank-one
+change of the diagonal unitary D = diag(e^{i phi_j}), so its eigenphases
+are the roots of the secular equation (Golub 1973; Bunch, Nielsen and
+Sorensen 1978)
 
     f(theta) = sum_j w_j**2 cot((theta - phi_j) / 2) = 0.
 
@@ -41,10 +42,24 @@ gap that wraps through pi, so each of the 2k+1 gaps holds exactly one
 root.  ``spectrum`` brackets it by bisection and polishes it by Newton at
 ``spectral._MP_DPS`` (40) digits, from the integer eigenvalues and the
 exact Fraction weights, never from ``matrix``.  The eigenvector
-(e^{i theta} - D)^{-1} D w gives the start state's amplitudes in closed
-form, and
+v_m = (e^{i theta_m} - D)^{-1} D w gives the start state's amplitudes in
+closed form, and
 
     p(t) = |sum_m a_m e^{i theta_m t}|**2.
+
+``probability_blocks`` evaluates p at t = 0, stride, 2*stride, ...; the
+``simulate`` series (``evolve_series``), ``sweep_point`` and
+``eigenphases`` all read from it, so none of them depends on n, and a
+series costs O(steps/stride) evaluations whatever its horizon.  The
+series' norm column is the start state's norm in the eigen-expansion,
+sqrt(sum_m |c_m|**2) with
+
+    |c_m|**2 = (w_0**2 / (4 sin**2(theta_m/2)))
+               / sum_j w_j**2 / (4 sin**2((theta_m - phi_j)/2)),
+
+computed once at the working digits.  On the certified instances it is 1
+within 5e-37, while no single |c_m|**2 is below 2e-18, so a root missing
+or found twice shows in it.
 
 Precision: a root good to 40 digits keeps theta*t good to about 1e-33 at
 t = 10^6.  ``probability_blocks`` reduces every theta*t modulo 2 pi in
@@ -62,7 +77,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from . import spectral
+from . import arc_engine, spectral
+from .arc_engine import Series
 from .errors import PrecisionError
 from .johnson import GraphParams
 
@@ -78,8 +94,8 @@ __all__ = [
     "eigenphases",
 ]
 
-# values of t per block of the spectral scan; a perfect square, since the
-# e^{i theta j} table is stored as two factors of sqrt(SCAN_CHUNK) rows
+# sampled values of t per block of the spectral scan; a perfect square, since
+# the e^{i theta stride j} table is stored as two factors of sqrt(SCAN_CHUNK) rows
 SCAN_CHUNK = 2 ** 12
 
 # Newton steps allowed after bisection; reaching the cap raises
@@ -108,6 +124,7 @@ class SecularSpectrum:
     weights: tuple      # w_j**2 for each phase
     roots: tuple        # eigenphase theta_m in the gap above phases[m]
     amplitudes: tuple   # a_m, with p(t) = |sum_m a_m e^{i theta_m t}|**2
+    norm: object        # start-state norm in the eigen-expansion, sqrt(sum_m |c_m|**2)
 
 
 def _longdouble_ratio(frac: Fraction) -> np.longdouble:
@@ -167,25 +184,19 @@ def success_probability(target: np.ndarray, state: np.ndarray) -> float:
     return float(abs(np.dot(target, np.asarray(state, dtype=np.complex128))) ** 2)
 
 
-def evolve_series(walk: ReducedWalk, steps: int, stride: int = 1) -> list:
-    """Rows (t, p_succ, norm) from the start state, stride-sampled.
+def evolve_series(walk: ReducedWalk, steps: int, stride: int = 1) -> Series:
+    """The series at t = 0, stride, 2*stride, ... and at ``steps``, from the spectrum.
 
-    t = 0 is always recorded and so is the final step.
+    ``p_succ`` is read from :func:`probability_blocks`, so the cost is
+    O(steps/stride) whatever n; ``norm`` is the spectrum's eigen-expansion
+    norm on every row; ``p_alt`` is None.  A series whose columns exceed
+    the available memory is refused before anything is evaluated.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    rows = []
-    for t, state in enumerate(states(walk, steps)):
-        if t % stride == 0 or t == steps:
-            snapshot = state.astype(np.complex128)
-            rows.append((
-                t,
-                success_probability(walk.target, snapshot),
-                float(np.linalg.norm(snapshot)),
-            ))
-    return rows
+    times = arc_engine._sample_times(steps, stride, columns=3)
+    spec = spectrum(walk)
+    p_succ = np.concatenate([p for _, p in _blocks(spec, steps, stride)])
+    return Series(t=times, p_succ=p_succ, p_alt=None,
+                  norm=np.full(len(times), float(spec.norm)))
 
 
 def _ld(x) -> np.longdouble:
@@ -265,33 +276,49 @@ def spectrum(walk: ReducedWalk) -> SecularSpectrum:
         gaps = list(zip(phases, phases[1:] + [phases[0] + 2 * mpmath.pi]))
         roots = [_secular_root(phases, weights, lo, hi) for lo, hi in gaps]
         w0 = mpmath.sqrt(squares[0])
-        amplitudes = []
+        amplitudes, overlaps = [], []
         for theta in roots:
-            norm = mpmath.fsum(w / (4 * mpmath.sin((theta - phi) / 2) ** 2)
-                               for phi, w in zip(phases, weights))
-            amplitudes.append(w0 / 4 * (1 - 1j * mpmath.cot(theta / 2)) / norm)
+            # |v_m|**2, and the start state's weight |c_m|**2 on v_m / |v_m|
+            length_sq = mpmath.fsum(w / (4 * mpmath.sin((theta - phi) / 2) ** 2)
+                                    for phi, w in zip(phases, weights))
+            amplitudes.append(w0 / 4 * (1 - 1j * mpmath.cot(theta / 2)) / length_sq)
+            overlaps.append(squares[0] / (4 * mpmath.sin(theta / 2) ** 2) / length_sq)
+        norm = mpmath.sqrt(mpmath.fsum(overlaps))
     return SecularSpectrum(phases=tuple(phases), weights=tuple(weights),
-                           roots=tuple(roots), amplitudes=tuple(amplitudes))
+                           roots=tuple(roots), amplitudes=tuple(amplitudes), norm=norm)
 
 
-def probability_blocks(walk: ReducedWalk, steps: int):
-    """Yield (s, p) for t = 0..``steps``, p[j] the success probability at s + j.
+def probability_blocks(walk: ReducedWalk, steps: int, stride: int = 1):
+    """Yield (s, p), p[j] the success probability at t = s + j*stride.
 
-    p(t) = |sum_m a_m e^{i theta_m t}|**2 from ``spectrum(walk)``, in
-    blocks of at most SCAN_CHUNK values of t.
+    p(t) = |sum_m a_m e^{i theta_m t}|**2 from ``spectrum(walk)``, at
+    t = 0, stride, 2*stride, ... up to ``steps`` in blocks of at most
+    SCAN_CHUNK values, then at ``steps`` alone if it is off that grid.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    spec = spectrum(walk)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    return _blocks(spectrum(walk), steps, stride)
+
+
+def _blocks(spec: SecularSpectrum, steps: int, stride: int):
     amplitudes = np.array([_ld(a.real) + 1j * _ld(a.imag) for a in spec.amplitudes])
-    # e^{i theta j} for j = side*q + r is coarse[q] * fine[r]
+    # e^{i theta t} for t = s + stride*(side*q + r) is e^{i theta s} coarse[q] fine[r]
     side = math.isqrt(SCAN_CHUNK)
-    coarse = _rotations(spec.roots, range(0, SCAN_CHUNK, side))
-    fine = _rotations(spec.roots, range(side)).T.copy()
-    for start in range(0, steps + 1, SCAN_CHUNK):
+    coarse = _rotations(spec.roots, range(0, SCAN_CHUNK * stride, side * stride))
+    fine = _rotations(spec.roots, range(0, side * stride, stride)).T.copy()
+    last = steps - steps % stride
+    for start in range(0, last + 1, SCAN_CHUNK * stride):
         coeffs = amplitudes * _rotations(spec.roots, [start])[0]
-        z = np.dot(coarse * coeffs, fine).reshape(-1)[:steps + 1 - start]
-        yield start, (z.real * z.real + z.imag * z.imag).astype(np.float64)
+        z = np.dot(coarse * coeffs, fine).reshape(-1)[:(last - start) // stride + 1]
+        yield start, _abs2(z)
+    if last != steps:
+        yield steps, _abs2((amplitudes * _rotations(spec.roots, [steps])).sum(axis=1))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return (z.real * z.real + z.imag * z.imag).astype(np.float64)
 
 
 def sweep_point(walk: ReducedWalk, t_run: int) -> tuple:

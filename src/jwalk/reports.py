@@ -4,6 +4,11 @@ CSV uses LF newlines, '.' decimals, and floats printed with 17 significant
 digits so a parse-back reproduces every double bit-exactly; absent values
 are empty fields.  JSON documents carry a schema_version field.  Repeated
 runs with identical flags produce byte-identical output.
+
+A run report's series can hold millions of rows, so its serializers yield
+the text REPORT_CHUNK rows at a time, in the same bytes as the whole
+document formatted at once (``json.dumps(doc, indent=2)`` for JSON), and
+``write_output`` writes the chunks as they come.
 """
 
 import json
@@ -11,15 +16,17 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
+import numpy as np
+
+from .arc_engine import Series
 from .johnson import GraphParams
 from .spectral import Schedule
 from .validation import CertificationReport
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RunRow",
     "RunReport",
     "SweepRow",
     "SweepReport",
@@ -37,13 +44,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# rows per chunk of serialized run-report text
+REPORT_CHUNK = 2 ** 12
 
-@dataclass(frozen=True)
-class RunRow:
-    t: int
-    p_succ: float
-    p_alt: Optional[float]   # only the full engine reports this
-    norm: float
+_RUN_CSV_HEADER = "t,p_succ,p_alt,norm"
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class RunReport:
     engine: str              # "full" | "reduced"
     t_run: int
     stride: int
-    rows: list
+    series: Series           # p_alt is None for the reduced engine
 
 
 @dataclass(frozen=True)
@@ -81,40 +85,61 @@ def _params_dict(params: GraphParams) -> dict:
             "num_vertices": params.num_vertices, "degree": params.degree}
 
 
-def run_report_to_csv(report: RunReport) -> str:
-    lines = ["t,p_succ,p_alt,norm"]
-    for row in report.rows:
-        alt = "" if row.p_alt is None else format_float(row.p_alt)
-        lines.append(f"{row.t},{format_float(row.p_succ)},{alt},{format_float(row.norm)}")
-    return "\n".join(lines) + "\n"
+def _row_chunks(series: Series):
+    """The series as Python rows (t, p_succ, p_alt, norm), REPORT_CHUNK at a time."""
+    for start in range(0, len(series.t), REPORT_CHUNK):
+        part = slice(start, start + REPORT_CHUNK)
+        t = series.t[part].tolist()
+        alt = [None] * len(t) if series.p_alt is None else series.p_alt[part].tolist()
+        yield zip(t, series.p_succ[part].tolist(), alt, series.norm[part].tolist())
 
 
-def read_run_rows(text: str) -> list:
-    """Parse rows back from the CSV emitted by :func:`run_report_to_csv`."""
+def run_report_to_csv(report: RunReport):
+    """Yield the CSV text, the header and then REPORT_CHUNK rows at a time."""
+    yield _RUN_CSV_HEADER + "\n"
+    for rows in _row_chunks(report.series):
+        yield "".join(
+            f"{t},{format_float(p)},{'' if alt is None else format_float(alt)},"
+            f"{format_float(norm)}\n" for t, p, alt, norm in rows)
+
+
+def read_run_rows(text: str) -> Series:
+    """Parse the series back from the CSV emitted by :func:`run_report_to_csv`."""
     lines = text.strip().split("\n")
-    if lines[0] != "t,p_succ,p_alt,norm":
+    if lines[0] != _RUN_CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        t, p, alt, norm = line.split(",")
-        rows.append(RunRow(t=int(t), p_succ=float(p),
-                           p_alt=None if alt == "" else float(alt),
-                           norm=float(norm)))
-    return rows
+    t, p, alt, norm = zip(*(line.split(",") for line in lines[1:]))
+    return Series(t=np.array([int(x) for x in t], dtype=np.int64),
+                  p_succ=np.array([float(x) for x in p]),
+                  p_alt=None if all(x == "" for x in alt)
+                  else np.array([float(x) for x in alt]),
+                  norm=np.array([float(x) for x in norm]))
 
 
-def run_report_to_json(report: RunReport) -> str:
-    doc = {
+def run_report_to_json(report: RunReport):
+    """Yield the JSON text, REPORT_CHUNK rows at a time.
+
+    The chunks join to ``json.dumps(doc, indent=2)`` and a newline, with
+    one object per row in ``doc["rows"]``.
+    """
+    head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "params": _params_dict(report.params),
         "marked": list(report.marked),
         "engine": report.engine,
         "t_run": report.t_run,
         "stride": report.stride,
-        "rows": [{"t": r.t, "p_succ": r.p_succ, "p_alt": r.p_alt, "norm": r.norm}
-                 for r in report.rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "rows": [],
+    }, indent=2)
+    yield head[:-len("]\n}")] + "\n"      # up to '"rows": [' and its newline
+    separator = ""
+    for rows in _row_chunks(report.series):
+        items = json.dumps([{"t": t, "p_succ": p, "p_alt": alt, "norm": norm}
+                            for t, p, alt, norm in rows], indent=2)
+        # the chunk's items, two levels deeper than in a top-level list
+        yield separator + "  " + items[2:-2].replace("\n", "\n  ")
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def sweep_report_to_csv(report: SweepReport) -> str:
@@ -181,16 +206,22 @@ def certification_to_json(report: CertificationReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_output(text: str, out: Optional[str]) -> None:
-    """Write to stdout, or atomically to a file (temp file + rename)."""
+def write_output(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write a string, or its chunks in order, to stdout or atomically to a file.
+
+    A file is written through a temp file in the same directory and renamed
+    over ``out`` only once every chunk is written; if a chunk raises, the
+    temp file is removed and ``out`` is left as it was.
+    """
+    chunks = [text] if isinstance(text, str) else text
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp_path, out)
     except BaseException:
         os.unlink(tmp_path)

@@ -35,7 +35,7 @@ def test_criterion_1_asymptotic_success_probability():
         p = graph_params(n, 2)
         walk = reduced.build_reduced(p)
         t_run = spectral.run_time(p).t_run
-        p_succ = reduced.evolve_series(walk, t_run)[-1][1]
+        p_succ = float(reduced.evolve_series(walk, t_run).p_succ[-1])
         assert p_succ == pytest.approx(pinned, abs=1e-9), f"regression at n={n}"
         deviation[n] = abs(p_succ - 0.5)
     elapsed = time.perf_counter() - start
@@ -60,8 +60,8 @@ def test_criterion_2_cross_engine_exactness():
         steps = 2 * t_run
         full = arc_engine.evolve_and_record(p, 0, steps)
         small = reduced.evolve_series(reduced.build_reduced(p), steps)
-        assert len(full) == len(small) == steps + 1
-        worst = max(worst, max(abs(f[1] - r[1]) for f, r in zip(full, small)))
+        assert len(full.t) == len(small.t) == steps + 1
+        worst = max(worst, float(np.abs(full.p_succ - small.p_succ).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 30.0
     _line(2, ok, f"max pointwise |p_full - p_reduced| = {worst:.2e}; {elapsed:.2f}s")
@@ -141,14 +141,14 @@ def test_criterion_6_conservation_and_symmetry():
     p = graph_params(10, 3)
     steps = 2 * spectral.run_time(p).t_run
     rows = arc_engine.evolve_and_record(p, 0, steps)
-    drift = max(abs(r[3] - 1.0) for r in rows)
+    drift = float(np.abs(rows.norm - 1.0).max())
 
     # marked-vertex invariance on J(8,2)
     p8 = graph_params(8, 2)
     series = []
     for marked in (0, 9, 27):
         got = arc_engine.evolve_and_record(p8, marked, 80)
-        series.append(np.array([r[1] for r in got]))
+        series.append(got.p_succ)
     invariance = max(np.abs(s - series[0]).max() for s in series[1:])
 
     # projector weights sum to 1 and intersection rows sum to the degree
@@ -180,10 +180,10 @@ def test_criterion_7_probability_definition_diagnostic():
         p = graph_params(n, 3)
         steps = 2 * spectral.run_time(p).t_run
         rows = arc_engine.evolve_and_record(p, 0, steps)
-        assert all(r[2] is not None for r in rows)
-        assert all(r[2] >= r[1] for r in rows)
-        peak = max(r[1] for r in rows)
-        peak_alt = max(r[2] for r in rows)
+        assert rows.p_alt is not None
+        assert np.all(rows.p_alt >= rows.p_succ)
+        peak = float(rows.p_succ.max())
+        peak_alt = float(rows.p_alt.max())
         summary.append(f"J({n},3): peak p_succ={peak:.4f}, peak p_alt={peak_alt:.4f} "
                        f"(ratio {peak_alt / peak:.2f})")
     _line(7, True, "; ".join(summary) + " [band reported, not asserted]")

@@ -134,9 +134,9 @@ def test_capacity_checks_available_memory(monkeypatch):
         arc_engine.evolve_and_record(p, 0, 2, capacity=forced)
     arc_engine.uniform_state(p)  # the default cap does not read the budget
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed)
-    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced)) == 3
+    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced).t) == 3
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
-    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced)) == 3
+    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced).t) == 3
 
 
 def test_in_place_passes_refuse_other_layouts():
@@ -298,16 +298,17 @@ def test_alt_probability_uniform_dominance_and_total():
 def test_evolve_and_record_start_and_stride():
     p = graph_params(8, 2)
     rows = arc_engine.evolve_and_record(p, 0, 10, stride=4)
-    assert [r[0] for r in rows] == [0, 4, 8, 10]  # final step always recorded
-    assert rows[0][1] == pytest.approx(1.0 / p.num_vertices, abs=1e-15)
-    assert all(rows[i][0] < rows[i + 1][0] for i in range(len(rows) - 1))
+    assert rows.t.tolist() == [0, 4, 8, 10]  # final step always recorded
+    assert rows.p_succ[0] == pytest.approx(1.0 / p.num_vertices, abs=1e-15)
+    assert np.all(np.diff(rows.t) > 0)
+    assert all(len(column) == 4 for column in rows)
 
 
 def test_evolve_and_record_deterministic():
     p = graph_params(8, 2)
     first = arc_engine.evolve_and_record(p, 2, 40)
     second = arc_engine.evolve_and_record(p, 2, 40)
-    assert first == second
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_evolve_and_record_validation():
@@ -326,8 +327,7 @@ def test_marked_vertex_invariance():
     p = graph_params(8, 2)
     reference = None
     for marked in (0, 7, 19):
-        rows = arc_engine.evolve_and_record(p, marked, 100)
-        series = np.array([r[1] for r in rows])
+        series = arc_engine.evolve_and_record(p, marked, 100).p_succ
         if reference is None:
             reference = series
         else:
@@ -339,12 +339,12 @@ def test_cross_engine_series_j82():
     full = arc_engine.evolve_and_record(p, 0, 200)
     walk = reduced.build_reduced(p)
     small = reduced.evolve_series(walk, 200)
-    diffs = [abs(f[1] - r[1]) for f, r in zip(full, small)]
-    assert max(diffs) <= 1e-10
+    assert np.array_equal(full.t, small.t)
+    assert np.abs(full.p_succ - small.p_succ).max() <= 1e-10
 
 
 def test_norm_preserved_over_2_trun():
     p = graph_params(10, 3)
     t_run = spectral.run_time(p).t_run
     rows = arc_engine.evolve_and_record(p, 0, 2 * t_run)
-    assert max(abs(r[3] - 1.0) for r in rows) <= 1e-10
+    assert np.abs(rows.norm - 1.0).max() <= 1e-10

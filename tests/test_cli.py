@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from jwalk import arc_engine, cli, reports
+from jwalk import arc_engine, cli, reduced, reports
+from jwalk.johnson import graph_params
 
 
 def run_cli(capsys, *argv):
@@ -55,10 +57,10 @@ def test_simulate_reduced_row_count_and_start(capsys):
                            "--engine", "reduced", "--steps", "160")
     assert code == 0
     rows = reports.read_run_rows(out)
-    assert len(rows) == 161
-    assert rows[0].t == 0
-    assert rows[0].p_succ == pytest.approx(1.0 / 4950.0, rel=1e-12)
-    assert all(r.p_alt is None for r in rows)
+    assert len(rows.t) == 161
+    assert rows.t[0] == 0
+    assert rows.p_succ[0] == pytest.approx(1.0 / 4950.0, rel=1e-12)
+    assert rows.p_alt is None
 
 
 def test_simulate_cross_engine_agreement(capsys):
@@ -68,9 +70,9 @@ def test_simulate_cross_engine_agreement(capsys):
                                 "--engine", "reduced", "--steps", "50")
     full = reports.read_run_rows(out_full)
     small = reports.read_run_rows(out_reduced)
-    assert len(full) == len(small) == 51
-    assert max(abs(f.p_succ - r.p_succ) for f, r in zip(full, small)) <= 1e-10
-    assert all(f.p_alt is not None for f in full)
+    assert len(full.t) == len(small.t) == 51
+    assert np.abs(full.p_succ - small.p_succ).max() <= 1e-10
+    assert full.p_alt is not None
 
 
 def test_simulate_capacity_exceeded(capsys):
@@ -84,7 +86,7 @@ def test_simulate_force_capacity_flag(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--engine", "full", "--steps", "3", "--force-capacity")
     assert code == 0
-    assert len(reports.read_run_rows(out)) == 4
+    assert len(reports.read_run_rows(out).t) == 4
 
 
 def test_simulate_force_capacity_checks_available_memory(capsys, monkeypatch):
@@ -97,13 +99,48 @@ def test_simulate_force_capacity_checks_available_memory(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
                            "--engine", "full", "--steps", "3")
     assert code == 0
-    assert len(reports.read_run_rows(out)) == 4
+    assert len(reports.read_run_rows(out).t) == 4
 
 
 def test_simulate_default_steps_is_twice_t_run(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "100", "--k", "2")
     assert code == 0
-    assert len(reports.read_run_rows(out)) == 2 * 78 + 1
+    assert len(reports.read_run_rows(out).t) == 2 * 78 + 1
+
+
+def test_simulate_reduced_norm_column(capsys):
+    # the eigen-expansion norm, rounded to double, on every row
+    code, out, _ = run_cli(capsys, "simulate", "--n", "100", "--k", "2",
+                           "--steps", "20", "--stride", "3")
+    assert code == 0
+    spec = reduced.spectrum(reduced.build_reduced(graph_params(100, 2)))
+    norm = reports.read_run_rows(out).norm
+    assert len(norm) == 8 and np.all(norm == float(spec.norm))
+
+
+@pytest.mark.parametrize("engine", ["reduced", "full"])
+def test_simulate_refuses_series_beyond_available_memory(capsys, monkeypatch, engine):
+    # 10^13 rows cannot be held: refused before any evaluation (exit 3)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 2 ** 20)
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the memory check")
+
+    monkeypatch.setattr(reduced, "spectrum", no_evaluation)
+    monkeypatch.setattr(arc_engine, "opposite_permutation", no_evaluation)
+    code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
+                             "--engine", engine, "--steps", str(10 ** 13))
+    assert code == 3 and out == ""
+    assert "available memory" in err
+
+
+def test_simulate_reduced_strided_horizon_fits(capsys, monkeypatch):
+    # the budget that refuses 10^13 rows holds the same horizon at stride 10^12
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 2 ** 20)
+    code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
+                           "--steps", str(10 ** 13), "--stride", str(10 ** 12))
+    assert code == 0
+    assert reports.read_run_rows(out).t.tolist() == [t * 10 ** 12 for t in range(11)]
 
 
 def test_simulate_marked_flag(capsys):
@@ -137,7 +174,7 @@ def test_simulate_stride(capsys):
                            "--steps", "10", "--stride", "4")
     assert code == 0
     rows = reports.read_run_rows(out)
-    assert [r.t for r in rows] == [0, 4, 8, 10]
+    assert rows.t.tolist() == [0, 4, 8, 10]
 
 
 def test_outputs_byte_identical_across_runs(capsys, tmp_path):
@@ -157,7 +194,7 @@ def test_out_file_written(capsys, tmp_path):
                            "--steps", "5", "--out", str(target))
     assert code == 0 and out == ""
     rows = reports.read_run_rows(target.read_text())
-    assert len(rows) == 6
+    assert len(rows.t) == 6
 
 
 def test_sweep_convergence(capsys):

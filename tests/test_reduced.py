@@ -21,6 +21,12 @@ P_SUCC_AT_T_RUN_K2 = {
 THETA_MIN_J100_2 = 0.020008182975302
 
 
+def _iterated(walk, steps):
+    """p(t) for t = 0..steps by iterating the operator, the reference for the spectrum."""
+    return np.array([reduced.success_probability(walk.target, state)
+                     for state in reduced.states(walk, steps)])
+
+
 def test_build_j42_structure():
     p = graph_params(4, 2)
     walk = reduced.build_reduced(p)
@@ -80,7 +86,7 @@ def test_success_probability_regression(n):
     p = graph_params(n, 2)
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    got = reduced.evolve_series(walk, t_run)[-1][1]
+    got = _iterated(walk, t_run)[-1]
     assert got == pytest.approx(P_SUCC_AT_T_RUN_K2[n], abs=1e-9)
 
 
@@ -88,7 +94,7 @@ def test_success_probability_band_at_n100():
     got = P_SUCC_AT_T_RUN_K2[100]
     p = graph_params(100, 2)
     walk = reduced.build_reduced(p)
-    assert reduced.evolve_series(walk, 78)[-1][1] == pytest.approx(got, abs=1e-9)
+    assert reduced.evolve_series(walk, 78).p_succ[-1] == pytest.approx(got, abs=1e-9)
     assert abs(got - 0.5) <= 0.1
 
 
@@ -96,11 +102,11 @@ def test_evolve_series_rows():
     p = graph_params(100, 2)
     walk = reduced.build_reduced(p)
     rows = reduced.evolve_series(walk, 160)
-    assert len(rows) == 161
-    assert rows[0][0] == 0
-    assert rows[0][1] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
+    assert all(len(column) == 161 for column in (rows.t, rows.p_succ, rows.norm))
+    assert rows.t[0] == 0 and rows.p_alt is None
+    assert rows.p_succ[0] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
     strided = reduced.evolve_series(walk, 10, stride=3)
-    assert [r[0] for r in strided] == [0, 3, 6, 9, 10]
+    assert strided.t.tolist() == [0, 3, 6, 9, 10]
     with pytest.raises(ValueError):
         reduced.evolve_series(walk, -1)
     with pytest.raises(ValueError):
@@ -160,7 +166,7 @@ def test_sweep_point_matches_series(n, k):
     p = graph_params(n, k)
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    series = [row[1] for row in reduced.evolve_series(walk, 2 * t_run)]
+    series = _iterated(walk, 2 * t_run)
     p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
     assert abs(p_run - series[t_run]) <= 1e-12
     assert abs(series[t_opt] - max(series)) <= 1e-12
@@ -182,7 +188,7 @@ def test_spectral_scan_matches_iteration(n, k):
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
     steps = max(1, 2 * t_run)
-    iterated = np.array([row[1] for row in reduced.evolve_series(walk, steps)])
+    iterated = _iterated(walk, steps)
     scanned = _spectral_series(walk, steps)
     assert scanned.shape == iterated.shape
     assert np.abs(scanned - iterated).max() <= 1e-12
@@ -210,6 +216,25 @@ def test_secular_roots_bracketed_and_solved(n, k):
             assert abs(residual) <= 1e-30
         # the amplitudes resolve the start state: p(0) = w_0**2 = 1/N
         assert abs(abs(mpmath.fsum(spec.amplitudes)) ** 2 - spec.weights[k]) <= 1e-35
+        # and so do the eigenvectors: a root missing or found twice breaks the sum
+        assert abs(spec.norm - 1) <= 1e-30
+
+
+@pytest.mark.parametrize("n,k", CERTIFIED)
+def test_evolve_series_matches_iteration(n, k):
+    # the simulate series, at stride 1, at stride 7 and with an off-grid last
+    # step, reads the iterated values to 1e-12
+    p = graph_params(n, k)
+    walk = reduced.build_reduced(p)
+    steps = max(1, 2 * spectral.run_time(p).t_run)
+    iterated = _iterated(walk, steps)
+    off_grid = steps if steps % 7 else steps - 1
+    for last, stride in [(steps, 1), (steps - steps % 7, 7), (off_grid, 7)]:
+        series = reduced.evolve_series(walk, last, stride)
+        on_grid = list(range(0, last + 1, stride))
+        assert series.t.tolist() == on_grid + ([last] if last % stride else [])
+        assert np.abs(series.p_succ - iterated[series.t]).max() <= 1e-12
+        assert series.p_alt is None and len(series.norm) == len(series.t)
 
 
 def test_sweep_at_t_run_j1e6_2_against_60_digits_and_iteration(monkeypatch):
@@ -226,6 +251,21 @@ def test_sweep_at_t_run_j1e6_2_against_60_digits_and_iteration(monkeypatch):
     for state in reduced.states(walk, t_run):
         pass
     assert abs(p_run - reduced.success_probability(walk.target, state)) <= 1e-12
+
+
+def test_strided_series_to_1e9_steps_against_60_digits(monkeypatch):
+    # 1,001 rows reaching 10^9 steps cost 1,001 evaluations, each as exact
+    # as at small t
+    walk = reduced.build_reduced(graph_params(10 ** 6, 2))
+    series = reduced.evolve_series(walk, 10 ** 9, stride=10 ** 6)
+    assert series.t.tolist() == list(range(0, 10 ** 9 + 1, 10 ** 6))
+    monkeypatch.setattr(spectral, "_MP_DPS", 60)
+    spec = reduced.spectrum(walk)
+    with mpmath.workdps(60):
+        for t, p in zip(series.t.tolist(), series.p_succ):
+            exact = abs(mpmath.fsum(a * mpmath.expj(theta * t)
+                                    for theta, a in zip(spec.roots, spec.amplitudes))) ** 2
+            assert abs(p - float(exact)) <= 1e-15
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
@@ -264,8 +304,18 @@ def test_probability_blocks_layout():
     assert [(s, len(p)) for s, p in blocks] == [(0, reduced.SCAN_CHUNK),
                                                 (reduced.SCAN_CHUNK, 1)]
     assert [len(p) for _, p in reduced.probability_blocks(walk, 0)] == [1]
+    # strided: a block spans SCAN_CHUNK samples, and an off-grid end is one more
+    steps = 3 * reduced.SCAN_CHUNK + 1
+    strided = list(reduced.probability_blocks(walk, steps, stride=3))
+    assert [(s, len(p)) for s, p in strided] == [(0, reduced.SCAN_CHUNK),
+                                                 (3 * reduced.SCAN_CHUNK, 1), (steps, 1)]
+    dense = _spectral_series(walk, steps)
+    assert np.abs(np.concatenate([p for _, p in strided])
+                  - dense[list(range(0, steps, 3)) + [steps]]).max() <= 1e-15
     with pytest.raises(ValueError):
         next(reduced.probability_blocks(walk, -1))
+    with pytest.raises(ValueError):
+        next(reduced.probability_blocks(walk, 5, stride=0))
 
 
 def test_unconverged_root_raises(monkeypatch):

@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from jwalk import reports, spectral, validation
+from jwalk.arc_engine import Series
 from jwalk.johnson import graph_params
 
 
@@ -19,28 +21,60 @@ def test_format_float_round_trips(value):
 
 def _sample_run_report(engine="full"):
     p = graph_params(8, 2)
-    alt = 0.07142857142857144 if engine == "full" else None
-    rows = [
-        reports.RunRow(t=0, p_succ=1 / 28, p_alt=alt, norm=1.0),
-        reports.RunRow(t=1, p_succ=0.2539682539682539, p_alt=alt, norm=1.0 - 2e-16),
-    ]
+    alt = np.full(2, 0.07142857142857144) if engine == "full" else None
+    series = Series(t=np.array([0, 1]), p_succ=np.array([1 / 28, 0.2539682539682539]),
+                    p_alt=alt, norm=np.array([1.0, 1.0 - 2e-16]))
     return reports.RunReport(params=p, marked=(1, 2), engine=engine,
-                             t_run=6, stride=1, rows=rows)
+                             t_run=6, stride=1, series=series)
 
 
 def test_run_csv_round_trip_exact():
     report = _sample_run_report()
-    text = reports.run_report_to_csv(report)
+    text = "".join(reports.run_report_to_csv(report))
     assert text.startswith("t,p_succ,p_alt,norm\n")
-    assert reports.read_run_rows(text) == report.rows
+    parsed = reports.read_run_rows(text)
+    assert all(np.array_equal(a, b) for a, b in zip(parsed, report.series))
+    assert parsed.t.dtype == np.int64
 
 
 def test_run_csv_empty_alt_field():
     report = _sample_run_report(engine="reduced")
-    text = reports.run_report_to_csv(report)
+    text = "".join(reports.run_report_to_csv(report))
     line = text.splitlines()[1]
     assert line.split(",")[2] == ""
-    assert reports.read_run_rows(text)[0].p_alt is None
+    assert reports.read_run_rows(text).p_alt is None
+
+
+@pytest.mark.parametrize("chunk", [1, 2, reports.REPORT_CHUNK])
+@pytest.mark.parametrize("with_alt", [False, True])
+def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
+    # the streamed text is the text of the whole report at once, wherever
+    # the chunk boundaries fall
+    monkeypatch.setattr(reports, "REPORT_CHUNK", chunk)
+    t, p_succ, norm = [0, 3, 6], [0.25, 0.1, 0.5], [1.0, 1.0 - 2 ** -53, 1.0]
+    p_alt = [0.5, 0.2, 1.0] if with_alt else [None] * 3
+    series = Series(t=np.array(t), p_succ=np.array(p_succ),
+                    p_alt=np.array(p_alt) if with_alt else None, norm=np.array(norm))
+    report = reports.RunReport(params=graph_params(8, 2), marked=(1, 2),
+                               engine="full" if with_alt else "reduced",
+                               t_run=6, stride=3, series=series)
+    alt_fields = ["0.5", "0.20000000000000001", "1"] if with_alt else ["", "", ""]
+    assert "".join(reports.run_report_to_csv(report)) == (
+        "t,p_succ,p_alt,norm\n"
+        f"0,0.25,{alt_fields[0]},1\n"
+        f"3,0.10000000000000001,{alt_fields[1]},0.99999999999999989\n"
+        f"6,0.5,{alt_fields[2]},1\n")
+    doc = {
+        "schema_version": 1,
+        "params": {"n": 8, "k": 2, "num_vertices": 28, "degree": 12},
+        "marked": [1, 2],
+        "engine": report.engine,
+        "t_run": 6,
+        "stride": 3,
+        "rows": [{"t": a, "p_succ": b, "p_alt": c, "norm": d}
+                 for a, b, c, d in zip(t, p_succ, p_alt, norm)],
+    }
+    assert "".join(reports.run_report_to_json(report)) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_read_run_rows_rejects_bad_header():
@@ -49,7 +83,7 @@ def test_read_run_rows_rejects_bad_header():
 
 
 def test_run_json_schema():
-    doc = json.loads(reports.run_report_to_json(_sample_run_report()))
+    doc = json.loads("".join(reports.run_report_to_json(_sample_run_report())))
     assert doc["schema_version"] == 1
     assert doc["params"] == {"n": 8, "k": 2, "num_vertices": 28, "degree": 12}
     assert doc["marked"] == [1, 2]
@@ -100,3 +134,20 @@ def test_write_output_atomic(tmp_path):
     assert list(tmp_path.iterdir()) == [out]  # no stray temp files
     reports.write_output("x,y\n3,4\n", str(out))
     assert out.read_text() == "x,y\n3,4\n"
+    reports.write_output(iter(["x,y\n", "5,6\n"]), str(out))
+    assert out.read_text() == "x,y\n5,6\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_write_output_chunk_failure_keeps_target(tmp_path):
+    out = tmp_path / "report.csv"
+    out.write_text("old\n")
+
+    def chunks():
+        yield "new,"
+        raise RuntimeError("serializer failed")
+
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        reports.write_output(chunks(), str(out))
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]  # the temp file is gone
