@@ -1,17 +1,19 @@
 """Exact matrix-free simulation of the search walk on the full arc space.
 
-States are complex128 vectors over all arcs, tail-major and slot-minor, so
+States are real float64 vectors over all arcs, tail-major and slot-minor, so
 the outgoing arcs of one vertex occupy a contiguous block of length
 ``degree``.  One search step applies, in order, the marked-vertex
 reflection, the Grover coin on every block, and the arc-reversal shift;
-each pass is O(num_arcs) with no operator ever materialized.
+each pass is O(num_arcs) with no operator ever materialized.  Every one
+of these operators is a real orthogonal matrix and the walk starts from the
+real uniform state, so the state never acquires an imaginary part.
 
 The passes work in place where they can.  :func:`apply_oracle` and
 :func:`apply_coin` overwrite their input and return it; :func:`apply_shift`
 gathers into one new array, the only whole-state allocation of a
 :func:`step`, which therefore consumes its input.  A caller that needs the
 input afterwards passes ``state.copy()``.  The in-place passes refuse a
-state that is not a 1-D C-contiguous complex128 vector over all arcs, since
+state that is not a 1-D C-contiguous float64 vector over all arcs, since
 reshaping a strided view would silently update a copy.
 
 Block reductions are evaluated by numpy in a fixed slot order, so repeated
@@ -45,7 +47,7 @@ __all__ = [
 ]
 
 # Refuse allocations above this many amplitudes unless the caller raises the
-# cap explicitly (128 MiB of complex128 per state buffer at the default).
+# cap explicitly (64 MiB of float64 per state buffer at the default).
 DEFAULT_CAPACITY = 2 ** 23
 # Absolute ceiling even when forced; keeps arc indices well inside int64
 # and allocation failures predictable.
@@ -68,9 +70,9 @@ def _check_capacity(params: GraphParams, capacity: int) -> None:
     """Refuse an instance above the amplitude cap, or one that cannot fit.
 
     Above the default cap the run also needs its bytes to fit in the
-    memory the system reports available: per arc, 16 for the state, 16 for
-    the shift's gather target (or the norm's two float64 temporaries) and
-    8 for the int64 permutation, plus the permutation build's scratch.
+    memory the system reports available: per arc, 8 for the state, 8 for
+    the shift's gather target (or the norm's float64 temporary) and 8 for
+    the int64 permutation, plus the permutation build's scratch.
     """
     cap = min(capacity, HARD_CAPACITY)
     if params.num_arcs > cap:
@@ -80,7 +82,7 @@ def _check_capacity(params: GraphParams, capacity: int) -> None:
     if capacity <= DEFAULT_CAPACITY:
         return
     available = _mem_available()
-    needed = (2 * 16 + 8) * params.num_arcs + permutation_scratch_bytes(params)
+    needed = (8 + 8 + 8) * params.num_arcs + permutation_scratch_bytes(params)
     if available is not None and needed > available:
         raise CapacityError(
             f"instance J({params.n},{params.k}) needs {needed} bytes, above the "
@@ -118,10 +120,10 @@ def _sample_times(steps: int, stride: int, columns: int) -> np.ndarray:
 
 
 def _check_state(params: GraphParams, state: np.ndarray) -> None:
-    if not (isinstance(state, np.ndarray) and state.dtype == np.complex128
+    if not (isinstance(state, np.ndarray) and state.dtype == np.float64
             and state.shape == (params.num_arcs,) and state.flags.c_contiguous):
         raise ValueError(
-            f"state must be a C-contiguous complex128 vector of {params.num_arcs} "
+            f"state must be a C-contiguous float64 vector of {params.num_arcs} "
             f"amplitudes (passes update it in place)")
 
 
@@ -129,17 +131,15 @@ def uniform_state(params: GraphParams, capacity: int = DEFAULT_CAPACITY) -> np.n
     """Uniform superposition over all arcs, amplitude (degree*N)**-0.5."""
     _check_capacity(params, capacity)
     amp = 1.0 / np.sqrt(float(params.num_arcs))
-    return np.full(params.num_arcs, amp, dtype=np.complex128)
+    return np.full(params.num_arcs, amp)
 
 
 def state_norm(state: np.ndarray) -> float:
     """2-norm via pairwise summation (BLAS nrm2's rescaling loses bits).
 
-    Holds two float64 temporaries the length of the state.
+    Holds one float64 temporary the length of the state.
     """
-    squares = np.square(state.real)
-    squares += np.square(state.imag)
-    return float(np.sqrt(np.sum(squares)))
+    return float(np.sqrt(np.sum(np.square(state))))
 
 
 def apply_coin(params: GraphParams, state: np.ndarray) -> np.ndarray:
@@ -197,7 +197,7 @@ def step(params: GraphParams,
 def vertex_probability(params: GraphParams, state: np.ndarray, v: int) -> float:
     """Probability mass on the arcs whose tail is ``v``."""
     block = state[v * params.degree:(v + 1) * params.degree]
-    return float(np.vdot(block, block).real)
+    return float(np.dot(block, block))
 
 
 def alt_vertex_probability(params: GraphParams, state: np.ndarray, v: int,
@@ -211,7 +211,7 @@ def alt_vertex_probability(params: GraphParams, state: np.ndarray, v: int,
     idx = np.arange(v * params.degree, (v + 1) * params.degree)
     tails = state[idx]
     heads = state[opposite[idx]]
-    return float(np.vdot(tails, tails).real + np.vdot(heads, heads).real)
+    return float(np.dot(tails, tails) + np.dot(heads, heads))
 
 
 def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1,

@@ -20,10 +20,11 @@ subspace that the reduced engine works in.
 
 The step matrices are real float64: the Grover coin, the flip-flop shift
 and the oracle's reflection through a real vector have no imaginary part,
-and the engine-built columns are refused unless theirs is exactly zero.
+and the matrix-free engine they certify steps real float64 states too.
 The invariant basis is complex128, since its columns carry the walk
-eigenphases.  A dense matrix only ever meets the basis through its real
-and imaginary parts separately, so no A x A matrix is upcast to complex.
+eigenphases.  A dense matrix or an engine step only ever meets the basis
+through its real and imaginary parts separately, so no A x A matrix is
+upcast to complex.
 """
 
 from dataclasses import dataclass, field
@@ -124,22 +125,17 @@ def dense_step_from_engine(params: GraphParams,
                            marked: Optional[int] = None) -> np.ndarray:
     """Same matrix assembled column-by-column from the matrix-free engine.
 
-    Each column steps a fresh complex128 basis vector, which the step
-    consumes, and stores its real part; a column whose imaginary part is
-    not exactly zero raises CertificationError.
+    Each column steps a fresh float64 basis vector, which the step
+    consumes.
     """
     _require_dense(params)
     opp = opposite_permutation(params)
     A = params.num_arcs
     U = np.empty((A, A))
     for a in range(A):
-        e = np.zeros(A, dtype=np.complex128)
+        e = np.zeros(A)
         e[a] = 1.0
-        column = arc_engine.step(params, e, opp, marked)
-        if np.any(column.imag):
-            raise CertificationError(f"engine_column_{a}_imaginary_part",
-                                     float(np.abs(column.imag).max()), 0.0)
-        U[:, a] = column.real
+        U[:, a] = arc_engine.step(params, e, opp, marked)
     return U
 
 
@@ -379,9 +375,11 @@ def verify_eigenbasis(params: GraphParams, marked: int, tol: float = 1e-10,
     eig_residual = 0.0
     stepped = np.empty_like(B)
     for col in range(2 * k + 1):
-        # a contiguous copy: the step updates its input in place
-        stepped[:, col] = arc_engine.step(params, np.ascontiguousarray(B[:, col]),
-                                          b.opposite)
+        # the step is real-linear: step the real and imaginary parts apart,
+        # each a contiguous copy since the step updates its input in place
+        re, im = (arc_engine.step(params, np.ascontiguousarray(part), b.opposite)
+                  for part in (B[:, col].real, B[:, col].imag))
+        stepped[:, col] = re + 1j * im
     eig_residual = max(eig_residual,
                        float(np.linalg.norm(stepped[:, 0] - B[:, 0])))
     for l in range(1, k + 1):
@@ -421,8 +419,7 @@ def verify_subspace_invariance(params: GraphParams, marked: int,
         "subspace_invariance": float(np.abs(image - B @ (B.conj().T @ image)).max()),
     }
 
-    b0 = b.outward[0].astype(np.complex128)
-    c1 = b.inward[1].astype(np.complex128)
+    b0, c1 = b.outward[0], b.inward[1]  # float64, as the engine requires
     oracle_b0 = arc_engine.apply_oracle(params, b0.copy(), marked)
     oracle_mix = arc_engine.apply_oracle(params, b0 - c1, marked)
     exact = float(max(np.abs(oracle_b0 + b0).max(),
@@ -490,17 +487,13 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     ]
     checks = []
     for stage in stages:
-        limit = tol
         try:
             residuals = stage()
-        except CertificationError as err:
-            if hasattr(err, "residuals"):
-                residuals = err.residuals
-            else:  # a check that stopped its stage, judged by its own tolerance
-                residuals, limit = {err.check: err.residual}, err.tol
+        except CertificationError as err:  # from _finish, with every residual
+            residuals = err.residuals
         for name, value in residuals.items():
-            checks.append(CheckResult(name=name, residual=float(value), tol=limit,
-                                      passed=bool(value <= limit)))
+            checks.append(CheckResult(name=name, residual=float(value), tol=tol,
+                                      passed=bool(value <= tol)))
     return CertificationReport(
         params=params, marked=marked, tol=tol, checks=checks,
         passed=all(c.passed for c in checks),

@@ -12,15 +12,15 @@ from jwalk.johnson import graph_params, opposite_permutation, permutation_scratc
 
 def random_states(params, count, seed=7):
     rng = np.random.default_rng(seed)
-    states = rng.standard_normal((count, params.num_arcs)) \
-        + 1j * rng.standard_normal((count, params.num_arcs))
+    states = rng.standard_normal((count, params.num_arcs))
     return states / np.linalg.norm(states, axis=1)[:, None]
 
 
 def test_uniform_state_values():
     p = graph_params(4, 2)
     state = arc_engine.uniform_state(p)
-    assert np.array_equal(state, np.full(24, 1.0 / np.sqrt(24), dtype=complex))
+    assert state.dtype == np.float64
+    assert np.array_equal(state, np.full(24, 1.0 / np.sqrt(24)))
     p = graph_params(10, 3)
     assert abs(arc_engine.state_norm(arc_engine.uniform_state(p)) - 1.0) <= 1e-15
 
@@ -49,7 +49,7 @@ def test_capacity_refusal():
 
 def test_coin_block_example():
     p = graph_params(4, 2)  # degree 4
-    state = np.zeros(p.num_arcs, dtype=complex)
+    state = np.zeros(p.num_arcs)
     state[0] = 1.0
     out = arc_engine.apply_coin(p, state)
     assert np.allclose(out[:4], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
@@ -82,10 +82,10 @@ def test_shift_is_exact_permutation_involution():
 def test_shift_single_arc():
     p = graph_params(4, 2)
     opp = opposite_permutation(p)
-    state = np.zeros(p.num_arcs, dtype=complex)
+    state = np.zeros(p.num_arcs)
     state[5] = 1.0
     out = arc_engine.apply_shift(state, opp)
-    expected = np.zeros(p.num_arcs, dtype=complex)
+    expected = np.zeros(p.num_arcs)
     expected[opp[5]] = 1.0
     assert np.array_equal(out, expected)
 
@@ -94,7 +94,7 @@ def test_oracle_reflects_marked_superposition():
     p = graph_params(6, 2)
     d = p.degree
     marked = 3
-    target = np.zeros(p.num_arcs, dtype=complex)
+    target = np.zeros(p.num_arcs)
     target[marked * d:(marked + 1) * d] = 1.0 / np.sqrt(d)
     out = arc_engine.apply_oracle(p, target.copy(), marked)
     assert np.abs(out + target).max() <= 1e-15
@@ -127,7 +127,7 @@ def test_capacity_checks_available_memory(monkeypatch):
     # above the default cap the state, the gather target, the int64
     # permutation and the build's scratch must fit in available memory
     p = graph_params(8, 2)
-    needed = 40 * p.num_arcs + permutation_scratch_bytes(p)
+    needed = 24 * p.num_arcs + permutation_scratch_bytes(p)
     forced = arc_engine.HARD_CAPACITY
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
     with pytest.raises(CapacityError, match="available memory"):
@@ -145,9 +145,9 @@ def test_in_place_passes_refuse_other_layouts():
     opp = opposite_permutation(p)
     columns = random_states(p, 2).T.copy()
     bad = [columns[:, 0],                                   # strided view
-           np.ones(p.num_arcs, dtype=np.complex64),         # wrong dtype
-           np.ones(p.num_arcs - 1, dtype=np.complex128),    # wrong length
-           np.ones((p.num_vertices, p.degree), dtype=np.complex128)]  # 2-D
+           np.ones(p.num_arcs, dtype=np.float32),           # wrong dtype
+           np.ones(p.num_arcs - 1),                         # wrong length
+           np.ones((p.num_vertices, p.degree))]             # 2-D
     for state in bad:
         with pytest.raises(ValueError):
             arc_engine.apply_coin(p, state)
@@ -156,6 +156,21 @@ def test_in_place_passes_refuse_other_layouts():
         for marked in (None, 0):
             with pytest.raises(ValueError):
                 arc_engine.step(p, state, opp, marked)
+
+
+def test_passes_refuse_complex_state():
+    # the operators are real, so a complex state has no meaning here; it is
+    # refused rather than silently stepped
+    p = graph_params(6, 2)
+    opp = opposite_permutation(p)
+    state = np.full(p.num_arcs, 1.0 / np.sqrt(p.num_arcs), dtype=np.complex128)
+    with pytest.raises(ValueError):
+        arc_engine.apply_coin(p, state)
+    with pytest.raises(ValueError):
+        arc_engine.apply_oracle(p, state, 0)
+    for marked in (None, 0):
+        with pytest.raises(ValueError):
+            arc_engine.step(p, state, opp, marked)
 
 
 def test_passes_update_in_place():
@@ -193,9 +208,34 @@ def test_step_allocates_only_the_gather_target():
     assert peak <= 0.25 * state.nbytes
     _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, nxt))
     assert peak <= 0.25 * state.nbytes
-    # sampling the norm fits the same budget: two float64 temporaries
+    # sampling the norm fits the same budget: one float64 temporary
     _, peak = _peak_bytes(lambda: arc_engine.state_norm(nxt))
     assert peak <= 1.1 * state.nbytes
+
+
+def test_evolve_and_record_peak_memory():
+    # the capacity model: per arc the float64 state, the gather target or
+    # the norm's temporary, and the int64 permutation, plus the build's
+    # scratch; after the build, stepping and sampling hold the 24 bytes per
+    # arc alone, which a complex128 state (40 per arc) exceeds
+    p = graph_params(20, 3)
+    steps = 2 * spectral.run_time(p).t_run
+    slack = 2 ** 16
+    build = opposite_permutation
+
+    def build_then_reset_peak(params):
+        nonlocal build_peak
+        opposite = build(params)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return opposite
+
+    build_peak = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arc_engine, "opposite_permutation", build_then_reset_peak)
+        _, peak = _peak_bytes(lambda: arc_engine.evolve_and_record(p, 0, steps))
+    assert max(build_peak, peak) <= 24 * p.num_arcs + permutation_scratch_bytes(p) + slack
+    assert peak <= 24 * p.num_arcs + slack
 
 
 @pytest.mark.parametrize("marked", [-2, -1, 15])
@@ -222,10 +262,10 @@ def test_step_single_arc_closed_form():
     d = p.degree
     heads = opp // d
     for a in range(p.num_arcs):
-        e = np.zeros(p.num_arcs, dtype=complex)
+        e = np.zeros(p.num_arcs)
         e[a] = 1.0
         out = arc_engine.step(p, e, opp)
-        expected = np.where(heads == a // d, 2.0 / d, 0.0).astype(complex)
+        expected = np.where(heads == a // d, 2.0 / d, 0.0)
         expected[opp[a]] -= 1.0
         assert np.abs(out - expected).max() <= 1e-15
 
@@ -348,3 +388,42 @@ def test_norm_preserved_over_2_trun():
     t_run = spectral.run_time(p).t_run
     rows = arc_engine.evolve_and_record(p, 0, 2 * t_run)
     assert np.abs(rows.norm - 1.0).max() <= 1e-10
+
+
+def _complex_evolve_and_record(params, marked, steps):
+    """The complex128 engine the float64 one replaced, step for step."""
+    d = params.degree
+    opp = opposite_permutation(params)
+    state = np.full(params.num_arcs, 1.0 / np.sqrt(float(params.num_arcs)),
+                    dtype=np.complex128)
+    lo, hi = marked * d, (marked + 1) * d
+    tails = np.arange(lo, hi)
+    p_succ, p_alt, norm = (np.empty(steps + 1) for _ in range(3))
+    for t in range(steps + 1):
+        block, heads = state[tails], state[opp[tails]]
+        p_succ[t] = np.vdot(block, block).real
+        p_alt[t] = np.vdot(block, block).real + np.vdot(heads, heads).real
+        squares = np.square(state.real)
+        squares += np.square(state.imag)
+        norm[t] = np.sqrt(np.sum(squares))
+        if t < steps:
+            marked_block = state[lo:hi]
+            marked_block -= 2.0 * marked_block.mean()
+            blocks = state.reshape(params.num_vertices, d)
+            means = np.mean(blocks, axis=1)
+            means *= 2.0
+            np.subtract(means[:, None], blocks, out=blocks)
+            state = state[opp]
+    return p_succ, p_alt, norm
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (9, 3), (10, 4), (20, 3)])
+def test_float64_engine_matches_complex_engine(n, k):
+    p = graph_params(n, k)
+    marked = p.num_vertices // 3
+    steps = 2 * spectral.run_time(p).t_run
+    series = arc_engine.evolve_and_record(p, marked, steps)
+    assert series.t.tolist() == list(range(steps + 1))
+    for got, want in zip((series.p_succ, series.p_alt, series.norm),
+                         _complex_evolve_and_record(p, marked, steps)):
+        assert np.abs(got - want).max() <= 1e-13
