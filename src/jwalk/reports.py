@@ -12,10 +12,12 @@ document formatted at once (``json.dumps(doc, indent=2)`` for JSON), and
 """
 
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -48,6 +50,10 @@ SCHEMA_VERSION = 1
 REPORT_CHUNK = 2 ** 12
 
 _RUN_CSV_HEADER = "t,p_succ,p_alt,norm"
+
+# one row of doc["rows"] as json.dumps(doc, indent=2) lays it out
+_JSON_ROW = ('    {\n      "t": %d,\n      "p_succ": %s,\n      "p_alt": %s,\n'
+             '      "norm": %s\n    }')
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,17 @@ def _params_dict(params: GraphParams) -> dict:
             "num_vertices": params.num_vertices, "degree": params.degree}
 
 
-def _row_chunks(series: Series):
-    """The series as Python rows (t, p_succ, p_alt, norm), REPORT_CHUNK at a time."""
+def _row_chunks(series: Series, floats=np.ndarray.tolist, absent=None):
+    """The series as Python rows (t, p_succ, p_alt, norm), REPORT_CHUNK at a time.
+
+    ``floats`` turns a float column into a list; ``absent`` stands for each
+    missing p_alt.
+    """
     for start in range(0, len(series.t), REPORT_CHUNK):
         part = slice(start, start + REPORT_CHUNK)
         t = series.t[part].tolist()
-        alt = [None] * len(t) if series.p_alt is None else series.p_alt[part].tolist()
-        yield zip(t, series.p_succ[part].tolist(), alt, series.norm[part].tolist())
+        alt = [absent] * len(t) if series.p_alt is None else floats(series.p_alt[part])
+        yield zip(t, floats(series.p_succ[part]), alt, floats(series.norm[part]))
 
 
 def run_report_to_csv(report: RunReport):
@@ -116,6 +126,18 @@ def read_run_rows(text: str) -> Series:
                   norm=np.array([float(x) for x in norm]))
 
 
+def _json_floats(column: np.ndarray) -> list:
+    """The column's values for a %s field, in json.dumps's spelling.
+
+    %s of a finite float is its repr, which is what json.dumps writes;
+    NaN and the infinities are spelled as json.dumps spells them.
+    """
+    values = column.tolist()
+    if np.isfinite(column).all():
+        return values
+    return [x if math.isfinite(x) else json.dumps(x) for x in values]
+
+
 def run_report_to_json(report: RunReport):
     """Yield the JSON text, REPORT_CHUNK rows at a time.
 
@@ -133,11 +155,9 @@ def run_report_to_json(report: RunReport):
     }, indent=2)
     yield head[:-len("]\n}")] + "\n"      # up to '"rows": [' and its newline
     separator = ""
-    for rows in _row_chunks(report.series):
-        items = json.dumps([{"t": t, "p_succ": p, "p_alt": alt, "norm": norm}
-                            for t, p, alt, norm in rows], indent=2)
-        # the chunk's items, two levels deeper than in a top-level list
-        yield separator + "  " + items[2:-2].replace("\n", "\n  ")
+    for rows in _row_chunks(report.series, _json_floats, "null"):
+        rows = list(rows)
+        yield separator + ",\n".join([_JSON_ROW] * len(rows)) % tuple(chain.from_iterable(rows))
         separator = ",\n"
     yield "\n  ]\n}\n"
 

@@ -21,6 +21,19 @@ P_SUCC_K2 = {
     6400: 0.5000782178005411,
 }
 
+# pinned first-run peaks p_max of the windowed sweep over [0, 2*t_run],
+# two instances per diameter k = 1..8, each solvable at 40 digits
+P_MAX_BY_K = {
+    1: {10 ** 5: 0.5022330879700623, 10 ** 7: 0.5002236309244632},
+    2: {10 ** 9: 0.5000000005, 10 ** 12: 0.5000000000005},
+    3: {10 ** 4: 0.4999767136496386, 10 ** 6: 0.4999997517301797},
+    4: {10 ** 4: 0.4999833568653018, 10 ** 5: 0.4999983335686344},
+    5: {1000: 0.4998743538009916, 10 ** 4: 0.49998749191387243},
+    6: {200: 0.49948212980175444, 1000: 0.49989923268057046},
+    7: {100: 0.49909328365686945, 1000: 0.49991594239294906},
+    8: {100: 0.49921202382009816, 1000: 0.49992788465440086},
+}
+
 
 def _line(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -48,6 +61,33 @@ def test_criterion_1_asymptotic_success_probability():
           f"|p-1/2| = {deviation[100]:.2e} > {deviation[400]:.2e} > "
           f"{deviation[1600]:.2e} > {deviation[6400]:.2e}; {elapsed:.2f}s")
     assert monotone and halving and small
+    assert fast
+
+
+def test_criterion_1_every_fixed_diameter():
+    # k = 1..8: the peak success probability over [0, 2*t_run] nears 1/2,
+    # |p_max - 1/2| shrinks from the smaller n to the larger and is at most
+    # 1e-3 at the larger
+    start = time.perf_counter()
+    gaps = {}
+    for k, pinned in P_MAX_BY_K.items():
+        gaps[k] = []
+        for n, p_pinned in pinned.items():
+            p = graph_params(n, k)
+            _, _, p_max = reduced.sweep_point(reduced.build_reduced(p),
+                                              spectral.run_time(p).t_run)
+            assert p_max == pytest.approx(p_pinned, abs=1e-9), f"regression at J({n},{k})"
+            gaps[k].append(abs(p_max - 0.5))
+    elapsed = time.perf_counter() - start
+
+    shrinking = all(small > large for small, large in gaps.values())
+    close = all(large <= 1e-3 for _, large in gaps.values())
+    fast = elapsed < 5.0
+    _line("1b", shrinking and close and fast,
+          "|p_max-1/2| " + ", ".join(f"k={k}: {small:.1e} > {large:.1e}"
+                                     for k, (small, large) in gaps.items())
+          + f"; {elapsed:.2f}s")
+    assert shrinking and close
     assert fast
 
 

@@ -346,3 +346,155 @@ def test_matrices_are_read_only():
         walk.matrix[0, 0] = 0.0
     with pytest.raises(ValueError):
         walk.target[0] = 0.0
+
+
+# k = 1..8, from J(3, 1) (one block) to J(10^6, 2) (384 blocks of 4096 values)
+WINDOWED = [(3, 1), (1000, 1), (10 ** 6, 1), (4, 2), (100, 2), (10 ** 4, 2), (10 ** 6, 2),
+            (6, 3), (1000, 3), (10 ** 4, 3), (8, 4), (60, 4), (1000, 4), (100, 5),
+            (50, 6), (100, 8)]
+
+
+def _counting_blocks(monkeypatch):
+    """Record the start of every block the shared evaluator computes."""
+    starts = []
+    evaluate = reduced._block
+
+    def counted(spec, tables, start, count):
+        starts.append(start)
+        return evaluate(spec, tables, start, count)
+
+    monkeypatch.setattr(reduced, "_block", counted)
+    return starts
+
+
+def _solve_once(monkeypatch, walk):
+    """Solve the walk's spectrum once for the whole test."""
+    spec = reduced.spectrum(walk)
+    monkeypatch.setattr(reduced, "spectrum", lambda _: spec)
+    return spec
+
+
+def _two_term_bound_at(spec, t):
+    """(|S(t)| + R)**2 from the amplitudes directly: S the two largest terms, R the rest."""
+    ranked = sorted(zip(spec.amplitudes, spec.roots), key=lambda term: -abs(term[0]))
+    head = abs(mpmath.fsum(a * mpmath.expj(theta * t) for a, theta in ranked[:2]))
+    return (head + mpmath.fsum(abs(a) for a, _ in ranked[2:])) ** 2
+
+
+@pytest.mark.parametrize("n,k", WINDOWED)
+def test_sweep_window_equals_every_block(monkeypatch, n, k):
+    # the window returns the bits of a scan of every block: p at t_run, the
+    # first t of the maximum, and the maximum
+    p = graph_params(n, k)
+    walk = reduced.build_reduced(p)
+    t_run = spectral.run_time(p).t_run
+    steps = max(1, 2 * t_run)
+    _solve_once(monkeypatch, walk)
+    scanned = _spectral_series(walk, steps)
+    t_opt = int(np.argmax(scanned))
+    expected = (float(scanned[t_run]), t_opt, float(scanned[t_opt]))
+    assert reduced.sweep_point(walk, t_run) == expected
+    # a margin of 1 excludes nothing, so every block goes through the evaluator
+    monkeypatch.setattr(reduced, "_MARGIN", 1)
+    starts = _counting_blocks(monkeypatch)
+    assert reduced.sweep_point(walk, t_run) == expected
+    assert sorted(starts) == list(range(0, steps + 1, reduced.SCAN_CHUNK))
+
+
+def test_sweep_window_evaluates_few_blocks(monkeypatch):
+    # J(10^6, 2): its peak and t_run share one of 384 blocks
+    p = graph_params(10 ** 6, 2)
+    t_run = spectral.run_time(p).t_run
+    starts = _counting_blocks(monkeypatch)
+    reduced.sweep_point(reduced.build_reduced(p), t_run)
+    assert 2 * t_run // reduced.SCAN_CHUNK + 1 == 384
+    assert 1 <= len(starts) <= 2 and len(set(starts)) == len(starts)
+
+
+@pytest.mark.parametrize("n,k", [(10 ** 12, 2), (10 ** 6, 2), (10 ** 4, 3), (100, 8)])
+def test_sweep_evaluates_every_block_of_the_window(monkeypatch, n, k):
+    # each block that meets a window interval is evaluated, once and in order,
+    # and besides those only the block of t_run and of the analytic peaks
+    p = graph_params(n, k)
+    walk = reduced.build_reduced(p)
+    t_run = spectral.run_time(p).t_run
+    spec = _solve_once(monkeypatch, walk)
+    windows = []
+    window = reduced._window
+
+    def recorded(*args):
+        windows.append(window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(reduced, "_window", recorded)
+    starts = _counting_blocks(monkeypatch)
+    reduced.sweep_point(walk, t_run)
+    (intervals,) = windows
+    chunk = reduced.SCAN_CHUNK
+    met = {b for lo, hi in intervals for b in range(lo // chunk, hi // chunk + 1)}
+    bound = reduced._two_term_bound(spec)
+    seeds = {t // chunk for t in [t_run, *reduced._peak_times(bound, max(1, 2 * t_run))]}
+    blocks = [s // chunk for s in starts]
+    assert len(set(blocks)) == len(blocks)
+    # the seeds are evaluated first, then every block in increasing order
+    assert set(blocks) == met | seeds
+    assert blocks[len(seeds):] == sorted(met - seeds)
+
+
+@pytest.mark.parametrize("n,k", [(10 ** 12, 2), (10 ** 6, 2), (10 ** 4, 3), (1000, 4), (100, 8)])
+def test_sweep_window_is_the_bound_level_set(monkeypatch, n, k):
+    # the window's intervals are exactly the whole t at which the two-term
+    # bound reaches p_best - 2**-40: it holds at both ends of each interval
+    # and fails one step outside
+    p = graph_params(n, k)
+    walk = reduced.build_reduced(p)
+    t_run = spectral.run_time(p).t_run
+    steps = 2 * t_run
+    spec = _solve_once(monkeypatch, walk)
+    _, _, p_max = reduced.sweep_point(walk, t_run)
+    intervals = reduced._window(reduced._two_term_bound(spec), p_max, steps)
+    assert intervals and all(lo <= hi for lo, hi in intervals)
+    with mpmath.workdps(spectral._MP_DPS):
+        level = mpmath.mpf(p_max) - mpmath.mpf(2) ** -40
+        for lo, hi in intervals:
+            assert _two_term_bound_at(spec, lo) >= level
+            assert _two_term_bound_at(spec, hi) >= level
+            if lo > 0:
+                assert _two_term_bound_at(spec, lo - 1) < level
+            if hi < steps:
+                assert _two_term_bound_at(spec, hi + 1) < level
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
+def test_window_covers_every_t_when_the_bound_excludes_nothing(n, k):
+    # J(3, 1) and J(4, 2), where R is about 0.2: with p_best at or below
+    # R**2 + 2**-40, sqrt(p_best - margin) <= R and the window is every t,
+    # in order, over many periods of |S|
+    bound = reduced._two_term_bound(reduced.spectrum(reduced.build_reduced(graph_params(n, k))))
+    assert bound.rest > 0.1
+    steps = 10 ** 4
+    with mpmath.workdps(spectral._MP_DPS):
+        at_rest = float(bound.rest ** 2 + mpmath.mpf(2) ** -40)
+    for p_best in (at_rest, at_rest / 2):
+        intervals = reduced._window(bound, p_best, steps)
+        assert len(intervals) > 1
+        covered = [t for lo, hi in intervals for t in range(lo, hi + 1)]
+        assert covered == list(range(steps + 1))
+
+
+@pytest.mark.parametrize("n,k", [(10 ** 12, 2), (10 ** 5, 4)])
+def test_sweep_window_beyond_the_scan_against_60_digits(monkeypatch, n, k):
+    # J(10^12, 2) (383,495,197 blocks) and J(10^5, 4) (1,107,056 blocks): p at
+    # t_run and at t_opt equal a 60-digit evaluation to 1e-15
+    p = graph_params(n, k)
+    walk = reduced.build_reduced(p)
+    t_run = spectral.run_time(p).t_run
+    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
+    assert abs(t_opt - t_run) <= t_run // 100 and p_run <= p_max
+    monkeypatch.setattr(spectral, "_MP_DPS", 60)
+    spec = reduced.spectrum(walk)
+    with mpmath.workdps(60):
+        for t, got in [(t_run, p_run), (t_opt, p_max)]:
+            exact = abs(mpmath.fsum(a * mpmath.expj(theta * t)
+                                    for theta, a in zip(spec.roots, spec.amplitudes))) ** 2
+            assert abs(got - float(exact)) <= 1e-15

@@ -49,21 +49,28 @@ def test_run_csv_empty_alt_field():
 @pytest.mark.parametrize("with_alt", [False, True])
 def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
     # the streamed text is the text of the whole report at once, wherever
-    # the chunk boundaries fall
+    # the chunk boundaries fall, and NaN and the infinities are spelled as
+    # json.dumps spells them
     monkeypatch.setattr(reports, "REPORT_CHUNK", chunk)
-    t, p_succ, norm = [0, 3, 6], [0.25, 0.1, 0.5], [1.0, 1.0 - 2 ** -53, 1.0]
-    p_alt = [0.5, 0.2, 1.0] if with_alt else [None] * 3
+    nan, inf = math.nan, math.inf
+    t = [0, 3, 6, 9, 12]
+    p_succ = [0.25, 0.1, 0.5, nan, inf]
+    norm = [1.0, 1.0 - 2 ** -53, 1.0, -inf, 0.1]
+    p_alt = [0.5, 0.2, 1.0, inf, nan] if with_alt else [None] * 5
     series = Series(t=np.array(t), p_succ=np.array(p_succ),
                     p_alt=np.array(p_alt) if with_alt else None, norm=np.array(norm))
     report = reports.RunReport(params=graph_params(8, 2), marked=(1, 2),
                                engine="full" if with_alt else "reduced",
                                t_run=6, stride=3, series=series)
-    alt_fields = ["0.5", "0.20000000000000001", "1"] if with_alt else ["", "", ""]
+    alt_fields = ["0.5", "0.20000000000000001", "1", "inf", "nan"] if with_alt \
+        else [""] * 5
     assert "".join(reports.run_report_to_csv(report)) == (
         "t,p_succ,p_alt,norm\n"
         f"0,0.25,{alt_fields[0]},1\n"
         f"3,0.10000000000000001,{alt_fields[1]},0.99999999999999989\n"
-        f"6,0.5,{alt_fields[2]},1\n")
+        f"6,0.5,{alt_fields[2]},1\n"
+        f"9,nan,{alt_fields[3]},-inf\n"
+        f"12,inf,{alt_fields[4]},0.10000000000000001\n")
     doc = {
         "schema_version": 1,
         "params": {"n": 8, "k": 2, "num_vertices": 28, "degree": 12},
@@ -74,7 +81,9 @@ def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
         "rows": [{"t": a, "p_succ": b, "p_alt": c, "norm": d}
                  for a, b, c, d in zip(t, p_succ, p_alt, norm)],
     }
-    assert "".join(reports.run_report_to_json(report)) == json.dumps(doc, indent=2) + "\n"
+    text = "".join(reports.run_report_to_json(report))
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert '"p_succ": NaN' in text and '"norm": -Infinity' in text
 
 
 def test_read_run_rows_rejects_bad_header():
