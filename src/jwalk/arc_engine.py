@@ -16,7 +16,20 @@ input afterwards passes ``state.copy()``.  The in-place passes refuse a
 state that is not a 1-D C-contiguous float64 vector over all arcs, since
 reshaping a strided view would silently update a copy.
 
-Block reductions are evaluated by numpy in a fixed slot order, so repeated
+:func:`evolve_and_record` never applies the shift S.  It steps the walk
+U = S·C·O in pairs: S is an involution, so S·C·O·S = C_h·O_h, where C_h is
+the Grover coin on *head* blocks (the arcs entering each vertex) and O_h the
+reflection on the arcs entering the marked vertex.  From ψ_t at even t the
+tail-side passes give φ = C·O·ψ_t = S·ψ_{t+1}, and the head-side passes
+give ψ_{t+2} = C_h·O_h·φ.  The head coin sums each head block with
+``np.bincount`` and gathers from that O(num_vertices) table, so no pass
+reads the state in permuted order.  At odd t the state holds S·ψ_t, and
+the marked vertex's tail mass sits on the reversed block
+``opposite[marked block]``, the only part of the permutation the loop keeps;
+:func:`step` and :func:`apply_shift` stay as the reference the paired loop
+is certified against.
+
+Block reductions are evaluated by numpy in a fixed order, so repeated
 runs produce identical bytes regardless of BLAS threading.
 
 :class:`Series` is the sampled record both engines return, as numpy
@@ -52,6 +65,11 @@ DEFAULT_CAPACITY = 2 ** 23
 # Absolute ceiling even when forced; keeps arc indices well inside int64
 # and allocation failures predictable.
 HARD_CAPACITY = 2 ** 31
+# The head coin sums each head block over this many contiguous tail ranges
+# and adds the partial sums: one bincount adds a head's d terms left to
+# right, and its rounding drifted the norm 3-7x more than the tail coin's
+# blockwise mean (J(40,3) over 2*t_run: 3.4e-14 against 5.1e-15).
+_HEAD_SUM_PARTS = 16
 
 
 def _mem_available() -> Optional[int]:
@@ -71,8 +89,8 @@ def _check_capacity(params: GraphParams, capacity: int) -> None:
 
     Above the default cap the run also needs its bytes to fit in the
     memory the system reports available: per arc, 8 for the state, 8 for
-    the shift's gather target (or the norm's float64 temporary) and 8 for
-    the int64 permutation, plus the permutation build's scratch.
+    the head coin's gather target (or the norm's float64 temporary) and 8
+    for the int64 head ranks, plus the permutation build's scratch.
     """
     cap = min(capacity, HARD_CAPACITY)
     if params.num_arcs > cap:
@@ -119,6 +137,17 @@ def _sample_times(steps: int, stride: int, columns: int) -> np.ndarray:
     return times if times[-1] == steps else np.append(times, np.int64(steps))
 
 
+def _check_vertex(params: GraphParams, v: int) -> None:
+    # a negative rank would wrap onto another block, and one past the end
+    # would read or reflect an empty slice
+    if not 0 <= v < params.num_vertices:
+        raise ValueError(f"vertex rank {v} out of range [0, {params.num_vertices})")
+
+
+def _tail_block(params: GraphParams, v: int) -> slice:
+    return slice(v * params.degree, (v + 1) * params.degree)
+
+
 def _check_state(params: GraphParams, state: np.ndarray) -> None:
     if not (isinstance(state, np.ndarray) and state.dtype == np.float64
             and state.shape == (params.num_arcs,) and state.flags.c_contiguous):
@@ -142,17 +171,40 @@ def state_norm(state: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(state))))
 
 
-def apply_coin(params: GraphParams, state: np.ndarray) -> np.ndarray:
+def apply_coin(params: GraphParams, state: np.ndarray,
+               heads: Optional[np.ndarray] = None) -> np.ndarray:
     """Grover coin per tail block, in place: block = 2*mean(block) - block.
 
     Allocates only the O(num_vertices) block means; returns ``state``.
+    Given ``heads``, the int64 head rank of every arc (``opposite // degree``),
+    it is the coin on head blocks instead, C_h = S·C·S: every arc gets twice
+    the mean over the arcs sharing its head, minus itself.  That form
+    allocates one gather target the size of the state besides the means.
     """
     _check_state(params, state)
-    blocks = state.reshape(params.num_vertices, params.degree)
-    means = np.mean(blocks, axis=1)
+    d = params.degree
+    if heads is None:
+        blocks = state.reshape(params.num_vertices, d)
+        means = np.mean(blocks, axis=1)
+        means *= 2.0
+        np.subtract(means[:, None], blocks, out=blocks)
+        return state
+    means = _head_sums(params, state, heads)
+    means /= d
     means *= 2.0
-    np.subtract(means[:, None], blocks, out=blocks)
+    np.subtract(np.take(means, heads), state, out=state)  # take: faster than means[heads]
     return state
+
+
+def _head_sums(params: GraphParams, state: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Sum of ``state`` over the arcs entering each vertex, in ``_HEAD_SUM_PARTS`` ranges."""
+    sums = np.zeros(params.num_vertices)
+    bounds = [params.num_arcs * part // _HEAD_SUM_PARTS
+              for part in range(_HEAD_SUM_PARTS + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        sums += np.bincount(heads[lo:hi], weights=state[lo:hi],
+                            minlength=params.num_vertices)
+    return sums
 
 
 def apply_shift(state: np.ndarray, opposite: np.ndarray) -> np.ndarray:
@@ -164,18 +216,22 @@ def apply_shift(state: np.ndarray, opposite: np.ndarray) -> np.ndarray:
     return state[opposite]
 
 
-def apply_oracle(params: GraphParams, state: np.ndarray, marked: int) -> np.ndarray:
+def apply_oracle(params: GraphParams, state: np.ndarray, marked: int,
+                 arcs: Optional[np.ndarray] = None) -> np.ndarray:
     """Reflect through the uniform superposition of arcs leaving ``marked``.
 
     In place, touching only the ``degree`` marked amplitudes; every other
-    amplitude stays bitwise unchanged.  Returns ``state``.
+    amplitude stays bitwise unchanged.  Returns ``state``.  Given ``arcs``,
+    the reversed block ``opposite[marked block]``, it reflects the arcs
+    entering ``marked`` instead, O_h = S·O·S.
     """
     _check_state(params, state)
-    if not 0 <= marked < params.num_vertices:
-        raise ValueError(f"marked rank {marked} out of range")
-    d = params.degree
-    block = state[marked * d:(marked + 1) * d]
+    _check_vertex(params, marked)
+    if arcs is None:
+        arcs = _tail_block(params, marked)
+    block = state[arcs]
     block -= 2.0 * block.mean()
+    state[arcs] = block  # the tail block is a view, already updated
     return state
 
 
@@ -194,9 +250,16 @@ def step(params: GraphParams,
     return apply_shift(apply_coin(params, state), opposite)
 
 
-def vertex_probability(params: GraphParams, state: np.ndarray, v: int) -> float:
-    """Probability mass on the arcs whose tail is ``v``."""
-    block = state[v * params.degree:(v + 1) * params.degree]
+def vertex_probability(params: GraphParams, state: np.ndarray, v: int,
+                       arcs: Optional[np.ndarray] = None) -> float:
+    """Probability mass on the arcs whose tail is ``v``.
+
+    Given ``arcs``, the reversed block ``opposite[v's block]``, it is the
+    mass on the arcs whose head is ``v``; that is also the tail mass of the
+    state's shift S·state, which is how the paired loop reads odd steps.
+    """
+    _check_vertex(params, v)
+    block = state[_tail_block(params, v) if arcs is None else arcs]
     return float(np.dot(block, block))
 
 
@@ -208,6 +271,7 @@ def alt_vertex_probability(params: GraphParams, state: np.ndarray, v: int,
     not 1) and is not a valid measurement statistic; it is emitted as a
     diagnostic because published walk data has been reported this way.
     """
+    _check_vertex(params, v)
     idx = np.arange(v * params.degree, (v + 1) * params.degree)
     tails = state[idx]
     heads = state[opposite[idx]]
@@ -221,22 +285,32 @@ def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int 
     Records every stride-th step (t = 0 always included, the final step
     always recorded): ``p_succ`` is the tail-block mass at the marked
     vertex, ``p_alt`` the tail-or-head diagnostic, ``norm`` the state
-    2-norm.
+    2-norm.  Steps run in pairs without the shift (module docstring), so
+    at odd t the state holds S·ψ_t: its tail and head masses at ``marked``
+    trade places, and the norm is unchanged by the permutation.
     """
     times = _sample_times(steps, stride, columns=4)
-    if not 0 <= marked < params.num_vertices:
-        raise ValueError(f"marked rank {marked} out of range")
+    _check_vertex(params, marked)
     _check_capacity(params, capacity)
     opposite = opposite_permutation(params)
+    reverse = opposite[_tail_block(params, marked)].copy()
+    heads = opposite // params.degree
+    del opposite  # the loop holds the head ranks in its place, 8 bytes per arc
     state = uniform_state(params, capacity)
     p_succ, p_alt, norm = (np.empty(len(times)) for _ in range(3))
     row = 0
     for t in range(steps + 1):
+        shifted = t % 2 == 1
         if t == times[row]:
-            p_succ[row] = vertex_probability(params, state, marked)
-            p_alt[row] = alt_vertex_probability(params, state, marked, opposite)
+            tail_arcs, head_arcs = (reverse, None) if shifted else (None, reverse)
+            p_succ[row] = vertex_probability(params, state, marked, tail_arcs)
+            p_alt[row] = p_succ[row] + vertex_probability(params, state, marked, head_arcs)
             norm[row] = state_norm(state)
             row += 1
-        if t < steps:
-            state = step(params, state, opposite, marked)
+        if t == steps:
+            break
+        if shifted:  # S·ψ_t -> ψ_{t+1} = C_h·O_h·S·ψ_t
+            apply_coin(params, apply_oracle(params, state, marked, reverse), heads)
+        else:        # ψ_t -> S·ψ_{t+1} = C·O·ψ_t
+            apply_coin(params, apply_oracle(params, state, marked))
     return Series(t=times, p_succ=p_succ, p_alt=p_alt, norm=norm)

@@ -427,3 +427,99 @@ def test_float64_engine_matches_complex_engine(n, k):
     for got, want in zip((series.p_succ, series.p_alt, series.norm),
                          _complex_evolve_and_record(p, marked, steps)):
         assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (8, 4)])
+def test_head_side_passes_are_shift_conjugates(n, k):
+    # the paired loop replaces S·C·S and S·O·S by passes on head blocks;
+    # each must equal the shift-conjugated tail pass it stands for
+    p = graph_params(n, k)
+    d = p.degree
+    opp = opposite_permutation(p)
+    heads = opp // d
+    for marked, state in zip(range(0, p.num_vertices, 3), random_states(p, 10, seed=17)):
+        reverse = opp[marked * d:(marked + 1) * d]
+        head_coin = arc_engine.apply_coin(p, state.copy(), heads)
+        conjugated = arc_engine.apply_shift(
+            arc_engine.apply_coin(p, arc_engine.apply_shift(state, opp)), opp)
+        assert np.abs(head_coin - conjugated).max() <= 1e-15
+        head_oracle = arc_engine.apply_oracle(p, state.copy(), marked, reverse)
+        conjugated = arc_engine.apply_shift(
+            arc_engine.apply_oracle(p, arc_engine.apply_shift(state, opp), marked), opp)
+        assert np.abs(head_oracle - conjugated).max() <= 1e-15
+        shifted = arc_engine.apply_shift(state, opp)
+        assert arc_engine.vertex_probability(p, state, marked, reverse) == \
+            arc_engine.vertex_probability(p, shifted, marked)
+
+
+def _stepwise_evolve_and_record(params, marked, steps, stride):
+    """The walk stepped one shift at a time, sampled by the public samplers."""
+    opp = opposite_permutation(params)
+    times = list(range(0, steps + 1, stride))
+    if times[-1] != steps:
+        times.append(steps)
+    state = arc_engine.uniform_state(params)
+    rows = []
+    for t in range(steps + 1):
+        if t in times:
+            rows.append((arc_engine.vertex_probability(params, state, marked),
+                         arc_engine.alt_vertex_probability(params, state, marked, opp),
+                         arc_engine.state_norm(state)))
+        if t < steps:
+            state = arc_engine.step(params, state, opp, marked)
+    return times, np.array(rows).T
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("n,k", [(8, 2), (9, 3), (10, 4), (20, 3)])
+def test_paired_loop_matches_stepwise_engine(n, k, stride):
+    # at stride 3 the step count is odd and off the stride grid, so the
+    # final row is sampled from the shifted state of an odd step
+    p = graph_params(n, k)
+    marked = p.num_vertices // 2
+    steps = 2 * spectral.run_time(p).t_run
+    if stride == 3:
+        steps += 1 if (steps + 1) % 3 else 3
+        assert steps % 2 == 1 and steps % 3 != 0
+    series = arc_engine.evolve_and_record(p, marked, steps, stride=stride)
+    times, want = _stepwise_evolve_and_record(p, marked, steps, stride)
+    assert series.t.tolist() == times
+    for got, expected in zip((series.p_succ, series.p_alt, series.norm), want):
+        assert np.abs(got - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("marked", [0, 9879])
+def test_norm_drift_j403_over_2_trun(marked):
+    # the head coin's sums are split over contiguous tail ranges; a single
+    # bincount, adding each head's terms left to right, drifts 3.4e-14 here
+    p = graph_params(40, 3)
+    rows = arc_engine.evolve_and_record(p, marked, 2 * spectral.run_time(p).t_run)
+    assert np.abs(rows.norm - 1.0).max() <= 1e-14
+
+
+def test_head_passes_allocate_one_gather_target():
+    # the head coin holds the gather from its O(N) means table plus the
+    # means; the head oracle touches only the marked vertex's d arcs
+    p = graph_params(20, 3)
+    d = p.degree
+    opp = opposite_permutation(p)
+    heads = opp // d
+    reverse = opp[:d].copy()
+    state = arc_engine.uniform_state(p)
+    _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, state, heads))
+    assert peak <= 1.1 * state.nbytes
+    _, peak = _peak_bytes(lambda: arc_engine.apply_oracle(p, state, 0, reverse))
+    assert peak <= 0.25 * state.nbytes
+
+
+@pytest.mark.parametrize("v", [-2, -1, 15])
+def test_vertex_probabilities_reject_out_of_range_vertex(v):
+    # J(6,2) has 15 vertices: a negative rank would wrap onto another
+    # block, and rank 15 would read an empty slice
+    p = graph_params(6, 2)
+    opp = opposite_permutation(p)
+    state = arc_engine.uniform_state(p)
+    with pytest.raises(ValueError):
+        arc_engine.vertex_probability(p, state, v)
+    with pytest.raises(ValueError):
+        arc_engine.alt_vertex_probability(p, state, v, opp)
