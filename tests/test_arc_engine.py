@@ -491,7 +491,8 @@ def test_paired_loop_matches_stepwise_engine(n, k, stride):
 @pytest.mark.parametrize("marked", [0, 9879])
 def test_norm_drift_j403_over_2_trun(marked):
     # the head coin's sums are split over contiguous tail ranges; a single
-    # bincount, adding each head's terms left to right, drifts 3.4e-14 here
+    # bincount, adding each head's terms left to right, drifts 1.4e-14 and
+    # 1.6e-14 here
     p = graph_params(40, 3)
     rows = arc_engine.evolve_and_record(p, marked, 2 * spectral.run_time(p).t_run)
     assert np.abs(rows.norm - 1.0).max() <= 1e-14
