@@ -13,21 +13,31 @@ The passes work in place where they can.  :func:`apply_oracle` and
 gathers into one new array, the only whole-state allocation of a
 :func:`step`, which therefore consumes its input.  A caller that needs the
 input afterwards passes ``state.copy()``.  The in-place passes refuse a
-state that is not a 1-D C-contiguous float64 vector over all arcs, since
+state that is not a C-contiguous float64 flat or pair state (below), since
 reshaping a strided view would silently update a copy.
 
-:func:`evolve_and_record` never applies the shift S.  It steps the walk
-U = S·C·O in pairs: S is an involution, so S·C·O·S = C_h·O_h, where C_h is
-the Grover coin on *head* blocks (the arcs entering each vertex) and O_h the
-reflection on the arcs entering the marked vertex.  From ψ_t at even t the
-tail-side passes give φ = C·O·ψ_t = S·ψ_{t+1}, and the head-side passes
-give ψ_{t+2} = C_h·O_h·φ.  The head coin sums each head block with
-``np.bincount`` and gathers from that O(num_vertices) table, so no pass
-reads the state in permuted order.  At odd t the state holds S·ψ_t, and
-the marked vertex's tail mass sits on the reversed block
-``opposite[marked block]``, the only part of the permutation the loop keeps;
-:func:`step` and :func:`apply_shift` stay as the reference the paired loop
-is certified against.
+:func:`evolve_and_record` never applies the shift S, and it holds the walk
+in a second layout, the *pair state* ψ[a, x, y].  The arc u -> v is set by
+a = u ∩ v, a (k-1)-subset indexed by its colex rank, and by the positions x
+of u - v and y of v - u in a's sorted complement of m = n - k + 1
+elements.  The slots x = y are not arcs and stay exactly 0, so the pair
+state has m/(m-1) slots per arc.  The arcs leaving u are the k rows
+ψ[u - x, x, :] with x in u, the arcs entering v the k columns
+ψ[v - y, :, y] with y in v, and S swaps x and y.
+
+The loop steps U = S·C·O in pairs: S is an involution, so
+S·C·O·S = C_h·O_h, where C_h is the Grover coin on *head* blocks (the arcs
+entering each vertex) and O_h the reflection on the arcs entering the
+marked vertex.  From ψ_t at even t the tail-side passes give
+φ = C·O·ψ_t = S·ψ_{t+1}, and the head-side passes give
+ψ_{t+2} = C_h·O_h·φ.  In the pair state both coins are the same pass on
+different axes: sum each row over y (tails) or each column over x
+(heads), add a vertex's k sums through the (a, x) -> vertex table of
+:func:`jwalk.johnson.pair_vertex_table`, and subtract every slot from
+twice its block's mean.  No pass gathers the state through a permutation.
+At odd t the state holds S·ψ_t, so ψ_t's tail blocks are read along the
+x axis.  :func:`step` and :func:`apply_shift` on flat states stay as the
+reference the paired loop is certified against.
 
 Block reductions are evaluated by numpy in a fixed order, so repeated
 runs produce identical bytes regardless of BLAS threading.
@@ -37,12 +47,13 @@ columns; ``jwalk.reduced`` takes its sample times from here too, so the
 two engines record the same rows and refuse the same impossible counts.
 """
 
+from math import comb, prod
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CapacityError
-from .johnson import GraphParams, opposite_permutation, permutation_scratch_bytes
+from .johnson import GraphParams, pair_vertex_table, vertex_pairs
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -65,11 +76,17 @@ DEFAULT_CAPACITY = 2 ** 23
 # Absolute ceiling even when forced; keeps arc indices well inside int64
 # and allocation failures predictable.
 HARD_CAPACITY = 2 ** 31
-# The head coin sums each head block over this many contiguous tail ranges
-# and adds the partial sums.  One bincount adds a head's d terms left to
-# right: on J(40,3) over 2*t_run its norm drift reached 2.9e-14, against
-# 7.2e-15 with 16 ranges and 5.1e-15 for the shift-per-step loop.
-_HEAD_SUM_PARTS = 16
+# The head coin sums a pair state over x in this many contiguous ranges and
+# adds the partial sums.  A single middle-axis sum adds the m terms of each
+# (a, y) in one accumulator: over 2*t_run its norm drift reached 1.5e-14 on
+# J(100,2) and 2.5e-14 on J(200,2), against 2.4e-15 and 8.7e-15 split.
+_HEAD_SUM_PARTS = 8
+# 8-byte words per k·num_vertices = C(n,k-1)·m that a run holds besides the
+# pair state.  The (a, x) -> vertex table's build peaks near 3.5 of them, and
+# near 5 when k is close to n/2 and the (k-1)-subsets are long.  A coin
+# holds 3, the table, the row sums and the gathered means, plus the
+# num_vertices block sums.
+_TABLE_WORDS = 6
 
 
 def _mem_available() -> Optional[int]:
@@ -88,9 +105,10 @@ def _check_capacity(params: GraphParams, capacity: int) -> None:
     """Refuse an instance above the amplitude cap, or one that cannot fit.
 
     Above the default cap the run also needs its bytes to fit in the
-    memory the system reports available: per arc, 8 for the state, 8 for
-    the head coin's gather target (or the norm's float64 temporary) and 8
-    for the int64 head ranks, plus the permutation build's scratch.
+    memory the system reports available: 8 per slot of the pair state,
+    that is 8·m/(m-1) per arc, plus ``_TABLE_WORDS`` 8-byte words per
+    k·num_vertices for the vertex table and the coin's row sums.  No
+    permutation is built.
     """
     cap = min(capacity, HARD_CAPACITY)
     if params.num_arcs > cap:
@@ -100,7 +118,8 @@ def _check_capacity(params: GraphParams, capacity: int) -> None:
     if capacity <= DEFAULT_CAPACITY:
         return
     available = _mem_available()
-    needed = (8 + 8 + 8) * params.num_arcs + permutation_scratch_bytes(params)
+    needed = 8 * prod(_pair_shape(params)) \
+        + 8 * _TABLE_WORDS * params.k * params.num_vertices
     if available is not None and needed > available:
         raise CapacityError(
             f"instance J({params.n},{params.k}) needs {needed} bytes, above the "
@@ -148,12 +167,27 @@ def _tail_block(params: GraphParams, v: int) -> slice:
     return slice(v * params.degree, (v + 1) * params.degree)
 
 
-def _check_state(params: GraphParams, state: np.ndarray) -> None:
+def _pair_shape(params: GraphParams) -> tuple:
+    m = params.n - params.k + 1
+    return (comb(params.n, params.k - 1), m, m)
+
+
+def _check_state(params: GraphParams, state: np.ndarray, axis: int = 2) -> bool:
+    """Refuse a state the passes cannot update in place; True for a pair state.
+
+    A flat state has tail blocks only, so its ``axis`` must be 2.
+    """
+    is_pair = isinstance(state, np.ndarray) and state.ndim == 3
+    shape = _pair_shape(params) if is_pair else (params.num_arcs,)
     if not (isinstance(state, np.ndarray) and state.dtype == np.float64
-            and state.shape == (params.num_arcs,) and state.flags.c_contiguous):
+            and state.shape == shape and state.flags.c_contiguous):
         raise ValueError(
             f"state must be a C-contiguous float64 vector of {params.num_arcs} "
-            f"amplitudes (passes update it in place)")
+            f"amplitudes, or a pair state of shape {_pair_shape(params)} "
+            f"(passes update it in place)")
+    if axis != 2 and not (is_pair and axis == 1):
+        raise ValueError(f"blocks run along axis 2, or 1 in a pair state; got {axis}")
+    return is_pair
 
 
 def uniform_state(params: GraphParams, capacity: int = DEFAULT_CAPACITY) -> np.ndarray:
@@ -164,47 +198,67 @@ def uniform_state(params: GraphParams, capacity: int = DEFAULT_CAPACITY) -> np.n
 
 
 def state_norm(state: np.ndarray) -> float:
-    """2-norm via pairwise summation (BLAS nrm2's rescaling loses bits).
+    """2-norm: squares summed along each row, then the rows summed pairwise.
 
-    Holds one float64 temporary the length of the state.
+    A pair state's rows are its (a, x) rows, so the only temporary is one
+    float per row; a flat state's rows are its amplitudes, which gives
+    numpy's pairwise sum of the squares (BLAS nrm2's rescaling loses bits).
     """
-    return float(np.sqrt(np.sum(np.square(state))))
+    rows = state.reshape(-1, state.shape[-1] if state.ndim > 1 else 1)
+    return float(np.sqrt(np.sum(np.einsum("ij,ij->i", rows, rows))))
 
 
 def apply_coin(params: GraphParams, state: np.ndarray,
-               heads: Optional[np.ndarray] = None) -> np.ndarray:
+               vertices: Optional[np.ndarray] = None, axis: int = 2) -> np.ndarray:
     """Grover coin per tail block, in place: block = 2*mean(block) - block.
 
     Allocates only the O(num_vertices) block means; returns ``state``.
-    Given ``heads``, the int64 head rank of every arc (``opposite // degree``),
-    it is the coin on head blocks instead, C_h = S·C·S: every arc gets twice
-    the mean over the arcs sharing its head, minus itself.  That form
-    allocates one gather target the size of the state besides the means.
+    Given a pair state and ``vertices``, the table of
+    :func:`jwalk.johnson.pair_vertex_table`, it is the coin on the blocks
+    that run along ``axis``: 2 for tail blocks, 1 for head blocks,
+    C_h = S·C·S.  Each (a, x) row is reduced over ``axis``, the k rows of a
+    vertex are added through the table, and every slot gets twice its
+    block's mean minus itself; the x = y slots are then set back to 0.
+    Besides the state it allocates a few tables of k·num_vertices floats.
     """
-    _check_state(params, state)
     d = params.degree
-    if heads is None:
+    if _check_state(params, state, axis) != (vertices is not None):
+        raise ValueError("the coin takes the vertex table with a pair state, and only then")
+    if vertices is None:
         blocks = state.reshape(params.num_vertices, d)
         means = np.mean(blocks, axis=1)
         means *= 2.0
         np.subtract(means[:, None], blocks, out=blocks)
         return state
-    means = _head_sums(params, state, heads)
+    means = np.bincount(vertices.ravel(), weights=_row_sums(state, axis).ravel(),
+                        minlength=params.num_vertices)
     means /= d
     means *= 2.0
-    np.subtract(np.take(means, heads), state, out=state)  # take: faster than means[heads]
+    np.subtract(np.expand_dims(np.take(means, vertices), axis), state, out=state)
+    _zero_diagonal(state)
     return state
 
 
-def _head_sums(params: GraphParams, state: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Sum of ``state`` over the arcs entering each vertex, in ``_HEAD_SUM_PARTS`` ranges."""
-    sums = np.zeros(params.num_vertices)
-    bounds = [params.num_arcs * part // _HEAD_SUM_PARTS
-              for part in range(_HEAD_SUM_PARTS + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        sums += np.bincount(heads[lo:hi], weights=state[lo:hi],
-                            minlength=params.num_vertices)
+def _row_sums(state: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of a pair state over ``axis``; over x in ``_HEAD_SUM_PARTS`` ranges.
+
+    ``einsum`` runs each m-term sum in one inner loop, where ``np.sum``
+    sets up a reduction per row: 2.5 times slower on J(40,3)'s rows of 38.
+    """
+    if axis == 2:
+        return np.einsum("axy->ax", state)
+    m = state.shape[1]
+    width = -(-m // _HEAD_SUM_PARTS)
+    sums = np.einsum("axy->ay", state[:, :width])
+    for lo in range(width, m, width):
+        sums += np.einsum("axy->ay", state[:, lo:lo + width])
     return sums
+
+
+def _zero_diagonal(state: np.ndarray) -> None:
+    """Set the x = y slots of a pair state, which are not arcs, to 0."""
+    m = state.shape[1]
+    state.reshape(len(state), m * m)[:, ::m + 1] = 0.0
 
 
 def apply_shift(state: np.ndarray, opposite: np.ndarray) -> np.ndarray:
@@ -217,21 +271,25 @@ def apply_shift(state: np.ndarray, opposite: np.ndarray) -> np.ndarray:
 
 
 def apply_oracle(params: GraphParams, state: np.ndarray, marked: int,
-                 arcs: Optional[np.ndarray] = None) -> np.ndarray:
+                 axis: int = 2) -> np.ndarray:
     """Reflect through the uniform superposition of arcs leaving ``marked``.
 
     In place, touching only the ``degree`` marked amplitudes; every other
-    amplitude stays bitwise unchanged.  Returns ``state``.  Given ``arcs``,
-    the reversed block ``opposite[marked block]``, it reflects the arcs
-    entering ``marked`` instead, O_h = S·O·S.
+    amplitude stays bitwise unchanged.  Returns ``state``.  On a pair
+    state it reflects the block of ``marked`` that runs along ``axis``:
+    its arcs leaving at 2, its arcs entering at 1, O_h = S·O·S.
     """
-    _check_state(params, state)
+    pairs = _check_state(params, state, axis)
     _check_vertex(params, marked)
-    if arcs is None:
-        arcs = _tail_block(params, marked)
-    block = state[arcs]
-    block -= 2.0 * block.mean()
-    state[arcs] = block  # the tail block is a view, already updated
+    if not pairs:
+        block = state[_tail_block(params, marked)]
+        block -= 2.0 * block.mean()
+        return state
+    index, diagonal = _pair_block(params, marked, axis)
+    block = state[index]
+    block -= 2.0 * (block.sum() / params.degree)
+    block[diagonal] = 0.0
+    state[index] = block
     return state
 
 
@@ -251,16 +309,27 @@ def step(params: GraphParams,
 
 
 def vertex_probability(params: GraphParams, state: np.ndarray, v: int,
-                       arcs: Optional[np.ndarray] = None) -> float:
+                       axis: int = 2) -> float:
     """Probability mass on the arcs whose tail is ``v``.
 
-    Given ``arcs``, the reversed block ``opposite[v's block]``, it is the
-    mass on the arcs whose head is ``v``; that is also the tail mass of the
-    state's shift S·state, which is how the paired loop reads odd steps.
+    On a pair state it is the mass of ``v``'s block along ``axis``: at 1
+    the arcs whose head is ``v``, which is also the tail mass of the
+    state's shift S·state, so the paired loop reads odd steps there.
     """
+    pairs = _check_state(params, state, axis)
     _check_vertex(params, v)
-    block = state[_tail_block(params, v) if arcs is None else arcs]
+    if pairs:
+        block = state[_pair_block(params, v, axis)[0]].ravel()
+    else:
+        block = state[_tail_block(params, v)]
     return float(np.dot(block, block))
+
+
+def _pair_block(params: GraphParams, v: int, axis: int) -> tuple:
+    """Index of ``v``'s (k, m) block along ``axis``, and of its x = y slots in it."""
+    a, x = vertex_pairs(params, v)
+    index = (a, x, slice(None)) if axis == 2 else (a, slice(None), x)
+    return index, (np.arange(params.k), x)
 
 
 def alt_vertex_probability(params: GraphParams, state: np.ndarray, v: int,
@@ -285,32 +354,27 @@ def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int 
     Records every stride-th step (t = 0 always included, the final step
     always recorded): ``p_succ`` is the tail-block mass at the marked
     vertex, ``p_alt`` the tail-or-head diagnostic, ``norm`` the state
-    2-norm.  Steps run in pairs without the shift (module docstring), so
-    at odd t the state holds S·ψ_t: its tail and head masses at ``marked``
-    trade places, and the norm is unchanged by the permutation.
+    2-norm.  Steps run in pairs on a pair state without the shift (module
+    docstring), so at odd t the state holds S·ψ_t: its tail and head
+    blocks trade axes, and the norm is unchanged by the permutation.
     """
     times = _sample_times(steps, stride, columns=4)
     _check_vertex(params, marked)
     _check_capacity(params, capacity)
-    opposite = opposite_permutation(params)
-    reverse = opposite[_tail_block(params, marked)].copy()
-    heads = opposite // params.degree
-    del opposite  # the loop holds the head ranks in its place, 8 bytes per arc
-    state = uniform_state(params, capacity)
+    vertices = pair_vertex_table(params)
+    state = np.full(_pair_shape(params), 1.0 / np.sqrt(float(params.num_arcs)))
+    _zero_diagonal(state)
     p_succ, p_alt, norm = (np.empty(len(times)) for _ in range(3))
     row = 0
     for t in range(steps + 1):
-        shifted = t % 2 == 1
+        axis = 1 if t % 2 else 2  # where the tail blocks of ψ_t lie in the state
         if t == times[row]:
-            tail_arcs, head_arcs = (reverse, None) if shifted else (None, reverse)
-            p_succ[row] = vertex_probability(params, state, marked, tail_arcs)
-            p_alt[row] = p_succ[row] + vertex_probability(params, state, marked, head_arcs)
+            p_succ[row] = vertex_probability(params, state, marked, axis)
+            p_alt[row] = p_succ[row] + vertex_probability(params, state, marked, 3 - axis)
             norm[row] = state_norm(state)
             row += 1
         if t == steps:
             break
-        if shifted:  # S·ψ_t -> ψ_{t+1} = C_h·O_h·S·ψ_t
-            apply_coin(params, apply_oracle(params, state, marked, reverse), heads)
-        else:        # ψ_t -> S·ψ_{t+1} = C·O·ψ_t
-            apply_coin(params, apply_oracle(params, state, marked))
+        # even t: ψ_t -> S·ψ_{t+1} = C·O·ψ_t; odd t: S·ψ_t -> ψ_{t+1} = C_h·O_h·S·ψ_t
+        apply_coin(params, apply_oracle(params, state, marked, axis), vertices, axis)
     return Series(t=times, p_succ=p_succ, p_alt=p_alt, norm=norm)

@@ -6,6 +6,7 @@ beyond the spectral solver's precision), 3 capacity refusal.
 """
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -42,6 +43,17 @@ def _parse_n_list(raw: str) -> list:
     except ValueError:
         raise ValueError(f"--n-list must be comma-separated integers, got {raw!r}")
     return values
+
+
+def _tolerance(raw: str) -> float:
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        # a NaN or negative tolerance would fail every check it is compared with
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def cmd_spectrum(args) -> int:
@@ -160,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance(p)
     p.add_argument("--marked", default=None,
                    help="marked vertex as comma-separated elements (default 1..k)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--out", default=None, help="output file ('-' for stdout)")
     p.set_defaults(func=cmd_validate)
     return parser

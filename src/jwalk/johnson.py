@@ -13,10 +13,13 @@ the sorted complement of the tail.  All combinatorial quantities are exact
 Python integers; subsets are 1-based tuples at the API surface.
 
 The scalar functions (:func:`rank_vertex`, :func:`arc_head`,
-:func:`arc_opposite`, ...) decode one arc at a time.  The full engine's
-arc-reversal table comes from :func:`opposite_permutation`, which does the
-same colex ranking vectorized with numpy over all arcs, in int64; the
-scalar functions are kept as its independent oracle.
+:func:`arc_opposite`, ...) decode one arc at a time.  The arc-reversal
+table of the flat layout comes from :func:`opposite_permutation`, which
+does the same colex ranking vectorized with numpy over all arcs, in int64;
+the scalar functions are kept as its independent oracle.  The full
+engine's loop uses the pair layout instead, indexed by the shared
+(k-1)-subset of an arc's ends: :func:`pair_vertex_table` maps each
+(subset, added element) pair to its vertex rank, vectorized the same way.
 """
 
 from bisect import bisect_left
@@ -37,7 +40,8 @@ __all__ = [
     "arc_opposite",
     "arc_components",
     "opposite_permutation",
-    "permutation_scratch_bytes",
+    "pair_vertex_table",
+    "vertex_pairs",
     "distance_class",
     "shell_size",
     "intersection_numbers",
@@ -171,7 +175,7 @@ def arc_opposite(params: GraphParams, arc: int) -> int:
 
 # Arcs per block of the vectorized permutation build (whole tails, at least
 # one).  Sizing blocks by arcs rather than tails keeps the build's temporaries
-# near a megabyte for every n and k (see permutation_scratch_bytes).
+# near a megabyte for every n and k.
 CHUNK_ARCS = 2 ** 16
 
 
@@ -187,6 +191,8 @@ def _colex_subsets(n: int, k: int) -> np.ndarray:
     The j-subsets with largest element e are the (j-1)-subsets of
     {1..e-1}, which are the first C(e-1, j-1) rows of the previous level.
     """
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int64)
     subsets = np.arange(1, n + 1, dtype=np.int64)[:, None]
     for j in range(2, k + 1):
         subsets = np.concatenate([
@@ -194,17 +200,6 @@ def _colex_subsets(n: int, k: int) -> np.ndarray:
                              np.full(comb(e - 1, j - 1), e, dtype=np.int64)))
             for e in range(j, n + 1)])
     return subsets
-
-
-def permutation_scratch_bytes(params: GraphParams) -> int:
-    """Upper bound on the bytes :func:`opposite_permutation` holds besides its output.
-
-    The subset table and its build take three int64 per subset element, a
-    block under ten int64 per (tail, ground element) pair, and the small
-    per-instance tables under 64 KiB.
-    """
-    block = min(max(1, CHUNK_ARCS // params.degree), params.num_vertices)
-    return 8 * (3 * params.num_vertices * params.k + 10 * block * params.n) + 2 ** 16
 
 
 def opposite_permutation(params: GraphParams) -> np.ndarray:
@@ -261,6 +256,63 @@ def opposite_permutation(params: GraphParams) -> np.ndarray:
                where=idx[None, :, None] < c[:, None, :])
     opp.setflags(write=False)
     return opp
+
+
+def pair_vertex_table(params: GraphParams) -> np.ndarray:
+    """Rank of a ∪ {x} for every (k-1)-subset a and every x outside it, int64.
+
+    Row a is the colex rank of a, and column j the j-th element of a's
+    sorted complement, so the table has shape (C(n, k-1), n - k + 1).  It
+    is the vertex map of the pair layout, where an arc u -> v sits at
+    (u ∩ v, position of u - v, position of v - u); the scalar
+    :func:`rank_vertex` is its independent oracle.
+
+    The complement element s has c = s - 1 - j elements of a below it, so
+    in the colex rank of a ∪ {s} the elements of a below s keep their
+    places, s takes place c + 1, and those above move up one place: a
+    prefix sum over a's terms, C(s - 1, c + 1), and a suffix sum.
+    """
+    n, k = params.n, params.k
+    m = n - k + 1
+    binom = _binomial_table(n, k)
+    subsets = _colex_subsets(n, k - 1)                 # (C, k-1), sorted
+    rows = len(subsets)
+    idx = np.arange(k - 1)
+    zero = np.zeros((rows, 1), dtype=np.int64)
+    stay = binom[subsets - 1, idx + 1]                 # a[p] keeps place p + 1
+    moved = binom[subsets - 1, idx + 2]                # a[p] moves to place p + 2
+    below = np.hstack((zero, np.cumsum(stay, axis=1)))                   # p < c
+    above = moved.sum(axis=1)[:, None] - np.hstack((zero, np.cumsum(moved, axis=1)))
+    del stay, moved
+    free = np.ones((rows, n), dtype=bool)
+    free[np.arange(rows)[:, None], subsets - 1] = False
+    del subsets
+    s0 = np.flatnonzero(free).reshape(rows, m)         # row * n + s - 1
+    del free
+    s0 %= n
+    c = s0 - np.arange(m)                              # elements of a below s
+    c += 1
+    table = binom[s0, c]                               # C(s - 1, c + 1)
+    del s0
+    c -= 1
+    table += np.take_along_axis(below, c, axis=1)
+    table += np.take_along_axis(above, c, axis=1)
+    return table
+
+
+def vertex_pairs(params: GraphParams, v: int) -> tuple:
+    """The k pairs (a, x) of :func:`pair_vertex_table` with a ∪ {x} = v.
+
+    Returns two int64 arrays, the ranks of a and the complement positions
+    of x, ordered as v's elements leave it, which is the order of v's
+    block of arcs in the flat layout.
+    """
+    members = unrank_vertex(params, v)
+    terms = [comb(e - 1, p + 1) for p, e in enumerate(members)]
+    lowered = [comb(e - 1, p) for p, e in enumerate(members)]
+    ranks = [sum(terms[:i]) + sum(lowered[i + 1:]) for i in range(params.k)]
+    return (np.array(ranks, dtype=np.int64),
+            np.array([e - 1 - i for i, e in enumerate(members)], dtype=np.int64))
 
 
 def distance_class(params: GraphParams, v: int, w: int) -> int:

@@ -1,13 +1,15 @@
 """Full arc-space engine: operator identities, closed form, cross-engine."""
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError
-from jwalk.johnson import graph_params, opposite_permutation, permutation_scratch_bytes
+from jwalk.johnson import (arc_components, graph_params, opposite_permutation,
+                           pair_vertex_table, unrank_vertex)
 
 
 def random_states(params, count, seed=7):
@@ -123,11 +125,23 @@ def test_oracle_changes_only_marked_block():
     assert np.array_equal(out[mask], state[mask])
 
 
+def _pair_slots(params):
+    m = params.n - params.k + 1
+    return comb(params.n, params.k - 1) * m * m
+
+
+def _capacity_model(params):
+    """Bytes a run holds: 8 per pair-state slot, 6 words per k·N for the tables."""
+    return 8 * _pair_slots(params) + 8 * 6 * params.k * params.num_vertices
+
+
 def test_capacity_checks_available_memory(monkeypatch):
-    # above the default cap the state, the gather target, the int64
-    # permutation and the build's scratch must fit in available memory
+    # above the default cap the pair state and the O(k·N) vertex table with
+    # the coin's row sums must fit in available memory; no permutation is
+    # built, so the model is below the 24 bytes per arc it replaced
     p = graph_params(8, 2)
-    needed = 24 * p.num_arcs + permutation_scratch_bytes(p)
+    needed = _capacity_model(p)
+    assert needed < 24 * p.num_arcs
     forced = arc_engine.HARD_CAPACITY
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
     with pytest.raises(CapacityError, match="available memory"):
@@ -214,28 +228,30 @@ def test_step_allocates_only_the_gather_target():
 
 
 def test_evolve_and_record_peak_memory():
-    # the capacity model: per arc the float64 state, the gather target or
-    # the norm's temporary, and the int64 permutation, plus the build's
-    # scratch; after the build, stepping and sampling hold the 24 bytes per
-    # arc alone, which a complex128 state (40 per arc) exceeds
-    p = graph_params(20, 3)
-    steps = 2 * spectral.run_time(p).t_run
+    # the capacity model: 8 bytes per pair-state slot and 6 words per k·N,
+    # which the vertex table's build fills most (k = n/2 has the longest
+    # (k-1)-subsets); after the build, stepping and sampling hold the state,
+    # the table and two more k·N tables; a complex128 state fails both bounds
     slack = 2 ** 16
-    build = opposite_permutation
+    build = pair_vertex_table
 
     def build_then_reset_peak(params):
         nonlocal build_peak
-        opposite = build(params)
+        table = build(params)
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        return opposite
+        return table
 
-    build_peak = None
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arc_engine, "opposite_permutation", build_then_reset_peak)
-        _, peak = _peak_bytes(lambda: arc_engine.evolve_and_record(p, 0, steps))
-    assert max(build_peak, peak) <= 24 * p.num_arcs + permutation_scratch_bytes(p) + slack
-    assert peak <= 24 * p.num_arcs + slack
+    for p in (graph_params(20, 3), graph_params(12, 6)):
+        steps = 2 * spectral.run_time(p).t_run
+        build_peak = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arc_engine, "pair_vertex_table", build_then_reset_peak)
+            _, peak = _peak_bytes(lambda: arc_engine.evolve_and_record(p, 0, steps))
+        tables = 8 * (3 * p.k + 1) * p.num_vertices
+        assert max(build_peak, peak) <= _capacity_model(p) + slack
+        assert peak <= 8 * _pair_slots(p) + tables + slack
+        assert _capacity_model(p) < 16 * _pair_slots(p)
 
 
 @pytest.mark.parametrize("marked", [-2, -1, 15])
@@ -417,7 +433,7 @@ def _complex_evolve_and_record(params, marked, steps):
     return p_succ, p_alt, norm
 
 
-@pytest.mark.parametrize("n,k", [(8, 2), (9, 3), (10, 4), (20, 3)])
+@pytest.mark.parametrize("n,k", [(7, 1), (8, 2), (9, 3), (10, 4), (10, 5), (20, 3)])
 def test_float64_engine_matches_complex_engine(n, k):
     p = graph_params(n, k)
     marked = p.num_vertices // 3
@@ -429,27 +445,127 @@ def test_float64_engine_matches_complex_engine(n, k):
         assert np.abs(got - want).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (8, 4)])
-def test_head_side_passes_are_shift_conjugates(n, k):
-    # the paired loop replaces S·C·S and S·O·S by passes on head blocks;
-    # each must equal the shift-conjugated tail pass it stands for
+def _pair_slot(params, arc):
+    """Flat index into the pair state of a flat arc, from the scalar decoders."""
+    tail, removed, inserted = arc_components(params, arc)
+    shared = [e for e in unrank_vertex(params, tail) if e != removed]
+    outside = [e for e in range(1, params.n + 1) if e not in shared]
+    rank = sum(comb(e - 1, i) for i, e in enumerate(shared, start=1))
+    m = len(outside)
+    return (rank * m + outside.index(removed)) * m + outside.index(inserted)
+
+
+def _to_pair(params, flat, slots):
+    m = params.n - params.k + 1
+    pair = np.zeros(comb(params.n, params.k - 1) * m * m)
+    pair[slots] = flat
+    return pair.reshape(-1, m, m)
+
+
+def _diagonal_bits(pair):
+    m = pair.shape[1]
+    return pair.reshape(len(pair), m * m)[:, ::m + 1].view(np.uint64)
+
+
+PAIR_INSTANCES = [(3, 1), (7, 1), (5, 2), (6, 3), (9, 3), (8, 4), (10, 5)]
+
+
+@pytest.mark.parametrize("n,k", PAIR_INSTANCES)
+def test_pair_layout_holds_every_arc_once(n, k):
+    # every arc has its own off-diagonal slot, and the x = y slots stay empty
     p = graph_params(n, k)
-    d = p.degree
+    m = n - k + 1
+    slots = np.array([_pair_slot(p, arc) for arc in range(p.num_arcs)])
+    held = np.zeros(comb(n, k - 1) * m * m, dtype=int)
+    np.add.at(held, slots, 1)
+    held = held.reshape(-1, m, m)
+    assert np.array_equal(held, 1 - np.eye(m, dtype=int)[None].repeat(len(held), 0))
+    # S is the swap of x and y
     opp = opposite_permutation(p)
-    heads = opp // d
-    for marked, state in zip(range(0, p.num_vertices, 3), random_states(p, 10, seed=17)):
-        reverse = opp[marked * d:(marked + 1) * d]
-        head_coin = arc_engine.apply_coin(p, state.copy(), heads)
-        conjugated = arc_engine.apply_shift(
-            arc_engine.apply_coin(p, arc_engine.apply_shift(state, opp)), opp)
-        assert np.abs(head_coin - conjugated).max() <= 1e-15
-        head_oracle = arc_engine.apply_oracle(p, state.copy(), marked, reverse)
-        conjugated = arc_engine.apply_shift(
-            arc_engine.apply_oracle(p, arc_engine.apply_shift(state, opp), marked), opp)
-        assert np.abs(head_oracle - conjugated).max() <= 1e-15
+    assert np.array_equal(_to_pair(p, slots[opp], slots),
+                          _to_pair(p, slots, slots).transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n,k", PAIR_INSTANCES)
+def test_pair_passes_match_flat_passes(n, k):
+    # the coin along y is apply_coin and along x its shift conjugate
+    # S·C·S; likewise the oracle and the block masses; the x = y slots
+    # stay bitwise 0 through every pass
+    p = graph_params(n, k)
+    opp = opposite_permutation(p)
+    slots = np.array([_pair_slot(p, arc) for arc in range(p.num_arcs)])
+    vertices = pair_vertex_table(p)
+
+    def conjugate(flat_pass, state):
+        return arc_engine.apply_shift(flat_pass(arc_engine.apply_shift(state, opp)), opp)
+
+    count = min(p.num_vertices, 8)
+    for v, state in zip(range(0, p.num_vertices, max(1, p.num_vertices // count)),
+                        random_states(p, count, seed=17)):
+        pair = _to_pair(p, state, slots)
+        want = {2: arc_engine.apply_coin(p, state.copy()),
+                1: conjugate(lambda s: arc_engine.apply_coin(p, s), state)}
+        for axis in (2, 1):
+            got = arc_engine.apply_coin(p, pair.copy(), vertices, axis)
+            assert np.abs(got - _to_pair(p, want[axis], slots)).max() <= 1e-15
+            assert not _diagonal_bits(got).any()
+        want = {2: arc_engine.apply_oracle(p, state.copy(), v),
+                1: conjugate(lambda s: arc_engine.apply_oracle(p, s, v), state)}
+        for axis in (2, 1):
+            got = arc_engine.apply_oracle(p, pair.copy(), v, axis)
+            assert np.abs(got - _to_pair(p, want[axis], slots)).max() <= 1e-15
+            assert not _diagonal_bits(got).any()
+            touched = (got != pair).reshape(len(pair), -1).any(axis=1)
+            assert touched.sum() <= p.k  # only v's k rows or columns change
         shifted = arc_engine.apply_shift(state, opp)
-        assert arc_engine.vertex_probability(p, state, marked, reverse) == \
-            arc_engine.vertex_probability(p, shifted, marked)
+        assert abs(arc_engine.vertex_probability(p, pair, v, 2)
+                   - arc_engine.vertex_probability(p, state, v)) <= 1e-15
+        assert abs(arc_engine.vertex_probability(p, pair, v, 1)
+                   - arc_engine.vertex_probability(p, shifted, v)) <= 1e-15
+        assert abs(arc_engine.state_norm(pair) - arc_engine.state_norm(state)) <= 1e-15
+
+
+def test_pair_passes_refuse_bad_states_and_axes():
+    p = graph_params(6, 2)
+    vertices = pair_vertex_table(p)
+    m = p.n - p.k + 1
+    pair = np.zeros((comb(p.n, p.k - 1), m, m))
+    flat = arc_engine.uniform_state(p)
+    for bad in (pair.astype(np.float32), pair.transpose(0, 2, 1), pair[:-1]):
+        with pytest.raises(ValueError):
+            arc_engine.apply_coin(p, bad, vertices)
+        with pytest.raises(ValueError):
+            arc_engine.apply_oracle(p, bad, 0)
+        with pytest.raises(ValueError):
+            arc_engine.vertex_probability(p, bad, 0)
+    with pytest.raises(ValueError):
+        arc_engine.apply_coin(p, pair)            # a pair state needs the table
+    with pytest.raises(ValueError):
+        arc_engine.apply_coin(p, flat, vertices)  # a flat state takes none
+    for axis in (0, 3):
+        with pytest.raises(ValueError):
+            arc_engine.apply_coin(p, pair, vertices, axis)
+    with pytest.raises(ValueError):
+        arc_engine.apply_oracle(p, flat, 0, 1)    # a flat state has tail blocks only
+    with pytest.raises(ValueError):
+        arc_engine.vertex_probability(p, flat, 0, 1)
+
+
+def test_pair_passes_allocate_row_tables_only():
+    # the coin holds a few tables of one float per (a, x) row, the norm one
+    # such table, and the oracle touches only the marked vertex's k rows;
+    # a temporary the size of the state fails every bound
+    p = graph_params(20, 3)
+    vertices = pair_vertex_table(p)
+    m = p.n - p.k + 1
+    pair = np.full((comb(p.n, p.k - 1), m, m), 1.0 / np.sqrt(p.num_arcs))
+    for axis in (2, 1):
+        _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, pair, vertices, axis))
+        assert peak <= 0.25 * pair.nbytes
+        _, peak = _peak_bytes(lambda: arc_engine.apply_oracle(p, pair, 0, axis))
+        assert peak <= 0.01 * pair.nbytes
+    _, peak = _peak_bytes(lambda: arc_engine.state_norm(pair))
+    assert peak <= 0.1 * pair.nbytes
 
 
 def _stepwise_evolve_and_record(params, marked, steps, stride):
@@ -471,7 +587,7 @@ def _stepwise_evolve_and_record(params, marked, steps, stride):
 
 
 @pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("n,k", [(8, 2), (9, 3), (10, 4), (20, 3)])
+@pytest.mark.parametrize("n,k", [(7, 1), (8, 2), (9, 3), (10, 4), (10, 5), (20, 3)])
 def test_paired_loop_matches_stepwise_engine(n, k, stride):
     # at stride 3 the step count is odd and off the stride grid, so the
     # final row is sampled from the shifted state of an odd step
@@ -490,27 +606,17 @@ def test_paired_loop_matches_stepwise_engine(n, k, stride):
 
 @pytest.mark.parametrize("marked", [0, 9879])
 def test_norm_drift_j403_over_2_trun(marked):
-    # the head coin's sums are split over contiguous tail ranges; a single
-    # bincount, adding each head's terms left to right, drifts 1.4e-14 and
-    # 1.6e-14 here
     p = graph_params(40, 3)
     rows = arc_engine.evolve_and_record(p, marked, 2 * spectral.run_time(p).t_run)
     assert np.abs(rows.norm - 1.0).max() <= 1e-14
 
 
-def test_head_passes_allocate_one_gather_target():
-    # the head coin holds the gather from its O(N) means table plus the
-    # means; the head oracle touches only the marked vertex's d arcs
-    p = graph_params(20, 3)
-    d = p.degree
-    opp = opposite_permutation(p)
-    heads = opp // d
-    reverse = opp[:d].copy()
-    state = arc_engine.uniform_state(p)
-    _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, state, heads))
-    assert peak <= 1.1 * state.nbytes
-    _, peak = _peak_bytes(lambda: arc_engine.apply_oracle(p, state, 0, reverse))
-    assert peak <= 0.25 * state.nbytes
+def test_norm_drift_j1002_over_2_trun():
+    # the head coin sums over x in contiguous ranges; one sum over the 99
+    # values of x, in a single accumulator, drifts 1.5e-14 here
+    p = graph_params(100, 2)
+    rows = arc_engine.evolve_and_record(p, 0, 2 * spectral.run_time(p).t_run)
+    assert np.abs(rows.norm - 1.0).max() <= 1e-14
 
 
 @pytest.mark.parametrize("v", [-2, -1, 15])

@@ -127,7 +127,7 @@ def test_simulate_refuses_series_beyond_available_memory(capsys, monkeypatch, en
         raise AssertionError("evaluated before the memory check")
 
     monkeypatch.setattr(reduced, "spectrum", no_evaluation)
-    monkeypatch.setattr(arc_engine, "opposite_permutation", no_evaluation)
+    monkeypatch.setattr(arc_engine, "pair_vertex_table", no_evaluation)
     code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                              "--engine", engine, "--steps", str(10 ** 13))
     assert code == 3 and out == ""
@@ -231,6 +231,22 @@ def test_validate_impossible_tolerance(capsys):
     assert code == 1
     assert json.loads(out)["passed"] is False
     assert "certification failed" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.5e-10", "tight"])
+def test_validate_rejects_tolerance_before_any_work(capsys, monkeypatch, tol):
+    # no residual is <= NaN or < 0: usage error (exit 2), not a failed
+    # certification with every check listed
+    def no_certification(*args, **kwargs):
+        raise AssertionError("certified with an impossible tolerance")
+
+    monkeypatch.setattr(cli.validation, "certify", no_certification)
+    code, out, err = run_cli(capsys, "validate", "--n", "6", "--k", "2", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "--tol" in err and "certification failed" not in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "validate", "--n", "4", "--k", "2", "--tol", "0")
+    assert code == 1 and json.loads(out)["passed"] is False
 
 
 def test_validate_capacity(capsys):

@@ -162,15 +162,48 @@ def test_opposite_permutation_across_blocks():
 
 @pytest.mark.parametrize("n,k", [(6, 3), (40, 3), (130, 2), (600, 1), (20, 6)])
 def test_permutation_scratch_bound(n, k):
-    # the capacity check counts the build's temporaries by this bound
+    # blocks of about CHUNK_ARCS arcs keep the build's temporaries to the
+    # subset table (three int64 per subset element), under ten int64 per
+    # (tail, ground element) pair of one block, and 64 KiB of small tables
     p = johnson.graph_params(n, k)
+    block = min(max(1, johnson.CHUNK_ARCS // p.degree), p.num_vertices)
+    bound = 8 * (3 * p.num_vertices * p.k + 10 * block * p.n) + 2 ** 16
     tracemalloc.start()
     try:
         table = johnson.opposite_permutation(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - table.nbytes <= johnson.permutation_scratch_bytes(p)
+    assert peak - table.nbytes <= bound
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (7, 1), (9, 3), (8, 4), (10, 5)])
+def test_pair_vertex_table_matches_scalar(n, k):
+    # k = 1 has the empty (k-1)-subset only; n = 2k has the shortest
+    # complements, so the largest share of x = y slots in the pair layout
+    p = johnson.graph_params(n, k)
+    table = johnson.pair_vertex_table(p)
+    assert table.dtype == np.int64
+    assert table.shape == (comb(n, k - 1), n - k + 1)
+    shared = sorted(combinations(range(1, n + 1), k - 1), key=lambda s: s[::-1])
+    for a, row in zip(shared, table):
+        outside = [e for e in range(1, n + 1) if e not in a]
+        assert row.tolist() == [johnson.rank_vertex(p, sorted(a + (x,))) for x in outside]
+    # each vertex is a ∪ {x} for exactly its k pairs, listed as its
+    # elements leave it, the order of its block of arcs
+    assert np.array_equal(np.bincount(table.ravel(), minlength=p.num_vertices),
+                          np.full(p.num_vertices, k))
+    for v in range(p.num_vertices):
+        a, x = johnson.vertex_pairs(p, v)
+        assert np.all(table[a, x] == v)
+        members = johnson.unrank_vertex(p, v)
+        for i, removed in enumerate(members):
+            rest = tuple(e for e in members if e != removed)
+            outside = [e for e in range(1, n + 1) if e not in rest]
+            assert a[i] == sum(comb(e - 1, j) for j, e in enumerate(rest, start=1))
+            assert outside[x[i]] == removed
+            # the i-th run of n - k arcs in v's flat block removes members[i]
+            assert johnson.arc_components(p, v * p.degree + i * (n - k))[1] == removed
 
 
 def test_distance_class():
