@@ -51,7 +51,7 @@ def _tolerance(raw: str) -> float:
     except ValueError:
         tol = math.nan
     if not (math.isfinite(tol) and tol >= 0):
-        # a NaN or negative tolerance would fail every check it is compared with
+        # every check would fail a NaN or negative tolerance and pass an infinite one
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {raw!r}")
     return tol
 
