@@ -16,6 +16,13 @@ input afterwards passes ``state.copy()``.  The in-place passes refuse a
 state that is not a C-contiguous float64 flat or pair state (below), since
 reshaping a strided view would silently update a copy.
 
+The flat passes and :func:`step` also take a *batch*, a C-contiguous
+(b, num_arcs) array with one flat state per row, and step every row at
+once.  Each pass reduces over the last, contiguous axis, which runs the
+same arithmetic as on one state, so every row comes out bitwise equal to
+a single-state call.  ``jwalk.validation`` steps the columns of its dense
+matrices this way.
+
 :func:`evolve_and_record` never applies the shift S, and it holds the walk
 in a second layout, the *pair state* ψ[a, x, y].  The arc u -> v is set by
 a = u ∩ v, a (k-1)-subset indexed by its colex rank, and by the positions x
@@ -47,6 +54,7 @@ columns; ``jwalk.reduced`` takes its sample times from here too, so the
 two engines record the same rows and refuse the same impossible counts.
 """
 
+from functools import lru_cache
 from math import comb, prod
 from typing import NamedTuple, Optional
 
@@ -172,19 +180,27 @@ def _pair_shape(params: GraphParams) -> tuple:
     return (comb(params.n, params.k - 1), m, m)
 
 
-def _check_state(params: GraphParams, state: np.ndarray, axis: int = 2) -> bool:
+def _check_state(params: GraphParams, state: np.ndarray, axis: int = 2,
+                 batch: bool = False) -> bool:
     """Refuse a state the passes cannot update in place; True for a pair state.
 
-    A flat state has tail blocks only, so its ``axis`` must be 2.
+    A flat state has tail blocks only, so its ``axis`` must be 2.  With
+    ``batch`` a 2-D array is taken as a batch of flat states, one per row.
     """
-    is_pair = isinstance(state, np.ndarray) and state.ndim == 3
-    shape = _pair_shape(params) if is_pair else (params.num_arcs,)
+    ndim = state.ndim if isinstance(state, np.ndarray) else 0
+    is_pair = ndim == 3
+    if is_pair:
+        shape = _pair_shape(params)
+    elif batch and ndim == 2:
+        shape = (len(state), params.num_arcs)
+    else:
+        shape = (params.num_arcs,)
     if not (isinstance(state, np.ndarray) and state.dtype == np.float64
             and state.shape == shape and state.flags.c_contiguous):
         raise ValueError(
             f"state must be a C-contiguous float64 vector of {params.num_arcs} "
-            f"amplitudes, or a pair state of shape {_pair_shape(params)} "
-            f"(passes update it in place)")
+            f"amplitudes{', a batch of such rows' if batch else ''}, or a pair "
+            f"state of shape {_pair_shape(params)} (passes update it in place)")
     if axis != 2 and not (is_pair and axis == 1):
         raise ValueError(f"blocks run along axis 2, or 1 in a pair state; got {axis}")
     return is_pair
@@ -212,7 +228,8 @@ def apply_coin(params: GraphParams, state: np.ndarray,
                vertices: Optional[np.ndarray] = None, axis: int = 2) -> np.ndarray:
     """Grover coin per tail block, in place: block = 2*mean(block) - block.
 
-    Allocates only the O(num_vertices) block means; returns ``state``.
+    Allocates only the O(num_vertices) block means, per row of a batch;
+    returns ``state``.
     Given a pair state and ``vertices``, the table of
     :func:`jwalk.johnson.pair_vertex_table`, it is the coin on the blocks
     that run along ``axis``: 2 for tail blocks, 1 for head blocks,
@@ -222,13 +239,13 @@ def apply_coin(params: GraphParams, state: np.ndarray,
     Besides the state it allocates a few tables of k·num_vertices floats.
     """
     d = params.degree
-    if _check_state(params, state, axis) != (vertices is not None):
+    if _check_state(params, state, axis, batch=True) != (vertices is not None):
         raise ValueError("the coin takes the vertex table with a pair state, and only then")
     if vertices is None:
-        blocks = state.reshape(params.num_vertices, d)
-        means = np.mean(blocks, axis=1)
+        blocks = state.reshape(state.shape[:-1] + (params.num_vertices, d))
+        means = np.mean(blocks, axis=-1)
         means *= 2.0
-        np.subtract(means[:, None], blocks, out=blocks)
+        np.subtract(means[..., None], blocks, out=blocks)
         return state
     means = np.bincount(vertices.ravel(), weights=_row_sums(state, axis).ravel(),
                         minlength=params.num_vertices)
@@ -264,10 +281,12 @@ def _zero_diagonal(state: np.ndarray) -> None:
 def apply_shift(state: np.ndarray, opposite: np.ndarray) -> np.ndarray:
     """Flip-flop shift: the amplitude of every arc moves to its reverse.
 
-    The one fancy-index gather into a new array (``np.take`` with ``out=``
-    measured slower).
+    The one gather into a new array (``np.take`` with ``out=`` measured
+    slower).  A batch is gathered by ``np.take`` along its rows, which
+    comes back C-contiguous where ``state[:, opposite]`` would not; on one
+    state ``np.take`` would also copy a read-only ``opposite`` first.
     """
-    return state[opposite]
+    return state[opposite] if state.ndim == 1 else np.take(state, opposite, axis=1)
 
 
 def apply_oracle(params: GraphParams, state: np.ndarray, marked: int,
@@ -275,15 +294,16 @@ def apply_oracle(params: GraphParams, state: np.ndarray, marked: int,
     """Reflect through the uniform superposition of arcs leaving ``marked``.
 
     In place, touching only the ``degree`` marked amplitudes; every other
-    amplitude stays bitwise unchanged.  Returns ``state``.  On a pair
-    state it reflects the block of ``marked`` that runs along ``axis``:
-    its arcs leaving at 2, its arcs entering at 1, O_h = S·O·S.
+    amplitude stays bitwise unchanged.  Returns ``state``.  On a batch it
+    reflects every row.  On a pair state it reflects the block of
+    ``marked`` that runs along ``axis``: its arcs leaving at 2, its arcs
+    entering at 1, O_h = S·O·S.
     """
-    pairs = _check_state(params, state, axis)
+    pairs = _check_state(params, state, axis, batch=True)
     _check_vertex(params, marked)
     if not pairs:
-        block = state[_tail_block(params, marked)]
-        block -= 2.0 * block.mean()
+        block = state[..., _tail_block(params, marked)]
+        block -= 2.0 * block.mean(axis=-1, keepdims=True)
         return state
     index, diagonal = _pair_block(params, marked, axis)
     block = state[index]
@@ -301,7 +321,8 @@ def step(params: GraphParams,
 
     ``marked=None`` is the unmarked walk.  Consumes ``state`` (the oracle
     and the coin run in place on it) and returns the next state, the one
-    whole-state allocation of the step.
+    whole-state allocation of the step.  A (b, num_arcs) batch steps
+    every row.
     """
     if marked is not None:
         apply_oracle(params, state, marked)
@@ -325,11 +346,19 @@ def vertex_probability(params: GraphParams, state: np.ndarray, v: int,
     return float(np.dot(block, block))
 
 
+@lru_cache(maxsize=64)
 def _pair_block(params: GraphParams, v: int, axis: int) -> tuple:
-    """Index of ``v``'s (k, m) block along ``axis``, and of its x = y slots in it."""
+    """Index of ``v``'s (k, m) block along ``axis``, and of its x = y slots in it.
+
+    Cached, with read-only index arrays: the paired loop reads the marked
+    vertex's blocks on every step, and unranking it is Python work.
+    """
     a, x = vertex_pairs(params, v)
+    rows = np.arange(params.k)
+    for array in (a, x, rows):
+        array.flags.writeable = False
     index = (a, x, slice(None)) if axis == 2 else (a, slice(None), x)
-    return index, (np.arange(params.k), x)
+    return index, (rows, x)
 
 
 def alt_vertex_probability(params: GraphParams, state: np.ndarray, v: int,

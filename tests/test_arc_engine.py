@@ -630,3 +630,63 @@ def test_vertex_probabilities_reject_out_of_range_vertex(v):
         arc_engine.vertex_probability(p, state, v)
     with pytest.raises(ValueError):
         arc_engine.alt_vertex_probability(p, state, v, opp)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (7, 1), (9, 3), (10, 5)])
+def test_batched_flat_passes_match_rows_bitwise(n, k):
+    # each pass reduces a batch over its last, contiguous axis, the same
+    # arithmetic as on one state, so every row is bitwise a single call
+    p = graph_params(n, k)
+    opp = opposite_permutation(p)
+    batch = random_states(p, 6, seed=11)
+    marked = p.num_vertices // 3
+    passes = {
+        "coin": lambda s: arc_engine.apply_coin(p, s),
+        "oracle": lambda s: arc_engine.apply_oracle(p, s, marked),
+        "step": lambda s: arc_engine.step(p, s, opp),
+        "marked step": lambda s: arc_engine.step(p, s, opp, marked),
+    }
+    for name, run in passes.items():
+        got = run(batch.copy())
+        assert got.shape == batch.shape and got.flags.c_contiguous, name
+        want = np.array([run(row.copy()) for row in batch])
+        assert np.array_equal(got, want), name
+    # a stepped batch is a valid batch for the next step
+    twice = arc_engine.step(p, arc_engine.step(p, batch.copy(), opp, marked), opp, marked)
+    once = [arc_engine.step(p, arc_engine.step(p, row.copy(), opp, marked), opp, marked)
+            for row in batch]
+    assert np.array_equal(twice, np.array(once))
+
+
+def test_batched_passes_refuse_bad_batches():
+    p = graph_params(6, 2)
+    opp = opposite_permutation(p)
+    A = p.num_arcs
+    bad = [np.ones((3, 2 * A))[:, ::2],            # strided rows of the right width
+           np.ones((A, 3)).T,                       # F-ordered
+           np.ones((3, A - 1)),                     # wrong width
+           np.ones((3, A), dtype=np.float32),       # wrong dtype
+           np.ones((3, A), dtype=np.complex128)]
+    for batch in bad:
+        with pytest.raises(ValueError):
+            arc_engine.apply_coin(p, batch)
+        with pytest.raises(ValueError):
+            arc_engine.apply_oracle(p, batch, 0)
+        for marked in (None, 0):
+            with pytest.raises(ValueError):
+                arc_engine.step(p, batch, opp, marked)
+    # a sampler reads one state, not a batch
+    with pytest.raises(ValueError):
+        arc_engine.vertex_probability(p, random_states(p, 3), 0)
+
+
+def test_pair_block_is_cached_read_only():
+    # the paired loop unranks its marked vertex once, and no pass can
+    # write through the cached index
+    p = graph_params(9, 3)
+    for axis in (2, 1):
+        index, diagonal = arc_engine._pair_block(p, 5, axis)
+        assert arc_engine._pair_block(p, 5, axis)[0] is index
+        arrays = [part for part in (*index, *diagonal) if isinstance(part, np.ndarray)]
+        assert len(arrays) == 4
+        assert not any(array.flags.writeable for array in arrays)

@@ -235,6 +235,70 @@ def test_unitarity_residual_in_place(n, k, marked):
     assert np.array_equal(U, before)
 
 
+def _column_by_column(params, marked=None):
+    """The one-column-per-step assembly the batched blocks replaced."""
+    opp = opposite_permutation(params)
+    A = params.num_arcs
+    U = np.empty((A, A))
+    for a in range(A):
+        e = np.zeros(A)
+        e[a] = 1.0
+        U[:, a] = arc_engine.step(params, e, opp, marked)
+    return U
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (7, 1), (6, 3), (9, 3)])
+def test_dense_step_from_engine_matches_column_loop(n, k):
+    # J(6,3) and J(9,3) take more than one block of columns
+    p = graph_params(n, k)
+    for marked in (None, p.num_vertices - 1):
+        assert np.array_equal(validation.dense_step_from_engine(p, marked),
+                              _column_by_column(p, marked))
+
+
+def _dense_unitarity(U):
+    return float(np.abs(U.T @ U - np.eye(U.shape[1])).max())
+
+
+@pytest.mark.parametrize("size", [60, 300])
+def test_unitarity_residual_dense_orthogonal(size):
+    # no structural zeros: every row is multiplied, the full product
+    q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
+    assert abs(validation._unitarity_residual(q) - _dense_unitarity(q)) <= 1e-15
+
+
+def test_unitarity_residual_sees_stray_entry():
+    p = graph_params(6, 3)
+    U = validation.dense_step(p, 7)
+    # a row holding one of the marked columns' -1 entries, so the stray
+    # entry moves a Gram entry by about 1e-6
+    row = np.argwhere(np.abs(U) > 0.9)[0][0]
+    col = np.flatnonzero(U[row] == 0)[len(U) // 2]
+    U[row, col] = 1e-6
+    residual = validation._unitarity_residual(U)
+    assert abs(residual - _dense_unitarity(U)) <= 1e-15
+    assert residual >= 9e-7
+
+
+def test_unitarity_residual_zero_column():
+    U = validation.dense_step(graph_params(6, 3), 7)
+    U[:, 150] = 0.0
+    assert validation._unitarity_residual(U) == 1.0
+
+
+@pytest.mark.parametrize("where", ["structural zero", "nonzero", "last"])
+def test_unitarity_residual_nan_is_refused(where):
+    U = validation.dense_step(graph_params(6, 3), 7)
+    row, col = {"structural zero": tuple(np.argwhere(U == 0)[40]),
+                "nonzero": tuple(np.argwhere(U != 0)[100]),
+                "last": (-1, -1)}[where]
+    U[row, col] = np.nan
+    residual = validation._unitarity_residual(U)
+    assert math.isnan(residual)
+    with pytest.raises(CertificationError):
+        validation._finish({"marked_step_unitarity": residual}, 1e-10)
+
+
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_finish_refuses_nan(position):
     residuals = {"a": 0.0, "b": 1e-16, "c": 0.0}
@@ -261,26 +325,27 @@ def test_certify_checks_available_memory(monkeypatch):
 
 def test_certify_peak_memory_matches_model():
     # the byte check's model: no more than DENSE_PEAK_MATRICES arc-space
-    # float64 matrices (a complex upcast of one would add two)
-    p = graph_params(10, 3)
-    matrix = p.num_arcs ** 2 * 8
-    basis = validation.build_invariant_basis(p, 5)
-    tracemalloc.start()
-    try:
-        report = validation.certify(p, marked=5)
-        _, peak = tracemalloc.get_traced_memory()
-        # the stages that take the marked step from certify add no matrix
-        Um = validation.dense_step(p, 5, opposite=basis.opposite)
-        for stage in (validation.verify_subspace_invariance,
-                      validation.verify_reduced_compression):
-            tracemalloc.reset_peak()
-            held, _ = tracemalloc.get_traced_memory()
-            stage(p, 5, basis=basis, dense_marked_step=Um)
-            assert tracemalloc.get_traced_memory()[1] - held <= 0.5 * matrix
-    finally:
-        tracemalloc.stop()
-    assert report.passed
-    assert peak <= (validation.DENSE_PEAK_MATRICES + 0.5) * matrix
+    # float64 matrices (a complex upcast of one would add two, a whole
+    # Gram or engine-built matrix one)
+    for p, marked in ((graph_params(10, 3), 5), (graph_params(8, 4), 3)):
+        matrix = p.num_arcs ** 2 * 8
+        basis = validation.build_invariant_basis(p, marked)
+        tracemalloc.start()
+        try:
+            report = validation.certify(p, marked=marked)
+            _, peak = tracemalloc.get_traced_memory()
+            # the stages that take the marked step from certify add no matrix
+            Um = validation.dense_step(p, marked, opposite=basis.opposite)
+            for stage in (validation.verify_subspace_invariance,
+                          validation.verify_reduced_compression):
+                tracemalloc.reset_peak()
+                held, _ = tracemalloc.get_traced_memory()
+                stage(p, marked, basis=basis, dense_marked_step=Um)
+                assert tracemalloc.get_traced_memory()[1] - held <= 0.5 * matrix
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= (validation.DENSE_PEAK_MATRICES + 0.5) * matrix
 
 
 def test_certify_fails_impossible_tolerance():
