@@ -288,15 +288,19 @@ def test_unitarity_residual_zero_column():
 
 @pytest.mark.parametrize("where", ["structural zero", "nonzero", "last"])
 def test_unitarity_residual_nan_is_refused(where):
-    U = validation.dense_step(graph_params(6, 3), 7)
+    # "nonzero" sits in a row that only the last block of columns touches,
+    # so only that block's Gram rows see it
+    p = graph_params(6, 3)
+    U = validation.dense_step(p, 7)
     row, col = {"structural zero": tuple(np.argwhere(U == 0)[40]),
-                "nonzero": tuple(np.argwhere(U != 0)[100]),
+                "nonzero": (np.flatnonzero(U[:, -1])[0], p.num_arcs - 1),
                 "last": (-1, -1)}[where]
     U[row, col] = np.nan
     residual = validation._unitarity_residual(U)
     assert math.isnan(residual)
     with pytest.raises(CertificationError):
         validation._finish({"marked_step_unitarity": residual}, 1e-10)
+    assert math.isnan(validation._engine_residual(p, U, opposite_permutation(p), 7))
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
