@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jwalk import arc_engine, reduced, validation
+from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError, CertificationError
 from jwalk.johnson import graph_params, opposite_permutation, rank_vertex
 
@@ -313,6 +313,114 @@ def test_finish_refuses_nan(position):
     assert excinfo.value.check == name
     assert math.isnan(excinfo.value.residual)
     assert excinfo.value.residuals is residuals
+
+
+def _guard_full_det(monkeypatch, size):
+    """Record the matrix shapes np.linalg.det and slogdet see; refuse size x size."""
+    shapes = []
+    for name in ("det", "slogdet"):
+        original = getattr(np.linalg, name)
+
+        def guarded(a, _original=original):
+            shapes.append(np.shape(a))
+            assert np.shape(a)[-2:] != (size, size), "full LU"
+            return _original(a)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+    return shapes
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (6, 2), (8, 4), (9, 3), (10, 3)])
+def test_det_modulus_matches_full_lu(monkeypatch, n, k):
+    p = graph_params(n, k)
+    opp = opposite_permutation(p)
+    for marked in (0, p.num_vertices - 1):
+        Um = validation.dense_step(p, marked, opposite=opp)
+        full = abs(np.linalg.det(Um))
+        with monkeypatch.context() as m:
+            shapes = _guard_full_det(m, p.num_arcs)
+            blocks = validation._det_modulus(p, Um, opp)
+        assert shapes == [(p.num_vertices, p.degree, p.degree)]
+        assert abs(blocks - full) <= 1e-13
+
+
+def test_det_modulus_stray_entry_takes_full_lu():
+    p = graph_params(6, 3)
+    opp = opposite_permutation(p)
+    M = validation.dense_step(p, 7, opposite=opp)
+    row, col = np.argwhere(M == 0)[len(M) // 3]
+    M[row, col] = 1e-3
+    assert validation._det_modulus(p, M, opp) == abs(np.linalg.det(M))
+    # an `opposite` that is not a permutation cannot vouch for the blocks
+    clash = opp.copy()
+    clash[1] = clash[0]
+    Um = validation.dense_step(p, 7, opposite=opp)
+    assert validation._det_modulus(p, Um, clash) == abs(np.linalg.det(Um))
+
+
+@pytest.mark.parametrize("n,k,marked,where", [
+    (6, 3, 7, "off the blocks"), (6, 3, 7, "in a block"), (10, 3, 5, "in a block")])
+def test_det_modulus_nan_is_refused(n, k, marked, where):
+    # at the last row of J(10,3)'s first block, and at row 23 of J(6,3),
+    # OpenBLAS's LU takes the NaN for a zero pivot and returns det 0
+    p = graph_params(n, k)
+    opp = opposite_permutation(p)
+    Um = validation.dense_step(p, marked, opposite=opp)
+    row, col = (23, 39) if where == "off the blocks" else (opp[p.degree - 1], 0)
+    Um[row, col] = np.nan
+    with pytest.raises(CertificationError) as excinfo:
+        validation.verify_dense_step(p, 7, opposite=opp, dense_marked_step=Um)
+    assert math.isnan(excinfo.value.residuals["marked_step_det_modulus"])
+
+
+def test_det_modulus_sees_scaled_block_column():
+    p = graph_params(6, 3)
+    opp = opposite_permutation(p)
+    Um = validation.dense_step(p, 7, opposite=opp)
+    Um[:, 5 * p.degree + 1] *= 1.5  # stays inside its block, so |det| = 1.5
+    with pytest.raises(CertificationError) as excinfo:
+        validation.verify_dense_step(p, 7, opposite=opp, dense_marked_step=Um)
+    assert abs(excinfo.value.residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
+
+
+def test_certify_takes_no_full_lu(monkeypatch):
+    p = graph_params(10, 3)
+    shapes = _guard_full_det(monkeypatch, p.num_arcs)
+    assert validation.certify(p, marked=rank_vertex(p, (1, 4, 7))).passed
+    assert shapes == [(p.num_vertices, p.degree, p.degree)]
+
+
+def _nan_at_second_call(original):
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        out = original(*args)
+        return out * np.nan if len(calls) == 2 else out
+    return patched
+
+
+@pytest.mark.parametrize("stage,module,name,check", [
+    ("verify_eigenbasis", spectral, "eigenphase", "walk_eigenrelation"),
+    ("verify_eigenbasis", spectral, "eigenvalue", "lift_norm_identities"),
+    ("verify_spectral_closed_forms", spectral, "projector_weight", "projector_weights"),
+    ("verify_subspace_invariance", arc_engine, "apply_oracle", "oracle_action_identities"),
+])
+def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, name, check):
+    # the second term of each fold is NaN (level 2 of J(6,2), the second
+    # oracle call); a fold that keeps only its first NaN would pass
+    p = graph_params(6, 2)
+    basis = validation.build_invariant_basis(p, 0)
+    original = getattr(module, name)
+    if module is spectral:
+        def patched(params, level):
+            return math.nan if level == 2 else original(params, level)
+    else:
+        patched = _nan_at_second_call(original)
+    monkeypatch.setattr(module, name, patched)
+    with pytest.raises(CertificationError) as excinfo:
+        getattr(validation, stage)(p, 0, basis=basis)
+    assert math.isnan(excinfo.value.residuals[check])
 
 
 def test_certify_checks_available_memory(monkeypatch):
