@@ -369,7 +369,7 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
     row, col = (23, 39) if where == "off the blocks" else (opp[p.degree - 1], 0)
     Um[row, col] = np.nan
     with pytest.raises(CertificationError) as excinfo:
-        validation.verify_dense_step(p, 7, opposite=opp, dense_marked_step=Um)
+        validation.verify_dense_step(p, marked, opposite=opp, dense_marked_step=Um)
     assert math.isnan(excinfo.value.residuals["marked_step_det_modulus"])
 
 
@@ -407,8 +407,8 @@ def _nan_at_second_call(original):
     ("verify_subspace_invariance", arc_engine, "apply_oracle", "oracle_action_identities"),
 ])
 def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, name, check):
-    # the second term of each fold is NaN (level 2 of J(6,2), the second
-    # oracle call); a fold that keeps only its first NaN would pass
+    # a term after the first of each fold is NaN (level 2 of J(6,2), the
+    # second oracle call); Python's max keeps a NaN only as its first term
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, 0)
     original = getattr(module, name)
