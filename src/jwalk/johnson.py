@@ -13,13 +13,13 @@ the sorted complement of the tail.  All combinatorial quantities are exact
 Python integers; subsets are 1-based tuples at the API surface.
 
 The scalar functions (:func:`rank_vertex`, :func:`arc_head`,
-:func:`arc_opposite`, ...) decode one arc at a time.  The arc-reversal
-table of the flat layout comes from :func:`opposite_permutation`, which
-does the same colex ranking vectorized with numpy over all arcs, in int64;
-the scalar functions are kept as its independent oracle.  The full
-engine's loop uses the pair layout instead, indexed by the shared
-(k-1)-subset of an arc's ends: :func:`pair_vertex_table` maps each
-(subset, added element) pair to its vertex rank, vectorized the same way.
+:func:`arc_opposite`, ...) decode one arc at a time.  The full engine holds
+the walk in the pair layout instead, indexed by the shared (k-1)-subset of
+an arc's ends: :func:`pair_vertex_table` maps each (subset, added element)
+pair to its vertex rank, by the same colex ranking vectorized with numpy in
+int64, and :func:`arc_pair_slots` places every flat arc index in that
+layout and pairs it with its reversed arc.  The scalar functions are kept
+as their independent oracle.
 """
 
 from bisect import bisect_left
@@ -39,8 +39,8 @@ __all__ = [
     "arc_head",
     "arc_opposite",
     "arc_components",
-    "opposite_permutation",
     "pair_vertex_table",
+    "arc_pair_slots",
     "vertex_pairs",
     "distance_class",
     "shell_size",
@@ -173,12 +173,6 @@ def arc_opposite(params: GraphParams, arc: int) -> int:
     return head * params.degree + slot
 
 
-# Arcs per block of the vectorized permutation build (whole tails, at least
-# one).  Sizing blocks by arcs rather than tails keeps the build's temporaries
-# near a megabyte for every n and k.
-CHUNK_ARCS = 2 ** 16
-
-
 def _binomial_table(n: int, k: int) -> np.ndarray:
     """``table[e, i] = C(e, i)`` for 0 <= e < n and 0 <= i <= k + 1, int64."""
     return np.array([[comb(e, i) for i in range(k + 2)] for e in range(n)],
@@ -200,62 +194,6 @@ def _colex_subsets(n: int, k: int) -> np.ndarray:
                              np.full(comb(e - 1, j - 1), e, dtype=np.int64)))
             for e in range(j, n + 1)])
     return subsets
-
-
-def opposite_permutation(params: GraphParams) -> np.ndarray:
-    """Arc-reversal permutation as a read-only int64 array over all arcs.
-
-    Vectorized colex ranking over blocks of whole tails, about CHUNK_ARCS
-    arcs each; the scalar :func:`arc_opposite` is its independent oracle.
-
-    Take the arc that removes r = T[i] from the sorted tail T and inserts
-    s, the j-th element of its complement.  Then c = #{t in T : t < s} =
-    s - 1 - j, and the reversed arc removes s from the head H at index
-    c - [i < c] and re-inserts r at complement index (r - 1) - i - [c <= i].
-    In the colex rank ``sum_p C(T[p] - 1, p + 1)``, s enters at 1-based
-    place c - [i < c] + 1, r leaves, and the tail elements strictly between
-    them shift one place: down for i < p < c, up for c <= p < i.  Prefix
-    sums of those shifts over p make every reversed arc a (tail, i) term
-    plus a (tail, j) term, one pair for each sign of c - i, so the work per
-    arc is two adds and a compare.
-
-    Head ranks are recoverable as ``opposite_permutation(p) // p.degree``.
-    """
-    n, k, d = params.n, params.k, params.degree
-    m = n - k
-    opp = np.empty(params.num_arcs, dtype=np.int64)
-    binom = _binomial_table(n, k)
-    subsets = _colex_subsets(n, k)
-    idx = np.arange(k)
-    block = max(1, CHUNK_ARCS // d)
-    for lo in range(0, params.num_vertices, block):
-        tails = subsets[lo:lo + block]                    # (B, k), sorted
-        B = len(tails)
-        free = np.ones((B, n), dtype=bool)
-        free[np.arange(B)[:, None], tails - 1] = False
-        s0 = np.nonzero(free)[1].reshape(B, m)           # s - 1, (B, m), sorted
-        c = s0 - np.arange(m)                             # tail elements below s
-
-        # per (tail, i): C(T[p]-1, p), C(T[p]-1, p+1), C(T[p]-1, p+2)
-        g0, g1, g2 = (binom[tails - 1, idx + shift] for shift in range(3))
-        zero = np.zeros((B, 1), dtype=np.int64)
-        down = np.hstack((zero, np.cumsum(g0 - g1, axis=1)))   # (B, k+1)
-        up = np.hstack((zero, np.cumsum(g2 - g1, axis=1)))     # (B, k+1)
-        base = g1.sum(axis=1)[:, None] - g1                    # rank(T) - C(r-1, i+1)
-        r_term = tails - 1 - idx
-        i_low = d * (base - down[:, 1:]) + r_term              # i < c
-        i_high = d * (base + up[:, :k]) + r_term - 1           # c <= i
-
-        # per (tail, j)
-        s_low = d * (binom[s0, c] + np.take_along_axis(down, c, axis=1)) + m * (c - 1)
-        s_high = d * (binom[s0, c + 1] - np.take_along_axis(up, c, axis=1)) + m * c
-
-        out = opp[lo * d:(lo + B) * d].reshape(B, k, m)
-        np.add(i_high[:, :, None], s_high[:, None, :], out=out)
-        np.add(i_low[:, :, None], s_low[:, None, :], out=out,
-               where=idx[None, :, None] < c[:, None, :])
-    opp.setflags(write=False)
-    return opp
 
 
 def pair_vertex_table(params: GraphParams) -> np.ndarray:
@@ -300,12 +238,49 @@ def pair_vertex_table(params: GraphParams) -> np.ndarray:
     return table
 
 
+def arc_pair_slots(params: GraphParams) -> tuple:
+    """Pair-layout slot of every arc, and the arc-reversal permutation.
+
+    Returns two read-only int64 arrays indexed by the flat arc index of
+    the module docstring: the flat index of the arc's slot in a pair state
+    of shape (C(n, k-1), m, m), m = n - k + 1, and the index of the
+    reversed arc, whose slot is the transposed one.  The scalar
+    :func:`arc_components` and :func:`arc_opposite` are its independent
+    oracle.
+
+    Slot (a, x, y) is the arc from a ∪ {s_x} to a ∪ {s_y}, where s_j is
+    the j-th element outside a.  Its tail is ``pair_vertex_table[a, x]``;
+    the removed element s_x has c = s_x - 1 - x elements of a below it, so
+    it sits at index c of the tail, and the inserted s_y sits at index
+    y - [x < y] of the tail's complement, which lacks s_x.
+    """
+    n, k = params.n, params.k
+    m = n - k + 1
+    subsets = _colex_subsets(n, k - 1)
+    rows = len(subsets)
+    free = np.ones((rows, n), dtype=bool)
+    free[np.arange(rows)[:, None], subsets - 1] = False
+    below = np.nonzero(free)[1].reshape(rows, m) - np.arange(m)   # c of each s_x
+    x, y = np.arange(m)[:, None], np.arange(m)
+    arcs = (params.degree * pair_vertex_table(params) + (n - k) * below)[:, :, None] \
+        + (y - (x < y))                                # (C, m, m); x = y is no arc
+    off = np.broadcast_to(x != y, arcs.shape)
+    held = arcs[off]
+    slots = np.empty_like(held)
+    slots[held] = np.flatnonzero(off)
+    opposite = np.empty_like(held)
+    opposite[held] = arcs.transpose(0, 2, 1)[off]
+    slots.setflags(write=False)
+    opposite.setflags(write=False)
+    return slots, opposite
+
+
 def vertex_pairs(params: GraphParams, v: int) -> tuple:
     """The k pairs (a, x) of :func:`pair_vertex_table` with a ∪ {x} = v.
 
     Returns two int64 arrays, the ranks of a and the complement positions
-    of x, ordered as v's elements leave it, which is the order of v's
-    block of arcs in the flat layout.
+    of x, ordered as v's elements leave it, which is the order of the
+    flat indices of v's outgoing arcs.
     """
     members = unrank_vertex(params, v)
     terms = [comb(e - 1, p + 1) for p, e in enumerate(members)]

@@ -26,17 +26,27 @@ eigenphases.  A dense matrix or an engine step only ever meets the basis
 through its real and imaginary parts separately, so no A x A matrix is
 upcast to complex.
 
-The step battery costs O(A^2 d + N d^3), with d the degree and N the
-number of vertices.  The engine steps the identity DENSE_BLOCK columns at a
-time, as one batch of rows, and each block is compared with the closed form
-as it comes, so the engine-built matrix is never held whole.  The unitarity
-residual forms the Gram DENSE_BLOCK rows at a time from only the rows of U
-that the block's columns touch, about d per column.  The marked step's
-|det| is the product of its N coin blocks' d x d determinants, after one
-count of nonzeros shows that no entry lies outside them.  On J(10,3)
-(A = 2,520, one pinned CPU of a 2-core x86-64, one BLAS thread)
-``verify_dense_step`` takes about 0.32 s: each Gram 0.09 s, each engine
-comparison 0.08 s, ``det`` 0.01 s (0.37 s as one A x A LU).
+Arc space here is numbered tail-major, as in ``jwalk.johnson``, and the
+arc reversal of the closed forms comes from
+:func:`jwalk.johnson.arc_pair_slots`.  The engine holds the walk as a pair
+state ψ[a, x, y] instead (``jwalk.arc_engine``).  To step arc vectors,
+they are placed at their pair slots and run through the passes that
+``simulate`` runs, the oracle and then the coin through the (a, x) ->
+vertex table.  S is the swap of x and y, so the step is read back at each
+arc's transposed slot.
+
+The step battery is O(A^2) work besides N d x d determinants, with d the
+degree and N the number of vertices.  The engine steps the identity
+DENSE_BLOCK columns at a time, as one batch of pair states reused by every
+block, and each block is compared with the closed form as it comes, so the
+engine-built matrix is never held whole.  The unitarity residual forms the
+Gram DENSE_BLOCK rows at a time from only the rows of U that the block's
+columns touch, and only the columns that those rows touch.  The marked
+step's |det| is the product of its N coin blocks' d x d determinants,
+after one count of nonzeros shows that no entry lies outside them.  On
+J(10,3) (A = 2,520, one pinned CPU of a 2-core x86-64, one BLAS thread)
+``verify_dense_step`` takes about 0.31 s: each Gram 0.06 s, each engine
+comparison 0.09 s, ``det`` 0.01 s (0.37 s as one A x A LU).
 """
 
 import math
@@ -47,8 +57,8 @@ import numpy as np
 
 from . import arc_engine, reduced, spectral
 from .errors import CapacityError, CertificationError
-from .johnson import (GraphParams, distance_class, intersection_numbers,
-                      opposite_permutation, shell_size)
+from .johnson import (GraphParams, arc_pair_slots, distance_class,
+                      intersection_numbers, pair_vertex_table, shell_size)
 
 __all__ = [
     "DENSE_VERTEX_CAPACITY",
@@ -59,7 +69,6 @@ __all__ = [
     "CertificationReport",
     "dense_adjacency",
     "dense_step",
-    "dense_step_from_engine",
     "build_invariant_basis",
     "verify_spectral_closed_forms",
     "verify_dense_step",
@@ -99,7 +108,7 @@ def _require_memory(params: GraphParams) -> None:
 def dense_adjacency(params: GraphParams) -> np.ndarray:
     """Explicit 0/1 adjacency matrix, int64, built arc by arc."""
     _require_dense(params)
-    opp = opposite_permutation(params)
+    opp = arc_pair_slots(params)[1]
     tails = np.arange(params.num_arcs) // params.degree
     heads = opp // params.degree
     adj = np.zeros((params.num_vertices, params.num_vertices), dtype=np.int64)
@@ -122,7 +131,7 @@ def dense_step(params: GraphParams,
     _require_dense(params)
     d = params.degree
     A = params.num_arcs
-    opp = opposite_permutation(params) if opposite is None else opposite
+    opp = arc_pair_slots(params)[1] if opposite is None else opposite
     cols = np.arange(A)
     U = np.zeros((A, A))
     U[opp.reshape(-1, d)[cols // d], cols[:, None]] = 2.0 / d
@@ -136,35 +145,57 @@ def dense_step(params: GraphParams,
     return U
 
 
-def _engine_column_blocks(params: GraphParams, opposite: np.ndarray,
-                          marked: Optional[int] = None):
+def _pair_layout(params: GraphParams) -> tuple:
+    """The engine's vertex table, the pair-state shape, and each arc's slot and transposed slot."""
+    vertices = pair_vertex_table(params)
+    shape = vertices.shape + vertices.shape[-1:]
+    slots = arc_pair_slots(params)[0]
+    a, x, y = np.unravel_index(slots, shape)
+    return vertices, shape, slots, np.ravel_multi_index((a, y, x), shape)
+
+
+def _pair_states(vectors: np.ndarray, slots: np.ndarray, shape: tuple) -> np.ndarray:
+    """The arc-order rows of ``vectors`` placed in zeroed pair states of ``shape``."""
+    states = np.zeros(vectors.shape[:-1] + (math.prod(shape),))
+    states[..., slots] = vectors
+    return states.reshape(vectors.shape[:-1] + shape)
+
+
+def _engine_step(params: GraphParams, states: np.ndarray, vertices: np.ndarray,
+                 transposed: np.ndarray, marked: Optional[int] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One engine step of a batch of pair states, as rows in arc order.
+
+    Runs the passes of :func:`jwalk.arc_engine.evolve_and_record` on the
+    tail side, O then C, in place on ``states``.  S is the swap of x and y
+    in the pair layout, so S·C·O·ψ at an arc is C·O·ψ at the arc's
+    ``transposed`` slot.
+    """
+    if marked is not None:
+        states = arc_engine.apply_oracle(params, states, marked)
+    states = arc_engine.apply_coin(params, states, vertices)
+    return np.take(states.reshape(len(states), -1), transposed, axis=1, out=out, mode="clip")
+
+
+def _engine_column_blocks(params: GraphParams, marked: Optional[int] = None):
     """Yield (cols, rows): the step's columns ``cols`` as the rows of ``rows``.
 
-    Each block of DENSE_BLOCK unit vectors is stepped as one batch through
-    :func:`jwalk.arc_engine.step`, whose rows are bitwise the single-vector
-    steps.
+    Each block of DENSE_BLOCK unit vectors is placed in one batch of pair
+    states and stepped at once (:func:`_engine_step`); every entry of a
+    batch is bitwise a single-state step.  The batch and the rows are
+    reused by every block, so each is valid until the next is yielded.
     """
     A = params.num_arcs
+    vertices, shape, slots, transposed = _pair_layout(params)
+    states = np.empty((min(DENSE_BLOCK, A),) + shape)
+    units = states.reshape(len(states), -1)
+    rows = np.empty((len(states), A))
     for start in range(0, A, DENSE_BLOCK):
         cols = slice(start, min(start + DENSE_BLOCK, A))
-        units = np.zeros((cols.stop - start, A))
-        units[:, cols] = np.eye(cols.stop - start)
-        yield cols, arc_engine.step(params, units, opposite, marked)
-
-
-def dense_step_from_engine(params: GraphParams,
-                           marked: Optional[int] = None) -> np.ndarray:
-    """Same matrix assembled from the matrix-free engine, a block of columns at a time.
-
-    Each block steps a batch of fresh float64 basis vectors, which the step
-    consumes.
-    """
-    _require_dense(params)
-    A = params.num_arcs
-    U = np.empty((A, A))
-    for cols, rows in _engine_column_blocks(params, opposite_permutation(params), marked):
-        U[:, cols] = rows.T
-    return U
+        b = cols.stop - start
+        states.fill(0.0)
+        units[np.arange(b), slots[cols]] = 1.0
+        yield cols, _engine_step(params, states[:b], vertices, transposed, marked, rows[:b])
 
 
 def lift_symmetric(vertex_vec: np.ndarray, tails: np.ndarray,
@@ -210,7 +241,7 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     dist = np.array([distance_class(params, v, marked) for v in range(N)])
     shell_indicators = [(dist == l).astype(np.int64) for l in range(k + 1)]
 
-    opp = opposite_permutation(params)
+    opp = arc_pair_slots(params)[1]
     tails = np.arange(A) // d
     heads = opp // d
     dist_t, dist_h = dist[tails], dist[heads]
@@ -297,14 +328,14 @@ def _finish(residuals: dict, tol: float) -> dict:
     return residuals
 
 
-def _engine_residual(params: GraphParams, U: np.ndarray, opposite: np.ndarray,
+def _engine_residual(params: GraphParams, U: np.ndarray,
                      marked: Optional[int] = None) -> float:
     """max |U - engine step|, compared a block of engine columns at a time.
 
     The engine-built matrix is never held whole; a NaN anywhere gives NaN.
     """
     block_max = []
-    for cols, rows in _engine_column_blocks(params, opposite, marked):
+    for cols, rows in _engine_column_blocks(params, marked):
         # written through the transpose, so U's block is read in its own order
         np.subtract(rows.T, U[:, cols], out=rows.T)
         block_max.append(np.abs(rows, out=rows).max())
@@ -315,19 +346,24 @@ def _unitarity_residual(U: np.ndarray) -> float:
     """max |U^T U - I| of a real matrix, formed DENSE_BLOCK Gram rows at a time.
 
     Gram rows J are U[:, J]^T U.  A row of U where U[:, J] is zero adds
-    exact zeros to them, so only the rows in U[:, J]'s support are
-    multiplied: on a step matrix, with about d nonzeros per column, that
-    is O(A^2 d) work in all, and on a dense matrix the full product.  The
-    A x A Gram is never allocated.  A NaN puts its row in the support, so
-    the residual is NaN.
+    exact zeros to them, and so does a column that is zero on the rows
+    left, so only the rows in U[:, J]'s support, and the columns in
+    theirs or in J, are multiplied.  On a step matrix both number about
+    |J|, a coin block maps onto one row block, so the work is O(A^2) reads
+    of U; on a dense matrix it is the full product.  Keeping J keeps the
+    identity's entries and a zero column in view, and a NaN puts its row
+    and its column in the support, so the residual is NaN.  The A x A Gram
+    is never allocated.
     """
     A = U.shape[1]
     block_max = []
     for start in range(0, A, DENSE_BLOCK):
-        cols = slice(start, min(start + DENSE_BLOCK, A))
-        rows = np.flatnonzero(np.any(U[:, cols], axis=1))
-        gram = U[rows, cols].T @ U[rows]
-        gram.flat[start::A + 1] -= 1.0  # the identity's entries (j, start + j)
+        stop = min(start + DENSE_BLOCK, A)
+        cols = np.arange(start, stop)
+        rows = U[np.flatnonzero(np.any(U[:, start:stop], axis=1))]
+        support = np.union1d(cols, np.flatnonzero(np.any(rows, axis=0)))
+        gram = rows[:, start:stop].T @ rows[:, support]
+        gram[np.arange(len(cols)), np.searchsorted(support, cols)] -= 1.0
         block_max.append(np.abs(gram, out=gram).max())
     return float(np.max(block_max))
 
@@ -418,20 +454,19 @@ def verify_dense_step(params: GraphParams, marked: int, tol: float = 1e-10,
     matrices are alive at once, a caller's ``dense_marked_step`` included.
     The marked step's |det| comes from its d x d coin blocks
     (:func:`_det_modulus`), with a full LU only for a matrix that has an
-    entry outside them.  The engine builds its own arc permutation;
-    ``opposite`` is the closed form's, and the blocks are read through it.
+    entry outside them.  The engine side runs the pair passes that
+    ``simulate`` runs; ``opposite`` is the closed form's arc reversal, and
+    the blocks are read through it.
     """
-    engine_opp = opposite_permutation(params)
-    opp = engine_opp if opposite is None else opposite
+    opp = arc_pair_slots(params)[1] if opposite is None else opposite
     residuals = {}
     U = dense_step(params, opposite=opp)
-    residuals["step_closed_form_vs_engine"] = _engine_residual(params, U, engine_opp)
+    residuals["step_closed_form_vs_engine"] = _engine_residual(params, U)
     residuals["step_unitarity"] = _unitarity_residual(U)
     del U
     Um = dense_marked_step if dense_marked_step is not None else dense_step(
         params, marked, opposite=opp)
-    residuals["marked_step_closed_form_vs_engine"] = _engine_residual(
-        params, Um, engine_opp, marked)
+    residuals["marked_step_closed_form_vs_engine"] = _engine_residual(params, Um, marked)
     residuals["marked_step_unitarity"] = _unitarity_residual(Um)
     residuals["marked_step_det_modulus"] = abs(_det_modulus(params, Um, opp) - 1.0)
     return _finish(residuals, tol)
@@ -454,9 +489,10 @@ def verify_eigenbasis(params: GraphParams, marked: int, tol: float = 1e-10,
     }
 
     # the step is real-linear: step the real and imaginary parts of every
-    # column apart, as the rows of one batch
-    parts = arc_engine.step(params, np.ascontiguousarray(np.hstack([B.real, B.imag]).T),
-                            b.opposite)
+    # column apart, as the entries of one batch
+    vertices, shape, slots, transposed = _pair_layout(params)
+    states = _pair_states(np.hstack([B.real, B.imag]).T, slots, shape)
+    parts = _engine_step(params, states, vertices, transposed)
     stepped = (parts[:2 * k + 1] + 1j * parts[2 * k + 1:]).T
     eig_terms = [np.linalg.norm(stepped[:, 0] - B[:, 0])]
     for l in range(1, k + 1):
@@ -496,9 +532,15 @@ def verify_subspace_invariance(params: GraphParams, marked: int,
         "subspace_invariance": float(np.abs(image - B @ (B.conj().T @ image)).max()),
     }
 
-    b0, c1 = b.outward[0], b.inward[1]  # float64, as the engine requires
-    oracle_b0 = arc_engine.apply_oracle(params, b0.copy(), marked)
-    oracle_mix = arc_engine.apply_oracle(params, b0 - c1, marked)
+    _, shape, slots, _ = _pair_layout(params)
+
+    def oracle(vector):
+        state = arc_engine.apply_oracle(params, _pair_states(vector, slots, shape), marked)
+        return state.reshape(-1)[slots]
+
+    b0, c1 = b.outward[0], b.inward[1]
+    oracle_b0 = oracle(b0)
+    oracle_mix = oracle(b0 - c1)
     exact = float(np.max([np.abs(oracle_b0 + b0).max(),
                           np.abs(oracle_mix + b0 + c1).max()]))
     residuals["oracle_action_identities"] = exact
@@ -512,7 +554,7 @@ def verify_target_and_initial(params: GraphParams, marked: int,
     b = basis if basis is not None else build_invariant_basis(params, marked)
     B = b.basis
     coords_target = B.conj().T @ b.target_arc
-    psi0 = arc_engine.uniform_state(params)
+    psi0 = arc_engine.uniform_state(params).reshape(-1)[arc_pair_slots(params)[0]]
     coords_initial = B.conj().T @ psi0
     e0 = np.zeros(2 * params.k + 1)
     e0[0] = 1.0

@@ -6,10 +6,10 @@ from math import comb
 import numpy as np
 import pytest
 
+import flat_layout as flat
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError
-from jwalk.johnson import (arc_components, graph_params, opposite_permutation,
-                           pair_vertex_table, unrank_vertex)
+from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table
 
 
 def random_states(params, count, seed=7):
@@ -21,8 +21,9 @@ def random_states(params, count, seed=7):
 def test_uniform_state_values():
     p = graph_params(4, 2)
     state = arc_engine.uniform_state(p)
-    assert state.dtype == np.float64
-    assert np.array_equal(state, np.full(24, 1.0 / np.sqrt(24)))
+    assert state.dtype == np.float64 and state.shape == flat.pair_shape(p)
+    assert np.array_equal(flat.to_flat(p, state), np.full(24, 1.0 / np.sqrt(24)))
+    assert not _diagonal_bits(state).any()  # the x = y slots are no arcs
     p = graph_params(10, 3)
     assert abs(arc_engine.state_norm(arc_engine.uniform_state(p)) - 1.0) <= 1e-15
 
@@ -31,7 +32,7 @@ def test_uniform_state_is_stationary_basis_vector():
     # overlap with the explicitly built stationary eigenvector
     p = graph_params(5, 2)
     basis = validation.build_invariant_basis(p, marked=0)
-    overlap = np.vdot(basis.basis[:, 0], arc_engine.uniform_state(p))
+    overlap = np.vdot(basis.basis[:, 0], flat.to_flat(p, arc_engine.uniform_state(p)))
     assert abs(overlap - 1.0) <= 1e-10
 
 
@@ -49,11 +50,22 @@ def test_capacity_refusal():
         arc_engine.uniform_state(huge, capacity=2 ** 62)
 
 
+def _coin(params, state, axis=2):
+    return arc_engine.apply_coin(params, state, pair_vertex_table(params), axis)
+
+
+def _step(params, state, marked=None):
+    """One step S·C·O of a pair state, in flat order: S is the swap of x and y."""
+    if marked is not None:
+        arc_engine.apply_oracle(params, state, marked)
+    return flat.shifted_to_flat(params, _coin(params, state))
+
+
 def test_coin_block_example():
     p = graph_params(4, 2)  # degree 4
     state = np.zeros(p.num_arcs)
     state[0] = 1.0
-    out = arc_engine.apply_coin(p, state)
+    out = flat.to_flat(p, _coin(p, flat.to_pair(p, state)))
     assert np.allclose(out[:4], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
     assert np.all(out[4:] == 0)
 
@@ -61,34 +73,38 @@ def test_coin_block_example():
 def test_coin_fixes_uniform():
     p = graph_params(6, 2)
     state = arc_engine.uniform_state(p)
-    assert np.allclose(arc_engine.apply_coin(p, state.copy()), state, atol=1e-15)
+    assert np.allclose(_coin(p, state.copy()), state, atol=1e-15)
 
 
 def test_coin_involution_on_random_states():
     p = graph_params(6, 2)
-    for state in random_states(p, 100):
-        twice = arc_engine.apply_coin(p, arc_engine.apply_coin(p, state.copy()))
+    for state in flat.to_pair(p, random_states(p, 100)):
+        twice = _coin(p, _coin(p, state.copy()))
         assert np.abs(twice - state).max() <= 1e-12
 
 
 def test_shift_is_exact_permutation_involution():
+    # S is the swap of x and y, which sends every arc to the slot of its
+    # reverse: the permutation ``arc_pair_slots`` pairs the arcs with
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
+    opp = arc_pair_slots(p)[1]
+    assert np.array_equal(opp[opp], np.arange(p.num_arcs))
     state = random_states(p, 1)[0]
-    shifted = arc_engine.apply_shift(state, opp)
-    assert np.array_equal(arc_engine.apply_shift(shifted, opp), state)
+    pair = flat.to_pair(p, state)
+    shifted = flat.shifted_to_flat(p, pair)
+    assert np.array_equal(shifted, state[opp])
+    assert np.array_equal(flat.shifted_to_flat(p, flat.to_pair(p, shifted)), state)
     uniform = arc_engine.uniform_state(p)
-    assert np.array_equal(arc_engine.apply_shift(uniform, opp), uniform)
+    assert np.array_equal(uniform.transpose(0, 2, 1), uniform)
 
 
 def test_shift_single_arc():
     p = graph_params(4, 2)
-    opp = opposite_permutation(p)
     state = np.zeros(p.num_arcs)
     state[5] = 1.0
-    out = arc_engine.apply_shift(state, opp)
+    out = flat.shifted_to_flat(p, flat.to_pair(p, state))
     expected = np.zeros(p.num_arcs)
-    expected[opp[5]] = 1.0
+    expected[flat.opposite(p)[5]] = 1.0
     assert np.array_equal(out, expected)
 
 
@@ -98,8 +114,8 @@ def test_oracle_reflects_marked_superposition():
     marked = 3
     target = np.zeros(p.num_arcs)
     target[marked * d:(marked + 1) * d] = 1.0 / np.sqrt(d)
-    out = arc_engine.apply_oracle(p, target.copy(), marked)
-    assert np.abs(out + target).max() <= 1e-15
+    out = arc_engine.apply_oracle(p, flat.to_pair(p, target), marked)
+    assert np.abs(flat.to_flat(p, out) + target).max() <= 1e-15
 
 
 def test_oracle_fixes_orthogonal_states_bitwise():
@@ -110,19 +126,21 @@ def test_oracle_fixes_orthogonal_states_bitwise():
     d = p.degree
     state[:d] = 0.0
     state[0], state[1] = 0.25, -0.25
-    out = arc_engine.apply_oracle(p, state.copy(), marked)
-    assert np.array_equal(out, state)
+    pair = flat.to_pair(p, state)
+    out = arc_engine.apply_oracle(p, pair.copy(), marked)
+    assert np.array_equal(out, pair)
 
 
 def test_oracle_changes_only_marked_block():
     p = graph_params(6, 2)
     marked = 5
     state = random_states(p, 1)[0]
-    out = arc_engine.apply_oracle(p, state.copy(), marked)
+    out = flat.to_flat(p, arc_engine.apply_oracle(p, flat.to_pair(p, state), marked))
     d = p.degree
     mask = np.ones(p.num_arcs, dtype=bool)
     mask[marked * d:(marked + 1) * d] = False
     assert np.array_equal(out[mask], state[mask])
+    assert not np.array_equal(out[~mask], state[~mask])
 
 
 def _pair_slots(params):
@@ -154,48 +172,47 @@ def test_capacity_checks_available_memory(monkeypatch):
 
 
 def test_in_place_passes_refuse_other_layouts():
-    # reshaping a strided view would copy it, and the update would be lost
+    # reshaping a strided view would copy it, and the update would be lost;
+    # a flat vector over the arcs is no pair state
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
-    columns = random_states(p, 2).T.copy()
-    bad = [columns[:, 0],                                   # strided view
-           np.ones(p.num_arcs, dtype=np.float32),           # wrong dtype
-           np.ones(p.num_arcs - 1),                         # wrong length
-           np.ones((p.num_vertices, p.degree))]             # 2-D
+    vertices = pair_vertex_table(p)
+    pair = arc_engine.uniform_state(p)
+    bad = [pair[:, :, ::-1],                                 # strided view
+           np.asfortranarray(pair),                          # F-ordered
+           pair.astype(np.float32),                          # wrong dtype
+           pair[:-1],                                        # wrong shape
+           flat.uniform(p)]                                  # flat layout
     for state in bad:
-        with pytest.raises(ValueError):
-            arc_engine.apply_coin(p, state)
-        with pytest.raises(ValueError):
-            arc_engine.apply_oracle(p, state, 0)
-        for marked in (None, 0):
+        for axis in (2, 1):
             with pytest.raises(ValueError):
-                arc_engine.step(p, state, opp, marked)
+                arc_engine.apply_coin(p, state, vertices, axis)
+            with pytest.raises(ValueError):
+                arc_engine.apply_oracle(p, state, 0, axis)
 
 
 def test_passes_refuse_complex_state():
     # the operators are real, so a complex state has no meaning here; it is
     # refused rather than silently stepped
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
-    state = np.full(p.num_arcs, 1.0 / np.sqrt(p.num_arcs), dtype=np.complex128)
+    state = arc_engine.uniform_state(p).astype(np.complex128)
     with pytest.raises(ValueError):
-        arc_engine.apply_coin(p, state)
+        _coin(p, state)
     with pytest.raises(ValueError):
         arc_engine.apply_oracle(p, state, 0)
-    for marked in (None, 0):
-        with pytest.raises(ValueError):
-            arc_engine.step(p, state, opp, marked)
+    with pytest.raises(ValueError):
+        arc_engine.vertex_probability(p, state, 0)
 
 
 def test_passes_update_in_place():
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
-    state = random_states(p, 1)[0].copy()
-    expected = arc_engine.apply_coin(p, arc_engine.apply_oracle(p, state.copy(), 3))
+    vertices = pair_vertex_table(p)
+    state = flat.to_pair(p, random_states(p, 1)[0])
+    expected = _coin(p, arc_engine.apply_oracle(p, state.copy(), 3))
     assert arc_engine.apply_oracle(p, state, 3) is state
-    assert arc_engine.apply_coin(p, state) is state
+    assert arc_engine.apply_coin(p, state, vertices) is state
     assert np.array_equal(state, expected)
-    assert np.array_equal(arc_engine.apply_shift(state, opp), expected[opp])
+    assert np.array_equal(flat.shifted_to_flat(p, state),
+                          flat.to_flat(p, expected)[flat.opposite(p)])
 
 
 def _peak_bytes(call):
@@ -205,26 +222,6 @@ def _peak_bytes(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_step_allocates_only_the_gather_target():
-    # one step holds the shift's new state plus the O(N) block means; the
-    # in-place passes alone hold the means and numpy's fixed-size ufunc
-    # buffer, far below one state, so a whole-state copy anywhere fails one
-    # of these bounds
-    p = graph_params(20, 3)
-    opp = opposite_permutation(p)
-    state = arc_engine.uniform_state(p)
-    nxt, peak = _peak_bytes(lambda: arc_engine.step(p, state, opp, 0))
-    assert nxt is not state
-    assert peak <= 1.1 * state.nbytes
-    _, peak = _peak_bytes(lambda: arc_engine.apply_oracle(p, nxt, 0))
-    assert peak <= 0.25 * state.nbytes
-    _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, nxt))
-    assert peak <= 0.25 * state.nbytes
-    # sampling the norm fits the same budget: one float64 temporary
-    _, peak = _peak_bytes(lambda: arc_engine.state_norm(nxt))
-    assert peak <= 1.1 * state.nbytes
 
 
 def test_evolve_and_record_peak_memory():
@@ -265,7 +262,7 @@ def test_oracle_rejects_out_of_range_marked(marked):
 
 def test_oracle_involution_on_random_states():
     p = graph_params(6, 2)
-    for state in random_states(p, 100, seed=11):
+    for state in flat.to_pair(p, random_states(p, 100, seed=11)):
         twice = arc_engine.apply_oracle(p, arc_engine.apply_oracle(p, state.copy(), 2), 2)
         assert np.abs(twice - state).max() <= 1e-12
 
@@ -274,13 +271,13 @@ def test_step_single_arc_closed_form():
     # one unmarked step of a basis state: 2/d on arcs b with head(b) = tail(a),
     # with the opposite arc getting 2/d - 1
     p = graph_params(4, 2)
-    opp = opposite_permutation(p)
+    opp = flat.opposite(p)
     d = p.degree
     heads = opp // d
     for a in range(p.num_arcs):
         e = np.zeros(p.num_arcs)
         e[a] = 1.0
-        out = arc_engine.step(p, e, opp)
+        out = _step(p, flat.to_pair(p, e))
         expected = np.where(heads == a // d, 2.0 / d, 0.0)
         expected[opp[a]] -= 1.0
         assert np.abs(out - expected).max() <= 1e-15
@@ -288,35 +285,31 @@ def test_step_single_arc_closed_form():
 
 def test_step_preserves_uniform():
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
-    uniform = arc_engine.uniform_state(p)
-    out = arc_engine.step(p, uniform.copy(), opp)
-    assert np.abs(out - uniform).max() <= 1e-14
+    out = _step(p, arc_engine.uniform_state(p))
+    assert np.abs(out - flat.uniform(p)).max() <= 1e-14
 
 
 def test_modified_coin_fusion_equivalent():
     # folding the oracle into the coin (negated identity on the marked
     # block) must reproduce oracle-then-coin
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
     marked = 4
     d = p.degree
     for state in random_states(p, 20, seed=3):
-        fused = arc_engine.apply_coin(p, state.copy())
+        fused = flat.to_flat(p, _coin(p, flat.to_pair(p, state)))
         fused[marked * d:(marked + 1) * d] = -state[marked * d:(marked + 1) * d]
-        via_fusion = arc_engine.apply_shift(fused, opp)
-        via_oracle = arc_engine.step(p, state.copy(), opp, marked)
-        assert np.abs(via_fusion - via_oracle).max() <= 1e-13
+        via_oracle = flat.to_flat(p, _coin(p, arc_engine.apply_oracle(
+            p, flat.to_pair(p, state), marked)))
+        assert np.abs(fused - via_oracle).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2)])
 def test_step_matches_dense_operator_on_random_states(n, k):
     p = graph_params(n, k)
-    opp = opposite_permutation(p)
     marked = 1
-    dense = validation.dense_step(p, marked, opposite=opp)
+    dense = validation.dense_step(p, marked, opposite=flat.opposite(p))
     for state in random_states(p, 100, seed=5):
-        direct = arc_engine.step(p, state.copy(), opp, marked)
+        direct = _step(p, flat.to_pair(p, state), marked)
         assert np.abs(dense @ state - direct).max() <= 1e-12
 
 
@@ -326,27 +319,35 @@ def test_vertex_probability_uniform_and_total():
     for v in range(p.num_vertices):
         assert arc_engine.vertex_probability(p, state, v) == pytest.approx(
             1.0 / p.num_vertices, abs=1e-15)
-    opp = opposite_permutation(p)
-    for _ in range(20):
-        state = arc_engine.step(p, state, opp, 0)
-    total = sum(arc_engine.vertex_probability(p, state, v)
-                for v in range(p.num_vertices))
-    assert abs(total - 1.0) <= 1e-12
+    vertices = pair_vertex_table(p)
+    for _ in range(10):  # twenty steps: the tail side, then the head side
+        arc_engine.apply_coin(p, arc_engine.apply_oracle(p, state, 0), vertices)
+        arc_engine.apply_coin(p, arc_engine.apply_oracle(p, state, 0, 1), vertices, 1)
+    for axis in (2, 1):
+        total = sum(arc_engine.vertex_probability(p, state, v, axis)
+                    for v in range(p.num_vertices))
+        assert abs(total - 1.0) <= 1e-12
 
 
 def test_alt_probability_uniform_dominance_and_total():
+    # the tail-or-head diagnostic p_alt is the mass of v's tail block plus
+    # that of its head block, the blocks along axes 2 and 1
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
+
+    def alt(state, v):
+        return (arc_engine.vertex_probability(p, state, v, 2)
+                + arc_engine.vertex_probability(p, state, v, 1))
+
     state = arc_engine.uniform_state(p)
     for v in range(p.num_vertices):
-        assert arc_engine.alt_vertex_probability(p, state, v, opp) == pytest.approx(
-            2.0 / p.num_vertices, abs=1e-15)
-    for state in random_states(p, 10, seed=13):
+        assert alt(state, v) == pytest.approx(2.0 / p.num_vertices, abs=1e-15)
+    for row in random_states(p, 10, seed=13):
+        state = flat.to_pair(p, row)
         total = 0.0
         for v in range(p.num_vertices):
-            p_tail = arc_engine.vertex_probability(p, state, v)
-            p_alt = arc_engine.alt_vertex_probability(p, state, v, opp)
-            assert p_alt >= p_tail
+            p_alt = alt(state, v)
+            assert p_alt >= arc_engine.vertex_probability(p, state, v)
+            assert abs(p_alt - flat.alt_vertex_probability(p, row, v)) <= 1e-15
             total += p_alt
         assert abs(total - 2.0) <= 1e-12
 
@@ -409,7 +410,7 @@ def test_norm_preserved_over_2_trun():
 def _complex_evolve_and_record(params, marked, steps):
     """The complex128 engine the float64 one replaced, step for step."""
     d = params.degree
-    opp = opposite_permutation(params)
+    opp = flat.opposite(params)
     state = np.full(params.num_arcs, 1.0 / np.sqrt(float(params.num_arcs)),
                     dtype=np.complex128)
     lo, hi = marked * d, (marked + 1) * d
@@ -445,92 +446,68 @@ def test_float64_engine_matches_complex_engine(n, k):
         assert np.abs(got - want).max() <= 1e-13
 
 
-def _pair_slot(params, arc):
-    """Flat index into the pair state of a flat arc, from the scalar decoders."""
-    tail, removed, inserted = arc_components(params, arc)
-    shared = [e for e in unrank_vertex(params, tail) if e != removed]
-    outside = [e for e in range(1, params.n + 1) if e not in shared]
-    rank = sum(comb(e - 1, i) for i, e in enumerate(shared, start=1))
-    m = len(outside)
-    return (rank * m + outside.index(removed)) * m + outside.index(inserted)
-
-
-def _to_pair(params, flat, slots):
-    m = params.n - params.k + 1
-    pair = np.zeros(comb(params.n, params.k - 1) * m * m)
-    pair[slots] = flat
-    return pair.reshape(-1, m, m)
-
-
 def _diagonal_bits(pair):
-    m = pair.shape[1]
-    return pair.reshape(len(pair), m * m)[:, ::m + 1].view(np.uint64)
+    m = pair.shape[-1]
+    return pair.reshape(-1, m * m)[:, ::m + 1].view(np.uint64)
 
 
-PAIR_INSTANCES = [(3, 1), (7, 1), (5, 2), (6, 3), (9, 3), (8, 4), (10, 5)]
-
-
-@pytest.mark.parametrize("n,k", PAIR_INSTANCES)
+@pytest.mark.parametrize("n,k", flat.PAIR_INSTANCES)
 def test_pair_layout_holds_every_arc_once(n, k):
     # every arc has its own off-diagonal slot, and the x = y slots stay empty
     p = graph_params(n, k)
     m = n - k + 1
-    slots = np.array([_pair_slot(p, arc) for arc in range(p.num_arcs)])
+    slots = flat.pair_slots(p)
     held = np.zeros(comb(n, k - 1) * m * m, dtype=int)
     np.add.at(held, slots, 1)
     held = held.reshape(-1, m, m)
     assert np.array_equal(held, 1 - np.eye(m, dtype=int)[None].repeat(len(held), 0))
     # S is the swap of x and y
-    opp = opposite_permutation(p)
-    assert np.array_equal(_to_pair(p, slots[opp], slots),
-                          _to_pair(p, slots, slots).transpose(0, 2, 1))
+    opp = flat.opposite(p)
+    assert np.array_equal(flat.to_pair(p, slots[opp].astype(float)),
+                          flat.to_pair(p, slots.astype(float)).transpose(0, 2, 1))
 
 
-@pytest.mark.parametrize("n,k", PAIR_INSTANCES)
+@pytest.mark.parametrize("n,k", flat.PAIR_INSTANCES)
 def test_pair_passes_match_flat_passes(n, k):
-    # the coin along y is apply_coin and along x its shift conjugate
+    # the coin along y is the flat coin and along x its shift conjugate
     # S·C·S; likewise the oracle and the block masses; the x = y slots
     # stay bitwise 0 through every pass
     p = graph_params(n, k)
-    opp = opposite_permutation(p)
-    slots = np.array([_pair_slot(p, arc) for arc in range(p.num_arcs)])
     vertices = pair_vertex_table(p)
 
     def conjugate(flat_pass, state):
-        return arc_engine.apply_shift(flat_pass(arc_engine.apply_shift(state, opp)), opp)
+        return flat.shift(p, flat_pass(flat.shift(p, state)))
 
     count = min(p.num_vertices, 8)
     for v, state in zip(range(0, p.num_vertices, max(1, p.num_vertices // count)),
                         random_states(p, count, seed=17)):
-        pair = _to_pair(p, state, slots)
-        want = {2: arc_engine.apply_coin(p, state.copy()),
-                1: conjugate(lambda s: arc_engine.apply_coin(p, s), state)}
+        pair = flat.to_pair(p, state)
+        want = {2: flat.coin(p, state.copy()),
+                1: conjugate(lambda s: flat.coin(p, s), state)}
         for axis in (2, 1):
             got = arc_engine.apply_coin(p, pair.copy(), vertices, axis)
-            assert np.abs(got - _to_pair(p, want[axis], slots)).max() <= 1e-15
+            assert np.abs(got - flat.to_pair(p, want[axis])).max() <= 1e-15
             assert not _diagonal_bits(got).any()
-        want = {2: arc_engine.apply_oracle(p, state.copy(), v),
-                1: conjugate(lambda s: arc_engine.apply_oracle(p, s, v), state)}
+        want = {2: flat.oracle(p, state.copy(), v),
+                1: conjugate(lambda s: flat.oracle(p, s, v), state)}
         for axis in (2, 1):
             got = arc_engine.apply_oracle(p, pair.copy(), v, axis)
-            assert np.abs(got - _to_pair(p, want[axis], slots)).max() <= 1e-15
+            assert np.abs(got - flat.to_pair(p, want[axis])).max() <= 1e-15
             assert not _diagonal_bits(got).any()
             touched = (got != pair).reshape(len(pair), -1).any(axis=1)
             assert touched.sum() <= p.k  # only v's k rows or columns change
-        shifted = arc_engine.apply_shift(state, opp)
+        shifted = flat.shift(p, state)
         assert abs(arc_engine.vertex_probability(p, pair, v, 2)
-                   - arc_engine.vertex_probability(p, state, v)) <= 1e-15
+                   - flat.vertex_probability(p, state, v)) <= 1e-15
         assert abs(arc_engine.vertex_probability(p, pair, v, 1)
-                   - arc_engine.vertex_probability(p, shifted, v)) <= 1e-15
-        assert abs(arc_engine.state_norm(pair) - arc_engine.state_norm(state)) <= 1e-15
+                   - flat.vertex_probability(p, shifted, v)) <= 1e-15
+        assert abs(arc_engine.state_norm(pair) - np.linalg.norm(state)) <= 1e-15
 
 
 def test_pair_passes_refuse_bad_states_and_axes():
     p = graph_params(6, 2)
     vertices = pair_vertex_table(p)
-    m = p.n - p.k + 1
-    pair = np.zeros((comb(p.n, p.k - 1), m, m))
-    flat = arc_engine.uniform_state(p)
+    pair = np.zeros(flat.pair_shape(p))
     for bad in (pair.astype(np.float32), pair.transpose(0, 2, 1), pair[:-1]):
         with pytest.raises(ValueError):
             arc_engine.apply_coin(p, bad, vertices)
@@ -538,17 +515,13 @@ def test_pair_passes_refuse_bad_states_and_axes():
             arc_engine.apply_oracle(p, bad, 0)
         with pytest.raises(ValueError):
             arc_engine.vertex_probability(p, bad, 0)
-    with pytest.raises(ValueError):
-        arc_engine.apply_coin(p, pair)            # a pair state needs the table
-    with pytest.raises(ValueError):
-        arc_engine.apply_coin(p, flat, vertices)  # a flat state takes none
     for axis in (0, 3):
         with pytest.raises(ValueError):
             arc_engine.apply_coin(p, pair, vertices, axis)
-    with pytest.raises(ValueError):
-        arc_engine.apply_oracle(p, flat, 0, 1)    # a flat state has tail blocks only
-    with pytest.raises(ValueError):
-        arc_engine.vertex_probability(p, flat, 0, 1)
+        with pytest.raises(ValueError):
+            arc_engine.apply_oracle(p, pair, 0, axis)
+        with pytest.raises(ValueError):
+            arc_engine.vertex_probability(p, pair, 0, axis)
 
 
 def test_pair_passes_allocate_row_tables_only():
@@ -557,8 +530,7 @@ def test_pair_passes_allocate_row_tables_only():
     # a temporary the size of the state fails every bound
     p = graph_params(20, 3)
     vertices = pair_vertex_table(p)
-    m = p.n - p.k + 1
-    pair = np.full((comb(p.n, p.k - 1), m, m), 1.0 / np.sqrt(p.num_arcs))
+    pair = arc_engine.uniform_state(p)
     for axis in (2, 1):
         _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, pair, vertices, axis))
         assert peak <= 0.25 * pair.nbytes
@@ -569,20 +541,19 @@ def test_pair_passes_allocate_row_tables_only():
 
 
 def _stepwise_evolve_and_record(params, marked, steps, stride):
-    """The walk stepped one shift at a time, sampled by the public samplers."""
-    opp = opposite_permutation(params)
+    """The walk stepped one shift at a time in the flat layout."""
     times = list(range(0, steps + 1, stride))
     if times[-1] != steps:
         times.append(steps)
-    state = arc_engine.uniform_state(params)
+    state = flat.uniform(params)
     rows = []
     for t in range(steps + 1):
         if t in times:
-            rows.append((arc_engine.vertex_probability(params, state, marked),
-                         arc_engine.alt_vertex_probability(params, state, marked, opp),
-                         arc_engine.state_norm(state)))
+            rows.append((flat.vertex_probability(params, state, marked),
+                         flat.alt_vertex_probability(params, state, marked),
+                         np.linalg.norm(state)))
         if t < steps:
-            state = arc_engine.step(params, state, opp, marked)
+            state = flat.step(params, state, marked)
     return times, np.array(rows).T
 
 
@@ -624,69 +595,64 @@ def test_vertex_probabilities_reject_out_of_range_vertex(v):
     # J(6,2) has 15 vertices: a negative rank would wrap onto another
     # block, and rank 15 would read an empty slice
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
     state = arc_engine.uniform_state(p)
-    with pytest.raises(ValueError):
-        arc_engine.vertex_probability(p, state, v)
-    with pytest.raises(ValueError):
-        arc_engine.alt_vertex_probability(p, state, v, opp)
+    for axis in (2, 1):
+        with pytest.raises(ValueError):
+            arc_engine.vertex_probability(p, state, v, axis)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (7, 1), (9, 3), (10, 5)])
-def test_batched_flat_passes_match_rows_bitwise(n, k):
-    # each pass reduces a batch over its last, contiguous axis, the same
-    # arithmetic as on one state, so every row is bitwise a single call
+def test_batched_pair_passes_match_rows_bitwise(n, k):
+    # each pass reduces every state of a batch in the order it reduces one
+    # state, so every entry is bitwise a single call, on either axis
     p = graph_params(n, k)
-    opp = opposite_permutation(p)
-    batch = random_states(p, 6, seed=11)
+    vertices = pair_vertex_table(p)
+    batch = flat.to_pair(p, random_states(p, 6, seed=11))
     marked = p.num_vertices // 3
-    passes = {
-        "coin": lambda s: arc_engine.apply_coin(p, s),
-        "oracle": lambda s: arc_engine.apply_oracle(p, s, marked),
-        "step": lambda s: arc_engine.step(p, s, opp),
-        "marked step": lambda s: arc_engine.step(p, s, opp, marked),
-    }
+    passes = {}
+    for axis in (2, 1):
+        passes[f"coin {axis}"] = lambda s, a=axis: arc_engine.apply_coin(p, s, vertices, a)
+        passes[f"oracle {axis}"] = lambda s, a=axis: arc_engine.apply_oracle(p, s, marked, a)
+        passes[f"step {axis}"] = lambda s, a=axis: arc_engine.apply_coin(
+            p, arc_engine.apply_oracle(p, s, marked, a), vertices, a)
     for name, run in passes.items():
         got = run(batch.copy())
         assert got.shape == batch.shape and got.flags.c_contiguous, name
-        want = np.array([run(row.copy()) for row in batch])
+        want = np.array([run(state.copy()) for state in batch])
         assert np.array_equal(got, want), name
     # a stepped batch is a valid batch for the next step
-    twice = arc_engine.step(p, arc_engine.step(p, batch.copy(), opp, marked), opp, marked)
-    once = [arc_engine.step(p, arc_engine.step(p, row.copy(), opp, marked), opp, marked)
-            for row in batch]
+    twice = passes["step 1"](passes["step 2"](batch.copy()))
+    once = [passes["step 1"](passes["step 2"](state.copy())) for state in batch]
     assert np.array_equal(twice, np.array(once))
 
 
 def test_batched_passes_refuse_bad_batches():
     p = graph_params(6, 2)
-    opp = opposite_permutation(p)
-    A = p.num_arcs
-    bad = [np.ones((3, 2 * A))[:, ::2],            # strided rows of the right width
-           np.ones((A, 3)).T,                       # F-ordered
-           np.ones((3, A - 1)),                     # wrong width
-           np.ones((3, A), dtype=np.float32),       # wrong dtype
-           np.ones((3, A), dtype=np.complex128)]
+    vertices = pair_vertex_table(p)
+    shape = flat.pair_shape(p)
+    bad = [np.ones((3,) + shape)[:, :, :, ::-1],            # strided states
+           np.asfortranarray(np.ones((3,) + shape)),        # F-ordered
+           np.ones((3,) + shape[:-1] + (shape[-1] - 1,)),   # wrong state shape
+           np.ones((3,) + shape, dtype=np.float32),         # wrong dtype
+           np.ones((3,) + shape, dtype=np.complex128),
+           np.ones((3, p.num_arcs))]                        # a flat batch
     for batch in bad:
-        with pytest.raises(ValueError):
-            arc_engine.apply_coin(p, batch)
-        with pytest.raises(ValueError):
-            arc_engine.apply_oracle(p, batch, 0)
-        for marked in (None, 0):
+        for axis in (2, 1):
             with pytest.raises(ValueError):
-                arc_engine.step(p, batch, opp, marked)
+                arc_engine.apply_coin(p, batch, vertices, axis)
+            with pytest.raises(ValueError):
+                arc_engine.apply_oracle(p, batch, 0, axis)
     # a sampler reads one state, not a batch
     with pytest.raises(ValueError):
-        arc_engine.vertex_probability(p, random_states(p, 3), 0)
+        arc_engine.vertex_probability(p, flat.to_pair(p, random_states(p, 3)), 0)
 
 
 def test_pair_block_is_cached_read_only():
     # the paired loop unranks its marked vertex once, and no pass can
     # write through the cached index
     p = graph_params(9, 3)
-    for axis in (2, 1):
-        index, diagonal = arc_engine._pair_block(p, 5, axis)
-        assert arc_engine._pair_block(p, 5, axis)[0] is index
-        arrays = [part for part in (*index, *diagonal) if isinstance(part, np.ndarray)]
-        assert len(arrays) == 4
-        assert not any(array.flags.writeable for array in arrays)
+    index, diagonal = arc_engine._pair_block(p, 5)
+    assert arc_engine._pair_block(p, 5)[0] is index
+    arrays = [part for part in (*index, *diagonal) if isinstance(part, np.ndarray)]
+    assert len(arrays) == 4
+    assert not any(array.flags.writeable for array in arrays)

@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import flat_layout as flat
 from jwalk import johnson
 from jwalk.errors import DegenerateInstanceError
 
@@ -126,7 +127,7 @@ def test_arc_opposite_example():
                                  (9, 4), (12, 5)])
 def test_opposite_permutation_matches_scalar(n, k):
     p = johnson.graph_params(n, k)
-    table = johnson.opposite_permutation(p)
+    table = johnson.arc_pair_slots(p)[1]
     assert table.dtype == np.int64
     assert not table.flags.writeable
     arcs = np.arange(p.num_arcs)
@@ -137,44 +138,49 @@ def test_opposite_permutation_matches_scalar(n, k):
         assert table[arc] // p.degree == johnson.arc_head(p, arc)
 
 
-def test_opposite_permutation_across_blocks():
-    # J(30,3) builds in several blocks of whole tails, the last one partial
-    p = johnson.graph_params(30, 3)
-    block = johnson.CHUNK_ARCS // p.degree
-    assert p.num_vertices > 2 * block and p.num_vertices % block != 0
-    table = johnson.opposite_permutation(p)
-    arcs = np.arange(p.num_arcs)
-    assert np.array_equal(table[table], arcs)
-    assert not np.any(table == arcs)
-
-    colex = sorted(combinations(range(1, p.n + 1), p.k),
-                   key=lambda s: s[::-1])
-    members = np.zeros((p.num_vertices, p.n + 1), dtype=bool)
-    members[np.arange(p.num_vertices)[:, None], np.array(colex)] = True
-    tails, heads = arcs // p.degree, table // p.degree
-    shared = (members[tails] & members[heads]).sum(axis=1)
-    assert np.all(shared == p.k - 1)
-
-    rng = np.random.default_rng(2021)
-    for arc in rng.choice(p.num_arcs, size=2000, replace=False):
-        assert table[arc] == johnson.arc_opposite(p, int(arc))
+@pytest.mark.parametrize("n,k", flat.PAIR_INSTANCES + [(10, 3)])
+def test_arc_pair_slots_match_scalar(n, k):
+    # every arc sits once, off the diagonal, in the slot the scalar decoders
+    # give it; the flat arcs of a tail fill that vertex's k rows in order,
+    # and the reversed arc sits at the transposed slot
+    p = johnson.graph_params(n, k)
+    m = n - k + 1
+    slots, opposite = johnson.arc_pair_slots(p)
+    assert slots.dtype == np.int64 and not slots.flags.writeable
+    assert np.array_equal(slots, flat.pair_slots(p))
+    assert np.array_equal(np.sort(slots), np.flatnonzero(
+        ~np.eye(m, dtype=bool)[None].repeat(comb(n, k - 1), 0)))
+    vertices = johnson.pair_vertex_table(p)
+    rows, y = np.divmod(slots, m)
+    a, x = np.divmod(rows, m)
+    for v in range(p.num_vertices):
+        block = slice(v * p.degree, (v + 1) * p.degree)
+        pair_a, pair_x = johnson.vertex_pairs(p, v)
+        assert np.array_equal(rows[block], np.repeat(pair_a * m + pair_x, n - k))
+    for arc in range(p.num_arcs):
+        tail, _, _ = johnson.arc_components(p, arc)
+        assert vertices[a[arc], x[arc]] == tail
+        assert vertices[a[arc], y[arc]] == johnson.arc_head(p, arc)
+        assert opposite[arc] == johnson.arc_opposite(p, arc)
+        assert slots[opposite[arc]] == (a[arc] * m + y[arc]) * m + x[arc]
 
 
 @pytest.mark.parametrize("n,k", [(6, 3), (40, 3), (130, 2), (600, 1), (20, 6)])
 def test_permutation_scratch_bound(n, k):
-    # blocks of about CHUNK_ARCS arcs keep the build's temporaries to the
-    # subset table (three int64 per subset element), under ten int64 per
-    # (tail, ground element) pair of one block, and 64 KiB of small tables
+    # besides its two outputs, building the arc table holds three int64 per
+    # pair slot (the arc index of every slot, and the arcs and their
+    # reverses in slot order), two (m, m) index tables, and 64 KiB of
+    # small tables; a temporary over arcs times n or m fails the bound
     p = johnson.graph_params(n, k)
-    block = min(max(1, johnson.CHUNK_ARCS // p.degree), p.num_vertices)
-    bound = 8 * (3 * p.num_vertices * p.k + 10 * block * p.n) + 2 ** 16
+    m = n - k + 1
+    bound = 8 * (3 * comb(n, k - 1) * m * m + 2 * m * m) + 2 ** 16
     tracemalloc.start()
     try:
-        table = johnson.opposite_permutation(p)
+        slots, opposite = johnson.arc_pair_slots(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - table.nbytes <= bound
+    assert peak - slots.nbytes - opposite.nbytes <= bound
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (7, 1), (9, 3), (8, 4), (10, 5)])
@@ -202,7 +208,7 @@ def test_pair_vertex_table_matches_scalar(n, k):
             outside = [e for e in range(1, n + 1) if e not in rest]
             assert a[i] == sum(comb(e - 1, j) for j, e in enumerate(rest, start=1))
             assert outside[x[i]] == removed
-            # the i-th run of n - k arcs in v's flat block removes members[i]
+            # the i-th run of n - k of v's outgoing arcs removes members[i]
             assert johnson.arc_components(p, v * p.degree + i * (n - k))[1] == removed
 
 

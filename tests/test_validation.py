@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import flat_layout as flat
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError, CertificationError
-from jwalk.johnson import graph_params, opposite_permutation, rank_vertex
+from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table, rank_vertex
 
 
 def test_dense_adjacency_octahedron():
@@ -50,13 +51,23 @@ def test_dense_step_entries_closed_form_j42():
     assert np.all(U.imag == 0)
 
 
+def _dense_step_from_engine(params, marked=None):
+    """The step matrix assembled from the engine's column blocks."""
+    U = np.empty((params.num_arcs, params.num_arcs))
+    for cols, rows in validation._engine_column_blocks(params, marked):
+        U[:, cols] = rows.T
+    return U
+
+
 def test_dense_step_matches_engine_columns():
+    # the closed form, the engine's pair passes and the flat oracle agree
     p = graph_params(4, 2)
-    assert validation.dense_step_from_engine(p).dtype == np.float64
-    assert np.abs(validation.dense_step(p)
-                  - validation.dense_step_from_engine(p)).max() <= 1e-15
-    assert np.abs(validation.dense_step(p, 2)
-                  - validation.dense_step_from_engine(p, 2)).max() <= 1e-14
+    assert _dense_step_from_engine(p).dtype == np.float64
+    for marked, bound in ((None, 1e-15), (2, 1e-14)):
+        engine = _dense_step_from_engine(p, marked)
+        assert np.abs(validation.dense_step(p, marked) - engine).max() <= bound
+        oracle = flat.step(p, np.eye(p.num_arcs), marked).T
+        assert np.abs(oracle - engine).max() <= bound
 
 
 def test_dense_step_guards():
@@ -92,7 +103,7 @@ def test_stationary_projection_lifts():
     basis = validation.build_invariant_basis(p, marked=0)
     assert np.linalg.norm(basis.antisym_lifts[0]) <= 1e-12
     col0 = basis.basis[:, 0]
-    uniform = arc_engine.uniform_state(p)
+    uniform = flat.to_flat(p, arc_engine.uniform_state(p))
     assert np.abs(col0 - uniform).max() <= 1e-12
 
 
@@ -193,7 +204,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
 def _complex_dense_step(params, marked=None):
     """The complex128 per-column construction the float64 build replaced."""
     d, A = params.degree, params.num_arcs
-    opp = opposite_permutation(params)
+    opp = flat.opposite(params)
     U = np.zeros((A, A), dtype=np.complex128)
     for a in range(A):
         U[opp[(a // d) * d:(a // d + 1) * d], a] = 2.0 / d
@@ -236,14 +247,17 @@ def test_unitarity_residual_in_place(n, k, marked):
 
 
 def _column_by_column(params, marked=None):
-    """The one-column-per-step assembly the batched blocks replaced."""
-    opp = opposite_permutation(params)
+    """One pair state per column, stepped by the engine's single-state passes."""
+    vertices = pair_vertex_table(params)
     A = params.num_arcs
     U = np.empty((A, A))
     for a in range(A):
         e = np.zeros(A)
         e[a] = 1.0
-        U[:, a] = arc_engine.step(params, e, opp, marked)
+        state = flat.to_pair(params, e)
+        if marked is not None:
+            arc_engine.apply_oracle(params, state, marked)
+        U[:, a] = flat.shifted_to_flat(params, arc_engine.apply_coin(params, state, vertices))
     return U
 
 
@@ -252,8 +266,28 @@ def test_dense_step_from_engine_matches_column_loop(n, k):
     # J(6,3) and J(9,3) take more than one block of columns
     p = graph_params(n, k)
     for marked in (None, p.num_vertices - 1):
-        assert np.array_equal(validation.dense_step_from_engine(p, marked),
+        assert np.array_equal(_dense_step_from_engine(p, marked),
                               _column_by_column(p, marked))
+
+
+def test_certify_steps_the_engine_pair_passes(monkeypatch):
+    # the engine side of the battery runs the coin that simulate runs, on
+    # pair states through the (a, x) -> vertex table
+    p = graph_params(6, 3)
+    vertices = pair_vertex_table(p)
+    calls = []
+    original = arc_engine.apply_coin
+
+    def recording(params, state, *args, **kwargs):
+        calls.append((state.shape[-3:], args[0] if args else kwargs.get("vertices")))
+        return original(params, state, *args, **kwargs)
+
+    monkeypatch.setattr(arc_engine, "apply_coin", recording)
+    assert validation.certify(p, marked=7).passed
+    assert calls
+    for shape, table in calls:
+        assert shape == flat.pair_shape(p)
+        assert np.array_equal(table, vertices)
 
 
 def _dense_unitarity(U):
@@ -286,6 +320,15 @@ def test_unitarity_residual_zero_column():
     assert validation._unitarity_residual(U) == 1.0
 
 
+def test_unitarity_residual_zero_last_column():
+    # a zero column touches no row, so its identity entry is found only
+    # because the block's own columns are always multiplied; past the last
+    # column that any row touches there is no other entry to land on
+    U = validation.dense_step(graph_params(6, 3), 7)
+    U[:, -1] = 0.0
+    assert validation._unitarity_residual(U) == 1.0
+
+
 @pytest.mark.parametrize("where", ["structural zero", "nonzero", "last"])
 def test_unitarity_residual_nan_is_refused(where):
     # "nonzero" sits in a row that only the last block of columns touches,
@@ -300,7 +343,7 @@ def test_unitarity_residual_nan_is_refused(where):
     assert math.isnan(residual)
     with pytest.raises(CertificationError):
         validation._finish({"marked_step_unitarity": residual}, 1e-10)
-    assert math.isnan(validation._engine_residual(p, U, opposite_permutation(p), 7))
+    assert math.isnan(validation._engine_residual(p, U, 7))
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
@@ -333,7 +376,7 @@ def _guard_full_det(monkeypatch, size):
 @pytest.mark.parametrize("n,k", [(7, 1), (6, 2), (8, 4), (9, 3), (10, 3)])
 def test_det_modulus_matches_full_lu(monkeypatch, n, k):
     p = graph_params(n, k)
-    opp = opposite_permutation(p)
+    opp = arc_pair_slots(p)[1]
     for marked in (0, p.num_vertices - 1):
         Um = validation.dense_step(p, marked, opposite=opp)
         full = abs(np.linalg.det(Um))
@@ -346,7 +389,7 @@ def test_det_modulus_matches_full_lu(monkeypatch, n, k):
 
 def test_det_modulus_stray_entry_takes_full_lu():
     p = graph_params(6, 3)
-    opp = opposite_permutation(p)
+    opp = arc_pair_slots(p)[1]
     M = validation.dense_step(p, 7, opposite=opp)
     row, col = np.argwhere(M == 0)[len(M) // 3]
     M[row, col] = 1e-3
@@ -364,7 +407,7 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
     # at the last row of J(10,3)'s first block, and at row 23 of J(6,3),
     # OpenBLAS's LU takes the NaN for a zero pivot and returns det 0
     p = graph_params(n, k)
-    opp = opposite_permutation(p)
+    opp = arc_pair_slots(p)[1]
     Um = validation.dense_step(p, marked, opposite=opp)
     row, col = (23, 39) if where == "off the blocks" else (opp[p.degree - 1], 0)
     Um[row, col] = np.nan
@@ -375,7 +418,7 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
 
 def test_det_modulus_sees_scaled_block_column():
     p = graph_params(6, 3)
-    opp = opposite_permutation(p)
+    opp = arc_pair_slots(p)[1]
     Um = validation.dense_step(p, 7, opposite=opp)
     Um[:, 5 * p.degree + 1] *= 1.5  # stays inside its block, so |det| = 1.5
     with pytest.raises(CertificationError) as excinfo:
@@ -488,12 +531,12 @@ def test_cross_engine_probability_identity():
     basis = validation.build_invariant_basis(p, marked=0)
     walk = reduced.build_reduced(p)
     dense = validation.dense_step(p, 0, opposite=basis.opposite)
-    psi = arc_engine.uniform_state(p)
+    psi = flat.to_flat(p, arc_engine.uniform_state(p))
     coords = walk.initial.copy()
     for _ in range(30):
         psi = dense @ psi
         coords = walk.matrix @ coords
         assert np.abs(basis.basis.conj().T @ psi - coords).max() <= 1e-11
-        p_full = arc_engine.vertex_probability(p, psi, 0)
+        p_full = arc_engine.vertex_probability(p, flat.to_pair(p, psi), 0)
         p_red = reduced.success_probability(walk.target, coords)
         assert abs(p_full - p_red) <= 1e-11
