@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, simulate, sweep, validate.  Exit codes: 0 success,
 1 certification failure, 2 usage or domain error (including an instance
-beyond the spectral solver's precision), 3 capacity refusal.
+beyond the spectral solver's precision, and an output that cannot be
+written), 3 capacity refusal.
 """
 
 import argparse
@@ -82,8 +83,7 @@ def cmd_simulate(args) -> int:
         series = arc_engine.evolve_and_record(params, rank_vertex(params, marked), steps,
                                               stride=args.stride, capacity=capacity)
     else:
-        series = reduced.evolve_series(reduced.build_reduced(params), steps,
-                                       stride=args.stride)
+        series = reduced.evolve_series(params, steps, stride=args.stride)
 
     report = reports.RunReport(params=params, marked=marked, engine=args.engine,
                                t_run=schedule.t_run, stride=args.stride, series=series)
@@ -101,8 +101,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for params in instances:
         schedule = spectral.run_time(params)
-        walk = reduced.build_reduced(params)
-        p_run, t_opt, p_max = reduced.sweep_point(walk, schedule.t_run)
+        p_run, t_opt, p_max = reduced.sweep_point(params, schedule.t_run)
         rows.append(reports.SweepRow(
             n=params.n, t_run=schedule.t_run, p_succ=p_run,
             deviation=abs(p_run - 0.5), t_opt=t_opt, p_max=p_max))
@@ -189,7 +188,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, PrecisionError) as exc:
+    except (ValueError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,7 +27,13 @@ class CapacityError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """A dense-oracle verification residual exceeded its tolerance."""
+    """A dense-oracle check that cannot go on failed its tolerance.
+
+    Only the quotient-eigenvalue check of
+    ``validation.build_invariant_basis`` raises it: without that match no
+    basis can be built.  The battery's stages return their residuals, and
+    ``validation.certify`` judges them without raising.
+    """
 
     def __init__(self, check: str, residual: float, tol: float):
         self.check = check

@@ -14,21 +14,27 @@ exact for finite n, not an asymptotic approximation.  The initial state is
 the first basis vector, and the success probability at any time is
 |w . coords|**2.
 
-There is one operator, ``ReducedWalk.matrix``, built and stored in numpy's
-extended precision where the platform provides one (a double-rounded step
-matrix has eigenvalue moduli off by a few 1e-18, which over 1e6 steps
-inflates the norm by about 1e-11).  ``jwalk.validation`` checks it against
-the compression of the dense step, cast to double.
+The walk phases and the weights w_j**2 are derived once, at
+``spectral._MP_DPS`` (40) digits, from the integer eigenvalues and the
+exact Fraction projector weights (``_walk_terms``).  Every quantity below
+comes from them.
 
-``states`` applies it one step at a time.  No reported result comes from
-it: it is the independent reference the tests certify the spectral path
-against.
-A step is one dense (2k+1)^2 matvec.  The structured form D(x - 2 w (w . x))
-is O(k) in arithmetic but takes three numpy calls instead of one, and call
-overhead dominates at this size.  On an x86-64 host (numpy 2.4.6, 80-bit
-longdouble; best of five runs of 5e4 steps) it took 6.1 us/step against
-1.7 us/step for the dense matvec on J(10^6, 2), and 6.8 against 2.0
-us/step on J(4000, 3).
+``build_reduced`` rounds their cosines, sines and square roots once each to
+numpy's extended precision, where the platform provides one, and stores the
+step matrix ``ReducedWalk.matrix`` (a double-rounded step matrix has
+eigenvalue moduli off by a few 1e-18, which over 1e6 steps inflates the
+norm by about 1e-11).  ``states`` applies it one step at a time.  No
+reported result comes from it: it is the independent reference the tests
+certify the spectral path against, and ``jwalk.validation`` checks it
+against the compression of the dense step, cast to double.  No command
+but ``validate`` builds it.
+
+A step is one dense (2k+1)^2 matvec.  The structured form
+D(x - 2 w (w . x)) is O(k) in arithmetic but takes three numpy calls
+instead of one, and call overhead dominates at this size.  On an x86-64
+host (numpy 2.4.6, 80-bit longdouble; best of five runs of 5e4 steps) it
+took 6.1 us/step against 1.7 us/step for the dense matvec on J(10^6, 2),
+and 6.8 against 2.0 us/step on J(4000, 3).
 
 The reported results come from the spectrum.  The marked step is a rank-one
 change of the diagonal unitary D = diag(e^{i phi_j}), so its eigenphases
@@ -40,19 +46,18 @@ Sorensen 1978)
 f falls from +inf to -inf between consecutive walk phases, counting the
 gap that wraps through pi, so each of the 2k+1 gaps holds exactly one
 root.  ``spectrum`` brackets it by bisection and polishes it by Newton at
-``spectral._MP_DPS`` (40) digits, from the integer eigenvalues and the
-exact Fraction weights, never from ``matrix``.  The eigenvector
-v_m = (e^{i theta_m} - D)^{-1} D w gives the start state's amplitudes in
-closed form, and
+the working digits, from the derived phases and weights, never from
+``matrix``.  The eigenvector v_m = (e^{i theta_m} - D)^{-1} D w gives the
+start state's amplitudes in closed form, and
 
     p(t) = |sum_m a_m e^{i theta_m t}|**2.
 
-``probability_blocks`` evaluates p at t = 0, stride, 2*stride, ...; the
-``simulate`` series (``evolve_series``), ``sweep_point`` and
-``eigenphases`` all read from the spectrum, so none of them depends on n,
-and a series costs O(steps/stride) evaluations whatever its horizon.  The
-series' norm column is the start state's norm in the eigen-expansion,
-sqrt(sum_m |c_m|**2) with
+p is evaluated at t = 0, stride, 2*stride, ... in blocks of SCAN_CHUNK
+values; the ``simulate`` series (``evolve_series``), ``sweep_point`` and
+``eigenphases`` all read from the spectrum of a ``GraphParams``, so none
+of them depends on n, and a series costs O(steps/stride) evaluations
+whatever its horizon.  The series' norm column is the start state's norm
+in the eigen-expansion, sqrt(sum_m |c_m|**2) with
 
     |c_m|**2 = (w_0**2 / (4 sin**2(theta_m/2)))
                / sum_j w_j**2 / (4 sin**2((theta_m - phi_j)/2)),
@@ -74,7 +79,7 @@ so the result is that scan's, bit for bit: on J(10^6, 2) one block of 384,
 and on J(10^12, 2) 331 of 383,495,197.
 
 Precision: a root good to 40 digits keeps theta*t good to about 1e-33 at
-t = 10^6.  ``probability_blocks`` reduces every theta*t modulo 2 pi in
+t = 10^6.  The block evaluator reduces every theta*t modulo 2 pi in
 mpmath before rounding it to longdouble, so the error of p(t) does not
 grow with t, and sums the 2k+1 terms in extended precision, so p is good
 to about one double rounding.  On J(10^6, 2) the scan's p(t_run) equals a
@@ -84,7 +89,6 @@ by 2.8e-14, its own drift over 785,398 steps.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -100,7 +104,6 @@ __all__ = [
     "states",
     "evolve_series",
     "spectrum",
-    "probability_blocks",
     "sweep_point",
     "success_probability",
     "eigenphases",
@@ -144,35 +147,43 @@ class SecularSpectrum:
     norm: object        # start-state norm in the eigen-expansion, sqrt(sum_m |c_m|**2)
 
 
-def _longdouble_ratio(frac: Fraction) -> np.longdouble:
-    # decimal-string parse keeps big integer operands exact in extended precision
-    return np.longdouble(str(frac.numerator)) / np.longdouble(str(frac.denominator))
+def _walk_terms(params: GraphParams) -> tuple:
+    """The walk phases and the weights w_j**2 at ``spectral._MP_DPS`` digits.
 
-
-def _target_ext(params: GraphParams) -> np.ndarray:
+    Phases ascend, -omega_k..-omega_1, 0, omega_1..omega_k with
+    omega_l = acos(lambda_l / degree); each of +-omega_l weighs half the
+    level-l projector weight, and 0 the level-0 weight.  Both come from
+    the integer eigenvalues and the exact Fraction weights.
+    """
     k = params.k
-    w = np.empty(2 * k + 1, dtype=np.longdouble)
-    w[0] = np.sqrt(_longdouble_ratio(spectral.projector_weight_exact(params, 0)))
-    for l in range(1, k + 1):
-        half = spectral.projector_weight_exact(params, l) / 2
-        w[2 * l - 1] = w[2 * l] = np.sqrt(_longdouble_ratio(half))
-    return w
+    with mpmath.workdps(spectral._MP_DPS):
+        omegas = [mpmath.acos(mpmath.mpf(spectral.eigenvalue(params, l)) / params.degree)
+                  for l in range(1, k + 1)]
+        exact = [spectral.projector_weight_exact(params, l) for l in range(k + 1)]
+        squares = [mpmath.mpf(f.numerator) / f.denominator for f in exact]
+        phases = [-omega for omega in reversed(omegas)] + [mpmath.mpf(0)] + omegas
+        weights = [s / 2 for s in reversed(squares[1:])] + [squares[0]] \
+            + [s / 2 for s in squares[1:]]
+    return phases, weights
 
 
 def build_reduced(params: GraphParams) -> ReducedWalk:
-    """Assemble the reduced step matrix diag(e^{±i w_l}) @ (I - 2 w w^T)."""
+    """Assemble the reduced step matrix diag(e^{±i w_l}) @ (I - 2 w w^T).
+
+    cos, sin and sqrt of the walk terms are taken at the working digits,
+    and each is rounded once to longdouble, in basis order (0, +omega_1,
+    -omega_1, ..., +omega_k, -omega_k).
+    """
     k = params.k
     dim = 2 * k + 1
-    angles = np.zeros(dim, dtype=np.longdouble)
-    for l in range(1, k + 1):
-        omega = np.arccos(np.longdouble(spectral.eigenvalue(params, l))
-                          / np.longdouble(params.degree))
-        angles[2 * l - 1] = omega
-        angles[2 * l] = -omega
-    phases = np.cos(angles) + 1j * np.sin(angles)
-    w_ext = _target_ext(params)
+    phases, weights = _walk_terms(params)
+    order = [k] + [j for l in range(1, k + 1) for j in (k + l, k - l)]
+    with mpmath.workdps(spectral._MP_DPS):
+        cos = np.array([_ld(mpmath.cos(phases[j])) for j in order])
+        sin = np.array([_ld(mpmath.sin(phases[j])) for j in order])
+        w_ext = np.array([_ld(mpmath.sqrt(weights[j])) for j in order])
     reflection = np.eye(dim, dtype=np.longdouble) - 2.0 * np.outer(w_ext, w_ext)
-    matrix = phases[:, None] * reflection
+    matrix = (cos + 1j * sin)[:, None] * reflection
     target = w_ext.astype(np.float64)
     initial = np.zeros(dim, dtype=np.complex128)
     initial[0] = 1.0
@@ -201,16 +212,17 @@ def success_probability(target: np.ndarray, state: np.ndarray) -> float:
     return float(abs(np.dot(target, np.asarray(state, dtype=np.complex128))) ** 2)
 
 
-def evolve_series(walk: ReducedWalk, steps: int, stride: int = 1) -> Series:
+def evolve_series(params: GraphParams, steps: int, stride: int = 1) -> Series:
     """The series at t = 0, stride, 2*stride, ... and at ``steps``, from the spectrum.
 
-    ``p_succ`` is read from :func:`probability_blocks`, so the cost is
-    O(steps/stride) whatever n; ``norm`` is the spectrum's eigen-expansion
-    norm on every row; ``p_alt`` is None.  A series whose columns exceed
-    the available memory is refused before anything is evaluated.
+    ``p_succ`` is p(t) from :func:`spectrum`, evaluated a block of
+    SCAN_CHUNK values at a time, so the cost is O(steps/stride) whatever
+    n; ``norm`` is the spectrum's eigen-expansion norm on every row;
+    ``p_alt`` is None.  A series whose columns exceed the available memory
+    is refused before anything is evaluated.
     """
     times = arc_engine._sample_times(steps, stride, columns=3)
-    spec = spectrum(walk)
+    spec = spectrum(params)
     p_succ = np.concatenate([p for _, p in _blocks(spec, steps, stride)])
     return Series(t=times, p_succ=p_succ, p_alt=None,
                   norm=np.full(len(times), float(spec.norm)))
@@ -274,52 +286,37 @@ def _secular_root(phases: list, weights: list, lo, hi):
     return theta
 
 
-def spectrum(walk: ReducedWalk) -> SecularSpectrum:
+def spectrum(params: GraphParams) -> SecularSpectrum:
     """Eigenphases and start-state amplitudes of the marked step, in mpmath.
 
-    Solved at ``spectral._MP_DPS`` digits from the integer eigenvalues and
-    the exact projector weights, never from ``walk.matrix``.
+    Solved at ``spectral._MP_DPS`` digits from :func:`_walk_terms`, never
+    from a step matrix.
     """
-    params = walk.params
-    k = params.k
+    phases, weights = _walk_terms(params)
     with mpmath.workdps(spectral._MP_DPS):
-        omegas = [mpmath.acos(mpmath.mpf(spectral.eigenvalue(params, l)) / params.degree)
-                  for l in range(1, k + 1)]
-        exact = [spectral.projector_weight_exact(params, l) for l in range(k + 1)]
-        squares = [mpmath.mpf(f.numerator) / f.denominator for f in exact]
-        phases = [-omega for omega in reversed(omegas)] + [mpmath.mpf(0)] + omegas
-        weights = [s / 2 for s in reversed(squares[1:])] + [squares[0]] \
-            + [s / 2 for s in squares[1:]]
         gaps = list(zip(phases, phases[1:] + [phases[0] + 2 * mpmath.pi]))
         roots = [_secular_root(phases, weights, lo, hi) for lo, hi in gaps]
-        w0 = mpmath.sqrt(squares[0])
+        w0_sq = weights[params.k]
+        w0 = mpmath.sqrt(w0_sq)
         amplitudes, overlaps = [], []
         for theta in roots:
             # |v_m|**2, and the start state's weight |c_m|**2 on v_m / |v_m|
             length_sq = mpmath.fsum(w / (4 * mpmath.sin((theta - phi) / 2) ** 2)
                                     for phi, w in zip(phases, weights))
             amplitudes.append(w0 / 4 * (1 - 1j * mpmath.cot(theta / 2)) / length_sq)
-            overlaps.append(squares[0] / (4 * mpmath.sin(theta / 2) ** 2) / length_sq)
+            overlaps.append(w0_sq / (4 * mpmath.sin(theta / 2) ** 2) / length_sq)
         norm = mpmath.sqrt(mpmath.fsum(overlaps))
     return SecularSpectrum(phases=tuple(phases), weights=tuple(weights),
                            roots=tuple(roots), amplitudes=tuple(amplitudes), norm=norm)
 
 
-def probability_blocks(walk: ReducedWalk, steps: int, stride: int = 1):
+def _blocks(spec: SecularSpectrum, steps: int, stride: int):
     """Yield (s, p), p[j] the success probability at t = s + j*stride.
 
-    p(t) = |sum_m a_m e^{i theta_m t}|**2 from ``spectrum(walk)``, at
-    t = 0, stride, 2*stride, ... up to ``steps`` in blocks of at most
-    SCAN_CHUNK values, then at ``steps`` alone if it is off that grid.
+    p(t) = |sum_m a_m e^{i theta_m t}|**2 at t = 0, stride, 2*stride, ...
+    up to ``steps`` in blocks of at most SCAN_CHUNK values, then at
+    ``steps`` alone if it is off that grid.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    return _blocks(spectrum(walk), steps, stride)
-
-
-def _blocks(spec: SecularSpectrum, steps: int, stride: int):
     tables = _tables(spec, stride)
     last = steps - steps % stride
     for start in range(0, last + 1, SCAN_CHUNK * stride):
@@ -424,22 +421,22 @@ def _merged(ranges: list):
         following = max(following, hi + 1)
 
 
-def sweep_point(walk: ReducedWalk, t_run: int) -> tuple:
+def sweep_point(params: GraphParams, t_run: int) -> tuple:
     """(p_run, t_opt, p_max) over t in [0, max(1, 2*t_run)], from the blocks that matter.
 
     ``p_run`` is the success probability at ``t_run``; ``t_opt`` is the
     first t at which the range's maximum ``p_max`` is reached.  The values
-    are those of a scan of every block of :func:`probability_blocks`, bit
-    for bit, but only some blocks are evaluated: the block holding
-    ``t_run``, the blocks holding the maxima of the two dominant terms and,
-    with ``p_best`` the largest value those hold, every block where the
+    are those of a scan of every block of p(t) (``_blocks``), bit for bit,
+    but only some blocks are evaluated: the block holding ``t_run``, the
+    blocks holding the maxima of the two dominant terms and, with
+    ``p_best`` the largest value those hold, every block where the
     two-term bound lets p reach p_best - 2**-40 (``_window``).  Each block
     is evaluated once by the scan's own evaluator, and they are visited in
     increasing t with a strict comparison, so ``t_opt`` is the first maximum.
     """
     if t_run < 0:
         raise ValueError("t_run must be >= 0")
-    spec = spectrum(walk)
+    spec = spectrum(params)
     steps = max(1, 2 * t_run)
     tables = _tables(spec, 1)
 
@@ -464,7 +461,7 @@ def sweep_point(walk: ReducedWalk, t_run: int) -> tuple:
     return p_run, t_opt, p_max
 
 
-def eigenphases(walk: ReducedWalk) -> np.ndarray:
+def eigenphases(params: GraphParams) -> np.ndarray:
     """Sorted principal arguments of the step-matrix eigenvalues, in double."""
-    phases = [float(theta) for theta in spectrum(walk).roots]
+    phases = [float(theta) for theta in spectrum(params).roots]
     return np.sort([p - 2 * math.pi if p > math.pi else p for p in phases])

@@ -113,7 +113,7 @@ def test_simulate_reduced_norm_column(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "100", "--k", "2",
                            "--steps", "20", "--stride", "3")
     assert code == 0
-    spec = reduced.spectrum(reduced.build_reduced(graph_params(100, 2)))
+    spec = reduced.spectrum(graph_params(100, 2))
     norm = reports.read_run_rows(out).norm
     assert len(norm) == 8 and np.all(norm == float(spec.norm))
 
@@ -197,6 +197,24 @@ def test_out_file_written(capsys, tmp_path):
     assert len(rows.t) == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--k", "2", "--n-list", "100,10000,1000000"),
+    ("simulate", "--n", "4000", "--k", "3", "--engine", "reduced", "--steps", "5000"),
+])
+def test_reduced_commands_never_build_the_operator(capsys, monkeypatch, argv):
+    # sweep and the reduced series read the spectrum alone: the same bytes
+    # with the iterated operator's build refused
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def refused(*args):
+        raise AssertionError("built the reduced operator")
+
+    monkeypatch.setattr(reduced, "build_reduced", refused)
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0 and second == first
+
+
 def test_sweep_convergence(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--k", "2",
                            "--n-list", "100,400,1600")
@@ -265,6 +283,20 @@ def test_validate_checks_available_memory(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "validate", "--n", "7", "--k", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--n", "6", "--k", "2"),
+    ("simulate", "--n", "8", "--k", "2", "--steps", "5"),
+    ("sweep", "--k", "2", "--n-list", "100"),
+])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    # exit 1 is a failed certification; a path that cannot be written is exit 2
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_usage_errors(capsys):

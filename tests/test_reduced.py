@@ -93,24 +93,22 @@ def test_success_probability_regression(n):
 def test_success_probability_band_at_n100():
     got = P_SUCC_AT_T_RUN_K2[100]
     p = graph_params(100, 2)
-    walk = reduced.build_reduced(p)
-    assert reduced.evolve_series(walk, 78).p_succ[-1] == pytest.approx(got, abs=1e-9)
+    assert reduced.evolve_series(p, 78).p_succ[-1] == pytest.approx(got, abs=1e-9)
     assert abs(got - 0.5) <= 0.1
 
 
 def test_evolve_series_rows():
     p = graph_params(100, 2)
-    walk = reduced.build_reduced(p)
-    rows = reduced.evolve_series(walk, 160)
+    rows = reduced.evolve_series(p, 160)
     assert all(len(column) == 161 for column in (rows.t, rows.p_succ, rows.norm))
     assert rows.t[0] == 0 and rows.p_alt is None
     assert rows.p_succ[0] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
-    strided = reduced.evolve_series(walk, 10, stride=3)
+    strided = reduced.evolve_series(p, 10, stride=3)
     assert strided.t.tolist() == [0, 3, 6, 9, 10]
     with pytest.raises(ValueError):
-        reduced.evolve_series(walk, -1)
+        reduced.evolve_series(p, -1)
     with pytest.raises(ValueError):
-        reduced.evolve_series(walk, 5, stride=0)
+        reduced.evolve_series(p, 5, stride=0)
 
 
 def test_eigenphases_unit_modulus_and_pairing():
@@ -118,7 +116,7 @@ def test_eigenphases_unit_modulus_and_pairing():
         walk = reduced.build_reduced(graph_params(n, k))
         eig = np.linalg.eigvals(walk.matrix.astype(complex))
         assert np.abs(np.abs(eig) - 1.0).max() <= 1e-10
-        phases = reduced.eigenphases(walk)
+        phases = reduced.eigenphases(walk.params)
         assert len(phases) == walk.dim
         # conjugation symmetry: positive and negative phases mirror, with the
         # lone unpaired eigenvalue sitting at -1 (phase +-pi)
@@ -134,16 +132,15 @@ def test_eigenphases_unit_modulus_and_pairing():
 def test_eigenphases_are_the_secular_roots(n, k):
     # one derivation: the roots, checked against the double-precision eig
     walk = reduced.build_reduced(graph_params(n, k))
-    on_circle = np.exp(1j * reduced.eigenphases(walk))
+    on_circle = np.exp(1j * reduced.eigenphases(walk.params))
     eig = np.linalg.eigvals(walk.matrix.astype(complex))
     gap = np.abs(on_circle[:, None] - eig[None, :])
     assert gap.min(axis=1).max() <= 1e-10 and gap.min(axis=0).max() <= 1e-10
-    assert np.all(np.diff(reduced.eigenphases(walk)) > 0)
+    assert np.all(np.diff(reduced.eigenphases(walk.params)) > 0)
 
 
 def test_smallest_phase_regression_j100():
-    walk = reduced.build_reduced(graph_params(100, 2))
-    phases = reduced.eigenphases(walk)
+    phases = reduced.eigenphases(graph_params(100, 2))
     theta = min(p for p in phases if p > 1e-9)
     assert theta == pytest.approx(THETA_MIN_J100_2, abs=1e-10)
     assert theta == pytest.approx(0.02, rel=0.5)  # leading-order prediction
@@ -151,13 +148,12 @@ def test_smallest_phase_regression_j100():
 
 def test_sweep_point_j100():
     p = graph_params(100, 2)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
+    p_run, t_opt, p_max = reduced.sweep_point(p, t_run)
     assert abs(t_opt - t_run) <= 5
     assert p_max >= p_run
     with pytest.raises(ValueError):
-        reduced.sweep_point(walk, -1)
+        reduced.sweep_point(p, -1)
 
 
 @pytest.mark.parametrize("n,k", [(100, 2), (400, 2), (20, 3)])
@@ -167,7 +163,7 @@ def test_sweep_point_matches_series(n, k):
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
     series = _iterated(walk, 2 * t_run)
-    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
+    p_run, t_opt, p_max = reduced.sweep_point(p, t_run)
     assert abs(p_run - series[t_run]) <= 1e-12
     assert abs(series[t_opt] - max(series)) <= 1e-12
     assert abs(p_max - max(series)) <= 1e-12
@@ -178,8 +174,9 @@ def test_sweep_point_matches_series(n, k):
 CERTIFIED = [(3, 1), (10 ** 6, 1), (4, 2), (6400, 2), (6, 3), (1000, 3), (8, 4), (60, 4)]
 
 
-def _spectral_series(walk, steps):
-    return np.concatenate([p for _, p in reduced.probability_blocks(walk, steps)])
+def _spectral_series(params, steps, stride=1):
+    """p(t) from every block of the spectral scan, the series ``evolve_series`` reads."""
+    return np.concatenate([p for _, p in reduced._blocks(reduced.spectrum(params), steps, stride)])
 
 
 @pytest.mark.parametrize("n,k", CERTIFIED)
@@ -189,11 +186,11 @@ def test_spectral_scan_matches_iteration(n, k):
     t_run = spectral.run_time(p).t_run
     steps = max(1, 2 * t_run)
     iterated = _iterated(walk, steps)
-    scanned = _spectral_series(walk, steps)
+    scanned = _spectral_series(p, steps)
     assert scanned.shape == iterated.shape
     assert np.abs(scanned - iterated).max() <= 1e-12
     assert scanned[0] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
-    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
+    p_run, t_opt, p_max = reduced.sweep_point(p, t_run)
     assert abs(p_run - iterated[t_run]) <= 1e-12
     assert abs(p_max - iterated.max()) <= 1e-12
     assert abs(iterated[t_opt] - iterated.max()) <= 1e-12
@@ -203,7 +200,7 @@ def test_spectral_scan_matches_iteration(n, k):
 
 @pytest.mark.parametrize("n,k", CERTIFIED)
 def test_secular_roots_bracketed_and_solved(n, k):
-    spec = reduced.spectrum(reduced.build_reduced(graph_params(n, k)))
+    spec = reduced.spectrum(graph_params(n, k))
     dim = 2 * k + 1
     assert len(spec.phases) == len(spec.weights) == len(spec.roots) == dim
     with mpmath.workdps(spectral._MP_DPS):
@@ -230,7 +227,7 @@ def test_evolve_series_matches_iteration(n, k):
     iterated = _iterated(walk, steps)
     off_grid = steps if steps % 7 else steps - 1
     for last, stride in [(steps, 1), (steps - steps % 7, 7), (off_grid, 7)]:
-        series = reduced.evolve_series(walk, last, stride)
+        series = reduced.evolve_series(p, last, stride)
         on_grid = list(range(0, last + 1, stride))
         assert series.t.tolist() == on_grid + ([last] if last % stride else [])
         assert np.abs(series.p_succ - iterated[series.t]).max() <= 1e-12
@@ -241,9 +238,9 @@ def test_sweep_at_t_run_j1e6_2_against_60_digits_and_iteration(monkeypatch):
     p = graph_params(10 ** 6, 2)
     walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    p_run, _, _ = reduced.sweep_point(walk, t_run)
+    p_run, _, _ = reduced.sweep_point(p, t_run)
     monkeypatch.setattr(spectral, "_MP_DPS", 60)
-    spec = reduced.spectrum(walk)
+    spec = reduced.spectrum(p)
     with mpmath.workdps(60):
         exact = abs(mpmath.fsum(a * mpmath.expj(theta * t_run)
                                 for theta, a in zip(spec.roots, spec.amplitudes))) ** 2
@@ -256,11 +253,11 @@ def test_sweep_at_t_run_j1e6_2_against_60_digits_and_iteration(monkeypatch):
 def test_strided_series_to_1e9_steps_against_60_digits(monkeypatch):
     # 1,001 rows reaching 10^9 steps cost 1,001 evaluations, each as exact
     # as at small t
-    walk = reduced.build_reduced(graph_params(10 ** 6, 2))
-    series = reduced.evolve_series(walk, 10 ** 9, stride=10 ** 6)
+    p = graph_params(10 ** 6, 2)
+    series = reduced.evolve_series(p, 10 ** 9, stride=10 ** 6)
     assert series.t.tolist() == list(range(0, 10 ** 9 + 1, 10 ** 6))
     monkeypatch.setattr(spectral, "_MP_DPS", 60)
-    spec = reduced.spectrum(walk)
+    spec = reduced.spectrum(p)
     with mpmath.workdps(60):
         for t, p in zip(series.t.tolist(), series.p_succ):
             exact = abs(mpmath.fsum(a * mpmath.expj(theta * t)
@@ -272,11 +269,10 @@ def test_strided_series_to_1e9_steps_against_60_digits(monkeypatch):
                     reason="the one-rounding bound needs an extended longdouble")
 def test_scan_within_one_rounding_of_60_digits(monkeypatch):
     p = graph_params(10 ** 6, 2)
-    walk = reduced.build_reduced(p)
     steps = 2 * spectral.run_time(p).t_run
-    scanned = _spectral_series(walk, steps)
+    scanned = _spectral_series(p, steps)
     monkeypatch.setattr(spectral, "_MP_DPS", 60)
-    spec = reduced.spectrum(walk)
+    spec = reduced.spectrum(p)
     for t in np.linspace(0, steps, 41).astype(int):
         with mpmath.workdps(60):
             z = mpmath.fsum(a * mpmath.expj(theta * t)
@@ -289,7 +285,7 @@ def test_scan_within_one_rounding_of_60_digits(monkeypatch):
 def test_rotation_angles_reduced_before_rounding():
     # theta*t is taken mod 2 pi in mpmath, so e^{i theta t} at t = 10^15 is
     # as accurate as at t = 1
-    roots = reduced.spectrum(reduced.build_reduced(graph_params(100, 2))).roots
+    roots = reduced.spectrum(graph_params(100, 2)).roots
     times = [1, 10 ** 15]
     got = reduced._rotations(roots, times)
     with mpmath.workdps(spectral._MP_DPS):
@@ -299,36 +295,36 @@ def test_rotation_angles_reduced_before_rounding():
 
 
 def test_probability_blocks_layout():
-    walk = reduced.build_reduced(graph_params(100, 2))
-    blocks = list(reduced.probability_blocks(walk, reduced.SCAN_CHUNK))
+    # the refusals of steps -1 and stride 0 are evolve_series' (test_evolve_series_rows)
+    params = graph_params(100, 2)
+    spec = reduced.spectrum(params)
+    blocks = list(reduced._blocks(spec, reduced.SCAN_CHUNK, 1))
     assert [(s, len(p)) for s, p in blocks] == [(0, reduced.SCAN_CHUNK),
                                                 (reduced.SCAN_CHUNK, 1)]
-    assert [len(p) for _, p in reduced.probability_blocks(walk, 0)] == [1]
+    assert [len(p) for _, p in reduced._blocks(spec, 0, 1)] == [1]
     # strided: a block spans SCAN_CHUNK samples, and an off-grid end is one more
     steps = 3 * reduced.SCAN_CHUNK + 1
-    strided = list(reduced.probability_blocks(walk, steps, stride=3))
+    strided = list(reduced._blocks(spec, steps, 3))
     assert [(s, len(p)) for s, p in strided] == [(0, reduced.SCAN_CHUNK),
                                                  (3 * reduced.SCAN_CHUNK, 1), (steps, 1)]
-    dense = _spectral_series(walk, steps)
+    dense = _spectral_series(params, steps)
     assert np.abs(np.concatenate([p for _, p in strided])
                   - dense[list(range(0, steps, 3)) + [steps]]).max() <= 1e-15
-    with pytest.raises(ValueError):
-        next(reduced.probability_blocks(walk, -1))
-    with pytest.raises(ValueError):
-        next(reduced.probability_blocks(walk, 5, stride=0))
+    assert np.array_equal(reduced.evolve_series(params, steps, 3).p_succ,
+                          np.concatenate([p for _, p in strided]))
 
 
 def test_unconverged_root_raises(monkeypatch):
     monkeypatch.setattr(reduced, "_MAX_NEWTON", 0)
     with pytest.raises(PrecisionError, match="did not converge"):
-        reduced.spectrum(reduced.build_reduced(graph_params(100, 2)))
+        reduced.spectrum(graph_params(100, 2))
 
 
 def test_root_beyond_working_precision_raises():
     # level-1 weight ~ 24/n**3: its root sits ~1e-35 from the pole, below
     # what 40 digits resolve next to a phase of order 1
     with pytest.raises(PrecisionError, match="closer to a pole"):
-        reduced.spectrum(reduced.build_reduced(graph_params(10 ** 12, 4)))
+        reduced.spectrum(graph_params(10 ** 12, 4))
 
 
 def test_norm_drift_over_one_million_steps():
@@ -367,9 +363,9 @@ def _counting_blocks(monkeypatch):
     return starts
 
 
-def _solve_once(monkeypatch, walk):
-    """Solve the walk's spectrum once for the whole test."""
-    spec = reduced.spectrum(walk)
+def _solve_once(monkeypatch, params):
+    """Solve the instance's spectrum once for the whole test."""
+    spec = reduced.spectrum(params)
     monkeypatch.setattr(reduced, "spectrum", lambda _: spec)
     return spec
 
@@ -386,18 +382,17 @@ def test_sweep_window_equals_every_block(monkeypatch, n, k):
     # the window returns the bits of a scan of every block: p at t_run, the
     # first t of the maximum, and the maximum
     p = graph_params(n, k)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
     steps = max(1, 2 * t_run)
-    _solve_once(monkeypatch, walk)
-    scanned = _spectral_series(walk, steps)
+    _solve_once(monkeypatch, p)
+    scanned = _spectral_series(p, steps)
     t_opt = int(np.argmax(scanned))
     expected = (float(scanned[t_run]), t_opt, float(scanned[t_opt]))
-    assert reduced.sweep_point(walk, t_run) == expected
+    assert reduced.sweep_point(p, t_run) == expected
     # a margin of 1 excludes nothing, so every block goes through the evaluator
     monkeypatch.setattr(reduced, "_MARGIN", 1)
     starts = _counting_blocks(monkeypatch)
-    assert reduced.sweep_point(walk, t_run) == expected
+    assert reduced.sweep_point(p, t_run) == expected
     assert sorted(starts) == list(range(0, steps + 1, reduced.SCAN_CHUNK))
 
 
@@ -406,7 +401,7 @@ def test_sweep_window_evaluates_few_blocks(monkeypatch):
     p = graph_params(10 ** 6, 2)
     t_run = spectral.run_time(p).t_run
     starts = _counting_blocks(monkeypatch)
-    reduced.sweep_point(reduced.build_reduced(p), t_run)
+    reduced.sweep_point(p, t_run)
     assert 2 * t_run // reduced.SCAN_CHUNK + 1 == 384
     assert 1 <= len(starts) <= 2 and len(set(starts)) == len(starts)
 
@@ -416,9 +411,8 @@ def test_sweep_evaluates_every_block_of_the_window(monkeypatch, n, k):
     # each block that meets a window interval is evaluated, once and in order,
     # and besides those only the block of t_run and of the analytic peaks
     p = graph_params(n, k)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    spec = _solve_once(monkeypatch, walk)
+    spec = _solve_once(monkeypatch, p)
     windows = []
     window = reduced._window
 
@@ -428,7 +422,7 @@ def test_sweep_evaluates_every_block_of_the_window(monkeypatch, n, k):
 
     monkeypatch.setattr(reduced, "_window", recorded)
     starts = _counting_blocks(monkeypatch)
-    reduced.sweep_point(walk, t_run)
+    reduced.sweep_point(p, t_run)
     (intervals,) = windows
     chunk = reduced.SCAN_CHUNK
     met = {b for lo, hi in intervals for b in range(lo // chunk, hi // chunk + 1)}
@@ -447,11 +441,10 @@ def test_sweep_window_is_the_bound_level_set(monkeypatch, n, k):
     # bound reaches p_best - 2**-40: it holds at both ends of each interval
     # and fails one step outside
     p = graph_params(n, k)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
     steps = 2 * t_run
-    spec = _solve_once(monkeypatch, walk)
-    _, _, p_max = reduced.sweep_point(walk, t_run)
+    spec = _solve_once(monkeypatch, p)
+    _, _, p_max = reduced.sweep_point(p, t_run)
     intervals = reduced._window(reduced._two_term_bound(spec), p_max, steps)
     assert intervals and all(lo <= hi for lo, hi in intervals)
     with mpmath.workdps(spectral._MP_DPS):
@@ -470,7 +463,7 @@ def test_window_covers_every_t_when_the_bound_excludes_nothing(n, k):
     # J(3, 1) and J(4, 2), where R is about 0.2: with p_best at or below
     # R**2 + 2**-40, sqrt(p_best - margin) <= R and the window is every t,
     # in order, over many periods of |S|
-    bound = reduced._two_term_bound(reduced.spectrum(reduced.build_reduced(graph_params(n, k))))
+    bound = reduced._two_term_bound(reduced.spectrum(graph_params(n, k)))
     assert bound.rest > 0.1
     steps = 10 ** 4
     with mpmath.workdps(spectral._MP_DPS):
@@ -487,12 +480,11 @@ def test_sweep_window_beyond_the_scan_against_60_digits(monkeypatch, n, k):
     # J(10^12, 2) (383,495,197 blocks) and J(10^5, 4) (1,107,056 blocks): p at
     # t_run and at t_opt equal a 60-digit evaluation to 1e-15
     p = graph_params(n, k)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    p_run, t_opt, p_max = reduced.sweep_point(walk, t_run)
+    p_run, t_opt, p_max = reduced.sweep_point(p, t_run)
     assert abs(t_opt - t_run) <= t_run // 100 and p_run <= p_max
     monkeypatch.setattr(spectral, "_MP_DPS", 60)
-    spec = reduced.spectrum(walk)
+    spec = reduced.spectrum(p)
     with mpmath.workdps(60):
         for t, got in [(t_run, p_run), (t_opt, p_max)]:
             exact = abs(mpmath.fsum(a * mpmath.expj(theta * t)

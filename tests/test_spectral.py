@@ -180,8 +180,7 @@ def test_schedule_fields():
 
 def test_verify_eigenphase_asymptotics_reports():
     p = graph_params(100, 2)
-    walk = reduced.build_reduced(p)
-    report = spectral.verify_eigenphase_asymptotics(p, reduced.eigenphases(walk))
+    report = spectral.verify_eigenphase_asymptotics(p, reduced.eigenphases(p))
     assert report.target_phase == pytest.approx(0.02, rel=1e-14)
     assert abs(report.theta_min - report.target_phase) <= 0.5 * report.target_phase
     assert report.relative_error == pytest.approx(
@@ -192,9 +191,8 @@ def test_verify_eigenphase_error_decay():
     errors = {}
     for n in (400, 1600):
         p = graph_params(n, 2)
-        walk = reduced.build_reduced(p)
         errors[n] = spectral.verify_eigenphase_asymptotics(
-            p, reduced.eigenphases(walk)).relative_error
+            p, reduced.eigenphases(p)).relative_error
     assert errors[1600] <= 0.5 * errors[400]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flat_layout as flat
-from jwalk import arc_engine, reduced, spectral, validation
+from jwalk import arc_engine, cli, reduced, spectral, validation
 from jwalk.errors import CapacityError, CertificationError
 from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table, rank_vertex
 
@@ -123,7 +123,9 @@ def test_lift_norm_identities_j62():
 @pytest.mark.parametrize("n,k,bound", [(4, 2, 1e-12), (6, 2, 1e-11)])
 def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
-    residuals = validation.verify_subspace_invariance(p, marked=0)
+    basis = validation.build_invariant_basis(p, marked=0)
+    Um = validation.dense_step(p, 0, opposite=basis.opposite)
+    residuals = validation.verify_subspace_invariance(p, 0, basis, Um)
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
 
@@ -134,7 +136,7 @@ def test_target_and_initial_j42():
     coords = basis.basis.conj().T @ basis.target_arc
     expected = [math.sqrt(1 / 6), 0.5, 0.5, math.sqrt(1 / 6), math.sqrt(1 / 6)]
     assert np.abs(coords - expected).max() <= 1e-10
-    residuals = validation.verify_target_and_initial(p, marked=0, basis=basis)
+    residuals = validation.verify_target_and_initial(p, basis, reduced.build_reduced(p))
     assert residuals["target_initial_overlap"] <= 1e-12
     assert residuals["initial_in_subspace"] <= 1e-12
 
@@ -142,20 +144,24 @@ def test_target_and_initial_j42():
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 2)])
 def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
-    residuals = validation.verify_reduced_compression(p, marked=0)
+    basis = validation.build_invariant_basis(p, marked=0)
+    Um = validation.dense_step(p, 0, opposite=basis.opposite)
+    residuals = validation.verify_reduced_compression(basis, Um, reduced.build_reduced(p))
     assert residuals["reduced_compression"] <= 1e-10
 
 
 def test_eigenbasis_eigenrelation():
     p = graph_params(6, 2)
-    residuals = validation.verify_eigenbasis(p, marked=0)
+    residuals = validation.verify_eigenbasis(p, validation.build_invariant_basis(p, marked=0))
     assert residuals["walk_eigenrelation"] <= 1e-10
     assert residuals["basis_gram"] <= 1e-10
     assert residuals["lift_norm_identities"] <= 1e-10
 
 
 def test_shell_action_identity_integer_exact():
-    residuals = validation.verify_spectral_closed_forms(graph_params(6, 2))
+    p = graph_params(6, 2)
+    residuals = validation.verify_spectral_closed_forms(
+        p, 0, validation.build_invariant_basis(p, marked=0))
     assert residuals["shell_action_identity"] == 0.0
     assert residuals["adjacency_multiplicities"] == 0.0
 
@@ -176,12 +182,14 @@ def test_certify_passes_default_tolerance(n, k):
 
 
 def test_certify_builds_each_dense_step_once(monkeypatch):
-    # certify hands its one marked dense step and its one invariant basis to
-    # every stage that needs them
+    # certify hands its one marked dense step, its one invariant basis and
+    # its one reduced walk to every stage that needs them
     built = []
     bases = []
+    walks = []
     original = validation.dense_step
     original_basis = validation.build_invariant_basis
+    original_walk = reduced.build_reduced
 
     def counting(params, marked=None, opposite=None):
         built.append(marked)
@@ -191,14 +199,20 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
         bases.append(marked)
         return original_basis(params, marked)
 
+    def counting_walk(params):
+        walks.append(params)
+        return original_walk(params)
+
     monkeypatch.setattr(validation, "dense_step", counting)
     monkeypatch.setattr(validation, "build_invariant_basis", counting_basis)
+    monkeypatch.setattr(reduced, "build_reduced", counting_walk)
     p = graph_params(6, 3)
     marked = rank_vertex(p, (1, 3, 5))
     report = validation.certify(p, marked=marked)
     assert report.passed
     assert built.count(None) == 1 and built.count(marked) == 1 and len(built) == 2
     assert bases == [marked]
+    assert walks == [p]
 
 
 def _complex_dense_step(params, marked=None):
@@ -339,23 +353,35 @@ def test_unitarity_residual_nan_is_refused(where):
                 "nonzero": (np.flatnonzero(U[:, -1])[0], p.num_arcs - 1),
                 "last": (-1, -1)}[where]
     U[row, col] = np.nan
-    residual = validation._unitarity_residual(U)
-    assert math.isnan(residual)
-    with pytest.raises(CertificationError):
-        validation._finish({"marked_step_unitarity": residual}, 1e-10)
+    assert math.isnan(validation._unitarity_residual(U))
     assert math.isnan(validation._engine_residual(p, U, 7))
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
-def test_finish_refuses_nan(position):
-    residuals = {"a": 0.0, "b": 1e-16, "c": 0.0}
-    name = "a" if position == "first" else "c"
-    residuals[name] = float("nan")
-    with pytest.raises(CertificationError) as excinfo:
-        validation._finish(residuals, 1e-10)
-    assert excinfo.value.check == name
-    assert math.isnan(excinfo.value.residual)
-    assert excinfo.value.residuals is residuals
+def test_certify_is_the_one_judge(monkeypatch, capsys, position):
+    # one stage returns a NaN as its first or its last residual and a finite
+    # residual above tol; certify fails exactly those two checks, and
+    # validate exits 1
+    original = validation.verify_eigenbasis
+
+    def corrupted(params, basis):
+        residuals = original(params, basis)
+        names = list(residuals)
+        nan_name = names[0] if position == "first" else names[-1]
+        high_name = names[1] if position == "first" else names[0]
+        residuals[nan_name] = math.nan
+        residuals[high_name] = 1e-3
+        failing.update({nan_name, high_name})
+        return residuals
+
+    failing = set()
+    monkeypatch.setattr(validation, "verify_eigenbasis", corrupted)
+    report = validation.certify(graph_params(6, 2), marked=0, tol=1e-10)
+    assert len(failing) == 2
+    assert {c.name for c in report.checks if not c.passed} == failing
+    assert len(report.checks) == 20 and not report.passed
+    assert cli.main(["validate", "--n", "6", "--k", "2"]) == 1
+    assert "certification failed" in capsys.readouterr().err
 
 
 def _guard_full_det(monkeypatch, size):
@@ -411,9 +437,8 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
     Um = validation.dense_step(p, marked, opposite=opp)
     row, col = (23, 39) if where == "off the blocks" else (opp[p.degree - 1], 0)
     Um[row, col] = np.nan
-    with pytest.raises(CertificationError) as excinfo:
-        validation.verify_dense_step(p, marked, opposite=opp, dense_marked_step=Um)
-    assert math.isnan(excinfo.value.residuals["marked_step_det_modulus"])
+    residuals = validation.verify_dense_step(p, marked, opp, Um)
+    assert math.isnan(residuals["marked_step_det_modulus"])
 
 
 def test_det_modulus_sees_scaled_block_column():
@@ -421,9 +446,8 @@ def test_det_modulus_sees_scaled_block_column():
     opp = arc_pair_slots(p)[1]
     Um = validation.dense_step(p, 7, opposite=opp)
     Um[:, 5 * p.degree + 1] *= 1.5  # stays inside its block, so |det| = 1.5
-    with pytest.raises(CertificationError) as excinfo:
-        validation.verify_dense_step(p, 7, opposite=opp, dense_marked_step=Um)
-    assert abs(excinfo.value.residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
+    residuals = validation.verify_dense_step(p, 7, opp, Um)
+    assert abs(residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
 
 
 def test_certify_takes_no_full_lu(monkeypatch):
@@ -454,6 +478,10 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     # second oracle call); Python's max keeps a NaN only as its first term
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, 0)
+    args = {"verify_eigenbasis": (p, basis),
+            "verify_spectral_closed_forms": (p, 0, basis),
+            "verify_subspace_invariance": (
+                p, 0, basis, validation.dense_step(p, 0, opposite=basis.opposite))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -461,9 +489,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     else:
         patched = _nan_at_second_call(original)
     monkeypatch.setattr(module, name, patched)
-    with pytest.raises(CertificationError) as excinfo:
-        getattr(validation, stage)(p, 0, basis=basis)
-    assert math.isnan(excinfo.value.residuals[check])
+    assert math.isnan(getattr(validation, stage)(*args)[check])
 
 
 def test_certify_checks_available_memory(monkeypatch):
@@ -491,11 +517,12 @@ def test_certify_peak_memory_matches_model():
             _, peak = tracemalloc.get_traced_memory()
             # the stages that take the marked step from certify add no matrix
             Um = validation.dense_step(p, marked, opposite=basis.opposite)
-            for stage in (validation.verify_subspace_invariance,
-                          validation.verify_reduced_compression):
+            walk = reduced.build_reduced(p)
+            for stage in (lambda: validation.verify_subspace_invariance(p, marked, basis, Um),
+                          lambda: validation.verify_reduced_compression(basis, Um, walk)):
                 tracemalloc.reset_peak()
                 held, _ = tracemalloc.get_traced_memory()
-                stage(p, marked, basis=basis, dense_marked_step=Um)
+                stage()
                 assert tracemalloc.get_traced_memory()[1] - held <= 0.5 * matrix
         finally:
             tracemalloc.stop()
@@ -518,11 +545,17 @@ def test_certify_capacity_error():
         validation.certify(graph_params(30, 3))
 
 
-def test_verify_raises_certification_error():
+def test_verify_raises_certification_error(monkeypatch):
+    # a stage returns its residuals and raises on none; the quotient
+    # eigenvalue check that builds the basis is the one that raises
+    p = graph_params(4, 2)
+    residuals = validation.verify_eigenbasis(p, validation.build_invariant_basis(p, 0))
+    assert np.max(list(residuals.values())) > 1e-30
+    monkeypatch.setattr(spectral, "eigenvalue", lambda params, level: 10 ** 6)
     with pytest.raises(CertificationError) as excinfo:
-        validation.verify_eigenbasis(graph_params(4, 2), marked=0, tol=1e-30)
-    assert excinfo.value.residual > 1e-30
-    assert excinfo.value.check in excinfo.value.residuals
+        validation.build_invariant_basis(p, 0)
+    assert excinfo.value.check == "tridiagonal quotient eigenvalues"
+    assert excinfo.value.residual > 1e-9
 
 
 def test_cross_engine_probability_identity():
