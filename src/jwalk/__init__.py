@@ -1,9 +1,10 @@
 """Coined quantum-walk spatial search on Johnson graphs J(n, k).
 
-Two interchangeable engines simulate the same search walk: an exact
-matrix-free engine over the full arc space, and an exact engine inside the
-(2k+1)-dimensional invariant subspace whose cost is independent of n.
-Dense brute-force oracles certify the closed forms on small instances.
+Two interchangeable engines compute the same search walk: an exact
+matrix-free engine over the full arc space, and an exact engine that reads
+the walk from the spectrum of its (2k+1)-dimensional invariant subspace,
+at a cost independent of n.  Dense brute-force oracles certify the closed
+forms on small instances.
 """
 
 from .arc_engine import evolve_and_record, uniform_state
@@ -11,8 +12,7 @@ from .errors import (CapacityError, CertificationError, DegenerateInstanceError,
                      PrecisionError)
 from .johnson import (GraphParams, IntersectionRow, distance_class, graph_params,
                       intersection_numbers, rank_vertex, shell_size, unrank_vertex)
-from .reduced import (ReducedWalk, build_reduced, eigenphases, evolve_series, states,
-                      success_probability, sweep_point)
+from .reduced import eigenphases, evolve_series, sweep_point
 from .spectral import (Schedule, SpectralRow, eigenphase, eigenvalue, multiplicity,
                        projector_weight, run_time, spectral_table,
                        verify_eigenphase_asymptotics)
@@ -26,8 +26,7 @@ __all__ = [
     "Schedule", "SpectralRow", "eigenvalue", "multiplicity", "projector_weight",
     "eigenphase", "spectral_table", "run_time", "verify_eigenphase_asymptotics",
     "uniform_state", "evolve_and_record",
-    "ReducedWalk", "build_reduced", "states", "evolve_series", "sweep_point",
-    "eigenphases", "success_probability",
+    "evolve_series", "sweep_point", "eigenphases",
     "certify",
     "CapacityError", "CertificationError", "DegenerateInstanceError",
     "PrecisionError",

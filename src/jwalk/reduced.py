@@ -8,47 +8,32 @@ the target coordinates
 
     w = (p_0, p_1/sqrt(2), p_1/sqrt(2), ..., p_k/sqrt(2), p_k/sqrt(2)),
 
-where p_l**2 is the level-l projector weight.  The step matrix is the
-product of the two, so evolution for any n costs O(k^2) per step and is
-exact for finite n, not an asymptotic approximation.  The initial state is
-the first basis vector, and the success probability at any time is
-|w . coords|**2.
+where p_l**2 is the level-l projector weight.  The marked step is the
+product of the two, exact for finite n, not an asymptotic approximation.
+The initial state is the first basis vector, and the success probability
+at any time is |w . coords|**2.
 
 The walk phases and the weights w_j**2 are derived once, at
 ``spectral._MP_DPS`` (40) digits, from the integer eigenvalues and the
 exact Fraction projector weights (``_walk_terms``).  Every quantity below
-comes from them.
+comes from them, and nothing here forms or iterates a step matrix:
+``jwalk.validation`` rounds the same terms once into the step matrix it
+compares with the compression of the dense step, and the tests certify
+the spectrum against a walk iterated on the 3k arc classes
+"shell i -> shell j", built from the intersection numbers alone.
 
-``build_reduced`` rounds their cosines, sines and square roots once each to
-numpy's extended precision, where the platform provides one, and stores the
-step matrix ``ReducedWalk.matrix`` (a double-rounded step matrix has
-eigenvalue moduli off by a few 1e-18, which over 1e6 steps inflates the
-norm by about 1e-11).  ``states`` applies it one step at a time.  No
-reported result comes from it: it is the independent reference the tests
-certify the spectral path against, and ``jwalk.validation`` checks it
-against the compression of the dense step, cast to double.  No command
-but ``validate`` builds it.
-
-A step is one dense (2k+1)^2 matvec.  The structured form
-D(x - 2 w (w . x)) is O(k) in arithmetic but takes three numpy calls
-instead of one, and call overhead dominates at this size.  On an x86-64
-host (numpy 2.4.6, 80-bit longdouble; best of five runs of 5e4 steps) it
-took 6.1 us/step against 1.7 us/step for the dense matvec on J(10^6, 2),
-and 6.8 against 2.0 us/step on J(4000, 3).
-
-The reported results come from the spectrum.  The marked step is a rank-one
-change of the diagonal unitary D = diag(e^{i phi_j}), so its eigenphases
-are the roots of the secular equation (Golub 1973; Bunch, Nielsen and
-Sorensen 1978)
+The marked step is a rank-one change of the diagonal unitary
+D = diag(e^{i phi_j}), so its eigenphases are the roots of the secular
+equation (Golub 1973; Bunch, Nielsen and Sorensen 1978)
 
     f(theta) = sum_j w_j**2 cot((theta - phi_j) / 2) = 0.
 
 f falls from +inf to -inf between consecutive walk phases, counting the
 gap that wraps through pi, so each of the 2k+1 gaps holds exactly one
 root.  ``spectrum`` brackets it by bisection and polishes it by Newton at
-the working digits, from the derived phases and weights, never from
-``matrix``.  The eigenvector v_m = (e^{i theta_m} - D)^{-1} D w gives the
-start state's amplitudes in closed form, and
+the working digits, from the derived phases and weights.  The eigenvector
+v_m = (e^{i theta_m} - D)^{-1} D w gives the start state's amplitudes in
+closed form, and
 
     p(t) = |sum_m a_m e^{i theta_m t}|**2.
 
@@ -83,8 +68,9 @@ t = 10^6.  The block evaluator reduces every theta*t modulo 2 pi in
 mpmath before rounding it to longdouble, so the error of p(t) does not
 grow with t, and sums the 2k+1 terms in extended precision, so p is good
 to about one double rounding.  On J(10^6, 2) the scan's p(t_run) equals a
-60-digit evaluation to the last bit, while the iterated engine's differs
-by 2.8e-14, its own drift over 785,398 steps.
+60-digit evaluation to the last bit, while the tests' arc-class walk,
+iterated in longdouble, differs by 4.0e-15, its own drift over 785,398
+steps.
 """
 
 import math
@@ -99,13 +85,9 @@ from .errors import PrecisionError
 from .johnson import GraphParams
 
 __all__ = [
-    "ReducedWalk",
-    "build_reduced",
-    "states",
     "evolve_series",
     "spectrum",
     "sweep_point",
-    "success_probability",
     "eigenphases",
 ]
 
@@ -120,20 +102,6 @@ _MAX_NEWTON = 20
 # separates a scanned p from a 60-digit value, and above the longdouble
 # rounding of the amplitudes and rotations; a larger value only adds blocks
 _MARGIN = mpmath.mpf(2) ** -40
-
-
-@dataclass(frozen=True)
-class ReducedWalk:
-    """Immutable reduced step operator with its target and start vectors."""
-
-    params: GraphParams
-    matrix: np.ndarray      # (2k+1, 2k+1) clongdouble, diag(phases) @ (I - 2 w w^T)
-    target: np.ndarray      # real coordinates of the marked-arc superposition
-    initial: np.ndarray     # unit vector on the stationary coordinate
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.params.k + 1
 
 
 @dataclass(frozen=True)
@@ -165,51 +133,6 @@ def _walk_terms(params: GraphParams) -> tuple:
         weights = [s / 2 for s in reversed(squares[1:])] + [squares[0]] \
             + [s / 2 for s in squares[1:]]
     return phases, weights
-
-
-def build_reduced(params: GraphParams) -> ReducedWalk:
-    """Assemble the reduced step matrix diag(e^{±i w_l}) @ (I - 2 w w^T).
-
-    cos, sin and sqrt of the walk terms are taken at the working digits,
-    and each is rounded once to longdouble, in basis order (0, +omega_1,
-    -omega_1, ..., +omega_k, -omega_k).
-    """
-    k = params.k
-    dim = 2 * k + 1
-    phases, weights = _walk_terms(params)
-    order = [k] + [j for l in range(1, k + 1) for j in (k + l, k - l)]
-    with mpmath.workdps(spectral._MP_DPS):
-        cos = np.array([_ld(mpmath.cos(phases[j])) for j in order])
-        sin = np.array([_ld(mpmath.sin(phases[j])) for j in order])
-        w_ext = np.array([_ld(mpmath.sqrt(weights[j])) for j in order])
-    reflection = np.eye(dim, dtype=np.longdouble) - 2.0 * np.outer(w_ext, w_ext)
-    matrix = (cos + 1j * sin)[:, None] * reflection
-    target = w_ext.astype(np.float64)
-    initial = np.zeros(dim, dtype=np.complex128)
-    initial[0] = 1.0
-    for arr in (matrix, target, initial):
-        arr.setflags(write=False)
-    return ReducedWalk(params=params, matrix=matrix, target=target, initial=initial)
-
-
-def states(walk: ReducedWalk, steps: int):
-    """Yield the extended-precision state at t = 0, 1, ..., ``steps``.
-
-    One matvec per step, no squaring; the state after the last yield is
-    never computed.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    state = walk.initial.astype(np.clongdouble)
-    yield state
-    for _ in range(steps):
-        state = walk.matrix @ state
-        yield state
-
-
-def success_probability(target: np.ndarray, state: np.ndarray) -> float:
-    """|<target|state>|^2; the target coordinates are real."""
-    return float(abs(np.dot(target, np.asarray(state, dtype=np.complex128))) ** 2)
 
 
 def evolve_series(params: GraphParams, steps: int, stride: int = 1) -> Series:
@@ -462,6 +385,10 @@ def sweep_point(params: GraphParams, t_run: int) -> tuple:
 
 
 def eigenphases(params: GraphParams) -> np.ndarray:
-    """Sorted principal arguments of the step-matrix eigenvalues, in double."""
+    """The secular roots as sorted principal arguments, in double.
+
+    They are the phases of the marked step's eigenvalues in the invariant
+    subspace.
+    """
     phases = [float(theta) for theta in spectrum(params).roots]
     return np.sort([p - 2 * math.pi if p > math.pi else p for p in phases])

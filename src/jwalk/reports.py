@@ -231,18 +231,24 @@ def write_output(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
 
     A file is written through a temp file in the same directory and renamed
     over ``out`` only once every chunk is written; if a chunk raises, the
-    temp file is removed and ``out`` is left as it was.
+    temp file is removed and ``out`` is left as it was.  An OSError about a
+    file, such as the temp file that a missing directory refuses or the
+    rename onto a directory, is raised as the same error about ``out``.
     """
     chunks = [text] if isinstance(text, str) else text
     if out is None or out == "-":
         sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as handle:
             handle.writelines(chunks)
         os.replace(tmp_path, out)
-    except BaseException:
-        os.unlink(tmp_path)
+    except BaseException as exc:
+        if tmp_path is not None:
+            os.unlink(tmp_path)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise type(exc)(exc.errno, exc.strerror, out) from None
         raise

@@ -173,14 +173,15 @@ def run_time(params: GraphParams) -> Schedule:
 def verify_eigenphase_asymptotics(params: GraphParams, reduced_phases) -> PhaseAsymptotics:
     """Compare the slowest positive rotation of the marked walk to theory.
 
-    ``reduced_phases`` are principal arguments of the reduced step
-    operator's eigenvalues.  The smallest phase above PHASE_CUTOFF is
+    ``reduced_phases`` are principal arguments of the marked step's
+    eigenvalues in the invariant subspace, the secular roots of
+    ``reduced.eigenphases``.  The smallest phase above PHASE_CUTOFF is
     matched against sqrt(2 k!) * n**(-k/2); the relative error decays
     like n**(-1/2).
     """
     positive = [p for p in reduced_phases if p > PHASE_CUTOFF]
     if not positive:
-        raise ValueError("no positive eigenphase found; reduced operator inconsistent")
+        raise ValueError("no positive eigenphase found; reduced spectrum inconsistent")
     theta_min = min(positive)
     target = run_time(params).target_phase
     return PhaseAsymptotics(

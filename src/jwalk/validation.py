@@ -19,10 +19,13 @@ walk eigenphases yields the orthonormal eigenbasis of the invariant
 subspace that the reduced engine works in.
 
 ``certify`` builds the basis (which carries the closed form's arc
-reversal), the marked dense step and the reduced walk once, and runs six
-stages on them.  Each ``verify_*`` stage takes what it reads as required
-arguments and returns its residuals by name; ``certify`` alone compares
-them with the tolerance, so a stage never raises on a residual.  The only
+reversal), the marked dense step, and the reduced step matrix and target
+once, and runs six stages on them.  The reduced step is rounded entry by
+entry, once, from the 40-digit walk terms that the spectrum is solved
+from (``reduced._walk_terms``); it is built here only, to be compared.
+Each ``verify_*`` stage takes what it reads as required arguments and
+returns its residuals by name; ``certify`` alone compares them with the
+tolerance, so a stage never raises on a residual.  The only
 check that raises is the quotient eigenvalue test inside
 ``build_invariant_basis``, without which no basis can be built.
 
@@ -61,6 +64,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import mpmath
 import numpy as np
 
 from . import arc_engine, reduced, spectral
@@ -533,9 +537,33 @@ def verify_subspace_invariance(params: GraphParams, marked: int, basis: Invarian
     return residuals
 
 
+def _reduced_step(params: GraphParams) -> tuple:
+    """The reduced step diag(e^{i phi}) (I - 2 w w^T) and the target w, in double.
+
+    Built from :func:`jwalk.reduced._walk_terms` in basis order (0,
+    +omega_1, -omega_1, ..., +omega_k, -omega_k); every entry is computed
+    at ``spectral._MP_DPS`` digits and rounded once, to complex128 and
+    float64.
+    """
+    k = params.k
+    phases, weights = reduced._walk_terms(params)
+    order = [k] + [j for l in range(1, k + 1) for j in (k + l, k - l)]
+    with mpmath.workdps(spectral._MP_DPS):
+        rotations = [mpmath.expj(phases[j]) for j in order]
+        w = [mpmath.sqrt(weights[j]) for j in order]
+        step = np.array([[complex(z * ((r == c) - 2 * w[r] * w[c])) for c in range(len(w))]
+                         for r, z in enumerate(rotations)])
+        target = np.array([float(x) for x in w])
+    return step, target
+
+
 def verify_target_and_initial(params: GraphParams, basis: InvariantBasis,
-                              walk: reduced.ReducedWalk) -> dict:
-    """Target and start vectors have the predicted basis coordinates."""
+                              target: np.ndarray) -> dict:
+    """Target and start vectors have the predicted basis coordinates.
+
+    ``target`` is the reduced walk's target w (:func:`_reduced_step`); the
+    start is the first basis vector.
+    """
     B = basis.basis
     coords_target = B.conj().T @ basis.target_arc
     psi0 = arc_engine.uniform_state(params).reshape(-1)[arc_pair_slots(params)[0]]
@@ -543,7 +571,7 @@ def verify_target_and_initial(params: GraphParams, basis: InvariantBasis,
     e0 = np.zeros(2 * params.k + 1)
     e0[0] = 1.0
     return {
-        "target_coordinates": float(np.abs(coords_target - walk.target).max()),
+        "target_coordinates": float(np.abs(coords_target - target).max()),
         "initial_coordinates": float(np.abs(coords_initial - e0).max()),
         "target_initial_overlap": abs(
             np.vdot(basis.target_arc, psi0) - 1.0 / np.sqrt(params.num_vertices)),
@@ -552,23 +580,22 @@ def verify_target_and_initial(params: GraphParams, basis: InvariantBasis,
 
 
 def verify_reduced_compression(basis: InvariantBasis, dense_marked_step: np.ndarray,
-                               walk: reduced.ReducedWalk) -> dict:
-    """The reduced step matrix equals the basis compression of the dense one."""
+                               reduced_step: np.ndarray) -> dict:
+    """The reduced step (:func:`_reduced_step`) is the basis compression of the dense one."""
     Bh = basis.basis.conj().T
     Um = dense_marked_step
     compressed = (Bh.real @ Um + 1j * (Bh.imag @ Um)) @ basis.basis
     return {
-        "reduced_compression": float(np.abs(
-            compressed - walk.matrix.astype(np.complex128)).max()),
+        "reduced_compression": float(np.abs(compressed - reduced_step).max()),
     }
 
 
 def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> CertificationReport:
     """Run the whole certification battery; never raises on check failure.
 
-    Builds the invariant basis, the marked dense step and the reduced walk
-    once, and hands them to every stage that reads them.  Each stage
-    returns its residuals; this is the one place they are judged, and a
+    Builds the invariant basis, the marked dense step, and the reduced step
+    and target once, and hands them to every stage that reads them.  Each
+    stage returns its residuals; this is the one place they are judged, and a
     check passes when its residual is within ``tol``, so a NaN fails.
     Refuses with CapacityError, before allocating, an instance whose
     DENSE_PEAK_MATRICES arc-space float64 matrices exceed ``MemAvailable``
@@ -578,14 +605,14 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     _require_memory(params)
     basis = build_invariant_basis(params, marked)
     dense_marked = dense_step(params, marked, opposite=basis.opposite)
-    walk = reduced.build_reduced(params)
+    reduced_step, target = _reduced_step(params)
     stages = [
         verify_spectral_closed_forms(params, marked, basis),
         verify_dense_step(params, marked, basis.opposite, dense_marked),
         verify_eigenbasis(params, basis),
         verify_subspace_invariance(params, marked, basis, dense_marked),
-        verify_target_and_initial(params, basis, walk),
-        verify_reduced_compression(basis, dense_marked, walk),
+        verify_target_and_initial(params, basis, target),
+        verify_reduced_compression(basis, dense_marked, reduced_step),
     ]
     checks = [CheckResult(name=name, residual=float(value), tol=tol, passed=bool(value <= tol))
               for residuals in stages for name, value in residuals.items()]

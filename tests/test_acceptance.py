@@ -115,7 +115,8 @@ def test_criterion_3_eigenbasis_certification():
         basis = validation.build_invariant_basis(p, marked=0)
         Um = validation.dense_step(p, 0, opposite=basis.opposite)
         res = validation.verify_eigenbasis(p, basis)
-        res.update(validation.verify_reduced_compression(basis, Um, reduced.build_reduced(p)))
+        res.update(validation.verify_reduced_compression(
+            basis, Um, validation._reduced_step(p)[0]))
         for key in worst:
             # np.max keeps a NaN residual, which Python's max drops after the first
             worst[key] = float(np.max([worst[key], res[key]]))

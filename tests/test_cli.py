@@ -197,24 +197,6 @@ def test_out_file_written(capsys, tmp_path):
     assert len(rows.t) == 6
 
 
-@pytest.mark.parametrize("argv", [
-    ("sweep", "--k", "2", "--n-list", "100,10000,1000000"),
-    ("simulate", "--n", "4000", "--k", "3", "--engine", "reduced", "--steps", "5000"),
-])
-def test_reduced_commands_never_build_the_operator(capsys, monkeypatch, argv):
-    # sweep and the reduced series read the spectrum alone: the same bytes
-    # with the iterated operator's build refused
-    code, first, _ = run_cli(capsys, *argv)
-    assert code == 0
-
-    def refused(*args):
-        raise AssertionError("built the reduced operator")
-
-    monkeypatch.setattr(reduced, "build_reduced", refused)
-    code, second, _ = run_cli(capsys, *argv)
-    assert code == 0 and second == first
-
-
 def test_sweep_convergence(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--k", "2",
                            "--n-list", "100,400,1600")
@@ -291,12 +273,20 @@ def test_validate_checks_available_memory(capsys, monkeypatch):
     ("sweep", "--k", "2", "--n-list", "100"),
 ])
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
-    # exit 1 is a failed certification; a path that cannot be written is exit 2
-    target = tmp_path / "missing" / "out.txt"
-    code, out, err = run_cli(capsys, *argv, "--out", str(target))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert not target.parent.exists()
+    # exit 1 is a failed certification; a path that cannot be written is exit 2,
+    # and the message names that path, not the temp file written first: a
+    # missing directory fails at the temp file, an existing directory at the rename
+    missing = tmp_path / "missing" / "out.txt"
+    directory = tmp_path / "outdir"
+    directory.mkdir()
+    for target in (missing, directory):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(target) in err and ".tmp" not in err
+    # and the temp file is removed
+    assert [path.name for path in tmp_path.iterdir()] == ["outdir"]
+    assert not any(directory.iterdir())
 
 
 def test_usage_errors(capsys):

@@ -1,4 +1,8 @@
-"""Reduced-subspace engine: structure, unitarity, dynamics, eigenphases."""
+"""Reduced-subspace engine: structure, dynamics, eigenphases.
+
+The iterated reference of every series here is the walk on the arc
+classes (``orbit_walk``), which shares no closed form with the spectrum.
+"""
 
 import math
 
@@ -6,7 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from jwalk import reduced, spectral
+import orbit_walk
+from jwalk import reduced, spectral, validation
 from jwalk.errors import PrecisionError
 from jwalk.johnson import graph_params
 
@@ -21,72 +26,64 @@ P_SUCC_AT_T_RUN_K2 = {
 THETA_MIN_J100_2 = 0.020008182975302
 
 
-def _iterated(walk, steps):
-    """p(t) for t = 0..steps by iterating the operator, the reference for the spectrum."""
-    return np.array([reduced.success_probability(walk.target, state)
-                     for state in reduced.states(walk, steps)])
-
-
 def test_build_j42_structure():
+    # the reduced step and target that certify compares with the dense step
     p = graph_params(4, 2)
-    walk = reduced.build_reduced(p)
-    w = walk.target
+    step, w = validation._reduced_step(p)
     expected_w = [math.sqrt(1 / 6), 0.5, 0.5, math.sqrt(1 / 6), math.sqrt(1 / 6)]
     assert np.abs(w - expected_w).max() <= 1e-15
     # diagonal factor carries (1, e^{±i pi/2}, e^{±2i pi/3})
-    diag = walk.matrix @ np.linalg.inv(np.eye(5) - 2.0 * np.outer(w, w))
+    diag = step @ np.linalg.inv(np.eye(5) - 2.0 * np.outer(w, w))
     expected_d = np.diag([1.0, 1j, -1j,
                           np.exp(2j * math.pi / 3), np.exp(-2j * math.pi / 3)])
     assert np.abs(diag - expected_d).max() <= 1e-14
-    assert np.array_equal(walk.initial, np.eye(5, dtype=complex)[0])
-    assert walk.dim == 5
+    assert step.shape == (5, 5) and step.dtype == np.complex128
 
 
 @pytest.mark.parametrize("n,k", [(100, 2), (5, 2), (16, 8), (10 ** 6, 4)])
 def test_target_coords_unit_norm(n, k):
-    w = reduced.build_reduced(graph_params(n, k)).target
+    _, w = validation._reduced_step(graph_params(n, k))
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (100, 2), (9, 3), (16, 8), (10 ** 6, 6)])
 def test_step_matrix_unitary(n, k):
-    walk = reduced.build_reduced(graph_params(n, k))
-    dim = walk.dim
-    gap = walk.matrix @ walk.matrix.conj().T - np.eye(dim)
+    # the iterated reference's step is real orthogonal
+    matrix = orbit_walk.step_matrix(graph_params(n, k))
+    gap = matrix @ matrix.T - np.eye(len(matrix))
     assert np.abs(gap).max() <= 1e-13
 
 
 def test_evolve_identity_at_zero_and_stationary_diagonal():
     p = graph_params(8, 2)
-    walk = reduced.build_reduced(p)
-    state = walk.initial.copy()
-    (only,) = reduced.states(walk, 0)
-    assert np.array_equal(only, state)
+    (only,) = orbit_walk.states(p, 0)
+    assert np.array_equal(only, orbit_walk.start(p))
     # without the reflection the stationary coordinate never moves
+    state = np.eye(5, dtype=complex)[0]
     phases = np.array([1.0] + [np.exp(s * 1j * spectral.eigenphase(p, l))
                                for l in (1, 2) for s in (+1, -1)])
     for t in range(50):
         assert (np.diag(phases) @ state)[0] == 1.0
         state = np.diag(phases) @ state
     with pytest.raises(ValueError):
-        next(reduced.states(walk, -1))
+        next(orbit_walk.states(p, -1))
 
 
 def test_success_probability_endpoints():
+    # p(0) is 1/N on both paths, and the target is a unit vector
     p = graph_params(100, 2)
-    walk = reduced.build_reduced(p)
-    assert reduced.success_probability(walk.target, walk.initial) == pytest.approx(
+    assert orbit_walk.probabilities(p, 0)[0] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
+    assert reduced.evolve_series(p, 0).p_succ[0] == pytest.approx(
         1.0 / p.num_vertices, rel=1e-13)
-    assert reduced.success_probability(
-        walk.target, walk.target.astype(complex)) == pytest.approx(1.0, abs=1e-12)
+    _, w = validation._reduced_step(p)
+    assert float(np.dot(w, w)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", sorted(P_SUCC_AT_T_RUN_K2))
 def test_success_probability_regression(n):
     p = graph_params(n, 2)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    got = _iterated(walk, t_run)[-1]
+    got = orbit_walk.probabilities(p, t_run)[-1]
     assert got == pytest.approx(P_SUCC_AT_T_RUN_K2[n], abs=1e-9)
 
 
@@ -113,11 +110,11 @@ def test_evolve_series_rows():
 
 def test_eigenphases_unit_modulus_and_pairing():
     for n, k in [(100, 2), (50, 3), (12, 4)]:
-        walk = reduced.build_reduced(graph_params(n, k))
-        eig = np.linalg.eigvals(walk.matrix.astype(complex))
+        p = graph_params(n, k)
+        eig = np.linalg.eigvals(validation._reduced_step(p)[0])
         assert np.abs(np.abs(eig) - 1.0).max() <= 1e-10
-        phases = reduced.eigenphases(walk.params)
-        assert len(phases) == walk.dim
+        phases = reduced.eigenphases(p)
+        assert len(phases) == 2 * k + 1
         # conjugation symmetry: positive and negative phases mirror, with the
         # lone unpaired eigenvalue sitting at -1 (phase +-pi)
         interior_pos = np.sort([p for p in phases if 1e-9 < p < math.pi - 1e-9])
@@ -130,13 +127,17 @@ def test_eigenphases_unit_modulus_and_pairing():
 
 @pytest.mark.parametrize("n,k", [(100, 2), (50, 3), (12, 4)])
 def test_eigenphases_are_the_secular_roots(n, k):
-    # one derivation: the roots, checked against the double-precision eig
-    walk = reduced.build_reduced(graph_params(n, k))
-    on_circle = np.exp(1j * reduced.eigenphases(walk.params))
-    eig = np.linalg.eigvals(walk.matrix.astype(complex))
+    # the roots, checked against the double-precision eig of the reduced step;
+    # each is also an eigenvalue of the arc-class step, whose 3k classes hold
+    # the 2k+1 dimensions the walk reaches
+    p = graph_params(n, k)
+    on_circle = np.exp(1j * reduced.eigenphases(p))
+    eig = np.linalg.eigvals(validation._reduced_step(p)[0])
     gap = np.abs(on_circle[:, None] - eig[None, :])
     assert gap.min(axis=1).max() <= 1e-10 and gap.min(axis=0).max() <= 1e-10
-    assert np.all(np.diff(reduced.eigenphases(walk.params)) > 0)
+    orbit_eig = np.linalg.eigvals(orbit_walk.step_matrix(p).astype(float))
+    assert np.abs(on_circle[:, None] - orbit_eig[None, :]).min(axis=1).max() <= 1e-10
+    assert np.all(np.diff(reduced.eigenphases(p)) > 0)
 
 
 def test_smallest_phase_regression_j100():
@@ -160,9 +161,8 @@ def test_sweep_point_j100():
 def test_sweep_point_matches_series(n, k):
     # the spectral sweep reads the iterated series' values to 1e-12
     p = graph_params(n, k)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
-    series = _iterated(walk, 2 * t_run)
+    series = orbit_walk.probabilities(p, 2 * t_run)
     p_run, t_opt, p_max = reduced.sweep_point(p, t_run)
     assert abs(p_run - series[t_run]) <= 1e-12
     assert abs(series[t_opt] - max(series)) <= 1e-12
@@ -182,10 +182,9 @@ def _spectral_series(params, steps, stride=1):
 @pytest.mark.parametrize("n,k", CERTIFIED)
 def test_spectral_scan_matches_iteration(n, k):
     p = graph_params(n, k)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
     steps = max(1, 2 * t_run)
-    iterated = _iterated(walk, steps)
+    iterated = orbit_walk.probabilities(p, steps)
     scanned = _spectral_series(p, steps)
     assert scanned.shape == iterated.shape
     assert np.abs(scanned - iterated).max() <= 1e-12
@@ -222,9 +221,8 @@ def test_evolve_series_matches_iteration(n, k):
     # the simulate series, at stride 1, at stride 7 and with an off-grid last
     # step, reads the iterated values to 1e-12
     p = graph_params(n, k)
-    walk = reduced.build_reduced(p)
     steps = max(1, 2 * spectral.run_time(p).t_run)
-    iterated = _iterated(walk, steps)
+    iterated = orbit_walk.probabilities(p, steps)
     off_grid = steps if steps % 7 else steps - 1
     for last, stride in [(steps, 1), (steps - steps % 7, 7), (off_grid, 7)]:
         series = reduced.evolve_series(p, last, stride)
@@ -236,7 +234,6 @@ def test_evolve_series_matches_iteration(n, k):
 
 def test_sweep_at_t_run_j1e6_2_against_60_digits_and_iteration(monkeypatch):
     p = graph_params(10 ** 6, 2)
-    walk = reduced.build_reduced(p)
     t_run = spectral.run_time(p).t_run
     p_run, _, _ = reduced.sweep_point(p, t_run)
     monkeypatch.setattr(spectral, "_MP_DPS", 60)
@@ -245,9 +242,9 @@ def test_sweep_at_t_run_j1e6_2_against_60_digits_and_iteration(monkeypatch):
         exact = abs(mpmath.fsum(a * mpmath.expj(theta * t_run)
                                 for theta, a in zip(spec.roots, spec.amplitudes))) ** 2
     assert abs(p_run - float(exact)) <= 1e-15
-    for state in reduced.states(walk, t_run):
+    for state in orbit_walk.states(p, t_run):
         pass
-    assert abs(p_run - reduced.success_probability(walk.target, state)) <= 1e-12
+    assert abs(p_run - float(state[0] * state[0])) <= 1e-12
 
 
 def test_strided_series_to_1e9_steps_against_60_digits(monkeypatch):
@@ -328,20 +325,11 @@ def test_root_beyond_working_precision_raises():
 
 
 def test_norm_drift_over_one_million_steps():
-    walk = reduced.build_reduced(graph_params(100, 2))
-    state = walk.initial.astype(np.clongdouble)
-    for _ in range(10 ** 6):
-        state = walk.matrix @ state
-    norm = float(np.sqrt((state.conj() * state).real.sum()))
+    # the iterated reference keeps its norm over far more steps than it is run
+    for state in orbit_walk.states(graph_params(100, 2), 10 ** 6):
+        pass
+    norm = float(np.sqrt(np.dot(state, state)))
     assert abs(norm - 1.0) <= 1e-12
-
-
-def test_matrices_are_read_only():
-    walk = reduced.build_reduced(graph_params(8, 2))
-    with pytest.raises(ValueError):
-        walk.matrix[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        walk.target[0] = 0.0
 
 
 # k = 1..8, from J(3, 1) (one block) to J(10^6, 2) (384 blocks of 4096 values)

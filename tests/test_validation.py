@@ -136,7 +136,7 @@ def test_target_and_initial_j42():
     coords = basis.basis.conj().T @ basis.target_arc
     expected = [math.sqrt(1 / 6), 0.5, 0.5, math.sqrt(1 / 6), math.sqrt(1 / 6)]
     assert np.abs(coords - expected).max() <= 1e-10
-    residuals = validation.verify_target_and_initial(p, basis, reduced.build_reduced(p))
+    residuals = validation.verify_target_and_initial(p, basis, validation._reduced_step(p)[1])
     assert residuals["target_initial_overlap"] <= 1e-12
     assert residuals["initial_in_subspace"] <= 1e-12
 
@@ -146,7 +146,7 @@ def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     Um = validation.dense_step(p, 0, opposite=basis.opposite)
-    residuals = validation.verify_reduced_compression(basis, Um, reduced.build_reduced(p))
+    residuals = validation.verify_reduced_compression(basis, Um, validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
 
 
@@ -183,13 +183,14 @@ def test_certify_passes_default_tolerance(n, k):
 
 def test_certify_builds_each_dense_step_once(monkeypatch):
     # certify hands its one marked dense step, its one invariant basis and
-    # its one reduced walk to every stage that needs them
+    # its one reduced step to every stage that needs them, and derives the
+    # walk terms once
     built = []
     bases = []
     walks = []
     original = validation.dense_step
     original_basis = validation.build_invariant_basis
-    original_walk = reduced.build_reduced
+    original_terms = reduced._walk_terms
 
     def counting(params, marked=None, opposite=None):
         built.append(marked)
@@ -199,13 +200,13 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
         bases.append(marked)
         return original_basis(params, marked)
 
-    def counting_walk(params):
+    def counting_terms(params):
         walks.append(params)
-        return original_walk(params)
+        return original_terms(params)
 
     monkeypatch.setattr(validation, "dense_step", counting)
     monkeypatch.setattr(validation, "build_invariant_basis", counting_basis)
-    monkeypatch.setattr(reduced, "build_reduced", counting_walk)
+    monkeypatch.setattr(reduced, "_walk_terms", counting_terms)
     p = graph_params(6, 3)
     marked = rank_vertex(p, (1, 3, 5))
     report = validation.certify(p, marked=marked)
@@ -517,9 +518,9 @@ def test_certify_peak_memory_matches_model():
             _, peak = tracemalloc.get_traced_memory()
             # the stages that take the marked step from certify add no matrix
             Um = validation.dense_step(p, marked, opposite=basis.opposite)
-            walk = reduced.build_reduced(p)
+            step, _ = validation._reduced_step(p)
             for stage in (lambda: validation.verify_subspace_invariance(p, marked, basis, Um),
-                          lambda: validation.verify_reduced_compression(basis, Um, walk)):
+                          lambda: validation.verify_reduced_compression(basis, Um, step)):
                 tracemalloc.reset_peak()
                 held, _ = tracemalloc.get_traced_memory()
                 stage()
@@ -562,14 +563,14 @@ def test_cross_engine_probability_identity():
     # the compressed dynamics reproduces the dense one step by step
     p = graph_params(5, 2)
     basis = validation.build_invariant_basis(p, marked=0)
-    walk = reduced.build_reduced(p)
+    step, target = validation._reduced_step(p)
     dense = validation.dense_step(p, 0, opposite=basis.opposite)
     psi = flat.to_flat(p, arc_engine.uniform_state(p))
-    coords = walk.initial.copy()
+    coords = np.eye(2 * p.k + 1, dtype=complex)[0]
     for _ in range(30):
         psi = dense @ psi
-        coords = walk.matrix @ coords
+        coords = step @ coords
         assert np.abs(basis.basis.conj().T @ psi - coords).max() <= 1e-11
         p_full = arc_engine.vertex_probability(p, flat.to_pair(p, psi), 0)
-        p_red = reduced.success_probability(walk.target, coords)
+        p_red = abs(np.dot(target, coords)) ** 2
         assert abs(p_full - p_red) <= 1e-11
