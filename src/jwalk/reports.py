@@ -8,7 +8,10 @@ runs with identical flags produce byte-identical output.
 A run report's series can hold millions of rows, so its serializers yield
 the text REPORT_CHUNK rows at a time, in the same bytes as the whole
 document formatted at once (``json.dumps(doc, indent=2)`` for JSON), and
-``write_output`` writes the chunks as they come.
+``write_output`` writes the chunks as they come.  A chunk is one ``%`` over
+its row template repeated per row.  A float column whose bits are constant
+over the chunk, such as the reduced engine's norm, is spelled once into the
+template (bits, not ``==``: 0.0 == -0.0, yet they spell ``0`` and ``-0``).
 """
 
 import json
@@ -35,7 +38,6 @@ __all__ = [
     "format_float",
     "run_report_to_csv",
     "run_report_to_json",
-    "read_run_rows",
     "sweep_report_to_csv",
     "sweep_report_to_json",
     "spectrum_to_json",
@@ -50,9 +52,11 @@ SCHEMA_VERSION = 1
 REPORT_CHUNK = 2 ** 12
 
 _RUN_CSV_HEADER = "t,p_succ,p_alt,norm"
+_CSV_FLOAT = "%.17g"
 
-# one row of doc["rows"] as json.dumps(doc, indent=2) lays it out
-_JSON_ROW = ('    {\n      "t": %d,\n      "p_succ": %s,\n      "p_alt": %s,\n'
+# one row's fields (t, p_succ, p_alt, norm) as json.dumps(doc, indent=2)
+# lays out one object of doc["rows"]
+_JSON_ROW = ('    {\n      "t": %s,\n      "p_succ": %s,\n      "p_alt": %s,\n'
              '      "norm": %s\n    }')
 
 
@@ -83,7 +87,7 @@ class SweepReport:
 
 
 def format_float(x: float) -> str:
-    return format(x, ".17g")
+    return _CSV_FLOAT % x
 
 
 def _params_dict(params: GraphParams) -> dict:
@@ -91,47 +95,41 @@ def _params_dict(params: GraphParams) -> dict:
             "num_vertices": params.num_vertices, "degree": params.degree}
 
 
-def _row_chunks(series: Series, floats=np.ndarray.tolist, absent=None):
-    """The series as Python rows (t, p_succ, p_alt, norm), REPORT_CHUNK at a time.
+def _chunk_fields(series: Series, float_field: str, floats, absent: str):
+    """Yield each REPORT_CHUNK slice as its row template's fields (t, p_succ,
+    p_alt, norm), its row count and the values that fill it, row by row.
 
-    ``floats`` turns a float column into a list; ``absent`` stands for each
-    missing p_alt.
+    ``floats`` turns a float column into the values of a ``float_field``.
+    A missing p_alt is the literal ``absent``, and a column whose bits are
+    constant over the slice is the literal that ``float_field`` spells.
     """
     for start in range(0, len(series.t), REPORT_CHUNK):
         part = slice(start, start + REPORT_CHUNK)
-        t = series.t[part].tolist()
-        alt = [absent] * len(t) if series.p_alt is None else floats(series.p_alt[part])
-        yield zip(t, floats(series.p_succ[part]), alt, floats(series.norm[part]))
+        fields, columns = ["%d"], [series.t[part].tolist()]
+        for column in (series.p_succ, series.p_alt, series.norm):
+            if column is None:
+                fields.append(absent)
+                continue
+            bits = column[part].view(np.uint64)
+            if (bits == bits[0]).all():
+                spelling = float_field % tuple(floats(column[start:start + 1]))
+                fields.append(spelling.replace("%", "%%"))
+            else:
+                fields.append(float_field)
+                columns.append(floats(column[part]))
+        yield tuple(fields), len(columns[0]), tuple(chain.from_iterable(zip(*columns)))
 
 
 def run_report_to_csv(report: RunReport):
     """Yield the CSV text, the header and then REPORT_CHUNK rows at a time."""
     yield _RUN_CSV_HEADER + "\n"
-    for rows in _row_chunks(report.series):
-        yield "".join(
-            f"{t},{format_float(p)},{'' if alt is None else format_float(alt)},"
-            f"{format_float(norm)}\n" for t, p, alt, norm in rows)
-
-
-def read_run_rows(text: str) -> Series:
-    """Parse the series back from the CSV emitted by :func:`run_report_to_csv`."""
-    lines = text.strip().split("\n")
-    if lines[0] != _RUN_CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {lines[0]!r}")
-    t, p, alt, norm = zip(*(line.split(",") for line in lines[1:]))
-    return Series(t=np.array([int(x) for x in t], dtype=np.int64),
-                  p_succ=np.array([float(x) for x in p]),
-                  p_alt=None if all(x == "" for x in alt)
-                  else np.array([float(x) for x in alt]),
-                  norm=np.array([float(x) for x in norm]))
+    for fields, rows, values in _chunk_fields(report.series, _CSV_FLOAT, np.ndarray.tolist, ""):
+        yield (",".join(fields) + "\n") * rows % values
 
 
 def _json_floats(column: np.ndarray) -> list:
-    """The column's values for a %s field, in json.dumps's spelling.
-
-    %s of a finite float is its repr, which is what json.dumps writes;
-    NaN and the infinities are spelled as json.dumps spells them.
-    """
+    """The column's values for a %s field, in json.dumps's spelling: %s of a
+    finite float is its repr, and NaN and the infinities are json.dumps's."""
     values = column.tolist()
     if np.isfinite(column).all():
         return values
@@ -155,9 +153,8 @@ def run_report_to_json(report: RunReport):
     }, indent=2)
     yield head[:-len("]\n}")] + "\n"      # up to '"rows": [' and its newline
     separator = ""
-    for rows in _row_chunks(report.series, _json_floats, "null"):
-        rows = list(rows)
-        yield separator + ",\n".join([_JSON_ROW] * len(rows)) % tuple(chain.from_iterable(rows))
+    for fields, rows, values in _chunk_fields(report.series, "%s", _json_floats, "null"):
+        yield separator + ",\n".join([_JSON_ROW % fields] * rows) % values
         separator = ",\n"
     yield "\n  ]\n}\n"
 

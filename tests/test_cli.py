@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from jwalk import arc_engine, cli, reduced, reports
+from jwalk import arc_engine, cli, reduced
 from jwalk.johnson import graph_params
+from run_csv import read_run_rows
 
 
 def run_cli(capsys, *argv):
@@ -56,7 +57,7 @@ def test_simulate_reduced_row_count_and_start(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "100", "--k", "2",
                            "--engine", "reduced", "--steps", "160")
     assert code == 0
-    rows = reports.read_run_rows(out)
+    rows = read_run_rows(out)
     assert len(rows.t) == 161
     assert rows.t[0] == 0
     assert rows.p_succ[0] == pytest.approx(1.0 / 4950.0, rel=1e-12)
@@ -68,8 +69,8 @@ def test_simulate_cross_engine_agreement(capsys):
                              "--engine", "full", "--steps", "50")
     _, out_reduced, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                                 "--engine", "reduced", "--steps", "50")
-    full = reports.read_run_rows(out_full)
-    small = reports.read_run_rows(out_reduced)
+    full = read_run_rows(out_full)
+    small = read_run_rows(out_reduced)
     assert len(full.t) == len(small.t) == 51
     assert np.abs(full.p_succ - small.p_succ).max() <= 1e-10
     assert full.p_alt is not None
@@ -86,7 +87,7 @@ def test_simulate_force_capacity_flag(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--engine", "full", "--steps", "3", "--force-capacity")
     assert code == 0
-    assert len(reports.read_run_rows(out).t) == 4
+    assert len(read_run_rows(out).t) == 4
 
 
 def test_simulate_force_capacity_checks_available_memory(capsys, monkeypatch):
@@ -99,13 +100,13 @@ def test_simulate_force_capacity_checks_available_memory(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
                            "--engine", "full", "--steps", "3")
     assert code == 0
-    assert len(reports.read_run_rows(out).t) == 4
+    assert len(read_run_rows(out).t) == 4
 
 
 def test_simulate_default_steps_is_twice_t_run(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "100", "--k", "2")
     assert code == 0
-    assert len(reports.read_run_rows(out).t) == 2 * 78 + 1
+    assert len(read_run_rows(out).t) == 2 * 78 + 1
 
 
 def test_simulate_reduced_norm_column(capsys):
@@ -114,7 +115,7 @@ def test_simulate_reduced_norm_column(capsys):
                            "--steps", "20", "--stride", "3")
     assert code == 0
     spec = reduced.spectrum(graph_params(100, 2))
-    norm = reports.read_run_rows(out).norm
+    norm = read_run_rows(out).norm
     assert len(norm) == 8 and np.all(norm == float(spec.norm))
 
 
@@ -140,7 +141,7 @@ def test_simulate_reduced_strided_horizon_fits(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--steps", str(10 ** 13), "--stride", str(10 ** 12))
     assert code == 0
-    assert reports.read_run_rows(out).t.tolist() == [t * 10 ** 12 for t in range(11)]
+    assert read_run_rows(out).t.tolist() == [t * 10 ** 12 for t in range(11)]
 
 
 def test_simulate_marked_flag(capsys):
@@ -173,7 +174,7 @@ def test_simulate_stride(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--steps", "10", "--stride", "4")
     assert code == 0
-    rows = reports.read_run_rows(out)
+    rows = read_run_rows(out)
     assert rows.t.tolist() == [0, 4, 8, 10]
 
 
@@ -193,7 +194,7 @@ def test_out_file_written(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--steps", "5", "--out", str(target))
     assert code == 0 and out == ""
-    rows = reports.read_run_rows(target.read_text())
+    rows = read_run_rows(target.read_text())
     assert len(rows.t) == 6
 
 

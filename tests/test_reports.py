@@ -9,6 +9,7 @@ import pytest
 from jwalk import reports, spectral, validation
 from jwalk.arc_engine import Series
 from jwalk.johnson import graph_params
+from run_csv import read_run_rows
 
 
 @pytest.mark.parametrize("value", [
@@ -32,7 +33,7 @@ def test_run_csv_round_trip_exact():
     report = _sample_run_report()
     text = "".join(reports.run_report_to_csv(report))
     assert text.startswith("t,p_succ,p_alt,norm\n")
-    parsed = reports.read_run_rows(text)
+    parsed = read_run_rows(text)
     assert all(np.array_equal(a, b) for a, b in zip(parsed, report.series))
     assert parsed.t.dtype == np.int64
 
@@ -42,10 +43,10 @@ def test_run_csv_empty_alt_field():
     text = "".join(reports.run_report_to_csv(report))
     line = text.splitlines()[1]
     assert line.split(",")[2] == ""
-    assert reports.read_run_rows(text).p_alt is None
+    assert read_run_rows(text).p_alt is None
 
 
-@pytest.mark.parametrize("chunk", [1, 2, reports.REPORT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, 3, reports.REPORT_CHUNK])
 @pytest.mark.parametrize("with_alt", [False, True])
 def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
     # the streamed text is the text of the whole report at once, wherever
@@ -86,9 +87,79 @@ def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
     assert '"p_succ": NaN' in text and '"norm": -Infinity' in text
 
 
+def _per_row_texts(report):
+    """The CSV and JSON texts of a run report, spelled one field at a time."""
+    series = report.series
+    alt = [None] * len(series.t) if series.p_alt is None else series.p_alt.tolist()
+    rows = list(zip(series.t.tolist(), series.p_succ.tolist(), alt, series.norm.tolist()))
+    csv_text = "t,p_succ,p_alt,norm\n" + "".join(
+        f"{t},{format(p, '.17g')},{'' if a is None else format(a, '.17g')},"
+        f"{format(norm, '.17g')}\n" for t, p, a, norm in rows)
+    doc = {
+        "schema_version": 1,
+        "params": {"n": 8, "k": 2, "num_vertices": 28, "degree": 12},
+        "marked": list(report.marked),
+        "engine": report.engine,
+        "t_run": report.t_run,
+        "stride": report.stride,
+        "rows": [{"t": t, "p_succ": p, "p_alt": a, "norm": norm} for t, p, a, norm in rows],
+    }
+    return csv_text, json.dumps(doc, indent=2) + "\n"
+
+
+def _report_of(p_succ, p_alt, norm):
+    series = Series(t=np.arange(len(p_succ)) * 5, p_succ=np.array(p_succ),
+                    p_alt=None if p_alt is None else np.array(p_alt), norm=np.array(norm))
+    return reports.RunReport(params=graph_params(8, 2), marked=(3,),
+                             engine="reduced" if p_alt is None else "full",
+                             t_run=6, stride=5, series=series)
+
+
+# seven rows, so chunks of 2 and 3 rows leave a short last chunk
+_CONSTANT_COLUMNS = {
+    # -0.0 == 0.0, yet it spells -0: constancy is a matter of bits
+    "signed_zero": [0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0],
+    "nan": [math.nan] * 7,
+    "negative_inf": [-math.inf] * 7,
+    "subnormal": [5e-324] * 7,
+    # constant over the first chunk of 2 or 3 rows, then not
+    "constant_then_varying": [0.25, 0.25, 0.25, 0.1, 0.25, 1 / 3, 0.25],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+@pytest.mark.parametrize("with_alt", [False, True])
+@pytest.mark.parametrize("name", sorted(_CONSTANT_COLUMNS))
+def test_run_report_constant_columns_spelled_per_row(monkeypatch, chunk, with_alt, name):
+    # a column that is constant over a chunk is spelled once for the chunk,
+    # in the same bytes as each of its fields spelled alone
+    monkeypatch.setattr(reports, "REPORT_CHUNK", chunk)
+    column = _CONSTANT_COLUMNS[name]
+    varying = [0.5, 0.1, 2 ** -1074, -1.5, 1e300, 0.75, 1.0 - 2 ** -53]
+    for p_succ, p_alt, norm in [(column, varying if with_alt else None, column[::-1]),
+                                (varying, column if with_alt else None, column)]:
+        report = _report_of(p_succ, p_alt, norm)
+        csv_text, json_text = _per_row_texts(report)
+        assert "".join(reports.run_report_to_csv(report)) == csv_text
+        assert "".join(reports.run_report_to_json(report)) == json_text
+
+
+def test_run_report_random_bit_patterns_spelled_per_row():
+    # every double, whatever its bits (subnormals, NaN payloads, infinities),
+    # is spelled by the chunk templates as format(x, ".17g") and json.dumps
+    # spell it alone
+    values = np.random.default_rng(0).integers(
+        0, 2 ** 64, size=10_000, dtype=np.uint64).view(np.float64)
+    assert all(reports.format_float(x) == format(x, ".17g") for x in values.tolist())
+    report = _report_of(values, values[::-1], np.ones(len(values)))
+    csv_text, json_text = _per_row_texts(report)
+    assert "".join(reports.run_report_to_csv(report)) == csv_text
+    assert "".join(reports.run_report_to_json(report)) == json_text
+
+
 def test_read_run_rows_rejects_bad_header():
     with pytest.raises(ValueError):
-        reports.read_run_rows("a,b,c\n1,2,3\n")
+        read_run_rows("a,b,c\n1,2,3\n")
 
 
 def test_run_json_schema():
