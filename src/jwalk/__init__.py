@@ -12,10 +12,9 @@ from .errors import (CapacityError, CertificationError, DegenerateInstanceError,
                      PrecisionError)
 from .johnson import (GraphParams, IntersectionRow, distance_class, graph_params,
                       intersection_numbers, rank_vertex, shell_size, unrank_vertex)
-from .reduced import eigenphases, evolve_series, sweep_point
+from .reduced import evolve_series, sweep_point
 from .spectral import (Schedule, SpectralRow, eigenphase, eigenvalue, multiplicity,
-                       projector_weight, run_time, spectral_table,
-                       verify_eigenphase_asymptotics)
+                       projector_weight, run_time, spectral_table)
 from .validation import certify
 
 __version__ = "0.1.0"
@@ -24,9 +23,9 @@ __all__ = [
     "GraphParams", "IntersectionRow", "graph_params", "rank_vertex",
     "unrank_vertex", "distance_class", "shell_size", "intersection_numbers",
     "Schedule", "SpectralRow", "eigenvalue", "multiplicity", "projector_weight",
-    "eigenphase", "spectral_table", "run_time", "verify_eigenphase_asymptotics",
+    "eigenphase", "spectral_table", "run_time",
     "uniform_state", "evolve_and_record",
-    "evolve_series", "sweep_point", "eigenphases",
+    "evolve_series", "sweep_point",
     "certify",
     "CapacityError", "CertificationError", "DegenerateInstanceError",
     "PrecisionError",

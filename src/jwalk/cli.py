@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from . import arc_engine, reduced, reports, spectral, validation
-from .errors import CapacityError, PrecisionError
+from .errors import CapacityError, CertificationError, PrecisionError
 from .johnson import graph_params, rank_vertex
 
 EXIT_OK = 0
@@ -185,6 +185,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

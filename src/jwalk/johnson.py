@@ -12,17 +12,16 @@ tail subset and ``inserted_index`` positions the incoming element inside
 the sorted complement of the tail.  All combinatorial quantities are exact
 Python integers; subsets are 1-based tuples at the API surface.
 
-The scalar functions (:func:`rank_vertex`, :func:`arc_head`,
-:func:`arc_opposite`, ...) decode one arc at a time.  The full engine holds
-the walk in the pair layout instead, indexed by the shared (k-1)-subset of
-an arc's ends: :func:`pair_vertex_table` maps each (subset, added element)
-pair to its vertex rank, by the same colex ranking vectorized with numpy in
-int64, and :func:`arc_pair_slots` places every flat arc index in that
-layout and pairs it with its reversed arc.  The scalar functions are kept
-as their independent oracle.
+The full engine holds the walk in the pair layout, indexed by the shared
+(k-1)-subset of an arc's ends: :func:`pair_vertex_table` maps each
+(subset, added element) pair to its vertex rank, by the colex ranking of
+the scalar :func:`rank_vertex` vectorized with numpy in int64, and
+:func:`arc_pair_slots` places every flat arc index in that layout and
+pairs it with its reversed arc.  Their independent oracle, scalar
+decoders that read one flat arc index at a time, lives with the tests in
+``tests/flat_layout.py``.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -36,9 +35,6 @@ __all__ = [
     "graph_params",
     "rank_vertex",
     "unrank_vertex",
-    "arc_head",
-    "arc_opposite",
-    "arc_components",
     "pair_vertex_table",
     "arc_pair_slots",
     "vertex_pairs",
@@ -132,47 +128,6 @@ def unrank_vertex(params: GraphParams, rank: int) -> tuple:
     return tuple(reversed(out))
 
 
-def _complement(params: GraphParams, subset) -> list:
-    members = set(subset)
-    return [e for e in range(1, params.n + 1) if e not in members]
-
-
-def arc_components(params: GraphParams, arc: int) -> tuple:
-    """Decode an arc index into (tail_rank, removed_element, inserted_element)."""
-    if not 0 <= arc < params.num_arcs:
-        raise ValueError(f"arc index {arc} out of range [0, {params.num_arcs})")
-    d = params.degree
-    tail, slot = divmod(arc, d)
-    removed_idx, inserted_idx = divmod(slot, params.n - params.k)
-    tail_subset = unrank_vertex(params, tail)
-    removed = tail_subset[removed_idx]
-    inserted = _complement(params, tail_subset)[inserted_idx]
-    return tail, removed, inserted
-
-
-def arc_head(params: GraphParams, arc: int) -> int:
-    """Rank of the head vertex: the tail with one element swapped out."""
-    tail, removed, inserted = arc_components(params, arc)
-    tail_subset = unrank_vertex(params, tail)
-    head_subset = sorted(e for e in tail_subset if e != removed)
-    head_subset.insert(bisect_left(head_subset, inserted), inserted)
-    return rank_vertex(params, head_subset)
-
-
-def arc_opposite(params: GraphParams, arc: int) -> int:
-    """Index of the reversed arc; a fixed-point-free involution."""
-    tail, removed, inserted = arc_components(params, arc)
-    tail_subset = unrank_vertex(params, tail)
-    head_subset = sorted(e for e in tail_subset if e != removed)
-    head_subset.insert(bisect_left(head_subset, inserted), inserted)
-    head = rank_vertex(params, head_subset)
-    # reversed swap: `inserted` leaves the head, `removed` re-enters
-    removed_idx = bisect_left(head_subset, inserted)
-    inserted_idx = (removed - 1) - bisect_left(head_subset, removed)
-    slot = removed_idx * (params.n - params.k) + inserted_idx
-    return head * params.degree + slot
-
-
 def _binomial_table(n: int, k: int) -> np.ndarray:
     """``table[e, i] = C(e, i)`` for 0 <= e < n and 0 <= i <= k + 1, int64."""
     return np.array([[comb(e, i) for i in range(k + 2)] for e in range(n)],
@@ -244,9 +199,8 @@ def arc_pair_slots(params: GraphParams) -> tuple:
     Returns two read-only int64 arrays indexed by the flat arc index of
     the module docstring: the flat index of the arc's slot in a pair state
     of shape (C(n, k-1), m, m), m = n - k + 1, and the index of the
-    reversed arc, whose slot is the transposed one.  The scalar
-    :func:`arc_components` and :func:`arc_opposite` are its independent
-    oracle.
+    reversed arc, whose slot is the transposed one.  The scalar decoders
+    of ``tests/flat_layout.py`` are its independent oracle.
 
     Slot (a, x, y) is the arc from a ∪ {s_x} to a ∪ {s_y}, where s_j is
     the j-th element outside a.  Its tail is ``pair_vertex_table[a, x]``;

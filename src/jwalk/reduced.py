@@ -38,11 +38,11 @@ closed form, and
     p(t) = |sum_m a_m e^{i theta_m t}|**2.
 
 p is evaluated at t = 0, stride, 2*stride, ... in blocks of SCAN_CHUNK
-values; the ``simulate`` series (``evolve_series``), ``sweep_point`` and
-``eigenphases`` all read from the spectrum of a ``GraphParams``, so none
-of them depends on n, and a series costs O(steps/stride) evaluations
-whatever its horizon.  The series' norm column is the start state's norm
-in the eigen-expansion, sqrt(sum_m |c_m|**2) with
+values; the ``simulate`` series (``evolve_series``) and ``sweep_point``
+both read from the spectrum of a ``GraphParams``, so neither depends on
+n, and a series costs O(steps/stride) evaluations whatever its horizon.
+The series' norm column is the start state's norm in the eigen-expansion,
+sqrt(sum_m |c_m|**2) with
 
     |c_m|**2 = (w_0**2 / (4 sin**2(theta_m/2)))
                / sum_j w_j**2 / (4 sin**2((theta_m - phi_j)/2)),
@@ -85,10 +85,10 @@ from .errors import PrecisionError
 from .johnson import GraphParams
 
 __all__ = [
+    "SecularSpectrum",
     "evolve_series",
     "spectrum",
     "sweep_point",
-    "eigenphases",
 ]
 
 # sampled values of t per block of the spectral scan; a perfect square, since
@@ -382,13 +382,3 @@ def sweep_point(params: GraphParams, t_run: int) -> tuple:
         if p_max is None or p[peak] > p_max:
             t_opt, p_max = start + peak, float(p[peak])
     return p_run, t_opt, p_max
-
-
-def eigenphases(params: GraphParams) -> np.ndarray:
-    """The secular roots as sorted principal arguments, in double.
-
-    They are the phases of the marked step's eigenvalues in the invariant
-    subspace.
-    """
-    phases = [float(theta) for theta in spectrum(params).roots]
-    return np.sort([p - 2 * math.pi if p > math.pi else p for p in phases])

@@ -25,7 +25,6 @@ from .johnson import GraphParams, intersection_numbers, shell_size
 __all__ = [
     "SpectralRow",
     "Schedule",
-    "PhaseAsymptotics",
     "eigenvalue",
     "multiplicity",
     "projector_weight",
@@ -33,12 +32,7 @@ __all__ = [
     "eigenphase",
     "spectral_table",
     "run_time",
-    "verify_eigenphase_asymptotics",
 ]
-
-# phases smaller than this are treated as numerically zero when locating
-# the slowest rotation of the marked walk
-PHASE_CUTOFF = 1e-9
 
 _MP_DPS = 40
 
@@ -65,15 +59,6 @@ class Schedule:
     t_run: int
     epsilon: float        # n ** -0.5
     target_phase: float   # sqrt(2 k!) * epsilon**k, the leading eigenphase
-
-
-@dataclass(frozen=True)
-class PhaseAsymptotics:
-    """Slowest observed rotation versus its large-n prediction."""
-
-    theta_min: float
-    target_phase: float
-    relative_error: float
 
 
 def _check_level(params: GraphParams, level: int) -> None:
@@ -167,25 +152,4 @@ def run_time(params: GraphParams) -> Schedule:
         t_run=t_run,
         epsilon=eps,
         target_phase=math.sqrt(2 * factorial(k)) * eps ** k,
-    )
-
-
-def verify_eigenphase_asymptotics(params: GraphParams, reduced_phases) -> PhaseAsymptotics:
-    """Compare the slowest positive rotation of the marked walk to theory.
-
-    ``reduced_phases`` are principal arguments of the marked step's
-    eigenvalues in the invariant subspace, the secular roots of
-    ``reduced.eigenphases``.  The smallest phase above PHASE_CUTOFF is
-    matched against sqrt(2 k!) * n**(-k/2); the relative error decays
-    like n**(-1/2).
-    """
-    positive = [p for p in reduced_phases if p > PHASE_CUTOFF]
-    if not positive:
-        raise ValueError("no positive eigenphase found; reduced spectrum inconsistent")
-    theta_min = min(positive)
-    target = run_time(params).target_phase
-    return PhaseAsymptotics(
-        theta_min=theta_min,
-        target_phase=target,
-        relative_error=abs(theta_min - target) / target,
     )

@@ -210,16 +210,6 @@ def _engine_column_blocks(params: GraphParams, marked: Optional[int] = None):
         yield cols, _engine_step(params, states[:b], vertices, transposed, marked, rows[:b])
 
 
-def lift_symmetric(vertex_vec: np.ndarray, tails: np.ndarray,
-                   heads: np.ndarray) -> np.ndarray:
-    return (vertex_vec[tails] + vertex_vec[heads]) / np.sqrt(2.0)
-
-
-def lift_antisymmetric(vertex_vec: np.ndarray, tails: np.ndarray,
-                       heads: np.ndarray) -> np.ndarray:
-    return (vertex_vec[tails] - vertex_vec[heads]) / np.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class InvariantBasis:
     """Explicit arc-space basis of the search's invariant subspace.
@@ -233,7 +223,6 @@ class InvariantBasis:
     params: GraphParams
     marked: int
     shell_indicators: list           # (N,) int64 indicator of each shell
-    within: list                     # arcs staying in shell l
     outward: list                    # arcs from shell l to l+1
     inward: list                     # arcs from shell l to l-1
     proj_w: list                     # eigenspace projections of the marked state
@@ -257,7 +246,6 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     tails = np.arange(A) // d
     heads = opp // d
     dist_t, dist_h = dist[tails], dist[heads]
-    within = [((dist_t == l) & (dist_h == l)).astype(float) for l in range(k + 1)]
     outward = [((dist_t == l) & (dist_h == l + 1)).astype(float) for l in range(k + 1)]
     inward = [((dist_t == l) & (dist_h == l - 1)).astype(float) for l in range(k + 1)]
 
@@ -286,8 +274,8 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
             vec[dist == m] = shell_coeff[m]
         proj_w.append(vec)
 
-    sym_lifts = [lift_symmetric(v, tails, heads) for v in proj_w]
-    antisym_lifts = [lift_antisymmetric(v, tails, heads) for v in proj_w]
+    sym_lifts = [(v[tails] + v[heads]) / np.sqrt(2.0) for v in proj_w]
+    antisym_lifts = [(v[tails] - v[heads]) / np.sqrt(2.0) for v in proj_w]
 
     basis = np.zeros((A, 2 * k + 1), dtype=np.complex128)
     p0 = np.linalg.norm(proj_w[0])
@@ -307,7 +295,7 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     return InvariantBasis(
         params=params, marked=marked,
         shell_indicators=shell_indicators,
-        within=within, outward=outward, inward=inward,
+        outward=outward, inward=inward,
         proj_w=proj_w, sym_lifts=sym_lifts, antisym_lifts=antisym_lifts,
         basis=basis, target_arc=target_arc, opposite=opp,
     )

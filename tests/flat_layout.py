@@ -3,19 +3,63 @@
 A flat state is a float64 vector over the arcs in the tail-major order of
 ``jwalk.johnson``, so the arcs leaving a vertex are one contiguous block of
 ``degree`` amplitudes, and the shift gathers every arc from its reverse.
-The reversal comes from the scalar ``arc_opposite`` and the pair slot of an
-arc from the scalar decoders, one arc at a time, so nothing here shares
-the vectorized colex ranking of ``johnson.pair_vertex_table`` or
+The scalar decoders below (:func:`arc_components`, :func:`arc_head`,
+:func:`arc_opposite`) read one flat arc index at a time from the scalar
+``johnson.rank_vertex`` and ``unrank_vertex``.  The reversal and the pair
+slot of every arc come from them, so nothing here shares the vectorized
+colex ranking of ``johnson.pair_vertex_table`` or
 ``johnson.arc_pair_slots``.  The passes take a batch of flat states as the
 rows of a 2-D array.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from jwalk.johnson import arc_components, arc_opposite, unrank_vertex
+from jwalk.johnson import rank_vertex, unrank_vertex
+
+
+def _complement(params, subset):
+    members = set(subset)
+    return [e for e in range(1, params.n + 1) if e not in members]
+
+
+def arc_components(params, arc):
+    """Decode an arc index into (tail_rank, removed_element, inserted_element)."""
+    if not 0 <= arc < params.num_arcs:
+        raise ValueError(f"arc index {arc} out of range [0, {params.num_arcs})")
+    d = params.degree
+    tail, slot = divmod(arc, d)
+    removed_idx, inserted_idx = divmod(slot, params.n - params.k)
+    tail_subset = unrank_vertex(params, tail)
+    removed = tail_subset[removed_idx]
+    inserted = _complement(params, tail_subset)[inserted_idx]
+    return tail, removed, inserted
+
+
+def arc_head(params, arc):
+    """Rank of the head vertex: the tail with one element swapped out."""
+    tail, removed, inserted = arc_components(params, arc)
+    tail_subset = unrank_vertex(params, tail)
+    head_subset = sorted(e for e in tail_subset if e != removed)
+    head_subset.insert(bisect_left(head_subset, inserted), inserted)
+    return rank_vertex(params, head_subset)
+
+
+def arc_opposite(params, arc):
+    """Index of the reversed arc; a fixed-point-free involution."""
+    tail, removed, inserted = arc_components(params, arc)
+    tail_subset = unrank_vertex(params, tail)
+    head_subset = sorted(e for e in tail_subset if e != removed)
+    head_subset.insert(bisect_left(head_subset, inserted), inserted)
+    head = rank_vertex(params, head_subset)
+    # reversed swap: `inserted` leaves the head, `removed` re-enters
+    removed_idx = bisect_left(head_subset, inserted)
+    inserted_idx = (removed - 1) - bisect_left(head_subset, removed)
+    slot = removed_idx * (params.n - params.k) + inserted_idx
+    return head * params.degree + slot
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from eigenphases import eigenphases, verify_eigenphase_asymptotics
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.johnson import graph_params, intersection_numbers
 
@@ -162,8 +163,8 @@ def test_criterion_5_eigenphase_asymptotics():
     errors = {}
     for n in (100, 400, 1600):
         p = graph_params(n, 2)
-        phases = reduced.eigenphases(p)
-        report = spectral.verify_eigenphase_asymptotics(p, phases)
+        phases = eigenphases(p)
+        report = verify_eigenphase_asymptotics(p, phases)
         # target_phase = 2/n for k=2, so relative error is |theta*n/2 - 1|
         errors[n] = report.relative_error
     elapsed = time.perf_counter() - start

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jwalk import arc_engine, cli, reduced
+from jwalk import arc_engine, cli, reduced, spectral
 from jwalk.johnson import graph_params
 from run_csv import read_run_rows
 
@@ -248,6 +248,16 @@ def test_validate_rejects_tolerance_before_any_work(capsys, monkeypatch, tol):
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "validate", "--n", "4", "--k", "2", "--tol", "0")
     assert code == 1 and json.loads(out)["passed"] is False
+
+
+def test_validate_basis_failure_is_a_certification_error(capsys, monkeypatch):
+    # the quotient-eigenvalue check raises inside build_invariant_basis, before
+    # any report exists: exit 1 with an error line, not a traceback
+    monkeypatch.setattr(spectral, "eigenvalue", lambda params, level: 10 ** 6)
+    code, out, err = run_cli(capsys, "validate", "--n", "4", "--k", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "tridiagonal quotient eigenvalues" in err
+    assert "Traceback" not in err
 
 
 def test_validate_capacity(capsys):

@@ -26,12 +26,15 @@ def _pair_loop(params, marked, steps):
 
 
 def _class_vectors(params, marked):
-    """The unit vector of each arc class, from the invariant basis's arc indicators."""
+    """The unit vector of each arc class, from the invariant basis's indicators."""
     basis = validation.build_invariant_basis(params, marked)
+    tails = np.arange(params.num_arcs) // params.degree
+    heads = basis.opposite // params.degree
     indicators = {}
     for i in range(params.k + 1):
+        shell = basis.shell_indicators[i]
         indicators[(i, i + 1)] = basis.outward[i]
-        indicators[(i, i)] = basis.within[i]
+        indicators[(i, i)] = shell[tails] * shell[heads]
         indicators[(i, i - 1)] = basis.inward[i]
     return np.array([indicators[c] / np.sqrt(indicators[c].sum())
                      for c in orbit_walk.classes(params)])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import orbit_walk
+from eigenphases import eigenphases
 from jwalk import reduced, spectral, validation
 from jwalk.errors import PrecisionError
 from jwalk.johnson import graph_params
@@ -113,7 +114,7 @@ def test_eigenphases_unit_modulus_and_pairing():
         p = graph_params(n, k)
         eig = np.linalg.eigvals(validation._reduced_step(p)[0])
         assert np.abs(np.abs(eig) - 1.0).max() <= 1e-10
-        phases = reduced.eigenphases(p)
+        phases = eigenphases(p)
         assert len(phases) == 2 * k + 1
         # conjugation symmetry: positive and negative phases mirror, with the
         # lone unpaired eigenvalue sitting at -1 (phase +-pi)
@@ -131,17 +132,17 @@ def test_eigenphases_are_the_secular_roots(n, k):
     # each is also an eigenvalue of the arc-class step, whose 3k classes hold
     # the 2k+1 dimensions the walk reaches
     p = graph_params(n, k)
-    on_circle = np.exp(1j * reduced.eigenphases(p))
+    on_circle = np.exp(1j * eigenphases(p))
     eig = np.linalg.eigvals(validation._reduced_step(p)[0])
     gap = np.abs(on_circle[:, None] - eig[None, :])
     assert gap.min(axis=1).max() <= 1e-10 and gap.min(axis=0).max() <= 1e-10
     orbit_eig = np.linalg.eigvals(orbit_walk.step_matrix(p).astype(float))
     assert np.abs(on_circle[:, None] - orbit_eig[None, :]).min(axis=1).max() <= 1e-10
-    assert np.all(np.diff(reduced.eigenphases(p)) > 0)
+    assert np.all(np.diff(eigenphases(p)) > 0)
 
 
 def test_smallest_phase_regression_j100():
-    phases = reduced.eigenphases(graph_params(100, 2))
+    phases = eigenphases(graph_params(100, 2))
     theta = min(p for p in phases if p > 1e-9)
     assert theta == pytest.approx(THETA_MIN_J100_2, abs=1e-10)
     assert theta == pytest.approx(0.02, rel=0.5)  # leading-order prediction

@@ -8,7 +8,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from jwalk import reduced, spectral
+from eigenphases import eigenphases, verify_eigenphase_asymptotics
+from jwalk import spectral
 from jwalk.errors import DegenerateInstanceError
 from jwalk.johnson import GraphParams, graph_params
 
@@ -180,7 +181,7 @@ def test_schedule_fields():
 
 def test_verify_eigenphase_asymptotics_reports():
     p = graph_params(100, 2)
-    report = spectral.verify_eigenphase_asymptotics(p, reduced.eigenphases(p))
+    report = verify_eigenphase_asymptotics(p, eigenphases(p))
     assert report.target_phase == pytest.approx(0.02, rel=1e-14)
     assert abs(report.theta_min - report.target_phase) <= 0.5 * report.target_phase
     assert report.relative_error == pytest.approx(
@@ -191,17 +192,17 @@ def test_verify_eigenphase_error_decay():
     errors = {}
     for n in (400, 1600):
         p = graph_params(n, 2)
-        errors[n] = spectral.verify_eigenphase_asymptotics(
-            p, reduced.eigenphases(p)).relative_error
+        errors[n] = verify_eigenphase_asymptotics(
+            p, eigenphases(p)).relative_error
     assert errors[1600] <= 0.5 * errors[400]
 
 
 def test_verify_eigenphase_cutoff_and_failure():
     p = graph_params(100, 2)
-    report = spectral.verify_eigenphase_asymptotics(p, [1e-12, 0.5, -0.5])
+    report = verify_eigenphase_asymptotics(p, [1e-12, 0.5, -0.5])
     assert report.theta_min == 0.5  # numerically-zero phase excluded
     with pytest.raises(ValueError, match="no positive eigenphase"):
-        spectral.verify_eigenphase_asymptotics(p, [-0.3, 1e-13])
+        verify_eigenphase_asymptotics(p, [-0.3, 1e-13])
 
 
 def test_spectral_table_shape():

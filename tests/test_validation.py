@@ -88,10 +88,14 @@ def test_arc_class_vector_norms():
     from jwalk.johnson import intersection_numbers, shell_size
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, marked=0)
+    tails = np.arange(p.num_arcs) // p.degree
+    heads = basis.opposite // p.degree
     for l in range(3):
         row = intersection_numbers(p, l)
         size = shell_size(p, l)
-        assert np.dot(basis.within[l], basis.within[l]) == row.a * size
+        shell = basis.shell_indicators[l]
+        within = shell[tails] * shell[heads]
+        assert np.dot(within, within) == row.a * size
         assert np.dot(basis.outward[l], basis.outward[l]) == row.b * size
         assert np.dot(basis.inward[l], basis.inward[l]) == row.c * size
 
