@@ -53,8 +53,6 @@ from .errors import CapacityError
 from .johnson import GraphParams, pair_vertex_table, vertex_pairs
 
 __all__ = [
-    "DEFAULT_CAPACITY",
-    "HARD_CAPACITY",
     "uniform_state",
     "state_norm",
     "apply_coin",
@@ -64,12 +62,9 @@ __all__ = [
     "evolve_and_record",
 ]
 
-# Refuse allocations above this many amplitudes unless the caller raises the
-# cap explicitly (64 MiB of float64 per state buffer at the default).
-DEFAULT_CAPACITY = 2 ** 23
-# Absolute ceiling even when forced; keeps arc indices well inside int64
-# and allocation failures predictable.
-HARD_CAPACITY = 2 ** 31
+# Where /proc/meminfo cannot be read, the full engine refuses above this many
+# amplitudes (64 MiB of float64) instead.
+_UNMEASURED_CAPACITY = 2 ** 23
 # The head coin sums a pair state over x in this many contiguous ranges and
 # adds the partial sums.  A single middle-axis sum adds the m terms of each
 # (a, y) in one accumulator: over 2*t_run its norm drift reached 1.5e-14 on
@@ -95,29 +90,34 @@ def _mem_available() -> Optional[int]:
     return None
 
 
-def _check_capacity(params: GraphParams, capacity: int) -> None:
-    """Refuse an instance above the amplitude cap, or one that cannot fit.
+def _require_bytes(needed: int, what: str, remedy: str, amplitudes: int = 0) -> None:
+    """Refuse ``what`` with CapacityError if its ``needed`` bytes exceed ``MemAvailable``.
 
-    Above the default cap the run also needs its bytes to fit in the
-    memory the system reports available: 8 per slot of the pair state,
-    that is 8·m/(m-1) per arc, plus ``_TABLE_WORDS`` 8-byte words per
-    k·num_vertices for the vertex table and the coin's row sums.  No
-    permutation is built.
+    The one memory rule of every capacity refusal.  Where /proc/meminfo
+    cannot be read, ``amplitudes`` above ``_UNMEASURED_CAPACITY`` are refused.
     """
-    cap = min(capacity, HARD_CAPACITY)
-    if params.num_arcs > cap:
-        raise CapacityError(
-            f"instance J({params.n},{params.k}) needs {params.num_arcs} amplitudes, "
-            f"above the cap of {cap}; use the reduced engine instead")
-    if capacity <= DEFAULT_CAPACITY:
-        return
     available = _mem_available()
-    needed = 8 * prod(_pair_shape(params)) \
-        + 8 * _TABLE_WORDS * params.k * params.num_vertices
+    if available is None and amplitudes > _UNMEASURED_CAPACITY:
+        raise CapacityError(
+            f"{what} holds {amplitudes} amplitudes, above the {_UNMEASURED_CAPACITY} "
+            f"allowed where available memory cannot be read; {remedy}")
     if available is not None and needed > available:
         raise CapacityError(
-            f"instance J({params.n},{params.k}) needs {needed} bytes, above the "
-            f"{available} bytes of available memory; use the reduced engine instead")
+            f"{what} needs {needed} bytes, above the {available} bytes of "
+            f"available memory; {remedy}")
+
+
+def _check_capacity(params: GraphParams, series: int = 0) -> None:
+    """Refuse a full-engine walk on ``params``, plus ``series`` bytes, that cannot fit.
+
+    The walk holds 8 bytes per slot of the pair state, that is 8·m/(m-1)
+    per arc, and ``_TABLE_WORDS`` 8-byte words per k·num_vertices for the
+    vertex table and the coin's row sums (:func:`_require_bytes`).
+    """
+    needed = 8 * (prod(_pair_shape(params)) + _TABLE_WORDS * params.k * params.num_vertices)
+    _require_bytes(needed + series, f"the full engine on J({params.n},{params.k})",
+                   "use the reduced engine instead" + (", or raise the stride" if series else ""),
+                   amplitudes=params.num_arcs)
 
 
 class Series(NamedTuple):
@@ -129,23 +129,22 @@ class Series(NamedTuple):
     norm: np.ndarray               # float64 state norm
 
 
-def _sample_times(steps: int, stride: int, columns: int) -> np.ndarray:
+def _sample_times(steps: int, stride: int, columns: int,
+                  full: Optional[GraphParams] = None) -> np.ndarray:
     """t = 0, stride, 2*stride, ... and ``steps`` itself, as an int64 column.
 
-    Refuses, before anything is evaluated, a series whose ``columns``
-    8-byte columns exceed the memory the system reports available.
+    Refuses first, before anything is allocated, ``columns`` 8-byte columns
+    of them beyond available memory, with ``full`` its full-engine walk added.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     count = steps // stride + 1 + (steps % stride != 0)
-    needed = 8 * columns * count
-    available = _mem_available()
-    if available is not None and needed > available:
-        raise CapacityError(
-            f"a series of {count} rows needs {needed} bytes, above the {available} "
-            f"bytes of available memory; raise the stride")
+    if full is None:
+        _require_bytes(8 * columns * count, f"a series of {count} rows", "raise the stride")
+    else:
+        _check_capacity(full, 8 * columns * count)
     times = np.arange(0, steps + 1, stride, dtype=np.int64)
     return times if times[-1] == steps else np.append(times, np.int64(steps))
 
@@ -181,9 +180,12 @@ def _check_state(params: GraphParams, state: np.ndarray, axis: int = 2,
         raise ValueError(f"blocks run along axis 2 (tails) or 1 (heads); got {axis}")
 
 
-def uniform_state(params: GraphParams, capacity: int = DEFAULT_CAPACITY) -> np.ndarray:
-    """Uniform superposition over all arcs as a pair state, amplitude (degree*N)**-0.5."""
-    _check_capacity(params, capacity)
+def uniform_state(params: GraphParams) -> np.ndarray:
+    """Uniform superposition over all arcs as a pair state, amplitude (degree*N)**-0.5.
+
+    Refuses first a walk that cannot fit (:func:`_check_capacity`).
+    """
+    _check_capacity(params)
     state = np.full(_pair_shape(params), 1.0 / np.sqrt(float(params.num_arcs)))
     _zero_diagonal(state)
     return state
@@ -301,8 +303,7 @@ def _pair_block(params: GraphParams, v: int) -> tuple:
     return (Ellipsis, a, x, slice(None)), (Ellipsis, rows, x)
 
 
-def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1,
-                      capacity: int = DEFAULT_CAPACITY) -> Series:
+def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1) -> Series:
     """Run the search walk and sample the probability series.
 
     Records every stride-th step (t = 0 always included, the final step
@@ -311,10 +312,12 @@ def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int 
     2-norm.  Steps run in pairs on a pair state without the shift (module
     docstring), so at odd t the state holds S·ψ_t: its tail and head
     blocks trade axes, and the norm is unchanged by the permutation.
+    Refuses, before anything is allocated, a run whose pair state, vertex
+    tables and four series columns together exceed the available memory.
     """
-    times = _sample_times(steps, stride, columns=4)
+    times = _sample_times(steps, stride, columns=4, full=params)
     _check_vertex(params, marked)
-    state = uniform_state(params, capacity)
+    state = uniform_state(params)
     vertices = pair_vertex_table(params)
     p_succ, p_alt, norm = (np.empty(len(times)) for _ in range(3))
     row = 0

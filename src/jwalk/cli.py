@@ -78,10 +78,8 @@ def cmd_simulate(args) -> int:
     marked = _parse_marked(args.marked, args.n, args.k)
 
     if args.engine == "full":
-        capacity = arc_engine.HARD_CAPACITY if args.force_capacity \
-            else arc_engine.DEFAULT_CAPACITY
         series = arc_engine.evolve_and_record(params, rank_vertex(params, marked), steps,
-                                              stride=args.stride, capacity=capacity)
+                                              stride=args.stride)
     else:
         series = reduced.evolve_series(params, steps, stride=args.stride)
 
@@ -155,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marked", default=None,
                    help="marked vertex as comma-separated elements (default 1..k); "
                         "ignored by the reduced engine")
-    p.add_argument("--force-capacity", action="store_true",
-                   help="raise the full-engine size cap to its hard limit")
     add_output(p, "csv")
     p.set_defaults(func=cmd_simulate)
 

@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: usage/domain problems exit 2
 (an instance beyond the working precision among them), certification
-failures exit 1, capacity refusals exit 3.
+failures exit 1, capacity refusals (runs beyond available memory) exit 3.
 """
 
 
@@ -23,7 +23,7 @@ class PrecisionError(ArithmeticError):
 
 
 class CapacityError(RuntimeError):
-    """State or matrix allocation would exceed the configured size cap."""
+    """A run would hold more bytes than ``MemAvailable`` reports (or dense caps allow)."""
 
 
 class CertificationError(RuntimeError):

@@ -109,12 +109,10 @@ def _require_dense(params: GraphParams) -> None:
 
 
 def _require_memory(params: GraphParams) -> None:
-    available = arc_engine._mem_available()
-    needed = DENSE_PEAK_MATRICES * params.num_arcs ** 2 * 8
-    if available is not None and needed > available:
-        raise CapacityError(
-            f"dense oracles refuse J({params.n},{params.k}): {needed} bytes of "
-            f"arc-space matrices exceed the {available} bytes of available memory")
+    arc_engine._require_bytes(
+        DENSE_PEAK_MATRICES * params.num_arcs ** 2 * 8,
+        f"dense oracles refuse J({params.n},{params.k}): the certification battery",
+        "certify a smaller instance")
 
 
 def dense_adjacency(params: GraphParams) -> np.ndarray:
@@ -215,16 +213,16 @@ class InvariantBasis:
     """Explicit arc-space basis of the search's invariant subspace.
 
     ``basis`` columns are ordered (stationary, level-1 plus, level-1
-    minus, ..., level-k plus, level-k minus).  The auxiliary shell and
-    arc-class vectors used to build it, and the arc reversal it was lifted
-    through, are kept for certification.
+    minus, ..., level-k plus, level-k minus).  The shell indicators, lifts,
+    marked vertex's arcs and arc reversal used to build it are kept for
+    certification.
     """
 
     params: GraphParams
     marked: int
     shell_indicators: list           # (N,) int64 indicator of each shell
-    outward: list                    # arcs from shell l to l+1
-    inward: list                     # arcs from shell l to l-1
+    marked_out: np.ndarray           # arcs from shell 0 to 1, leaving the marked vertex
+    marked_in: np.ndarray            # arcs from shell 1 to 0, entering it
     proj_w: list                     # eigenspace projections of the marked state
     sym_lifts: list                  # symmetric lifts of proj_w
     antisym_lifts: list              # antisymmetric lifts of proj_w
@@ -246,8 +244,8 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     tails = np.arange(A) // d
     heads = opp // d
     dist_t, dist_h = dist[tails], dist[heads]
-    outward = [((dist_t == l) & (dist_h == l + 1)).astype(float) for l in range(k + 1)]
-    inward = [((dist_t == l) & (dist_h == l - 1)).astype(float) for l in range(k + 1)]
+    marked_out = ((dist_t == 0) & (dist_h == 1)).astype(float)
+    marked_in = ((dist_t == 1) & (dist_h == 0)).astype(float)
 
     # adjacency restricted to shell sums, in the unit-shell basis: symmetric
     # tridiagonal with diagonal a_l and off-diagonal sqrt(b_l * c_{l+1})
@@ -290,12 +288,12 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
             basis[:, col] = (sign * 1j * scale) * (
                 (phase - 1.0) * sym_lifts[l] + (phase + 1.0) * antisym_lifts[l])
 
-    target_arc = outward[0].astype(np.complex128) / np.sqrt(d)
+    target_arc = marked_out.astype(np.complex128) / np.sqrt(d)
 
     return InvariantBasis(
         params=params, marked=marked,
         shell_indicators=shell_indicators,
-        outward=outward, inward=inward,
+        marked_out=marked_out, marked_in=marked_in,
         proj_w=proj_w, sym_lifts=sym_lifts, antisym_lifts=antisym_lifts,
         basis=basis, target_arc=target_arc, opposite=opp,
     )
@@ -501,7 +499,7 @@ def verify_subspace_invariance(params: GraphParams, marked: int, basis: Invarian
     """The subspace is closed under the marked walk; oracle action is exact.
 
     The oracle identities hold bitwise: reflecting the all-ones marked
-    block sends outward[0] to its negative and fixes inward[1].
+    block sends ``marked_out`` to its negative and fixes ``marked_in``.
     """
     Um = dense_marked_step
     B = basis.basis
@@ -516,7 +514,7 @@ def verify_subspace_invariance(params: GraphParams, marked: int, basis: Invarian
         state = arc_engine.apply_oracle(params, _pair_states(vector, slots, shape), marked)
         return state.reshape(-1)[slots]
 
-    b0, c1 = basis.outward[0], basis.inward[1]
+    b0, c1 = basis.marked_out, basis.marked_in
     oracle_b0 = oracle(b0)
     oracle_mix = oracle(b0 - c1)
     exact = float(np.max([np.abs(oracle_b0 + b0).max(),

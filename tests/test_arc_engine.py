@@ -36,18 +36,27 @@ def test_uniform_state_is_stationary_basis_vector():
     assert abs(overlap - 1.0) <= 1e-10
 
 
-def test_capacity_refusal():
-    p = graph_params(40, 4)  # 13,160,160 amplitudes
-    with pytest.raises(CapacityError):
+def test_capacity_refusal(monkeypatch):
+    # one rule: the bytes against MemAvailable, and where that cannot be
+    # read, 2^23 amplitudes
+    p = graph_params(40, 4)  # 13,160,160 amplitudes, about 126 MB
+    needed = _capacity_model(p)
+    for available in (needed - 1, 2 ** 20):
+        monkeypatch.setattr(arc_engine, "_mem_available", lambda: available)
+        with pytest.raises(CapacityError, match="available memory.*reduced engine"):
+            arc_engine.uniform_state(p)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
+    assert p.num_arcs > 2 ** 23
+    with pytest.raises(CapacityError, match="cannot be read.*reduced engine"):
         arc_engine.uniform_state(p)
-    small = graph_params(4, 2)
-    with pytest.raises(CapacityError):
-        arc_engine.uniform_state(small, capacity=10)
-    # the hard ceiling binds even when the caller passes something larger
+    # J(60,6) has over 2^31 amplitudes, about 147 GB: the byte rule refuses it
     huge = graph_params(60, 6)
-    assert huge.num_arcs > arc_engine.HARD_CAPACITY
-    with pytest.raises(CapacityError):
-        arc_engine.uniform_state(huge, capacity=2 ** 62)
+    assert huge.num_arcs > 2 ** 31
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 2 ** 36)  # 64 GiB
+    with pytest.raises(CapacityError, match="available memory"):
+        arc_engine.uniform_state(huge)
+    with pytest.raises(CapacityError, match="available memory"):
+        arc_engine.evolve_and_record(huge, 0, 0)
 
 
 def _coin(params, state, axis=2):
@@ -154,21 +163,49 @@ def _capacity_model(params):
 
 
 def test_capacity_checks_available_memory(monkeypatch):
-    # above the default cap the pair state and the O(k·N) vertex table with
-    # the coin's row sums must fit in available memory; no permutation is
-    # built, so the model is below the 24 bytes per arc it replaced
+    # at every size the pair state and the O(k·N) vertex table with the
+    # coin's row sums must fit in available memory, and a run's four series
+    # columns besides; no permutation is built, so the model is below the
+    # 24 bytes per arc it replaced
     p = graph_params(8, 2)
     needed = _capacity_model(p)
+    series = 8 * 4 * 3  # t = 0, 1, 2
     assert needed < 24 * p.num_arcs
-    forced = arc_engine.HARD_CAPACITY
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
     with pytest.raises(CapacityError, match="available memory"):
-        arc_engine.evolve_and_record(p, 0, 2, capacity=forced)
-    arc_engine.uniform_state(p)  # the default cap does not read the budget
-    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed)
-    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced).t) == 3
+        arc_engine.uniform_state(p)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed + series - 1)
+    with pytest.raises(CapacityError, match="available memory"):
+        arc_engine.evolve_and_record(p, 0, 2)
+    arc_engine.uniform_state(p)  # the state alone fits
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed + series)
+    assert len(arc_engine.evolve_and_record(p, 0, 2).t) == 3
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
-    assert len(arc_engine.evolve_and_record(p, 0, 2, capacity=forced).t) == 3
+    assert len(arc_engine.evolve_and_record(p, 0, 2).t) == 3
+
+
+def test_capacity_sums_state_and_series(monkeypatch):
+    # J(12,3) over 2,640 steps holds 84,480 bytes of walk and 84,512 of
+    # series: a budget above each but below their sum is refused, before
+    # the times, the state or the vertex table are allocated
+    p = graph_params(12, 3)
+    walk, series = _capacity_model(p), 8 * 4 * 2641
+    assert (walk, series) == (84480, 84512)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 85536)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the capacity check")
+
+    for name in ("pair_vertex_table", "uniform_state"):
+        monkeypatch.setattr(arc_engine, name, no_allocation)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="available memory"):
+            arc_engine.evolve_and_record(p, 0, 2640)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2641  # not even the int64 times column
 
 
 def test_in_place_passes_refuse_other_layouts():

@@ -76,27 +76,39 @@ def test_simulate_cross_engine_agreement(capsys):
     assert full.p_alt is not None
 
 
-def test_simulate_capacity_exceeded(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--n", "40", "--k", "4",
-                           "--engine", "full", "--steps", "2")
-    assert code == 3
-    assert "reduced engine" in err
+def test_simulate_capacity_exceeded(capsys, monkeypatch):
+    # J(40,4), 13,160,160 amplitudes in about 126 MB, runs where memory
+    # reads enough, and is refused where it reads too little or not at all
+    argv = ("simulate", "--n", "40", "--k", "4", "--engine", "full", "--steps", "0")
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 2 ** 30)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(read_run_rows(out).t) == 1
+    for available in (2 ** 20, None):
+        monkeypatch.setattr(arc_engine, "_mem_available", lambda: available)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "reduced engine" in err
 
 
 def test_simulate_force_capacity_flag(capsys):
-    code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
-                           "--engine", "full", "--steps", "3", "--force-capacity")
-    assert code == 0
-    assert len(read_run_rows(out).t) == 4
+    # the flag is gone: available memory alone sets the full engine's reach
+    code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
+                             "--engine", "full", "--steps", "3", "--force-capacity")
+    assert code == 2 and out == ""
+    assert "--force-capacity" in err
 
 
-def test_simulate_force_capacity_checks_available_memory(capsys, monkeypatch):
-    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 1024)
-    code, _, err = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
-                           "--engine", "full", "--steps", "3", "--force-capacity")
-    assert code == 3
-    assert "available memory" in err
-    # without --force-capacity the amplitude cap alone applies
+def test_simulate_checks_available_memory(capsys, monkeypatch):
+    # J(12,3) over 2,640 steps holds 84,480 bytes of walk and 84,512 of
+    # series: 85,536 bytes hold either, not both
+    for available, steps in ((1024, "3"), (85536, "2640")):
+        monkeypatch.setattr(arc_engine, "_mem_available", lambda: available)
+        code, out, err = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
+                                 "--engine", "full", "--steps", steps)
+        assert code == 3 and out == ""
+        assert "available memory" in err and "reduced engine" in err
+    monkeypatch.undo()
     code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
                            "--engine", "full", "--steps", "3")
     assert code == 0

@@ -30,14 +30,9 @@ def _class_vectors(params, marked):
     basis = validation.build_invariant_basis(params, marked)
     tails = np.arange(params.num_arcs) // params.degree
     heads = basis.opposite // params.degree
-    indicators = {}
-    for i in range(params.k + 1):
-        shell = basis.shell_indicators[i]
-        indicators[(i, i + 1)] = basis.outward[i]
-        indicators[(i, i)] = shell[tails] * shell[heads]
-        indicators[(i, i - 1)] = basis.inward[i]
-    return np.array([indicators[c] / np.sqrt(indicators[c].sum())
-                     for c in orbit_walk.classes(params)])
+    shells = basis.shell_indicators
+    indicators = [shells[i][tails] * shells[j][heads] for i, j in orbit_walk.classes(params)]
+    return np.array([v / np.sqrt(v.sum()) for v in indicators])
 
 
 @pytest.mark.parametrize("n,k", [(7, 1), (8, 2), (9, 3), (10, 4), (10, 5)])

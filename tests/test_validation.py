@@ -84,20 +84,29 @@ def test_invariant_basis_gram_identity(n, k):
 
 
 def test_arc_class_vector_norms():
-    # |within|^2 = a_l * shell, |outward|^2 = b_l * shell, |inward|^2 = c_l * shell
+    # |within|^2 = a_l * shell, |outward|^2 = b_l * shell, |inward|^2 = c_l * shell,
+    # and the basis keeps the marked vertex's outward and inward arcs bitwise
     from jwalk.johnson import intersection_numbers, shell_size
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, marked=0)
     tails = np.arange(p.num_arcs) // p.degree
     heads = basis.opposite // p.degree
+    zero = np.zeros(p.num_vertices, dtype=np.int64)
+    shells = [zero] + basis.shell_indicators + [zero]  # shell l is shells[l + 1]
     for l in range(3):
         row = intersection_numbers(p, l)
         size = shell_size(p, l)
-        shell = basis.shell_indicators[l]
-        within = shell[tails] * shell[heads]
+        shell = shells[l + 1][tails]
+        within = shell * shells[l + 1][heads]
+        outward = shell * shells[l + 2][heads]
+        inward = shell * shells[l][heads]
         assert np.dot(within, within) == row.a * size
-        assert np.dot(basis.outward[l], basis.outward[l]) == row.b * size
-        assert np.dot(basis.inward[l], basis.inward[l]) == row.c * size
+        assert np.dot(outward, outward) == row.b * size
+        assert np.dot(inward, inward) == row.c * size
+        if l == 0:
+            assert np.array_equal(basis.marked_out, outward.astype(float))
+        if l == 1:
+            assert np.array_equal(basis.marked_in, inward.astype(float))
 
 
 def test_stationary_projection_lifts():
