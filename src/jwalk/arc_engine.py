@@ -1,16 +1,21 @@
 """Exact matrix-free simulation of the search walk on the full arc space.
 
-The walk is held as a real float64 *pair state* ψ[a, x, y].  The arc
+The walk is held as a real float64 *pair state* ψ[x, y, a].  The arc
 u -> v is set by a = u ∩ v, a (k-1)-subset indexed by its colex rank, and
 by the positions x of u - v and y of v - u in a's sorted complement of
 m = n - k + 1 elements.  The slots x = y are not arcs and stay exactly 0,
 so the pair state has m/(m-1) slots per arc.  The arcs leaving u are the k
-rows ψ[u - x, x, :] with x in u, the arcs entering v the k columns
-ψ[v - y, :, y] with y in v, and the flip-flop shift S, which reverses every
+rows ψ[x, :, u - x] with x in u, the arcs entering v the k columns
+ψ[:, y, v - y] with y in v, and the flip-flop shift S, which reverses every
 arc, is the swap of x and y.  :func:`jwalk.johnson.arc_pair_slots` places
 the flat arc indices of :mod:`jwalk.johnson` in this layout.  Every
 operator of the walk is a real orthogonal matrix and the walk starts from
 the real uniform state, so the state never acquires an imaginary part.
+
+The subset axis a is innermost: it has C(n, k-1) >= n > m entries for
+every k >= 2, and at k = 1 its one entry drops out of every loop.  So each
+pass runs its inner loop along a run of at least n contiguous slots, where
+an (a, x, y) order would run it along rows of only m.
 
 One search step U = S·C·O applies the marked-vertex reflection O, the
 Grover coin C on the arcs leaving each vertex, and S.  The loop steps in
@@ -19,8 +24,8 @@ coin on *head* blocks (the arcs entering each vertex) and O_h the
 reflection on the arcs entering the marked vertex.  From ψ_t at even t the
 tail-side passes give φ = C·O·ψ_t = S·ψ_{t+1}, and the head-side passes
 give ψ_{t+2} = C_h·O_h·φ.  Both coins are the same pass on different axes:
-sum each row over y (tails) or each column over x (heads), add a vertex's
-k sums through the (a, x) -> vertex table of
+sum the state over y (axis 1, tails) or over x (axis 0, heads), add a
+vertex's k sums through the (x, a) -> vertex table of
 :func:`jwalk.johnson.pair_vertex_table`, and subtract every slot from
 twice its block's mean.  No pass gathers the state through a permutation,
 and S is never applied: at odd t the state holds S·ψ_t, so ψ_t's tail
@@ -29,11 +34,12 @@ blocks are read along the x axis.
 :func:`apply_oracle` and :func:`apply_coin` overwrite their input and
 return it, and refuse a state that is not a C-contiguous float64 pair
 state, since reshaping a strided view would silently update a copy.  They
-also take a *batch*, a C-contiguous (b, C(n, k-1), m, m) array with one
-pair state per entry of its first axis, and run every block reduction per
+also take a *batch*, a C-contiguous (m, m, C(n, k-1), b) array with one
+pair state per entry of its last axis, and run every block reduction per
 state in the same order as on one state, so every entry comes out bitwise
-equal to a single-state call.  ``jwalk.validation`` steps the columns of
-its dense matrices this way.
+equal to a single-state call.  The batch axis is innermost, so a batch
+pass runs along runs of C(n, k-1)·b slots.  ``jwalk.validation`` steps
+the columns of its dense matrices this way.
 
 Block reductions are evaluated by numpy in a fixed order, so repeated
 runs produce identical bytes regardless of BLAS threading.
@@ -44,7 +50,7 @@ two engines record the same rows and refuse the same impossible counts.
 """
 
 from functools import lru_cache
-from math import comb, prod
+from math import comb, fsum, prod, sqrt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,16 +68,22 @@ __all__ = [
     "evolve_and_record",
 ]
 
-# Where /proc/meminfo cannot be read, the full engine refuses above this many
-# amplitudes (64 MiB of float64) instead.
+# Where /proc/meminfo cannot be read, a run is refused above this many 8-byte
+# words (64 MiB of float64) instead: the full engine's amplitudes and the
+# series columns.
 _UNMEASURED_CAPACITY = 2 ** 23
-# The head coin sums a pair state over x in this many contiguous ranges and
-# adds the partial sums.  A single middle-axis sum adds the m terms of each
-# (a, y) in one accumulator: over 2*t_run its norm drift reached 1.5e-14 on
-# J(100,2) and 2.5e-14 on J(200,2), against 2.4e-15 and 8.7e-15 split.
-_HEAD_SUM_PARTS = 8
+# The coins sum a pair state over x or y, and the norm its squares over x, in
+# ranges of this many slices, adding the partial sums in order.  Numpy sums
+# over an axis outside the innermost one in a single accumulator per sum:
+# with one range spanning the axis the norm drifted 2.0e-14 on J(100,2) and
+# 1.8e-13 on J(200,2) over 2*t_run, against 5.7e-15 and 4.7e-15 in ranges of
+# 7.  At k = 1 the a axis has one entry and a range is summed along
+# contiguous memory, where numpy adds up to 7 terms in order and 8 or more
+# pairwise; at 7 a batch, summed across its states, stays bitwise equal to
+# one state.
+_SUM_WIDTH = 7
 # 8-byte words per k·num_vertices = C(n,k-1)·m that a run holds besides the
-# pair state.  The (a, x) -> vertex table's build peaks near 3.5 of them, and
+# pair state.  The (x, a) -> vertex table's build peaks near 3.5 of them, and
 # near 5 when k is close to n/2 and the (k-1)-subsets are long.  A coin
 # holds 3, the table, the row sums and the gathered means, plus the
 # num_vertices block sums.
@@ -90,16 +102,17 @@ def _mem_available() -> Optional[int]:
     return None
 
 
-def _require_bytes(needed: int, what: str, remedy: str, amplitudes: int = 0) -> None:
+def _require_bytes(needed: int, what: str, remedy: str, words: int = 0) -> None:
     """Refuse ``what`` with CapacityError if its ``needed`` bytes exceed ``MemAvailable``.
 
     The one memory rule of every capacity refusal.  Where /proc/meminfo
-    cannot be read, ``amplitudes`` above ``_UNMEASURED_CAPACITY`` are refused.
+    cannot be read, ``words`` (8-byte words) above ``_UNMEASURED_CAPACITY``
+    are refused.
     """
     available = _mem_available()
-    if available is None and amplitudes > _UNMEASURED_CAPACITY:
+    if available is None and words > _UNMEASURED_CAPACITY:
         raise CapacityError(
-            f"{what} holds {amplitudes} amplitudes, above the {_UNMEASURED_CAPACITY} "
+            f"{what} holds {words} 8-byte words, above the {_UNMEASURED_CAPACITY} "
             f"allowed where available memory cannot be read; {remedy}")
     if available is not None and needed > available:
         raise CapacityError(
@@ -112,12 +125,13 @@ def _check_capacity(params: GraphParams, series: int = 0) -> None:
 
     The walk holds 8 bytes per slot of the pair state, that is 8·m/(m-1)
     per arc, and ``_TABLE_WORDS`` 8-byte words per k·num_vertices for the
-    vertex table and the coin's row sums (:func:`_require_bytes`).
+    vertex table and the coin's row sums (:func:`_require_bytes`).  Where
+    memory cannot be read, the amplitudes and the series words are counted.
     """
     needed = 8 * (prod(_pair_shape(params)) + _TABLE_WORDS * params.k * params.num_vertices)
     _require_bytes(needed + series, f"the full engine on J({params.n},{params.k})",
                    "use the reduced engine instead" + (", or raise the stride" if series else ""),
-                   amplitudes=params.num_arcs)
+                   words=params.num_arcs + series // 8)
 
 
 class Series(NamedTuple):
@@ -142,7 +156,8 @@ def _sample_times(steps: int, stride: int, columns: int,
         raise ValueError("stride must be >= 1")
     count = steps // stride + 1 + (steps % stride != 0)
     if full is None:
-        _require_bytes(8 * columns * count, f"a series of {count} rows", "raise the stride")
+        _require_bytes(8 * columns * count, f"a series of {count} rows", "raise the stride",
+                       words=columns * count)
     else:
         _check_capacity(full, 8 * columns * count)
     times = np.arange(0, steps + 1, stride, dtype=np.int64)
@@ -158,10 +173,10 @@ def _check_vertex(params: GraphParams, v: int) -> None:
 
 def _pair_shape(params: GraphParams) -> tuple:
     m = params.n - params.k + 1
-    return (comb(params.n, params.k - 1), m, m)
+    return (m, m, comb(params.n, params.k - 1))
 
 
-def _check_state(params: GraphParams, state: np.ndarray, axis: int = 2,
+def _check_state(params: GraphParams, state: np.ndarray, axis: int = 1,
                  batch: bool = False) -> None:
     """Refuse a state the passes cannot update in place, or an axis with no blocks.
 
@@ -169,15 +184,15 @@ def _check_state(params: GraphParams, state: np.ndarray, axis: int = 2,
     """
     shape = _pair_shape(params)
     if batch and isinstance(state, np.ndarray) and state.ndim == 4:
-        shape = (len(state),) + shape
+        shape = shape + state.shape[-1:]
     if not (isinstance(state, np.ndarray) and state.dtype == np.float64
             and state.shape == shape and state.flags.c_contiguous):
         raise ValueError(
             f"state must be a C-contiguous float64 pair state of shape "
             f"{_pair_shape(params)}{', or a batch of them' if batch else ''} "
             f"(passes update it in place)")
-    if axis not in (1, 2):
-        raise ValueError(f"blocks run along axis 2 (tails) or 1 (heads); got {axis}")
+    if axis not in (0, 1):
+        raise ValueError(f"blocks run along axis 1 (tails) or 0 (heads); got {axis}")
 
 
 def uniform_state(params: GraphParams) -> np.ndarray:
@@ -192,95 +207,109 @@ def uniform_state(params: GraphParams) -> np.ndarray:
 
 
 def state_norm(state: np.ndarray) -> float:
-    """2-norm of a pair state: squares summed along each (a, x) row, then the rows.
+    """2-norm of a pair state, summed over x in ranges of ``_SUM_WIDTH`` slabs.
 
-    The rows are summed pairwise, and the only temporary is one float per
-    row (BLAS nrm2's rescaling loses bits).
+    Each range's squares are added along x into one float per (y, a),
+    in order, and those are summed pairwise; the range totals are added
+    exactly (``math.fsum``).  The only temporary is the k·num_vertices
+    floats of one range (BLAS nrm2's rescaling loses bits).  Dot products
+    along rows bias the sum of a near-uniform state: in rows of the a axis,
+    C(n, k-1) terms, J(40,3)'s uniform start read 1 + 4.4e-15, and in rows
+    of m J(100,2)'s read 1 - 4.4e-16; here both are within 2.2e-16 of 1.
     """
-    rows = state.reshape(-1, state.shape[-1])
-    return float(np.sqrt(np.sum(np.einsum("ij,ij->i", rows, rows))))
+    slabs = state.reshape(state.shape[0], -1)
+    totals = []
+    for lo in range(0, len(slabs), _SUM_WIDTH):
+        part = slabs[lo:lo + _SUM_WIDTH]
+        totals.append(np.sum(np.einsum("xj,xj->j", part, part)))
+    return sqrt(fsum(totals))
 
 
 def apply_coin(params: GraphParams, state: np.ndarray, vertices: np.ndarray,
-               axis: int = 2) -> np.ndarray:
+               axis: int = 1) -> np.ndarray:
     """Grover coin on every block along ``axis``, in place: block = 2*mean(block) - block.
 
-    ``vertices`` is the table of :func:`jwalk.johnson.pair_vertex_table`.
-    The blocks along axis 2 are the tail blocks (C), those along axis 1
-    the head blocks (C_h = S·C·S).  Each (a, x) row is reduced over
-    ``axis``, the k rows of a vertex are added through the table, and
-    every slot gets twice its block's mean minus itself; the x = y slots
-    are then set back to 0.  Besides the state it allocates a few tables
-    of k·num_vertices floats per state; returns ``state``.
+    ``vertices`` is the (x, a) table of :func:`jwalk.johnson.pair_vertex_table`.
+    The blocks along axis 1 (y) are the tail blocks (C), those along axis
+    0 (x) the head blocks (C_h = S·C·S).  The state is summed over
+    ``axis`` (:func:`_row_sums`), each vertex's k sums are added through
+    the table, and every slot gets twice its block's mean minus itself;
+    the x = y slots are then set back to 0.  Every pass runs along the
+    contiguous a axis.  Besides the state it allocates a few tables of
+    k·num_vertices floats per state; returns ``state``.
     """
     _check_state(params, state, axis, batch=True)
     index = vertices
     if state.ndim == 4:  # a batch: state i's vertices are counted in bins i*N + v
-        index = vertices + params.num_vertices * np.arange(len(state))[:, None, None]
+        index = vertices[..., None] + params.num_vertices * np.arange(state.shape[-1])
     means = np.bincount(index.ravel(), weights=_row_sums(state, axis).ravel(),
                         minlength=params.num_vertices)
     means /= params.degree
     means *= 2.0
-    np.subtract(np.expand_dims(np.take(means, index), axis - 3), state, out=state)
+    np.subtract(np.expand_dims(np.take(means, index), axis), state, out=state)
     _zero_diagonal(state)
     return state
 
 
 def _row_sums(state: np.ndarray, axis: int) -> np.ndarray:
-    """Sum of a pair state over ``axis``; over x in ``_HEAD_SUM_PARTS`` ranges.
+    """Sum of a pair state over ``axis``, x (0) or y (1), in ranges of ``_SUM_WIDTH``.
 
-    ``einsum`` runs each m-term sum in one inner loop, where ``np.sum``
-    sets up a reduction per row: 2.5 times slower on J(40,3)'s rows of 38.
+    Numpy adds a range's slices along the contiguous a axis, one
+    accumulator per sum, in the order of the range; the partial sums are
+    then added in order, and a batch is summed in the same order.  A last
+    range of one slice is added as it is, since numpy copies a strided
+    slice to sum over it.
     """
-    if axis == 2:
-        return np.einsum("...xy->...x", state)
-    m = state.shape[-2]
-    width = -(-m // _HEAD_SUM_PARTS)
-    sums = np.einsum("...xy->...y", state[..., :width, :])
-    for lo in range(width, m, width):
-        sums += np.einsum("...xy->...y", state[..., lo:lo + width, :])
+    lead = (slice(None),) * axis
+    sums = np.sum(state[lead + (slice(0, _SUM_WIDTH),)], axis=axis)
+    for lo in range(_SUM_WIDTH, state.shape[0], _SUM_WIDTH):
+        part = state[lead + (slice(lo, lo + _SUM_WIDTH),)]
+        sums += np.sum(part, axis=axis) if part.shape[axis] > 1 else part[lead + (0,)]
     return sums
 
 
 def _zero_diagonal(state: np.ndarray) -> None:
-    """Set the x = y slots of a pair state, or of a batch of them, to 0."""
-    m = state.shape[-1]
-    state.reshape(-1, m * m)[:, ::m + 1] = 0.0
+    """Set the x = y slots of a pair state, or of a batch of them, to 0: m contiguous runs."""
+    m = state.shape[0]
+    state.reshape(m * m, -1)[::m + 1] = 0.0
 
 
 def _blocks_along(state: np.ndarray, axis: int) -> np.ndarray:
-    """A view in which the blocks along ``axis`` run along the last axis."""
-    return state if axis == 2 else state.swapaxes(-1, -2)
+    """A view in which the blocks along ``axis`` run along axis 1."""
+    return state if axis == 1 else state.swapaxes(0, 1)
 
 
 def apply_oracle(params: GraphParams, state: np.ndarray, marked: int,
-                 axis: int = 2) -> np.ndarray:
+                 axis: int = 1) -> np.ndarray:
     """Reflect through the uniform superposition of ``marked``'s block along ``axis``.
 
-    At axis 2 the block is the arcs leaving ``marked`` (O), at 1 the arcs
+    At axis 1 the block is the arcs leaving ``marked`` (O), at 0 the arcs
     entering it (O_h = S·O·S).  In place, touching only the ``degree``
-    amplitudes of the block; every other amplitude stays bitwise
-    unchanged.  Returns ``state``.  On a batch it reflects every state.
+    amplitudes of the block, a (k, m) block strided across the state;
+    every other amplitude stays bitwise unchanged.  Returns ``state``.  On
+    a batch it reflects every state, each summed as one state is.
     """
     _check_state(params, state, axis, batch=True)
     _check_vertex(params, marked)
     index, diagonal = _pair_block(params, marked)
     view = _blocks_along(state, axis)
-    block = view[index]                                  # (..., k, m)
-    block -= 2.0 * (block.reshape(block.shape[:-2] + (-1,)).sum(axis=-1)
-                    / params.degree)[..., None, None]
+    block = view[index]                                  # (k, m) or (k, m, b)
+    # each state's k·m terms in one contiguous row, summed pairwise
+    rows = np.ascontiguousarray(np.moveaxis(block, (0, 1), (-2, -1)))
+    block -= 2.0 * (rows.reshape(block.shape[2:] + (-1,)).sum(axis=-1) / params.degree)
     block[diagonal] = 0.0
     view[index] = block
     return state
 
 
 def vertex_probability(params: GraphParams, state: np.ndarray, v: int,
-                       axis: int = 2) -> float:
+                       axis: int = 1) -> float:
     """Probability mass of ``v``'s block along ``axis`` of a pair state.
 
-    At 2 it is the mass on the arcs whose tail is ``v``; at 1 the arcs
+    At 1 it is the mass on the arcs whose tail is ``v``; at 0 the arcs
     whose head is ``v``, which is also the tail mass of the state's shift
-    S·state, so the paired loop reads odd steps there.
+    S·state, so the paired loop reads odd steps there.  The block is the
+    (k, m) slots ``v``'s k pairs (x, a) select, gathered across the state.
     """
     _check_state(params, state, axis)
     _check_vertex(params, v)
@@ -292,15 +321,15 @@ def vertex_probability(params: GraphParams, state: np.ndarray, v: int,
 def _pair_block(params: GraphParams, v: int) -> tuple:
     """Index of ``v``'s (k, m) block of tail rows, and of its x = y slots in it.
 
-    Both lead with ``...``, so they index a batch too.  Cached, with
-    read-only index arrays: the paired loop reads the marked vertex's
-    blocks on every step, and unranking it is Python work.
+    Both leave trailing axes whole, so they index a batch too.  Cached,
+    with read-only index arrays: the paired loop reads the marked
+    vertex's blocks on every step, and unranking it is Python work.
     """
     a, x = vertex_pairs(params, v)
     rows = np.arange(params.k)
     for array in (a, x, rows):
         array.flags.writeable = False
-    return (Ellipsis, a, x, slice(None)), (Ellipsis, rows, x)
+    return (x, slice(None), a, Ellipsis), (rows, x)
 
 
 def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1) -> Series:
@@ -322,10 +351,10 @@ def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int 
     p_succ, p_alt, norm = (np.empty(len(times)) for _ in range(3))
     row = 0
     for t in range(steps + 1):
-        axis = 1 if t % 2 else 2  # where the tail blocks of ψ_t lie in the state
+        axis = 0 if t % 2 else 1  # where the tail blocks of ψ_t lie in the state
         if t == times[row]:
             p_succ[row] = vertex_probability(params, state, marked, axis)
-            p_alt[row] = p_succ[row] + vertex_probability(params, state, marked, 3 - axis)
+            p_alt[row] = p_succ[row] + vertex_probability(params, state, marked, 1 - axis)
             norm[row] = state_norm(state)
             row += 1
         if t == steps:

@@ -14,7 +14,7 @@ Python integers; subsets are 1-based tuples at the API surface.
 
 The full engine holds the walk in the pair layout, indexed by the shared
 (k-1)-subset of an arc's ends: :func:`pair_vertex_table` maps each
-(subset, added element) pair to its vertex rank, by the colex ranking of
+(added element, subset) pair to its vertex rank, by the colex ranking of
 the scalar :func:`rank_vertex` vectorized with numpy in int64, and
 :func:`arc_pair_slots` places every flat arc index in that layout and
 pairs it with its reversed arc.  Their independent oracle, scalar
@@ -154,11 +154,11 @@ def _colex_subsets(n: int, k: int) -> np.ndarray:
 def pair_vertex_table(params: GraphParams) -> np.ndarray:
     """Rank of a ∪ {x} for every (k-1)-subset a and every x outside it, int64.
 
-    Row a is the colex rank of a, and column j the j-th element of a's
-    sorted complement, so the table has shape (C(n, k-1), n - k + 1).  It
-    is the vertex map of the pair layout, where an arc u -> v sits at
-    (u ∩ v, position of u - v, position of v - u); the scalar
-    :func:`rank_vertex` is its independent oracle.
+    Row j is the j-th element of a's sorted complement, and column a the
+    colex rank of a, so the table has shape (n - k + 1, C(n, k-1)) and is
+    emitted in that (x, a) order.  It is the vertex map of the pair layout,
+    where an arc u -> v sits at (position of u - v, position of v - u,
+    u ∩ v); the scalar :func:`rank_vertex` is its independent oracle.
 
     The complement element s has c = s - 1 - j elements of a below it, so
     in the colex rank of a ∪ {s} the elements of a below s keep their
@@ -180,16 +180,16 @@ def pair_vertex_table(params: GraphParams) -> np.ndarray:
     free = np.ones((rows, n), dtype=bool)
     free[np.arange(rows)[:, None], subsets - 1] = False
     del subsets
-    s0 = np.flatnonzero(free).reshape(rows, m)         # row * n + s - 1
+    s0 = np.ascontiguousarray(np.flatnonzero(free).reshape(rows, m).T)  # row*n + s - 1
     del free
     s0 %= n
-    c = s0 - np.arange(m)                              # elements of a below s
+    c = s0 - np.arange(m)[:, None]                     # elements of a below s
     c += 1
     table = binom[s0, c]                               # C(s - 1, c + 1)
     del s0
     c -= 1
-    table += np.take_along_axis(below, c, axis=1)
-    table += np.take_along_axis(above, c, axis=1)
+    table += np.take_along_axis(below.T, c, axis=0)
+    table += np.take_along_axis(above.T, c, axis=0)
     return table
 
 
@@ -198,12 +198,12 @@ def arc_pair_slots(params: GraphParams) -> tuple:
 
     Returns two read-only int64 arrays indexed by the flat arc index of
     the module docstring: the flat index of the arc's slot in a pair state
-    of shape (C(n, k-1), m, m), m = n - k + 1, and the index of the
-    reversed arc, whose slot is the transposed one.  The scalar decoders
-    of ``tests/flat_layout.py`` are its independent oracle.
+    of shape (m, m, C(n, k-1)), m = n - k + 1, and the index of the
+    reversed arc, whose slot is the one with x and y swapped.  The scalar
+    decoders of ``tests/flat_layout.py`` are its independent oracle.
 
-    Slot (a, x, y) is the arc from a ∪ {s_x} to a ∪ {s_y}, where s_j is
-    the j-th element outside a.  Its tail is ``pair_vertex_table[a, x]``;
+    Slot (x, y, a) is the arc from a ∪ {s_x} to a ∪ {s_y}, where s_j is
+    the j-th element outside a.  Its tail is ``pair_vertex_table[x, a]``;
     the removed element s_x has c = s_x - 1 - x elements of a below it, so
     it sits at index c of the tail, and the inserted s_y sits at index
     y - [x < y] of the tail's complement, which lacks s_x.
@@ -214,23 +214,23 @@ def arc_pair_slots(params: GraphParams) -> tuple:
     rows = len(subsets)
     free = np.ones((rows, n), dtype=bool)
     free[np.arange(rows)[:, None], subsets - 1] = False
-    below = np.nonzero(free)[1].reshape(rows, m) - np.arange(m)   # c of each s_x
-    x, y = np.arange(m)[:, None], np.arange(m)
-    arcs = (params.degree * pair_vertex_table(params) + (n - k) * below)[:, :, None] \
-        + (y - (x < y))                                # (C, m, m); x = y is no arc
+    below = (np.nonzero(free)[1].reshape(rows, m) - np.arange(m)).T   # c of each s_x
+    x, y = np.arange(m)[:, None, None], np.arange(m)[:, None]
+    arcs = (params.degree * pair_vertex_table(params) + (n - k) * below)[:, None, :] \
+        + (y - (x < y))                                # (m, m, C); x = y is no arc
     off = np.broadcast_to(x != y, arcs.shape)
     held = arcs[off]
     slots = np.empty_like(held)
     slots[held] = np.flatnonzero(off)
     opposite = np.empty_like(held)
-    opposite[held] = arcs.transpose(0, 2, 1)[off]
+    opposite[held] = arcs.transpose(1, 0, 2)[off]
     slots.setflags(write=False)
     opposite.setflags(write=False)
     return slots, opposite
 
 
 def vertex_pairs(params: GraphParams, v: int) -> tuple:
-    """The k pairs (a, x) of :func:`pair_vertex_table` with a ∪ {x} = v.
+    """The k pairs (x, a) of :func:`pair_vertex_table` with a ∪ {x} = v.
 
     Returns two int64 arrays, the ranks of a and the complement positions
     of x, ordered as v's elements leave it, which is the order of the

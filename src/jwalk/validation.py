@@ -40,24 +40,25 @@ upcast to complex.
 Arc space here is numbered tail-major, as in ``jwalk.johnson``, and the
 arc reversal of the closed forms comes from
 :func:`jwalk.johnson.arc_pair_slots`.  The engine holds the walk as a pair
-state ψ[a, x, y] instead (``jwalk.arc_engine``).  To step arc vectors,
+state ψ[x, y, a] instead (``jwalk.arc_engine``).  To step arc vectors,
 they are placed at their pair slots and run through the passes that
-``simulate`` runs, the oracle and then the coin through the (a, x) ->
+``simulate`` runs, the oracle and then the coin through the (x, a) ->
 vertex table.  S is the swap of x and y, so the step is read back at each
 arc's transposed slot.
 
 The step battery is O(A^2) work besides N d x d determinants, with d the
 degree and N the number of vertices.  The engine steps the identity
 DENSE_BLOCK columns at a time, as one batch of pair states reused by every
-block, and each block is compared with the closed form as it comes, so the
+block, with the batch axis innermost so the columns of a block sit side by
+side, and each block is compared with the closed form as it comes, so the
 engine-built matrix is never held whole.  The unitarity residual forms the
 Gram DENSE_BLOCK rows at a time from only the rows of U that the block's
 columns touch, and only the columns that those rows touch.  The marked
 step's |det| is the product of its N coin blocks' d x d determinants,
 after one count of nonzeros shows that no entry lies outside them.  On
 J(10,3) (A = 2,520, one pinned CPU of a 2-core x86-64, one BLAS thread)
-``verify_dense_step`` takes about 0.31 s: each Gram 0.06 s, each engine
-comparison 0.09 s, ``det`` 0.01 s (0.37 s as one A x A LU).
+``verify_dense_step`` takes about 0.23 s: each Gram 0.05 s, each engine
+comparison 0.05 s, ``det`` 0.01 s (0.37 s as one A x A LU).
 """
 
 import math
@@ -158,23 +159,27 @@ def dense_step(params: GraphParams,
 def _pair_layout(params: GraphParams) -> tuple:
     """The engine's vertex table, the pair-state shape, and each arc's slot and transposed slot."""
     vertices = pair_vertex_table(params)
-    shape = vertices.shape + vertices.shape[-1:]
+    shape = vertices.shape[:1] + vertices.shape
     slots = arc_pair_slots(params)[0]
-    a, x, y = np.unravel_index(slots, shape)
-    return vertices, shape, slots, np.ravel_multi_index((a, y, x), shape)
+    x, y, a = np.unravel_index(slots, shape)
+    return vertices, shape, slots, np.ravel_multi_index((y, x, a), shape)
 
 
-def _pair_states(vectors: np.ndarray, slots: np.ndarray, shape: tuple) -> np.ndarray:
-    """The arc-order rows of ``vectors`` placed in zeroed pair states of ``shape``."""
-    states = np.zeros(vectors.shape[:-1] + (math.prod(shape),))
-    states[..., slots] = vectors
-    return states.reshape(vectors.shape[:-1] + shape)
+def _pair_states(columns: np.ndarray, slots: np.ndarray, shape: tuple) -> np.ndarray:
+    """The arc-order ``columns`` (the first axis) placed in a zeroed batch of pair states.
+
+    A vector gives one pair state of ``shape``, and an (A, b) matrix a
+    batch of b, one per column.
+    """
+    states = np.zeros((math.prod(shape),) + columns.shape[1:])
+    states[slots] = columns
+    return states.reshape(shape + columns.shape[1:])
 
 
 def _engine_step(params: GraphParams, states: np.ndarray, vertices: np.ndarray,
                  transposed: np.ndarray, marked: Optional[int] = None,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One engine step of a batch of pair states, as rows in arc order.
+    """One engine step of a batch of pair states, as columns in arc order.
 
     Runs the passes of :func:`jwalk.arc_engine.evolve_and_record` on the
     tail side, O then C, in place on ``states``.  S is the swap of x and y
@@ -184,28 +189,31 @@ def _engine_step(params: GraphParams, states: np.ndarray, vertices: np.ndarray,
     if marked is not None:
         states = arc_engine.apply_oracle(params, states, marked)
     states = arc_engine.apply_coin(params, states, vertices)
-    return np.take(states.reshape(len(states), -1), transposed, axis=1, out=out, mode="clip")
+    return np.take(states.reshape(-1, states.shape[-1]), transposed, axis=0, out=out,
+                   mode="clip")
 
 
 def _engine_column_blocks(params: GraphParams, marked: Optional[int] = None):
-    """Yield (cols, rows): the step's columns ``cols`` as the rows of ``rows``.
+    """Yield (cols, block): the step's columns ``cols``, as the columns of ``block``.
 
     Each block of DENSE_BLOCK unit vectors is placed in one batch of pair
     states and stepped at once (:func:`_engine_step`); every entry of a
-    batch is bitwise a single-state step.  The batch and the rows are
-    reused by every block, so each is valid until the next is yielded.
+    batch is bitwise a single-state step.  The batch and the block are
+    cut from buffers reused by every block, so each is valid until the
+    next is yielded.
     """
     A = params.num_arcs
     vertices, shape, slots, transposed = _pair_layout(params)
-    states = np.empty((min(DENSE_BLOCK, A),) + shape)
-    units = states.reshape(len(states), -1)
-    rows = np.empty((len(states), A))
+    size, width = math.prod(shape), min(DENSE_BLOCK, A)
+    states, columns = np.empty(size * width), np.empty(A * width)
     for start in range(0, A, DENSE_BLOCK):
         cols = slice(start, min(start + DENSE_BLOCK, A))
         b = cols.stop - start
-        states.fill(0.0)
-        units[np.arange(b), slots[cols]] = 1.0
-        yield cols, _engine_step(params, states[:b], vertices, transposed, marked, rows[:b])
+        batch = states[:size * b].reshape(shape + (b,))
+        batch.fill(0.0)
+        batch.reshape(size, b)[slots[cols], np.arange(b)] = 1.0
+        yield cols, _engine_step(params, batch, vertices, transposed, marked,
+                                 columns[:A * b].reshape(A, b))
 
 
 @dataclass(frozen=True)
@@ -323,10 +331,9 @@ def _engine_residual(params: GraphParams, U: np.ndarray,
     The engine-built matrix is never held whole; a NaN anywhere gives NaN.
     """
     block_max = []
-    for cols, rows in _engine_column_blocks(params, marked):
-        # written through the transpose, so U's block is read in its own order
-        np.subtract(rows.T, U[:, cols], out=rows.T)
-        block_max.append(np.abs(rows, out=rows).max())
+    for cols, block in _engine_column_blocks(params, marked):
+        np.subtract(block, U[:, cols], out=block)
+        block_max.append(np.abs(block, out=block).max())
     return float(np.max(block_max))
 
 
@@ -471,9 +478,9 @@ def verify_eigenbasis(params: GraphParams, basis: InvariantBasis) -> dict:
     # the step is real-linear: step the real and imaginary parts of every
     # column apart, as the entries of one batch
     vertices, shape, slots, transposed = _pair_layout(params)
-    states = _pair_states(np.hstack([B.real, B.imag]).T, slots, shape)
+    states = _pair_states(np.hstack([B.real, B.imag]), slots, shape)
     parts = _engine_step(params, states, vertices, transposed)
-    stepped = (parts[:2 * k + 1] + 1j * parts[2 * k + 1:]).T
+    stepped = parts[:, :2 * k + 1] + 1j * parts[:, 2 * k + 1:]
     eig_terms = [np.linalg.norm(stepped[:, 0] - B[:, 0])]
     for l in range(1, k + 1):
         omega = spectral.eigenphase(params, l)

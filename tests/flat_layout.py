@@ -78,7 +78,8 @@ def pair_slot(params, arc):
     outside = [e for e in range(1, params.n + 1) if e not in shared]
     rank = sum(comb(e - 1, i) for i, e in enumerate(shared, start=1))
     m = len(outside)
-    return (rank * m + outside.index(removed)) * m + outside.index(inserted)
+    return (outside.index(removed) * m + outside.index(inserted)) * comb(params.n, params.k - 1) \
+        + rank
 
 
 @lru_cache(maxsize=None)
@@ -92,11 +93,11 @@ def pair_slots(params):
 
 def pair_shape(params):
     m = params.n - params.k + 1
-    return (comb(params.n, params.k - 1), m, m)
+    return (m, m, comb(params.n, params.k - 1))
 
 
 def to_pair(params, flat):
-    """Flat states (the last axis) placed in zeroed pair states."""
+    """Flat states (the last axis) placed in zeroed pair states, one per leading index."""
     shape = pair_shape(params)
     pair = np.zeros(flat.shape[:-1] + (shape[0] * shape[1] * shape[2],))
     pair[..., pair_slots(params)] = flat
@@ -110,7 +111,12 @@ def to_flat(params, pair):
 
 def shifted_to_flat(params, pair):
     """The flat state S·ψ of a pair state ψ: S is the swap of x and y."""
-    return to_flat(params, np.ascontiguousarray(np.swapaxes(pair, -1, -2)))
+    return to_flat(params, np.ascontiguousarray(np.swapaxes(pair, -3, -2)))
+
+
+def to_batch(params, flat):
+    """Flat states (the rows) as the engine's batch: one pair state per entry of the last axis."""
+    return np.ascontiguousarray(np.moveaxis(to_pair(params, flat), 0, -1))
 
 
 def uniform(params):

@@ -1,5 +1,6 @@
 """Full arc-space engine: operator identities, closed form, cross-engine."""
 
+import math
 import tracemalloc
 from math import comb
 
@@ -59,7 +60,7 @@ def test_capacity_refusal(monkeypatch):
         arc_engine.evolve_and_record(huge, 0, 0)
 
 
-def _coin(params, state, axis=2):
+def _coin(params, state, axis=1):
     return arc_engine.apply_coin(params, state, pair_vertex_table(params), axis)
 
 
@@ -104,7 +105,7 @@ def test_shift_is_exact_permutation_involution():
     assert np.array_equal(shifted, state[opp])
     assert np.array_equal(flat.shifted_to_flat(p, flat.to_pair(p, shifted)), state)
     uniform = arc_engine.uniform_state(p)
-    assert np.array_equal(uniform.transpose(0, 2, 1), uniform)
+    assert np.array_equal(uniform.transpose(1, 0, 2), uniform)
 
 
 def test_shift_single_arc():
@@ -220,7 +221,7 @@ def test_in_place_passes_refuse_other_layouts():
            pair[:-1],                                        # wrong shape
            flat.uniform(p)]                                  # flat layout
     for state in bad:
-        for axis in (2, 1):
+        for axis in (1, 0):
             with pytest.raises(ValueError):
                 arc_engine.apply_coin(p, state, vertices, axis)
             with pytest.raises(ValueError):
@@ -359,8 +360,8 @@ def test_vertex_probability_uniform_and_total():
     vertices = pair_vertex_table(p)
     for _ in range(10):  # twenty steps: the tail side, then the head side
         arc_engine.apply_coin(p, arc_engine.apply_oracle(p, state, 0), vertices)
-        arc_engine.apply_coin(p, arc_engine.apply_oracle(p, state, 0, 1), vertices, 1)
-    for axis in (2, 1):
+        arc_engine.apply_coin(p, arc_engine.apply_oracle(p, state, 0, 0), vertices, 0)
+    for axis in (1, 0):
         total = sum(arc_engine.vertex_probability(p, state, v, axis)
                     for v in range(p.num_vertices))
         assert abs(total - 1.0) <= 1e-12
@@ -368,12 +369,12 @@ def test_vertex_probability_uniform_and_total():
 
 def test_alt_probability_uniform_dominance_and_total():
     # the tail-or-head diagnostic p_alt is the mass of v's tail block plus
-    # that of its head block, the blocks along axes 2 and 1
+    # that of its head block, the blocks along axes 1 and 0
     p = graph_params(6, 2)
 
     def alt(state, v):
-        return (arc_engine.vertex_probability(p, state, v, 2)
-                + arc_engine.vertex_probability(p, state, v, 1))
+        return (arc_engine.vertex_probability(p, state, v, 1)
+                + arc_engine.vertex_probability(p, state, v, 0))
 
     state = arc_engine.uniform_state(p)
     for v in range(p.num_vertices):
@@ -483,8 +484,8 @@ def test_float64_engine_matches_complex_engine(n, k):
 
 
 def _diagonal_bits(pair):
-    m = pair.shape[-1]
-    return pair.reshape(-1, m * m)[:, ::m + 1].view(np.uint64)
+    m = pair.shape[0]
+    return pair.reshape(m * m, -1)[::m + 1].view(np.uint64)
 
 
 @pytest.mark.parametrize("n,k", flat.PAIR_INSTANCES)
@@ -495,12 +496,12 @@ def test_pair_layout_holds_every_arc_once(n, k):
     slots = flat.pair_slots(p)
     held = np.zeros(comb(n, k - 1) * m * m, dtype=int)
     np.add.at(held, slots, 1)
-    held = held.reshape(-1, m, m)
-    assert np.array_equal(held, 1 - np.eye(m, dtype=int)[None].repeat(len(held), 0))
+    held = held.reshape(m, m, -1)
+    assert np.array_equal(held, 1 - np.eye(m, dtype=int)[:, :, None].repeat(held.shape[-1], 2))
     # S is the swap of x and y
     opp = flat.opposite(p)
     assert np.array_equal(flat.to_pair(p, slots[opp].astype(float)),
-                          flat.to_pair(p, slots.astype(float)).transpose(0, 2, 1))
+                          flat.to_pair(p, slots.astype(float)).transpose(1, 0, 2))
 
 
 @pytest.mark.parametrize("n,k", flat.PAIR_INSTANCES)
@@ -518,24 +519,24 @@ def test_pair_passes_match_flat_passes(n, k):
     for v, state in zip(range(0, p.num_vertices, max(1, p.num_vertices // count)),
                         random_states(p, count, seed=17)):
         pair = flat.to_pair(p, state)
-        want = {2: flat.coin(p, state.copy()),
-                1: conjugate(lambda s: flat.coin(p, s), state)}
-        for axis in (2, 1):
+        want = {1: flat.coin(p, state.copy()),
+                0: conjugate(lambda s: flat.coin(p, s), state)}
+        for axis in (1, 0):
             got = arc_engine.apply_coin(p, pair.copy(), vertices, axis)
             assert np.abs(got - flat.to_pair(p, want[axis])).max() <= 1e-15
             assert not _diagonal_bits(got).any()
-        want = {2: flat.oracle(p, state.copy(), v),
-                1: conjugate(lambda s: flat.oracle(p, s, v), state)}
-        for axis in (2, 1):
+        want = {1: flat.oracle(p, state.copy(), v),
+                0: conjugate(lambda s: flat.oracle(p, s, v), state)}
+        for axis in (1, 0):
             got = arc_engine.apply_oracle(p, pair.copy(), v, axis)
             assert np.abs(got - flat.to_pair(p, want[axis])).max() <= 1e-15
             assert not _diagonal_bits(got).any()
-            touched = (got != pair).reshape(len(pair), -1).any(axis=1)
+            touched = (got != pair).reshape(-1, pair.shape[-1]).any(axis=0)
             assert touched.sum() <= p.k  # only v's k rows or columns change
         shifted = flat.shift(p, state)
-        assert abs(arc_engine.vertex_probability(p, pair, v, 2)
-                   - flat.vertex_probability(p, state, v)) <= 1e-15
         assert abs(arc_engine.vertex_probability(p, pair, v, 1)
+                   - flat.vertex_probability(p, state, v)) <= 1e-15
+        assert abs(arc_engine.vertex_probability(p, pair, v, 0)
                    - flat.vertex_probability(p, shifted, v)) <= 1e-15
         assert abs(arc_engine.state_norm(pair) - np.linalg.norm(state)) <= 1e-15
 
@@ -544,14 +545,14 @@ def test_pair_passes_refuse_bad_states_and_axes():
     p = graph_params(6, 2)
     vertices = pair_vertex_table(p)
     pair = np.zeros(flat.pair_shape(p))
-    for bad in (pair.astype(np.float32), pair.transpose(0, 2, 1), pair[:-1]):
+    for bad in (pair.astype(np.float32), pair.transpose(1, 0, 2), pair[:-1]):
         with pytest.raises(ValueError):
             arc_engine.apply_coin(p, bad, vertices)
         with pytest.raises(ValueError):
             arc_engine.apply_oracle(p, bad, 0)
         with pytest.raises(ValueError):
             arc_engine.vertex_probability(p, bad, 0)
-    for axis in (0, 3):
+    for axis in (-1, 2):
         with pytest.raises(ValueError):
             arc_engine.apply_coin(p, pair, vertices, axis)
         with pytest.raises(ValueError):
@@ -561,13 +562,13 @@ def test_pair_passes_refuse_bad_states_and_axes():
 
 
 def test_pair_passes_allocate_row_tables_only():
-    # the coin holds a few tables of one float per (a, x) row, the norm one
+    # the coin holds a few tables of one float per (x, a) pair, the norm one
     # such table, and the oracle touches only the marked vertex's k rows;
     # a temporary the size of the state fails every bound
     p = graph_params(20, 3)
     vertices = pair_vertex_table(p)
     pair = arc_engine.uniform_state(p)
-    for axis in (2, 1):
+    for axis in (1, 0):
         _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, pair, vertices, axis))
         assert peak <= 0.25 * pair.nbytes
         _, peak = _peak_bytes(lambda: arc_engine.apply_oracle(p, pair, 0, axis))
@@ -611,7 +612,36 @@ def test_paired_loop_matches_stepwise_engine(n, k, stride):
         assert np.abs(got - expected).max() <= 1e-13
 
 
-@pytest.mark.parametrize("marked", [0, 9879])
+@pytest.mark.parametrize("n,k", [(40, 3), (100, 2), (10, 5)])
+def test_uniform_state_norm_within_an_ulp(n, k):
+    # dot products along rows of the a axis read J(40,3)'s start as
+    # 1 + 4.4e-15, and along rows of m J(100,2)'s as 1 - 4.4e-16
+    p = graph_params(n, k)
+    assert abs(arc_engine.state_norm(arc_engine.uniform_state(p)) - 1.0) <= 2.2e-16
+
+
+def test_norm_column_is_the_exact_norm(monkeypatch):
+    # at t = 0, 1 and 2*t_run of J(40,3) the norm column is within 4.4e-16
+    # of the square root of the exactly summed squares of the state
+    p = graph_params(40, 3)
+    steps = 2 * spectral.run_time(p).t_run
+    exact = {}
+    state_norm = arc_engine.state_norm
+
+    def recording(state):
+        t = len(exact)
+        exact[t] = math.sqrt(math.fsum(np.square(state).ravel().tolist())) \
+            if t in (0, 1, steps) else None
+        return state_norm(state)
+
+    monkeypatch.setattr(arc_engine, "state_norm", recording)
+    rows = arc_engine.evolve_and_record(p, 4000, steps)
+    assert len(exact) == steps + 1
+    for t in (0, 1, steps):
+        assert abs(rows.norm[t] - exact[t]) <= 4.4e-16, t
+
+
+@pytest.mark.parametrize("marked", [0, 4000, 9879])
 def test_norm_drift_j403_over_2_trun(marked):
     p = graph_params(40, 3)
     rows = arc_engine.evolve_and_record(p, marked, 2 * spectral.run_time(p).t_run)
@@ -632,7 +662,7 @@ def test_vertex_probabilities_reject_out_of_range_vertex(v):
     # block, and rank 15 would read an empty slice
     p = graph_params(6, 2)
     state = arc_engine.uniform_state(p)
-    for axis in (2, 1):
+    for axis in (1, 0):
         with pytest.raises(ValueError):
             arc_engine.vertex_probability(p, state, v, axis)
 
@@ -643,10 +673,10 @@ def test_batched_pair_passes_match_rows_bitwise(n, k):
     # state, so every entry is bitwise a single call, on either axis
     p = graph_params(n, k)
     vertices = pair_vertex_table(p)
-    batch = flat.to_pair(p, random_states(p, 6, seed=11))
+    batch = flat.to_batch(p, random_states(p, 6, seed=11))
     marked = p.num_vertices // 3
     passes = {}
-    for axis in (2, 1):
+    for axis in (1, 0):
         passes[f"coin {axis}"] = lambda s, a=axis: arc_engine.apply_coin(p, s, vertices, a)
         passes[f"oracle {axis}"] = lambda s, a=axis: arc_engine.apply_oracle(p, s, marked, a)
         passes[f"step {axis}"] = lambda s, a=axis: arc_engine.apply_coin(
@@ -654,33 +684,33 @@ def test_batched_pair_passes_match_rows_bitwise(n, k):
     for name, run in passes.items():
         got = run(batch.copy())
         assert got.shape == batch.shape and got.flags.c_contiguous, name
-        want = np.array([run(state.copy()) for state in batch])
+        want = np.stack([run(batch[..., i].copy()) for i in range(6)], axis=-1)
         assert np.array_equal(got, want), name
     # a stepped batch is a valid batch for the next step
-    twice = passes["step 1"](passes["step 2"](batch.copy()))
-    once = [passes["step 1"](passes["step 2"](state.copy())) for state in batch]
-    assert np.array_equal(twice, np.array(once))
+    twice = passes["step 0"](passes["step 1"](batch.copy()))
+    once = [passes["step 0"](passes["step 1"](batch[..., i].copy())) for i in range(6)]
+    assert np.array_equal(twice, np.stack(once, axis=-1))
 
 
 def test_batched_passes_refuse_bad_batches():
     p = graph_params(6, 2)
     vertices = pair_vertex_table(p)
     shape = flat.pair_shape(p)
-    bad = [np.ones((3,) + shape)[:, :, :, ::-1],            # strided states
-           np.asfortranarray(np.ones((3,) + shape)),        # F-ordered
-           np.ones((3,) + shape[:-1] + (shape[-1] - 1,)),   # wrong state shape
-           np.ones((3,) + shape, dtype=np.float32),         # wrong dtype
-           np.ones((3,) + shape, dtype=np.complex128),
-           np.ones((3, p.num_arcs))]                        # a flat batch
+    bad = [np.ones(shape + (3,))[:, :, ::-1],               # strided states
+           np.asfortranarray(np.ones(shape + (3,))),        # F-ordered
+           np.ones(shape[:-1] + (shape[-1] - 1, 3)),        # wrong state shape
+           np.ones(shape + (3,), dtype=np.float32),         # wrong dtype
+           np.ones(shape + (3,), dtype=np.complex128),
+           np.ones((p.num_arcs, 3))]                        # a flat batch
     for batch in bad:
-        for axis in (2, 1):
+        for axis in (1, 0):
             with pytest.raises(ValueError):
                 arc_engine.apply_coin(p, batch, vertices, axis)
             with pytest.raises(ValueError):
                 arc_engine.apply_oracle(p, batch, 0, axis)
     # a sampler reads one state, not a batch
     with pytest.raises(ValueError):
-        arc_engine.vertex_probability(p, flat.to_pair(p, random_states(p, 3)), 0)
+        arc_engine.vertex_probability(p, flat.to_batch(p, random_states(p, 3)), 0)
 
 
 def test_pair_block_is_cached_read_only():

@@ -147,6 +147,24 @@ def test_simulate_refuses_series_beyond_available_memory(capsys, monkeypatch, en
     assert "available memory" in err
 
 
+@pytest.mark.parametrize("engine", ["reduced", "full"])
+def test_simulate_refuses_series_where_memory_is_unreadable(capsys, monkeypatch, engine):
+    # where /proc/meminfo cannot be read, the 2^23-word fallback refuses the
+    # series too: 10^13 rows exit 3 with an error line, not numpy's traceback
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the memory check")
+
+    monkeypatch.setattr(reduced, "spectrum", no_evaluation)
+    monkeypatch.setattr(arc_engine, "pair_vertex_table", no_evaluation)
+    code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
+                             "--engine", engine, "--steps", str(10 ** 13))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "cannot be read" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_reduced_strided_horizon_fits(capsys, monkeypatch):
     # the budget that refuses 10^13 rows holds the same horizon at stride 10^12
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: 2 ** 20)

@@ -149,20 +149,21 @@ def test_arc_pair_slots_match_scalar(n, k):
     assert slots.dtype == np.int64 and not slots.flags.writeable
     assert np.array_equal(slots, flat.pair_slots(p))
     assert np.array_equal(np.sort(slots), np.flatnonzero(
-        ~np.eye(m, dtype=bool)[None].repeat(comb(n, k - 1), 0)))
+        ~np.eye(m, dtype=bool)[:, :, None].repeat(comb(n, k - 1), 2)))
     vertices = johnson.pair_vertex_table(p)
-    rows, y = np.divmod(slots, m)
-    a, x = np.divmod(rows, m)
+    rows, a = np.divmod(slots, comb(n, k - 1))
+    x, y = np.divmod(rows, m)
     for v in range(p.num_vertices):
         block = slice(v * p.degree, (v + 1) * p.degree)
         pair_a, pair_x = johnson.vertex_pairs(p, v)
-        assert np.array_equal(rows[block], np.repeat(pair_a * m + pair_x, n - k))
+        assert np.array_equal(x[block] * comb(n, k - 1) + a[block],
+                              np.repeat(pair_x * comb(n, k - 1) + pair_a, n - k))
     for arc in range(p.num_arcs):
         tail, _, _ = flat.arc_components(p, arc)
-        assert vertices[a[arc], x[arc]] == tail
-        assert vertices[a[arc], y[arc]] == flat.arc_head(p, arc)
+        assert vertices[x[arc], a[arc]] == tail
+        assert vertices[y[arc], a[arc]] == flat.arc_head(p, arc)
         assert opposite[arc] == flat.arc_opposite(p, arc)
-        assert slots[opposite[arc]] == (a[arc] * m + y[arc]) * m + x[arc]
+        assert slots[opposite[arc]] == (y[arc] * m + x[arc]) * comb(n, k - 1) + a[arc]
 
 
 @pytest.mark.parametrize("n,k", [(6, 3), (40, 3), (130, 2), (600, 1), (20, 6)])
@@ -190,9 +191,9 @@ def test_pair_vertex_table_matches_scalar(n, k):
     p = johnson.graph_params(n, k)
     table = johnson.pair_vertex_table(p)
     assert table.dtype == np.int64
-    assert table.shape == (comb(n, k - 1), n - k + 1)
+    assert table.shape == (n - k + 1, comb(n, k - 1))
     shared = sorted(combinations(range(1, n + 1), k - 1), key=lambda s: s[::-1])
-    for a, row in zip(shared, table):
+    for a, row in zip(shared, table.T):
         outside = [e for e in range(1, n + 1) if e not in a]
         assert row.tolist() == [johnson.rank_vertex(p, sorted(a + (x,))) for x in outside]
     # each vertex is a ∪ {x} for exactly its k pairs, listed as its
@@ -201,7 +202,7 @@ def test_pair_vertex_table_matches_scalar(n, k):
                           np.full(p.num_vertices, k))
     for v in range(p.num_vertices):
         a, x = johnson.vertex_pairs(p, v)
-        assert np.all(table[a, x] == v)
+        assert np.all(table[x, a] == v)
         members = johnson.unrank_vertex(p, v)
         for i, removed in enumerate(members):
             rest = tuple(e for e in members if e != removed)

@@ -18,7 +18,7 @@ def _pair_loop(params, marked, steps):
     state = arc_engine.uniform_state(params)
     vertices = pair_vertex_table(params)
     for t in range(steps + 1):
-        axis = 1 if t % 2 else 2
+        axis = 0 if t % 2 else 1
         yield flat.shifted_to_flat(params, state) if t % 2 else flat.to_flat(params, state)
         if t < steps:
             arc_engine.apply_coin(params, arc_engine.apply_oracle(params, state, marked, axis),

@@ -54,8 +54,8 @@ def test_dense_step_entries_closed_form_j42():
 def _dense_step_from_engine(params, marked=None):
     """The step matrix assembled from the engine's column blocks."""
     U = np.empty((params.num_arcs, params.num_arcs))
-    for cols, rows in validation._engine_column_blocks(params, marked):
-        U[:, cols] = rows.T
+    for cols, block in validation._engine_column_blocks(params, marked):
+        U[:, cols] = block
     return U
 
 
@@ -300,14 +300,14 @@ def test_dense_step_from_engine_matches_column_loop(n, k):
 
 def test_certify_steps_the_engine_pair_passes(monkeypatch):
     # the engine side of the battery runs the coin that simulate runs, on
-    # pair states through the (a, x) -> vertex table
+    # pair states through the (x, a) -> vertex table
     p = graph_params(6, 3)
     vertices = pair_vertex_table(p)
     calls = []
     original = arc_engine.apply_coin
 
     def recording(params, state, *args, **kwargs):
-        calls.append((state.shape[-3:], args[0] if args else kwargs.get("vertices")))
+        calls.append((state.shape[:3], args[0] if args else kwargs.get("vertices")))
         return original(params, state, *args, **kwargs)
 
     monkeypatch.setattr(arc_engine, "apply_coin", recording)
