@@ -33,13 +33,7 @@ blocks are read along the x axis.
 
 :func:`apply_oracle` and :func:`apply_coin` overwrite their input and
 return it, and refuse a state that is not a C-contiguous float64 pair
-state, since reshaping a strided view would silently update a copy.  They
-also take a *batch*, a C-contiguous (m, m, C(n, k-1), b) array with one
-pair state per entry of its last axis, and run every block reduction per
-state in the same order as on one state, so every entry comes out bitwise
-equal to a single-state call.  The batch axis is innermost, so a batch
-pass runs along runs of C(n, k-1)·b slots.  ``jwalk.validation`` steps
-the columns of its dense matrices this way.
+state, since reshaping a strided view would silently update a copy.
 
 Block reductions are evaluated by numpy in a fixed order, so repeated
 runs produce identical bytes regardless of BLAS threading.
@@ -79,8 +73,9 @@ _UNMEASURED_CAPACITY = 2 ** 23
 # 1.8e-13 on J(200,2) over 2*t_run, against 5.7e-15 and 4.7e-15 in ranges of
 # 7.  At k = 1 the a axis has one entry and a range is summed along
 # contiguous memory, where numpy adds up to 7 terms in order and 8 or more
-# pairwise; at 7 a batch, summed across its states, stays bitwise equal to
-# one state.
+# pairwise; at 7 those ranges too are added in order, so every sum takes
+# the same order at every k.  The width sets the bits of every full-engine
+# output.
 _SUM_WIDTH = 7
 # 8-byte words per k·num_vertices = C(n,k-1)·m that a run holds besides the
 # pair state.  The (x, a) -> vertex table's build peaks near 3.5 of them, and
@@ -176,21 +171,13 @@ def _pair_shape(params: GraphParams) -> tuple:
     return (m, m, comb(params.n, params.k - 1))
 
 
-def _check_state(params: GraphParams, state: np.ndarray, axis: int = 1,
-                 batch: bool = False) -> None:
-    """Refuse a state the passes cannot update in place, or an axis with no blocks.
-
-    With ``batch`` a 4-D array is taken as a batch of pair states.
-    """
-    shape = _pair_shape(params)
-    if batch and isinstance(state, np.ndarray) and state.ndim == 4:
-        shape = shape + state.shape[-1:]
+def _check_state(params: GraphParams, state: np.ndarray, axis: int = 1) -> None:
+    """Refuse a state the passes cannot update in place, or an axis with no blocks."""
     if not (isinstance(state, np.ndarray) and state.dtype == np.float64
-            and state.shape == shape and state.flags.c_contiguous):
+            and state.shape == _pair_shape(params) and state.flags.c_contiguous):
         raise ValueError(
             f"state must be a C-contiguous float64 pair state of shape "
-            f"{_pair_shape(params)}{', or a batch of them' if batch else ''} "
-            f"(passes update it in place)")
+            f"{_pair_shape(params)} (passes update it in place)")
     if axis not in (0, 1):
         raise ValueError(f"blocks run along axis 1 (tails) or 0 (heads); got {axis}")
 
@@ -236,17 +223,14 @@ def apply_coin(params: GraphParams, state: np.ndarray, vertices: np.ndarray,
     the table, and every slot gets twice its block's mean minus itself;
     the x = y slots are then set back to 0.  Every pass runs along the
     contiguous a axis.  Besides the state it allocates a few tables of
-    k·num_vertices floats per state; returns ``state``.
+    k·num_vertices floats; returns ``state``.
     """
-    _check_state(params, state, axis, batch=True)
-    index = vertices
-    if state.ndim == 4:  # a batch: state i's vertices are counted in bins i*N + v
-        index = vertices[..., None] + params.num_vertices * np.arange(state.shape[-1])
-    means = np.bincount(index.ravel(), weights=_row_sums(state, axis).ravel(),
+    _check_state(params, state, axis)
+    means = np.bincount(vertices.ravel(), weights=_row_sums(state, axis).ravel(),
                         minlength=params.num_vertices)
     means /= params.degree
     means *= 2.0
-    np.subtract(np.expand_dims(np.take(means, index), axis), state, out=state)
+    np.subtract(np.expand_dims(np.take(means, vertices), axis), state, out=state)
     _zero_diagonal(state)
     return state
 
@@ -256,9 +240,8 @@ def _row_sums(state: np.ndarray, axis: int) -> np.ndarray:
 
     Numpy adds a range's slices along the contiguous a axis, one
     accumulator per sum, in the order of the range; the partial sums are
-    then added in order, and a batch is summed in the same order.  A last
-    range of one slice is added as it is, since numpy copies a strided
-    slice to sum over it.
+    then added in order.  A last range of one slice is added as it is,
+    since numpy copies a strided slice to sum over it.
     """
     lead = (slice(None),) * axis
     sums = np.sum(state[lead + (slice(0, _SUM_WIDTH),)], axis=axis)
@@ -269,7 +252,7 @@ def _row_sums(state: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _zero_diagonal(state: np.ndarray) -> None:
-    """Set the x = y slots of a pair state, or of a batch of them, to 0: m contiguous runs."""
+    """Set the x = y slots of a pair state to 0: m contiguous runs."""
     m = state.shape[0]
     state.reshape(m * m, -1)[::m + 1] = 0.0
 
@@ -285,18 +268,16 @@ def apply_oracle(params: GraphParams, state: np.ndarray, marked: int,
 
     At axis 1 the block is the arcs leaving ``marked`` (O), at 0 the arcs
     entering it (O_h = S·O·S).  In place, touching only the ``degree``
-    amplitudes of the block, a (k, m) block strided across the state;
-    every other amplitude stays bitwise unchanged.  Returns ``state``.  On
-    a batch it reflects every state, each summed as one state is.
+    amplitudes of the block, a (k, m) block strided across the state and
+    gathered into a contiguous copy, whose k·m terms are summed pairwise;
+    every other amplitude stays bitwise unchanged.  Returns ``state``.
     """
-    _check_state(params, state, axis, batch=True)
+    _check_state(params, state, axis)
     _check_vertex(params, marked)
     index, diagonal = _pair_block(params, marked)
     view = _blocks_along(state, axis)
-    block = view[index]                                  # (k, m) or (k, m, b)
-    # each state's k·m terms in one contiguous row, summed pairwise
-    rows = np.ascontiguousarray(np.moveaxis(block, (0, 1), (-2, -1)))
-    block -= 2.0 * (rows.reshape(block.shape[2:] + (-1,)).sum(axis=-1) / params.degree)
+    block = view[index]
+    block -= 2.0 * (block.reshape(-1).sum() / params.degree)
     block[diagonal] = 0.0
     view[index] = block
     return state
@@ -321,15 +302,14 @@ def vertex_probability(params: GraphParams, state: np.ndarray, v: int,
 def _pair_block(params: GraphParams, v: int) -> tuple:
     """Index of ``v``'s (k, m) block of tail rows, and of its x = y slots in it.
 
-    Both leave trailing axes whole, so they index a batch too.  Cached,
-    with read-only index arrays: the paired loop reads the marked
+    Cached, with read-only index arrays: the paired loop reads the marked
     vertex's blocks on every step, and unranking it is Python work.
     """
     a, x = vertex_pairs(params, v)
     rows = np.arange(params.k)
     for array in (a, x, rows):
         array.flags.writeable = False
-    return (x, slice(None), a, Ellipsis), (rows, x)
+    return (x, slice(None), a), (rows, x)
 
 
 def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1) -> Series:

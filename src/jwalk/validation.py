@@ -40,25 +40,26 @@ upcast to complex.
 Arc space here is numbered tail-major, as in ``jwalk.johnson``, and the
 arc reversal of the closed forms comes from
 :func:`jwalk.johnson.arc_pair_slots`.  The engine holds the walk as a pair
-state ψ[x, y, a] instead (``jwalk.arc_engine``).  To step arc vectors,
-they are placed at their pair slots and run through the passes that
-``simulate`` runs, the oracle and then the coin through the (x, a) ->
-vertex table.  S is the swap of x and y, so the step is read back at each
-arc's transposed slot.
+state ψ[x, y, a] instead (``jwalk.arc_engine``).  To step an arc vector,
+it is placed at its pair slots in one pair state and run through the
+passes that ``simulate`` runs, the oracle and then the coin through the
+(x, a) -> vertex table.  S is the swap of x and y, so the step is read
+back at each arc's transposed slot.
 
 The step battery is O(A^2) work besides N d x d determinants, with d the
-degree and N the number of vertices.  The engine steps the identity
-DENSE_BLOCK columns at a time, as one batch of pair states reused by every
-block, with the batch axis innermost so the columns of a block sit side by
-side, and each block is compared with the closed form as it comes, so the
-engine-built matrix is never held whole.  The unitarity residual forms the
-Gram DENSE_BLOCK rows at a time from only the rows of U that the block's
-columns touch, and only the columns that those rows touch.  The marked
-step's |det| is the product of its N coin blocks' d x d determinants,
-after one count of nonzeros shows that no entry lies outside them.  On
-J(10,3) (A = 2,520, one pinned CPU of a 2-core x86-64, one BLAS thread)
-``verify_dense_step`` takes about 0.23 s: each Gram 0.05 s, each engine
-comparison 0.05 s, ``det`` 0.01 s (0.37 s as one A x A LU).
+degree and N the number of vertices.  The engine is compared with a step
+matrix through d probe states, not A unit columns: the step sends the arcs
+leaving a vertex into a block of rows of their own, so probe c, the c-th
+arc leaving every vertex, gives every column v*d + c at once, as
+Curtis, Powell & Reid (1974) group the columns of a sparse Jacobian.  The
+unitarity residual forms the Gram DENSE_BLOCK rows at a time from only the
+rows of U that the block's columns touch, and only the columns that those
+rows touch.  The marked step's |det| is the product of its N coin blocks'
+d x d determinants, after one count of nonzeros shows that no entry lies
+outside them.  On J(10,3) (A = 2,520, one pinned CPU of a 2-core x86-64,
+one BLAS thread) ``verify_dense_step`` takes about 0.12 s: each Gram
+0.035 s, each engine comparison 0.012 s, ``det`` 0.009 s (0.37 s as one
+A x A LU).
 """
 
 import math
@@ -97,7 +98,7 @@ DENSE_ARC_CAPACITY = 20000
 # arc-space float64 matrices certify holds at its peak: the marked step,
 # which it builds first, and the unmarked step
 DENSE_PEAK_MATRICES = 2
-# columns stepped through the engine, and Gram rows formed, per block
+# Gram rows the unitarity residual forms per block
 DENSE_BLOCK = 128
 
 
@@ -159,61 +160,34 @@ def dense_step(params: GraphParams,
 def _pair_layout(params: GraphParams) -> tuple:
     """The engine's vertex table, the pair-state shape, and each arc's slot and transposed slot."""
     vertices = pair_vertex_table(params)
-    shape = vertices.shape[:1] + vertices.shape
-    slots = arc_pair_slots(params)[0]
-    x, y, a = np.unravel_index(slots, shape)
-    return vertices, shape, slots, np.ravel_multi_index((y, x, a), shape)
+    slots, opposite = arc_pair_slots(params)
+    return vertices, vertices.shape[:1] + vertices.shape, slots, slots[opposite]
 
 
-def _pair_states(columns: np.ndarray, slots: np.ndarray, shape: tuple) -> np.ndarray:
-    """The arc-order ``columns`` (the first axis) placed in a zeroed batch of pair states.
+def _pair_state(vector: np.ndarray, slots: np.ndarray, shape: tuple) -> np.ndarray:
+    """The arc-order ``vector`` placed in a zeroed pair state of ``shape``."""
+    state = np.zeros(math.prod(shape))
+    state[slots] = vector
+    return state.reshape(shape)
 
-    A vector gives one pair state of ``shape``, and an (A, b) matrix a
-    batch of b, one per column.
+
+def _engine_step(params: GraphParams, columns: np.ndarray, layout: tuple,
+                 marked: Optional[int] = None) -> np.ndarray:
+    """One engine step of each arc-order column of ``columns``, one pair state at a time.
+
+    ``layout`` is :func:`_pair_layout`.  Runs the passes of
+    :func:`jwalk.arc_engine.evolve_and_record` on the tail side, O then C,
+    on each column's pair state.  S is the swap of x and y in the pair
+    layout, so S·C·O·ψ at an arc is C·O·ψ at the arc's transposed slot.
     """
-    states = np.zeros((math.prod(shape),) + columns.shape[1:])
-    states[slots] = columns
-    return states.reshape(shape + columns.shape[1:])
-
-
-def _engine_step(params: GraphParams, states: np.ndarray, vertices: np.ndarray,
-                 transposed: np.ndarray, marked: Optional[int] = None,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One engine step of a batch of pair states, as columns in arc order.
-
-    Runs the passes of :func:`jwalk.arc_engine.evolve_and_record` on the
-    tail side, O then C, in place on ``states``.  S is the swap of x and y
-    in the pair layout, so S·C·O·ψ at an arc is C·O·ψ at the arc's
-    ``transposed`` slot.
-    """
-    if marked is not None:
-        states = arc_engine.apply_oracle(params, states, marked)
-    states = arc_engine.apply_coin(params, states, vertices)
-    return np.take(states.reshape(-1, states.shape[-1]), transposed, axis=0, out=out,
-                   mode="clip")
-
-
-def _engine_column_blocks(params: GraphParams, marked: Optional[int] = None):
-    """Yield (cols, block): the step's columns ``cols``, as the columns of ``block``.
-
-    Each block of DENSE_BLOCK unit vectors is placed in one batch of pair
-    states and stepped at once (:func:`_engine_step`); every entry of a
-    batch is bitwise a single-state step.  The batch and the block are
-    cut from buffers reused by every block, so each is valid until the
-    next is yielded.
-    """
-    A = params.num_arcs
-    vertices, shape, slots, transposed = _pair_layout(params)
-    size, width = math.prod(shape), min(DENSE_BLOCK, A)
-    states, columns = np.empty(size * width), np.empty(A * width)
-    for start in range(0, A, DENSE_BLOCK):
-        cols = slice(start, min(start + DENSE_BLOCK, A))
-        b = cols.stop - start
-        batch = states[:size * b].reshape(shape + (b,))
-        batch.fill(0.0)
-        batch.reshape(size, b)[slots[cols], np.arange(b)] = 1.0
-        yield cols, _engine_step(params, batch, vertices, transposed, marked,
-                                 columns[:A * b].reshape(A, b))
+    vertices, shape, slots, transposed = layout
+    stepped = np.empty(columns.shape)
+    for j in range(columns.shape[1]):
+        state = _pair_state(columns[:, j], slots, shape)
+        if marked is not None:
+            arc_engine.apply_oracle(params, state, marked)
+        stepped[:, j] = arc_engine.apply_coin(params, state, vertices).reshape(-1)[transposed]
+    return stepped
 
 
 @dataclass(frozen=True)
@@ -326,15 +300,22 @@ class CertificationReport:
 
 def _engine_residual(params: GraphParams, U: np.ndarray,
                      marked: Optional[int] = None) -> float:
-    """max |U - engine step|, compared a block of engine columns at a time.
+    """max |U - engine step|, read from ``degree`` probe states.
 
-    The engine-built matrix is never held whole; a NaN anywhere gives NaN.
+    Probe c holds the c-th arc leaving every vertex, so it stands for U's
+    columns v*d + c.  A step sends the arcs leaving v into rows
+    opposite[v*d:(v+1)*d] alone, and the probe's vertices share no row
+    sum, vertex bin or oracle block, so its step is bitwise the sum of
+    those unit columns' steps, each on rows of its own.  It is compared
+    with the sum of U's columns v*d + c, which on a step matrix adds only
+    exact zeros; so on a correct engine the residual is bitwise the
+    column-by-column one.  A column's image that leaks out of its rows, in
+    U or in the engine, lands in the sum and shows unless the leaks of one
+    probe cancel in a row.  A NaN anywhere gives NaN.
     """
-    block_max = []
-    for cols, block in _engine_column_blocks(params, marked):
-        np.subtract(block, U[:, cols], out=block)
-        block_max.append(np.abs(block, out=block).max())
-    return float(np.max(block_max))
+    N, d, A = params.num_vertices, params.degree, params.num_arcs
+    stepped = _engine_step(params, np.tile(np.eye(d), (N, 1)), _pair_layout(params), marked)
+    return float(np.max(np.abs(stepped - U.reshape(A, N, d).sum(axis=1))))
 
 
 def _unitarity_residual(U: np.ndarray) -> float:
@@ -438,16 +419,15 @@ def verify_dense_step(params: GraphParams, marked: int, opposite: np.ndarray,
                       dense_marked_step: np.ndarray) -> dict:
     """Closed-form step matrix versus the engine, plus unitarity.
 
-    The engine steps the identity DENSE_BLOCK columns at a time and each
-    block is compared as it comes, the Gram is formed a block of rows at
-    a time from the rows it touches, and the unmarked step is dropped
-    before the marked checks.  So at most DENSE_PEAK_MATRICES arc-space
-    matrices are alive at once, the caller's ``dense_marked_step`` included.
-    The marked step's |det| comes from its d x d coin blocks
-    (:func:`_det_modulus`), with a full LU only for a matrix that has an
-    entry outside them.  The engine side runs the pair passes that
-    ``simulate`` runs; ``opposite`` is the closed form's arc reversal, and
-    the blocks are read through it.
+    The engine steps ``degree`` probe states (:func:`_engine_residual`),
+    the Gram is formed a block of rows at a time from the rows it touches,
+    and the unmarked step is dropped before the marked checks.  So at most
+    DENSE_PEAK_MATRICES arc-space matrices are alive at once, the caller's
+    ``dense_marked_step`` included.  The marked step's |det| comes from its
+    d x d coin blocks (:func:`_det_modulus`), with a full LU only for a
+    matrix that has an entry outside them.  The engine side runs the pair
+    passes that ``simulate`` runs; ``opposite`` is the closed form's arc
+    reversal, and the blocks are read through it.
     """
     residuals = {}
     U = dense_step(params, opposite=opposite)
@@ -476,10 +456,8 @@ def verify_eigenbasis(params: GraphParams, basis: InvariantBasis) -> dict:
     }
 
     # the step is real-linear: step the real and imaginary parts of every
-    # column apart, as the entries of one batch
-    vertices, shape, slots, transposed = _pair_layout(params)
-    states = _pair_states(np.hstack([B.real, B.imag]), slots, shape)
-    parts = _engine_step(params, states, vertices, transposed)
+    # column apart
+    parts = _engine_step(params, np.hstack([B.real, B.imag]), _pair_layout(params))
     stepped = parts[:, :2 * k + 1] + 1j * parts[:, 2 * k + 1:]
     eig_terms = [np.linalg.norm(stepped[:, 0] - B[:, 0])]
     for l in range(1, k + 1):
@@ -518,7 +496,7 @@ def verify_subspace_invariance(params: GraphParams, marked: int, basis: Invarian
     _, shape, slots, _ = _pair_layout(params)
 
     def oracle(vector):
-        state = arc_engine.apply_oracle(params, _pair_states(vector, slots, shape), marked)
+        state = arc_engine.apply_oracle(params, _pair_state(vector, slots, shape), marked)
         return state.reshape(-1)[slots]
 
     b0, c1 = basis.marked_out, basis.marked_in

@@ -114,11 +114,6 @@ def shifted_to_flat(params, pair):
     return to_flat(params, np.ascontiguousarray(np.swapaxes(pair, -3, -2)))
 
 
-def to_batch(params, flat):
-    """Flat states (the rows) as the engine's batch: one pair state per entry of the last axis."""
-    return np.ascontiguousarray(np.moveaxis(to_pair(params, flat), 0, -1))
-
-
 def uniform(params):
     return np.full(params.num_arcs, 1.0 / np.sqrt(float(params.num_arcs)))
 

@@ -667,36 +667,14 @@ def test_vertex_probabilities_reject_out_of_range_vertex(v):
             arc_engine.vertex_probability(p, state, v, axis)
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (7, 1), (9, 3), (10, 5)])
-def test_batched_pair_passes_match_rows_bitwise(n, k):
-    # each pass reduces every state of a batch in the order it reduces one
-    # state, so every entry is bitwise a single call, on either axis
-    p = graph_params(n, k)
-    vertices = pair_vertex_table(p)
-    batch = flat.to_batch(p, random_states(p, 6, seed=11))
-    marked = p.num_vertices // 3
-    passes = {}
-    for axis in (1, 0):
-        passes[f"coin {axis}"] = lambda s, a=axis: arc_engine.apply_coin(p, s, vertices, a)
-        passes[f"oracle {axis}"] = lambda s, a=axis: arc_engine.apply_oracle(p, s, marked, a)
-        passes[f"step {axis}"] = lambda s, a=axis: arc_engine.apply_coin(
-            p, arc_engine.apply_oracle(p, s, marked, a), vertices, a)
-    for name, run in passes.items():
-        got = run(batch.copy())
-        assert got.shape == batch.shape and got.flags.c_contiguous, name
-        want = np.stack([run(batch[..., i].copy()) for i in range(6)], axis=-1)
-        assert np.array_equal(got, want), name
-    # a stepped batch is a valid batch for the next step
-    twice = passes["step 0"](passes["step 1"](batch.copy()))
-    once = [passes["step 0"](passes["step 1"](batch[..., i].copy())) for i in range(6)]
-    assert np.array_equal(twice, np.stack(once, axis=-1))
-
-
 def test_batched_passes_refuse_bad_batches():
+    # the passes step one pair state at a time: any stack of states, pair or
+    # flat, C- or F-ordered, is refused on either axis
     p = graph_params(6, 2)
     vertices = pair_vertex_table(p)
     shape = flat.pair_shape(p)
-    bad = [np.ones(shape + (3,))[:, :, ::-1],               # strided states
+    bad = [np.ones(shape + (3,)),                           # a stack of pair states
+           np.ones(shape + (3,))[:, :, ::-1],               # strided states
            np.asfortranarray(np.ones(shape + (3,))),        # F-ordered
            np.ones(shape[:-1] + (shape[-1] - 1, 3)),        # wrong state shape
            np.ones(shape + (3,), dtype=np.float32),         # wrong dtype
@@ -708,9 +686,8 @@ def test_batched_passes_refuse_bad_batches():
                 arc_engine.apply_coin(p, batch, vertices, axis)
             with pytest.raises(ValueError):
                 arc_engine.apply_oracle(p, batch, 0, axis)
-    # a sampler reads one state, not a batch
-    with pytest.raises(ValueError):
-        arc_engine.vertex_probability(p, flat.to_batch(p, random_states(p, 3)), 0)
+            with pytest.raises(ValueError):
+                arc_engine.vertex_probability(p, batch, 0, axis)
 
 
 def test_pair_block_is_cached_read_only():

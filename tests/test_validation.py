@@ -51,20 +51,14 @@ def test_dense_step_entries_closed_form_j42():
     assert np.all(U.imag == 0)
 
 
-def _dense_step_from_engine(params, marked=None):
-    """The step matrix assembled from the engine's column blocks."""
-    U = np.empty((params.num_arcs, params.num_arcs))
-    for cols, block in validation._engine_column_blocks(params, marked):
-        U[:, cols] = block
-    return U
-
-
 def test_dense_step_matches_engine_columns():
     # the closed form, the engine's pair passes and the flat oracle agree
     p = graph_params(4, 2)
-    assert _dense_step_from_engine(p).dtype == np.float64
+    layout = validation._pair_layout(p)
+    eye = np.eye(p.num_arcs)
+    assert validation._engine_step(p, eye, layout).dtype == np.float64
     for marked, bound in ((None, 1e-15), (2, 1e-14)):
-        engine = _dense_step_from_engine(p, marked)
+        engine = validation._engine_step(p, eye, layout, marked)
         assert np.abs(validation.dense_step(p, marked) - engine).max() <= bound
         oracle = flat.step(p, np.eye(p.num_arcs), marked).T
         assert np.abs(oracle - engine).max() <= bound
@@ -289,13 +283,45 @@ def _column_by_column(params, marked=None):
     return U
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (7, 1), (6, 3), (9, 3)])
+@pytest.mark.parametrize("n,k", [(4, 2), (7, 1), (6, 3), (9, 3), (10, 5)])
 def test_dense_step_from_engine_matches_column_loop(n, k):
-    # J(6,3) and J(9,3) take more than one block of columns
+    # the degree probe states give bitwise the residual of stepping every
+    # unit column apart; at most two arc-space matrices are held
     p = graph_params(n, k)
     for marked in (None, p.num_vertices - 1):
-        assert np.array_equal(_dense_step_from_engine(p, marked),
-                              _column_by_column(p, marked))
+        U = validation.dense_step(p, marked)
+        residual = validation._engine_residual(p, U, marked)
+        columns = _column_by_column(p, marked)
+        np.subtract(U, columns, out=columns)
+        assert residual == float(np.abs(columns, out=columns).max())
+        del U, columns
+
+
+@pytest.mark.parametrize("marked", [None, 7])
+def test_engine_residual_sees_a_swapped_vertex_table(monkeypatch, marked):
+    # two (x, a) entries of different vertices swap their rows' vertex
+    # bins, so a coin mean of 2/d lands on the wrong rows
+    p = graph_params(6, 3)
+    U = validation.dense_step(p, marked)
+    table = pair_vertex_table(p).copy()
+    first = (0, 0)
+    second = tuple(np.argwhere(table != table[first])[0])
+    table[first], table[second] = table[second], table[first]
+    monkeypatch.setattr(validation, "pair_vertex_table", lambda params: table)
+    assert validation._engine_residual(p, U, marked) >= 2.0 / p.degree
+
+
+@pytest.mark.parametrize("marked", [None, 7])
+def test_engine_residual_sees_stray_entry(marked):
+    # an entry outside the coin blocks, where the step has an exact zero
+    p = graph_params(6, 3)
+    opp = arc_pair_slots(p)[1]
+    U = validation.dense_step(p, marked, opposite=opp)
+    assert validation._engine_residual(p, U, marked) <= 1e-15
+    row, col = np.argwhere(U == 0)[len(U) // 3]
+    assert row not in opp[col // p.degree * p.degree:(col // p.degree + 1) * p.degree]
+    U[row, col] = 1e-3
+    assert validation._engine_residual(p, U, marked) >= 1e-3
 
 
 def test_certify_steps_the_engine_pair_passes(monkeypatch):
