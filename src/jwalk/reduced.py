@@ -18,7 +18,7 @@ The walk phases and the weights w_j**2 are derived once, at
 exact Fraction projector weights (``_walk_terms``).  Every quantity below
 comes from them, and nothing here forms or iterates a step matrix:
 ``jwalk.validation`` rounds the same terms once into the step matrix it
-compares with the compression of the dense step, and the tests certify
+compares with the compression of the explicit step, and the tests certify
 the spectrum against a walk iterated on the 3k arc classes
 "shell i -> shell j", built from the intersection numbers alone.
 

@@ -114,10 +114,10 @@ def test_criterion_3_eigenbasis_certification():
     for n, k in [(4, 2), (5, 2), (6, 2)]:
         p = graph_params(n, k)
         basis = validation.build_invariant_basis(p, marked=0)
-        Um = validation.dense_step(p, 0, opposite=basis.opposite)
+        blocks = validation._step_blocks(p, 0)
         res = validation.verify_eigenbasis(p, basis)
         res.update(validation.verify_reduced_compression(
-            basis, Um, validation._reduced_step(p)[0]))
+            basis, blocks, validation._reduced_step(p)[0]))
         for key in worst:
             # np.max keeps a NaN residual, which Python's max drops after the first
             worst[key] = float(np.max([worst[key], res[key]]))

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import dense_step as dense
 import flat_layout as flat
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError
@@ -345,10 +346,10 @@ def test_modified_coin_fusion_equivalent():
 def test_step_matches_dense_operator_on_random_states(n, k):
     p = graph_params(n, k)
     marked = 1
-    dense = validation.dense_step(p, marked, opposite=flat.opposite(p))
+    U = dense.step(p, marked)
     for state in random_states(p, 100, seed=5):
         direct = _step(p, flat.to_pair(p, state), marked)
-        assert np.abs(dense @ state - direct).max() <= 1e-12
+        assert np.abs(U @ state - direct).max() <= 1e-12
 
 
 def test_vertex_probability_uniform_and_total():

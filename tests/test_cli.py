@@ -291,7 +291,7 @@ def test_validate_basis_failure_is_a_certification_error(capsys, monkeypatch):
 
 
 def test_validate_capacity(capsys):
-    code, _, err = run_cli(capsys, "validate", "--n", "30", "--k", "3")
+    code, _, err = run_cli(capsys, "validate", "--n", "40", "--k", "3")
     assert code == 3
     assert "dense oracles refuse" in err
 

@@ -28,7 +28,7 @@ THETA_MIN_J100_2 = 0.020008182975302
 
 
 def test_build_j42_structure():
-    # the reduced step and target that certify compares with the dense step
+    # the reduced step and target that certify compares with the explicit step
     p = graph_params(4, 2)
     step, w = validation._reduced_step(p)
     expected_w = [math.sqrt(1 / 6), 0.5, 0.5, math.sqrt(1 / 6), math.sqrt(1 / 6)]

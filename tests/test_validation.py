@@ -1,11 +1,13 @@
 """Dense-oracle certifications on small instances."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import dense_step as dense
 import flat_layout as flat
 from jwalk import arc_engine, cli, reduced, spectral, validation
 from jwalk.errors import CapacityError, CertificationError
@@ -27,23 +29,23 @@ def test_dense_adjacency_octahedron():
 
 def test_dense_adjacency_capacity():
     with pytest.raises(CapacityError):
-        validation.dense_adjacency(graph_params(30, 3))
+        validation.dense_adjacency(graph_params(40, 3))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2)])
 def test_dense_step_unitary_and_det(n, k):
     p = graph_params(n, k)
     eye = np.eye(p.num_arcs)
-    U = validation.dense_step(p)
+    U = dense.step(p)
     assert np.abs(U.conj().T @ U - eye).max() <= 1e-13
-    Um = validation.dense_step(p, marked=0)
+    Um = dense.step(p, marked=0)
     assert np.abs(Um.conj().T @ Um - eye).max() <= 1e-13
     assert abs(abs(np.linalg.det(Um)) - 1.0) <= 1e-10
 
 
 def test_dense_step_entries_closed_form_j42():
     p = graph_params(4, 2)
-    U = validation.dense_step(p)
+    U = dense.step(p)
     assert U.shape == (24, 24)
     # every column: 2/d on head-matching arcs (minus 1 on the reverse), 0 off
     values = sorted(set(np.round(U.real.reshape(-1), 12).tolist()))
@@ -59,14 +61,15 @@ def test_dense_step_matches_engine_columns():
     assert validation._engine_step(p, eye, layout).dtype == np.float64
     for marked, bound in ((None, 1e-15), (2, 1e-14)):
         engine = validation._engine_step(p, eye, layout, marked)
-        assert np.abs(validation.dense_step(p, marked) - engine).max() <= bound
+        assert np.abs(dense.step(p, marked) - engine).max() <= bound
         oracle = flat.step(p, np.eye(p.num_arcs), marked).T
         assert np.abs(oracle - engine).max() <= bound
 
 
 def test_dense_step_guards():
+    # the step's coin blocks refuse what the other dense oracles refuse
     with pytest.raises(CapacityError):
-        validation.dense_step(graph_params(30, 3))
+        validation._step_blocks(graph_params(40, 3))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2)])
@@ -131,8 +134,7 @@ def test_lift_norm_identities_j62():
 def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
-    Um = validation.dense_step(p, 0, opposite=basis.opposite)
-    residuals = validation.verify_subspace_invariance(p, 0, basis, Um)
+    residuals = validation.verify_subspace_invariance(p, 0, basis, validation._step_blocks(p, 0))
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
 
@@ -152,8 +154,8 @@ def test_target_and_initial_j42():
 def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
-    Um = validation.dense_step(p, 0, opposite=basis.opposite)
-    residuals = validation.verify_reduced_compression(basis, Um, validation._reduced_step(p)[0])
+    residuals = validation.verify_reduced_compression(
+        basis, validation._step_blocks(p, 0), validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
 
 
@@ -180,7 +182,7 @@ def test_marked_choice_does_not_matter():
     assert report.passed
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3), (8, 4)])
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3), (8, 4), (12, 4)])
 def test_certify_passes_default_tolerance(n, k):
     report = validation.certify(graph_params(n, k), marked=0, tol=1e-10)
     assert report.passed
@@ -189,19 +191,19 @@ def test_certify_passes_default_tolerance(n, k):
 
 
 def test_certify_builds_each_dense_step_once(monkeypatch):
-    # certify hands its one marked dense step, its one invariant basis and
-    # its one reduced step to every stage that needs them, and derives the
-    # walk terms once
+    # certify hands its one marked step's blocks, its one invariant basis
+    # and its one reduced step to every stage that needs them, builds the
+    # unmarked blocks once, and derives the walk terms once
     built = []
     bases = []
     walks = []
-    original = validation.dense_step
+    original = validation._step_blocks
     original_basis = validation.build_invariant_basis
     original_terms = reduced._walk_terms
 
-    def counting(params, marked=None, opposite=None):
+    def counting(params, marked=None):
         built.append(marked)
-        return original(params, marked, opposite)
+        return original(params, marked)
 
     def counting_basis(params, marked):
         bases.append(marked)
@@ -211,7 +213,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
         walks.append(params)
         return original_terms(params)
 
-    monkeypatch.setattr(validation, "dense_step", counting)
+    monkeypatch.setattr(validation, "_step_blocks", counting)
     monkeypatch.setattr(validation, "build_invariant_basis", counting_basis)
     monkeypatch.setattr(reduced, "_walk_terms", counting_terms)
     p = graph_params(6, 3)
@@ -243,11 +245,11 @@ def test_dense_step_matches_complex_loop(n, k):
     p = graph_params(n, k)
     oracle = _complex_dense_step(p)
     assert np.all(oracle.imag == 0)
-    U = validation.dense_step(p)
+    U = dense.step(p)
     assert U.dtype == np.float64
     assert np.array_equal(U, oracle.real)
     marked = p.num_vertices // 2
-    Um = validation.dense_step(p, marked)
+    Um = dense.step(p, marked)
     assert Um.dtype == np.float64
     assert np.abs(Um - _complex_dense_step(p, marked)).max() <= 1e-15
     # updating only the marked block's columns is bit-equal to the full
@@ -258,14 +260,81 @@ def test_dense_step_matches_complex_loop(n, k):
     assert np.array_equal(Um, U - 2.0 * np.outer(U @ target, target))
 
 
+# the instances on which the blocks are compared with the A x A step
+BLOCK_INSTANCES = [(4, 2), (6, 3), (7, 1), (9, 3), (10, 5)]
+
+
+def _dense_unitarity(U):
+    """max |U^T U - I| as one full product, the A x A Gram formed whole."""
+    gram = U.T @ U
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.abs(gram, out=gram).max())
+
+
+@pytest.mark.parametrize("n,k", BLOCK_INSTANCES)
+def test_step_blocks_are_the_dense_oracles_blocks(n, k):
+    # the blocks gathered from the A x A step built column by column are
+    # the block form: bitwise unmarked; marked within 1e-16, since the
+    # oracle rounds its rank-1 update through an A-long matvec; and the
+    # oracle has no nonzero outside them
+    p = graph_params(n, k)
+    opp = arc_pair_slots(p)[1]
+    for marked, bound in ((None, 0.0), (p.num_vertices - 1, 1e-16)):
+        U = dense.step(p, marked, opp)
+        gathered = dense.blocks(p, U, opp)
+        blocks = validation._step_blocks(p, marked)
+        assert blocks.shape == (p.num_vertices, p.degree, p.degree)
+        assert blocks.dtype == np.float64
+        assert float(np.abs(gathered - blocks).max()) <= bound
+        if marked is None:
+            assert np.array_equal(gathered, blocks)
+        assert np.count_nonzero(U) == np.count_nonzero(gathered)
+        del U
+
+
+@pytest.mark.parametrize("n,k", BLOCK_INSTANCES)
+def test_block_residuals_match_dense(n, k):
+    # each check read from the blocks against the same check on the A x A
+    # matrix P blockdiag(B_v) that holds them.  Unitarity is bitwise that
+    # of R = P^T U = blockdiag(B_v), U's rows taken in the order opposite,
+    # which sums each Gram entry over a block's rows in the block's order;
+    # U's own rows, in another order, round within two ulps of 1 (not run
+    # on J(10,5), where one more A x A product takes seconds).  The marked
+    # step's products with the basis are within 1e-15.
+    p = graph_params(n, k)
+    marked = p.num_vertices - 1
+    opp = arc_pair_slots(p)[1]
+    for m in (None, marked):
+        blocks = validation._step_blocks(p, m)
+        residual = validation._unitarity_residual(blocks)
+        R = dense.from_blocks(p, blocks, np.arange(p.num_arcs))
+        assert residual == _dense_unitarity(R)
+        del R
+    U = dense.from_blocks(p, blocks, opp)
+    if p.num_arcs < 2000:
+        assert abs(residual - _dense_unitarity(U)) <= 4.5e-16
+    basis = validation.build_invariant_basis(p, marked)
+    B = basis.basis
+    image = U @ B.real + 1j * (U @ B.imag)
+    want = float(np.abs(image - B @ (B.conj().T @ image)).max())
+    got = validation.verify_subspace_invariance(p, marked, basis, blocks)
+    assert abs(got["subspace_invariance"] - want) <= 1e-15
+    step = validation._reduced_step(p)[0]
+    Bh = B.conj().T
+    want = float(np.abs((Bh.real @ U + 1j * (Bh.imag @ U)) @ B - step).max())
+    got = validation.verify_reduced_compression(basis, blocks, step)
+    assert abs(got["reduced_compression"] - want) <= 1e-15
+
+
 @pytest.mark.parametrize("n,k,marked", [(5, 2, None), (5, 2, 4), (6, 3, 7)])
 def test_unitarity_residual_in_place(n, k, marked):
+    # bitwise the full Gram of blockdiag(B_v), and the blocks are left as they were
     p = graph_params(n, k)
-    U = validation.dense_step(p, marked)
-    before = U.copy()
-    want = float(np.abs(U.T @ U - np.eye(p.num_arcs)).max())
-    assert validation._unitarity_residual(U) == want
-    assert np.array_equal(U, before)
+    blocks = validation._step_blocks(p, marked)
+    before = blocks.copy()
+    want = _dense_unitarity(dense.from_blocks(p, blocks, np.arange(p.num_arcs)))
+    assert validation._unitarity_residual(blocks) == want
+    assert np.array_equal(blocks, before)
 
 
 def _column_by_column(params, marked=None):
@@ -283,14 +352,18 @@ def _column_by_column(params, marked=None):
     return U
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (7, 1), (6, 3), (9, 3), (10, 5)])
+@pytest.mark.parametrize("n,k", BLOCK_INSTANCES)
 def test_dense_step_from_engine_matches_column_loop(n, k):
-    # the degree probe states give bitwise the residual of stepping every
-    # unit column apart; at most two arc-space matrices are held
+    # the degree probe states, compared with the blocks, give bitwise the
+    # residual of stepping every unit column apart and comparing it with
+    # the A x A step that holds the blocks; at most two arc-space matrices
+    # are held
     p = graph_params(n, k)
+    opp = arc_pair_slots(p)[1]
     for marked in (None, p.num_vertices - 1):
-        U = validation.dense_step(p, marked)
-        residual = validation._engine_residual(p, U, marked)
+        blocks = validation._step_blocks(p, marked)
+        residual = validation._engine_residual(p, opp, blocks, marked)
+        U = dense.from_blocks(p, blocks, opp)
         columns = _column_by_column(p, marked)
         np.subtract(U, columns, out=columns)
         assert residual == float(np.abs(columns, out=columns).max())
@@ -302,26 +375,36 @@ def test_engine_residual_sees_a_swapped_vertex_table(monkeypatch, marked):
     # two (x, a) entries of different vertices swap their rows' vertex
     # bins, so a coin mean of 2/d lands on the wrong rows
     p = graph_params(6, 3)
-    U = validation.dense_step(p, marked)
+    opp = arc_pair_slots(p)[1]
+    blocks = validation._step_blocks(p, marked)
     table = pair_vertex_table(p).copy()
     first = (0, 0)
     second = tuple(np.argwhere(table != table[first])[0])
     table[first], table[second] = table[second], table[first]
     monkeypatch.setattr(validation, "pair_vertex_table", lambda params: table)
-    assert validation._engine_residual(p, U, marked) >= 2.0 / p.degree
+    assert validation._engine_residual(p, opp, blocks, marked) >= 2.0 / p.degree
 
 
 @pytest.mark.parametrize("marked", [None, 7])
-def test_engine_residual_sees_stray_entry(marked):
-    # an entry outside the coin blocks, where the step has an exact zero
+def test_engine_residual_sees_stray_entry(monkeypatch, marked):
+    # the engine's step of the first arc leaving vertex 0 leaks 1e-3 onto
+    # the row of the first arc entering vertex 1, outside its coin block,
+    # where the step has an exact zero; probe 0 carries the leak onto
+    # block 1's entry
     p = graph_params(6, 3)
-    opp = arc_pair_slots(p)[1]
-    U = validation.dense_step(p, marked, opposite=opp)
-    assert validation._engine_residual(p, U, marked) <= 1e-15
-    row, col = np.argwhere(U == 0)[len(U) // 3]
-    assert row not in opp[col // p.degree * p.degree:(col // p.degree + 1) * p.degree]
-    U[row, col] = 1e-3
-    assert validation._engine_residual(p, U, marked) >= 1e-3
+    slots, opp = arc_pair_slots(p)
+    blocks = validation._step_blocks(p, marked)
+    assert validation._engine_residual(p, opp, blocks, marked) <= 1e-15
+    original = arc_engine.apply_coin
+
+    def leaking(params, state, *args):
+        source = state.reshape(-1)[slots[0]]
+        out = original(params, state, *args)
+        out.reshape(-1)[slots[p.degree]] += 1e-3 * source
+        return out
+
+    monkeypatch.setattr(arc_engine, "apply_coin", leaking)
+    assert validation._engine_residual(p, opp, blocks, marked) >= 1e-3 - 1e-15
 
 
 def test_certify_steps_the_engine_pair_passes(monkeypatch):
@@ -344,57 +427,76 @@ def test_certify_steps_the_engine_pair_passes(monkeypatch):
         assert np.array_equal(table, vertices)
 
 
-def _dense_unitarity(U):
-    return float(np.abs(U.T @ U - np.eye(U.shape[1])).max())
-
-
 @pytest.mark.parametrize("size", [60, 300])
 def test_unitarity_residual_dense_orthogonal(size):
-    # no structural zeros: every row is multiplied, the full product
+    # a block with no zeros, one block or a stack of them: every entry is
+    # multiplied, the full product
     q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
-    assert abs(validation._unitarity_residual(q) - _dense_unitarity(q)) <= 1e-15
+    assert abs(validation._unitarity_residual(q[None]) - _dense_unitarity(q)) <= 1e-15
+    stack = np.stack([q[:30, :30], q[-30:, -30:]])
+    want = max(_dense_unitarity(q[:30, :30]), _dense_unitarity(q[-30:, -30:]))
+    assert validation._unitarity_residual(stack) == want
 
 
 def test_unitarity_residual_sees_stray_entry():
+    # a 1e-3 perturbation of one block entry shows in unitarity and in the
+    # engine comparison
     p = graph_params(6, 3)
-    U = validation.dense_step(p, 7)
-    # a row holding one of the marked columns' -1 entries, so the stray
-    # entry moves a Gram entry by about 1e-6
-    row = np.argwhere(np.abs(U) > 0.9)[0][0]
-    col = np.flatnonzero(U[row] == 0)[len(U) // 2]
-    U[row, col] = 1e-6
-    residual = validation._unitarity_residual(U)
-    assert abs(residual - _dense_unitarity(U)) <= 1e-15
-    assert residual >= 9e-7
+    opp = arc_pair_slots(p)[1]
+    blocks = validation._step_blocks(p, 7)
+    blocks[5, 2, 3] += 1e-3
+    residual = validation._unitarity_residual(blocks)
+    assert residual == _dense_unitarity(dense.from_blocks(p, blocks, np.arange(p.num_arcs)))
+    assert residual >= 7e-4  # Gram entry (3, 2) moves by 1e-3 * |B[2, 2]| = 7/9 * 1e-3
+    assert validation._engine_residual(p, opp, blocks, 7) >= 1e-3 - 1e-15
 
 
 def test_unitarity_residual_zero_column():
-    U = validation.dense_step(graph_params(6, 3), 7)
-    U[:, 150] = 0.0
-    assert validation._unitarity_residual(U) == 1.0
+    blocks = validation._step_blocks(graph_params(6, 3), 7)
+    blocks[16, :, 6] = 0.0
+    assert validation._unitarity_residual(blocks) == 1.0
 
 
 def test_unitarity_residual_zero_last_column():
-    # a zero column touches no row, so its identity entry is found only
-    # because the block's own columns are always multiplied; past the last
-    # column that any row touches there is no other entry to land on
-    U = validation.dense_step(graph_params(6, 3), 7)
-    U[:, -1] = 0.0
-    assert validation._unitarity_residual(U) == 1.0
+    blocks = validation._step_blocks(graph_params(6, 3), 7)
+    blocks[-1, :, -1] = 0.0
+    assert validation._unitarity_residual(blocks) == 1.0
 
 
 @pytest.mark.parametrize("where", ["structural zero", "nonzero", "last"])
 def test_unitarity_residual_nan_is_refused(where):
-    # "nonzero" sits in a row that only the last block of columns touches,
-    # so only that block's Gram rows see it
+    # "structural zero" is an off-diagonal entry of the marked block, which
+    # the rank-1 update sets to exactly 0; "nonzero" an entry of another block
     p = graph_params(6, 3)
-    U = validation.dense_step(p, 7)
-    row, col = {"structural zero": tuple(np.argwhere(U == 0)[40]),
-                "nonzero": (np.flatnonzero(U[:, -1])[0], p.num_arcs - 1),
-                "last": (-1, -1)}[where]
-    U[row, col] = np.nan
-    assert math.isnan(validation._unitarity_residual(U))
-    assert math.isnan(validation._engine_residual(p, U, 7))
+    opp = arc_pair_slots(p)[1]
+    blocks = validation._step_blocks(p, 7)
+    index = {"structural zero": (7, 0, 1), "nonzero": (3, 4, 2), "last": (-1, -1, -1)}[where]
+    assert (blocks[index] == 0) == (where == "structural zero")
+    blocks[index] = np.nan
+    assert math.isnan(validation._unitarity_residual(blocks))
+    assert math.isnan(validation._engine_residual(p, opp, blocks, 7))
+    assert math.isnan(validation._det_modulus(blocks))
+
+
+def test_row_blocks_refuse_a_non_permutation():
+    # an arc reversal that sends two arcs onto one row cannot place the
+    # blocks, so every reader of the step refuses it
+    p = graph_params(6, 3)
+    basis = validation.build_invariant_basis(p, 7)
+    opp = basis.opposite
+    clash = opp.copy()
+    clash[1] = clash[0]
+    blocks = validation._step_blocks(p, 7)
+    with pytest.raises(ValueError, match="not a permutation"):
+        validation._engine_residual(p, clash, blocks, 7)
+    with pytest.raises(ValueError, match="not a permutation"):
+        validation.verify_dense_step(p, 7, clash, blocks)
+    bad = dataclasses.replace(basis, opposite=clash)
+    for stage in (lambda: validation.verify_subspace_invariance(p, 7, bad, blocks),
+                  lambda: validation.verify_reduced_compression(
+                      bad, blocks, validation._reduced_step(p)[0])):
+        with pytest.raises(ValueError, match="not a permutation"):
+            stage()
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
@@ -441,52 +543,37 @@ def _guard_full_det(monkeypatch, size):
 
 @pytest.mark.parametrize("n,k", [(7, 1), (6, 2), (8, 4), (9, 3), (10, 3)])
 def test_det_modulus_matches_full_lu(monkeypatch, n, k):
+    # the product of the block determinants against one LU of the A x A
+    # step built column by column; the LU rounds otherwise, so not bitwise
     p = graph_params(n, k)
     opp = arc_pair_slots(p)[1]
     for marked in (0, p.num_vertices - 1):
-        Um = validation.dense_step(p, marked, opposite=opp)
-        full = abs(np.linalg.det(Um))
+        full = abs(np.linalg.det(dense.step(p, marked, opp)))
         with monkeypatch.context() as m:
             shapes = _guard_full_det(m, p.num_arcs)
-            blocks = validation._det_modulus(p, Um, opp)
+            blocks = validation._det_modulus(validation._step_blocks(p, marked))
         assert shapes == [(p.num_vertices, p.degree, p.degree)]
         assert abs(blocks - full) <= 1e-13
 
 
-def test_det_modulus_stray_entry_takes_full_lu():
-    p = graph_params(6, 3)
-    opp = arc_pair_slots(p)[1]
-    M = validation.dense_step(p, 7, opposite=opp)
-    row, col = np.argwhere(M == 0)[len(M) // 3]
-    M[row, col] = 1e-3
-    assert validation._det_modulus(p, M, opp) == abs(np.linalg.det(M))
-    # an `opposite` that is not a permutation cannot vouch for the blocks
-    clash = opp.copy()
-    clash[1] = clash[0]
-    Um = validation.dense_step(p, 7, opposite=opp)
-    assert validation._det_modulus(p, Um, clash) == abs(np.linalg.det(Um))
-
-
-@pytest.mark.parametrize("n,k,marked,where", [
-    (6, 3, 7, "off the blocks"), (6, 3, 7, "in a block"), (10, 3, 5, "in a block")])
+@pytest.mark.parametrize("n,k,marked,where", [(6, 3, 7, "in a block"), (10, 3, 5, "in a block")])
 def test_det_modulus_nan_is_refused(n, k, marked, where):
-    # at the last row of J(10,3)'s first block, and at row 23 of J(6,3),
-    # OpenBLAS's LU takes the NaN for a zero pivot and returns det 0
+    # at the last row of the first block; LAPACK's LU can take a NaN for a
+    # zero pivot and return det 0
     p = graph_params(n, k)
     opp = arc_pair_slots(p)[1]
-    Um = validation.dense_step(p, marked, opposite=opp)
-    row, col = (23, 39) if where == "off the blocks" else (opp[p.degree - 1], 0)
-    Um[row, col] = np.nan
-    residuals = validation.verify_dense_step(p, marked, opp, Um)
+    blocks = validation._step_blocks(p, marked)
+    blocks[0, p.degree - 1, 0] = np.nan
+    residuals = validation.verify_dense_step(p, marked, opp, blocks)
     assert math.isnan(residuals["marked_step_det_modulus"])
 
 
 def test_det_modulus_sees_scaled_block_column():
     p = graph_params(6, 3)
     opp = arc_pair_slots(p)[1]
-    Um = validation.dense_step(p, 7, opposite=opp)
-    Um[:, 5 * p.degree + 1] *= 1.5  # stays inside its block, so |det| = 1.5
-    residuals = validation.verify_dense_step(p, 7, opp, Um)
+    blocks = validation._step_blocks(p, 7)
+    blocks[5, :, 1] *= 0.5  # one column of one block, so |det| = 0.5
+    residuals = validation.verify_dense_step(p, 7, opp, blocks)
     assert abs(residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
 
 
@@ -521,7 +608,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     args = {"verify_eigenbasis": (p, basis),
             "verify_spectral_closed_forms": (p, 0, basis),
             "verify_subspace_invariance": (
-                p, 0, basis, validation.dense_step(p, 0, opposite=basis.opposite))}[stage]
+                p, 0, basis, validation._step_blocks(p, 0))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -534,7 +621,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
 
 def test_certify_checks_available_memory(monkeypatch):
     p = graph_params(5, 2)
-    needed = validation.DENSE_PEAK_MATRICES * p.num_arcs ** 2 * 8
+    needed = 8 * validation._battery_words(p)
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
     with pytest.raises(CapacityError, match="available memory"):
         validation.certify(p)
@@ -542,32 +629,41 @@ def test_certify_checks_available_memory(monkeypatch):
     assert validation.certify(p).passed
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
     assert validation.certify(p).passed
+    # where memory cannot be read, the words are counted against the cap
+    big = graph_params(20, 3)
+    assert validation._battery_words(big) > arc_engine._UNMEASURED_CAPACITY
+    with pytest.raises(CapacityError, match="cannot be read"):
+        validation.certify(big)
+
+
+def _certify_peak_within_model(n, k, marked):
+    p = graph_params(n, k)
+    A, d, columns = p.num_arcs, p.degree, 2 * k + 1
+    basis = validation.build_invariant_basis(p, marked)
+    blocks = validation._step_blocks(p, marked)
+    step, _ = validation._reduced_step(p)
+    tracemalloc.start()
+    try:
+        report = validation.certify(p, marked=marked)
+        _, peak = tracemalloc.get_traced_memory()
+        for stage in (lambda: validation.verify_subspace_invariance(p, marked, basis, blocks),
+                      lambda: validation.verify_reduced_compression(basis, blocks, step)):
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            stage()
+            assert tracemalloc.get_traced_memory()[1] - held <= 8 * validation._BASIS_WORDS * A * columns
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert 8 * validation._STEP_WORDS * A * d <= peak <= 8 * validation._battery_words(p)
 
 
 def test_certify_peak_memory_matches_model():
-    # the byte check's model: no more than DENSE_PEAK_MATRICES arc-space
-    # float64 matrices (a complex upcast of one would add two, a whole
-    # Gram or engine-built matrix one)
-    for p, marked in ((graph_params(10, 3), 5), (graph_params(8, 4), 3)):
-        matrix = p.num_arcs ** 2 * 8
-        basis = validation.build_invariant_basis(p, marked)
-        tracemalloc.start()
-        try:
-            report = validation.certify(p, marked=marked)
-            _, peak = tracemalloc.get_traced_memory()
-            # the stages that take the marked step from certify add no matrix
-            Um = validation.dense_step(p, marked, opposite=basis.opposite)
-            step, _ = validation._reduced_step(p)
-            for stage in (lambda: validation.verify_subspace_invariance(p, marked, basis, Um),
-                          lambda: validation.verify_reduced_compression(basis, Um, step)):
-                tracemalloc.reset_peak()
-                held, _ = tracemalloc.get_traced_memory()
-                stage()
-                assert tracemalloc.get_traced_memory()[1] - held <= 0.5 * matrix
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        assert peak <= (validation.DENSE_PEAK_MATRICES + 0.5) * matrix
+    # the byte check's model bounds the traced peak, and its step term,
+    # _STEP_WORDS arrays of A x d words, is really held at once; the stages
+    # that take the marked blocks from certify add only basis-sized arrays
+    for n, k, marked in ((10, 3, 5), (8, 4, 3), (12, 4, 7)):
+        _certify_peak_within_model(n, k, marked)
 
 
 def test_certify_fails_impossible_tolerance():
@@ -582,7 +678,7 @@ def test_certify_fails_impossible_tolerance():
 
 def test_certify_capacity_error():
     with pytest.raises(CapacityError):
-        validation.certify(graph_params(30, 3))
+        validation.certify(graph_params(40, 3))
 
 
 def test_verify_raises_certification_error(monkeypatch):
@@ -603,11 +699,11 @@ def test_cross_engine_probability_identity():
     p = graph_params(5, 2)
     basis = validation.build_invariant_basis(p, marked=0)
     step, target = validation._reduced_step(p)
-    dense = validation.dense_step(p, 0, opposite=basis.opposite)
+    U = dense.step(p, 0, opposite=basis.opposite)
     psi = flat.to_flat(p, arc_engine.uniform_state(p))
     coords = np.eye(2 * p.k + 1, dtype=complex)[0]
     for _ in range(30):
-        psi = dense @ psi
+        psi = U @ psi
         coords = step @ coords
         assert np.abs(basis.basis.conj().T @ psi - coords).max() <= 1e-11
         p_full = arc_engine.vertex_probability(p, flat.to_pair(p, psi), 0)
