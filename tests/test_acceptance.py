@@ -12,7 +12,7 @@ import pytest
 
 from eigenphases import eigenphases, verify_eigenphase_asymptotics
 from jwalk import arc_engine, reduced, spectral, validation
-from jwalk.johnson import graph_params, intersection_numbers
+from jwalk.johnson import graph_params, intersection_numbers, pair_vertex_table
 
 # pinned first-run values of the reduced engine (x86-64, extended precision)
 P_SUCC_K2 = {
@@ -115,7 +115,7 @@ def test_criterion_3_eigenbasis_certification():
         p = graph_params(n, k)
         basis = validation.build_invariant_basis(p, marked=0)
         blocks = validation._step_blocks(p, 0)
-        res = validation.verify_eigenbasis(p, basis)
+        res = validation.verify_eigenbasis(p, basis, (pair_vertex_table(p), basis.slots))
         res.update(validation.verify_reduced_compression(
             basis, blocks, validation._reduced_step(p)[0]))
         for key in worst:

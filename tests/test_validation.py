@@ -9,19 +9,25 @@ import pytest
 
 import dense_step as dense
 import flat_layout as flat
-from jwalk import arc_engine, cli, reduced, spectral, validation
+from jwalk import arc_engine, cli, johnson, reduced, spectral, validation
 from jwalk.errors import CapacityError, CertificationError
 from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table, rank_vertex
+
+
+def _frame(params):
+    """The pair frame certify hands its stages: the engine's vertex table and each arc's slot."""
+    return pair_vertex_table(params), arc_pair_slots(params)[0]
 
 
 def test_dense_adjacency_octahedron():
     p = graph_params(4, 2)  # J(4,2) is the octahedron
     adj = validation.dense_adjacency(p)
-    assert adj.dtype == np.int64
+    assert adj.dtype == np.float64
+    assert set(np.unique(adj)) == {0.0, 1.0}
     assert np.array_equal(adj, adj.T)
     assert np.trace(adj) == 0
     assert np.all(adj.sum(axis=1) == 4)
-    eigvals = np.linalg.eigvalsh(adj.astype(float))
+    eigvals = np.linalg.eigvalsh(adj)
     rounded = sorted(np.round(eigvals).astype(int).tolist())
     assert rounded == [-2, -2, 0, 0, 0, 4]
     assert np.abs(eigvals - np.array(rounded)).max() <= 1e-12
@@ -54,13 +60,17 @@ def test_dense_step_entries_closed_form_j42():
 
 
 def test_dense_step_matches_engine_columns():
-    # the closed form, the engine's pair passes and the flat oracle agree
+    # the closed form, the engine's pair passes and the flat oracle agree;
+    # the unmarked columns are stepped through the pair frame and the real
+    # shift, as the eigenbasis stage steps them
     p = graph_params(4, 2)
-    layout = validation._pair_layout(p)
+    frame = _frame(p)
     eye = np.eye(p.num_arcs)
-    assert validation._engine_step(p, eye, layout).dtype == np.float64
+    stepped = np.column_stack([validation._engine_step(p, frame, e) for e in eye])
+    assert stepped.dtype == np.float64
+    assert np.array_equal(stepped, _column_by_column(p))
     for marked, bound in ((None, 1e-15), (2, 1e-14)):
-        engine = validation._engine_step(p, eye, layout, marked)
+        engine = _column_by_column(p, marked)
         assert np.abs(dense.step(p, marked) - engine).max() <= bound
         oracle = flat.step(p, np.eye(p.num_arcs), marked).T
         assert np.abs(oracle - engine).max() <= bound
@@ -161,10 +171,16 @@ def test_reduced_compression_is_reduced_matrix(n, k):
 
 def test_eigenbasis_eigenrelation():
     p = graph_params(6, 2)
-    residuals = validation.verify_eigenbasis(p, validation.build_invariant_basis(p, marked=0))
+    basis = validation.build_invariant_basis(p, marked=0)
+    residuals = validation.verify_eigenbasis(p, basis, _frame(p))
     assert residuals["walk_eigenrelation"] <= 1e-10
     assert residuals["basis_gram"] <= 1e-10
     assert residuals["lift_norm_identities"] <= 1e-10
+    # the engine's shift is checked against the basis's reversal: with each
+    # arc placed at its reverse's slot the engine steps C·S, not S·C
+    vertices, slots = _frame(p)
+    swapped = validation.verify_eigenbasis(p, basis, (vertices, slots[basis.opposite]))
+    assert swapped["walk_eigenrelation"] >= 1.0
 
 
 def test_shell_action_identity_integer_exact():
@@ -223,6 +239,26 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
     assert built.count(None) == 1 and built.count(marked) == 1 and len(built) == 2
     assert bases == [marked]
     assert walks == [p]
+
+
+def test_certify_builds_each_arc_table_once(monkeypatch):
+    # one pair frame per certify: arc_pair_slots is built once, and
+    # pair_vertex_table twice, once inside arc_pair_slots and once for the
+    # engine's coin
+    built = {"arc_pair_slots": 0, "pair_vertex_table": 0}
+    for name in built:
+        original = getattr(johnson, name)
+
+        def counting(params, _name=name, _original=original):
+            built[_name] += 1
+            return _original(params)
+
+        for module in (johnson, validation, arc_engine):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    p = graph_params(10, 3)
+    assert validation.certify(p, marked=rank_vertex(p, (1, 4, 7))).passed
+    assert built == {"arc_pair_slots": 1, "pair_vertex_table": 2}
 
 
 def _complex_dense_step(params, marked=None):
@@ -359,10 +395,11 @@ def test_dense_step_from_engine_matches_column_loop(n, k):
     # the A x A step that holds the blocks; at most two arc-space matrices
     # are held
     p = graph_params(n, k)
+    frame = _frame(p)
     opp = arc_pair_slots(p)[1]
     for marked in (None, p.num_vertices - 1):
         blocks = validation._step_blocks(p, marked)
-        residual = validation._engine_residual(p, opp, blocks, marked)
+        residual = validation._engine_residual(p, frame, blocks, marked)
         U = dense.from_blocks(p, blocks, opp)
         columns = _column_by_column(p, marked)
         np.subtract(U, columns, out=columns)
@@ -370,31 +407,55 @@ def test_dense_step_from_engine_matches_column_loop(n, k):
         del U, columns
 
 
+@pytest.mark.parametrize("marked", [None, 101])
+def test_engine_residual_holds_no_arc_space_matrix(marked):
+    # each probe is placed in its own pair state and read at the arcs'
+    # slots: besides the blocks and the frame passed in, the residual holds
+    # one pair state and 2 N d floats at most, where an A x d probe matrix
+    # and its step would hold 2 A d and more
+    p = graph_params(12, 4)
+    frame = _frame(p)
+    blocks = validation._step_blocks(p, marked)
+    tracemalloc.start()
+    try:
+        residual = validation._engine_residual(p, frame, blocks, marked)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-15
+    assert peak <= 8 * (math.prod(flat.pair_shape(p)) + 2 * p.num_vertices * p.degree)
+
+
 @pytest.mark.parametrize("marked", [None, 7])
 def test_engine_residual_sees_a_swapped_vertex_table(monkeypatch, marked):
     # two (x, a) entries of different vertices swap their rows' vertex
-    # bins, so a coin mean of 2/d lands on the wrong rows
+    # bins, so a coin mean of 2/d lands on the wrong rows; certify's frame
+    # takes the table from pair_vertex_table, and fails the engine checks
     p = graph_params(6, 3)
-    opp = arc_pair_slots(p)[1]
     blocks = validation._step_blocks(p, marked)
     table = pair_vertex_table(p).copy()
     first = (0, 0)
     second = tuple(np.argwhere(table != table[first])[0])
     table[first], table[second] = table[second], table[first]
+    frame = (table, arc_pair_slots(p)[0])
+    assert validation._engine_residual(p, frame, blocks, marked) >= 2.0 / p.degree
     monkeypatch.setattr(validation, "pair_vertex_table", lambda params: table)
-    assert validation._engine_residual(p, opp, blocks, marked) >= 2.0 / p.degree
+    report = validation.certify(p, marked=7 if marked is None else marked)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"step_closed_form_vs_engine", "marked_step_closed_form_vs_engine"} <= failed
 
 
 @pytest.mark.parametrize("marked", [None, 7])
 def test_engine_residual_sees_stray_entry(monkeypatch, marked):
     # the engine's step of the first arc leaving vertex 0 leaks 1e-3 onto
-    # the row of the first arc entering vertex 1, outside its coin block,
-    # where the step has an exact zero; probe 0 carries the leak onto
-    # block 1's entry
+    # the slot of the first arc leaving vertex 1, outside its coin block,
+    # where C·O has an exact zero; probe 0 carries the leak onto block 1's
+    # entry
     p = graph_params(6, 3)
-    slots, opp = arc_pair_slots(p)
+    frame = _frame(p)
+    slots = frame[1]
     blocks = validation._step_blocks(p, marked)
-    assert validation._engine_residual(p, opp, blocks, marked) <= 1e-15
+    assert validation._engine_residual(p, frame, blocks, marked) <= 1e-15
     original = arc_engine.apply_coin
 
     def leaking(params, state, *args):
@@ -404,7 +465,7 @@ def test_engine_residual_sees_stray_entry(monkeypatch, marked):
         return out
 
     monkeypatch.setattr(arc_engine, "apply_coin", leaking)
-    assert validation._engine_residual(p, opp, blocks, marked) >= 1e-3 - 1e-15
+    assert validation._engine_residual(p, frame, blocks, marked) >= 1e-3 - 1e-15
 
 
 def test_certify_steps_the_engine_pair_passes(monkeypatch):
@@ -442,13 +503,12 @@ def test_unitarity_residual_sees_stray_entry():
     # a 1e-3 perturbation of one block entry shows in unitarity and in the
     # engine comparison
     p = graph_params(6, 3)
-    opp = arc_pair_slots(p)[1]
     blocks = validation._step_blocks(p, 7)
     blocks[5, 2, 3] += 1e-3
     residual = validation._unitarity_residual(blocks)
     assert residual == _dense_unitarity(dense.from_blocks(p, blocks, np.arange(p.num_arcs)))
     assert residual >= 7e-4  # Gram entry (3, 2) moves by 1e-3 * |B[2, 2]| = 7/9 * 1e-3
-    assert validation._engine_residual(p, opp, blocks, 7) >= 1e-3 - 1e-15
+    assert validation._engine_residual(p, _frame(p), blocks, 7) >= 1e-3 - 1e-15
 
 
 def test_unitarity_residual_zero_column():
@@ -468,29 +528,23 @@ def test_unitarity_residual_nan_is_refused(where):
     # "structural zero" is an off-diagonal entry of the marked block, which
     # the rank-1 update sets to exactly 0; "nonzero" an entry of another block
     p = graph_params(6, 3)
-    opp = arc_pair_slots(p)[1]
     blocks = validation._step_blocks(p, 7)
     index = {"structural zero": (7, 0, 1), "nonzero": (3, 4, 2), "last": (-1, -1, -1)}[where]
     assert (blocks[index] == 0) == (where == "structural zero")
     blocks[index] = np.nan
     assert math.isnan(validation._unitarity_residual(blocks))
-    assert math.isnan(validation._engine_residual(p, opp, blocks, 7))
+    assert math.isnan(validation._engine_residual(p, _frame(p), blocks, 7))
     assert math.isnan(validation._det_modulus(blocks))
 
 
 def test_row_blocks_refuse_a_non_permutation():
     # an arc reversal that sends two arcs onto one row cannot place the
-    # blocks, so every reader of the step refuses it
+    # blocks, so every stage that reads the step through it refuses it
     p = graph_params(6, 3)
     basis = validation.build_invariant_basis(p, 7)
-    opp = basis.opposite
-    clash = opp.copy()
+    clash = basis.opposite.copy()
     clash[1] = clash[0]
     blocks = validation._step_blocks(p, 7)
-    with pytest.raises(ValueError, match="not a permutation"):
-        validation._engine_residual(p, clash, blocks, 7)
-    with pytest.raises(ValueError, match="not a permutation"):
-        validation.verify_dense_step(p, 7, clash, blocks)
     bad = dataclasses.replace(basis, opposite=clash)
     for stage in (lambda: validation.verify_subspace_invariance(p, 7, bad, blocks),
                   lambda: validation.verify_reduced_compression(
@@ -506,8 +560,8 @@ def test_certify_is_the_one_judge(monkeypatch, capsys, position):
     # validate exits 1
     original = validation.verify_eigenbasis
 
-    def corrupted(params, basis):
-        residuals = original(params, basis)
+    def corrupted(*args):
+        residuals = original(*args)
         names = list(residuals)
         nan_name = names[0] if position == "first" else names[-1]
         high_name = names[1] if position == "first" else names[0]
@@ -561,19 +615,17 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
     # at the last row of the first block; LAPACK's LU can take a NaN for a
     # zero pivot and return det 0
     p = graph_params(n, k)
-    opp = arc_pair_slots(p)[1]
     blocks = validation._step_blocks(p, marked)
     blocks[0, p.degree - 1, 0] = np.nan
-    residuals = validation.verify_dense_step(p, marked, opp, blocks)
+    residuals = validation.verify_dense_step(p, marked, _frame(p), blocks)
     assert math.isnan(residuals["marked_step_det_modulus"])
 
 
 def test_det_modulus_sees_scaled_block_column():
     p = graph_params(6, 3)
-    opp = arc_pair_slots(p)[1]
     blocks = validation._step_blocks(p, 7)
     blocks[5, :, 1] *= 0.5  # one column of one block, so |det| = 0.5
-    residuals = validation.verify_dense_step(p, 7, opp, blocks)
+    residuals = validation.verify_dense_step(p, 7, _frame(p), blocks)
     assert abs(residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
 
 
@@ -605,7 +657,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     # second oracle call); Python's max keeps a NaN only as its first term
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, 0)
-    args = {"verify_eigenbasis": (p, basis),
+    args = {"verify_eigenbasis": (p, basis, _frame(p)),
             "verify_spectral_closed_forms": (p, 0, basis),
             "verify_subspace_invariance": (
                 p, 0, basis, validation._step_blocks(p, 0))}[stage]
@@ -685,7 +737,8 @@ def test_verify_raises_certification_error(monkeypatch):
     # a stage returns its residuals and raises on none; the quotient
     # eigenvalue check that builds the basis is the one that raises
     p = graph_params(4, 2)
-    residuals = validation.verify_eigenbasis(p, validation.build_invariant_basis(p, 0))
+    basis = validation.build_invariant_basis(p, 0)
+    residuals = validation.verify_eigenbasis(p, basis, _frame(p))
     assert np.max(list(residuals.values())) > 1e-30
     monkeypatch.setattr(spectral, "eigenvalue", lambda params, level: 10 ** 6)
     with pytest.raises(CertificationError) as excinfo:
