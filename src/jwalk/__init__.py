@@ -8,8 +8,7 @@ forms on small instances.
 """
 
 from .arc_engine import evolve_and_record, uniform_state
-from .errors import (CapacityError, CertificationError, DegenerateInstanceError,
-                     PrecisionError)
+from .errors import CapacityError, DegenerateInstanceError, PrecisionError
 from .johnson import (GraphParams, IntersectionRow, distance_class, graph_params,
                       intersection_numbers, rank_vertex, shell_size, unrank_vertex)
 from .reduced import evolve_series, sweep_point
@@ -27,7 +26,6 @@ __all__ = [
     "uniform_state", "evolve_and_record",
     "evolve_series", "sweep_point",
     "certify",
-    "CapacityError", "CertificationError", "DegenerateInstanceError",
-    "PrecisionError",
+    "CapacityError", "DegenerateInstanceError", "PrecisionError",
     "__version__",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: spectrum, simulate, sweep, validate.  Exit codes: 0 success,
-1 certification failure, 2 usage or domain error (including an instance
-beyond the spectral solver's precision, and an output that cannot be
-written), 3 capacity refusal.
+1 certification failure, always after the report is written, 2 usage or
+domain error (including an instance beyond the spectral solver's
+precision, and an output that cannot be written), 3 capacity refusal.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from . import arc_engine, reduced, reports, spectral, validation
-from .errors import CapacityError, CertificationError, PrecisionError
+from .errors import CapacityError, PrecisionError
 from .johnson import graph_params, rank_vertex
 
 EXIT_OK = 0
@@ -181,9 +181,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: usage/domain problems exit 2
-(an instance beyond the working precision among them), certification
-failures exit 1, capacity refusals (runs beyond available memory) exit 3.
+(an instance beyond the working precision among them), capacity refusals
+(runs beyond available memory) exit 3.  A failed certification raises
+nothing: ``validation.certify`` reports it, and the CLI exits 1.
 """
 
 
@@ -24,20 +25,3 @@ class PrecisionError(ArithmeticError):
 
 class CapacityError(RuntimeError):
     """A run would hold more bytes than ``MemAvailable`` reports (or dense caps allow)."""
-
-
-class CertificationError(RuntimeError):
-    """A dense-oracle check that cannot go on failed its tolerance.
-
-    Only the quotient-eigenvalue check of
-    ``validation.build_invariant_basis`` raises it: without that match no
-    basis can be built.  The battery's stages return their residuals, and
-    ``validation.certify`` judges them without raising.
-    """
-
-    def __init__(self, check: str, residual: float, tol: float):
-        self.check = check
-        self.residual = residual
-        self.tol = tol
-        super().__init__(f"certification check {check!r} failed: "
-                         f"residual {residual:.3e} exceeds tolerance {tol:.3e}")

@@ -251,10 +251,15 @@ def distance_class(params: GraphParams, v: int, w: int) -> int:
     return params.k - sum(1 for e in vs if e in ws)
 
 
+def _check_level(params: GraphParams, level: int) -> None:
+    """ValueError unless ``level`` is a distance level 0..k, which also indexes the spectrum."""
+    if not 0 <= level <= params.k:
+        raise ValueError(f"level {level} out of range [0, {params.k}]")
+
+
 def shell_size(params: GraphParams, level: int) -> int:
     """Number of vertices at distance ``level`` from any fixed vertex."""
-    if not 0 <= level <= params.k:
-        raise ValueError(f"distance level {level} out of range [0, {params.k}]")
+    _check_level(params, level)
     return comb(params.k, level) * comb(params.n - params.k, level)
 
 
@@ -263,8 +268,7 @@ def intersection_numbers(params: GraphParams, level: int) -> IntersectionRow:
 
     a = level*(n - 2*level), b = (k - level)*(n - k - level), c = level**2.
     """
-    if not 0 <= level <= params.k:
-        raise ValueError(f"distance level {level} out of range [0, {params.k}]")
+    _check_level(params, level)
     n, k = params.n, params.k
     return IntersectionRow(
         level=level,

@@ -20,7 +20,7 @@ from typing import Optional
 import mpmath
 
 from .errors import DegenerateInstanceError
-from .johnson import GraphParams, intersection_numbers, shell_size
+from .johnson import GraphParams, _check_level, intersection_numbers, shell_size
 
 __all__ = [
     "SpectralRow",
@@ -59,11 +59,6 @@ class Schedule:
     t_run: int
     epsilon: float        # n ** -0.5
     target_phase: float   # sqrt(2 k!) * epsilon**k, the leading eigenphase
-
-
-def _check_level(params: GraphParams, level: int) -> None:
-    if not 0 <= level <= params.k:
-        raise ValueError(f"level {level} out of range [0, {params.k}]")
 
 
 def eigenvalue(params: GraphParams, level: int) -> int:

@@ -21,15 +21,23 @@ walk eigenphases yields the orthonormal eigenbasis of the invariant
 subspace that the reduced engine works in.
 
 ``certify`` builds the basis (which carries the closed form's arc
-reversal), the marked step's coin blocks, and the reduced step matrix and target
-once, and runs six stages on them.  The reduced step is rounded entry by
-entry, once, from the 40-digit walk terms that the spectrum is solved
-from (``reduced._walk_terms``); it is built here only, to be compared.
-Each ``verify_*`` stage takes what it reads as required arguments and
-returns its residuals by name; ``certify`` alone compares them with the
-tolerance, so a stage never raises on a residual.  The only
-check that raises is the quotient eigenvalue test inside
-``build_invariant_basis``, without which no basis can be built.
+reversal), the marked step's coin blocks, their image U B of the basis,
+and the reduced step matrix and target once, and runs six stages on them.
+The reduced step is rounded entry by entry, once, from the 40-digit walk
+terms that the spectrum is solved from (``reduced._walk_terms``); it is
+built here only, to be compared.  Each ``verify_*`` stage takes what it
+reads as required arguments, the instance and marked vertex from the
+basis where it takes one, and returns its residuals by name; ``certify``
+alone compares them with the tolerance, so no check raises.  The
+quotient eigenvalues the basis is built from are kept in it, and the
+spectral stage reports their distance from the closed forms like any
+other residual.
+
+The report is byte-identical across runs at one BLAS thread count, but
+not across thread counts: ``eigh`` and the matrix products split their
+sums by thread, which moves the residuals' last bits (J(12,4)'s
+``adjacency_eigenvalues`` is 1.51e-14 with one OpenBLAS thread and
+2.13e-14 with two).
 
 The coin blocks are real float64: the Grover coin, the flip-flop shift
 and the oracle's reflection through a real vector have no imaginary part,
@@ -73,9 +81,9 @@ import mpmath
 import numpy as np
 
 from . import arc_engine, reduced, spectral
-from .errors import CapacityError, CertificationError
-from .johnson import (GraphParams, arc_pair_slots, distance_class,
-                      intersection_numbers, pair_vertex_table, shell_size)
+from .errors import CapacityError
+from .johnson import (GraphParams, _colex_subsets, arc_pair_slots, intersection_numbers,
+                      pair_vertex_table, shell_size, unrank_vertex)
 
 __all__ = [
     "DENSE_VERTEX_CAPACITY",
@@ -183,13 +191,14 @@ class InvariantBasis:
     """Explicit arc-space basis of the search's invariant subspace.
 
     ``basis`` columns are ordered (stationary, level-1 plus, level-1
-    minus, ..., level-k plus, level-k minus).  The shell indicators, lifts,
-    marked vertex's arcs and arc reversal used to build it are kept for
-    certification, and so are the arcs' pair slots.
+    minus, ..., level-k plus, level-k minus).  The quotient eigenvalues,
+    shell indicators, lifts, marked vertex's arcs and arc reversal used to
+    build it are kept for certification, and so are the arcs' pair slots.
     """
 
     params: GraphParams
     marked: int
+    quotient_eigenvalues: np.ndarray  # (k+1,) of the shell quotient, in level order
     shell_indicators: list           # (N,) int64 indicator of each shell
     marked_out: np.ndarray           # arcs from shell 0 to 1, leaving the marked vertex
     marked_in: np.ndarray            # arcs from shell 1 to 0, entering it
@@ -202,13 +211,30 @@ class InvariantBasis:
     slots: np.ndarray = field(repr=False)     # each arc's slot in a flat pair state
 
 
+def _quotient_eigh(params: GraphParams) -> tuple:
+    """Eigenvalues and eigenvectors, in level order, of the adjacency on unit shell sums.
+
+    That quotient is symmetric tridiagonal: diagonal a_l, off-diagonal sqrt(b_l * c_{l+1}).
+    """
+    k = params.k
+    rows = [intersection_numbers(params, l) for l in range(k + 1)]
+    quot = np.zeros((k + 1, k + 1))
+    for l in range(k + 1):
+        quot[l, l] = rows[l].a
+        if l < k:
+            quot[l, l + 1] = quot[l + 1, l] = np.sqrt(rows[l].b * rows[l + 1].c)
+    eigvals, eigvecs = np.linalg.eigh(quot)
+    return eigvals[::-1], eigvecs[:, ::-1]
+
+
 def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     """Construct the orthonormal eigenbasis explicitly in arc space."""
     _require_dense(params)
     n, k, d = params.n, params.k, params.degree
     N, A = params.num_vertices, params.num_arcs
 
-    dist = np.array([distance_class(params, v, marked) for v in range(N)])
+    # distance k - |v ∩ marked| of every vertex, from the colex k-subsets
+    dist = k - np.isin(_colex_subsets(n, k), unrank_vertex(params, marked)).sum(axis=1)
     shell_indicators = [(dist == l).astype(np.int64) for l in range(k + 1)]
 
     slots, opp = arc_pair_slots(params)
@@ -218,25 +244,12 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     marked_out = ((dist_t == 0) & (dist_h == 1)).astype(float)
     marked_in = ((dist_t == 1) & (dist_h == 0)).astype(float)
 
-    # adjacency restricted to shell sums, in the unit-shell basis: symmetric
-    # tridiagonal with diagonal a_l and off-diagonal sqrt(b_l * c_{l+1})
-    rows = [intersection_numbers(params, l) for l in range(k + 1)]
-    quot = np.zeros((k + 1, k + 1))
-    for l in range(k + 1):
-        quot[l, l] = rows[l].a
-        if l < k:
-            quot[l, l + 1] = quot[l + 1, l] = np.sqrt(rows[l].b * rows[l + 1].c)
-    eigvals, eigvecs = np.linalg.eigh(quot)
-
+    quotient_eigenvalues, eigvecs = _quotient_eigh(params)
     closed = [spectral.eigenvalue(params, l) for l in range(k + 1)]
     sizes = np.array([shell_size(params, l) for l in range(k + 1)], dtype=float)
     proj_w = []
     for l in range(k + 1):
-        col = k - l  # eigh sorts ascending, closed-form values descend with l
-        if abs(eigvals[col] - closed[l]) > 1e-9 * max(1.0, abs(closed[l])):
-            raise CertificationError("tridiagonal quotient eigenvalues",
-                                     abs(eigvals[col] - closed[l]), 1e-9)
-        u = eigvecs[:, col]
+        u = eigvecs[:, l]
         shell_coeff = u * u[0] / np.sqrt(sizes)
         vec = np.zeros(N)
         for m in range(k + 1):
@@ -262,7 +275,7 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     target_arc = marked_out.astype(np.complex128) / np.sqrt(d)
 
     return InvariantBasis(
-        params=params, marked=marked,
+        params=params, marked=marked, quotient_eigenvalues=quotient_eigenvalues,
         shell_indicators=shell_indicators,
         marked_out=marked_out, marked_in=marked_in,
         proj_w=proj_w, sym_lifts=sym_lifts, antisym_lifts=antisym_lifts,
@@ -341,15 +354,16 @@ def _det_modulus(blocks: np.ndarray) -> float:
     return float(np.prod(np.abs(np.linalg.det(blocks))))
 
 
-def verify_spectral_closed_forms(params: GraphParams, marked: int,
-                                 basis: InvariantBasis) -> dict:
-    """Dense adjacency eigendecomposition against every closed form.
+def verify_spectral_closed_forms(basis: InvariantBasis) -> dict:
+    """The shell quotient and the dense adjacency eigendecomposition against every closed form.
 
-    Checks eigenvalues, their multiplicities (exact after nearest-value
+    Checks the quotient eigenvalues the basis was built from, the dense
+    eigenvalues, their multiplicities (exact after nearest-value
     assignment), the marked vertex's projector weights, and the exact
     integer three-term action of the adjacency matrix, float64 from the
     basis's arc reversal, on shell sums: small integers, exact in float64.
     """
+    params, marked = basis.params, basis.marked
     adj = _adjacency(params, basis.opposite)
     k = params.k
     closed = np.array([spectral.eigenvalue(params, l) for l in range(k + 1)], dtype=float)
@@ -380,6 +394,7 @@ def verify_spectral_closed_forms(params: GraphParams, marked: int,
         action_terms.append(np.abs(got - want).max())
 
     return {
+        "quotient_eigenvalues": float(np.abs(basis.quotient_eigenvalues - closed).max()),
         "adjacency_eigenvalues": float(lambda_residual),
         "adjacency_multiplicities": multiplicity_residual,
         "projector_weights": weight_residual,
@@ -411,7 +426,7 @@ def verify_dense_step(params: GraphParams, marked: int, frame: tuple,
     return residuals
 
 
-def verify_eigenbasis(params: GraphParams, basis: InvariantBasis, frame: tuple) -> dict:
+def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
     """Orthonormality and eigenrelations of the explicit basis.
 
     The engine steps each column through the pair ``frame`` and the shift,
@@ -421,8 +436,8 @@ def verify_eigenbasis(params: GraphParams, basis: InvariantBasis, frame: tuple) 
     |T x|^2 = (d-lambda)|x|^2 on the eigenspace projections, and that the
     antisymmetric lift kills the stationary projection.
     """
+    params, B = basis.params, basis.basis
     k, d = params.k, params.degree
-    B = basis.basis
     residuals = {
         "basis_gram": float(np.abs(B.conj().T @ B - np.eye(2 * k + 1)).max()),
         "stationary_antisymmetric_lift": float(np.linalg.norm(basis.antisym_lifts[0])),
@@ -468,23 +483,22 @@ def _step_basis(basis: InvariantBasis, blocks: np.ndarray) -> np.ndarray:
     return image
 
 
-def verify_subspace_invariance(params: GraphParams, marked: int, basis: InvariantBasis,
-                               marked_blocks: np.ndarray) -> dict:
+def verify_subspace_invariance(basis: InvariantBasis, image: np.ndarray) -> dict:
     """The subspace is closed under the marked walk; oracle action is exact.
 
-    The marked step's image of the basis is formed block by block
-    (:func:`_step_basis`): the stage takes about 0.002 s on J(10,3).  The
-    oracle identities hold bitwise: reflecting the all-ones marked block
-    sends ``marked_out`` to its negative and fixes ``marked_in``.
+    ``image`` is the marked step's image U B of the basis
+    (:func:`_step_basis`).  The oracle identities hold bitwise: reflecting
+    the all-ones marked block sends ``marked_out`` to its negative and
+    fixes ``marked_in``.
     """
-    B = basis.basis
-    image = _step_basis(basis, marked_blocks)
+    params, B = basis.params, basis.basis
     residuals = {
         "subspace_invariance": float(np.abs(image - B @ (B.conj().T @ image)).max()),
     }
 
     def oracle(vector):
-        state = arc_engine.apply_oracle(params, _pair_state(params, basis.slots, vector), marked)
+        state = arc_engine.apply_oracle(params, _pair_state(params, basis.slots, vector),
+                                        basis.marked)
         return state.reshape(-1)[basis.slots]
 
     b0, c1 = basis.marked_out, basis.marked_in
@@ -516,14 +530,13 @@ def _reduced_step(params: GraphParams) -> tuple:
     return step, target
 
 
-def verify_target_and_initial(params: GraphParams, basis: InvariantBasis,
-                              target: np.ndarray) -> dict:
+def verify_target_and_initial(basis: InvariantBasis, target: np.ndarray) -> dict:
     """Target and start vectors have the predicted basis coordinates.
 
     ``target`` is the reduced walk's target w (:func:`_reduced_step`); the
     start is the first basis vector.
     """
-    B = basis.basis
+    params, B = basis.params, basis.basis
     coords_target = B.conj().T @ basis.target_arc
     psi0 = arc_engine.uniform_state(params).reshape(-1)[basis.slots]
     coords_initial = B.conj().T @ psi0
@@ -538,13 +551,13 @@ def verify_target_and_initial(params: GraphParams, basis: InvariantBasis,
     }
 
 
-def verify_reduced_compression(basis: InvariantBasis, marked_blocks: np.ndarray,
+def verify_reduced_compression(basis: InvariantBasis, image: np.ndarray,
                                reduced_step: np.ndarray) -> dict:
     """The reduced step (:func:`_reduced_step`) is the basis compression B^H (U B) of the marked one.
 
-    U B is formed block by block (:func:`_step_basis`): about 0.001 s on J(10,3).
+    ``image`` is U B (:func:`_step_basis`).
     """
-    compressed = basis.basis.conj().T @ _step_basis(basis, marked_blocks)
+    compressed = basis.basis.conj().T @ image
     return {
         "reduced_compression": float(np.abs(compressed - reduced_step).max()),
     }
@@ -554,10 +567,11 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     """Run the whole certification battery; never raises on check failure.
 
     Builds the invariant basis, the pair frame, the marked step's coin
-    blocks, and the reduced step and target once, and hands them to every
-    stage that reads them.  Each stage returns its residuals; this is the
-    one place they are judged, and a check passes when its residual is
-    within ``tol``, so a NaN fails.  Refuses with CapacityError, before allocating, an instance over
+    blocks, their image U B of the basis, and the reduced step and target
+    once, and hands them to every stage that reads them.  Each stage
+    returns its residuals; this is the one place they are judged, and a
+    check passes when its residual is within ``tol``, so a NaN fails.
+    Refuses with CapacityError, before allocating, an instance over
     DENSE_VERTEX_CAPACITY vertices, or one whose words
     (:func:`_battery_words`) exceed ``MemAvailable``.  On J(10,3) its
     tracemalloc peak is 1.9 MB, 0.56 of the words counted.
@@ -569,13 +583,17 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     marked_blocks = _step_blocks(params, marked)
     reduced_step, target = _reduced_step(params)
     stages = [
-        verify_spectral_closed_forms(params, marked, basis),
+        verify_spectral_closed_forms(basis),
         verify_dense_step(params, marked, frame, marked_blocks),
-        verify_eigenbasis(params, basis, frame),
-        verify_subspace_invariance(params, marked, basis, marked_blocks),
-        verify_target_and_initial(params, basis, target),
-        verify_reduced_compression(basis, marked_blocks, reduced_step),
+        verify_eigenbasis(basis, frame),
     ]
+    # U B's two readers run back to back, and it is dropped before the
+    # target stage, which would otherwise raise the peak with it
+    image = _step_basis(basis, marked_blocks)
+    invariance = verify_subspace_invariance(basis, image)
+    compression = verify_reduced_compression(basis, image, reduced_step)
+    del image
+    stages += [invariance, verify_target_and_initial(basis, target), compression]
     checks = [CheckResult(name=name, residual=float(value), tol=tol, passed=bool(value <= tol))
               for residuals in stages for name, value in residuals.items()]
     return CertificationReport(

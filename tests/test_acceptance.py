@@ -115,9 +115,9 @@ def test_criterion_3_eigenbasis_certification():
         p = graph_params(n, k)
         basis = validation.build_invariant_basis(p, marked=0)
         blocks = validation._step_blocks(p, 0)
-        res = validation.verify_eigenbasis(p, basis, (pair_vertex_table(p), basis.slots))
+        res = validation.verify_eigenbasis(basis, (pair_vertex_table(p), basis.slots))
         res.update(validation.verify_reduced_compression(
-            basis, blocks, validation._reduced_step(p)[0]))
+            basis, validation._step_basis(basis, blocks), validation._reduced_step(p)[0]))
         for key in worst:
             # np.max keeps a NaN residual, which Python's max drops after the first
             worst[key] = float(np.max([worst[key], res[key]]))

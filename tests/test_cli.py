@@ -1,11 +1,12 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from jwalk import arc_engine, cli, reduced, spectral
+from jwalk import arc_engine, cli, reduced, validation
 from jwalk.johnson import graph_params
 from run_csv import read_run_rows
 
@@ -253,7 +254,7 @@ def test_validate_pass(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
-    assert len(doc["checks"]) == 20
+    assert len(doc["checks"]) == 21
 
 
 def test_validate_impossible_tolerance(capsys):
@@ -280,14 +281,23 @@ def test_validate_rejects_tolerance_before_any_work(capsys, monkeypatch, tol):
     assert code == 1 and json.loads(out)["passed"] is False
 
 
-def test_validate_basis_failure_is_a_certification_error(capsys, monkeypatch):
-    # the quotient-eigenvalue check raises inside build_invariant_basis, before
-    # any report exists: exit 1 with an error line, not a traceback
-    monkeypatch.setattr(spectral, "eigenvalue", lambda params, level: 10 ** 6)
+def test_validate_quotient_mismatch_fails_with_a_report(capsys, monkeypatch):
+    # a quotient that misses the closed-form eigenvalues is one more failed
+    # check: exit 1 after the report is written, no error line, no traceback
+    original = validation.intersection_numbers
+
+    def shifted(params, level):
+        row = original(params, level)
+        return dataclasses.replace(row, a=row.a + 1)
+
+    monkeypatch.setattr(validation, "intersection_numbers", shifted)
     code, out, err = run_cli(capsys, "validate", "--n", "4", "--k", "2")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "tridiagonal quotient eigenvalues" in err
-    assert "Traceback" not in err
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False and doc["checks"][0]["name"] == "quotient_eigenvalues"
+    assert "quotient_eigenvalues" in {c["name"] for c in doc["checks"] if not c["passed"]}
+    assert err.startswith("certification failed:") and "quotient_eigenvalues" in err
+    assert "error:" not in err and "Traceback" not in err
 
 
 def test_validate_capacity(capsys):

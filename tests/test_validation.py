@@ -10,7 +10,7 @@ import pytest
 import dense_step as dense
 import flat_layout as flat
 from jwalk import arc_engine, cli, johnson, reduced, spectral, validation
-from jwalk.errors import CapacityError, CertificationError
+from jwalk.errors import CapacityError
 from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table, rank_vertex
 
 
@@ -144,7 +144,8 @@ def test_lift_norm_identities_j62():
 def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
-    residuals = validation.verify_subspace_invariance(p, 0, basis, validation._step_blocks(p, 0))
+    image = validation._step_basis(basis, validation._step_blocks(p, 0))
+    residuals = validation.verify_subspace_invariance(basis, image)
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
 
@@ -155,7 +156,7 @@ def test_target_and_initial_j42():
     coords = basis.basis.conj().T @ basis.target_arc
     expected = [math.sqrt(1 / 6), 0.5, 0.5, math.sqrt(1 / 6), math.sqrt(1 / 6)]
     assert np.abs(coords - expected).max() <= 1e-10
-    residuals = validation.verify_target_and_initial(p, basis, validation._reduced_step(p)[1])
+    residuals = validation.verify_target_and_initial(basis, validation._reduced_step(p)[1])
     assert residuals["target_initial_overlap"] <= 1e-12
     assert residuals["initial_in_subspace"] <= 1e-12
 
@@ -165,28 +166,29 @@ def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_reduced_compression(
-        basis, validation._step_blocks(p, 0), validation._reduced_step(p)[0])
+        basis, validation._step_basis(basis, validation._step_blocks(p, 0)),
+        validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
 
 
 def test_eigenbasis_eigenrelation():
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, marked=0)
-    residuals = validation.verify_eigenbasis(p, basis, _frame(p))
+    residuals = validation.verify_eigenbasis(basis, _frame(p))
     assert residuals["walk_eigenrelation"] <= 1e-10
     assert residuals["basis_gram"] <= 1e-10
     assert residuals["lift_norm_identities"] <= 1e-10
     # the engine's shift is checked against the basis's reversal: with each
     # arc placed at its reverse's slot the engine steps C·S, not S·C
     vertices, slots = _frame(p)
-    swapped = validation.verify_eigenbasis(p, basis, (vertices, slots[basis.opposite]))
+    swapped = validation.verify_eigenbasis(basis, (vertices, slots[basis.opposite]))
     assert swapped["walk_eigenrelation"] >= 1.0
 
 
 def test_shell_action_identity_integer_exact():
     p = graph_params(6, 2)
     residuals = validation.verify_spectral_closed_forms(
-        p, 0, validation.build_invariant_basis(p, marked=0))
+        validation.build_invariant_basis(p, marked=0))
     assert residuals["shell_action_identity"] == 0.0
     assert residuals["adjacency_multiplicities"] == 0.0
 
@@ -202,7 +204,7 @@ def test_marked_choice_does_not_matter():
 def test_certify_passes_default_tolerance(n, k):
     report = validation.certify(graph_params(n, k), marked=0, tol=1e-10)
     assert report.passed
-    assert len(report.checks) == 20
+    assert len(report.checks) == 21
     assert all(c.residual <= 1e-10 for c in report.checks)
 
 
@@ -353,12 +355,13 @@ def test_block_residuals_match_dense(n, k):
     B = basis.basis
     image = U @ B.real + 1j * (U @ B.imag)
     want = float(np.abs(image - B @ (B.conj().T @ image)).max())
-    got = validation.verify_subspace_invariance(p, marked, basis, blocks)
+    got = validation.verify_subspace_invariance(basis, validation._step_basis(basis, blocks))
     assert abs(got["subspace_invariance"] - want) <= 1e-15
     step = validation._reduced_step(p)[0]
     Bh = B.conj().T
     want = float(np.abs((Bh.real @ U + 1j * (Bh.imag @ U)) @ B - step).max())
-    got = validation.verify_reduced_compression(basis, blocks, step)
+    got = validation.verify_reduced_compression(
+        basis, validation._step_basis(basis, blocks), step)
     assert abs(got["reduced_compression"] - want) <= 1e-15
 
 
@@ -539,18 +542,16 @@ def test_unitarity_residual_nan_is_refused(where):
 
 def test_row_blocks_refuse_a_non_permutation():
     # an arc reversal that sends two arcs onto one row cannot place the
-    # blocks, so every stage that reads the step through it refuses it
+    # blocks, so the step's image of the basis, which both stages that read
+    # the step through it take, is refused
     p = graph_params(6, 3)
     basis = validation.build_invariant_basis(p, 7)
     clash = basis.opposite.copy()
     clash[1] = clash[0]
     blocks = validation._step_blocks(p, 7)
     bad = dataclasses.replace(basis, opposite=clash)
-    for stage in (lambda: validation.verify_subspace_invariance(p, 7, bad, blocks),
-                  lambda: validation.verify_reduced_compression(
-                      bad, blocks, validation._reduced_step(p)[0])):
-        with pytest.raises(ValueError, match="not a permutation"):
-            stage()
+    with pytest.raises(ValueError, match="not a permutation"):
+        validation._step_basis(bad, blocks)
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
@@ -575,7 +576,7 @@ def test_certify_is_the_one_judge(monkeypatch, capsys, position):
     report = validation.certify(graph_params(6, 2), marked=0, tol=1e-10)
     assert len(failing) == 2
     assert {c.name for c in report.checks if not c.passed} == failing
-    assert len(report.checks) == 20 and not report.passed
+    assert len(report.checks) == 21 and not report.passed
     assert cli.main(["validate", "--n", "6", "--k", "2"]) == 1
     assert "certification failed" in capsys.readouterr().err
 
@@ -649,6 +650,7 @@ def _nan_at_second_call(original):
 @pytest.mark.parametrize("stage,module,name,check", [
     ("verify_eigenbasis", spectral, "eigenphase", "walk_eigenrelation"),
     ("verify_eigenbasis", spectral, "eigenvalue", "lift_norm_identities"),
+    ("verify_spectral_closed_forms", spectral, "eigenvalue", "quotient_eigenvalues"),
     ("verify_spectral_closed_forms", spectral, "projector_weight", "projector_weights"),
     ("verify_subspace_invariance", arc_engine, "apply_oracle", "oracle_action_identities"),
 ])
@@ -657,10 +659,10 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     # second oracle call); Python's max keeps a NaN only as its first term
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, 0)
-    args = {"verify_eigenbasis": (p, basis, _frame(p)),
-            "verify_spectral_closed_forms": (p, 0, basis),
+    args = {"verify_eigenbasis": (basis, _frame(p)),
+            "verify_spectral_closed_forms": (basis,),
             "verify_subspace_invariance": (
-                p, 0, basis, validation._step_blocks(p, 0))}[stage]
+                basis, validation._step_basis(basis, validation._step_blocks(p, 0)))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -698,8 +700,10 @@ def _certify_peak_within_model(n, k, marked):
     try:
         report = validation.certify(p, marked=marked)
         _, peak = tracemalloc.get_traced_memory()
-        for stage in (lambda: validation.verify_subspace_invariance(p, marked, basis, blocks),
-                      lambda: validation.verify_reduced_compression(basis, blocks, step)):
+        image = validation._step_basis(basis, blocks)
+        for stage in (lambda: validation._step_basis(basis, blocks),
+                      lambda: validation.verify_subspace_invariance(basis, image),
+                      lambda: validation.verify_reduced_compression(basis, image, step)):
             tracemalloc.reset_peak()
             held, _ = tracemalloc.get_traced_memory()
             stage()
@@ -712,8 +716,9 @@ def _certify_peak_within_model(n, k, marked):
 
 def test_certify_peak_memory_matches_model():
     # the byte check's model bounds the traced peak, and its step term,
-    # _STEP_WORDS arrays of A x d words, is really held at once; the stages
-    # that take the marked blocks from certify add only basis-sized arrays
+    # _STEP_WORDS arrays of A x d words, is really held at once; U B, formed
+    # from the marked blocks, and the two stages that read it add only
+    # basis-sized arrays
     for n, k, marked in ((10, 3, 5), (8, 4, 3), (12, 4, 7)):
         _certify_peak_within_model(n, k, marked)
 
@@ -733,18 +738,67 @@ def test_certify_capacity_error():
         validation.certify(graph_params(40, 3))
 
 
-def test_verify_raises_certification_error(monkeypatch):
-    # a stage returns its residuals and raises on none; the quotient
-    # eigenvalue check that builds the basis is the one that raises
+def test_quotient_mismatch_is_a_reported_residual(monkeypatch):
+    # no stage raises, the basis build included: with the intersection
+    # numbers the basis reads patched to a_l + 1, the quotient shifts by 1
+    # off the closed forms, and certify reports it
     p = graph_params(4, 2)
     basis = validation.build_invariant_basis(p, 0)
-    residuals = validation.verify_eigenbasis(p, basis, _frame(p))
-    assert np.max(list(residuals.values())) > 1e-30
-    monkeypatch.setattr(spectral, "eigenvalue", lambda params, level: 10 ** 6)
-    with pytest.raises(CertificationError) as excinfo:
-        validation.build_invariant_basis(p, 0)
-    assert excinfo.value.check == "tridiagonal quotient eigenvalues"
-    assert excinfo.value.residual > 1e-9
+    original = validation.intersection_numbers
+
+    def shifted(params, level):
+        row = original(params, level)
+        return dataclasses.replace(row, a=row.a + 1)
+
+    monkeypatch.setattr(validation, "intersection_numbers", shifted)
+    moved = validation.build_invariant_basis(p, 0)
+    assert np.abs(moved.quotient_eigenvalues - basis.quotient_eigenvalues - 1.0).max() <= 1e-12
+    assert validation.verify_spectral_closed_forms(moved)["quotient_eigenvalues"] >= 1.0 - 1e-12
+    report = validation.certify(p, 0)
+    assert report.checks[0].name == "quotient_eigenvalues"
+    assert not report.checks[0].passed and not report.passed
+
+
+def test_quotient_residual_small_on_every_admitted_instance():
+    # the quotient alone, on every J(n,k) with n <= 40 that the dense
+    # oracles admit
+    worst = 0.0
+    for n in range(3, 41):
+        for k in range(1, n // 2 + 1):
+            p = graph_params(n, k)
+            if p.num_vertices > validation.DENSE_VERTEX_CAPACITY:
+                break
+            closed = np.array([spectral.eigenvalue(p, l) for l in range(k + 1)], dtype=float)
+            residual = float(np.abs(validation._quotient_eigh(p)[0] - closed).max())
+            worst = float(np.max([worst, residual]))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,marked", [(6, 3, (1, 2, 3)), (9, 3, (2, 5, 9)),
+                                         (12, 4, (1, 2, 3, 4))])
+def test_distance_shells_match_distance_class(n, k, marked):
+    p = graph_params(n, k)
+    w = rank_vertex(p, marked)
+    want = [johnson.distance_class(p, v, w) for v in range(p.num_vertices)]
+    basis = validation.build_invariant_basis(p, w)
+    got = sum(l * shell for l, shell in enumerate(basis.shell_indicators))
+    assert got.tolist() == want
+    assert all(shell.dtype == np.int64 for shell in basis.shell_indicators)
+
+
+def test_certify_steps_the_basis_once(monkeypatch):
+    # U B is formed once and read by both stages that need it
+    calls = []
+    original = validation._step_basis
+
+    def counting(basis, blocks):
+        calls.append(basis.marked)
+        return original(basis, blocks)
+
+    monkeypatch.setattr(validation, "_step_basis", counting)
+    p = graph_params(6, 3)
+    assert validation.certify(p, marked=7).passed
+    assert calls == [7]
 
 
 def test_cross_engine_probability_identity():
