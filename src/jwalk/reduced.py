@@ -30,8 +30,19 @@ equation (Golub 1973; Bunch, Nielsen and Sorensen 1978)
 
 f falls from +inf to -inf between consecutive walk phases, counting the
 gap that wraps through pi, so each of the 2k+1 gaps holds exactly one
-root.  ``spectrum`` brackets it by bisection and polishes it by Newton at
-the working digits, from the derived phases and weights.  The eigenvector
+root.  ``spectrum`` finds it at the working digits, from the derived
+phases and weights, by one safeguarded iteration per gap: Newton on f
+with the gap's two poles deflated, h = f sin((theta - lo)/2)
+sin((hi - theta)/2), inside a bracket that the sign of f moves.  Each
+iterate costs one evaluation of the 2k+1 cotangents, and a root takes at
+most 7 (5.0 per root on J(100, 2), 4.2 on J(1000, 8)).  Near a walk phase of small weight w_l**2 the root sits about
+2 w_l**2 / |rest of f| from it; an iterate that Newton throws past that
+pole restarts from this first-order root.  The two roots beside the
+phase 0, about +-sqrt(2 k!) n**(-k/2) from it, start from the leading term
+of f there.  A root that lies within 2**24 rounding units of its pole is
+refused with PrecisionError (``sweep --k 4`` at n = 10**12, ``--k 8`` at
+n = 10**6, ``--k 20`` at n = 1000), as is one that does not settle
+within _MAX_NEWTON iterations or leaves its gap.  The eigenvector
 v_m = (e^{i theta_m} - D)^{-1} D w gives the start state's amplitudes in
 closed form, and
 
@@ -95,7 +106,7 @@ __all__ = [
 # the e^{i theta stride j} table is stored as two factors of sqrt(SCAN_CHUNK) rows
 SCAN_CHUNK = 2 ** 12
 
-# Newton steps allowed after bisection; reaching the cap raises
+# iterations allowed per secular root; reaching the cap raises
 _MAX_NEWTON = 20
 
 # slack of the sweep's window: far above the one double rounding that
@@ -151,75 +162,116 @@ def evolve_series(params: GraphParams, steps: int, stride: int = 1) -> Series:
                   norm=np.full(len(times), float(spec.norm)))
 
 
-def _ld(x) -> np.longdouble:
-    # an mpf as the sum of its two leading doubles, rounded once to longdouble
-    hi = float(x)
-    return np.longdouble(hi) + np.longdouble(float(x - hi))
+def _ld(values) -> np.ndarray:
+    # mpfs as the sums of their two leading doubles, rounded once to longdouble
+    hi = [float(x) for x in values]
+    lo = [float(x - h) for x, h in zip(values, hi)]
+    return np.array(hi, dtype=np.longdouble) + np.array(lo, dtype=np.longdouble)
 
 
 def _rotations(roots: tuple, times) -> np.ndarray:
-    """e^{i theta t} in clongdouble, one row per t, with theta*t mod 2 pi in mpmath."""
+    """e^{i theta t} in clongdouble, one row per t, with theta*t mod 2 pi in mpmath.
+
+    Each angle is reduced at the working digits; the angles' two leading
+    doubles are then rounded to longdouble as two arrays and one add.
+    """
     with mpmath.workdps(spectral._MP_DPS):
         turn = 2 * mpmath.pi
-        angles = np.array([[_ld(theta * t % turn) for theta in roots] for t in times])
-    return np.exp(1j * angles)
+        angles = _ld([theta * t % turn for t in times for theta in roots])
+    return np.exp(1j * angles.reshape(len(times), len(roots)))
 
 
-def _secular_root(phases: list, weights: list, lo, hi):
-    """The one root of sum_j w_j**2 cot((theta - phi_j)/2) in the gap (lo, hi).
+def _closer_than_resolved(pole_lo, pole_hi) -> PrecisionError:
+    return PrecisionError(f"secular root in ({pole_lo}, {pole_hi}) is closer to a pole "
+                          f"than {mpmath.mp.dps} digits resolve")
 
-    The function falls from +inf at ``lo`` to -inf at ``hi``.  Bisection
-    narrows the gap until the midpoint is known to a 2**-24 share of its
-    distance to the nearer pole; Newton then polishes it until a step is
-    down to the rounding error of theta and of the sum.  Raises
-    PrecisionError, never returns a guess, if the root is too close to a
-    pole for the working precision, if Newton does not settle within
-    _MAX_NEWTON steps, or if it leaves the gap.
+
+def _secular_root(phases: list, weights: list, m: int, start=None):
+    """The one root of f(theta) = sum_j w_j**2 cot((theta - phi_j)/2) in gap m.
+
+    Gap m runs from phases[m] to the next phase (phases[0] + 2 pi for the
+    last), and f falls from +inf to -inf across it.  One safeguarded
+    iteration from ``start`` (the gap's midpoint if ``start`` is None or
+    outside the gap): each iterate evaluates the 2k+1 cotangents once, the
+    sign of f moves the bracket, and the step is Newton on the
+    pole-deflated h = f sin((theta - lo)/2) sin((hi - theta)/2), that is
+    f / (f' + f (c_lo + c_hi)/2) with the two poles' cotangents in hand.
+    An iterate thrown past an end of the bracket is replaced by the root
+    of that end's pole term plus the rest of f held constant (the
+    first-order root next to a pole of small weight) and, if that is
+    outside too, by the bracket's midpoint.  The iteration stops once
+    |f/f'| is down to the rounding of theta and of the sum, after one last
+    step.  Raises PrecisionError, never returns a guess, if the root lies
+    within 2**24 rounding units of a pole or the bracket can no longer be
+    split, if it does not settle within _MAX_NEWTON iterations, or if it
+    leaves the gap.
     """
-    def cots(theta):
-        return [1 / mpmath.tan((theta - phi) / 2) for phi in phases]
-
-    pole_lo, pole_hi = lo, hi
-    while True:
-        theta = (lo + hi) / 2
-        if hi - lo <= mpmath.ldexp(min(theta - pole_lo, pole_hi - theta), -24):
-            break
-        if not lo < theta < hi:
-            raise PrecisionError(
-                f"secular root in ({pole_lo}, {pole_hi}) is closer to a pole "
-                f"than {mpmath.mp.dps} digits resolve")
-        if mpmath.fdot(weights, cots(theta)) > 0:
+    dim = len(phases)
+    up = (m + 1) % dim
+    pole_lo = phases[m]
+    pole_hi = phases[up] if up else phases[0] + 2 * mpmath.pi
+    lo, hi = pole_lo, pole_hi
+    theta = start if start is not None and lo < start < hi else (lo + hi) / 2
+    for _ in range(_MAX_NEWTON):
+        c = [1 / mpmath.tan((theta - phi) / 2) for phi in phases]
+        terms = [w * x for w, x in zip(weights, c)]
+        f = mpmath.fsum(terms)
+        slope = -mpmath.fsum(w * (1 + x * x) for w, x in zip(weights, c)) / 2
+        if f > 0:
             lo = theta
         else:
             hi = theta
-    for _ in range(_MAX_NEWTON):
-        c = cots(theta)
-        terms = [w * x for w, x in zip(weights, c)]
-        slope = -mpmath.fsum(w * (1 + x * x) for w, x in zip(weights, c)) / 2
-        step = mpmath.fsum(terms) / slope
-        theta -= step
-        # done once the step is down to the rounding of theta and of the sum
+        step = f / (slope + f * (c[m] + c[up]) / 2)
+        # done once a Newton step is down to the rounding of theta and of the sum
         noise = abs(theta) + mpmath.fsum(terms, absolute=True) / abs(slope)
-        if abs(step) <= noise * mpmath.eps * 2 ** 8:
+        settled = abs(f / slope) <= noise * mpmath.eps * 2 ** 8
+        theta -= step
+        if settled:
             break
+        if not lo < theta < hi:
+            # f near that pole: its own term, 2 w_j**2 / (theta - pole), plus the rest
+            pole, j = (pole_hi, up) if theta >= hi else (pole_lo, m)
+            theta = pole - 2 * weights[j] / (f - weights[j] * c[j])
+        if not lo < theta < hi:
+            theta = (lo + hi) / 2
+            if not lo < theta < hi:
+                raise _closer_than_resolved(pole_lo, pole_hi)
     else:
         raise PrecisionError(f"secular Newton in ({pole_lo}, {pole_hi}) did not converge")
     if not pole_lo < theta < pole_hi:
         raise PrecisionError(f"secular root {theta} left its gap ({pole_lo}, {pole_hi})")
+    if min(theta - pole_lo, pole_hi - theta) <= abs(theta) * mpmath.eps * 2 ** 24:
+        raise _closer_than_resolved(pole_lo, pole_hi)
     return theta
+
+
+def _next_to_zero(phases: list, weights: list, k: int):
+    """|theta| of the two roots beside the phase 0, to leading order in w_0**2.
+
+    By the phases' symmetry the other terms of f vanish at 0 with slope
+    -sum_{j != k} w_j**2 / (2 sin**2(phi_j/2)), so
+    f(theta) ~ 2 w_0**2/theta + theta * slope there.
+    """
+    rest = mpmath.fsum(2 * w / mpmath.sin(phi / 2) ** 2
+                       for phi, w in zip(phases[k + 1:], weights[k + 1:]))
+    return mpmath.sqrt(4 * weights[k] / rest)
 
 
 def spectrum(params: GraphParams) -> SecularSpectrum:
     """Eigenphases and start-state amplitudes of the marked step, in mpmath.
 
     Solved at ``spectral._MP_DPS`` digits from :func:`_walk_terms`, never
-    from a step matrix.
+    from a step matrix.  The two gaps beside the phase 0 start from
+    :func:`_next_to_zero`, the others from their midpoints.
     """
     phases, weights = _walk_terms(params)
+    k = params.k
     with mpmath.workdps(spectral._MP_DPS):
-        gaps = list(zip(phases, phases[1:] + [phases[0] + 2 * mpmath.pi]))
-        roots = [_secular_root(phases, weights, lo, hi) for lo, hi in gaps]
-        w0_sq = weights[params.k]
+        near = _next_to_zero(phases, weights, k)
+        starts = {k - 1: -near, k: near}
+        roots = [_secular_root(phases, weights, m, starts.get(m))
+                 for m in range(len(phases))]
+        w0_sq = weights[k]
         w0 = mpmath.sqrt(w0_sq)
         amplitudes, overlaps = [], []
         for theta in roots:
@@ -250,7 +302,8 @@ def _blocks(spec: SecularSpectrum, steps: int, stride: int):
 
 def _tables(spec: SecularSpectrum, stride: int) -> tuple:
     """The longdouble amplitudes and the coarse and fine rotation tables of a stride."""
-    amplitudes = np.array([_ld(a.real) + 1j * _ld(a.imag) for a in spec.amplitudes])
+    amplitudes = _ld([a.real for a in spec.amplitudes]) \
+        + 1j * _ld([a.imag for a in spec.amplitudes])
     # e^{i theta t} for t = s + stride*(side*q + r) is e^{i theta s} coarse[q] fine[r]
     side = math.isqrt(SCAN_CHUNK)
     coarse = _rotations(spec.roots, range(0, SCAN_CHUNK * stride, side * stride))

@@ -325,6 +325,79 @@ def test_root_beyond_working_precision_raises():
         reduced.spectrum(graph_params(10 ** 12, 4))
 
 
+@pytest.mark.parametrize("n,k,gap", [
+    (1000, 20, "(-0.5600192265869749560643674845181632692443, "
+               "-0.4554544438403261664068036142271546486188)"),
+    (10 ** 6, 8, "(-0.7227368935819241801144178931986253417453, "
+                 "-0.5053625758879443294871161164130041087356)"),
+])
+def test_refusal_names_the_first_unresolved_gap(n, k, gap):
+    # the gaps below it solve; this one's root lies within 2**24 rounding
+    # units of a phase of tiny weight
+    with pytest.raises(PrecisionError) as refusal:
+        reduced.spectrum(graph_params(n, k))
+    assert str(refusal.value) == (f"secular root in {gap} is closer to a pole "
+                                  f"than {spectral._MP_DPS} digits resolve")
+
+
+def _roots_at(params, digits, monkeypatch):
+    monkeypatch.setattr(spectral, "_MP_DPS", digits)
+    return reduced.spectrum(params).roots
+
+
+@pytest.mark.parametrize("n,k", [(100, 2), (10 ** 6, 2), (10 ** 12, 2), (4000, 3),
+                                 (10 ** 5, 4), (1000, 8), (10 ** 6, 3), (100, 16)])
+def test_roots_agree_with_80_digits(n, k, monkeypatch):
+    # each root is good far beyond what theta*t needs over [0, 2*t_run]
+    p = graph_params(n, k)
+    roots, exact = (_roots_at(p, digits, monkeypatch) for digits in (40, 80))
+    t_span = 2 * spectral.run_time(p).t_run
+    with mpmath.workdps(80):
+        assert max(abs(a - b) for a, b in zip(roots, exact)) * t_span <= 1e-25
+
+
+@pytest.mark.parametrize("n,k", [(10 ** 12, 3), (10 ** 11, 4)])
+def test_roots_beside_phases_of_tiny_weight(n, k, monkeypatch):
+    # roots 3.5e-18 from the phase 0 and 5.4e-24 from -omega_2 (J(10^12, 3)),
+    # 6.9e-22 from 0 and from -omega_2 and 2.7e-32 from -omega_1 (J(10^11, 4)):
+    # without the start beside 0, or the restart from an iterate thrown past a
+    # pole, Newton does not settle on them within the cap
+    p = graph_params(n, k)
+    roots, exact = (_roots_at(p, digits, monkeypatch) for digits in (40, 80))
+    with mpmath.workdps(80):
+        assert max(abs(a - b) for a, b in zip(roots, exact)) <= 1e-39
+
+
+# evaluations of f per root: at most 16 (bisecting to a 2**-24 share of the
+# pole distance before Newton takes 33-43 here); J(1000, 8) takes 4.2 with
+# the poles deflated and 6.8 with plain Newton steps
+@pytest.mark.parametrize("n,k,bound", [(100, 2, 16), (10 ** 4, 2, 16), (10 ** 6, 2, 16),
+                                       (4000, 3, 16), (1000, 8, 5)])
+def test_roots_cost_few_evaluations(n, k, bound, monkeypatch):
+    # one evaluation of f is 2k+1 cotangents, each one mpmath.tan
+    calls = []
+    tan = mpmath.tan
+    monkeypatch.setattr(mpmath, "tan", lambda x: calls.append(x) or tan(x))
+    reduced.spectrum(graph_params(n, k))
+    assert len(calls) / (2 * k + 1) ** 2 <= bound
+
+
+def test_rotations_round_each_angle_once():
+    # theta*t mod 2 pi to its two leading doubles, summed once in longdouble
+    roots = reduced.spectrum(graph_params(4000, 3)).roots
+    times = [0, 1, 4095, 10 ** 15]
+    def ld(x):
+        hi = float(x)
+        return np.longdouble(hi) + np.longdouble(float(x - hi))
+
+    with mpmath.workdps(spectral._MP_DPS):
+        angles = [[ld(theta * t % (2 * mpmath.pi)) for theta in roots] for t in times]
+    expected = np.exp(1j * np.array(angles))
+    got = reduced._rotations(roots, times)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.real, expected.real) and np.array_equal(got.imag, expected.imag)
+
+
 def test_norm_drift_over_one_million_steps():
     # the iterated reference keeps its norm over far more steps than it is run
     for state in orbit_walk.states(graph_params(100, 2), 10 ** 6):
