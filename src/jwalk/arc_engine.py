@@ -245,7 +245,7 @@ def _row_sums(state: np.ndarray, axis: int) -> np.ndarray:
     """
     lead = (slice(None),) * axis
     sums = np.sum(state[lead + (slice(0, _SUM_WIDTH),)], axis=axis)
-    for lo in range(_SUM_WIDTH, state.shape[0], _SUM_WIDTH):
+    for lo in range(_SUM_WIDTH, state.shape[axis], _SUM_WIDTH):
         part = state[lead + (slice(lo, lo + _SUM_WIDTH),)]
         sums += np.sum(part, axis=axis) if part.shape[axis] > 1 else part[lead + (0,)]
     return sums

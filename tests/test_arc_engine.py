@@ -578,6 +578,24 @@ def test_pair_passes_allocate_row_tables_only():
     assert peak <= 0.1 * pair.nbytes
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("length", [12, 15])
+def test_row_sums_over_a_non_square_axis(axis, length):
+    # the summed axis is longer than the other pair axis (5): every range of
+    # _SUM_WIDTH slices is added, a last range of one slice (15 = 7 + 7 + 1)
+    # included, in the order of an explicit loop
+    shape = (length, 5, 3) if axis == 0 else (5, length, 3)
+    state = np.random.default_rng(length).standard_normal(shape)
+    slices = np.moveaxis(state, axis, 0)
+    expected = None
+    for lo in range(0, length, arc_engine._SUM_WIDTH):
+        part = slices[lo]
+        for j in range(lo + 1, min(lo + arc_engine._SUM_WIDTH, length)):
+            part = part + slices[j]
+        expected = part if expected is None else expected + part
+    assert np.array_equal(arc_engine._row_sums(state, axis), expected)
+
+
 def _stepwise_evolve_and_record(params, marked, steps, stride):
     """The walk stepped one shift at a time in the flat layout."""
     times = list(range(0, steps + 1, stride))

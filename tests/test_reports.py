@@ -2,11 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jwalk import reports, spectral, validation
+from jwalk import cli, reports, spectral, validation
 from jwalk.arc_engine import Series
 from jwalk.johnson import graph_params
 from run_csv import read_run_rows
@@ -155,6 +156,108 @@ def test_run_report_random_bit_patterns_spelled_per_row():
     csv_text, json_text = _per_row_texts(report)
     assert "".join(reports.run_report_to_csv(report)) == csv_text
     assert "".join(reports.run_report_to_json(report)) == json_text
+
+
+def _spy_numpy_rows(monkeypatch):
+    """A list that gets, per chunk that run_report_to_csv writes, whether
+    the numpy rows built it (False: the template did)."""
+    served, numpy_rows = [], reports._csv_rows
+
+    def spy(t, cells):
+        text = numpy_rows(t, cells)
+        served.append(text is not None)
+        return text
+
+    monkeypatch.setattr(reports, "_csv_rows", spy)
+    return served
+
+
+_POWERS = [float(f"1e-{j}") for j in range(1, 5)]
+# the numpy rows' domain [1e-4, 1) at its edges: each power of ten and its
+# neighbours within the domain, 1 - 2^-53 and 0.5
+_EDGE_VALUES = _POWERS + [np.nextafter(x, 1.0) for x in _POWERS] + [
+    np.nextafter(x, 0.0) for x in _POWERS[:3]] + [1.0 - 2 ** -53, 0.5]
+# values that leave their chunk to the template: below the domain, at and
+# above its end, NaN, -0.0, and (2^18 - 1)/2^18, whose 18 digits
+# 0.999996185302734375 make an exact tie at 17
+_FALLBACK_VALUES = [np.nextafter(1e-4, 0.0), 1.0, 1.5, math.nan, -0.0,
+                    (2 ** 18 - 1) / 2 ** 18]
+# t across a new digit, across a word of four digits, and at 2^53
+_EDGE_TIMES = [9, 10, 9999, 10000, 99999, 100000, 2 ** 53 - 1, 2 ** 53]
+
+
+def _drawn_report(seed, rows, with_alt):
+    """A run report of values drawn log-uniform in [1e-4, 1): the
+    _FALLBACK_VALUES among its first 4096 rows, the _EDGE_VALUES and
+    _EDGE_TIMES among the rest."""
+    rng = np.random.default_rng(seed)
+    columns = 10.0 ** rng.uniform(-4, 0, size=(3, rows))
+    for column in columns:
+        column[rng.choice(4096, len(_FALLBACK_VALUES), replace=False)] = _FALLBACK_VALUES
+        column[4096 + rng.choice(rows - 4096, len(_EDGE_VALUES), replace=False)] = _EDGE_VALUES
+    t = np.sort(rng.choice(10 ** 6, size=rows, replace=False))
+    t[rows - len(_EDGE_TIMES):] = _EDGE_TIMES
+    series = Series(t=t, p_succ=columns[0], p_alt=columns[1] if with_alt else None,
+                    norm=columns[2] if with_alt else np.ones(rows))
+    return reports.RunReport(params=graph_params(8, 2), marked=(3,),
+                             engine="full" if with_alt else "reduced",
+                             t_run=6, stride=5, series=series)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+@pytest.mark.parametrize("with_alt", [False, True])
+def test_run_csv_drawn_values_spelled_per_row(monkeypatch, chunk, with_alt):
+    # the numpy rows, and the template where a chunk falls back to it, spell
+    # every drawn and edge value as format(x, ".17g") spells it alone
+    monkeypatch.setattr(reports, "REPORT_CHUNK", chunk)
+    served = _spy_numpy_rows(monkeypatch)
+    report = _drawn_report(20261019, 4500, with_alt)
+    csv_text, _ = _per_row_texts(report)
+    assert "".join(reports.run_report_to_csv(report)) == csv_text
+    assert "0.99999618530273438" in csv_text
+    # a chunk of one row has only constant columns, spelled as they are
+    assert served[-1] and (chunk == 1 or not all(served))
+
+
+@pytest.mark.parametrize("value", _FALLBACK_VALUES + [0.0, -0.5, math.inf, 5e-324])
+def test_csv_rows_fall_back_on_one_value(value):
+    # one value outside [1e-4, 1), or an exact tie, leaves the whole chunk
+    # to the template, in any varying column
+    p_succ = 10.0 ** np.random.default_rng(1).uniform(-4, 0, size=100)
+    t = np.arange(100)
+    assert reports._csv_rows(t, [p_succ, None, "1"]) is not None
+    p_succ[37] = value
+    assert reports._csv_rows(t, [p_succ, None, "1"]) is None
+    assert reports._csv_rows(t, [p_succ[::-1], p_succ, "1"]) is None
+    assert reports._csv_rows(t, ["0.5", p_succ[::-1], p_succ]) is None
+
+
+def test_csv_rows_serve_the_domain_edges():
+    # the domain's edge values and t up to 2^60 are numpy rows, not left to
+    # the template; a negative t is left to it
+    values = np.array(_EDGE_VALUES + [0.25])
+    t = np.array(_EDGE_TIMES + [0, 2 ** 60, 3, 4, 5, 6])
+    text = reports._csv_rows(t, [values, None, "1"])
+    assert text == "".join(f"{a},{format(b, '.17g')},,1\n"
+                           for a, b in zip(t.tolist(), values.tolist()))
+    assert reports._csv_rows(t - 10, [values, None, "1"]) is None
+
+
+def test_powers_of_ten_bound_their_decades():
+    # _significand takes a double's decade from these four doubles; each
+    # lies above its power of ten, so no double falls in a wrong decade
+    for j, bound in enumerate(reports._DECADES.tolist()):
+        assert Fraction(bound) > Fraction(1, 10 ** (4 - j))
+        assert Fraction(np.nextafter(bound, 0.0)) < Fraction(1, 10 ** (4 - j))
+
+
+def test_reduced_series_chunks_take_the_numpy_rows(monkeypatch, tmp_path):
+    # the default J(4000,3) series: every chunk but the first (p near 1/N)
+    # and the last two (p back under 1e-4 towards 2·t_run) is numpy rows
+    served = _spy_numpy_rows(monkeypatch)
+    assert cli.main(["simulate", "--n", "4000", "--k", "3", "--engine", "reduced",
+                     "--out", str(tmp_path / "series.csv")]) == 0
+    assert len(served) == 57 and sum(served) >= 54
 
 
 def test_read_run_rows_rejects_bad_header():
