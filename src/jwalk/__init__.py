@@ -3,8 +3,8 @@
 Two interchangeable engines compute the same search walk: an exact
 matrix-free engine over the full arc space, and an exact engine that reads
 the walk from the spectrum of its (2k+1)-dimensional invariant subspace,
-at a cost independent of n.  Dense brute-force oracles certify the closed
-forms on small instances.
+at a cost independent of n.  Brute-force oracles certify the closed forms
+and both engines on any instance that fits in memory.
 """
 
 from .arc_engine import evolve_and_record, uniform_state

@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p, "csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("validate", help="dense-oracle certification of a small instance")
+    p = sub.add_parser("validate", help="certify the closed forms and both engines on one instance")
     add_instance(p)
     p.add_argument("--marked", default=None,
                    help="marked vertex as comma-separated elements (default 1..k)")

@@ -1,13 +1,17 @@
-"""The walk step as an explicit A x A matrix, kept as the tests' oracle of its coin blocks.
+"""The walk step as an explicit A x A matrix and as N coin blocks, kept as the tests' oracles.
 
 ``jwalk.validation`` holds the step U = S·C·O as its arc reversal and its
-N coin blocks, U = P blockdiag(B_v).  Here it is built column by column
-from the definition instead: column a, an arc leaving vertex v, carries
-2/degree on every arc whose tail is v, read through the reversal, and
-minus 1 on the reverse of a; the marked vertex's reflection is the rank-1
-update U - 2 (U t) t^T on the right, rounded through the A-long matvec
-U t.  Arcs are numbered tail-major, as in ``jwalk.johnson``; the reversal
-defaults to the scalar decoders of ``flat_layout``.
+two distinct coin blocks, U = P blockdiag(B_v) with B_v the Grover block G
+at every unmarked vertex and B_marked at the marked one.  Here it is built
+from the definition instead, in two ways.  :func:`step` builds it column
+by column: column a, an arc leaving vertex v, carries 2/degree on every
+arc whose tail is v, read through the reversal, and minus 1 on the
+reverse of a; the marked vertex's reflection is the rank-1 update
+U - 2 (U t) t^T on the right, rounded through the A-long matvec U t.
+:func:`vertex_blocks` builds one d x d block per vertex, the marked one
+reflected as B - 2 (B t) t^T.  Arcs are numbered tail-major, as in
+``jwalk.johnson``; the reversal defaults to the scalar decoders of
+``flat_layout``.
 """
 
 import numpy as np
@@ -45,3 +49,19 @@ def from_blocks(params, blocks, opposite):
     U = np.zeros((A, A))
     U[opposite.reshape(N, d, 1), np.arange(A).reshape(N, 1, d)] = blocks
     return U
+
+
+def vertex_blocks(params, marked=None):
+    """The (N, d, d) float64 coin blocks, one per vertex: (2/d) J - I, the ``marked`` one reflected.
+
+    The marked block takes the oracle as the rank-1 update B - 2 (B t) t^T,
+    with t the uniform unit vector.
+    """
+    N, d = params.num_vertices, params.degree
+    blocks = np.full((N, d, d), 2.0 / d)
+    blocks[:, np.arange(d), np.arange(d)] -= 1.0
+    if marked is not None:
+        block = blocks[marked]
+        t = np.full(d, 1.0 / np.sqrt(d))
+        block -= 2.0 * np.outer(block @ t, t)
+    return blocks

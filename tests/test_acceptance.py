@@ -13,6 +13,7 @@ import pytest
 from eigenphases import eigenphases, verify_eigenphase_asymptotics
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.johnson import graph_params, intersection_numbers, pair_vertex_table
+from test_spectral import brute_adjacency
 
 # pinned first-run values of the reduced engine (x86-64, extended precision)
 P_SUCC_K2 = {
@@ -114,7 +115,7 @@ def test_criterion_3_eigenbasis_certification():
     for n, k in [(4, 2), (5, 2), (6, 2)]:
         p = graph_params(n, k)
         basis = validation.build_invariant_basis(p, marked=0)
-        blocks = validation._step_blocks(p, 0)
+        blocks = validation._step_blocks(p.degree)
         res = validation.verify_eigenbasis(basis, (pair_vertex_table(p), basis.slots))
         res.update(validation.verify_reduced_compression(
             basis, validation._step_basis(basis, blocks), validation._reduced_step(p)[0]))
@@ -135,8 +136,7 @@ def test_criterion_4_spectral_closed_forms():
     worst_lambda, worst_weight = 0.0, 0.0
     for n, k in [(6, 2), (6, 3), (8, 4)]:
         p = graph_params(n, k)
-        adj = validation.dense_adjacency(p).astype(float)
-        eigvals, eigvecs = np.linalg.eigh(adj)
+        eigvals, eigvecs = np.linalg.eigh(brute_adjacency(n, k)[0])
         closed = np.array([spectral.eigenvalue(p, l) for l in range(k + 1)],
                           dtype=float)
         assign = np.abs(eigvals[:, None] - closed[None, :]).argmin(axis=1)

@@ -301,9 +301,10 @@ def test_validate_quotient_mismatch_fails_with_a_report(capsys, monkeypatch):
 
 
 def test_validate_capacity(capsys):
-    code, _, err = run_cli(capsys, "validate", "--n", "40", "--k", "3")
+    # about 484 GB of counted words: refused by the memory rule, the only one
+    code, _, err = run_cli(capsys, "validate", "--n", "200", "--k", "3")
     assert code == 3
-    assert "dense oracles refuse" in err
+    assert "available memory" in err
 
 
 def test_validate_checks_available_memory(capsys, monkeypatch):

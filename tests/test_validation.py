@@ -1,4 +1,4 @@
-"""Dense-oracle certifications on small instances."""
+"""The certification battery against dense oracles on small instances."""
 
 import dataclasses
 import math
@@ -19,23 +19,85 @@ def _frame(params):
     return pair_vertex_table(params), arc_pair_slots(params)[0]
 
 
-def test_dense_adjacency_octahedron():
-    p = graph_params(4, 2)  # J(4,2) is the octahedron
-    adj = validation.dense_adjacency(p)
-    assert adj.dtype == np.float64
-    assert set(np.unique(adj)) == {0.0, 1.0}
-    assert np.array_equal(adj, adj.T)
-    assert np.trace(adj) == 0
-    assert np.all(adj.sum(axis=1) == 4)
-    eigvals = np.linalg.eigvalsh(adj)
-    rounded = sorted(np.round(eigvals).astype(int).tolist())
-    assert rounded == [-2, -2, 0, 0, 0, 4]
-    assert np.abs(eigvals - np.array(rounded)).max() <= 1e-12
+def _heads(params):
+    """Each arc's head, as the (N, d) table the spectral stage reads the adjacency from."""
+    N, d = params.num_vertices, params.degree
+    return (arc_pair_slots(params)[1] // d).reshape(N, d)
 
 
-def test_dense_adjacency_capacity():
-    with pytest.raises(CapacityError):
-        validation.dense_adjacency(graph_params(40, 3))
+def _adjacency(params):
+    """The dense N x N 0/1 adjacency: a 1 at (tail, head) of every arc."""
+    N, d = params.num_vertices, params.degree
+    adj = np.zeros((N, N))
+    adj[np.arange(params.num_arcs) // d, _heads(params).reshape(-1)] = 1.0
+    return adj
+
+
+def test_local_spectrum_octahedron():
+    # J(4,2) is the octahedron: eigenvalues 4, 0 and -2 with multiplicities
+    # 1, 3 and 2 of 6 vertices, so every vertex weighs 1/6, 1/2 and 1/3
+    p = graph_params(4, 2)
+    adj = _adjacency(p)
+    assert np.array_equal(adj, adj.T) and np.all(adj.sum(axis=1) == 4)
+    values, weights, closure = validation._local_spectrum(_heads(p), 0, 3)
+    assert np.abs(values - [4.0, 0.0, -2.0]).max() <= 1e-14
+    assert np.abs(weights - [1 / 6, 1 / 2, 1 / 3]).max() <= 1e-15
+    assert closure <= 1e-15
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (7, 1), (8, 4), (9, 3), (10, 5), (12, 6),
+                                 (14, 7)])
+def test_local_spectrum_matches_dense_eigh(n, k):
+    # k+1 Lanczos steps from one vertex against the eigh of the dense
+    # adjacency: every dense eigenvalue is a Lanczos one, the vertex's
+    # weight on each eigenspace is the square of the Jacobi eigenvector's
+    # first entry, and the eigenspaces' dimensions are N w_l, as
+    # walk-regularity makes them
+    p = graph_params(n, k)
+    marked = p.num_vertices // 3
+    values, weights, closure = validation._local_spectrum(_heads(p), marked, k + 1)
+    eigvals, eigvecs = np.linalg.eigh(_adjacency(p))
+    assign = np.abs(eigvals[:, None] - values[None, :]).argmin(axis=1)
+    assert np.abs(eigvals - values[assign]).max() <= 1e-12
+    dense_weights = np.bincount(assign, weights=eigvecs[marked] ** 2, minlength=k + 1)
+    assert np.abs(dense_weights - weights).max() <= 1e-13
+    counts = np.bincount(assign, minlength=k + 1).tolist()
+    assert counts == np.rint(p.num_vertices * weights).astype(int).tolist()
+    assert counts == [spectral.multiplicity(p, l) for l in range(k + 1)]
+    assert closure <= 1e-13
+
+
+def test_lanczos_breakdown_is_a_failed_row():
+    # with every arc its own reverse the adjacency is d I: the marked
+    # vertex's Krylov space closes after one step, not k+1, and the three
+    # Lanczos rows are NaN, which certify fails, rather than an exception
+    p = graph_params(6, 2)
+    basis = validation.build_invariant_basis(p, 0)
+    looped = dataclasses.replace(basis, opposite=np.arange(p.num_arcs))
+    residuals = validation.verify_spectral_closed_forms(looped)
+    assert [name for name, value in residuals.items() if math.isnan(value)] == [
+        "local_eigenvalues", "local_weights", "krylov_closure"]
+
+
+def test_certify_refuses_by_memory_alone(monkeypatch):
+    # J(40,3), 9,880 vertices, is admitted when its counted words fit, and
+    # refused one byte short of them
+    p = graph_params(40, 3)
+    needed = 8 * validation._battery_words(p)
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(params, marked):
+        raise Admitted
+
+    monkeypatch.setattr(validation, "build_invariant_basis", admitted)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed)
+    with pytest.raises(Admitted):
+        validation.certify(p)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
+    with pytest.raises(CapacityError, match="available memory"):
+        validation.certify(p)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2)])
@@ -74,12 +136,6 @@ def test_dense_step_matches_engine_columns():
         assert np.abs(dense.step(p, marked) - engine).max() <= bound
         oracle = flat.step(p, np.eye(p.num_arcs), marked).T
         assert np.abs(oracle - engine).max() <= bound
-
-
-def test_dense_step_guards():
-    # the step's coin blocks refuse what the other dense oracles refuse
-    with pytest.raises(CapacityError):
-        validation._step_blocks(graph_params(40, 3))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2)])
@@ -144,7 +200,7 @@ def test_lift_norm_identities_j62():
 def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
-    image = validation._step_basis(basis, validation._step_blocks(p, 0))
+    image = validation._step_basis(basis, validation._step_blocks(p.degree))
     residuals = validation.verify_subspace_invariance(basis, image)
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
@@ -166,9 +222,20 @@ def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_reduced_compression(
-        basis, validation._step_basis(basis, validation._step_blocks(p, 0)),
+        basis, validation._step_basis(basis, validation._step_blocks(p.degree)),
         validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
+
+
+def test_lift_norm_identities_relative_at_large_degree():
+    # J(100,2), d = 196: |S x|^2 and (d + lambda)|x|^2 are up to 2d |x|^2,
+    # and their absolute difference, 1.2e-10 to 2.6e-10 by the BLAS thread
+    # count, failed the default tolerance; relative to its own size each
+    # term is about 1e-12
+    p = graph_params(100, 2)
+    residuals = validation.verify_eigenbasis(validation.build_invariant_basis(p, 0), _frame(p))
+    assert residuals["lift_norm_identities"] <= 1e-11
+    assert max(residuals.values()) <= 1e-10
 
 
 def test_eigenbasis_eigenrelation():
@@ -190,7 +257,8 @@ def test_shell_action_identity_integer_exact():
     residuals = validation.verify_spectral_closed_forms(
         validation.build_invariant_basis(p, marked=0))
     assert residuals["shell_action_identity"] == 0.0
-    assert residuals["adjacency_multiplicities"] == 0.0
+    # so N w_l rounds to the multiplicity m_l
+    assert residuals["local_weights"] * p.num_vertices <= 1e-12
 
 
 def test_marked_choice_does_not_matter():
@@ -209,9 +277,9 @@ def test_certify_passes_default_tolerance(n, k):
 
 
 def test_certify_builds_each_dense_step_once(monkeypatch):
-    # certify hands its one marked step's blocks, its one invariant basis
-    # and its one reduced step to every stage that needs them, builds the
-    # unmarked blocks once, and derives the walk terms once
+    # certify builds the step's two coin blocks once, and hands them, its
+    # one invariant basis and its one reduced step to every stage that
+    # needs them, and derives the walk terms once
     built = []
     bases = []
     walks = []
@@ -219,9 +287,9 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
     original_basis = validation.build_invariant_basis
     original_terms = reduced._walk_terms
 
-    def counting(params, marked=None):
-        built.append(marked)
-        return original(params, marked)
+    def counting(degree):
+        built.append(degree)
+        return original(degree)
 
     def counting_basis(params, marked):
         bases.append(marked)
@@ -238,7 +306,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
     marked = rank_vertex(p, (1, 3, 5))
     report = validation.certify(p, marked=marked)
     assert report.passed
-    assert built.count(None) == 1 and built.count(marked) == 1 and len(built) == 2
+    assert built == [p.degree]
     assert bases == [marked]
     assert walks == [p]
 
@@ -312,22 +380,36 @@ def _dense_unitarity(U):
 @pytest.mark.parametrize("n,k", BLOCK_INSTANCES)
 def test_step_blocks_are_the_dense_oracles_blocks(n, k):
     # the blocks gathered from the A x A step built column by column are
-    # the block form: bitwise unmarked; marked within 1e-16, since the
-    # oracle rounds its rank-1 update through an A-long matvec; and the
-    # oracle has no nonzero outside them
+    # the per-vertex blocks built from the definition: bitwise unmarked;
+    # marked within 1e-16, since the oracle rounds its rank-1 update through
+    # an A-long matvec; and the oracle has no nonzero outside them
     p = graph_params(n, k)
     opp = arc_pair_slots(p)[1]
     for marked, bound in ((None, 0.0), (p.num_vertices - 1, 1e-16)):
         U = dense.step(p, marked, opp)
         gathered = dense.blocks(p, U, opp)
-        blocks = validation._step_blocks(p, marked)
-        assert blocks.shape == (p.num_vertices, p.degree, p.degree)
-        assert blocks.dtype == np.float64
+        blocks = dense.vertex_blocks(p, marked)
         assert float(np.abs(gathered - blocks).max()) <= bound
         if marked is None:
             assert np.array_equal(gathered, blocks)
         assert np.count_nonzero(U) == np.count_nonzero(gathered)
         del U
+
+
+@pytest.mark.parametrize("n,k", BLOCK_INSTANCES)
+def test_vertex_blocks_are_grover_and_marked(n, k):
+    # the step holds two blocks, not N: every unmarked vertex's block built
+    # from the definition is G bitwise, and the marked vertex's is B_marked
+    p = graph_params(n, k)
+    grover, marked_block = validation._step_blocks(p.degree)
+    assert grover.shape == marked_block.shape == (p.degree, p.degree)
+    assert grover.dtype == marked_block.dtype == np.float64
+    for marked in (None, 0, p.num_vertices - 1):
+        blocks = dense.vertex_blocks(p, marked)
+        unmarked = np.arange(p.num_vertices) != marked
+        assert np.array_equal(blocks[unmarked], np.broadcast_to(grover, blocks[unmarked].shape))
+        if marked is not None:
+            assert np.array_equal(blocks[marked], marked_block)
 
 
 @pytest.mark.parametrize("n,k", BLOCK_INSTANCES)
@@ -342,13 +424,14 @@ def test_block_residuals_match_dense(n, k):
     p = graph_params(n, k)
     marked = p.num_vertices - 1
     opp = arc_pair_slots(p)[1]
-    for m in (None, marked):
-        blocks = validation._step_blocks(p, m)
-        residual = validation._unitarity_residual(blocks)
-        R = dense.from_blocks(p, blocks, np.arange(p.num_arcs))
+    blocks = validation._step_blocks(p.degree)
+    for m, held in ((None, blocks[:1]), (marked, blocks)):
+        per_vertex = dense.vertex_blocks(p, m)
+        residual = validation._unitarity_residual(*held)
+        R = dense.from_blocks(p, per_vertex, np.arange(p.num_arcs))
         assert residual == _dense_unitarity(R)
         del R
-    U = dense.from_blocks(p, blocks, opp)
+    U = dense.from_blocks(p, per_vertex, opp)
     if p.num_arcs < 2000:
         assert abs(residual - _dense_unitarity(U)) <= 4.5e-16
     basis = validation.build_invariant_basis(p, marked)
@@ -369,11 +452,13 @@ def test_block_residuals_match_dense(n, k):
 def test_unitarity_residual_in_place(n, k, marked):
     # bitwise the full Gram of blockdiag(B_v), and the blocks are left as they were
     p = graph_params(n, k)
-    blocks = validation._step_blocks(p, marked)
-    before = blocks.copy()
-    want = _dense_unitarity(dense.from_blocks(p, blocks, np.arange(p.num_arcs)))
-    assert validation._unitarity_residual(blocks) == want
-    assert np.array_equal(blocks, before)
+    blocks = validation._step_blocks(p.degree)
+    held = blocks[:1] if marked is None else blocks
+    before = [block.copy() for block in held]
+    per_vertex = dense.vertex_blocks(p, marked)
+    want = _dense_unitarity(dense.from_blocks(p, per_vertex, np.arange(p.num_arcs)))
+    assert validation._unitarity_residual(*held) == want
+    assert all(np.array_equal(block, copy) for block, copy in zip(held, before))
 
 
 def _column_by_column(params, marked=None):
@@ -400,10 +485,10 @@ def test_dense_step_from_engine_matches_column_loop(n, k):
     p = graph_params(n, k)
     frame = _frame(p)
     opp = arc_pair_slots(p)[1]
+    blocks = validation._step_blocks(p.degree)
     for marked in (None, p.num_vertices - 1):
-        blocks = validation._step_blocks(p, marked)
         residual = validation._engine_residual(p, frame, blocks, marked)
-        U = dense.from_blocks(p, blocks, opp)
+        U = dense.from_blocks(p, dense.vertex_blocks(p, marked), opp)
         columns = _column_by_column(p, marked)
         np.subtract(U, columns, out=columns)
         assert residual == float(np.abs(columns, out=columns).max())
@@ -418,7 +503,7 @@ def test_engine_residual_holds_no_arc_space_matrix(marked):
     # and its step would hold 2 A d and more
     p = graph_params(12, 4)
     frame = _frame(p)
-    blocks = validation._step_blocks(p, marked)
+    blocks = validation._step_blocks(p.degree)
     tracemalloc.start()
     try:
         residual = validation._engine_residual(p, frame, blocks, marked)
@@ -435,7 +520,7 @@ def test_engine_residual_sees_a_swapped_vertex_table(monkeypatch, marked):
     # bins, so a coin mean of 2/d lands on the wrong rows; certify's frame
     # takes the table from pair_vertex_table, and fails the engine checks
     p = graph_params(6, 3)
-    blocks = validation._step_blocks(p, marked)
+    blocks = validation._step_blocks(p.degree)
     table = pair_vertex_table(p).copy()
     first = (0, 0)
     second = tuple(np.argwhere(table != table[first])[0])
@@ -457,7 +542,7 @@ def test_engine_residual_sees_stray_entry(monkeypatch, marked):
     p = graph_params(6, 3)
     frame = _frame(p)
     slots = frame[1]
-    blocks = validation._step_blocks(p, marked)
+    blocks = validation._step_blocks(p.degree)
     assert validation._engine_residual(p, frame, blocks, marked) <= 1e-15
     original = arc_engine.apply_coin
 
@@ -496,48 +581,52 @@ def test_unitarity_residual_dense_orthogonal(size):
     # a block with no zeros, one block or a stack of them: every entry is
     # multiplied, the full product
     q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
-    assert abs(validation._unitarity_residual(q[None]) - _dense_unitarity(q)) <= 1e-15
-    stack = np.stack([q[:30, :30], q[-30:, -30:]])
+    assert abs(validation._unitarity_residual(q) - _dense_unitarity(q)) <= 1e-15
     want = max(_dense_unitarity(q[:30, :30]), _dense_unitarity(q[-30:, -30:]))
-    assert validation._unitarity_residual(stack) == want
+    assert validation._unitarity_residual(q[:30, :30], q[-30:, -30:]) == want
 
 
 def test_unitarity_residual_sees_stray_entry():
-    # a 1e-3 perturbation of one block entry shows in unitarity and in the
-    # engine comparison
+    # a 1e-3 perturbation of one entry of G, so of every unmarked vertex's
+    # block, shows in unitarity and in the engine comparison
     p = graph_params(6, 3)
-    blocks = validation._step_blocks(p, 7)
-    blocks[5, 2, 3] += 1e-3
-    residual = validation._unitarity_residual(blocks)
-    assert residual == _dense_unitarity(dense.from_blocks(p, blocks, np.arange(p.num_arcs)))
-    assert residual >= 7e-4  # Gram entry (3, 2) moves by 1e-3 * |B[2, 2]| = 7/9 * 1e-3
+    grover, marked_block = validation._step_blocks(p.degree)
+    grover[2, 3] += 1e-3
+    residual = validation._unitarity_residual(grover, marked_block)
+    per_vertex = dense.vertex_blocks(p, 7)
+    per_vertex[np.arange(p.num_vertices) != 7, 2, 3] += 1e-3
+    assert residual == _dense_unitarity(dense.from_blocks(p, per_vertex, np.arange(p.num_arcs)))
+    assert residual >= 7e-4  # Gram entry (3, 2) moves by 1e-3 * |G[2, 2]| = 7/9 * 1e-3
+    blocks = (grover, marked_block)
     assert validation._engine_residual(p, _frame(p), blocks, 7) >= 1e-3 - 1e-15
 
 
 def test_unitarity_residual_zero_column():
-    blocks = validation._step_blocks(graph_params(6, 3), 7)
-    blocks[16, :, 6] = 0.0
-    assert validation._unitarity_residual(blocks) == 1.0
+    grover, marked_block = validation._step_blocks(graph_params(6, 3).degree)
+    grover[:, 6] = 0.0
+    assert validation._unitarity_residual(grover, marked_block) == 1.0
 
 
 def test_unitarity_residual_zero_last_column():
-    blocks = validation._step_blocks(graph_params(6, 3), 7)
-    blocks[-1, :, -1] = 0.0
-    assert validation._unitarity_residual(blocks) == 1.0
+    grover, marked_block = validation._step_blocks(graph_params(6, 3).degree)
+    marked_block[:, -1] = 0.0
+    assert validation._unitarity_residual(grover, marked_block) == 1.0
 
 
 @pytest.mark.parametrize("where", ["structural zero", "nonzero", "last"])
 def test_unitarity_residual_nan_is_refused(where):
-    # "structural zero" is an off-diagonal entry of the marked block, which
-    # the rank-1 update sets to exactly 0; "nonzero" an entry of another block
+    # block 0 is G and block 1 B_marked; "structural zero" is an
+    # off-diagonal entry of B_marked, which the rank-1 update sets to
+    # exactly 0, and "nonzero" an entry of G
     p = graph_params(6, 3)
-    blocks = validation._step_blocks(p, 7)
-    index = {"structural zero": (7, 0, 1), "nonzero": (3, 4, 2), "last": (-1, -1, -1)}[where]
-    assert (blocks[index] == 0) == (where == "structural zero")
-    blocks[index] = np.nan
-    assert math.isnan(validation._unitarity_residual(blocks))
+    blocks = validation._step_blocks(p.degree)
+    which, *entry = {"structural zero": (1, 0, 1), "nonzero": (0, 4, 2),
+                     "last": (1, -1, -1)}[where]
+    assert (blocks[which][tuple(entry)] == 0) == (where == "structural zero")
+    blocks[which][tuple(entry)] = np.nan
+    assert math.isnan(validation._unitarity_residual(*blocks))
     assert math.isnan(validation._engine_residual(p, _frame(p), blocks, 7))
-    assert math.isnan(validation._det_modulus(blocks))
+    assert math.isnan(validation._det_residual(*blocks))
 
 
 def test_row_blocks_refuse_a_non_permutation():
@@ -548,7 +637,7 @@ def test_row_blocks_refuse_a_non_permutation():
     basis = validation.build_invariant_basis(p, 7)
     clash = basis.opposite.copy()
     clash[1] = clash[0]
-    blocks = validation._step_blocks(p, 7)
+    blocks = validation._step_blocks(p.degree)
     bad = dataclasses.replace(basis, opposite=clash)
     with pytest.raises(ValueError, match="not a permutation"):
         validation._step_basis(bad, blocks)
@@ -598,43 +687,49 @@ def _guard_full_det(monkeypatch, size):
 
 @pytest.mark.parametrize("n,k", [(7, 1), (6, 2), (8, 4), (9, 3), (10, 3)])
 def test_det_modulus_matches_full_lu(monkeypatch, n, k):
-    # the product of the block determinants against one LU of the A x A
-    # step built column by column; the LU rounds otherwise, so not bitwise
+    # |det U| = |det G|^(N-1) |det B_marked| against one LU of the A x A
+    # step built column by column (the LU rounds otherwise, so not
+    # bitwise), and the row is the larger distance of the two from 1
     p = graph_params(n, k)
     opp = arc_pair_slots(p)[1]
+    blocks = validation._step_blocks(p.degree)
+    with monkeypatch.context() as m:
+        shapes = _guard_full_det(m, p.num_arcs)
+        residual = validation._det_residual(*blocks)
+    assert shapes == [(2, p.degree, p.degree)]
+    grover, marked_block = (abs(np.linalg.det(block)) for block in blocks)
+    assert residual == max(abs(grover - 1.0), abs(marked_block - 1.0)) <= 1e-14
     for marked in (0, p.num_vertices - 1):
         full = abs(np.linalg.det(dense.step(p, marked, opp)))
-        with monkeypatch.context() as m:
-            shapes = _guard_full_det(m, p.num_arcs)
-            blocks = validation._det_modulus(validation._step_blocks(p, marked))
-        assert shapes == [(p.num_vertices, p.degree, p.degree)]
-        assert abs(blocks - full) <= 1e-13
+        assert abs(grover ** (p.num_vertices - 1) * marked_block - full) <= 1e-13
 
 
 @pytest.mark.parametrize("n,k,marked,where", [(6, 3, 7, "in a block"), (10, 3, 5, "in a block")])
 def test_det_modulus_nan_is_refused(n, k, marked, where):
-    # at the last row of the first block; LAPACK's LU can take a NaN for a
-    # zero pivot and return det 0
+    # at the last row of G and then of B_marked; LAPACK's LU can take a NaN
+    # for a zero pivot and return det 0
     p = graph_params(n, k)
-    blocks = validation._step_blocks(p, marked)
-    blocks[0, p.degree - 1, 0] = np.nan
-    residuals = validation.verify_dense_step(p, marked, _frame(p), blocks)
-    assert math.isnan(residuals["marked_step_det_modulus"])
+    for which in (0, 1):
+        blocks = validation._step_blocks(p.degree)
+        blocks[which][p.degree - 1, 0] = np.nan
+        residuals = validation.verify_dense_step(p, marked, _frame(p), blocks)
+        assert math.isnan(residuals["marked_step_det_modulus"])
 
 
 def test_det_modulus_sees_scaled_block_column():
     p = graph_params(6, 3)
-    blocks = validation._step_blocks(p, 7)
-    blocks[5, :, 1] *= 0.5  # one column of one block, so |det| = 0.5
-    residuals = validation.verify_dense_step(p, 7, _frame(p), blocks)
-    assert abs(residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
+    for which in (0, 1):
+        blocks = validation._step_blocks(p.degree)
+        blocks[which][:, 1] *= 0.5  # one column of G or of B_marked, so its |det| = 0.5
+        residuals = validation.verify_dense_step(p, 7, _frame(p), blocks)
+        assert abs(residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
 
 
 def test_certify_takes_no_full_lu(monkeypatch):
     p = graph_params(10, 3)
     shapes = _guard_full_det(monkeypatch, p.num_arcs)
     assert validation.certify(p, marked=rank_vertex(p, (1, 4, 7))).passed
-    assert shapes == [(p.num_vertices, p.degree, p.degree)]
+    assert shapes == [(2, p.degree, p.degree)]
 
 
 def _nan_at_second_call(original):
@@ -651,7 +746,7 @@ def _nan_at_second_call(original):
     ("verify_eigenbasis", spectral, "eigenphase", "walk_eigenrelation"),
     ("verify_eigenbasis", spectral, "eigenvalue", "lift_norm_identities"),
     ("verify_spectral_closed_forms", spectral, "eigenvalue", "quotient_eigenvalues"),
-    ("verify_spectral_closed_forms", spectral, "projector_weight", "projector_weights"),
+    ("verify_spectral_closed_forms", spectral, "projector_weight", "local_weights"),
     ("verify_subspace_invariance", arc_engine, "apply_oracle", "oracle_action_identities"),
 ])
 def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, name, check):
@@ -662,7 +757,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     args = {"verify_eigenbasis": (basis, _frame(p)),
             "verify_spectral_closed_forms": (basis,),
             "verify_subspace_invariance": (
-                basis, validation._step_basis(basis, validation._step_blocks(p, 0)))}[stage]
+                basis, validation._step_basis(basis, validation._step_blocks(p.degree)))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -684,7 +779,7 @@ def test_certify_checks_available_memory(monkeypatch):
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
     assert validation.certify(p).passed
     # where memory cannot be read, the words are counted against the cap
-    big = graph_params(20, 3)
+    big = graph_params(40, 3)
     assert validation._battery_words(big) > arc_engine._UNMEASURED_CAPACITY
     with pytest.raises(CapacityError, match="cannot be read"):
         validation.certify(big)
@@ -692,9 +787,9 @@ def test_certify_checks_available_memory(monkeypatch):
 
 def _certify_peak_within_model(n, k, marked):
     p = graph_params(n, k)
-    A, d, columns = p.num_arcs, p.degree, 2 * k + 1
+    A, columns = p.num_arcs, 2 * k + 1
     basis = validation.build_invariant_basis(p, marked)
-    blocks = validation._step_blocks(p, marked)
+    blocks = validation._step_blocks(p.degree)
     step, _ = validation._reduced_step(p)
     tracemalloc.start()
     try:
@@ -711,14 +806,15 @@ def _certify_peak_within_model(n, k, marked):
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert 8 * validation._STEP_WORDS * A * d <= peak <= 8 * validation._battery_words(p)
+    assert 0.9 * 8 * validation._BASIS_WORDS * A * columns <= peak
+    assert peak <= 8 * validation._battery_words(p)
 
 
 def test_certify_peak_memory_matches_model():
-    # the byte check's model bounds the traced peak, and its step term,
-    # _STEP_WORDS arrays of A x d words, is really held at once; U B, formed
-    # from the marked blocks, and the two stages that read it add only
-    # basis-sized arrays
+    # the byte check's model bounds the traced peak, and its basis term,
+    # _BASIS_WORDS words per arc and basis column, is nearly all held at
+    # once; U B, formed from the two blocks, and the two stages that read
+    # it add only basis-sized arrays
     for n, k, marked in ((10, 3, 5), (8, 4, 3), (12, 4, 7)):
         _certify_peak_within_model(n, k, marked)
 
@@ -734,8 +830,10 @@ def test_certify_fails_impossible_tolerance():
 
 
 def test_certify_capacity_error():
-    with pytest.raises(CapacityError):
-        validation.certify(graph_params(40, 3))
+    # J(200,3) counts about 484 GB, refused by the memory rule before
+    # anything is allocated
+    with pytest.raises(CapacityError, match="available memory"):
+        validation.certify(graph_params(200, 3))
 
 
 def test_quotient_mismatch_is_a_reported_residual(monkeypatch):
@@ -760,13 +858,13 @@ def test_quotient_mismatch_is_a_reported_residual(monkeypatch):
 
 
 def test_quotient_residual_small_on_every_admitted_instance():
-    # the quotient alone, on every J(n,k) with n <= 40 that the dense
-    # oracles admit
+    # the quotient alone, on every J(n,k) with n <= 40 and at most 5,000
+    # vertices
     worst = 0.0
     for n in range(3, 41):
         for k in range(1, n // 2 + 1):
             p = graph_params(n, k)
-            if p.num_vertices > validation.DENSE_VERTEX_CAPACITY:
+            if p.num_vertices > 5000:
                 break
             closed = np.array([spectral.eigenvalue(p, l) for l in range(k + 1)], dtype=float)
             residual = float(np.abs(validation._quotient_eigh(p)[0] - closed).max())
