@@ -7,6 +7,7 @@ precision, and an output that cannot be written), 3 capacity refusal.
 """
 
 import argparse
+import gc
 import math
 import sys
 from typing import Optional
@@ -14,6 +15,11 @@ from typing import Optional
 from . import arc_engine, reduced, reports, spectral, validation
 from .errors import CapacityError, PrecisionError
 from .johnson import graph_params, rank_vertex
+
+# the ~26,600 objects the imports made are never garbage; leaving them out of
+# every later collection, the exit's included, cut the exit of a `sweep --k 2`
+# process from 26-28 ms to 6.5-7.5 ms (median of 9, one pinned CPU)
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1

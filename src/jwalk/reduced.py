@@ -75,16 +75,20 @@ so the result is that scan's, bit for bit: on J(10^6, 2) one block of 384,
 and on J(10^12, 2) 331 of 383,495,197.
 
 Precision: a root good to 40 digits keeps theta*t good to about 1e-33 at
-t = 10^6.  The block evaluator reduces every theta*t modulo 2 pi in
-mpmath before rounding it to longdouble, so the error of p(t) does not
-grow with t, and sums the 2k+1 terms in extended precision.  That error is
-absolute, about one longdouble rounding of terms up to about 1/2 in
-modulus, so p is good to about one double rounding only near the peak;
-where p is small the sum cancels and p's relative error grows like 1/p
-(in a J(4000, 3) series sampled against 60 digits, 25 ulp at
-p = 3.6e-9).  On J(10^6, 2) the scan's p(t_run) equals a 60-digit
-evaluation to the last bit, while the tests' arc-class walk, iterated in
-longdouble, differs by 4.0e-15, its own drift over 785,398 steps.
+t = 10^6.  The block evaluator reads each root as the binary fraction it
+is and reduces theta*t modulo 2 pi in Python integers, against 2 pi
+rounded 64 bits below the product's last bit, before rounding the angle
+to longdouble (``_rotations``).  The rotation is then that of the exact
+product at any t, equal to a 150-digit reduction bit for bit, so the
+error of p(t) does not grow with t; the 2k+1 terms are summed in
+extended precision.  That error is absolute, about one longdouble
+rounding of terms up to about 1/2 in modulus, so p is good to about one
+double rounding only near the peak; where p is small the sum cancels and
+p's relative error grows like 1/p (in a J(4000, 3) series sampled against
+60 digits, 25 ulp at p = 3.6e-9).  On J(10^6, 2) the scan's p(t_run)
+equals a 60-digit evaluation to the last bit, while the tests' arc-class
+walk, iterated in longdouble, differs by 4.0e-15, its own drift over
+785,398 steps.
 """
 
 import math
@@ -173,14 +177,31 @@ def _ld(values) -> np.ndarray:
 
 
 def _rotations(roots: tuple, times) -> np.ndarray:
-    """e^{i theta t} in clongdouble, one row per t, with theta*t mod 2 pi in mpmath.
+    """e^{i theta t} in clongdouble, one row per t, with theta*t mod 2 pi in integers.
 
-    Each angle is reduced at the working digits; the angles' two leading
-    doubles are then rounded to longdouble as two arrays and one add.
+    Every root is an integer over 2**scale, scale the largest of their
+    negated binary exponents, so theta*t is exact.  It is reduced by one
+    multiply and one % against 2 pi rounded to bit_length(max t) + 64 bits
+    below that scale, which puts the reduction's error below 2**-64 of the
+    roots' own last unit.  The residue's two nearest doubles come from int
+    true division, and are rounded to longdouble as two arrays and one add.
     """
-    with mpmath.workdps(spectral._MP_DPS):
-        turn = 2 * mpmath.pi
-        angles = _ld([theta * t % turn for t in times for theta in roots])
+    times = [int(t) for t in times]  # a numpy integer has no bit_length, and overflows
+    exact = [(-man if sign else man, exp)
+             for sign, man, exp, _ in (theta._mpf_ for theta in roots)]
+    bits = max(0, -min(exp for _, exp in exact)) + max(times).bit_length() + 64
+    turn = mpmath.libmp.pi_fixed(bits + 1)  # floor(2 pi * 2**bits)
+    scaled = [man << (exp + bits) for man, exp in exact]
+    one = 1 << bits
+    hi, lo = [], []
+    for t in times:
+        for theta in scaled:
+            residue = theta * t % turn
+            lead = residue / one
+            num, den = lead.as_integer_ratio()
+            hi.append(lead)
+            lo.append((residue - (num << bits) // den) / one)
+    angles = np.array(hi, dtype=np.longdouble) + np.array(lo, dtype=np.longdouble)
     return np.exp(1j * angles.reshape(len(times), len(roots)))
 
 

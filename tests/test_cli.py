@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import dataclasses
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jwalk
 from jwalk import arc_engine, cli, reduced, validation
 from jwalk.johnson import graph_params
 from run_csv import read_run_rows
@@ -15,6 +21,27 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_freezes_the_heap():
+    # in a fresh interpreter the import-time heap leaves every later collection
+    path = [str(Path(jwalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import gc, jwalk.cli; print(gc.get_freeze_count())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(done.stdout) > 0
+
+
+def test_main_leaves_the_frozen_heap_alone(capsys):
+    # the freeze is the import's, once per process: main() freezes nothing of
+    # its own (a first call may still untrack a few frozen tuples)
+    argv = ("sweep", "--k", "2", "--n-list", "100")
+    assert run_cli(capsys, *argv)[0] == 0
+    before = gc.get_freeze_count()
+    for _ in range(2):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_spectrum_json(capsys):

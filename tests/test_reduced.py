@@ -281,7 +281,7 @@ def test_scan_within_one_rounding_of_60_digits(monkeypatch):
 
 
 def test_rotation_angles_reduced_before_rounding():
-    # theta*t is taken mod 2 pi in mpmath, so e^{i theta t} at t = 10^15 is
+    # theta*t is reduced mod 2 pi exactly, so e^{i theta t} at t = 10^15 is
     # as accurate as at t = 1
     roots = reduced.spectrum(graph_params(100, 2)).roots
     times = [1, 10 ** 15]
@@ -383,19 +383,56 @@ def test_roots_cost_few_evaluations(n, k, bound, monkeypatch):
 
 
 def test_rotations_round_each_angle_once():
-    # theta*t mod 2 pi to its two leading doubles, summed once in longdouble
-    roots = reduced.spectrum(graph_params(4000, 3)).roots
-    times = [0, 1, 4095, 10 ** 15]
+    # theta*t mod 2 pi to its two leading doubles, summed once in longdouble,
+    # equals the exact reduction (150 digits hold theta*t exactly) bit for bit:
+    # at a sweep's largest t on J(10^12, 2), on J(100, 16)'s 33 roots, tiny ones
+    # among them, and at the 136-bit numbers beside pi, whose residues at even
+    # t lie within t*1e-40 of 2 pi (below) or of 0 (above), where 2 pi rounded
+    # without the 64-bit guard would show
     def ld(x):
         hi = float(x)
         return np.longdouble(hi) + np.longdouble(float(x - hi))
 
+    cases = [(reduced.spectrum(graph_params(n, k)).roots, [0, 1, 4095, 10 ** 15])
+             for n, k in [(4000, 3), (100, 16), (50, 1)]]
+    p = graph_params(10 ** 12, 2)
+    t_run = spectral.run_time(p).t_run
+    cases.append((reduced.spectrum(p).roots, [2 * t_run - 1, 2 * t_run, 2 * t_run + 1]))
     with mpmath.workdps(spectral._MP_DPS):
-        angles = [[ld(theta * t % (2 * mpmath.pi)) for theta in roots] for t in times]
-    expected = np.exp(1j * np.array(angles))
-    got = reduced._rotations(roots, times)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert np.array_equal(got.real, expected.real) and np.array_equal(got.imag, expected.imag)
+        below = +mpmath.pi
+    with mpmath.workdps(60):
+        above = mpmath.ldexp(mpmath.ceil(mpmath.ldexp(mpmath.pi, 134)), -134)
+    cases.append(((below, above), [10 ** 15, 10 ** 15 + 1, 2 * 10 ** 15]))
+    for roots, times in cases:
+        with mpmath.workdps(150):
+            angles = [[ld(theta * t % (2 * mpmath.pi)) for theta in roots] for t in times]
+        expected = np.exp(1j * np.array(angles))
+        got = reduced._rotations(roots, times)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got.real, expected.real) and np.array_equal(got.imag, expected.imag)
+
+
+def test_numpy_integer_times_match_python_ints():
+    # a t from numpy arithmetic is reduced as the Python int it equals
+    p = graph_params(100, 2)
+    t_run = spectral.run_time(p).t_run
+    assert reduced.sweep_point(p, np.int64(t_run)) == reduced.sweep_point(p, t_run)
+    assert np.array_equal(reduced.evolve_series(p, np.int64(1001), np.int64(7)).p_succ,
+                          reduced.evolve_series(p, 1001, 7).p_succ)
+
+
+@pytest.mark.parametrize("n,k,stride", [(100, 2, 1), (100, 16, 1), (4000, 3, 1000)])
+def test_tables_take_mpmath_work_per_root(n, k, stride, monkeypatch):
+    # the 64 coarse and 64 fine rotations of a root are reduced in integers;
+    # mpmath only rounds the amplitudes, a few operations per root
+    spec = reduced.spectrum(graph_params(n, k))
+    mpf = type(mpmath.mpf(1))
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__mod__", "__float__"):
+        method = getattr(mpf, name)
+        monkeypatch.setattr(mpf, name, lambda *a, _m=method: calls.append(a) or _m(*a))
+    reduced._tables(spec, stride)
+    assert 0 < len(calls) <= 8 * len(spec.roots)
 
 
 def test_norm_drift_over_one_million_steps():
