@@ -159,11 +159,17 @@ def pair_vertex_table(params: GraphParams) -> np.ndarray:
     emitted in that (x, a) order.  It is the vertex map of the pair layout,
     where an arc u -> v sits at (position of u - v, position of v - u,
     u ∩ v); the scalar :func:`rank_vertex` is its independent oracle.
+    """
+    return _pair_layout(params)[0]
 
-    The complement element s has c = s - 1 - j elements of a below it, so
-    in the colex rank of a ∪ {s} the elements of a below s keep their
-    places, s takes place c + 1, and those above move up one place: a
-    prefix sum over a's terms, C(s - 1, c + 1), and a suffix sum.
+
+def _pair_layout(params: GraphParams) -> tuple:
+    """:func:`pair_vertex_table`, and the c = s - 1 - j of each entry, both in (j, a) order.
+
+    The j-th complement element s of a has c = s - 1 - j elements of a
+    below it, so in the colex rank of a ∪ {s} the elements of a below s
+    keep their places, s takes place c + 1, and those above move up one
+    place: a prefix sum over a's terms, C(s - 1, c + 1), and a suffix sum.
     """
     n, k = params.n, params.k
     m = n - k + 1
@@ -190,7 +196,7 @@ def pair_vertex_table(params: GraphParams) -> np.ndarray:
     c -= 1
     table += np.take_along_axis(below.T, c, axis=0)
     table += np.take_along_axis(above.T, c, axis=0)
-    return table
+    return table, c
 
 
 def arc_pair_slots(params: GraphParams) -> tuple:
@@ -210,14 +216,11 @@ def arc_pair_slots(params: GraphParams) -> tuple:
     """
     n, k = params.n, params.k
     m = n - k + 1
-    subsets = _colex_subsets(n, k - 1)
-    rows = len(subsets)
-    free = np.ones((rows, n), dtype=bool)
-    free[np.arange(rows)[:, None], subsets - 1] = False
-    below = (np.nonzero(free)[1].reshape(rows, m) - np.arange(m)).T   # c of each s_x
+    tails, below = _pair_layout(params)                # below: c of each s_x
     x, y = np.arange(m)[:, None, None], np.arange(m)[:, None]
-    arcs = (params.degree * pair_vertex_table(params) + (n - k) * below)[:, None, :] \
+    arcs = (params.degree * tails + (n - k) * below)[:, None, :] \
         + (y - (x < y))                                # (m, m, C); x = y is no arc
+    del tails, below
     off = np.broadcast_to(x != y, arcs.shape)
     held = arcs[off]
     slots = np.empty_like(held)

@@ -15,7 +15,7 @@ at any time is |w . coords|**2.
 
 The walk phases and the weights w_j**2 are derived once, at
 ``spectral._MP_DPS`` (40) digits, from the integer eigenvalues and the
-exact Fraction projector weights (``_walk_terms``).  Every quantity below
+exact Fraction projector weights (``spectral.walk_terms``).  Every quantity below
 comes from them, and nothing here forms or iterates a step matrix:
 ``jwalk.validation`` rounds the same terms once into the step matrix it
 compares with the compression of the explicit step, and the tests certify
@@ -31,18 +31,15 @@ equation (Golub 1973; Bunch, Nielsen and Sorensen 1978)
 f falls from +inf to -inf between consecutive walk phases, counting the
 gap that wraps through pi, so each of the 2k+1 gaps holds exactly one
 root.  ``spectrum`` finds it at the working digits, from the derived
-phases and weights, by one safeguarded iteration per gap: Newton on f
-with the gap's two poles deflated, h = f sin((theta - lo)/2)
-sin((hi - theta)/2), inside a bracket that the sign of f moves.  Each
-iterate costs one evaluation of the 2k+1 cotangents, and a root takes at
-most 7 (5.0 per root on J(100, 2), 4.2 on J(1000, 8)).  Near a walk phase of small weight w_l**2 the root sits about
-2 w_l**2 / |rest of f| from it; an iterate that Newton throws past that
-pole restarts from this first-order root.  The two roots beside the
-phase 0, about +-sqrt(2 k!) n**(-k/2) from it, start from the leading term
-of f there.  A root that lies within 2**24 rounding units of its pole is
-refused with PrecisionError (``sweep --k 4`` at n = 10**12, ``--k 8`` at
-n = 10**6, ``--k 20`` at n = 1000), as is one that does not settle
-within _MAX_NEWTON iterations or leaves its gap.  The eigenvector
+phases and weights, by one safeguarded, pole-deflated Newton iteration
+per gap (``_secular_root``); each iterate costs one evaluation of the
+2k+1 cotangents, and a root takes at most 7 (5.0 per root on J(100, 2),
+4.2 on J(1000, 8)).  The two roots beside the phase 0, about
++-sqrt(2 k!) n**(-k/2) from it, start from the leading term of f there.
+A root that lies within 2**24 rounding units of its pole is refused with
+PrecisionError (``sweep --k 4`` at n = 10**12, ``--k 8`` at n = 10**6,
+``--k 20`` at n = 1000), as is one that does not settle within
+_MAX_NEWTON iterations or leaves its gap.  The eigenvector
 v_m = (e^{i theta_m} - D)^{-1} D w gives the start state's amplitudes in
 closed form, and
 
@@ -72,7 +69,8 @@ blocks of t_run and of the maxima of |S|, any t where
 remain form one interval per period of |S|, solved with acos in mpmath.
 Each block is computed by the same evaluator as in a scan of every block,
 so the result is that scan's, bit for bit: on J(10^6, 2) one block of 384,
-and on J(10^12, 2) 331 of 383,495,197.
+and on J(10^12, 2) 331 of 383,495,197.  A window of more than _MAX_BLOCKS
+blocks, such as J(10^12, 3)'s 190,107,929, is refused with CapacityError.
 
 Precision: a root good to 40 digits keeps theta*t good to about 1e-33 at
 t = 10^6.  The block evaluator reads each root as the binary fraction it
@@ -99,7 +97,7 @@ import numpy as np
 
 from . import arc_engine, spectral
 from .arc_engine import Series
-from .errors import PrecisionError
+from .errors import CapacityError, PrecisionError
 from .johnson import GraphParams
 
 __all__ = [
@@ -121,6 +119,9 @@ _MAX_NEWTON = 20
 # rounding of the amplitudes and rotations; a larger value only adds blocks
 _MARGIN = mpmath.mpf(2) ** -40
 
+# blocks a sweep point may evaluate, at about 0.3 ms each
+_MAX_BLOCKS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class SecularSpectrum:
@@ -131,26 +132,6 @@ class SecularSpectrum:
     roots: tuple        # eigenphase theta_m in the gap above phases[m]
     amplitudes: tuple   # a_m, with p(t) = |sum_m a_m e^{i theta_m t}|**2
     norm: object        # start-state norm in the eigen-expansion, sqrt(sum_m |c_m|**2)
-
-
-def _walk_terms(params: GraphParams) -> tuple:
-    """The walk phases and the weights w_j**2 at ``spectral._MP_DPS`` digits.
-
-    Phases ascend, -omega_k..-omega_1, 0, omega_1..omega_k with
-    omega_l = acos(lambda_l / degree); each of +-omega_l weighs half the
-    level-l projector weight, and 0 the level-0 weight.  Both come from
-    the integer eigenvalues and the exact Fraction weights.
-    """
-    k = params.k
-    with mpmath.workdps(spectral._MP_DPS):
-        omegas = [mpmath.acos(mpmath.mpf(spectral.eigenvalue(params, l)) / params.degree)
-                  for l in range(1, k + 1)]
-        exact = [spectral.projector_weight_exact(params, l) for l in range(k + 1)]
-        squares = [mpmath.mpf(f.numerator) / f.denominator for f in exact]
-        phases = [-omega for omega in reversed(omegas)] + [mpmath.mpf(0)] + omegas
-        weights = [s / 2 for s in reversed(squares[1:])] + [squares[0]] \
-            + [s / 2 for s in squares[1:]]
-    return phases, weights
 
 
 def evolve_series(params: GraphParams, steps: int, stride: int = 1) -> Series:
@@ -284,11 +265,11 @@ def _next_to_zero(phases: list, weights: list, k: int):
 def spectrum(params: GraphParams) -> SecularSpectrum:
     """Eigenphases and start-state amplitudes of the marked step, in mpmath.
 
-    Solved at ``spectral._MP_DPS`` digits from :func:`_walk_terms`, never
-    from a step matrix.  The two gaps beside the phase 0 start from
+    Solved at ``spectral._MP_DPS`` digits from :func:`jwalk.spectral.walk_terms`,
+    never from a step matrix.  The two gaps beside the phase 0 start from
     :func:`_next_to_zero`, the others from their midpoints.
     """
-    phases, weights = _walk_terms(params)
+    phases, weights = spectral.walk_terms(params)
     k = params.k
     with mpmath.workdps(spectral._MP_DPS):
         near = _next_to_zero(phases, weights, k)
@@ -321,7 +302,7 @@ def _blocks(spec: SecularSpectrum, steps: int, stride: int):
     for start in range(0, last + 1, SCAN_CHUNK * stride):
         yield start, _block(spec, tables, start, (last - start) // stride + 1)
     if last != steps:
-        yield steps, _abs2((tables[0] * _rotations(spec.roots, [steps])).sum(axis=1))
+        yield steps, _block(spec, tables, steps, 1)
 
 
 def _tables(spec: SecularSpectrum, stride: int) -> tuple:
@@ -343,10 +324,7 @@ def _block(spec: SecularSpectrum, tables: tuple, start: int, count: int) -> np.n
     """
     amplitudes, coarse, fine = tables
     coeffs = amplitudes * _rotations(spec.roots, [start])[0]
-    return _abs2(np.dot(coarse * coeffs, fine).reshape(-1)[:count])
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
+    z = np.dot(coarse * coeffs, fine).reshape(-1)[:count]
     return (z.real * z.real + z.imag * z.imag).astype(np.float64)
 
 
@@ -413,12 +391,13 @@ def _window(bound: _TwoTermBound, p_best: float, steps: int) -> list:
     return intervals
 
 
-def _merged(ranges: list):
-    """Each index of the inclusive ranges once, in increasing order."""
-    following = 0
+def _merged(ranges: list) -> list:
+    """Each index of the inclusive ranges once, in increasing order, as disjoint ranges."""
+    following, spans = 0, []
     for lo, hi in sorted(ranges):
-        yield from range(max(lo, following), hi + 1)
+        spans.append(range(max(lo, following), hi + 1))
         following = max(following, hi + 1)
+    return spans
 
 
 def sweep_point(params: GraphParams, t_run: int) -> tuple:
@@ -433,6 +412,8 @@ def sweep_point(params: GraphParams, t_run: int) -> tuple:
     two-term bound lets p reach p_best - 2**-40 (``_window``).  Each block
     is evaluated once by the scan's own evaluator, and they are visited in
     increasing t with a strict comparison, so ``t_opt`` is the first maximum.
+    A window of more than _MAX_BLOCKS blocks is refused with CapacityError
+    once the seed blocks are evaluated, before any other.
     """
     if t_run < 0:
         raise ValueError("t_run must be >= 0")
@@ -449,8 +430,14 @@ def sweep_point(params: GraphParams, t_run: int) -> tuple:
     done = {index: evaluate(index) for index in seeds}
     p_best = max(float(p.max()) for p in done.values())
     ranges = [(lo // SCAN_CHUNK, hi // SCAN_CHUNK) for lo, hi in _window(bound, p_best, steps)]
+    spans = _merged(ranges + [(index, index) for index in seeds])
+    blocks = sum(map(len, spans))
+    if blocks > _MAX_BLOCKS:
+        raise CapacityError(f"sweep of J({params.n},{params.k}) needs {blocks} blocks of "
+                            f"{SCAN_CHUNK} values, above the {_MAX_BLOCKS} allowed; "
+                            "sweep a smaller n or k")
     p_run = t_opt = p_max = None
-    for index in _merged(ranges + [(index, index) for index in seeds]):
+    for index in (index for span in spans for index in span):
         p = done.pop(index) if index in done else evaluate(index)
         start = index * SCAN_CHUNK
         if start <= t_run < start + len(p):

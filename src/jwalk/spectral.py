@@ -5,16 +5,16 @@ The adjacency operator has k+1 distinct integer eigenvalues
     lambda_l = (k - l)(n - k - l) - l,       l = 0..k,
 
 with multiplicity C(n, l) - C(n, l-1).  The squared overlap of any vertex
-state with the eigenspace projector ("projector weight") has two closed
-forms, both exact rationals; they are computed with Fraction arithmetic
-and must agree identically.  The coin walk restricted to the search's
+state with the eigenspace projector ("projector weight") is the exact
+rational multiplicity / N.  The coin walk restricted to the search's
 invariant subspace has eigenphases omega_l = arccos(lambda_l / degree).
+They, the walk terms of :func:`walk_terms` and the schedule are derived
+here only, at _MP_DPS (40) digits, and each float is rounded once.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Optional
 
 import mpmath
@@ -32,6 +32,7 @@ __all__ = [
     "eigenphase",
     "spectral_table",
     "run_time",
+    "walk_terms",
 ]
 
 _MP_DPS = 40
@@ -76,32 +77,19 @@ def multiplicity(params: GraphParams, level: int) -> int:
 
 
 def projector_weight_exact(params: GraphParams, level: int) -> Fraction:
-    """Squared norm of the eigenspace projection of a vertex state, exact.
+    """Squared norm of the eigenspace projection of a vertex state, exact: multiplicity / N.
 
-    Evaluates both closed forms, multiplicity/N and the factorial ratio
-    k!(n-k)!(n-2l+1) / (l!(n-l+1)!), and insists they agree.
+    The tests hold it equal to the factorial ratio k!(n-k)!(n-2l+1) / (l!(n-l+1)!).
     """
-    _check_level(params, level)
-    n, k, l = params.n, params.k, level
-    by_multiplicity = Fraction(multiplicity(params, level), params.num_vertices)
-    # (n-k)!/(n-l+1)! telescoped to keep operands small at large n
-    denominator = factorial(l)
-    for j in range(n - k + 1, n - l + 2):
-        denominator *= j
-    by_factorials = Fraction(factorial(k) * (n - 2 * l + 1), denominator)
-    if by_multiplicity != by_factorials:
-        raise AssertionError(
-            f"projector weight closed forms disagree at level {l}: "
-            f"{by_multiplicity} vs {by_factorials}")
-    return by_multiplicity
+    return Fraction(multiplicity(params, level), params.num_vertices)
 
 
 def projector_weight(params: GraphParams, level: int) -> float:
     return float(projector_weight_exact(params, level))
 
 
-def eigenphase(params: GraphParams, level: int) -> float:
-    """arccos(lambda_l / degree) in (0, pi) for levels 1..k."""
+def _omega(params: GraphParams, level: int):
+    """acos(lambda_l / degree) at _MP_DPS digits, an mpf in (0, pi), for levels 1..k."""
     _check_level(params, level)
     if level == 0:
         raise ValueError("level 0 has walk eigenvalue 1 and no phase")
@@ -109,7 +97,31 @@ def eigenphase(params: GraphParams, level: int) -> float:
     if lam <= -params.degree:
         raise DegenerateInstanceError(
             f"eigenvalue {lam} at level {level} is not above -degree")
-    return math.acos(lam / params.degree)
+    with mpmath.workdps(_MP_DPS):
+        return mpmath.acos(mpmath.mpf(lam) / params.degree)
+
+
+def eigenphase(params: GraphParams, level: int) -> float:
+    """arccos(lambda_l / degree) in (0, pi) for levels 1..k, rounded once from _MP_DPS digits."""
+    return float(_omega(params, level))
+
+
+def walk_terms(params: GraphParams) -> tuple:
+    """The walk phases and the weights w_j**2 at _MP_DPS digits, as mpfs.
+
+    Phases ascend, -omega_k..-omega_1, 0, omega_1..omega_k, each omega_l
+    the value :func:`eigenphase` rounds; each of +-omega_l weighs half the
+    level-l projector weight, and 0 the level-0 weight.
+    """
+    k = params.k
+    omegas = [_omega(params, l) for l in range(1, k + 1)]
+    with mpmath.workdps(_MP_DPS):
+        exact = [projector_weight_exact(params, l) for l in range(k + 1)]
+        squares = [mpmath.mpf(f.numerator) / f.denominator for f in exact]
+        phases = [-omega for omega in reversed(omegas)] + [mpmath.mpf(0)] + omegas
+        weights = [s / 2 for s in reversed(squares[1:])] + [squares[0]] \
+            + [s / 2 for s in squares[1:]]
+    return phases, weights
 
 
 def spectral_table(params: GraphParams) -> list:
@@ -132,19 +144,19 @@ def spectral_table(params: GraphParams) -> list:
 
 
 def run_time(params: GraphParams) -> Schedule:
-    """Measurement step floor(pi * n**(k/2) / (2 sqrt(2 k!))).
+    """Measurement step floor(x), x = pi * n**(k/2) / (2 sqrt(2 k!)).
 
-    The floor argument is evaluated with 40 significant digits so that
-    double rounding near an integer boundary cannot flip the result.
+    x is evaluated with _MP_DPS significant digits, so that double
+    rounding near an integer boundary cannot flip the floor, and the
+    leading phase pi / (2x) = sqrt(2 k!) n**(-k/2) and 1/sqrt(n) are
+    rounded once from the same digits.
     """
     n, k = params.n, params.k
     with mpmath.workdps(_MP_DPS):
         x = mpmath.pi * mpmath.sqrt(mpmath.mpf(n) ** k)
         x /= 2 * mpmath.sqrt(2 * mpmath.factorial(k))
-        t_run = int(mpmath.floor(x))
-    eps = n ** -0.5
-    return Schedule(
-        t_run=t_run,
-        epsilon=eps,
-        target_phase=math.sqrt(2 * factorial(k)) * eps ** k,
-    )
+        return Schedule(
+            t_run=int(mpmath.floor(x)),
+            epsilon=float(1 / mpmath.sqrt(n)),
+            target_phase=float(mpmath.pi / (2 * x)),
+        )

@@ -27,14 +27,15 @@ vertex-transitive, hence walk-regular, so the projector weights read from
 the Jacobi matrix are m_l / N and certify the multiplicities too.
 
 ``certify`` builds the basis (which carries the closed form's arc
-reversal), the step's two coin blocks, their image U B of the basis,
-and the reduced step matrix and target once, and runs six stages on them.
-The reduced step is rounded entry by entry, once, from the 40-digit walk
-terms that the spectrum is solved from (``reduced._walk_terms``); it is
-built here only, to be compared.  Each ``verify_*`` stage takes what it
-reads as required arguments, the instance and marked vertex from the
-basis where it takes one, and returns its residuals by name; ``certify``
-alone compares them with the tolerance, so no check raises.  The
+reversal), the step's two coin blocks, their image U B of the basis and
+its compression B^H (U B), and the reduced step matrix and target once,
+and runs six stages on them.  The reduced step is rounded entry by entry,
+once, from the 40-digit walk terms that the spectrum is solved from
+(``spectral.walk_terms``); it is built here only, to be compared.
+Each ``verify_*`` stage takes what it reads as required arguments, the
+instance and marked vertex from the basis where it takes one, and
+returns its residuals by name; ``certify`` alone compares them with the
+tolerance, so no check raises.  The
 quotient eigenvalues the basis is built from are kept in it, and the
 spectral stage reports their distance from the closed forms like any
 other residual.
@@ -81,7 +82,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from . import arc_engine, reduced, spectral
+from . import arc_engine, spectral
 from .johnson import (GraphParams, _colex_subsets, arc_pair_slots, intersection_numbers,
                       pair_vertex_table, shell_size, unrank_vertex)
 
@@ -240,7 +241,6 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     marked_in = ((dist_t == 1) & (dist_h == 0)).astype(float)
 
     quotient_eigenvalues, eigvecs = _quotient_eigh(params)
-    closed = [spectral.eigenvalue(params, l) for l in range(k + 1)]
     sizes = np.array([shell_size(params, l) for l in range(k + 1)], dtype=float)
     proj_w = []
     for l in range(k + 1):
@@ -258,7 +258,7 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     p0 = np.linalg.norm(proj_w[0])
     basis[:, 0] = sym_lifts[0] / (np.sqrt(2.0 * d) * p0)
     for l in range(1, k + 1):
-        lam = closed[l]
+        lam = spectral.eigenvalue(params, l)
         omega = spectral.eigenphase(params, l)
         p_l = np.linalg.norm(proj_w[l])
         scale = np.sqrt(d) / (2.0 * np.sqrt(float(d * d - lam * lam)) * p_l)
@@ -481,17 +481,18 @@ def _step_basis(basis: InvariantBasis, blocks: tuple) -> np.ndarray:
     return image
 
 
-def verify_subspace_invariance(basis: InvariantBasis, image: np.ndarray) -> dict:
+def verify_subspace_invariance(basis: InvariantBasis, image: np.ndarray,
+                               compressed: np.ndarray) -> dict:
     """The subspace is closed under the marked walk; oracle action is exact.
 
     ``image`` is the marked step's image U B of the basis
-    (:func:`_step_basis`).  The oracle identities hold bitwise: reflecting
-    the all-ones marked block sends ``marked_out`` to its negative and
-    fixes ``marked_in``.
+    (:func:`_step_basis`), and ``compressed`` its compression B^H (U B).
+    The oracle identities hold bitwise: reflecting the all-ones marked
+    block sends ``marked_out`` to its negative and fixes ``marked_in``.
     """
     params, B = basis.params, basis.basis
     residuals = {
-        "subspace_invariance": float(np.abs(image - B @ (B.conj().T @ image)).max()),
+        "subspace_invariance": float(np.abs(image - B @ compressed).max()),
     }
 
     def oracle(vector):
@@ -511,13 +512,13 @@ def verify_subspace_invariance(basis: InvariantBasis, image: np.ndarray) -> dict
 def _reduced_step(params: GraphParams) -> tuple:
     """The reduced step diag(e^{i phi}) (I - 2 w w^T) and the target w, in double.
 
-    Built from :func:`jwalk.reduced._walk_terms` in basis order (0,
+    Built from :func:`jwalk.spectral.walk_terms` in basis order (0,
     +omega_1, -omega_1, ..., +omega_k, -omega_k); every entry is computed
     at ``spectral._MP_DPS`` digits and rounded once, to complex128 and
     float64.
     """
     k = params.k
-    phases, weights = reduced._walk_terms(params)
+    phases, weights = spectral.walk_terms(params)
     order = [k] + [j for l in range(1, k + 1) for j in (k + l, k - l)]
     with mpmath.workdps(spectral._MP_DPS):
         rotations = [mpmath.expj(phases[j]) for j in order]
@@ -549,26 +550,21 @@ def verify_target_and_initial(basis: InvariantBasis, target: np.ndarray) -> dict
     }
 
 
-def verify_reduced_compression(basis: InvariantBasis, image: np.ndarray,
-                               reduced_step: np.ndarray) -> dict:
+def verify_reduced_compression(compressed: np.ndarray, reduced_step: np.ndarray) -> dict:
     """The reduced step (:func:`_reduced_step`) is the basis compression B^H (U B) of the marked one.
 
-    ``image`` is U B (:func:`_step_basis`).
+    ``compressed`` is B^H (U B), with U B from :func:`_step_basis`.
     """
-    compressed = basis.basis.conj().T @ image
-    return {
-        "reduced_compression": float(np.abs(compressed - reduced_step).max()),
-    }
+    return {"reduced_compression": float(np.abs(compressed - reduced_step).max())}
 
 
 def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> CertificationReport:
     """Run the whole certification battery; never raises on check failure.
 
-    Builds the invariant basis, the pair frame, the step's two coin
-    blocks, their image U B of the basis, and the reduced step and target
-    once, and hands them to every stage that reads them.  Each stage
-    returns its residuals; this is the one place they are judged, and a
-    check passes when its residual is within ``tol``, so a NaN fails.
+    Builds what the stages read once, as the module docstring lists, and
+    hands it to every stage that reads it.  Each stage returns its
+    residuals; this is the one place they are judged, and a check passes
+    when its residual is within ``tol``, so a NaN fails.
     Refuses with CapacityError, before allocating, an instance whose words
     (:func:`_battery_words`) exceed ``MemAvailable``.  Its tracemalloc
     peak is 0.92 of the words counted on J(10,3) (1.45 MB), and 0.90 on
@@ -584,13 +580,13 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
         verify_dense_step(params, marked, frame, blocks),
         verify_eigenbasis(basis, frame),
     ]
-    # U B's two readers run back to back, and it is dropped before the
-    # target stage, which would otherwise raise the peak with it
     image = _step_basis(basis, blocks)
-    invariance = verify_subspace_invariance(basis, image)
-    compression = verify_reduced_compression(basis, image, reduced_step)
+    compressed = basis.basis.conj().T @ image
+    stages.append(verify_subspace_invariance(basis, image, compressed))
+    # dropped before the target stage, which would otherwise raise the peak with it
     del image
-    stages += [invariance, verify_target_and_initial(basis, target), compression]
+    stages += [verify_target_and_initial(basis, target),
+               verify_reduced_compression(compressed, reduced_step)]
     checks = [CheckResult(name=name, residual=float(value), tol=tol, passed=bool(value <= tol))
               for residuals in stages for name, value in residuals.items()]
     return CertificationReport(

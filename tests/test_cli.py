@@ -334,6 +334,14 @@ def test_validate_capacity(capsys):
     assert "available memory" in err
 
 
+@pytest.mark.parametrize("k,n,blocks", [(3, 10 ** 12, 190107929), (16, 1000, 95850899)])
+def test_sweep_window_beyond_the_block_cap(capsys, k, n, blocks):
+    # a window of more blocks than a sweep may evaluate exits 3, naming them
+    code, out, err = run_cli(capsys, "sweep", "--k", str(k), "--n-list", str(n))
+    assert code == 3 and out == ""
+    assert f"needs {blocks} blocks" in err
+
+
 def test_validate_checks_available_memory(capsys, monkeypatch):
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: 1024)
     code, out, err = run_cli(capsys, "validate", "--n", "7", "--k", "2")

@@ -13,7 +13,7 @@ import pytest
 import orbit_walk
 from eigenphases import eigenphases
 from jwalk import reduced, spectral, validation
-from jwalk.errors import PrecisionError
+from jwalk.errors import CapacityError, PrecisionError
 from jwalk.johnson import graph_params
 
 # regression constants from the first run of this engine (extended-precision
@@ -532,6 +532,22 @@ def test_sweep_evaluates_every_block_of_the_window(monkeypatch, n, k):
     # the seeds are evaluated first, then every block in increasing order
     assert set(blocks) == met | seeds
     assert blocks[len(seeds):] == sorted(met - seeds)
+
+
+def test_sweep_refuses_a_window_beyond_the_block_cap(monkeypatch):
+    # J(10^12, 3)'s window spans 190,107,929 blocks, hours of evaluation: it is
+    # refused once its seed blocks, t_run's and the analytic peaks', are
+    # evaluated, and before any other
+    p = graph_params(10 ** 12, 3)
+    t_run = spectral.run_time(p).t_run
+    spec = _solve_once(monkeypatch, p)
+    bound = reduced._two_term_bound(spec)
+    chunk = reduced.SCAN_CHUNK
+    seeds = {t // chunk for t in [t_run, *reduced._peak_times(bound, 2 * t_run)]}
+    starts = _counting_blocks(monkeypatch)
+    with pytest.raises(CapacityError, match=r"needs 190107929 blocks .* above the 1048576 allowed"):
+        reduced.sweep_point(p, t_run)
+    assert sorted(starts) == sorted(chunk * b for b in seeds)
 
 
 @pytest.mark.parametrize("n,k", [(10 ** 12, 2), (10 ** 6, 2), (10 ** 4, 3), (1000, 4), (100, 8)])

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -107,19 +108,24 @@ def test_projector_weight_vs_dense(n, k):
 
 
 def test_projector_weight_closed_forms_agree_exactly():
-    # both rational expressions must be identical, up to n = 1e6
+    # multiplicity/N equals the factorial ratio k!(n-k)!(n-2l+1) / (l!(n-l+1)!)
+    # identically, up to n = 1e6: literally where the factorials are small,
+    # and everywhere with (n-k)!/(n-l+1)! telescoped to keep operands small
     for k in range(1, 7):
         for n in (2 * k, 2 * k + 1, 37, 104, 12345, 10 ** 6):
             if n < 2 * k or (n, k) == (2, 1):
                 continue
             p = graph_params(n, k)
             for l in range(k + 1):
-                lit = Fraction(
-                    factorial(k) * factorial(n - k) * (n - 2 * l + 1),
-                    factorial(l) * factorial(n - l + 1)) if n <= 200 else None
                 got = spectral.projector_weight_exact(p, l)
-                if lit is not None:
-                    assert got == lit
+                denominator = factorial(l)
+                for j in range(n - k + 1, n - l + 2):
+                    denominator *= j
+                assert got == Fraction(factorial(k) * (n - 2 * l + 1), denominator)
+                if n <= 200:
+                    assert got == Fraction(
+                        factorial(k) * factorial(n - k) * (n - 2 * l + 1),
+                        factorial(l) * factorial(n - l + 1))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -174,9 +180,35 @@ def test_run_time_non_decreasing_in_n(k):
 def test_schedule_fields():
     sched = spectral.run_time(graph_params(100, 2))
     assert sched.epsilon == pytest.approx(0.1, abs=1e-16)
-    assert sched.target_phase == pytest.approx(2.0 / 100.0, rel=1e-15)
+    assert sched.target_phase == 0.02
     sched = spectral.run_time(graph_params(81, 3))
     assert sched.target_phase == pytest.approx(math.sqrt(12.0) * 81 ** -1.5, rel=1e-14)
+
+
+def _grid():
+    # every k = 1..16, n from 2k to 10^12: the smallest n, n = 2^i 3^j 7^q
+    # spread over the range, and 1769, the smallest n whose n ** -0.5 is not
+    # 1/sqrt(n) rounded once
+    spread = sorted({2 ** i * 3 ** j * 7 ** q for i in range(0, 41, 5)
+                     for j in range(0, 26, 5) for q in range(0, 15, 7)} | {1769})
+    for k in range(1, 17):
+        for n in [2 * k, 2 * k + 1] + [n for n in spread if 2 * k + 1 < n <= 10 ** 12]:
+            if (n, k) != (2, 1):
+                yield graph_params(n, k)
+
+
+def test_spectral_floats_are_rounded_once():
+    # each equals its 60-digit value rounded once to double, the leading
+    # phase from sqrt(2 k!) n**(-k/2), not from the schedule's pi / (2 x)
+    with mpmath.workdps(60):
+        for p in _grid():
+            for l in range(1, p.k + 1):
+                want = float(mpmath.acos(mpmath.mpf(spectral.eigenvalue(p, l)) / p.degree))
+                assert spectral.eigenphase(p, l) == want, (p.n, p.k, l)
+            schedule = spectral.run_time(p)
+            want = float(mpmath.sqrt(2 * mpmath.factorial(p.k) / mpmath.mpf(p.n) ** p.k))
+            assert schedule.target_phase == want, (p.n, p.k)
+            assert schedule.epsilon == float(1 / mpmath.sqrt(p.n)), p.n
 
 
 def test_verify_eigenphase_asymptotics_reports():

@@ -9,7 +9,7 @@ import pytest
 
 import dense_step as dense
 import flat_layout as flat
-from jwalk import arc_engine, cli, johnson, reduced, spectral, validation
+from jwalk import arc_engine, cli, johnson, spectral, validation
 from jwalk.errors import CapacityError
 from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table, rank_vertex
 
@@ -17,6 +17,12 @@ from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table, rank_
 def _frame(params):
     """The pair frame certify hands its stages: the engine's vertex table and each arc's slot."""
     return pair_vertex_table(params), arc_pair_slots(params)[0]
+
+
+def _image(basis, blocks):
+    """The marked step's image U B of the basis, and B^H (U B), as certify forms them."""
+    image = validation._step_basis(basis, blocks)
+    return image, basis.basis.conj().T @ image
 
 
 def _heads(params):
@@ -200,8 +206,8 @@ def test_lift_norm_identities_j62():
 def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
-    image = validation._step_basis(basis, validation._step_blocks(p.degree))
-    residuals = validation.verify_subspace_invariance(basis, image)
+    residuals = validation.verify_subspace_invariance(
+        basis, *_image(basis, validation._step_blocks(p.degree)))
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
 
@@ -222,8 +228,7 @@ def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_reduced_compression(
-        basis, validation._step_basis(basis, validation._step_blocks(p.degree)),
-        validation._reduced_step(p)[0])
+        _image(basis, validation._step_blocks(p.degree))[1], validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
 
 
@@ -285,7 +290,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
     walks = []
     original = validation._step_blocks
     original_basis = validation.build_invariant_basis
-    original_terms = reduced._walk_terms
+    original_terms = spectral.walk_terms
 
     def counting(degree):
         built.append(degree)
@@ -301,7 +306,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
 
     monkeypatch.setattr(validation, "_step_blocks", counting)
     monkeypatch.setattr(validation, "build_invariant_basis", counting_basis)
-    monkeypatch.setattr(reduced, "_walk_terms", counting_terms)
+    monkeypatch.setattr(spectral, "walk_terms", counting_terms)
     p = graph_params(6, 3)
     marked = rank_vertex(p, (1, 3, 5))
     report = validation.certify(p, marked=marked)
@@ -312,10 +317,10 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
 
 
 def test_certify_builds_each_arc_table_once(monkeypatch):
-    # one pair frame per certify: arc_pair_slots is built once, and
-    # pair_vertex_table twice, once inside arc_pair_slots and once for the
-    # engine's coin
-    built = {"arc_pair_slots": 0, "pair_vertex_table": 0}
+    # one pair frame per certify: arc_pair_slots is built once, and the
+    # pair layout twice, once inside arc_pair_slots and once for the
+    # engine's coin, through pair_vertex_table
+    built = {"arc_pair_slots": 0, "pair_vertex_table": 0, "_pair_layout": 0}
     for name in built:
         original = getattr(johnson, name)
 
@@ -328,7 +333,7 @@ def test_certify_builds_each_arc_table_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     p = graph_params(10, 3)
     assert validation.certify(p, marked=rank_vertex(p, (1, 4, 7))).passed
-    assert built == {"arc_pair_slots": 1, "pair_vertex_table": 2}
+    assert built == {"arc_pair_slots": 1, "pair_vertex_table": 1, "_pair_layout": 2}
 
 
 def _complex_dense_step(params, marked=None):
@@ -438,13 +443,12 @@ def test_block_residuals_match_dense(n, k):
     B = basis.basis
     image = U @ B.real + 1j * (U @ B.imag)
     want = float(np.abs(image - B @ (B.conj().T @ image)).max())
-    got = validation.verify_subspace_invariance(basis, validation._step_basis(basis, blocks))
+    got = validation.verify_subspace_invariance(basis, *_image(basis, blocks))
     assert abs(got["subspace_invariance"] - want) <= 1e-15
     step = validation._reduced_step(p)[0]
     Bh = B.conj().T
     want = float(np.abs((Bh.real @ U + 1j * (Bh.imag @ U)) @ B - step).max())
-    got = validation.verify_reduced_compression(
-        basis, validation._step_basis(basis, blocks), step)
+    got = validation.verify_reduced_compression(_image(basis, blocks)[1], step)
     assert abs(got["reduced_compression"] - want) <= 1e-15
 
 
@@ -757,7 +761,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     args = {"verify_eigenbasis": (basis, _frame(p)),
             "verify_spectral_closed_forms": (basis,),
             "verify_subspace_invariance": (
-                basis, validation._step_basis(basis, validation._step_blocks(p.degree)))}[stage]
+                basis, *_image(basis, validation._step_blocks(p.degree)))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -795,10 +799,10 @@ def _certify_peak_within_model(n, k, marked):
     try:
         report = validation.certify(p, marked=marked)
         _, peak = tracemalloc.get_traced_memory()
-        image = validation._step_basis(basis, blocks)
-        for stage in (lambda: validation._step_basis(basis, blocks),
-                      lambda: validation.verify_subspace_invariance(basis, image),
-                      lambda: validation.verify_reduced_compression(basis, image, step)):
+        image, compressed = _image(basis, blocks)
+        for stage in (lambda: _image(basis, blocks),
+                      lambda: validation.verify_subspace_invariance(basis, image, compressed),
+                      lambda: validation.verify_reduced_compression(compressed, step)):
             tracemalloc.reset_peak()
             held, _ = tracemalloc.get_traced_memory()
             stage()
