@@ -9,8 +9,8 @@ and both engines on any instance that fits in memory.
 
 from .arc_engine import evolve_and_record, uniform_state
 from .errors import CapacityError, DegenerateInstanceError, PrecisionError
-from .johnson import (GraphParams, IntersectionRow, distance_class, graph_params,
-                      intersection_numbers, rank_vertex, shell_size, unrank_vertex)
+from .johnson import (GraphParams, IntersectionRow, graph_params, intersection_numbers,
+                      rank_vertex, shell_size, unrank_vertex)
 from .reduced import evolve_series, sweep_point
 from .spectral import (Schedule, SpectralRow, eigenphase, eigenvalue, multiplicity,
                        projector_weight, run_time, spectral_table)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GraphParams", "IntersectionRow", "graph_params", "rank_vertex",
-    "unrank_vertex", "distance_class", "shell_size", "intersection_numbers",
+    "unrank_vertex", "shell_size", "intersection_numbers",
     "Schedule", "SpectralRow", "eigenvalue", "multiplicity", "projector_weight",
     "eigenphase", "spectral_table", "run_time",
     "uniform_state", "evolve_and_record",

@@ -38,7 +38,6 @@ __all__ = [
     "pair_vertex_table",
     "arc_pair_slots",
     "vertex_pairs",
-    "distance_class",
     "shell_size",
     "intersection_numbers",
 ]
@@ -245,13 +244,6 @@ def vertex_pairs(params: GraphParams, v: int) -> tuple:
     ranks = [sum(terms[:i]) + sum(lowered[i + 1:]) for i in range(params.k)]
     return (np.array(ranks, dtype=np.int64),
             np.array([e - 1 - i for i, e in enumerate(members)], dtype=np.int64))
-
-
-def distance_class(params: GraphParams, v: int, w: int) -> int:
-    """Shortest-path distance between two vertex ranks: k - |v ∩ w|."""
-    vs = unrank_vertex(params, v)
-    ws = set(unrank_vertex(params, w))
-    return params.k - sum(1 for e in vs if e in ws)
 
 
 def _check_level(params: GraphParams, level: int) -> None:

@@ -8,8 +8,11 @@ two distinct d x d coin blocks (:func:`_step_blocks`); the
 invariant-subspace basis is materialized explicitly.
 
 The basis construction follows the lifting route: the marked vertex's
-eigenspace projections are found from the (k+1)-dimensional symmetric
-tridiagonal quotient of the adjacency action on distance shells, then
+eigenspace projections are read from k+1 Lanczos steps (Lanczos 1950)
+from it, whose Krylov space in the distance-regular J(n,k) is the span of
+its k+1 distance shells (Brouwer, Cohen & Neumaier, *Distance-Regular
+Graphs*); with Q the Lanczos vectors and y_l the Jacobi matrix's
+eigenvectors, the projection on eigenspace l is y_l[0] Q^T y_l.  They are
 mapped into arc space by the symmetric lift
 
     (S x)[arc] = (x[tail] + x[head]) / sqrt(2)
@@ -19,12 +22,13 @@ S^T S = degree*I + A and T^T T = degree*I - A, and combining them with the
 walk eigenphases yields the orthonormal eigenbasis of the invariant
 subspace that the reduced engine works in.
 
-The spectral stage does not start from the intersection numbers: it runs
-k+1 Lanczos steps (Lanczos 1950) from the marked vertex, whose Krylov
-space in the distance-regular J(n,k) is the span of its k+1 distance
-shells (Brouwer, Cohen & Neumaier, *Distance-Regular Graphs*).  J(n,k) is
-vertex-transitive, hence walk-regular, so the projector weights read from
-the Jacobi matrix are m_l / N and certify the multiplicities too.
+The basis keeps the Lanczos eigenvalues, projector weights and closing
+beta it is built from, and the spectral stage compares them with the
+closed forms; nothing in the basis reads the intersection numbers, which
+that stage checks exactly, in integers.  J(n,k) is vertex-transitive,
+hence walk-regular, so the weights read from the Jacobi matrix are m_l / N
+and certify the multiplicities too.  A Lanczos breakdown leaves the basis
+NaN, so the battery fails rather than raises.
 
 ``certify`` builds the basis (which carries the closed form's arc
 reversal), the step's two coin blocks, their image U B of the basis and
@@ -35,10 +39,7 @@ once, from the 40-digit walk terms that the spectrum is solved from
 Each ``verify_*`` stage takes what it reads as required arguments, the
 instance and marked vertex from the basis where it takes one, and
 returns its residuals by name; ``certify`` alone compares them with the
-tolerance, so no check raises.  The
-quotient eigenvalues the basis is built from are kept in it, and the
-spectral stage reports their distance from the closed forms like any
-other residual.
+tolerance, so no check raises.
 
 The report is byte-identical across runs at one BLAS thread count, but
 not across thread counts: the matrix products split their sums by
@@ -72,7 +73,8 @@ x86-64 with one BLAS thread (the host's speed varied), ``certify`` takes
 (A = 58,140), where an N x N adjacency ``eigh`` and N copies of the coin
 block took it to 0.51-0.64 s; and 4.2-5.1 s on J(40,3) (A = 1,096,680),
 about half of it the two engine comparisons, whose 111 probes each
-step a whole pair state, and 0.03 s the spectral stage.
+step a whole pair state, and about 0.01 s each the Lanczos run in the
+basis build and the spectral stage.
 """
 
 import math
@@ -84,7 +86,7 @@ import numpy as np
 
 from . import arc_engine, spectral
 from .johnson import (GraphParams, _colex_subsets, arc_pair_slots, intersection_numbers,
-                      pair_vertex_table, shell_size, unrank_vertex)
+                      pair_vertex_table, unrank_vertex)
 
 __all__ = [
     "InvariantBasis",
@@ -104,7 +106,7 @@ __all__ = [
 # and basis column, the basis with the lifts it is built from and the
 # stages' complex products with it; per arc, the arc tables (reversal,
 # slots, heads, the marked vertex's arcs) and the engine's pair state
-_BASIS_WORDS = 10
+_BASIS_WORDS = 8
 _ARC_WORDS = 8
 
 
@@ -155,14 +157,18 @@ def _engine_step(params: GraphParams, frame: tuple, vector: np.ndarray) -> np.nd
 
 
 def _local_spectrum(heads: np.ndarray, start: int, steps: int) -> tuple:
-    """Vertex ``start``'s spectrum from ``steps`` Lanczos steps: (eigenvalues, weights, closure).
+    """Vertex ``start``'s spectrum from ``steps`` Lanczos steps.
 
-    The adjacency acts as one gather and sum, (A x)[v] = sum_c x[heads[v, c]],
-    and each Lanczos vector is orthogonalised against all the earlier ones
-    by classical Gram-Schmidt, twice.  The Jacobi matrix's eigenvalues come
-    in decreasing order, each weighted by the square of its eigenvector's
-    first entry; the closure is the beta after the last step.  A
-    breakdown, a beta of 0 before the last step, gives NaN for all three.
+    Returns (eigenvalues, weights, closure, projections).  The adjacency
+    acts as one gather and sum, (A x)[v] = sum_c x[heads[v, c]], and each
+    Lanczos vector is orthogonalised against all the earlier ones by
+    classical Gram-Schmidt, twice.  The Jacobi matrix's eigenvalues come in
+    decreasing order, each weighted by the square of its eigenvector y_l's
+    first entry; the closure is the beta after the last step; and row l of
+    the (steps, N) projections is y_l[0] Q^T y_l, with Q the Lanczos
+    vectors, the projection of ``start``'s unit vector on eigenspace l,
+    which lies in the Krylov space once it closes.  A breakdown, a beta of
+    0 before the last step, gives NaN for all four.
     """
     lanczos = np.zeros((steps + 1, len(heads)))
     lanczos[0, start] = 1.0
@@ -177,10 +183,13 @@ def _local_spectrum(heads: np.ndarray, start: int, steps: int) -> tuple:
             break
         lanczos[j + 1] = w / beta[j]
     if np.isnan(beta).any():
-        return np.full(steps, math.nan), np.full(steps, math.nan), math.nan
+        return (np.full(steps, math.nan), np.full(steps, math.nan), math.nan,
+                np.full((steps, len(heads)), math.nan))
     values, vectors = np.linalg.eigh(
         np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
-    return values[::-1], vectors[0, ::-1] ** 2, float(beta[-1])
+    vectors = vectors[:, ::-1]
+    return (values[::-1], vectors[0] ** 2, float(beta[-1]),
+            (vectors[0] * vectors).T @ lanczos[:steps])
 
 
 @dataclass(frozen=True)
@@ -188,40 +197,27 @@ class InvariantBasis:
     """Explicit arc-space basis of the search's invariant subspace.
 
     ``basis`` columns are ordered (stationary, level-1 plus, level-1
-    minus, ..., level-k plus, level-k minus).  The quotient eigenvalues,
-    shell indicators, lifts, marked vertex's arcs and arc reversal used to
-    build it are kept for certification, and so are the arcs' pair slots.
+    minus, ..., level-k plus, level-k minus).  The marked vertex's
+    Lanczos spectrum (:func:`_local_spectrum`), shell indicators, lifts,
+    marked vertex's arcs and arc reversal used to build it are kept for
+    certification, and so are the arcs' pair slots.
     """
 
     params: GraphParams
     marked: int
-    quotient_eigenvalues: np.ndarray  # (k+1,) of the shell quotient, in level order
+    local_eigenvalues: np.ndarray    # (k+1,) Lanczos eigenvalues, in level order
+    local_weights: np.ndarray        # (k+1,) the marked vertex's projector weights
+    krylov_closure: float            # the beta after the last Lanczos step
     shell_indicators: list           # (N,) int64 indicator of each shell
     marked_out: np.ndarray           # arcs from shell 0 to 1, leaving the marked vertex
     marked_in: np.ndarray            # arcs from shell 1 to 0, entering it
-    proj_w: list                     # eigenspace projections of the marked state
+    proj_w: np.ndarray               # (k+1, N) eigenspace projections of the marked state
     sym_lifts: list                  # symmetric lifts of proj_w
     antisym_lifts: list              # antisymmetric lifts of proj_w
     basis: np.ndarray                # (num_arcs, 2k+1) complex columns
     target_arc: np.ndarray           # uniform superposition of marked out-arcs
     opposite: np.ndarray = field(repr=False)  # each arc's reverse, tail-major
     slots: np.ndarray = field(repr=False)     # each arc's slot in a flat pair state
-
-
-def _quotient_eigh(params: GraphParams) -> tuple:
-    """Eigenvalues and eigenvectors, in level order, of the adjacency on unit shell sums.
-
-    That quotient is symmetric tridiagonal: diagonal a_l, off-diagonal sqrt(b_l * c_{l+1}).
-    """
-    k = params.k
-    rows = [intersection_numbers(params, l) for l in range(k + 1)]
-    quot = np.zeros((k + 1, k + 1))
-    for l in range(k + 1):
-        quot[l, l] = rows[l].a
-        if l < k:
-            quot[l, l + 1] = quot[l + 1, l] = np.sqrt(rows[l].b * rows[l + 1].c)
-    eigvals, eigvecs = np.linalg.eigh(quot)
-    return eigvals[::-1], eigvecs[:, ::-1]
 
 
 def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
@@ -240,17 +236,8 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     marked_out = ((dist_t == 0) & (dist_h == 1)).astype(float)
     marked_in = ((dist_t == 1) & (dist_h == 0)).astype(float)
 
-    quotient_eigenvalues, eigvecs = _quotient_eigh(params)
-    sizes = np.array([shell_size(params, l) for l in range(k + 1)], dtype=float)
-    proj_w = []
-    for l in range(k + 1):
-        u = eigvecs[:, l]
-        shell_coeff = u * u[0] / np.sqrt(sizes)
-        vec = np.zeros(N)
-        for m in range(k + 1):
-            vec[dist == m] = shell_coeff[m]
-        proj_w.append(vec)
-
+    local_eigenvalues, local_weights, krylov_closure, proj_w = _local_spectrum(
+        heads.reshape(N, d), marked, k + 1)
     sym_lifts = [(v[tails] + v[heads]) / np.sqrt(2.0) for v in proj_w]
     antisym_lifts = [(v[tails] - v[heads]) / np.sqrt(2.0) for v in proj_w]
 
@@ -270,7 +257,8 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     target_arc = marked_out.astype(np.complex128) / np.sqrt(d)
 
     return InvariantBasis(
-        params=params, marked=marked, quotient_eigenvalues=quotient_eigenvalues,
+        params=params, marked=marked, local_eigenvalues=local_eigenvalues,
+        local_weights=local_weights, krylov_closure=krylov_closure,
         shell_indicators=shell_indicators,
         marked_out=marked_out, marked_in=marked_in,
         proj_w=proj_w, sym_lifts=sym_lifts, antisym_lifts=antisym_lifts,
@@ -359,20 +347,19 @@ def _det_residual(*blocks: np.ndarray) -> float:
 
 
 def verify_spectral_closed_forms(basis: InvariantBasis) -> dict:
-    """The shell quotient and the marked vertex's Lanczos spectrum against every closed form.
+    """The marked vertex's Lanczos spectrum and the intersection numbers against the closed forms.
 
-    Checks the quotient eigenvalues the basis was built from; the
-    eigenvalues and weights of k+1 Lanczos steps from the marked vertex
-    (:func:`_local_spectrum`) against lambda_l and m_l / N, and the beta
-    after them, 0 when the Krylov space closes; and the exact integer
-    three-term action of the adjacency on shell indicators.  The adjacency
-    is read from the basis's arc reversal alone.
+    Checks the eigenvalues and weights of the k+1 Lanczos steps from the
+    marked vertex that the basis was built from (:func:`_local_spectrum`)
+    against lambda_l and m_l / N, and the beta after them, 0 when the
+    Krylov space closes; and the exact integer three-term action of the
+    adjacency on shell indicators.  The adjacency is read from the basis's
+    arc reversal alone.
     """
     params, k = basis.params, basis.params.k
     heads = (basis.opposite // params.degree).reshape(params.num_vertices, params.degree)
     closed = np.array([spectral.eigenvalue(params, l) for l in range(k + 1)], dtype=float)
     weights = np.array([spectral.projector_weight(params, l) for l in range(k + 1)])
-    local, local_weights, closure = _local_spectrum(heads, basis.marked, k + 1)
 
     action_terms = []
     zero = np.zeros(params.num_vertices, dtype=np.int64)
@@ -387,10 +374,9 @@ def verify_spectral_closed_forms(basis: InvariantBasis) -> dict:
         action_terms.append(np.abs(got - want).max())
 
     return {
-        "quotient_eigenvalues": float(np.abs(basis.quotient_eigenvalues - closed).max()),
-        "local_eigenvalues": float(np.abs(local - closed).max()),
-        "local_weights": float(np.abs(local_weights - weights).max()),
-        "krylov_closure": closure,
+        "local_eigenvalues": float(np.abs(basis.local_eigenvalues - closed).max()),
+        "local_weights": float(np.abs(basis.local_weights - weights).max()),
+        "krylov_closure": basis.krylov_closure,
         "shell_action_identity": float(np.max(action_terms)),
     }
 
@@ -487,13 +473,14 @@ def verify_subspace_invariance(basis: InvariantBasis, image: np.ndarray,
 
     ``image`` is the marked step's image U B of the basis
     (:func:`_step_basis`), and ``compressed`` its compression B^H (U B).
-    The oracle identities hold bitwise: reflecting the all-ones marked
-    block sends ``marked_out`` to its negative and fixes ``marked_in``.
+    B (B^H U B) is subtracted from ``image`` in place, so ``image`` is
+    overwritten by the residual; ``certify`` drops it right after.  The
+    oracle identities hold bitwise: reflecting the all-ones marked block
+    sends ``marked_out`` to its negative and fixes ``marked_in``.
     """
     params, B = basis.params, basis.basis
-    residuals = {
-        "subspace_invariance": float(np.abs(image - B @ compressed).max()),
-    }
+    image -= B @ compressed
+    residuals = {"subspace_invariance": float(np.abs(image).max())}
 
     def oracle(vector):
         state = arc_engine.apply_oracle(params, _pair_state(params, basis.slots, vector),
@@ -533,12 +520,15 @@ def verify_target_and_initial(basis: InvariantBasis, target: np.ndarray) -> dict
     """Target and start vectors have the predicted basis coordinates.
 
     ``target`` is the reduced walk's target w (:func:`_reduced_step`); the
-    start is the first basis vector.
+    start is the first basis vector.  The start's coordinates are summed
+    column by column with numpy's pairwise sum: the start has A equal
+    nonzero terms, which a BLAS product adds one after another, with an
+    error that grows linearly in A.
     """
     params, B = basis.params, basis.basis
     coords_target = B.conj().T @ basis.target_arc
     psi0 = arc_engine.uniform_state(params).reshape(-1)[basis.slots]
-    coords_initial = B.conj().T @ psi0
+    coords_initial = np.array([np.sum(B[:, j].conj() * psi0) for j in range(B.shape[1])])
     e0 = np.zeros(2 * params.k + 1)
     e0[0] = 1.0
     return {
@@ -567,7 +557,7 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     when its residual is within ``tol``, so a NaN fails.
     Refuses with CapacityError, before allocating, an instance whose words
     (:func:`_battery_words`) exceed ``MemAvailable``.  Its tracemalloc
-    peak is 0.92 of the words counted on J(10,3) (1.45 MB), and 0.90 on
+    peak is 0.90 of the words counted on J(10,3) (1.29 MB), and 0.88 on
     J(40,3) and J(100,2).
     """
     _require_memory(params)
@@ -583,7 +573,8 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     image = _step_basis(basis, blocks)
     compressed = basis.basis.conj().T @ image
     stages.append(verify_subspace_invariance(basis, image, compressed))
-    # dropped before the target stage, which would otherwise raise the peak with it
+    # now the subspace residual; dropped before the target stage, which would
+    # otherwise raise the peak with it
     del image
     stages += [verify_target_and_initial(basis, target),
                verify_reduced_compression(compressed, reduced_step)]

@@ -9,7 +9,8 @@ The scalar decoders below (:func:`arc_components`, :func:`arc_head`,
 slot of every arc come from them, so nothing here shares the vectorized
 colex ranking of ``johnson.pair_vertex_table`` or
 ``johnson.arc_pair_slots``.  The passes take a batch of flat states as the
-rows of a 2-D array.
+rows of a 2-D array.  :func:`distance_class` is the scalar distance
+between two vertex ranks, the shell oracle of the certification tests.
 """
 
 from bisect import bisect_left
@@ -24,6 +25,12 @@ from jwalk.johnson import rank_vertex, unrank_vertex
 def _complement(params, subset):
     members = set(subset)
     return [e for e in range(1, params.n + 1) if e not in members]
+
+
+def distance_class(params, v, w):
+    """Shortest-path distance between two vertex ranks: k - |v ∩ w|."""
+    ws = set(unrank_vertex(params, w))
+    return params.k - sum(1 for e in unrank_vertex(params, v) if e in ws)
 
 
 def arc_components(params, arc):

@@ -281,7 +281,8 @@ def test_validate_pass(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
-    assert len(doc["checks"]) == 21
+    report = validation.certify(graph_params(4, 2))
+    assert [c["name"] for c in doc["checks"]] == [c.name for c in report.checks]
 
 
 def test_validate_impossible_tolerance(capsys):
@@ -308,9 +309,9 @@ def test_validate_rejects_tolerance_before_any_work(capsys, monkeypatch, tol):
     assert code == 1 and json.loads(out)["passed"] is False
 
 
-def test_validate_quotient_mismatch_fails_with_a_report(capsys, monkeypatch):
-    # a quotient that misses the closed-form eigenvalues is one more failed
-    # check: exit 1 after the report is written, no error line, no traceback
+def test_validate_intersection_mismatch_fails_with_a_report(capsys, monkeypatch):
+    # intersection numbers that miss the graph fail the shell action alone:
+    # exit 1 after the report is written, no error line, no traceback
     original = validation.intersection_numbers
 
     def shifted(params, level):
@@ -321,14 +322,14 @@ def test_validate_quotient_mismatch_fails_with_a_report(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "validate", "--n", "4", "--k", "2")
     assert code == 1
     doc = json.loads(out)
-    assert doc["passed"] is False and doc["checks"][0]["name"] == "quotient_eigenvalues"
-    assert "quotient_eigenvalues" in {c["name"] for c in doc["checks"] if not c["passed"]}
-    assert err.startswith("certification failed:") and "quotient_eigenvalues" in err
+    assert doc["passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["shell_action_identity"]
+    assert err.startswith("certification failed:") and "shell_action_identity" in err
     assert "error:" not in err and "Traceback" not in err
 
 
 def test_validate_capacity(capsys):
-    # about 484 GB of counted words: refused by the memory rule, the only one
+    # about 397 GB of counted words: refused by the memory rule, the only one
     code, _, err = run_cli(capsys, "validate", "--n", "200", "--k", "3")
     assert code == 3
     assert "available memory" in err

@@ -216,12 +216,12 @@ def test_pair_vertex_table_matches_scalar(n, k):
 def test_distance_class():
     p = johnson.graph_params(4, 2)
     w = johnson.rank_vertex(p, (1, 2))
-    assert johnson.distance_class(p, w, w) == 0
-    assert johnson.distance_class(p, johnson.rank_vertex(p, (3, 4)), w) == 2
+    assert flat.distance_class(p, w, w) == 0
+    assert flat.distance_class(p, johnson.rank_vertex(p, (3, 4)), w) == 2
 
     p6 = johnson.graph_params(6, 2)
     w6 = johnson.rank_vertex(p6, (1, 2))
-    counts = Counter(johnson.distance_class(p6, v, w6)
+    counts = Counter(flat.distance_class(p6, v, w6)
                      for v in range(p6.num_vertices))
     assert [counts[l] for l in range(3)] == [1, 8, 6]
 

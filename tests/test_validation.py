@@ -11,7 +11,21 @@ import dense_step as dense
 import flat_layout as flat
 from jwalk import arc_engine, cli, johnson, spectral, validation
 from jwalk.errors import CapacityError
-from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table, rank_vertex
+from jwalk.johnson import (arc_pair_slots, graph_params, intersection_numbers,
+                           pair_vertex_table, rank_vertex)
+
+# the report's rows, in the order certify runs its stages
+ROWS = [
+    "local_eigenvalues", "local_weights", "krylov_closure", "shell_action_identity",
+    "step_closed_form_vs_engine", "step_unitarity", "marked_step_closed_form_vs_engine",
+    "marked_step_unitarity", "marked_step_det_modulus",
+    "basis_gram", "stationary_antisymmetric_lift", "walk_eigenrelation",
+    "lift_norm_identities",
+    "subspace_invariance", "oracle_action_identities",
+    "target_coordinates", "initial_coordinates", "target_initial_overlap",
+    "initial_in_subspace",
+    "reduced_compression",
+]
 
 
 def _frame(params):
@@ -45,7 +59,7 @@ def test_local_spectrum_octahedron():
     p = graph_params(4, 2)
     adj = _adjacency(p)
     assert np.array_equal(adj, adj.T) and np.all(adj.sum(axis=1) == 4)
-    values, weights, closure = validation._local_spectrum(_heads(p), 0, 3)
+    values, weights, closure, _ = validation._local_spectrum(_heads(p), 0, 3)
     assert np.abs(values - [4.0, 0.0, -2.0]).max() <= 1e-14
     assert np.abs(weights - [1 / 6, 1 / 2, 1 / 3]).max() <= 1e-15
     assert closure <= 1e-15
@@ -57,32 +71,45 @@ def test_local_spectrum_matches_dense_eigh(n, k):
     # k+1 Lanczos steps from one vertex against the eigh of the dense
     # adjacency: every dense eigenvalue is a Lanczos one, the vertex's
     # weight on each eigenspace is the square of the Jacobi eigenvector's
-    # first entry, and the eigenspaces' dimensions are N w_l, as
-    # walk-regularity makes them
+    # first entry, the eigenspaces' dimensions are N w_l, as
+    # walk-regularity makes them, and the projections the basis is built
+    # from are the dense eigenspace projectors' columns at the vertex
     p = graph_params(n, k)
     marked = p.num_vertices // 3
-    values, weights, closure = validation._local_spectrum(_heads(p), marked, k + 1)
+    values, weights, closure, projections = validation._local_spectrum(
+        _heads(p), marked, k + 1)
     eigvals, eigvecs = np.linalg.eigh(_adjacency(p))
     assign = np.abs(eigvals[:, None] - values[None, :]).argmin(axis=1)
     assert np.abs(eigvals - values[assign]).max() <= 1e-12
     dense_weights = np.bincount(assign, weights=eigvecs[marked] ** 2, minlength=k + 1)
     assert np.abs(dense_weights - weights).max() <= 1e-13
+    dense_projections = np.stack([eigvecs[:, assign == l] @ eigvecs[marked, assign == l]
+                                  for l in range(k + 1)])
+    assert np.abs(dense_projections - projections).max() <= 1e-13
     counts = np.bincount(assign, minlength=k + 1).tolist()
     assert counts == np.rint(p.num_vertices * weights).astype(int).tolist()
     assert counts == [spectral.multiplicity(p, l) for l in range(k + 1)]
     assert closure <= 1e-13
 
 
-def test_lanczos_breakdown_is_a_failed_row():
+def test_lanczos_breakdown_is_a_failed_row(monkeypatch):
     # with every arc its own reverse the adjacency is d I: the marked
-    # vertex's Krylov space closes after one step, not k+1, and the three
-    # Lanczos rows are NaN, which certify fails, rather than an exception
+    # vertex's Krylov space closes after one step, not k+1, so the basis
+    # built from it is NaN, and certify fails the three Lanczos rows and
+    # every row read from the basis, rather than raise
     p = graph_params(6, 2)
+    slots = arc_pair_slots(p)[0]
+    monkeypatch.setattr(validation, "arc_pair_slots",
+                        lambda params: (slots, np.arange(params.num_arcs)))
     basis = validation.build_invariant_basis(p, 0)
-    looped = dataclasses.replace(basis, opposite=np.arange(p.num_arcs))
-    residuals = validation.verify_spectral_closed_forms(looped)
-    assert [name for name, value in residuals.items() if math.isnan(value)] == [
-        "local_eigenvalues", "local_weights", "krylov_closure"]
+    assert np.isnan(basis.basis).all() and np.isnan(basis.proj_w).all()
+    report = validation.certify(p, 0)
+    assert not report.passed
+    assert [c.name for c in report.checks if math.isnan(c.residual)] == [
+        "local_eigenvalues", "local_weights", "krylov_closure", "basis_gram",
+        "stationary_antisymmetric_lift", "walk_eigenrelation", "lift_norm_identities",
+        "subspace_invariance", "target_coordinates", "initial_coordinates",
+        "initial_in_subspace", "reduced_compression"]
 
 
 def test_certify_refuses_by_memory_alone(monkeypatch):
@@ -277,8 +304,40 @@ def test_marked_choice_does_not_matter():
 def test_certify_passes_default_tolerance(n, k):
     report = validation.certify(graph_params(n, k), marked=0, tol=1e-10)
     assert report.passed
-    assert len(report.checks) == 21
     assert all(c.residual <= 1e-10 for c in report.checks)
+
+
+def test_certify_rows_in_order():
+    # one row per residual, named and ordered as the report is read
+    report = validation.certify(graph_params(6, 2), marked=0)
+    assert [c.name for c in report.checks] == ROWS
+
+
+def test_certify_runs_lanczos_once(monkeypatch):
+    # the marked vertex's one Lanczos run builds the basis and feeds the
+    # spectral stage, and the basis reads no intersection number or shell
+    # size: those enter certify through the shell action alone
+    runs = []
+    original = validation._local_spectrum
+
+    def counting(heads, start, steps):
+        runs.append((start, steps))
+        return original(heads, start, steps)
+
+    def refused(*args):
+        raise AssertionError("the basis read a closed form of the shells")
+
+    monkeypatch.setattr(validation, "_local_spectrum", counting)
+    p = graph_params(9, 3)
+    marked = rank_vertex(p, (2, 5, 9))
+    assert validation.certify(p, marked=marked).passed
+    assert runs == [(marked, 4)]
+    with monkeypatch.context() as m:
+        for name in ("intersection_numbers", "shell_size"):
+            for module in (johnson, spectral, validation):
+                if hasattr(module, name):
+                    m.setattr(module, name, refused)
+        validation.build_invariant_basis(p, marked)
 
 
 def test_certify_builds_each_dense_step_once(monkeypatch):
@@ -669,7 +728,7 @@ def test_certify_is_the_one_judge(monkeypatch, capsys, position):
     report = validation.certify(graph_params(6, 2), marked=0, tol=1e-10)
     assert len(failing) == 2
     assert {c.name for c in report.checks if not c.passed} == failing
-    assert len(report.checks) == 21 and not report.passed
+    assert not report.passed
     assert cli.main(["validate", "--n", "6", "--k", "2"]) == 1
     assert "certification failed" in capsys.readouterr().err
 
@@ -749,7 +808,7 @@ def _nan_at_second_call(original):
 @pytest.mark.parametrize("stage,module,name,check", [
     ("verify_eigenbasis", spectral, "eigenphase", "walk_eigenrelation"),
     ("verify_eigenbasis", spectral, "eigenvalue", "lift_norm_identities"),
-    ("verify_spectral_closed_forms", spectral, "eigenvalue", "quotient_eigenvalues"),
+    ("verify_spectral_closed_forms", spectral, "eigenvalue", "local_eigenvalues"),
     ("verify_spectral_closed_forms", spectral, "projector_weight", "local_weights"),
     ("verify_subspace_invariance", arc_engine, "apply_oracle", "oracle_action_identities"),
 ])
@@ -834,16 +893,22 @@ def test_certify_fails_impossible_tolerance():
 
 
 def test_certify_capacity_error():
-    # J(200,3) counts about 484 GB, refused by the memory rule before
+    # J(200,3) counts about 397 GB, refused by the memory rule before
     # anything is allocated
     with pytest.raises(CapacityError, match="available memory"):
         validation.certify(graph_params(200, 3))
 
 
-def test_quotient_mismatch_is_a_reported_residual(monkeypatch):
-    # no stage raises, the basis build included: with the intersection
-    # numbers the basis reads patched to a_l + 1, the quotient shifts by 1
-    # off the closed forms, and certify reports it
+def _basis_fields(basis):
+    """Every field of an invariant basis, with the lists' arrays stacked."""
+    return {f.name: np.asarray(getattr(basis, f.name)) for f in dataclasses.fields(basis)
+            if f.name != "params"}
+
+
+def test_intersection_mismatch_fails_shell_action_alone(monkeypatch):
+    # intersection numbers patched to a_l + 1 leave the basis, which reads
+    # none, bitwise as it was; the shell action alone sees them, and
+    # certify reports it rather than raise
     p = graph_params(4, 2)
     basis = validation.build_invariant_basis(p, 0)
     original = validation.intersection_numbers
@@ -853,27 +918,62 @@ def test_quotient_mismatch_is_a_reported_residual(monkeypatch):
         return dataclasses.replace(row, a=row.a + 1)
 
     monkeypatch.setattr(validation, "intersection_numbers", shifted)
-    moved = validation.build_invariant_basis(p, 0)
-    assert np.abs(moved.quotient_eigenvalues - basis.quotient_eigenvalues - 1.0).max() <= 1e-12
-    assert validation.verify_spectral_closed_forms(moved)["quotient_eigenvalues"] >= 1.0 - 1e-12
+    before, after = _basis_fields(basis), _basis_fields(validation.build_invariant_basis(p, 0))
+    for name, value in before.items():
+        assert np.array_equal(value, after[name]), name
     report = validation.certify(p, 0)
-    assert report.checks[0].name == "quotient_eigenvalues"
-    assert not report.checks[0].passed and not report.passed
+    assert [c.name for c in report.checks if not c.passed] == ["shell_action_identity"]
+    assert not report.passed
+
+
+def _quotient_eigenvalues(params):
+    """Eigenvalues, in level order, of the adjacency on unit shell sums.
+
+    That quotient is symmetric tridiagonal: diagonal a_l, off-diagonal
+    sqrt(b_l * c_{l+1}), from the intersection numbers alone.
+    """
+    k = params.k
+    rows = [intersection_numbers(params, l) for l in range(k + 1)]
+    diagonal = [row.a for row in rows]
+    off = [math.sqrt(rows[l].b * rows[l + 1].c) for l in range(k)]
+    quotient = np.diag(diagonal).astype(float) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(quotient)[::-1]
 
 
 def test_quotient_residual_small_on_every_admitted_instance():
-    # the quotient alone, on every J(n,k) with n <= 40 and at most 5,000
-    # vertices
-    worst = 0.0
+    # the Lanczos eigenvalues the basis is built from, on every J(n,k) with
+    # n <= 40 and at most 5,000 vertices; the shell quotient, from the
+    # intersection numbers alone, cross-checks them against lambda_l there
+    # and at n = 1,000 and 5,000, where no graph is built
+    def closed(p):
+        return np.array([spectral.eigenvalue(p, l) for l in range(p.k + 1)], dtype=float)
+
+    worst = quotient_worst = 0.0
     for n in range(3, 41):
         for k in range(1, n // 2 + 1):
             p = graph_params(n, k)
             if p.num_vertices > 5000:
                 break
-            closed = np.array([spectral.eigenvalue(p, l) for l in range(k + 1)], dtype=float)
-            residual = float(np.abs(validation._quotient_eigh(p)[0] - closed).max())
-            worst = float(np.max([worst, residual]))
+            values = validation._local_spectrum(_heads(p), 0, k + 1)[0]
+            worst = float(np.max([worst, np.abs(values - closed(p)).max()]))
+            quotient = np.abs(_quotient_eigenvalues(p) - closed(p)).max()
+            quotient_worst = float(np.max([quotient_worst, quotient]))
     assert worst <= 1e-12
+    assert quotient_worst <= 1e-12
+    for n in (1000, 5000):
+        for k in range(1, 9):
+            p = graph_params(n, k)
+            assert np.abs(_quotient_eigenvalues(p) - closed(p)).max() <= 1e-14 * p.degree
+
+
+def test_start_coordinates_summed_pairwise():
+    # the start's A = 58,140 equal terms per coordinate, summed one after
+    # another by a BLAS product, gave 2.7e-13 on J(20,3)
+    p = graph_params(20, 3)
+    basis = validation.build_invariant_basis(p, 0)
+    residuals = validation.verify_target_and_initial(basis, validation._reduced_step(p)[1])
+    assert residuals["initial_coordinates"] <= 1e-15
+    assert residuals["initial_in_subspace"] <= 1e-15
 
 
 @pytest.mark.parametrize("n,k,marked", [(6, 3, (1, 2, 3)), (9, 3, (2, 5, 9)),
@@ -881,7 +981,7 @@ def test_quotient_residual_small_on_every_admitted_instance():
 def test_distance_shells_match_distance_class(n, k, marked):
     p = graph_params(n, k)
     w = rank_vertex(p, marked)
-    want = [johnson.distance_class(p, v, w) for v in range(p.num_vertices)]
+    want = [flat.distance_class(p, v, w) for v in range(p.num_vertices)]
     basis = validation.build_invariant_basis(p, w)
     got = sum(l * shell for l, shell in enumerate(basis.shell_indicators))
     assert got.tolist() == want
