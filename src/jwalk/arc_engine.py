@@ -38,14 +38,16 @@ state, since reshaping a strided view would silently update a copy.
 Block reductions are evaluated by numpy in a fixed order, so repeated
 runs produce identical bytes regardless of BLAS threading.
 
-:class:`Series` is the sampled record both engines return, as numpy
-columns; ``jwalk.reduced`` takes its sample times from here too, so the
-two engines record the same rows and refuse the same impossible counts.
+:class:`Series` is the sampled record both engines yield, a chunk of at
+most CHUNK rows at a time as numpy columns, so a series costs the same
+memory whatever its horizon.  ``jwalk.reduced`` takes its chunks of sample
+times from here too (:func:`_chunk_times`), so the two engines record the
+same rows in the same chunks and refuse the same impossible counts.
 """
 
 from functools import lru_cache
 from math import comb, fsum, prod, sqrt
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,9 +65,15 @@ __all__ = [
 ]
 
 # Where /proc/meminfo cannot be read, a run is refused above this many 8-byte
-# words (64 MiB of float64) instead: the full engine's amplitudes and the
-# series columns.
+# words (64 MiB of float64) instead: the full engine's amplitudes.
 _UNMEASURED_CAPACITY = 2 ** 23
+# Rows per chunk of a series, and values per block of the reduced engine's
+# spectral scan; a perfect square, since that scan stores its rotations as
+# two factors of sqrt(CHUNK) rows.
+CHUNK = 2 ** 12
+# Chunks a series may have, and blocks a sweep point may evaluate: 2^32
+# values, at about 0.3 ms a block of the reduced engine.
+MAX_CHUNKS = 2 ** 20
 # The coins sum a pair state over x or y, and the norm its squares over x, in
 # ranges of this many slices, adding the partial sums in order.  Numpy sums
 # over an axis outside the innermost one in a single accumulator per sum:
@@ -115,22 +123,22 @@ def _require_bytes(needed: int, what: str, remedy: str, words: int = 0) -> None:
             f"available memory; {remedy}")
 
 
-def _check_capacity(params: GraphParams, series: int = 0) -> None:
-    """Refuse a full-engine walk on ``params``, plus ``series`` bytes, that cannot fit.
+def _check_capacity(params: GraphParams) -> None:
+    """Refuse a full-engine walk on ``params`` that cannot fit.
 
     The walk holds 8 bytes per slot of the pair state, that is 8·m/(m-1)
     per arc, and ``_TABLE_WORDS`` 8-byte words per k·num_vertices for the
     vertex table and the coin's row sums (:func:`_require_bytes`).  Where
-    memory cannot be read, the amplitudes and the series words are counted.
+    memory cannot be read, the amplitudes are counted.  A series adds one
+    chunk of CHUNK rows, whatever its length, and is not counted.
     """
     needed = 8 * (prod(_pair_shape(params)) + _TABLE_WORDS * params.k * params.num_vertices)
-    _require_bytes(needed + series, f"the full engine on J({params.n},{params.k})",
-                   "use the reduced engine instead" + (", or raise the stride" if series else ""),
-                   words=params.num_arcs + series // 8)
+    _require_bytes(needed, f"the full engine on J({params.n},{params.k})",
+                   "use the reduced engine instead", words=params.num_arcs)
 
 
 class Series(NamedTuple):
-    """A sampled probability series as columns, one entry per recorded step."""
+    """A chunk of a sampled probability series as columns, one entry per recorded step."""
 
     t: np.ndarray                  # int64 step numbers, increasing
     p_succ: np.ndarray             # float64 success probability
@@ -138,25 +146,33 @@ class Series(NamedTuple):
     norm: np.ndarray               # float64 state norm
 
 
-def _sample_times(steps: int, stride: int, columns: int,
-                  full: Optional[GraphParams] = None) -> np.ndarray:
-    """t = 0, stride, 2*stride, ... and ``steps`` itself, as an int64 column.
+def _chunk_times(steps: int, stride: int) -> Iterator[np.ndarray]:
+    """t = 0, stride, 2*stride, ... and ``steps`` itself, as int64 chunks.
 
-    Refuses first, before anything is allocated, ``columns`` 8-byte columns
-    of them beyond available memory, with ``full`` its full-engine walk added.
+    Each chunk holds at most CHUNK consecutive times of the grid, and a
+    ``steps`` off the grid is a chunk of its own.  The checks run at the
+    call, not at the first chunk: a series of more than MAX_CHUNKS chunks
+    is refused with CapacityError naming its chunk count.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    count = steps // stride + 1 + (steps % stride != 0)
-    if full is None:
-        _require_bytes(8 * columns * count, f"a series of {count} rows", "raise the stride",
-                       words=columns * count)
-    else:
-        _check_capacity(full, 8 * columns * count)
-    times = np.arange(0, steps + 1, stride, dtype=np.int64)
-    return times if times[-1] == steps else np.append(times, np.int64(steps))
+    last = steps - steps % stride
+    rows = last // stride + 1 + (last != steps)
+    chunks = last // (CHUNK * stride) + 1 + (last != steps)
+    if chunks > MAX_CHUNKS:
+        raise CapacityError(f"a series of {rows} rows needs {chunks} chunks of {CHUNK} rows, "
+                            f"above the {MAX_CHUNKS} allowed; raise the stride")
+    return _grid_chunks(last, steps, stride)
+
+
+def _grid_chunks(last: int, steps: int, stride: int) -> Iterator[np.ndarray]:
+    for start in range(0, last + 1, CHUNK * stride):
+        yield np.arange(start, min(last, start + (CHUNK - 1) * stride) + 1, stride,
+                        dtype=np.int64)
+    if last != steps:
+        yield np.array([steps], dtype=np.int64)
 
 
 def _check_vertex(params: GraphParams, v: int) -> None:
@@ -312,33 +328,45 @@ def _pair_block(params: GraphParams, v: int) -> tuple:
     return (x, slice(None), a), (rows, x)
 
 
-def evolve_and_record(params: GraphParams, marked: int, steps: int, stride: int = 1) -> Series:
-    """Run the search walk and sample the probability series.
+def evolve_and_record(params: GraphParams, marked: int, steps: int,
+                      stride: int = 1) -> Iterator[Series]:
+    """Run the search walk and yield the sampled probability series in chunks.
 
     Records every stride-th step (t = 0 always included, the final step
-    always recorded): ``p_succ`` is the tail-block mass at the marked
-    vertex, ``p_alt`` the tail-or-head diagnostic, ``norm`` the state
-    2-norm.  Steps run in pairs on a pair state without the shift (module
-    docstring), so at odd t the state holds S·ψ_t: its tail and head
-    blocks trade axes, and the norm is unchanged by the permutation.
-    Refuses, before anything is allocated, a run whose pair state, vertex
-    tables and four series columns together exceed the available memory.
+    always recorded), in the chunks of :func:`_chunk_times`: ``p_succ`` is
+    the tail-block mass at the marked vertex, ``p_alt`` the tail-or-head
+    diagnostic, ``norm`` the state 2-norm.  Steps run in pairs on a pair
+    state without the shift (module docstring), so at odd t the state
+    holds S·ψ_t: its tail and head blocks trade axes, and the norm is
+    unchanged by the permutation.  Every refusal comes at the call, before
+    the first chunk: a series of too many chunks, a marked rank out of
+    range, and, before anything is allocated, a walk whose pair state and
+    vertex tables exceed the available memory.  The walk is built at the
+    call too, stepped as the chunks are drawn, and let go before the last
+    chunk is yielded.
     """
-    times = _sample_times(steps, stride, columns=4, full=params)
+    chunks = _chunk_times(steps, stride)
     _check_vertex(params, marked)
     state = uniform_state(params)
-    vertices = pair_vertex_table(params)
-    p_succ, p_alt, norm = (np.empty(len(times)) for _ in range(3))
-    row = 0
-    for t in range(steps + 1):
-        axis = 0 if t % 2 else 1  # where the tail blocks of ψ_t lie in the state
-        if t == times[row]:
+    return _record(params, marked, steps, state, pair_vertex_table(params), chunks)
+
+
+def _record(params: GraphParams, marked: int, steps: int, state: np.ndarray,
+            vertices: np.ndarray, chunks: Iterator[np.ndarray]) -> Iterator[Series]:
+    t = 0
+    for times in chunks:
+        p_succ, p_alt, norm = (np.empty(len(times)) for _ in range(3))
+        for row, sample in enumerate(times.tolist()):
+            while t < sample:
+                # even t: ψ_t -> S·ψ_{t+1} = C·O·ψ_t; odd t: S·ψ_t -> ψ_{t+1} = C_h·O_h·S·ψ_t
+                axis = 0 if t % 2 else 1
+                apply_coin(params, apply_oracle(params, state, marked, axis), vertices, axis)
+                t += 1
+            axis = 0 if t % 2 else 1  # where the tail blocks of ψ_t lie in the state
             p_succ[row] = vertex_probability(params, state, marked, axis)
             p_alt[row] = p_succ[row] + vertex_probability(params, state, marked, 1 - axis)
             norm[row] = state_norm(state)
-            row += 1
         if t == steps:
-            break
-        # even t: ψ_t -> S·ψ_{t+1} = C·O·ψ_t; odd t: S·ψ_t -> ψ_{t+1} = C_h·O_h·S·ψ_t
-        apply_coin(params, apply_oracle(params, state, marked, axis), vertices, axis)
-    return Series(t=times, p_succ=p_succ, p_alt=p_alt, norm=norm)
+            # the walk is done: the last chunk is written without it
+            state = vertices = None
+        yield Series(t=times, p_succ=p_succ, p_alt=p_alt, norm=norm)

@@ -45,10 +45,12 @@ closed form, and
 
     p(t) = |sum_m a_m e^{i theta_m t}|**2.
 
-p is evaluated at t = 0, stride, 2*stride, ... in blocks of SCAN_CHUNK
-values; the ``simulate`` series (``evolve_series``) and ``sweep_point``
-both read from the spectrum of a ``GraphParams``, so neither depends on
-n, and a series costs O(steps/stride) evaluations whatever its horizon.
+p is evaluated at t = 0, stride, 2*stride, ... in blocks of
+``arc_engine.CHUNK`` values; the ``simulate`` series (``evolve_series``)
+and ``sweep_point`` both read from the spectrum of a ``GraphParams``, so
+neither depends on n, and a series costs O(steps/stride) evaluations
+whatever its horizon.  The series is yielded one block at a time, so its
+memory does not grow with the horizon either.
 The series' norm column is the start state's norm in the eigen-expansion,
 sqrt(sum_m |c_m|**2) with
 
@@ -69,8 +71,9 @@ blocks of t_run and of the maxima of |S|, any t where
 remain form one interval per period of |S|, solved with acos in mpmath.
 Each block is computed by the same evaluator as in a scan of every block,
 so the result is that scan's, bit for bit: on J(10^6, 2) one block of 384,
-and on J(10^12, 2) 331 of 383,495,197.  A window of more than _MAX_BLOCKS
-blocks, such as J(10^12, 3)'s 190,107,929, is refused with CapacityError.
+and on J(10^12, 2) 331 of 383,495,197.  A window of more than 2^20
+blocks (``arc_engine.MAX_CHUNKS``), such as J(10^12, 3)'s 190,107,929, is
+refused with CapacityError.
 
 Precision: a root good to 40 digits keeps theta*t good to about 1e-33 at
 t = 10^6.  The block evaluator reads each root as the binary fraction it
@@ -91,12 +94,13 @@ walk, iterated in longdouble, differs by 4.0e-15, its own drift over
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import mpmath
 import numpy as np
 
 from . import arc_engine, spectral
-from .arc_engine import Series
+from .arc_engine import CHUNK, MAX_CHUNKS, Series
 from .errors import CapacityError, PrecisionError
 from .johnson import GraphParams
 
@@ -107,10 +111,6 @@ __all__ = [
     "sweep_point",
 ]
 
-# sampled values of t per block of the spectral scan; a perfect square, since
-# the e^{i theta stride j} table is stored as two factors of sqrt(SCAN_CHUNK) rows
-SCAN_CHUNK = 2 ** 12
-
 # iterations allowed per secular root; reaching the cap raises
 _MAX_NEWTON = 20
 
@@ -118,9 +118,6 @@ _MAX_NEWTON = 20
 # separates a scanned p from a 60-digit value, and above the longdouble
 # rounding of the amplitudes and rotations; a larger value only adds blocks
 _MARGIN = mpmath.mpf(2) ** -40
-
-# blocks a sweep point may evaluate, at about 0.3 ms each
-_MAX_BLOCKS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -134,20 +131,29 @@ class SecularSpectrum:
     norm: object        # start-state norm in the eigen-expansion, sqrt(sum_m |c_m|**2)
 
 
-def evolve_series(params: GraphParams, steps: int, stride: int = 1) -> Series:
+def evolve_series(params: GraphParams, steps: int, stride: int = 1) -> Iterator[Series]:
     """The series at t = 0, stride, 2*stride, ... and at ``steps``, from the spectrum.
 
-    ``p_succ`` is p(t) from :func:`spectrum`, evaluated a block of
-    SCAN_CHUNK values at a time, so the cost is O(steps/stride) whatever
-    n; ``norm`` is the spectrum's eigen-expansion norm on every row;
-    ``p_alt`` is None.  A series whose columns exceed the available memory
-    is refused before anything is evaluated.
+    Yields the chunks of ``arc_engine._chunk_times``, each one block of
+    p(t) from :func:`spectrum`, so the cost is O(steps/stride) whatever n
+    and the memory one chunk whatever the horizon; ``norm`` is the
+    spectrum's eigen-expansion norm on every row, a read-only broadcast of
+    one double; ``p_alt`` is None.  The chunk count is checked and the
+    spectrum solved at the call, so every refusal comes before the first
+    chunk.
     """
-    times = arc_engine._sample_times(steps, stride, columns=3)
+    chunks = arc_engine._chunk_times(steps, stride)
     spec = spectrum(params)
-    p_succ = np.concatenate([p for _, p in _blocks(spec, steps, stride)])
-    return Series(t=times, p_succ=p_succ, p_alt=None,
-                  norm=np.full(len(times), float(spec.norm)))
+    return _series(spec, stride, chunks)
+
+
+def _series(spec: SecularSpectrum, stride: int,
+            chunks: Iterator[np.ndarray]) -> Iterator[Series]:
+    tables = _tables(spec, stride)
+    norm = float(spec.norm)
+    for t in chunks:
+        yield Series(t=t, p_succ=_block(spec, tables, int(t[0]), len(t)), p_alt=None,
+                     norm=np.broadcast_to(norm, t.shape))
 
 
 def _ld(values) -> np.ndarray:
@@ -290,34 +296,19 @@ def spectrum(params: GraphParams) -> SecularSpectrum:
                            roots=tuple(roots), amplitudes=tuple(amplitudes), norm=norm)
 
 
-def _blocks(spec: SecularSpectrum, steps: int, stride: int):
-    """Yield (s, p), p[j] the success probability at t = s + j*stride.
-
-    p(t) = |sum_m a_m e^{i theta_m t}|**2 at t = 0, stride, 2*stride, ...
-    up to ``steps`` in blocks of at most SCAN_CHUNK values, then at
-    ``steps`` alone if it is off that grid.
-    """
-    tables = _tables(spec, stride)
-    last = steps - steps % stride
-    for start in range(0, last + 1, SCAN_CHUNK * stride):
-        yield start, _block(spec, tables, start, (last - start) // stride + 1)
-    if last != steps:
-        yield steps, _block(spec, tables, steps, 1)
-
-
 def _tables(spec: SecularSpectrum, stride: int) -> tuple:
     """The longdouble amplitudes and the coarse and fine rotation tables of a stride."""
     amplitudes = _ld([a.real for a in spec.amplitudes]) \
         + 1j * _ld([a.imag for a in spec.amplitudes])
     # e^{i theta t} for t = s + stride*(side*q + r) is e^{i theta s} coarse[q] fine[r]
-    side = math.isqrt(SCAN_CHUNK)
-    coarse = _rotations(spec.roots, range(0, SCAN_CHUNK * stride, side * stride))
+    side = math.isqrt(CHUNK)
+    coarse = _rotations(spec.roots, range(0, CHUNK * stride, side * stride))
     fine = _rotations(spec.roots, range(0, side * stride, stride)).T.copy()
     return amplitudes, coarse, fine
 
 
 def _block(spec: SecularSpectrum, tables: tuple, start: int, count: int) -> np.ndarray:
-    """p at t = start + j*stride for j below count and SCAN_CHUNK.
+    """p at t = start + j*stride for j below count and CHUNK.
 
     The one evaluator of every block: the same start gives the same bits
     whichever caller asks.
@@ -405,14 +396,14 @@ def sweep_point(params: GraphParams, t_run: int) -> tuple:
 
     ``p_run`` is the success probability at ``t_run``; ``t_opt`` is the
     first t at which the range's maximum ``p_max`` is reached.  The values
-    are those of a scan of every block of p(t) (``_blocks``), bit for bit,
+    are those of a scan of every block of p(t) (``evolve_series``), bit for bit,
     but only some blocks are evaluated: the block holding ``t_run``, the
     blocks holding the maxima of the two dominant terms and, with
     ``p_best`` the largest value those hold, every block where the
     two-term bound lets p reach p_best - 2**-40 (``_window``).  Each block
     is evaluated once by the scan's own evaluator, and they are visited in
     increasing t with a strict comparison, so ``t_opt`` is the first maximum.
-    A window of more than _MAX_BLOCKS blocks is refused with CapacityError
+    A window of more than MAX_CHUNKS blocks is refused with CapacityError
     once the seed blocks are evaluated, before any other.
     """
     if t_run < 0:
@@ -422,24 +413,24 @@ def sweep_point(params: GraphParams, t_run: int) -> tuple:
     tables = _tables(spec, 1)
 
     def evaluate(index):
-        start = index * SCAN_CHUNK
+        start = index * CHUNK
         return _block(spec, tables, start, steps - start + 1)
 
     bound = _two_term_bound(spec)
-    seeds = sorted({t // SCAN_CHUNK for t in [t_run, *_peak_times(bound, steps)]})
+    seeds = sorted({t // CHUNK for t in [t_run, *_peak_times(bound, steps)]})
     done = {index: evaluate(index) for index in seeds}
     p_best = max(float(p.max()) for p in done.values())
-    ranges = [(lo // SCAN_CHUNK, hi // SCAN_CHUNK) for lo, hi in _window(bound, p_best, steps)]
+    ranges = [(lo // CHUNK, hi // CHUNK) for lo, hi in _window(bound, p_best, steps)]
     spans = _merged(ranges + [(index, index) for index in seeds])
     blocks = sum(map(len, spans))
-    if blocks > _MAX_BLOCKS:
+    if blocks > MAX_CHUNKS:
         raise CapacityError(f"sweep of J({params.n},{params.k}) needs {blocks} blocks of "
-                            f"{SCAN_CHUNK} values, above the {_MAX_BLOCKS} allowed; "
+                            f"{CHUNK} values, above the {MAX_CHUNKS} allowed; "
                             "sweep a smaller n or k")
     p_run = t_opt = p_max = None
     for index in (index for span in spans for index in span):
         p = done.pop(index) if index in done else evaluate(index)
-        start = index * SCAN_CHUNK
+        start = index * CHUNK
         if start <= t_run < start + len(p):
             p_run = float(p[t_run - start])
         peak = int(np.argmax(p))

@@ -5,13 +5,15 @@ digits so a parse-back reproduces every double bit-exactly; absent values
 are empty fields.  JSON documents carry a schema_version field.  Repeated
 runs with identical flags produce byte-identical output.
 
-A run report's series can hold millions of rows, so its serializers yield
-the text REPORT_CHUNK rows at a time, in the same bytes as the whole
-document formatted at once (``json.dumps(doc, indent=2)`` for JSON), and
-``write_output`` writes the chunks as they come.  A float column whose bits
-are constant over a chunk, such as the reduced engine's norm, is spelled
-once for the chunk (bits, not ``==``: 0.0 == -0.0, yet they spell ``0`` and
-``-0``).  Each chunk has one of two layouts.  A CSV chunk whose varying
+A run report's series can hold billions of rows, so it arrives as the
+engines yield it, in chunks of at most ``arc_engine.CHUNK`` rows, and its
+serializers format each chunk as it arrives, in the same bytes as the
+whole document formatted at once (``json.dumps(doc, indent=2)`` for JSON)
+wherever the chunk boundaries fall; ``write_output`` writes the text as it
+comes, so neither the series nor its text is ever held whole.  A float
+column whose bits are constant over a chunk, such as the reduced engine's
+norm, is spelled once for the chunk (bits, not ``==``: 0.0 == -0.0, yet
+they spell ``0`` and ``-0``).  Each chunk has one of two layouts.  A CSV chunk whose varying
 floats all lie in [1e-4, 1), as a success probability mostly does, is
 built as one byte matrix in numpy (:func:`_csv_rows`), whose digits are
 proven equal to ``%.17g``'s; any other chunk, and every JSON chunk, is one
@@ -53,9 +55,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# rows per chunk of serialized run-report text
-REPORT_CHUNK = 2 ** 12
-
 _RUN_CSV_HEADER = "t,p_succ,p_alt,norm"
 _CSV_FLOAT = "%.17g"
 
@@ -72,7 +71,7 @@ class RunReport:
     engine: str              # "full" | "reduced"
     t_run: int
     stride: int
-    series: Series           # p_alt is None for the reduced engine
+    series: Iterable[Series]  # the chunks, drawn once; p_alt is None for the reduced engine
 
 
 @dataclass(frozen=True)
@@ -100,27 +99,24 @@ def _params_dict(params: GraphParams) -> dict:
             "num_vertices": params.num_vertices, "degree": params.degree}
 
 
-def _chunk_cells(series: Series, float_field: str, floats):
-    """Yield each REPORT_CHUNK slice as its t values and one cell per float
+def _chunk_cells(series: Iterable[Series], float_field: str, floats):
+    """Yield each chunk of the series as its t values and one cell per float
     column (p_succ, p_alt, norm).
 
     A missing column's cell is None, a column whose bits are constant over
-    the slice is the one spelling that ``float_field`` gives its values
+    the chunk is the one spelling that ``float_field`` gives its values
     (``floats`` turns a column into the values of a ``float_field``), and
-    any other column is its slice.
+    any other column is the column itself.
     """
-    for start in range(0, len(series.t), REPORT_CHUNK):
-        part = slice(start, start + REPORT_CHUNK)
+    for chunk in series:
         cells = []
-        for column in (series.p_succ, series.p_alt, series.norm):
+        for column in (chunk.p_succ, chunk.p_alt, chunk.norm):
             if column is not None:
-                bits = column[part].view(np.uint64)
+                bits = column.view(np.uint64)
                 if (bits == bits[0]).all():
-                    column = float_field % tuple(floats(column[start:start + 1]))
-                else:
-                    column = column[part]
+                    column = float_field % tuple(floats(column[:1]))
             cells.append(column)
-        yield series.t[part], cells
+        yield chunk.t, cells
 
 
 def _template(t: np.ndarray, cells: list, float_field: str, floats, absent: str):
@@ -262,7 +258,7 @@ def _csv_rows(t: np.ndarray, cells: list) -> Optional[str]:
 
 
 def run_report_to_csv(report: RunReport):
-    """Yield the CSV text, the header and then REPORT_CHUNK rows at a time.
+    """Yield the CSV text, the header and then one chunk of the series at a time.
 
     A chunk is :func:`_csv_rows` where that applies, and otherwise one
     ``%`` over its row template.
@@ -286,7 +282,7 @@ def _json_floats(column: np.ndarray) -> list:
 
 
 def run_report_to_json(report: RunReport):
-    """Yield the JSON text, REPORT_CHUNK rows at a time.
+    """Yield the JSON text, one chunk of the series at a time.
 
     The chunks join to ``json.dumps(doc, indent=2)`` and a newline, with
     one object per row in ``doc["rows"]``.

@@ -435,11 +435,13 @@ def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
     lift_terms = []
     for l in range(k + 1):
         lam = spectral.eigenvalue(params, l)
-        p_sq = float(np.dot(basis.proj_w[l], basis.proj_w[l]))
+        # summed pairwise: np.dot adds the terms one after another with one
+        # BLAS thread, and its error grows with A
+        p_sq = float(np.sum(basis.proj_w[l] * basis.proj_w[l]))
         for lift, scale in ((basis.sym_lifts[l], d + lam), (basis.antisym_lifts[l], d - lam)):
             # the terms grow with d; at d - lambda_0 = 0, level 0's antisymmetric
             # lift, the term stays absolute: stationary_antisymmetric_lift squared
-            error = abs(np.dot(lift, lift) - scale * p_sq)
+            error = abs(np.sum(lift * lift) - scale * p_sq)
             lift_terms.append(error / (scale * p_sq) if scale else error)
     residuals["lift_norm_identities"] = float(np.max(lift_terms))
     return residuals

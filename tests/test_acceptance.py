@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from chunked import gather
 from eigenphases import eigenphases, verify_eigenphase_asymptotics
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.johnson import graph_params, intersection_numbers, pair_vertex_table
@@ -49,7 +50,7 @@ def test_criterion_1_asymptotic_success_probability():
     for n, pinned in P_SUCC_K2.items():
         p = graph_params(n, 2)
         t_run = spectral.run_time(p).t_run
-        p_succ = float(reduced.evolve_series(p, t_run).p_succ[-1])
+        p_succ = float(gather(reduced.evolve_series(p, t_run)).p_succ[-1])
         assert p_succ == pytest.approx(pinned, abs=1e-9), f"regression at n={n}"
         deviation[n] = abs(p_succ - 0.5)
     elapsed = time.perf_counter() - start
@@ -98,8 +99,8 @@ def test_criterion_2_cross_engine_exactness():
         p = graph_params(n, k)
         t_run = spectral.run_time(p).t_run
         steps = 2 * t_run
-        full = arc_engine.evolve_and_record(p, 0, steps)
-        small = reduced.evolve_series(p, steps)
+        full = gather(arc_engine.evolve_and_record(p, 0, steps))
+        small = gather(reduced.evolve_series(p, steps))
         assert len(full.t) == len(small.t) == steps + 1
         worst = max(worst, float(np.abs(full.p_succ - small.p_succ).max()))
     elapsed = time.perf_counter() - start
@@ -183,14 +184,14 @@ def test_criterion_6_conservation_and_symmetry():
     # norm drift on J(10,3) over 2*t_run
     p = graph_params(10, 3)
     steps = 2 * spectral.run_time(p).t_run
-    rows = arc_engine.evolve_and_record(p, 0, steps)
+    rows = gather(arc_engine.evolve_and_record(p, 0, steps))
     drift = float(np.abs(rows.norm - 1.0).max())
 
     # marked-vertex invariance on J(8,2)
     p8 = graph_params(8, 2)
     series = []
     for marked in (0, 9, 27):
-        got = arc_engine.evolve_and_record(p8, marked, 80)
+        got = gather(arc_engine.evolve_and_record(p8, marked, 80))
         series.append(got.p_succ)
     invariance = max(np.abs(s - series[0]).max() for s in series[1:])
 
@@ -222,7 +223,7 @@ def test_criterion_7_probability_definition_diagnostic():
     for n in (15, 21):
         p = graph_params(n, 3)
         steps = 2 * spectral.run_time(p).t_run
-        rows = arc_engine.evolve_and_record(p, 0, steps)
+        rows = gather(arc_engine.evolve_and_record(p, 0, steps))
         assert rows.p_alt is not None
         assert np.all(rows.p_alt >= rows.p_succ)
         peak = float(rows.p_succ.max())

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from math import comb
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import dense_step as dense
 import flat_layout as flat
+from chunked import gather
 from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError
 from jwalk.johnson import arc_pair_slots, graph_params, pair_vertex_table
@@ -166,40 +168,41 @@ def _capacity_model(params):
 
 def test_capacity_checks_available_memory(monkeypatch):
     # at every size the pair state and the O(k·N) vertex table with the
-    # coin's row sums must fit in available memory, and a run's four series
-    # columns besides; no permutation is built, so the model is below the
-    # 24 bytes per arc it replaced
+    # coin's row sums must fit in available memory; a series adds one chunk
+    # whatever its length and is not counted; no permutation is built, so
+    # the model is below the 24 bytes per arc it replaced
     p = graph_params(8, 2)
     needed = _capacity_model(p)
-    series = 8 * 4 * 3  # t = 0, 1, 2
     assert needed < 24 * p.num_arcs
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed - 1)
     with pytest.raises(CapacityError, match="available memory"):
         arc_engine.uniform_state(p)
-    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed + series - 1)
     with pytest.raises(CapacityError, match="available memory"):
         arc_engine.evolve_and_record(p, 0, 2)
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed)
     arc_engine.uniform_state(p)  # the state alone fits
-    monkeypatch.setattr(arc_engine, "_mem_available", lambda: needed + series)
-    assert len(arc_engine.evolve_and_record(p, 0, 2).t) == 3
+    assert len(gather(arc_engine.evolve_and_record(p, 0, 2)).t) == 3
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
-    assert len(arc_engine.evolve_and_record(p, 0, 2).t) == 3
+    assert len(gather(arc_engine.evolve_and_record(p, 0, 2)).t) == 3
 
 
-def test_capacity_sums_state_and_series(monkeypatch):
-    # J(12,3) over 2,640 steps holds 84,480 bytes of walk and 84,512 of
-    # series: a budget above each but below their sum is refused, before
-    # the times, the state or the vertex table are allocated
+def test_capacity_counts_the_walk_alone(monkeypatch):
+    # J(12,3) over 2,640 steps holds 84,480 bytes of walk: it runs under a
+    # budget of 85,536 bytes, whatever the length of its series, and a
+    # budget one byte below the walk is refused before the vertex table or
+    # the state is allocated
     p = graph_params(12, 3)
-    walk, series = _capacity_model(p), 8 * 4 * 2641
-    assert (walk, series) == (84480, 84512)
+    walk = _capacity_model(p)
+    assert walk == 84480
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: 85536)
+    series = gather(arc_engine.evolve_and_record(p, 0, 2640))
+    assert series.t.tolist() == list(range(2641))
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: walk - 1)
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the capacity check")
 
-    for name in ("pair_vertex_table", "uniform_state"):
-        monkeypatch.setattr(arc_engine, name, no_allocation)
+    monkeypatch.setattr(arc_engine, "pair_vertex_table", no_allocation)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="available memory"):
@@ -207,7 +210,19 @@ def test_capacity_sums_state_and_series(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2641  # not even the int64 times column
+    assert peak < 8 * 2641  # not even one column of the series
+
+
+def test_series_beyond_the_chunk_cap():
+    # a series of more than 2^20 chunks of 4096 rows is refused at the call,
+    # naming its chunk count; an off-grid last step is a chunk of its own
+    for steps, stride in [(2 ** 32 - 1, 1), (5 * (2 ** 32 - 1), 5)]:
+        arc_engine._chunk_times(steps, stride)  # 2^32 rows in 2^20 chunks
+    for steps, stride, chunks in [(2 ** 32, 1, 2 ** 20 + 1),
+                                  (5 * (2 ** 32 - 1) + 3, 5, 2 ** 20 + 1),
+                                  (10 ** 13, 1, 2441406251)]:
+        with pytest.raises(CapacityError, match=f"needs {chunks} chunks of 4096 rows"):
+            arc_engine._chunk_times(steps, stride)
 
 
 def test_in_place_passes_refuse_other_layouts():
@@ -283,7 +298,7 @@ def test_evolve_and_record_peak_memory():
         build_peak = None
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(arc_engine, "pair_vertex_table", build_then_reset_peak)
-            _, peak = _peak_bytes(lambda: arc_engine.evolve_and_record(p, 0, steps))
+            _, peak = _peak_bytes(lambda: gather(arc_engine.evolve_and_record(p, 0, steps)))
         tables = 8 * (3 * p.k + 1) * p.num_vertices
         assert max(build_peak, peak) <= _capacity_model(p) + slack
         assert peak <= 8 * _pair_slots(p) + tables + slack
@@ -393,7 +408,7 @@ def test_alt_probability_uniform_dominance_and_total():
 
 def test_evolve_and_record_start_and_stride():
     p = graph_params(8, 2)
-    rows = arc_engine.evolve_and_record(p, 0, 10, stride=4)
+    rows = gather(arc_engine.evolve_and_record(p, 0, 10, stride=4))
     assert rows.t.tolist() == [0, 4, 8, 10]  # final step always recorded
     assert rows.p_succ[0] == pytest.approx(1.0 / p.num_vertices, abs=1e-15)
     assert np.all(np.diff(rows.t) > 0)
@@ -402,8 +417,8 @@ def test_evolve_and_record_start_and_stride():
 
 def test_evolve_and_record_deterministic():
     p = graph_params(8, 2)
-    first = arc_engine.evolve_and_record(p, 2, 40)
-    second = arc_engine.evolve_and_record(p, 2, 40)
+    first = gather(arc_engine.evolve_and_record(p, 2, 40))
+    second = gather(arc_engine.evolve_and_record(p, 2, 40))
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
@@ -417,13 +432,31 @@ def test_evolve_and_record_validation():
         arc_engine.evolve_and_record(p, p.num_vertices, 5)
 
 
+def test_evolve_and_record_lets_the_walk_go_before_the_last_chunk(monkeypatch):
+    # the walk lives while chunks remain to be stepped, and is freed before
+    # the last chunk reaches the writer, so writing it does not add to the
+    # walk's peak; the chunks themselves hold no reference to it
+    p = graph_params(8, 2)
+    states = []
+    build = arc_engine.uniform_state
+    monkeypatch.setattr(arc_engine, "uniform_state",
+                        lambda params: states.append(build(params)) or states[-1])
+    chunks = arc_engine.evolve_and_record(p, 0, 2 * arc_engine.CHUNK + 5, stride=2)
+    walk = weakref.ref(states.pop())
+    assert len(next(chunks).t) == arc_engine.CHUNK and walk() is not None
+    assert len(next(chunks).t) == 3 and walk() is not None
+    assert next(chunks).t.tolist() == [2 * arc_engine.CHUNK + 5] and walk() is None
+    with pytest.raises(StopIteration):
+        next(chunks)
+
+
 def test_marked_vertex_invariance():
     # vertex transitivity: the success series cannot depend on which vertex
     # is marked
     p = graph_params(8, 2)
     reference = None
     for marked in (0, 7, 19):
-        series = arc_engine.evolve_and_record(p, marked, 100).p_succ
+        series = gather(arc_engine.evolve_and_record(p, marked, 100)).p_succ
         if reference is None:
             reference = series
         else:
@@ -432,8 +465,8 @@ def test_marked_vertex_invariance():
 
 def test_cross_engine_series_j82():
     p = graph_params(8, 2)
-    full = arc_engine.evolve_and_record(p, 0, 200)
-    small = reduced.evolve_series(p, 200)
+    full = gather(arc_engine.evolve_and_record(p, 0, 200))
+    small = gather(reduced.evolve_series(p, 200))
     assert np.array_equal(full.t, small.t)
     assert np.abs(full.p_succ - small.p_succ).max() <= 1e-10
 
@@ -441,7 +474,7 @@ def test_cross_engine_series_j82():
 def test_norm_preserved_over_2_trun():
     p = graph_params(10, 3)
     t_run = spectral.run_time(p).t_run
-    rows = arc_engine.evolve_and_record(p, 0, 2 * t_run)
+    rows = gather(arc_engine.evolve_and_record(p, 0, 2 * t_run))
     assert np.abs(rows.norm - 1.0).max() <= 1e-10
 
 
@@ -477,7 +510,7 @@ def test_float64_engine_matches_complex_engine(n, k):
     p = graph_params(n, k)
     marked = p.num_vertices // 3
     steps = 2 * spectral.run_time(p).t_run
-    series = arc_engine.evolve_and_record(p, marked, steps)
+    series = gather(arc_engine.evolve_and_record(p, marked, steps))
     assert series.t.tolist() == list(range(steps + 1))
     for got, want in zip((series.p_succ, series.p_alt, series.norm),
                          _complex_evolve_and_record(p, marked, steps)):
@@ -624,7 +657,7 @@ def test_paired_loop_matches_stepwise_engine(n, k, stride):
     if stride == 3:
         steps += 1 if (steps + 1) % 3 else 3
         assert steps % 2 == 1 and steps % 3 != 0
-    series = arc_engine.evolve_and_record(p, marked, steps, stride=stride)
+    series = gather(arc_engine.evolve_and_record(p, marked, steps, stride=stride))
     times, want = _stepwise_evolve_and_record(p, marked, steps, stride)
     assert series.t.tolist() == times
     for got, expected in zip((series.p_succ, series.p_alt, series.norm), want):
@@ -654,7 +687,7 @@ def test_norm_column_is_the_exact_norm(monkeypatch):
         return state_norm(state)
 
     monkeypatch.setattr(arc_engine, "state_norm", recording)
-    rows = arc_engine.evolve_and_record(p, 4000, steps)
+    rows = gather(arc_engine.evolve_and_record(p, 4000, steps))
     assert len(exact) == steps + 1
     for t in (0, 1, steps):
         assert abs(rows.norm[t] - exact[t]) <= 4.4e-16, t
@@ -663,7 +696,7 @@ def test_norm_column_is_the_exact_norm(monkeypatch):
 @pytest.mark.parametrize("marked", [0, 4000, 9879])
 def test_norm_drift_j403_over_2_trun(marked):
     p = graph_params(40, 3)
-    rows = arc_engine.evolve_and_record(p, marked, 2 * spectral.run_time(p).t_run)
+    rows = gather(arc_engine.evolve_and_record(p, marked, 2 * spectral.run_time(p).t_run))
     assert np.abs(rows.norm - 1.0).max() <= 1e-14
 
 
@@ -671,7 +704,7 @@ def test_norm_drift_j1002_over_2_trun():
     # the head coin sums over x in contiguous ranges; one sum over the 99
     # values of x, in a single accumulator, drifts 1.5e-14 here
     p = graph_params(100, 2)
-    rows = arc_engine.evolve_and_record(p, 0, 2 * spectral.run_time(p).t_run)
+    rows = gather(arc_engine.evolve_and_record(p, 0, 2 * spectral.run_time(p).t_run))
     assert np.abs(rows.norm - 1.0).max() <= 1e-14
 
 

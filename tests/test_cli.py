@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,14 +129,20 @@ def test_simulate_force_capacity_flag(capsys):
 
 
 def test_simulate_checks_available_memory(capsys, monkeypatch):
-    # J(12,3) over 2,640 steps holds 84,480 bytes of walk and 84,512 of
-    # series: 85,536 bytes hold either, not both
-    for available, steps in ((1024, "3"), (85536, "2640")):
+    # J(12,3) holds 84,480 bytes of walk: one byte less is refused, and
+    # 85,536 bytes hold it over 2,640 steps, since the series is written a
+    # chunk at a time and not counted
+    for available, steps in ((1024, "3"), (84479, "2640")):
         monkeypatch.setattr(arc_engine, "_mem_available", lambda: available)
         code, out, err = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
                                  "--engine", "full", "--steps", steps)
         assert code == 3 and out == ""
         assert "available memory" in err and "reduced engine" in err
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 85536)
+    code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
+                           "--engine", "full", "--steps", "2640")
+    assert code == 0
+    assert read_run_rows(out).t.tolist() == list(range(2641))
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--k", "3",
                            "--engine", "full", "--steps", "3")
@@ -160,46 +167,70 @@ def test_simulate_reduced_norm_column(capsys):
 
 
 @pytest.mark.parametrize("engine", ["reduced", "full"])
-def test_simulate_refuses_series_beyond_available_memory(capsys, monkeypatch, engine):
-    # 10^13 rows cannot be held: refused before any evaluation (exit 3)
-    monkeypatch.setattr(arc_engine, "_mem_available", lambda: 2 ** 20)
+def test_simulate_refuses_series_beyond_the_chunk_cap(capsys, monkeypatch, engine):
+    # 10^13 rows are 2,441,406,251 chunks, above the 2^20 a series may have:
+    # refused before any evaluation and before any output byte (exit 3)
 
     def no_evaluation(*args):
-        raise AssertionError("evaluated before the memory check")
+        raise AssertionError("evaluated before the chunk check")
 
     monkeypatch.setattr(reduced, "spectrum", no_evaluation)
     monkeypatch.setattr(arc_engine, "pair_vertex_table", no_evaluation)
-    code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
-                             "--engine", engine, "--steps", str(10 ** 13))
+    code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2", "--engine", engine,
+                             "--steps", str(10 ** 13), "--out", "-")
     assert code == 3 and out == ""
-    assert "available memory" in err
+    assert "needs 2441406251 chunks of 4096 rows" in err
 
 
 @pytest.mark.parametrize("engine", ["reduced", "full"])
 def test_simulate_refuses_series_where_memory_is_unreadable(capsys, monkeypatch, engine):
-    # where /proc/meminfo cannot be read, the 2^23-word fallback refuses the
-    # series too: 10^13 rows exit 3 with an error line, not numpy's traceback
+    # where /proc/meminfo cannot be read, the chunk cap refuses 10^13 rows
+    # all the same: exit 3 with an error line, not numpy's traceback
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)
 
     def no_evaluation(*args):
-        raise AssertionError("evaluated before the memory check")
+        raise AssertionError("evaluated before the chunk check")
 
     monkeypatch.setattr(reduced, "spectrum", no_evaluation)
     monkeypatch.setattr(arc_engine, "pair_vertex_table", no_evaluation)
     code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                              "--engine", engine, "--steps", str(10 ** 13))
     assert code == 3 and out == ""
-    assert err.startswith("error:") and "cannot be read" in err
+    assert err.startswith("error:") and "needs 2441406251 chunks" in err
     assert "Traceback" not in err
 
 
 def test_simulate_reduced_strided_horizon_fits(capsys, monkeypatch):
-    # the budget that refuses 10^13 rows holds the same horizon at stride 10^12
+    # the horizon the chunk cap refuses at stride 1 runs at stride 10^12,
+    # under a budget of 1 MiB
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: 2 ** 20)
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--steps", str(10 ** 13), "--stride", str(10 ** 12))
     assert code == 0
     assert read_run_rows(out).t.tolist() == [t * 10 ** 12 for t in range(11)]
+
+
+def _traced_peak(argv):
+    """tracemalloc's peak over one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_the_series(tmp_path):
+    # a J(10^6,2) series of 64 chunks peaks within one chunk's three 8-byte
+    # columns of a series of 4: each chunk is written before the next is made
+    def argv(chunks):
+        steps = chunks * arc_engine.CHUNK - 1
+        return ["simulate", "--n", "1000000", "--k", "2", "--steps", str(steps),
+                "--out", str(tmp_path / "series.csv")]
+
+    _traced_peak(argv(4))  # the lazily built tables of the first run
+    short, long = _traced_peak(argv(4)), _traced_peak(argv(64))
+    assert abs(long - short) < 3 * 8 * arc_engine.CHUNK
 
 
 def test_simulate_marked_flag(capsys):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import orbit_walk
+from chunked import gather
 from eigenphases import eigenphases
-from jwalk import reduced, spectral, validation
+from jwalk import arc_engine, reduced, spectral, validation
 from jwalk.errors import CapacityError, PrecisionError
 from jwalk.johnson import graph_params
 
@@ -74,7 +75,7 @@ def test_success_probability_endpoints():
     # p(0) is 1/N on both paths, and the target is a unit vector
     p = graph_params(100, 2)
     assert orbit_walk.probabilities(p, 0)[0] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
-    assert reduced.evolve_series(p, 0).p_succ[0] == pytest.approx(
+    assert gather(reduced.evolve_series(p, 0)).p_succ[0] == pytest.approx(
         1.0 / p.num_vertices, rel=1e-13)
     _, w = validation._reduced_step(p)
     assert float(np.dot(w, w)) ** 2 == pytest.approx(1.0, abs=1e-12)
@@ -91,17 +92,17 @@ def test_success_probability_regression(n):
 def test_success_probability_band_at_n100():
     got = P_SUCC_AT_T_RUN_K2[100]
     p = graph_params(100, 2)
-    assert reduced.evolve_series(p, 78).p_succ[-1] == pytest.approx(got, abs=1e-9)
+    assert gather(reduced.evolve_series(p, 78)).p_succ[-1] == pytest.approx(got, abs=1e-9)
     assert abs(got - 0.5) <= 0.1
 
 
 def test_evolve_series_rows():
     p = graph_params(100, 2)
-    rows = reduced.evolve_series(p, 160)
+    rows = gather(reduced.evolve_series(p, 160))
     assert all(len(column) == 161 for column in (rows.t, rows.p_succ, rows.norm))
     assert rows.t[0] == 0 and rows.p_alt is None
     assert rows.p_succ[0] == pytest.approx(1.0 / p.num_vertices, rel=1e-13)
-    strided = reduced.evolve_series(p, 10, stride=3)
+    strided = gather(reduced.evolve_series(p, 10, stride=3))
     assert strided.t.tolist() == [0, 3, 6, 9, 10]
     with pytest.raises(ValueError):
         reduced.evolve_series(p, -1)
@@ -176,8 +177,8 @@ CERTIFIED = [(3, 1), (10 ** 6, 1), (4, 2), (6400, 2), (6, 3), (1000, 3), (8, 4),
 
 
 def _spectral_series(params, steps, stride=1):
-    """p(t) from every block of the spectral scan, the series ``evolve_series`` reads."""
-    return np.concatenate([p for _, p in reduced._blocks(reduced.spectrum(params), steps, stride)])
+    """p(t) from every block of the spectral scan, the series ``evolve_series`` yields."""
+    return gather(reduced.evolve_series(params, steps, stride)).p_succ
 
 
 @pytest.mark.parametrize("n,k", CERTIFIED)
@@ -226,7 +227,7 @@ def test_evolve_series_matches_iteration(n, k):
     iterated = orbit_walk.probabilities(p, steps)
     off_grid = steps if steps % 7 else steps - 1
     for last, stride in [(steps, 1), (steps - steps % 7, 7), (off_grid, 7)]:
-        series = reduced.evolve_series(p, last, stride)
+        series = gather(reduced.evolve_series(p, last, stride))
         on_grid = list(range(0, last + 1, stride))
         assert series.t.tolist() == on_grid + ([last] if last % stride else [])
         assert np.abs(series.p_succ - iterated[series.t]).max() <= 1e-12
@@ -252,7 +253,7 @@ def test_strided_series_to_1e9_steps_against_60_digits(monkeypatch):
     # 1,001 rows reaching 10^9 steps cost 1,001 evaluations, each as exact
     # as at small t
     p = graph_params(10 ** 6, 2)
-    series = reduced.evolve_series(p, 10 ** 9, stride=10 ** 6)
+    series = gather(reduced.evolve_series(p, 10 ** 9, stride=10 ** 6))
     assert series.t.tolist() == list(range(0, 10 ** 9 + 1, 10 ** 6))
     monkeypatch.setattr(spectral, "_MP_DPS", 60)
     spec = reduced.spectrum(p)
@@ -295,21 +296,19 @@ def test_rotation_angles_reduced_before_rounding():
 def test_probability_blocks_layout():
     # the refusals of steps -1 and stride 0 are evolve_series' (test_evolve_series_rows)
     params = graph_params(100, 2)
-    spec = reduced.spectrum(params)
-    blocks = list(reduced._blocks(spec, reduced.SCAN_CHUNK, 1))
-    assert [(s, len(p)) for s, p in blocks] == [(0, reduced.SCAN_CHUNK),
-                                                (reduced.SCAN_CHUNK, 1)]
-    assert [len(p) for _, p in reduced._blocks(spec, 0, 1)] == [1]
-    # strided: a block spans SCAN_CHUNK samples, and an off-grid end is one more
-    steps = 3 * reduced.SCAN_CHUNK + 1
-    strided = list(reduced._blocks(spec, steps, 3))
-    assert [(s, len(p)) for s, p in strided] == [(0, reduced.SCAN_CHUNK),
-                                                 (3 * reduced.SCAN_CHUNK, 1), (steps, 1)]
+    chunk = arc_engine.CHUNK
+    blocks = list(reduced.evolve_series(params, chunk, 1))
+    assert [(int(b.t[0]), len(b.t)) for b in blocks] == [(0, chunk), (chunk, 1)]
+    assert [len(b.t) for b in reduced.evolve_series(params, 0, 1)] == [1]
+    # strided: a block spans CHUNK samples, and an off-grid end is one more
+    steps = 3 * chunk + 1
+    strided = list(reduced.evolve_series(params, steps, 3))
+    assert [(int(b.t[0]), len(b.t)) for b in strided] == [(0, chunk), (3 * chunk, 1),
+                                                         (steps, 1)]
+    assert all(len(b.p_succ) == len(b.norm) == len(b.t) for b in strided)
     dense = _spectral_series(params, steps)
-    assert np.abs(np.concatenate([p for _, p in strided])
+    assert np.abs(gather(strided).p_succ
                   - dense[list(range(0, steps, 3)) + [steps]]).max() <= 1e-15
-    assert np.array_equal(reduced.evolve_series(params, steps, 3).p_succ,
-                          np.concatenate([p for _, p in strided]))
 
 
 def test_unconverged_root_raises(monkeypatch):
@@ -417,8 +416,8 @@ def test_numpy_integer_times_match_python_ints():
     p = graph_params(100, 2)
     t_run = spectral.run_time(p).t_run
     assert reduced.sweep_point(p, np.int64(t_run)) == reduced.sweep_point(p, t_run)
-    assert np.array_equal(reduced.evolve_series(p, np.int64(1001), np.int64(7)).p_succ,
-                          reduced.evolve_series(p, 1001, 7).p_succ)
+    assert np.array_equal(_spectral_series(p, np.int64(1001), np.int64(7)),
+                          _spectral_series(p, 1001, 7))
 
 
 @pytest.mark.parametrize("n,k,stride", [(100, 2, 1), (100, 16, 1), (4000, 3, 1000)])
@@ -492,7 +491,7 @@ def test_sweep_window_equals_every_block(monkeypatch, n, k):
     monkeypatch.setattr(reduced, "_MARGIN", 1)
     starts = _counting_blocks(monkeypatch)
     assert reduced.sweep_point(p, t_run) == expected
-    assert sorted(starts) == list(range(0, steps + 1, reduced.SCAN_CHUNK))
+    assert sorted(starts) == list(range(0, steps + 1, arc_engine.CHUNK))
 
 
 def test_sweep_window_evaluates_few_blocks(monkeypatch):
@@ -501,7 +500,7 @@ def test_sweep_window_evaluates_few_blocks(monkeypatch):
     t_run = spectral.run_time(p).t_run
     starts = _counting_blocks(monkeypatch)
     reduced.sweep_point(p, t_run)
-    assert 2 * t_run // reduced.SCAN_CHUNK + 1 == 384
+    assert 2 * t_run // arc_engine.CHUNK + 1 == 384
     assert 1 <= len(starts) <= 2 and len(set(starts)) == len(starts)
 
 
@@ -523,7 +522,7 @@ def test_sweep_evaluates_every_block_of_the_window(monkeypatch, n, k):
     starts = _counting_blocks(monkeypatch)
     reduced.sweep_point(p, t_run)
     (intervals,) = windows
-    chunk = reduced.SCAN_CHUNK
+    chunk = arc_engine.CHUNK
     met = {b for lo, hi in intervals for b in range(lo // chunk, hi // chunk + 1)}
     bound = reduced._two_term_bound(spec)
     seeds = {t // chunk for t in [t_run, *reduced._peak_times(bound, max(1, 2 * t_run))]}
@@ -542,7 +541,7 @@ def test_sweep_refuses_a_window_beyond_the_block_cap(monkeypatch):
     t_run = spectral.run_time(p).t_run
     spec = _solve_once(monkeypatch, p)
     bound = reduced._two_term_bound(spec)
-    chunk = reduced.SCAN_CHUNK
+    chunk = arc_engine.CHUNK
     seeds = {t // chunk for t in [t_run, *reduced._peak_times(bound, 2 * t_run)]}
     starts = _counting_blocks(monkeypatch)
     with pytest.raises(CapacityError, match=r"needs 190107929 blocks .* above the 1048576 allowed"):

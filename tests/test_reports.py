@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jwalk import cli, reports, spectral, validation
+from chunked import gather, split
+from jwalk import arc_engine, cli, reduced, reports, spectral, validation
 from jwalk.arc_engine import Series
 from jwalk.johnson import graph_params
 from run_csv import read_run_rows
@@ -21,13 +22,15 @@ def test_format_float_round_trips(value):
     assert float(reports.format_float(value)) == value
 
 
-def _sample_run_report(engine="full"):
-    p = graph_params(8, 2)
+def _sample_series(engine="full"):
     alt = np.full(2, 0.07142857142857144) if engine == "full" else None
-    series = Series(t=np.array([0, 1]), p_succ=np.array([1 / 28, 0.2539682539682539]),
-                    p_alt=alt, norm=np.array([1.0, 1.0 - 2e-16]))
-    return reports.RunReport(params=p, marked=(1, 2), engine=engine,
-                             t_run=6, stride=1, series=series)
+    return Series(t=np.array([0, 1]), p_succ=np.array([1 / 28, 0.2539682539682539]),
+                  p_alt=alt, norm=np.array([1.0, 1.0 - 2e-16]))
+
+
+def _sample_run_report(engine="full"):
+    return reports.RunReport(params=graph_params(8, 2), marked=(1, 2), engine=engine,
+                             t_run=6, stride=1, series=[_sample_series(engine)])
 
 
 def test_run_csv_round_trip_exact():
@@ -35,7 +38,7 @@ def test_run_csv_round_trip_exact():
     text = "".join(reports.run_report_to_csv(report))
     assert text.startswith("t,p_succ,p_alt,norm\n")
     parsed = read_run_rows(text)
-    assert all(np.array_equal(a, b) for a, b in zip(parsed, report.series))
+    assert all(np.array_equal(a, b) for a, b in zip(parsed, _sample_series()))
     assert parsed.t.dtype == np.int64
 
 
@@ -47,13 +50,12 @@ def test_run_csv_empty_alt_field():
     assert read_run_rows(text).p_alt is None
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, reports.REPORT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 @pytest.mark.parametrize("with_alt", [False, True])
-def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
+def test_run_report_chunks_match_whole_text(chunk, with_alt):
     # the streamed text is the text of the whole report at once, wherever
     # the chunk boundaries fall, and NaN and the infinities are spelled as
     # json.dumps spells them
-    monkeypatch.setattr(reports, "REPORT_CHUNK", chunk)
     nan, inf = math.nan, math.inf
     t = [0, 3, 6, 9, 12]
     p_succ = [0.25, 0.1, 0.5, nan, inf]
@@ -63,7 +65,7 @@ def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
                     p_alt=np.array(p_alt) if with_alt else None, norm=np.array(norm))
     report = reports.RunReport(params=graph_params(8, 2), marked=(1, 2),
                                engine="full" if with_alt else "reduced",
-                               t_run=6, stride=3, series=series)
+                               t_run=6, stride=3, series=split(series, chunk))
     alt_fields = ["0.5", "0.20000000000000001", "1", "inf", "nan"] if with_alt \
         else [""] * 5
     assert "".join(reports.run_report_to_csv(report)) == (
@@ -88,9 +90,8 @@ def test_run_report_chunks_match_whole_text(monkeypatch, chunk, with_alt):
     assert '"p_succ": NaN' in text and '"norm": -Infinity' in text
 
 
-def _per_row_texts(report):
-    """The CSV and JSON texts of a run report, spelled one field at a time."""
-    series = report.series
+def _per_row_texts(report, series):
+    """The CSV and JSON texts of a run report of ``series``, spelled one field at a time."""
     alt = [None] * len(series.t) if series.p_alt is None else series.p_alt.tolist()
     rows = list(zip(series.t.tolist(), series.p_succ.tolist(), alt, series.norm.tolist()))
     csv_text = "t,p_succ,p_alt,norm\n" + "".join(
@@ -108,12 +109,16 @@ def _per_row_texts(report):
     return csv_text, json.dumps(doc, indent=2) + "\n"
 
 
-def _report_of(p_succ, p_alt, norm):
-    series = Series(t=np.arange(len(p_succ)) * 5, p_succ=np.array(p_succ),
-                    p_alt=None if p_alt is None else np.array(p_alt), norm=np.array(norm))
+def _report_of(series, chunk):
+    """A run report of ``series`` in chunks of ``chunk`` rows, drawn as often as needed."""
     return reports.RunReport(params=graph_params(8, 2), marked=(3,),
-                             engine="reduced" if p_alt is None else "full",
-                             t_run=6, stride=5, series=series)
+                             engine="reduced" if series.p_alt is None else "full",
+                             t_run=6, stride=5, series=split(series, chunk))
+
+
+def _series_of(p_succ, p_alt, norm):
+    return Series(t=np.arange(len(p_succ)) * 5, p_succ=np.array(p_succ),
+                  p_alt=None if p_alt is None else np.array(p_alt), norm=np.array(norm))
 
 
 # seven rows, so chunks of 2 and 3 rows leave a short last chunk
@@ -131,16 +136,16 @@ _CONSTANT_COLUMNS = {
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 @pytest.mark.parametrize("with_alt", [False, True])
 @pytest.mark.parametrize("name", sorted(_CONSTANT_COLUMNS))
-def test_run_report_constant_columns_spelled_per_row(monkeypatch, chunk, with_alt, name):
+def test_run_report_constant_columns_spelled_per_row(chunk, with_alt, name):
     # a column that is constant over a chunk is spelled once for the chunk,
     # in the same bytes as each of its fields spelled alone
-    monkeypatch.setattr(reports, "REPORT_CHUNK", chunk)
     column = _CONSTANT_COLUMNS[name]
     varying = [0.5, 0.1, 2 ** -1074, -1.5, 1e300, 0.75, 1.0 - 2 ** -53]
     for p_succ, p_alt, norm in [(column, varying if with_alt else None, column[::-1]),
                                 (varying, column if with_alt else None, column)]:
-        report = _report_of(p_succ, p_alt, norm)
-        csv_text, json_text = _per_row_texts(report)
+        series = _series_of(p_succ, p_alt, norm)
+        report = _report_of(series, chunk)
+        csv_text, json_text = _per_row_texts(report, series)
         assert "".join(reports.run_report_to_csv(report)) == csv_text
         assert "".join(reports.run_report_to_json(report)) == json_text
 
@@ -152,10 +157,36 @@ def test_run_report_random_bit_patterns_spelled_per_row():
     values = np.random.default_rng(0).integers(
         0, 2 ** 64, size=10_000, dtype=np.uint64).view(np.float64)
     assert all(reports.format_float(x) == format(x, ".17g") for x in values.tolist())
-    report = _report_of(values, values[::-1], np.ones(len(values)))
-    csv_text, json_text = _per_row_texts(report)
+    series = _series_of(values, values[::-1], np.ones(len(values)))
+    report = _report_of(series, 4096)
+    csv_text, json_text = _per_row_texts(report, series)
     assert "".join(reports.run_report_to_csv(report)) == csv_text
     assert "".join(reports.run_report_to_json(report)) == json_text
+
+
+@pytest.mark.parametrize("engine,n,k,steps,stride", [
+    ("reduced", 4000, 3, 30000, 7),    # 4,286 rows on the grid, then t = 30000 alone
+    ("full", 8, 2, 9000, 7),
+])
+def test_run_report_bytes_do_not_depend_on_chunking(engine, n, k, steps, stride):
+    # an engine's series, whole, in its own chunks (the off-grid last row
+    # alone), and in chunks of 1, 7 and 4096 rows, is written in the same
+    # bytes as CSV and as JSON
+    params = graph_params(n, k)
+    if engine == "full":
+        own = list(arc_engine.evolve_and_record(params, 0, steps, stride))
+    else:
+        own = list(reduced.evolve_series(params, steps, stride))
+    assert len(own[-1].t) == 1 and own[-1].t[0] == steps
+    whole = gather(own)
+    assert len(whole.t) == steps // stride + 2
+    texts = set()
+    for chunks in [[whole], own, split(whole, 1), split(whole, 7), split(whole, 4096)]:
+        report = reports.RunReport(params=params, marked=(1, 2), engine=engine,
+                                   t_run=6, stride=stride, series=chunks)
+        texts.add(("".join(reports.run_report_to_csv(report)),
+                   "".join(reports.run_report_to_json(report))))
+    assert len(texts) == 1
 
 
 def _spy_numpy_rows(monkeypatch):
@@ -186,8 +217,8 @@ _FALLBACK_VALUES = [np.nextafter(1e-4, 0.0), 1.0, 1.5, math.nan, -0.0,
 _EDGE_TIMES = [9, 10, 9999, 10000, 99999, 100000, 2 ** 53 - 1, 2 ** 53]
 
 
-def _drawn_report(seed, rows, with_alt):
-    """A run report of values drawn log-uniform in [1e-4, 1): the
+def _drawn_series(seed, rows, with_alt):
+    """A series of values drawn log-uniform in [1e-4, 1): the
     _FALLBACK_VALUES among its first 4096 rows, the _EDGE_VALUES and
     _EDGE_TIMES among the rest."""
     rng = np.random.default_rng(seed)
@@ -197,11 +228,8 @@ def _drawn_report(seed, rows, with_alt):
         column[4096 + rng.choice(rows - 4096, len(_EDGE_VALUES), replace=False)] = _EDGE_VALUES
     t = np.sort(rng.choice(10 ** 6, size=rows, replace=False))
     t[rows - len(_EDGE_TIMES):] = _EDGE_TIMES
-    series = Series(t=t, p_succ=columns[0], p_alt=columns[1] if with_alt else None,
-                    norm=columns[2] if with_alt else np.ones(rows))
-    return reports.RunReport(params=graph_params(8, 2), marked=(3,),
-                             engine="full" if with_alt else "reduced",
-                             t_run=6, stride=5, series=series)
+    return Series(t=t, p_succ=columns[0], p_alt=columns[1] if with_alt else None,
+                  norm=columns[2] if with_alt else np.ones(rows))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
@@ -209,10 +237,10 @@ def _drawn_report(seed, rows, with_alt):
 def test_run_csv_drawn_values_spelled_per_row(monkeypatch, chunk, with_alt):
     # the numpy rows, and the template where a chunk falls back to it, spell
     # every drawn and edge value as format(x, ".17g") spells it alone
-    monkeypatch.setattr(reports, "REPORT_CHUNK", chunk)
     served = _spy_numpy_rows(monkeypatch)
-    report = _drawn_report(20261019, 4500, with_alt)
-    csv_text, _ = _per_row_texts(report)
+    series = _drawn_series(20261019, 4500, with_alt)
+    report = _report_of(series, chunk)
+    csv_text, _ = _per_row_texts(report, series)
     assert "".join(reports.run_report_to_csv(report)) == csv_text
     assert "0.99999618530273438" in csv_text
     # a chunk of one row has only constant columns, spelled as they are

@@ -1018,3 +1018,12 @@ def test_cross_engine_probability_identity():
         p_full = arc_engine.vertex_probability(p, flat.to_pair(p, psi), 0)
         p_red = abs(np.dot(target, coords)) ** 2
         assert abs(p_full - p_red) <= 1e-11
+
+
+def test_lift_norms_summed_pairwise():
+    # |S x|^2, |T x|^2 and |x|^2 over J(20,3)'s A = 58,140 arcs, summed one
+    # after another by np.dot, gave 1.1e-14 with the default BLAS threads and
+    # 3.4e-14 with one
+    p = graph_params(20, 3)
+    residuals = validation.verify_eigenbasis(validation.build_invariant_basis(p, 0), _frame(p))
+    assert residuals["lift_norm_identities"] <= 2e-15
