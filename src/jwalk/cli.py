@@ -3,12 +3,17 @@
 Subcommands: spectrum, simulate, sweep, validate.  Exit codes: 0 success,
 1 certification failure, always after the report is written, 2 usage or
 domain error (including an instance beyond the spectral solver's
-precision, and an output that cannot be written), 3 capacity refusal.
+precision, a platform without an extended longdouble for the reduced
+engine, and an output that cannot be written), 3 capacity refusal, 141
+(128 + SIGPIPE, as a shell reports it) when the reader of stdout closed
+the pipe before the output was all written, so a cut-off report never
+reads as a success.
 """
 
 import argparse
 import gc
 import math
+import os
 import sys
 from typing import Optional
 
@@ -25,6 +30,7 @@ EXIT_OK = 0
 EXIT_CERTIFICATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_marked(raw: Optional[str], n: int, k: int) -> tuple:
@@ -187,6 +193,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at /dev/null, so that the flush at
+        # exit cannot raise again, and say nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -82,11 +82,17 @@ rounded 64 bits below the product's last bit, before rounding the angle
 to longdouble (``_rotations``).  The rotation is then that of the exact
 product at any t, equal to a 150-digit reduction bit for bit, so the
 error of p(t) does not grow with t; the 2k+1 terms are summed in
-extended precision.  That error is absolute, about one longdouble
-rounding of terms up to about 1/2 in modulus, so p is good to about one
-double rounding only near the peak; where p is small the sum cancels and
-p's relative error grows like 1/p (in a J(4000, 3) series sampled against
-60 digits, 25 ulp at p = 3.6e-9).  On J(10^6, 2) the scan's p(t_run)
+extended precision.  That error is absolute: the terms are up to about
+1/2 in modulus, so the sum carries a few longdouble roundings of 1/2
+whatever p is.  Near the peak that is below one double rounding of p;
+where p is small the sum cancels, and p's relative error grows like 1/p.
+Against a 60-digit evaluation of the same 40-digit spectrum, rows
+t = 229,355-229,370 of J(4000, 3)'s default series are within 2.5e-23
+absolute, and at t = 229,357, where p = 3.3e-12, the error of 2.5e-25 is
+621 ulp.  The evaluator needs an extended longdouble: ``evolve_series``
+and ``sweep_point`` refuse, with PrecisionError, a platform whose
+longdouble has fewer than 63 significand bits after the point
+(``_LONGDOUBLE_BITS``), where they would silently write other bytes.  On J(10^6, 2) the scan's p(t_run)
 equals a 60-digit evaluation to the last bit, while the tests' arc-class
 walk, iterated in longdouble, differs by 4.0e-15, its own drift over
 785,398 steps.
@@ -114,6 +120,11 @@ __all__ = [
 # iterations allowed per secular root; reaching the cap raises
 _MAX_NEWTON = 20
 
+# significand bits after the point of this platform's longdouble, read once:
+# 63 for the x87 80-bit format, 52 where longdouble is plain double
+_LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant
+_NEEDED_BITS = 63
+
 # slack of the sweep's window: far above the one double rounding that
 # separates a scanned p from a 60-digit value, and above the longdouble
 # rounding of the amplitudes and rotations; a larger value only adds blocks
@@ -140,9 +151,11 @@ def evolve_series(params: GraphParams, steps: int, stride: int = 1) -> Iterator[
     spectrum's eigen-expansion norm on every row, a read-only broadcast of
     one double; ``p_alt`` is None.  The chunk count is checked and the
     spectrum solved at the call, so every refusal comes before the first
-    chunk.
+    chunk, and a longdouble without 63 significand bits is refused with
+    PrecisionError before the spectrum is solved (:func:`_require_longdouble`).
     """
     chunks = arc_engine._chunk_times(steps, stride)
+    _require_longdouble()
     spec = spectrum(params)
     return _series(spec, stride, chunks)
 
@@ -154,6 +167,15 @@ def _series(spec: SecularSpectrum, stride: int,
     for t in chunks:
         yield Series(t=t, p_succ=_block(spec, tables, int(t[0]), len(t)), p_alt=None,
                      norm=np.broadcast_to(norm, t.shape))
+
+
+def _require_longdouble() -> None:
+    """Refuse the block evaluator on a platform whose longdouble is not extended."""
+    if _LONGDOUBLE_BITS < _NEEDED_BITS:
+        raise PrecisionError(
+            f"the reduced engine needs a longdouble with {_NEEDED_BITS} significand bits "
+            f"after the point, and this platform's has {_LONGDOUBLE_BITS}; "
+            "use simulate --engine full instead")
 
 
 def _ld(values) -> np.ndarray:
@@ -404,10 +426,13 @@ def sweep_point(params: GraphParams, t_run: int) -> tuple:
     is evaluated once by the scan's own evaluator, and they are visited in
     increasing t with a strict comparison, so ``t_opt`` is the first maximum.
     A window of more than MAX_CHUNKS blocks is refused with CapacityError
-    once the seed blocks are evaluated, before any other.
+    once the seed blocks are evaluated, before any other; a longdouble
+    without 63 significand bits with PrecisionError, before the spectrum
+    is solved.
     """
     if t_run < 0:
         raise ValueError("t_run must be >= 0")
+    _require_longdouble()
     spec = spectrum(params)
     steps = max(1, 2 * t_run)
     tables = _tables(spec, 1)

@@ -5,15 +5,16 @@ sharing none of the shortcuts of the formulas, the matrix-free engine or
 the reduced step matrix it checks.  The adjacency is read from the arc
 reversal; the walk step is U = P blockdiag(B_v), the arc reversal P and
 two distinct d x d coin blocks (:func:`_step_blocks`); the
-invariant-subspace basis is materialized explicitly.
+invariant-subspace basis is held in arc-class coordinates.
 
 The basis construction follows the lifting route: the marked vertex's
 eigenspace projections are read from k+1 Lanczos steps (Lanczos 1950)
 from it, whose Krylov space in the distance-regular J(n,k) is the span of
 its k+1 distance shells (Brouwer, Cohen & Neumaier, *Distance-Regular
 Graphs*); with Q the Lanczos vectors and y_l the Jacobi matrix's
-eigenvectors, the projection on eigenspace l is y_l[0] Q^T y_l.  They are
-mapped into arc space by the symmetric lift
+eigenvectors, the projection on eigenspace l is y_l[0] Q^T y_l.  A
+projection x is constant on each shell, and it is mapped into arc space by
+the symmetric lift
 
     (S x)[arc] = (x[tail] + x[head]) / sqrt(2)
 
@@ -22,36 +23,50 @@ S^T S = degree*I + A and T^T T = degree*I - A, and combining them with the
 walk eigenphases yields the orthonormal eigenbasis of the invariant
 subspace that the reduced engine works in.
 
+A lift of a shell-constant x is constant on each *arc class*: the arcs
+from shell i to shell j, with j = i - 1, i or i + 1, 3k classes (3k - 1
+at n = 2k), which partition the arcs equitably for the walk (Godsil &
+Royle, *Algebraic Graph Theory* ch. 9).  So the basis is B = C·Y, with C
+the A x K class indicators, held as one small-integer class id per arc,
+and Y the K x (2k+1) values of the basis on the classes, read from the
+shell averages of the projections.  Every row that reads the basis is
+algebra on Y weighted by the class sizes: B^H B = Y^H diag(sizes) Y, and
+the norm of C y is that of y weighted by the sizes.  The arc side is the
+walk's step of one class indicator at a time, through the engine's pair
+passes and through the coin blocks and the arc reversal: each image's
+class means make the step on the classes, M with U C = C M, and its
+largest deviation from them, 0 in exact arithmetic, is a term of the row
+that reads M (:func:`_class_step`).
+
 The basis keeps the Lanczos eigenvalues, projector weights and closing
 beta it is built from, and the spectral stage compares them with the
-closed forms; nothing in the basis reads the intersection numbers, which
-that stage checks exactly, in integers.  J(n,k) is vertex-transitive,
-hence walk-regular, so the weights read from the Jacobi matrix are m_l / N
-and certify the multiplicities too.  A Lanczos breakdown leaves the basis
+closed forms; nothing in the basis reads the intersection numbers or the
+shell sizes, which that stage checks exactly, in integers, and which the
+class sizes are counted from.  J(n,k) is vertex-transitive, hence
+walk-regular, so the weights read from the Jacobi matrix are m_l / N and
+certify the multiplicities too.  A Lanczos breakdown leaves the basis
 NaN, so the battery fails rather than raises.
 
 ``certify`` builds the basis (which carries the closed form's arc
-reversal), the step's two coin blocks, their image U B of the basis and
-its compression B^H (U B), and the reduced step matrix and target once,
-and runs six stages on them.  The reduced step is rounded entry by entry,
-once, from the 40-digit walk terms that the spectrum is solved from
-(``spectral.walk_terms``); it is built here only, to be compared.
-Each ``verify_*`` stage takes what it reads as required arguments, the
-instance and marked vertex from the basis where it takes one, and
-returns its residuals by name; ``certify`` alone compares them with the
-tolerance, so no check raises.
+reversal and the arcs' classes), the step's two coin blocks, the marked
+step on the classes and its compression Y^H diag(sizes) M Y, and the
+reduced step matrix and target once, and runs six stages on them.  The
+reduced step is rounded entry by entry, once, from the 40-digit walk
+terms that the spectrum is solved from (``spectral.walk_terms``); it is
+built here only, to be compared.  Each ``verify_*`` stage takes what it
+reads as required arguments, the instance and marked vertex from the
+basis where it takes one, and returns its residuals by name; ``certify``
+alone compares them with the tolerance, so no check raises.
 
-The report is byte-identical across runs at one BLAS thread count, but
-not across thread counts: the matrix products split their sums by
-thread, which moves the residuals' last bits.
-
-The coin blocks are real float64: the Grover coin, the flip-flop shift
-and the oracle's reflection through a real vector have no imaginary part,
-and the matrix-free engine they certify steps real float64 states too.
-The invariant basis is complex128, since its columns carry the walk
-eigenphases.  The blocks or an engine step only ever meet the basis
-through its real and imaginary parts separately, so no block is upcast
-to complex.
+The report is byte-identical across runs, and on CI's instances with one
+BLAS thread as with two, except J(100,2)'s ``marked_step_det_modulus``:
+the LU of its 196 x 196 blocks splits its work by thread.  The coin blocks are real
+float64: the Grover coin, the flip-flop shift and the oracle's reflection
+through a real vector have no imaginary part, and the matrix-free engine
+they certify steps real float64 states too.  The class coordinates Y are
+complex128, since the basis carries the walk eigenphases; the arc-level
+steps act on real class indicators, and only the K x K step on the
+classes meets Y.
 
 Arc space here is numbered tail-major, as in ``jwalk.johnson``.  The
 basis keeps the arc reversal and each arc's slot in the engine's pair
@@ -62,19 +77,19 @@ the coin, are C·O = blockdiag(B_v) read at the slots, and S is the swap of
 x and y, so a whole step is read from the swapped state at the slots.
 
 Cost, with A = N d the arcs, d the degree and N the number of vertices:
-the battery holds the basis, its lifts and its products, O(A k) words,
-and arc tables of O(A); nothing is N x N, A x A or N x d x d.  The engine
-is compared with the blocks through d probe states, not A unit columns,
-as Curtis, Powell & Reid (1974) group the columns of a sparse Jacobian
-(:func:`_engine_residual`).  In-process, on one pinned CPU of a 2-core
-x86-64 with one BLAS thread (the host's speed varied), ``certify`` takes
-0.007-0.010 s on J(10,3) (A = 2,520), 0.027-0.035 s on J(10,5),
-0.037-0.056 s on J(12,4) (A = 15,840) and 0.13 s on J(20,3)
-(A = 58,140), where an N x N adjacency ``eigh`` and N copies of the coin
-block took it to 0.51-0.64 s; and 4.2-5.1 s on J(40,3) (A = 1,096,680),
-about half of it the two engine comparisons, whose 111 probes each
-step a whole pair state, and about 0.01 s each the Lanczos run in the
-basis build and the spectral stage.
+the battery holds the arc tables (reversal, slots, class ids) and a few
+arc vectors and pair states at a time, about five words per arc, and
+nothing of size A x k, N x N, A x A or N x d x d
+(:func:`_battery_words`).  The engine is compared with the blocks through
+d probe states, not A unit columns, as Curtis, Powell & Reid (1974) group
+the columns of a sparse Jacobian (:func:`_engine_residual`), and the
+basis through 2K class indicators.  In-process, on a 2-core x86-64,
+``certify`` takes about 0.01 s on J(10,3) (A = 2,520), 0.02 s on J(12,4)
+(A = 15,840) and 0.1 s on J(20,3) (A = 58,140); 2.1 s on J(40,3)
+(A = 1,096,680), more than half of it the step stage, whose 222 probes
+each step a whole pair state, and 0.3 s each the 9 unmarked and 9 marked
+class-indicator steps; and about 60 s on J(40,4) (A = 13,160,160), 41 s of
+it the 288 probes.
 """
 
 import math
@@ -102,17 +117,22 @@ __all__ = [
     "certify",
 ]
 
-# 8-byte words that certify holds at most (:func:`_battery_words`): per arc
-# and basis column, the basis with the lifts it is built from and the
-# stages' complex products with it; per arc, the arc tables (reversal,
-# slots, heads, the marked vertex's arcs) and the engine's pair state
-_BASIS_WORDS = 8
-_ARC_WORDS = 8
+# 8-byte words that certify holds at most (:func:`_battery_words`): per arc,
+# the arc tables (reversal, slots, class ids), the engine's pair state, and
+# the arc vectors a class indicator is stepped and averaged through, or the
+# arc tables' build; per entry of a d x d coin block, the two blocks and the
+# stacks the step stage reads them through; and a fixed 32 KiB for the
+# vertex tables and the interpreter's own objects, which outweigh the arcs
+# below about 10^4 of them
+_ARC_WORDS = 6
+_BLOCK_WORDS = 4
+_FIXED_WORDS = 2 ** 12
 
 
 def _battery_words(params: GraphParams) -> int:
     """An upper bound on the 8-byte words certify holds at once."""
-    return params.num_arcs * (_BASIS_WORDS * (2 * params.k + 1) + _ARC_WORDS)
+    return (_ARC_WORDS * params.num_arcs + _BLOCK_WORDS * params.degree ** 2
+            + _FIXED_WORDS)
 
 
 def _require_memory(params: GraphParams) -> None:
@@ -149,11 +169,12 @@ def _engine_step(params: GraphParams, frame: tuple, vector: np.ndarray) -> np.nd
     """The unmarked step S·C of the arc-order ``vector`` through the pair ``frame``.
 
     The coin runs on the vector's pair state, and S is applied as the swap
-    of x and y: the step is the swapped state read at the slots.
+    of x and y: the step is the swapped state read at the slots, through
+    ``flat``, which reads the swapped view without copying it.
     """
     vertices, slots = frame
     state = arc_engine.apply_coin(params, _pair_state(params, slots, vector), vertices)
-    return state.swapaxes(0, 1).reshape(-1)[slots]
+    return state.swapaxes(0, 1).flat[slots]
 
 
 def _local_spectrum(heads: np.ndarray, start: int, steps: int) -> tuple:
@@ -194,13 +215,18 @@ def _local_spectrum(heads: np.ndarray, start: int, steps: int) -> tuple:
 
 @dataclass(frozen=True)
 class InvariantBasis:
-    """Explicit arc-space basis of the search's invariant subspace.
+    """The invariant subspace's eigenbasis in arc-class coordinates, B = C·Y.
 
-    ``basis`` columns are ordered (stationary, level-1 plus, level-1
-    minus, ..., level-k plus, level-k minus).  The marked vertex's
-    Lanczos spectrum (:func:`_local_spectrum`), shell indicators, lifts,
-    marked vertex's arcs and arc reversal used to build it are kept for
-    certification, and so are the arcs' pair slots.
+    C is the A x K indicator matrix of the arc classes, held as one class
+    id per arc, and Y = ``coords`` holds the basis's value on each class,
+    one column per basis vector, ordered (stationary, level-1 plus,
+    level-1 minus, ..., level-k plus, level-k minus).  Class c holds the
+    arcs from shell ``class_shells[c, 0]`` to shell ``class_shells[c, 1]``,
+    classes numbered in that (tail, head) order, so class 0 is (0, 1), the
+    marked vertex's out-arcs.  The marked vertex's Lanczos spectrum
+    (:func:`_local_spectrum`), its projections and their shell averages,
+    and the shell indicators and sizes they were averaged with are kept for
+    certification, and so are the arc reversal and the arcs' pair slots.
     """
 
     params: GraphParams
@@ -209,61 +235,128 @@ class InvariantBasis:
     local_weights: np.ndarray        # (k+1,) the marked vertex's projector weights
     krylov_closure: float            # the beta after the last Lanczos step
     shell_indicators: list           # (N,) int64 indicator of each shell
-    marked_out: np.ndarray           # arcs from shell 0 to 1, leaving the marked vertex
-    marked_in: np.ndarray            # arcs from shell 1 to 0, entering it
+    shell_sizes: np.ndarray          # (k+1,) int64 vertices in each shell
     proj_w: np.ndarray               # (k+1, N) eigenspace projections of the marked state
-    sym_lifts: list                  # symmetric lifts of proj_w
-    antisym_lifts: list              # antisymmetric lifts of proj_w
-    basis: np.ndarray                # (num_arcs, 2k+1) complex columns
-    target_arc: np.ndarray           # uniform superposition of marked out-arcs
+    shell_proj: np.ndarray           # (k+1, k+1) proj_w's average on each shell
+    class_shells: np.ndarray         # (K, 2) int64 shells of each class's tails and heads
+    class_sizes: np.ndarray          # (K,) int64 arcs in each class
+    coords: np.ndarray               # (K, 2k+1) complex Y
+    classes: np.ndarray = field(repr=False)   # each arc's class id, tail-major
     opposite: np.ndarray = field(repr=False)  # each arc's reverse, tail-major
     slots: np.ndarray = field(repr=False)     # each arc's slot in a flat pair state
 
 
+def _class_lifts(shell_proj: np.ndarray, class_shells: np.ndarray) -> tuple:
+    """The symmetric and antisymmetric lifts of the shell projections, (k+1, K) class values each.
+
+    (S x)[arc] = (x[tail] + x[head]) / sqrt(2), and T with a minus sign, for
+    an x constant on each shell.
+    """
+    tail, head = shell_proj[:, class_shells[:, 0]], shell_proj[:, class_shells[:, 1]]
+    return (tail + head) / np.sqrt(2.0), (tail - head) / np.sqrt(2.0)
+
+
+def _class_of(basis: InvariantBasis, shells: tuple) -> int:
+    """The id of the class of arcs from shell ``shells[0]`` to ``shells[1]``, or -1 if none."""
+    match = np.flatnonzero(np.all(basis.class_shells == shells, axis=1))
+    return int(match[0]) if len(match) else -1
+
+
 def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
-    """Construct the orthonormal eigenbasis explicitly in arc space."""
+    """Class each arc by its ends' shells, and construct the eigenbasis on the classes."""
     n, k, d = params.n, params.k, params.degree
-    N, A = params.num_vertices, params.num_arcs
+    N = params.num_vertices
 
     # distance k - |v ∩ marked| of every vertex, from the colex k-subsets
     dist = k - np.isin(_colex_subsets(n, k), unrank_vertex(params, marked)).sum(axis=1)
     shell_indicators = [(dist == l).astype(np.int64) for l in range(k + 1)]
+    shell_sizes = np.array([shell.sum() for shell in shell_indicators])
 
     slots, opp = arc_pair_slots(params)
-    tails = np.arange(A) // d
     heads = opp // d
-    dist_t, dist_h = dist[tails], dist[heads]
-    marked_out = ((dist_t == 0) & (dist_h == 1)).astype(float)
-    marked_in = ((dist_t == 1) & (dist_h == 0)).astype(float)
-
     local_eigenvalues, local_weights, krylov_closure, proj_w = _local_spectrum(
         heads.reshape(N, d), marked, k + 1)
-    sym_lifts = [(v[tails] + v[heads]) / np.sqrt(2.0) for v in proj_w]
-    antisym_lifts = [(v[tails] - v[heads]) / np.sqrt(2.0) for v in proj_w]
 
-    basis = np.zeros((A, 2 * k + 1), dtype=np.complex128)
-    p0 = np.linalg.norm(proj_w[0])
-    basis[:, 0] = sym_lifts[0] / (np.sqrt(2.0 * d) * p0)
+    # an arc's pair of shells (i, j) as i (k+1) + j; the pairs that occur,
+    # in increasing order, are the class ids
+    pairs = np.repeat(dist * (k + 1), d)
+    pairs += dist[heads]
+    del heads
+    counts = np.bincount(pairs, minlength=(k + 1) ** 2)
+    present = np.flatnonzero(counts)
+    ids = (np.cumsum(counts > 0) - 1).astype(np.min_scalar_type(len(present) - 1))
+    classes = ids[pairs]
+    del pairs
+    class_shells = np.column_stack(divmod(present, k + 1))
+
+    # summed pairwise, shell by shell
+    shell_proj = np.array([[np.sum(v[dist == i]) for i in range(k + 1)]
+                           for v in proj_w]) / shell_sizes
+    sym, antisym = _class_lifts(shell_proj, class_shells)
+    norms = np.sqrt(shell_proj ** 2 @ shell_sizes)
+
+    coords = np.zeros((len(present), 2 * k + 1), dtype=np.complex128)
+    coords[:, 0] = sym[0] / (np.sqrt(2.0 * d) * norms[0])
     for l in range(1, k + 1):
         lam = spectral.eigenvalue(params, l)
         omega = spectral.eigenphase(params, l)
-        p_l = np.linalg.norm(proj_w[l])
-        scale = np.sqrt(d) / (2.0 * np.sqrt(float(d * d - lam * lam)) * p_l)
+        scale = np.sqrt(d) / (2.0 * np.sqrt(float(d * d - lam * lam)) * norms[l])
         for sign, col in ((+1, 2 * l - 1), (-1, 2 * l)):
             phase = np.exp(-1j * sign * omega)
-            basis[:, col] = (sign * 1j * scale) * (
-                (phase - 1.0) * sym_lifts[l] + (phase + 1.0) * antisym_lifts[l])
-
-    target_arc = marked_out.astype(np.complex128) / np.sqrt(d)
+            coords[:, col] = (sign * 1j * scale) * (
+                (phase - 1.0) * sym[l] + (phase + 1.0) * antisym[l])
 
     return InvariantBasis(
         params=params, marked=marked, local_eigenvalues=local_eigenvalues,
         local_weights=local_weights, krylov_closure=krylov_closure,
-        shell_indicators=shell_indicators,
-        marked_out=marked_out, marked_in=marked_in,
-        proj_w=proj_w, sym_lifts=sym_lifts, antisym_lifts=antisym_lifts,
-        basis=basis, target_arc=target_arc, opposite=opp, slots=slots,
+        shell_indicators=shell_indicators, shell_sizes=shell_sizes, proj_w=proj_w,
+        shell_proj=shell_proj, class_shells=class_shells, class_sizes=counts[present],
+        coords=coords, classes=classes, opposite=opp, slots=slots,
     )
+
+
+def _class_norm(sizes: np.ndarray, values: np.ndarray) -> float:
+    """The 2-norm of the arc vector that takes ``values`` on classes of ``sizes`` arcs."""
+    return float(np.sqrt(np.sum(sizes * np.abs(values) ** 2)))
+
+
+def _class_means(basis: InvariantBasis, vector: np.ndarray) -> tuple:
+    """The mean of an arc-order float64 ``vector`` on each class, and its largest deviation from them.
+
+    ``vector`` is overwritten by its deviation.  np.bincount adds a class's
+    terms one after another, with an error that grows with the class, so
+    the means are corrected once by the sum of the deviations from them,
+    which leaves them within about one rounding.  Holds one arc vector
+    besides ``vector``.  A NaN gives NaN.
+    """
+    classes, sizes = basis.classes, basis.class_sizes
+    means = np.zeros(len(sizes))
+    for _ in range(2):
+        correction = np.bincount(classes, weights=vector, minlength=len(sizes)) / sizes
+        vector -= correction[classes]
+        means += correction
+    return means, float(np.abs(vector, out=vector).max())
+
+
+def _class_step(basis: InvariantBasis, step) -> tuple:
+    """An arc-level ``step`` on the class coordinates, and its images' largest deviation from them.
+
+    ``step`` maps an arc-order vector to a new float64 image, and is given
+    each class's boolean indicator in turn; column c of the (K, K) matrix M
+    is the class means of the image of class c (:func:`_class_means`).  The
+    classes are an equitable partition of the arcs for the walk, so each
+    image is constant on every class in exact arithmetic, the deviation is
+    0, and the step of a vector C y constant on the classes, such as a
+    basis vector, is C (M y).  One indicator and its image are held at a
+    time.
+    """
+    columns, deviations = [], []
+    for c in range(len(basis.class_sizes)):
+        means, deviation = _class_means(basis, step(basis.classes == c))
+        columns.append(means)
+        deviations.append(deviation)
+    # folded with np.max, not Python's max, which drops a NaN after the first
+    return np.column_stack(columns), float(np.max(deviations))
 
 
 @dataclass(frozen=True)
@@ -402,98 +495,119 @@ def verify_dense_step(params: GraphParams, marked: int, frame: tuple, blocks: tu
 
 
 def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
-    """Orthonormality and eigenrelations of the explicit basis.
+    """Orthonormality and eigenrelations of the basis, on the class coordinates.
 
-    The engine steps each column through the pair ``frame`` and the shift,
-    the swap of x and y (:func:`_engine_step`), so the eigenrelation also
-    checks the shift against the arc reversal the basis is built from.
-    Also certifies the lift norm identities |S x|^2 = (d+lambda)|x|^2,
-    |T x|^2 = (d-lambda)|x|^2 on the eigenspace projections, each term
-    relative to its own (d +- lambda)|x|^2, and that the antisymmetric lift
-    kills the stationary projection.
+    The Gram is Y^H diag(sizes) Y.  The engine steps each class indicator
+    through the pair ``frame`` and the shift, the swap of x and y
+    (:func:`_engine_step`), and the images' class means are the unmarked
+    step M on the classes (:func:`_class_step`).  Each eigenrelation is the
+    norm of C (M - e^{i phi}) y, and the images' largest deviation from
+    their class means is a term of the same row, so the row also checks
+    the shift against the arc reversal the classes are read from.  Also
+    certifies the lift norm identities |S x|^2 = (d+lambda)|x|^2,
+    |T x|^2 = (d-lambda)|x|^2 on the shell averages x of the eigenspace
+    projections, each term relative to its own (d +- lambda)|x|^2, and that
+    the antisymmetric lift kills the stationary projection.
     """
-    params, B = basis.params, basis.basis
+    params, Y, sizes = basis.params, basis.coords, basis.class_sizes
     k, d = params.k, params.degree
+    sym, antisym = _class_lifts(basis.shell_proj, basis.class_shells)
     residuals = {
-        "basis_gram": float(np.abs(B.conj().T @ B - np.eye(2 * k + 1)).max()),
-        "stationary_antisymmetric_lift": float(np.linalg.norm(basis.antisym_lifts[0])),
+        "basis_gram": float(np.abs((Y.conj().T * sizes) @ Y - np.eye(2 * k + 1)).max()),
+        "stationary_antisymmetric_lift": _class_norm(sizes, antisym[0]),
     }
 
-    # the step is real-linear: step the real and imaginary parts of every
-    # column apart
-    stepped = [_engine_step(params, frame, B.real[:, j])
-               + 1j * _engine_step(params, frame, B.imag[:, j]) for j in range(2 * k + 1)]
-    eig_terms = [np.linalg.norm(stepped[0] - B[:, 0])]
+    step, deviation = _class_step(basis, lambda vector: _engine_step(params, frame, vector))
+    stepped = step @ Y
+    eig_terms = [deviation, _class_norm(sizes, stepped[:, 0] - Y[:, 0])]
     for l in range(1, k + 1):
         omega = spectral.eigenphase(params, l)
         for sign, col in ((+1, 2 * l - 1), (-1, 2 * l)):
-            eig_terms.append(np.linalg.norm(
-                stepped[col] - np.exp(sign * 1j * omega) * B[:, col]))
+            eig_terms.append(_class_norm(
+                sizes, stepped[:, col] - np.exp(sign * 1j * omega) * Y[:, col]))
     # folded with np.max, not Python's max, which drops a NaN after the first
     residuals["walk_eigenrelation"] = float(np.max(eig_terms))
 
     lift_terms = []
     for l in range(k + 1):
         lam = spectral.eigenvalue(params, l)
-        # summed pairwise: np.dot adds the terms one after another with one
-        # BLAS thread, and its error grows with A
-        p_sq = float(np.sum(basis.proj_w[l] * basis.proj_w[l]))
-        for lift, scale in ((basis.sym_lifts[l], d + lam), (basis.antisym_lifts[l], d - lam)):
+        p_sq = float(np.sum(basis.shell_sizes * basis.shell_proj[l] ** 2))
+        for lift, scale in ((sym[l], d + lam), (antisym[l], d - lam)):
             # the terms grow with d; at d - lambda_0 = 0, level 0's antisymmetric
             # lift, the term stays absolute: stationary_antisymmetric_lift squared
-            error = abs(np.sum(lift * lift) - scale * p_sq)
+            error = abs(np.sum(sizes * lift * lift) - scale * p_sq)
             lift_terms.append(error / (scale * p_sq) if scale else error)
     residuals["lift_norm_identities"] = float(np.max(lift_terms))
     return residuals
 
 
-def _step_basis(basis: InvariantBasis, blocks: tuple) -> np.ndarray:
-    """The marked step's image U B of the complex basis B, real and imaginary parts apart.
+def _marked_step(basis: InvariantBasis, blocks: tuple, vector: np.ndarray) -> np.ndarray:
+    """The marked step U = P blockdiag(B_v) of an arc-order ``vector``, from the coin ``blocks``.
 
     ``blocks`` is (G, B_marked) (:func:`_step_blocks`).  G multiplies all N
-    of B's d-row blocks in one broadcast product, and the marked vertex's
-    rows are then overwritten by B_marked's product; vertex v's lands on
-    the rows opposite[v*d:(v+1)*d].  ValueError unless the arc reversal is
-    a permutation.
+    of the vector's d-entry blocks in one broadcast product, one small
+    product per vertex, which no BLAS thread splits, and the marked
+    vertex's entries are then overwritten by B_marked's product; vertex v's
+    lands on the rows opposite[v*d:(v+1)*d].
     """
     grover, marked_block = blocks
     N, d = basis.params.num_vertices, basis.params.degree
-    if not np.array_equal(np.sort(basis.opposite), np.arange(N * d)):
-        raise ValueError("the arc reversal is not a permutation of the arcs")
     rows = basis.opposite.reshape(N, d)
-    image = np.empty(basis.basis.shape, dtype=np.complex128)
-    for part, source in ((image.real, basis.basis.real), (image.imag, basis.basis.imag)):
-        source = source.reshape(N, d, -1)
-        part[rows] = grover @ source
-        part[rows[basis.marked]] = marked_block @ source[basis.marked]
+    source = np.asarray(vector, dtype=np.float64).reshape(N, d, 1)
+    product = grover @ source
+    product[basis.marked] = marked_block @ source[basis.marked]
+    del source
+    image = np.empty(N * d)
+    image[rows] = product.reshape(N, d)
     return image
 
 
-def verify_subspace_invariance(basis: InvariantBasis, image: np.ndarray,
+def _marked_class_step(basis: InvariantBasis, blocks: tuple) -> tuple:
+    """The marked step on the class coordinates, and its largest deviation (:func:`_class_step`).
+
+    Each class indicator is stepped through the coin ``blocks`` and the
+    arc reversal (:func:`_marked_step`).  ValueError unless the arc
+    reversal is a permutation.
+    """
+    if not np.array_equal(np.sort(basis.opposite), np.arange(basis.params.num_arcs)):
+        raise ValueError("the arc reversal is not a permutation of the arcs")
+    return _class_step(basis, lambda vector: _marked_step(basis, blocks, vector))
+
+
+def verify_subspace_invariance(basis: InvariantBasis, step: tuple,
                                compressed: np.ndarray) -> dict:
     """The subspace is closed under the marked walk; oracle action is exact.
 
-    ``image`` is the marked step's image U B of the basis
-    (:func:`_step_basis`), and ``compressed`` its compression B^H (U B).
-    B (B^H U B) is subtracted from ``image`` in place, so ``image`` is
-    overwritten by the residual; ``certify`` drops it right after.  The
-    oracle identities hold bitwise: reflecting the all-ones marked block
-    sends ``marked_out`` to its negative and fixes ``marked_in``.
+    ``step`` is the marked step M on the class coordinates with its images'
+    largest deviation from them (:func:`_marked_class_step`), and
+    ``compressed`` its compression Y^H diag(sizes) M Y.  The residual is
+    max |M Y - Y (Y^H diag(sizes) M Y)|, which is U B - B (B^H U B) on
+    every arc of a class, with the deviation as a term of the same row.
+    The oracle identities hold bitwise: reflecting the all-ones marked
+    block sends the marked vertex's out-arcs, class (0, 1), to their
+    negative, and fixes its in-arcs, class (1, 0).
     """
-    params, B = basis.params, basis.basis
-    image -= B @ compressed
-    residuals = {"subspace_invariance": float(np.abs(image).max())}
+    params, Y = basis.params, basis.coords
+    matrix, deviation = step
+    residuals = {"subspace_invariance": float(np.max(
+        [np.abs(matrix @ Y - Y @ compressed).max(), deviation]))}
 
     def oracle(vector):
         state = arc_engine.apply_oracle(params, _pair_state(params, basis.slots, vector),
                                         basis.marked)
         return state.reshape(-1)[basis.slots]
 
-    b0, c1 = basis.marked_out, basis.marked_in
-    oracle_b0 = oracle(b0)
-    oracle_mix = oracle(b0 - c1)
-    exact = float(np.max([np.abs(oracle_b0 + b0).max(),
-                          np.abs(oracle_mix + b0 + c1).max()]))
+    def reflection_residual(vector, *images):
+        # max |O vector + sum(images)|, the images added in place
+        reflected = oracle(vector)
+        for image in images:
+            reflected += image
+        return np.abs(reflected, out=reflected).max()
+
+    b0 = basis.classes == _class_of(basis, (0, 1))
+    c1 = basis.classes == _class_of(basis, (1, 0))
+    exact = float(np.max([reflection_residual(b0, b0),
+                          reflection_residual(np.subtract(b0, c1, dtype=np.int8), b0, c1)]))
     residuals["oracle_action_identities"] = exact
     return residuals
 
@@ -522,30 +636,35 @@ def verify_target_and_initial(basis: InvariantBasis, target: np.ndarray) -> dict
     """Target and start vectors have the predicted basis coordinates.
 
     ``target`` is the reduced walk's target w (:func:`_reduced_step`); the
-    start is the first basis vector.  The start's coordinates are summed
-    column by column with numpy's pairwise sum: the start has A equal
-    nonzero terms, which a BLAS product adds one after another, with an
-    error that grows linearly in A.
+    start is the first basis vector.  The arc target is uniform on the
+    marked vertex's out-arcs, 1/sqrt(d) on class (0, 1); the start is the
+    engine's uniform state, read at the slots and averaged on the classes
+    (:func:`_class_means`), whose largest deviation from its class means is
+    a term of ``initial_in_subspace``.  A vector C x has basis coordinates
+    Y^H diag(sizes) x.
     """
-    params, B = basis.params, basis.basis
-    coords_target = B.conj().T @ basis.target_arc
-    psi0 = arc_engine.uniform_state(params).reshape(-1)[basis.slots]
-    coords_initial = np.array([np.sum(B[:, j].conj() * psi0) for j in range(B.shape[1])])
+    params, Y, sizes = basis.params, basis.coords, basis.class_sizes
+    target_arc = (np.arange(len(sizes)) == _class_of(basis, (0, 1))) / np.sqrt(params.degree)
+    start, deviation = _class_means(
+        basis, arc_engine.uniform_state(params).reshape(-1)[basis.slots])
+    coords_initial = Y.conj().T @ (sizes * start)
     e0 = np.zeros(2 * params.k + 1)
     e0[0] = 1.0
     return {
-        "target_coordinates": float(np.abs(coords_target - target).max()),
+        "target_coordinates": float(np.abs(Y.conj().T @ (sizes * target_arc) - target).max()),
         "initial_coordinates": float(np.abs(coords_initial - e0).max()),
         "target_initial_overlap": abs(
-            np.vdot(basis.target_arc, psi0) - 1.0 / np.sqrt(params.num_vertices)),
-        "initial_in_subspace": float(np.linalg.norm(psi0 - B @ coords_initial)),
+            float(np.sum(sizes * target_arc * start)) - 1.0 / np.sqrt(params.num_vertices)),
+        "initial_in_subspace": float(np.max(
+            [_class_norm(sizes, start - Y @ coords_initial), deviation])),
     }
 
 
 def verify_reduced_compression(compressed: np.ndarray, reduced_step: np.ndarray) -> dict:
     """The reduced step (:func:`_reduced_step`) is the basis compression B^H (U B) of the marked one.
 
-    ``compressed`` is B^H (U B), with U B from :func:`_step_basis`.
+    ``compressed`` is Y^H diag(sizes) M Y, with M the marked step on the
+    class coordinates (:func:`_marked_class_step`).
     """
     return {"reduced_compression": float(np.abs(compressed - reduced_step).max())}
 
@@ -554,13 +673,16 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     """Run the whole certification battery; never raises on check failure.
 
     Builds what the stages read once, as the module docstring lists, and
-    hands it to every stage that reads it.  Each stage returns its
+    hands it to every stage that reads it: the basis in class coordinates,
+    and the marked step on the classes with its compression, which the
+    subspace and compression stages both read.  Each stage returns its
     residuals; this is the one place they are judged, and a check passes
     when its residual is within ``tol``, so a NaN fails.
     Refuses with CapacityError, before allocating, an instance whose words
-    (:func:`_battery_words`) exceed ``MemAvailable``.  Its tracemalloc
-    peak is 0.90 of the words counted on J(10,3) (1.29 MB), and 0.88 on
-    J(40,3) and J(100,2).
+    (:func:`_battery_words`) exceed ``MemAvailable``.  The count bounds the
+    tracemalloc peak within one word per arc: the peak is 7.4, 5.6, 5.2 and
+    5.1 words per arc on J(10,3), J(12,4), J(20,3) and J(40,3), against
+    8.3, 6.5, 6.2 and 6.0 counted.
     """
     _require_memory(params)
     basis = build_invariant_basis(params, marked)
@@ -572,13 +694,11 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
         verify_dense_step(params, marked, frame, blocks),
         verify_eigenbasis(basis, frame),
     ]
-    image = _step_basis(basis, blocks)
-    compressed = basis.basis.conj().T @ image
-    stages.append(verify_subspace_invariance(basis, image, compressed))
-    # now the subspace residual; dropped before the target stage, which would
-    # otherwise raise the peak with it
-    del image
-    stages += [verify_target_and_initial(basis, target),
+    step = _marked_class_step(basis, blocks)
+    Y = basis.coords
+    compressed = (Y.conj().T * basis.class_sizes) @ step[0] @ Y
+    stages += [verify_subspace_invariance(basis, step, compressed),
+               verify_target_and_initial(basis, target),
                verify_reduced_compression(compressed, reduced_step)]
     checks = [CheckResult(name=name, residual=float(value), tol=tol, passed=bool(value <= tol))
               for residuals in stages for name, value in residuals.items()]

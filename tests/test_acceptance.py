@@ -118,9 +118,10 @@ def test_criterion_3_eigenbasis_certification():
         basis = validation.build_invariant_basis(p, marked=0)
         blocks = validation._step_blocks(p.degree)
         res = validation.verify_eigenbasis(basis, (pair_vertex_table(p), basis.slots))
-        image = validation._step_basis(basis, blocks)
+        step = validation._marked_class_step(basis, blocks)[0]
+        Y = basis.coords
         res.update(validation.verify_reduced_compression(
-            basis.basis.conj().T @ image, validation._reduced_step(p)[0]))
+            (Y.conj().T * basis.class_sizes) @ step @ Y, validation._reduced_step(p)[0]))
         for key in worst:
             # np.max keeps a NaN residual, which Python's max drops after the first
             worst[key] = float(np.max([worst[key], res[key]]))

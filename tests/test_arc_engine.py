@@ -36,7 +36,8 @@ def test_uniform_state_is_stationary_basis_vector():
     # overlap with the explicitly built stationary eigenvector
     p = graph_params(5, 2)
     basis = validation.build_invariant_basis(p, marked=0)
-    overlap = np.vdot(basis.basis[:, 0], flat.to_flat(p, arc_engine.uniform_state(p)))
+    overlap = np.vdot(basis.coords[basis.classes, 0],
+                      flat.to_flat(p, arc_engine.uniform_state(p)))
     assert abs(overlap - 1.0) <= 1e-10
 
 

@@ -360,7 +360,7 @@ def test_validate_intersection_mismatch_fails_with_a_report(capsys, monkeypatch)
 
 
 def test_validate_capacity(capsys):
-    # about 397 GB of counted words: refused by the memory rule, the only one
+    # about 37 GB of counted words: refused by the memory rule, the only one
     code, _, err = run_cli(capsys, "validate", "--n", "200", "--k", "3")
     assert code == 3
     assert "available memory" in err
@@ -412,3 +412,46 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "simulate", "--n", "8")[0] == 2   # missing --k
     assert run_cli(capsys, "unknown-command")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+def test_closed_pipe_exits_141():
+    # a reader that stops after the first line closes the pipe: the writer
+    # exits 141, as a shell reports SIGPIPE, so a cut-off output never reads
+    # as a success, and says nothing on stderr
+    path = [str(Path(jwalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.Popen([sys.executable, "-m", "jwalk", "simulate", "--n", "4000", "--k", "3"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert child.stdout.readline() == b"t,p_succ,p_alt,norm\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 141
+    finally:
+        child.kill()
+        child.wait()
+    assert err == b""
+
+
+def test_reduced_engine_refuses_a_plain_longdouble(capsys, monkeypatch, tmp_path):
+    # where longdouble is plain double the block evaluator would write other
+    # bytes: simulate (reduced) and sweep exit 2 before solving the spectrum
+    # and write nothing; spectrum and the full engine need no longdouble
+    monkeypatch.setattr(reduced, "_LONGDOUBLE_BITS", 52)
+
+    def unsolved(params):
+        raise AssertionError("solved the spectrum")
+
+    with monkeypatch.context() as m:
+        m.setattr(reduced, "spectrum", unsolved)
+        for argv in (("simulate", "--n", "100", "--k", "2"),
+                     ("sweep", "--k", "2", "--n-list", "100,10000")):
+            out_file = tmp_path / "out.csv"
+            for out in (("--out", "-"), ("--out", str(out_file))):
+                code, out_text, err = run_cli(capsys, *argv, *out)
+                assert code == 2 and out_text == ""
+                assert "52" in err and "significand bits" in err and "--engine full" in err
+            assert not out_file.exists()
+    assert run_cli(capsys, "spectrum", "--n", "100", "--k", "2")[0] == 0
+    code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2", "--engine", "full")
+    assert code == 0 and out.startswith("t,p_succ,p_alt,norm\n")

@@ -281,6 +281,23 @@ def test_scan_within_one_rounding_of_60_digits(monkeypatch):
         assert abs(scanned[t] - exact) <= np.spacing(0.5)
 
 
+def test_block_error_is_absolute_j4000_3():
+    # rows t = 229,355-229,370 of J(4000,3)'s default series, read from the
+    # series' own chunk, where p falls to 3.3e-12: each is within 1e-22
+    # absolute of a 60-digit evaluation of the same 40-digit spectrum,
+    # although at t = 229,357 its 2.5e-25 is 621 ulp of p
+    p = graph_params(4000, 3)
+    spec = reduced.spectrum(p)
+    first = 229_355
+    start = first - first % arc_engine.CHUNK
+    block = reduced._block(spec, reduced._tables(spec, 1), start, arc_engine.CHUNK)
+    with mpmath.workdps(60):
+        for t in range(first, first + 16):
+            exact = abs(mpmath.fsum(a * mpmath.expj(theta * t)
+                                    for theta, a in zip(spec.roots, spec.amplitudes))) ** 2
+            assert abs(block[t - start] - float(exact)) <= 1e-22
+
+
 def test_rotation_angles_reduced_before_rounding():
     # theta*t is reduced mod 2 pi exactly, so e^{i theta t} at t = 10^15 is
     # as accurate as at t = 1

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import arc_basis
 import dense_step as dense
 import flat_layout as flat
+import orbit_walk
 from jwalk import arc_engine, cli, johnson, spectral, validation
 from jwalk.errors import CapacityError
 from jwalk.johnson import (arc_pair_slots, graph_params, intersection_numbers,
-                           pair_vertex_table, rank_vertex)
+                           pair_vertex_table, rank_vertex, shell_size)
 
 # the report's rows, in the order certify runs its stages
 ROWS = [
@@ -33,10 +35,11 @@ def _frame(params):
     return pair_vertex_table(params), arc_pair_slots(params)[0]
 
 
-def _image(basis, blocks):
-    """The marked step's image U B of the basis, and B^H (U B), as certify forms them."""
-    image = validation._step_basis(basis, blocks)
-    return image, basis.basis.conj().T @ image
+def _marked(basis, blocks):
+    """The marked step on the class coordinates, and its compression, as certify forms them."""
+    step = validation._marked_class_step(basis, blocks)
+    Y = basis.coords
+    return step, (Y.conj().T * basis.class_sizes) @ step[0] @ Y
 
 
 def _heads(params):
@@ -96,13 +99,15 @@ def test_lanczos_breakdown_is_a_failed_row(monkeypatch):
     # with every arc its own reverse the adjacency is d I: the marked
     # vertex's Krylov space closes after one step, not k+1, so the basis
     # built from it is NaN, and certify fails the three Lanczos rows and
-    # every row read from the basis, rather than raise
+    # every row read from the basis, rather than raise; every arc then
+    # stays in its shell, so the classes are (i, i) alone
     p = graph_params(6, 2)
     slots = arc_pair_slots(p)[0]
     monkeypatch.setattr(validation, "arc_pair_slots",
                         lambda params: (slots, np.arange(params.num_arcs)))
     basis = validation.build_invariant_basis(p, 0)
-    assert np.isnan(basis.basis).all() and np.isnan(basis.proj_w).all()
+    assert np.isnan(basis.coords).all() and np.isnan(basis.proj_w).all()
+    assert basis.class_shells.tolist() == [[0, 0], [1, 1], [2, 2]]
     report = validation.certify(p, 0)
     assert not report.passed
     assert [c.name for c in report.checks if math.isnan(c.residual)] == [
@@ -173,16 +178,20 @@ def test_dense_step_matches_engine_columns():
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2)])
 def test_invariant_basis_gram_identity(n, k):
+    # B = C·Y, so B^H B = Y^H diag(sizes) Y, and the oracle's arc-space B agrees
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
-    gram = basis.basis.conj().T @ basis.basis
+    Y = basis.coords
+    gram = (Y.conj().T * basis.class_sizes) @ Y
     assert np.abs(gram - np.eye(2 * k + 1)).max() <= 1e-10
+    B = Y[basis.classes]
+    assert np.abs(B.conj().T @ B - np.eye(2 * k + 1)).max() <= 1e-10
 
 
 def test_arc_class_vector_norms():
     # |within|^2 = a_l * shell, |outward|^2 = b_l * shell, |inward|^2 = c_l * shell,
-    # and the basis keeps the marked vertex's outward and inward arcs bitwise
-    from jwalk.johnson import intersection_numbers, shell_size
+    # and the basis's classes hold the marked vertex's outward and inward
+    # arcs bitwise, as classes (0, 1) and (1, 0)
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, marked=0)
     tails = np.arange(p.num_arcs) // p.degree
@@ -200,32 +209,46 @@ def test_arc_class_vector_norms():
         assert np.dot(outward, outward) == row.b * size
         assert np.dot(inward, inward) == row.c * size
         if l == 0:
-            assert np.array_equal(basis.marked_out, outward.astype(float))
+            assert np.array_equal(basis.classes == validation._class_of(basis, (0, 1)),
+                                  outward.astype(bool))
         if l == 1:
-            assert np.array_equal(basis.marked_in, inward.astype(float))
+            assert np.array_equal(basis.classes == validation._class_of(basis, (1, 0)),
+                                  inward.astype(bool))
 
 
 def test_stationary_projection_lifts():
-    # the antisymmetric lift annihilates the stationary projection, and the
-    # symmetric lift of it is the uniform arc state up to scale
+    # the antisymmetric lift annihilates the stationary projection, in arc
+    # space and on the classes, and the symmetric lift of it is the uniform
+    # arc state up to scale
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, marked=0)
-    assert np.linalg.norm(basis.antisym_lifts[0]) <= 1e-12
-    col0 = basis.basis[:, 0]
+    assert np.linalg.norm(arc_basis.lifts(basis)[1][0]) <= 1e-12
+    antisym = validation._class_lifts(basis.shell_proj, basis.class_shells)[1]
+    assert validation._class_norm(basis.class_sizes, antisym[0]) <= 1e-12
+    col0 = basis.coords[basis.classes, 0]
     uniform = flat.to_flat(p, arc_engine.uniform_state(p))
     assert np.abs(col0 - uniform).max() <= 1e-12
 
 
 def test_lift_norm_identities_j62():
+    # in arc space, from the projections, and on the classes, from their
+    # shell averages weighted by the class and shell sizes
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, marked=0)
-    from jwalk import spectral
+    sym, antisym = arc_basis.lifts(basis)
+    class_sym, class_antisym = validation._class_lifts(basis.shell_proj, basis.class_shells)
+    sizes = basis.class_sizes
     for l in range(3):
         lam = spectral.eigenvalue(p, l)
         p_sq = np.dot(basis.proj_w[l], basis.proj_w[l])
-        assert np.dot(basis.sym_lifts[l], basis.sym_lifts[l]) == pytest.approx(
+        assert np.dot(sym[l], sym[l]) == pytest.approx((p.degree + lam) * p_sq, abs=1e-10)
+        assert np.dot(antisym[l], antisym[l]) == pytest.approx(
+            (p.degree - lam) * p_sq, abs=1e-10)
+        assert np.dot(basis.shell_sizes, basis.shell_proj[l] ** 2) == pytest.approx(
+            p_sq, abs=1e-15)
+        assert np.dot(sizes, class_sym[l] ** 2) == pytest.approx(
             (p.degree + lam) * p_sq, abs=1e-10)
-        assert np.dot(basis.antisym_lifts[l], basis.antisym_lifts[l]) == pytest.approx(
+        assert np.dot(sizes, class_antisym[l] ** 2) == pytest.approx(
             (p.degree - lam) * p_sq, abs=1e-10)
 
 
@@ -234,7 +257,7 @@ def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_subspace_invariance(
-        basis, *_image(basis, validation._step_blocks(p.degree)))
+        basis, *_marked(basis, validation._step_blocks(p.degree)))
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
 
@@ -242,7 +265,8 @@ def test_subspace_invariance_residual(n, k, bound):
 def test_target_and_initial_j42():
     p = graph_params(4, 2)
     basis = validation.build_invariant_basis(p, marked=0)
-    coords = basis.basis.conj().T @ basis.target_arc
+    target_arc = (basis.classes == 0) / np.sqrt(p.degree)  # class (0, 1)
+    coords = basis.coords[basis.classes].conj().T @ target_arc
     expected = [math.sqrt(1 / 6), 0.5, 0.5, math.sqrt(1 / 6), math.sqrt(1 / 6)]
     assert np.abs(coords - expected).max() <= 1e-10
     residuals = validation.verify_target_and_initial(basis, validation._reduced_step(p)[1])
@@ -255,7 +279,7 @@ def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_reduced_compression(
-        _image(basis, validation._step_blocks(p.degree))[1], validation._reduced_step(p)[0])
+        _marked(basis, validation._step_blocks(p.degree))[1], validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
 
 
@@ -484,7 +508,8 @@ def test_block_residuals_match_dense(n, k):
     # which sums each Gram entry over a block's rows in the block's order;
     # U's own rows, in another order, round within two ulps of 1 (not run
     # on J(10,5), where one more A x A product takes seconds).  The marked
-    # step's products with the basis are within 1e-15.
+    # step's class coordinates give the dense step's residuals on B = C·Y
+    # within 1e-15.
     p = graph_params(n, k)
     marked = p.num_vertices - 1
     opp = arc_pair_slots(p)[1]
@@ -499,15 +524,20 @@ def test_block_residuals_match_dense(n, k):
     if p.num_arcs < 2000:
         assert abs(residual - _dense_unitarity(U)) <= 4.5e-16
     basis = validation.build_invariant_basis(p, marked)
-    B = basis.basis
+    B = basis.coords[basis.classes]
     image = U @ B.real + 1j * (U @ B.imag)
     want = float(np.abs(image - B @ (B.conj().T @ image)).max())
-    got = validation.verify_subspace_invariance(basis, *_image(basis, blocks))
+    got = validation.verify_subspace_invariance(basis, *_marked(basis, blocks))
     assert abs(got["subspace_invariance"] - want) <= 1e-15
+    # B^H (U B), each entry's A terms summed exactly: two BLAS products
+    # added them one after another, 1.7e-15 from the class compression on
+    # J(6,3)
+    terms = B.conj()[:, :, None] * image[:, None, :]
+    compressed = np.array([[complex(math.fsum(terms[:, r, c].real), math.fsum(terms[:, r, c].imag))
+                            for c in range(B.shape[1])] for r in range(B.shape[1])])
     step = validation._reduced_step(p)[0]
-    Bh = B.conj().T
-    want = float(np.abs((Bh.real @ U + 1j * (Bh.imag @ U)) @ B - step).max())
-    got = validation.verify_reduced_compression(_image(basis, blocks)[1], step)
+    want = float(np.abs(compressed - step).max())
+    got = validation.verify_reduced_compression(_marked(basis, blocks)[1], step)
     assert abs(got["reduced_compression"] - want) <= 1e-15
 
 
@@ -694,7 +724,7 @@ def test_unitarity_residual_nan_is_refused(where):
 
 def test_row_blocks_refuse_a_non_permutation():
     # an arc reversal that sends two arcs onto one row cannot place the
-    # blocks, so the step's image of the basis, which both stages that read
+    # blocks, so the marked step on the classes, which both stages that read
     # the step through it take, is refused
     p = graph_params(6, 3)
     basis = validation.build_invariant_basis(p, 7)
@@ -703,7 +733,7 @@ def test_row_blocks_refuse_a_non_permutation():
     blocks = validation._step_blocks(p.degree)
     bad = dataclasses.replace(basis, opposite=clash)
     with pytest.raises(ValueError, match="not a permutation"):
-        validation._step_basis(bad, blocks)
+        validation._marked_class_step(bad, blocks)
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
@@ -820,7 +850,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     args = {"verify_eigenbasis": (basis, _frame(p)),
             "verify_spectral_closed_forms": (basis,),
             "verify_subspace_invariance": (
-                basis, *_image(basis, validation._step_blocks(p.degree)))}[stage]
+                basis, *_marked(basis, validation._step_blocks(p.degree)))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -842,44 +872,50 @@ def test_certify_checks_available_memory(monkeypatch):
     monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)  # unreadable
     assert validation.certify(p).passed
     # where memory cannot be read, the words are counted against the cap
-    big = graph_params(40, 3)
+    big = graph_params(40, 4)
     assert validation._battery_words(big) > arc_engine._UNMEASURED_CAPACITY
     with pytest.raises(CapacityError, match="cannot be read"):
         validation.certify(big)
 
 
-def _certify_peak_within_model(n, k, marked):
+def _certify_peak_within_model(monkeypatch, n, k, marked):
     p = graph_params(n, k)
-    A, columns = p.num_arcs, 2 * k + 1
-    basis = validation.build_invariant_basis(p, marked)
-    blocks = validation._step_blocks(p.degree)
-    step, _ = validation._reduced_step(p)
+    A = p.num_arcs
+    growth = {}
+    for name in ("verify_eigenbasis", "_marked_class_step", "verify_subspace_invariance",
+                 "verify_target_and_initial"):
+        def traced(*args, _name=name, _original=getattr(validation, name)):
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = _original(*args)
+            growth[_name] = tracemalloc.get_traced_memory()[1] - held
+            # the outer peak survives the reset
+            tracemalloc_peaks.append(peak)
+            return out
+        monkeypatch.setattr(validation, name, traced)
+    tracemalloc_peaks = []
     tracemalloc.start()
     try:
         report = validation.certify(p, marked=marked)
-        _, peak = tracemalloc.get_traced_memory()
-        image, compressed = _image(basis, blocks)
-        for stage in (lambda: _image(basis, blocks),
-                      lambda: validation.verify_subspace_invariance(basis, image, compressed),
-                      lambda: validation.verify_reduced_compression(compressed, step)):
-            tracemalloc.reset_peak()
-            held, _ = tracemalloc.get_traced_memory()
-            stage()
-            assert tracemalloc.get_traced_memory()[1] - held <= 8 * validation._BASIS_WORDS * A * columns
+        tracemalloc_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+    monkeypatch.undo()
+    peak = max(tracemalloc_peaks)
     assert report.passed
-    assert 0.9 * 8 * validation._BASIS_WORDS * A * columns <= peak
-    assert peak <= 8 * validation._battery_words(p)
+    counted = 8 * validation._battery_words(p)
+    assert counted - 2 * 8 * A <= peak <= counted
+    # an arc-space basis would be 2 (2k+1) words per arc
+    assert len(growth) == 4 and max(growth.values()) <= 8 * 4 * A
 
 
-def test_certify_peak_memory_matches_model():
-    # the byte check's model bounds the traced peak, and its basis term,
-    # _BASIS_WORDS words per arc and basis column, is nearly all held at
-    # once; U B, formed from the two blocks, and the two stages that read
-    # it add only basis-sized arrays
-    for n, k, marked in ((10, 3, 5), (8, 4, 3), (12, 4, 7)):
-        _certify_peak_within_model(n, k, marked)
+def test_certify_peak_memory_matches_model(monkeypatch):
+    # the byte check's count bounds the traced peak and is within two words
+    # per arc of it; the stages that read the basis, and the marked step on
+    # the classes, each hold at most four arc vectors besides what certify
+    # holds, where one arc-space basis column is two
+    for n, k, marked in ((10, 3, 5), (12, 4, 7), (20, 3, 11)):
+        _certify_peak_within_model(monkeypatch, n, k, marked)
 
 
 def test_certify_fails_impossible_tolerance():
@@ -893,7 +929,7 @@ def test_certify_fails_impossible_tolerance():
 
 
 def test_certify_capacity_error():
-    # J(200,3) counts about 397 GB, refused by the memory rule before
+    # J(200,3) counts about 37 GB, refused by the memory rule before
     # anything is allocated
     with pytest.raises(CapacityError, match="available memory"):
         validation.certify(graph_params(200, 3))
@@ -968,7 +1004,8 @@ def test_quotient_residual_small_on_every_admitted_instance():
 
 def test_start_coordinates_summed_pairwise():
     # the start's A = 58,140 equal terms per coordinate, summed one after
-    # another by a BLAS product, gave 2.7e-13 on J(20,3)
+    # another by a BLAS product, gave 2.7e-13 on J(20,3); the class means
+    # are corrected once for np.bincount's sums
     p = graph_params(20, 3)
     basis = validation.build_invariant_basis(p, 0)
     residuals = validation.verify_target_and_initial(basis, validation._reduced_step(p)[1])
@@ -988,25 +1025,86 @@ def test_distance_shells_match_distance_class(n, k, marked):
     assert all(shell.dtype == np.int64 for shell in basis.shell_indicators)
 
 
+# CI's validate instances up to J(20,3), with the marked vertex CI uses
+CI_INSTANCES = [(6, 2, None), (10, 3, None), (7, 1, None), (8, 4, None), (9, 3, (2, 5, 9)),
+                (10, 5, None), (20, 1, None), (20, 3, None), (12, 4, None)]
+
+
+@pytest.mark.parametrize("n,k,marked", CI_INSTANCES)
+def test_arc_classes_match_orbit_walk(n, k, marked):
+    # each arc's class is the pair of shells of its tail and head, read with
+    # the scalar decoders, numbered as orbit_walk.classes numbers them; each
+    # class holds |S_i| n_ij arcs, n_ij = c_i, a_i or b_i, exactly in integers
+    p = graph_params(n, k)
+    w = rank_vertex(p, marked or tuple(range(1, k + 1)))
+    basis = validation.build_invariant_basis(p, w)
+    classes = orbit_walk.classes(p)
+    assert [tuple(pair) for pair in basis.class_shells.tolist()] == classes
+    dist = np.array([flat.distance_class(p, v, w) for v in range(p.num_vertices)])
+    tails = np.arange(p.num_arcs) // p.degree
+    heads = flat.opposite(p) // p.degree
+    index = {pair: c for c, pair in enumerate(classes)}
+    want = [index[pair] for pair in zip(dist[tails].tolist(), dist[heads].tolist())]
+    assert basis.classes.tolist() == want
+    assert basis.classes.dtype.itemsize == 1
+    for (i, j), size in zip(classes, basis.class_sizes.tolist()):
+        row = intersection_numbers(p, i)
+        count = {i - 1: row.c, i: row.a, i + 1: row.b}[j]
+        assert type(size) is int and size == shell_size(p, i) * count
+    assert basis.shell_sizes.tolist() == [shell_size(p, i) for i in range(k + 1)]
+
+
+@pytest.mark.parametrize("n,k,marked", [(7, 1, None), (9, 3, (2, 5, 9)), (10, 5, None),
+                                         (12, 4, None)])
+def test_arc_basis_is_the_class_basis(n, k, marked):
+    # the A x (2k+1) basis built arc by arc from the Lanczos projections
+    # (tests/arc_basis.py) is C·Y, and every row read from it, stepping its
+    # columns through the engine and the coin blocks, is the row certify
+    # reads on the classes
+    p = graph_params(n, k)
+    w = rank_vertex(p, marked or tuple(range(1, k + 1)))
+    basis = validation.build_invariant_basis(p, w)
+    assert np.abs(arc_basis.matrix(basis) - basis.coords[basis.classes]).max() <= 1e-13
+    blocks = validation._step_blocks(p.degree)
+    step, target = validation._reduced_step(p)
+    oracle = arc_basis.rows(basis, _frame(p), blocks, target, step)
+    report = {c.name: c.residual for c in validation.certify(p, marked=w).checks}
+    assert len(oracle) == 10
+    for name, value in oracle.items():
+        assert value <= 1e-13 and abs(value - report[name]) <= 1e-13, name
+
+
 def test_certify_steps_the_basis_once(monkeypatch):
-    # U B is formed once and read by both stages that need it
-    calls = []
-    original = validation._step_basis
+    # the marked step on the classes is formed once and read by both stages
+    # that need it; each step, unmarked and marked, steps each class
+    # indicator once
+    calls, indicators = [], []
+    original, original_step = validation._marked_class_step, validation._class_step
 
     def counting(basis, blocks):
         calls.append(basis.marked)
         return original(basis, blocks)
 
-    monkeypatch.setattr(validation, "_step_basis", counting)
+    def counting_step(basis, step):
+        def recording(vector):
+            indicators.append(np.flatnonzero(np.bincount(basis.classes[vector])).tolist())
+            return step(vector)
+        return original_step(basis, recording)
+
+    monkeypatch.setattr(validation, "_marked_class_step", counting)
+    monkeypatch.setattr(validation, "_class_step", counting_step)
     p = graph_params(6, 3)
     assert validation.certify(p, marked=7).passed
     assert calls == [7]
+    classes = len(orbit_walk.classes(p))
+    assert indicators == [[c] for c in range(classes)] * 2
 
 
 def test_cross_engine_probability_identity():
     # the compressed dynamics reproduces the dense one step by step
     p = graph_params(5, 2)
     basis = validation.build_invariant_basis(p, marked=0)
+    B = basis.coords[basis.classes]
     step, target = validation._reduced_step(p)
     U = dense.step(p, 0, opposite=basis.opposite)
     psi = flat.to_flat(p, arc_engine.uniform_state(p))
@@ -1014,7 +1112,7 @@ def test_cross_engine_probability_identity():
     for _ in range(30):
         psi = U @ psi
         coords = step @ coords
-        assert np.abs(basis.basis.conj().T @ psi - coords).max() <= 1e-11
+        assert np.abs(B.conj().T @ psi - coords).max() <= 1e-11
         p_full = arc_engine.vertex_probability(p, flat.to_pair(p, psi), 0)
         p_red = abs(np.dot(target, coords)) ** 2
         assert abs(p_full - p_red) <= 1e-11
@@ -1023,7 +1121,7 @@ def test_cross_engine_probability_identity():
 def test_lift_norms_summed_pairwise():
     # |S x|^2, |T x|^2 and |x|^2 over J(20,3)'s A = 58,140 arcs, summed one
     # after another by np.dot, gave 1.1e-14 with the default BLAS threads and
-    # 3.4e-14 with one
+    # 3.4e-14 with one; on the classes they are sums of 3k and k+1 terms
     p = graph_params(20, 3)
     residuals = validation.verify_eigenbasis(validation.build_invariant_basis(p, 0), _frame(p))
     assert residuals["lift_norm_identities"] <= 2e-15
