@@ -4,7 +4,7 @@ Each quantity is computed here directly from the graph or the walk,
 sharing none of the shortcuts of the formulas, the matrix-free engine or
 the reduced step matrix it checks.  The adjacency is read from the arc
 reversal; the walk step is U = P blockdiag(B_v), the arc reversal P and
-two distinct d x d coin blocks (:func:`_step_blocks`); the
+two distinct d x d coin blocks (``jwalk.arc_step``); the
 invariant-subspace basis is held in arc-class coordinates.
 
 The basis construction follows the lifting route: the marked vertex's
@@ -36,7 +36,7 @@ walk's step of one class indicator at a time, through the engine's pair
 passes and through the coin blocks and the arc reversal: each image's
 class means make the step on the classes, M with U C = C M, and its
 largest deviation from them, 0 in exact arithmetic, is a term of the row
-that reads M (:func:`_class_step`).
+that reads M (``arc_step.class_step``).
 
 The basis keeps the Lanczos eigenvalues, projector weights and closing
 beta it is built from, and the spectral stage compares them with the
@@ -60,30 +60,24 @@ alone compares them with the tolerance, so no check raises.
 
 The report is byte-identical across runs, and on CI's instances with one
 BLAS thread as with two, except J(100,2)'s ``marked_step_det_modulus``:
-the LU of its 196 x 196 blocks splits its work by thread.  The coin blocks are real
-float64: the Grover coin, the flip-flop shift and the oracle's reflection
-through a real vector have no imaginary part, and the matrix-free engine
-they certify steps real float64 states too.  The class coordinates Y are
-complex128, since the basis carries the walk eigenphases; the arc-level
-steps act on real class indicators, and only the K x K step on the
-classes meets Y.
+the LU of its 196 x 196 blocks splits its work by thread.  The class
+coordinates Y are complex128, since the basis carries the walk
+eigenphases; the arc-level steps act on real class indicators, and only
+the K x K step on the classes meets Y.
 
 Arc space here is numbered tail-major, as in ``jwalk.johnson``.  The
 basis keeps the arc reversal and each arc's slot in the engine's pair
-state ψ[x, y, a], both from :func:`jwalk.johnson.arc_pair_slots`; with the
-engine's (x, a) -> vertex table the slots are the *pair frame*, built once
-by ``certify``.  The passes that ``simulate`` runs, the oracle and then
-the coin, are C·O = blockdiag(B_v) read at the slots, and S is the swap of
-x and y, so a whole step is read from the swapped state at the slots.
+state, both from :func:`jwalk.johnson.arc_pair_slots`; with the engine's
+(x, a) -> vertex table the slots are the pair frame that ``arc_step``
+steps the engine through, built once by ``certify``.
 
 Cost, with A = N d the arcs, d the degree and N the number of vertices:
 the battery holds the arc tables (reversal, slots, class ids) and a few
 arc vectors and pair states at a time, about five words per arc, and
 nothing of size A x k, N x N, A x A or N x d x d
 (:func:`_battery_words`).  The engine is compared with the blocks through
-d probe states, not A unit columns, as Curtis, Powell & Reid (1974) group
-the columns of a sparse Jacobian (:func:`_engine_residual`), and the
-basis through 2K class indicators.  In-process, on a 2-core x86-64,
+d probe states (``arc_step.engine_residual``), and the basis through 2K
+class indicators.  In-process, on a 2-core x86-64,
 ``certify`` takes about 0.01 s on J(10,3) (A = 2,520), 0.02 s on J(12,4)
 (A = 15,840) and 0.1 s on J(20,3) (A = 58,140); 2.1 s on J(40,3)
 (A = 1,096,680), more than half of it the step stage, whose 222 probes
@@ -94,12 +88,11 @@ it the 288 probes.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import mpmath
 import numpy as np
 
-from . import arc_engine, spectral
+from . import arc_engine, arc_step, spectral
 from .johnson import (GraphParams, _colex_subsets, arc_pair_slots, intersection_numbers,
                       pair_vertex_table, unrank_vertex)
 
@@ -140,41 +133,6 @@ def _require_memory(params: GraphParams) -> None:
     arc_engine._require_bytes(
         8 * words, f"certify refuses J({params.n},{params.k}): the certification battery",
         "certify a smaller instance", words=words)
-
-
-def _step_blocks(degree: int) -> tuple:
-    """The step's two coin blocks (G, B_marked), (d, d) float64 each, from the closed form.
-
-    Every unmarked vertex's block is the Grover block G = (2/d) J - I.  The
-    marked vertex's takes the oracle as the rank-1 update
-    B_marked = G - 2 (G t) t^T, with t the uniform unit vector, not as the
-    -I it equals in exact arithmetic, so it shares nothing with the
-    engine's oracle.  The step is U = P blockdiag(B_v), with P the arc
-    reversal: column v*d + c is B_v's column c on rows opposite[v*d:(v+1)*d].
-    """
-    grover = np.full((degree, degree), 2.0 / degree)
-    grover[np.arange(degree), np.arange(degree)] -= 1.0
-    t = np.full(degree, 1.0 / np.sqrt(degree))
-    return grover, grover - 2.0 * np.outer(grover @ t, t)
-
-
-def _pair_state(params: GraphParams, slots: np.ndarray, values) -> np.ndarray:
-    """A zeroed pair state holding ``values`` at the flat pair ``slots``."""
-    state = np.zeros(arc_engine._pair_shape(params))
-    state.reshape(-1)[slots] = values
-    return state
-
-
-def _engine_step(params: GraphParams, frame: tuple, vector: np.ndarray) -> np.ndarray:
-    """The unmarked step S·C of the arc-order ``vector`` through the pair ``frame``.
-
-    The coin runs on the vector's pair state, and S is applied as the swap
-    of x and y: the step is the swapped state read at the slots, through
-    ``flat``, which reads the swapped view without copying it.
-    """
-    vertices, slots = frame
-    state = arc_engine.apply_coin(params, _pair_state(params, slots, vector), vertices)
-    return state.swapaxes(0, 1).flat[slots]
 
 
 def _local_spectrum(heads: np.ndarray, start: int, steps: int) -> tuple:
@@ -222,8 +180,10 @@ class InvariantBasis:
     one column per basis vector, ordered (stationary, level-1 plus,
     level-1 minus, ..., level-k plus, level-k minus).  Class c holds the
     arcs from shell ``class_shells[c, 0]`` to shell ``class_shells[c, 1]``,
-    classes numbered in that (tail, head) order, so class 0 is (0, 1), the
-    marked vertex's out-arcs.  The marked vertex's Lanczos spectrum
+    classes numbered in that (tail, head) order.  Shell 0 reaches shell 1
+    alone, and shell 1 reaches shell 0 first, so class 0 is (0, 1), the
+    marked vertex's out-arcs, and class 1 is (1, 0), its in-arcs.  The
+    marked vertex's Lanczos spectrum
     (:func:`_local_spectrum`), its projections and their shell averages,
     and the shell indicators and sizes they were averaged with are kept for
     certification, and so are the arc reversal and the arcs' pair slots.
@@ -254,12 +214,6 @@ def _class_lifts(shell_proj: np.ndarray, class_shells: np.ndarray) -> tuple:
     """
     tail, head = shell_proj[:, class_shells[:, 0]], shell_proj[:, class_shells[:, 1]]
     return (tail + head) / np.sqrt(2.0), (tail - head) / np.sqrt(2.0)
-
-
-def _class_of(basis: InvariantBasis, shells: tuple) -> int:
-    """The id of the class of arcs from shell ``shells[0]`` to ``shells[1]``, or -1 if none."""
-    match = np.flatnonzero(np.all(basis.class_shells == shells, axis=1))
-    return int(match[0]) if len(match) else -1
 
 
 def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
@@ -320,45 +274,6 @@ def _class_norm(sizes: np.ndarray, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(sizes * np.abs(values) ** 2)))
 
 
-def _class_means(basis: InvariantBasis, vector: np.ndarray) -> tuple:
-    """The mean of an arc-order float64 ``vector`` on each class, and its largest deviation from them.
-
-    ``vector`` is overwritten by its deviation.  np.bincount adds a class's
-    terms one after another, with an error that grows with the class, so
-    the means are corrected once by the sum of the deviations from them,
-    which leaves them within about one rounding.  Holds one arc vector
-    besides ``vector``.  A NaN gives NaN.
-    """
-    classes, sizes = basis.classes, basis.class_sizes
-    means = np.zeros(len(sizes))
-    for _ in range(2):
-        correction = np.bincount(classes, weights=vector, minlength=len(sizes)) / sizes
-        vector -= correction[classes]
-        means += correction
-    return means, float(np.abs(vector, out=vector).max())
-
-
-def _class_step(basis: InvariantBasis, step) -> tuple:
-    """An arc-level ``step`` on the class coordinates, and its images' largest deviation from them.
-
-    ``step`` maps an arc-order vector to a new float64 image, and is given
-    each class's boolean indicator in turn; column c of the (K, K) matrix M
-    is the class means of the image of class c (:func:`_class_means`).  The
-    classes are an equitable partition of the arcs for the walk, so each
-    image is constant on every class in exact arithmetic, the deviation is
-    0, and the step of a vector C y constant on the classes, such as a
-    basis vector, is C (M y).  One indicator and its image are held at a
-    time.
-    """
-    columns, deviations = [], []
-    for c in range(len(basis.class_sizes)):
-        means, deviation = _class_means(basis, step(basis.classes == c))
-        columns.append(means)
-        deviations.append(deviation)
-    # folded with np.max, not Python's max, which drops a NaN after the first
-    return np.column_stack(columns), float(np.max(deviations))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -374,69 +289,6 @@ class CertificationReport:
     tol: float
     checks: list
     passed: bool
-
-
-def _engine_residual(params: GraphParams, frame: tuple, blocks: tuple,
-                     marked: Optional[int] = None) -> float:
-    """max |blockdiag(B_v) - C·O| over the coin blocks, from ``degree`` probe states.
-
-    ``blocks`` is (G, B_marked) (:func:`_step_blocks`): every vertex's
-    block is G, except the ``marked`` vertex's, which is B_marked.
-    ``frame`` is the pair frame (vertex table, slots).  U = S·C·O is
-    P blockdiag(B_v), so C·O is blockdiag(B_v) on the arcs' slots, where
-    ``leaving[v]`` holds the arcs leaving v.  Probe c, a zeroed pair state
-    with a 1 at the c-th arc leaving every vertex, stands for the columns
-    v*d + c: their vertices share no row sum, vertex bin or oracle block,
-    so its step at ``leaving[v, r]`` is bitwise B_v[r, c].  Every arc of
-    every probe is compared, so an image that leaks out of its block shows
-    unless the leaks of one probe cancel at an arc.  Besides the blocks it
-    holds one pair state and N d floats.  A NaN anywhere gives NaN.
-    """
-    vertices, slots = frame
-    grover, marked_block = blocks
-    leaving = slots.reshape(params.num_vertices, params.degree)
-
-    def probe(c):
-        state = _pair_state(params, leaving[:, c], 1.0)
-        if marked is not None:
-            arc_engine.apply_oracle(params, state, marked)
-        stepped = arc_engine.apply_coin(params, state, vertices).reshape(-1)[leaving]
-        own = None if marked is None else stepped[marked] - marked_block[:, c]
-        stepped -= grover[:, c]
-        if own is not None:
-            stepped[marked] = own
-        return np.abs(stepped, out=stepped).max()
-
-    # folded with np.max, not Python's max, which drops a NaN after the first
-    return float(np.max([probe(c) for c in range(params.degree)]))
-
-
-def _unitarity_residual(*blocks: np.ndarray) -> float:
-    """max |U^T U - I| of a step U = P blockdiag(B_v) whose blocks are ``blocks``.
-
-    P is a permutation, so U^T U = blockdiag(B_v^T B_v): the Gram is
-    block-diagonal by vertex, its entries off the blocks are exact zeros,
-    and a block held at many vertices has one Gram.  A NaN in a block
-    gives NaN.
-    """
-    stack = np.stack(blocks)
-    gram = stack.transpose(0, 2, 1) @ stack
-    diagonal = np.arange(stack.shape[1])
-    gram[:, diagonal, diagonal] -= 1.0
-    return float(np.abs(gram, out=gram).max())
-
-
-def _det_residual(*blocks: np.ndarray) -> float:
-    """max | |det B| - 1 | over the distinct coin ``blocks`` of a step U = P blockdiag(B_v).
-
-    |det P| = 1, and each distinct block is read once, where the product
-    of N - 1 equal determinants would multiply their rounding by N - 1.  A
-    NaN gives NaN: LAPACK's LU can take it for a zero pivot and return 0.
-    """
-    stack = np.stack(blocks)
-    if np.isnan(stack).any():
-        return math.nan
-    return float(np.abs(np.abs(np.linalg.det(stack)) - 1.0).max())
 
 
 def verify_spectral_closed_forms(basis: InvariantBasis) -> dict:
@@ -478,19 +330,21 @@ def verify_dense_step(params: GraphParams, marked: int, frame: tuple, blocks: tu
     """Closed-form step versus the engine, plus unitarity and |det|.
 
     Each step is read from the coin ``blocks`` (G, B_marked)
-    (:func:`_step_blocks`): the engine steps ``degree`` probe states
-    through the pair ``frame`` (:func:`_engine_residual`), unitarity is
+    (``arc_step.step_blocks``): the engine steps ``degree`` probe
+    states through the pair ``frame`` (``arc_step.engine_residual``),
+    unitarity is
     max |B^T B - I| over the blocks a step holds, G alone unmarked, and the
     marked step's |det| is read from G and B_marked apart
-    (:func:`_det_residual`).  The engine side runs the pair passes that
+    (``arc_step.det_residual``).  The engine side runs the pair passes that
     ``simulate`` runs.
     """
     return {
-        "step_closed_form_vs_engine": _engine_residual(params, frame, blocks),
-        "step_unitarity": _unitarity_residual(blocks[0]),
-        "marked_step_closed_form_vs_engine": _engine_residual(params, frame, blocks, marked),
-        "marked_step_unitarity": _unitarity_residual(*blocks),
-        "marked_step_det_modulus": _det_residual(*blocks),
+        "step_closed_form_vs_engine": arc_step.engine_residual(params, frame, blocks),
+        "step_unitarity": arc_step.unitarity_residual(blocks[0]),
+        "marked_step_closed_form_vs_engine":
+            arc_step.engine_residual(params, frame, blocks, marked),
+        "marked_step_unitarity": arc_step.unitarity_residual(*blocks),
+        "marked_step_det_modulus": arc_step.det_residual(*blocks),
     }
 
 
@@ -499,8 +353,8 @@ def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
 
     The Gram is Y^H diag(sizes) Y.  The engine steps each class indicator
     through the pair ``frame`` and the shift, the swap of x and y
-    (:func:`_engine_step`), and the images' class means are the unmarked
-    step M on the classes (:func:`_class_step`).  Each eigenrelation is the
+    (``arc_step.engine_step``), and the images' class means are the unmarked
+    step M on the classes (``arc_step.class_step``).  Each eigenrelation is the
     norm of C (M - e^{i phi}) y, and the images' largest deviation from
     their class means is a term of the same row, so the row also checks
     the shift against the arc reversal the classes are read from.  Also
@@ -517,7 +371,8 @@ def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
         "stationary_antisymmetric_lift": _class_norm(sizes, antisym[0]),
     }
 
-    step, deviation = _class_step(basis, lambda vector: _engine_step(params, frame, vector))
+    step, deviation = arc_step.class_step(
+        basis.classes, sizes, lambda vector: arc_step.engine_step(params, frame, vector))
     stepped = step @ Y
     eig_terms = [deviation, _class_norm(sizes, stepped[:, 0] - Y[:, 0])]
     for l in range(1, k + 1):
@@ -541,37 +396,18 @@ def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
     return residuals
 
 
-def _marked_step(basis: InvariantBasis, blocks: tuple, vector: np.ndarray) -> np.ndarray:
-    """The marked step U = P blockdiag(B_v) of an arc-order ``vector``, from the coin ``blocks``.
-
-    ``blocks`` is (G, B_marked) (:func:`_step_blocks`).  G multiplies all N
-    of the vector's d-entry blocks in one broadcast product, one small
-    product per vertex, which no BLAS thread splits, and the marked
-    vertex's entries are then overwritten by B_marked's product; vertex v's
-    lands on the rows opposite[v*d:(v+1)*d].
-    """
-    grover, marked_block = blocks
-    N, d = basis.params.num_vertices, basis.params.degree
-    rows = basis.opposite.reshape(N, d)
-    source = np.asarray(vector, dtype=np.float64).reshape(N, d, 1)
-    product = grover @ source
-    product[basis.marked] = marked_block @ source[basis.marked]
-    del source
-    image = np.empty(N * d)
-    image[rows] = product.reshape(N, d)
-    return image
-
-
 def _marked_class_step(basis: InvariantBasis, blocks: tuple) -> tuple:
-    """The marked step on the class coordinates, and its largest deviation (:func:`_class_step`).
+    """The marked step on the class coordinates, and its largest deviation (``arc_step.class_step``).
 
     Each class indicator is stepped through the coin ``blocks`` and the
-    arc reversal (:func:`_marked_step`).  ValueError unless the arc
+    arc reversal (``arc_step.marked_step``).  ValueError unless the arc
     reversal is a permutation.
     """
     if not np.array_equal(np.sort(basis.opposite), np.arange(basis.params.num_arcs)):
         raise ValueError("the arc reversal is not a permutation of the arcs")
-    return _class_step(basis, lambda vector: _marked_step(basis, blocks, vector))
+    return arc_step.class_step(
+        basis.classes, basis.class_sizes,
+        lambda vector: arc_step.marked_step(basis.opposite, basis.marked, blocks, vector))
 
 
 def verify_subspace_invariance(basis: InvariantBasis, step: tuple,
@@ -584,31 +420,27 @@ def verify_subspace_invariance(basis: InvariantBasis, step: tuple,
     max |M Y - Y (Y^H diag(sizes) M Y)|, which is U B - B (B^H U B) on
     every arc of a class, with the deviation as a term of the same row.
     The oracle identities hold bitwise: reflecting the all-ones marked
-    block sends the marked vertex's out-arcs, class (0, 1), to their
-    negative, and fixes its in-arcs, class (1, 0).
+    block sends the marked vertex's out-arcs, class 0, to their negative,
+    and fixes its in-arcs, class 1.
     """
     params, Y = basis.params, basis.coords
     matrix, deviation = step
     residuals = {"subspace_invariance": float(np.max(
         [np.abs(matrix @ Y - Y @ compressed).max(), deviation]))}
 
-    def oracle(vector):
-        state = arc_engine.apply_oracle(params, _pair_state(params, basis.slots, vector),
-                                        basis.marked)
-        return state.reshape(-1)[basis.slots]
-
-    def reflection_residual(vector, *images):
-        # max |O vector + sum(images)|, the images added in place
-        reflected = oracle(vector)
+    # O b0 = -b0 and O (b0 - c1) = -b0 - c1, the images added in place
+    b0, c1 = basis.classes == 0, basis.classes == 1
+    terms = []
+    for vector, images in ((b0, (b0,)), (np.subtract(b0, c1, dtype=np.int8), (b0, c1))):
+        state = arc_engine.apply_oracle(
+            params, arc_step.pair_state(params, basis.slots, vector), basis.marked)
+        reflected = state.reshape(-1)[basis.slots]
+        del state
         for image in images:
             reflected += image
-        return np.abs(reflected, out=reflected).max()
-
-    b0 = basis.classes == _class_of(basis, (0, 1))
-    c1 = basis.classes == _class_of(basis, (1, 0))
-    exact = float(np.max([reflection_residual(b0, b0),
-                          reflection_residual(np.subtract(b0, c1, dtype=np.int8), b0, c1)]))
-    residuals["oracle_action_identities"] = exact
+        terms.append(np.abs(reflected, out=reflected).max())
+        del reflected
+    residuals["oracle_action_identities"] = float(np.max(terms))
     return residuals
 
 
@@ -637,16 +469,16 @@ def verify_target_and_initial(basis: InvariantBasis, target: np.ndarray) -> dict
 
     ``target`` is the reduced walk's target w (:func:`_reduced_step`); the
     start is the first basis vector.  The arc target is uniform on the
-    marked vertex's out-arcs, 1/sqrt(d) on class (0, 1); the start is the
+    marked vertex's out-arcs, 1/sqrt(d) on class 0; the start is the
     engine's uniform state, read at the slots and averaged on the classes
-    (:func:`_class_means`), whose largest deviation from its class means is
+    (``arc_step.class_means``), whose largest deviation from its class means is
     a term of ``initial_in_subspace``.  A vector C x has basis coordinates
     Y^H diag(sizes) x.
     """
     params, Y, sizes = basis.params, basis.coords, basis.class_sizes
-    target_arc = (np.arange(len(sizes)) == _class_of(basis, (0, 1))) / np.sqrt(params.degree)
-    start, deviation = _class_means(
-        basis, arc_engine.uniform_state(params).reshape(-1)[basis.slots])
+    target_arc = (np.arange(len(sizes)) == 0) / np.sqrt(params.degree)
+    start, deviation = arc_step.class_means(
+        basis.classes, sizes, arc_engine.uniform_state(params).reshape(-1)[basis.slots])
     coords_initial = Y.conj().T @ (sizes * start)
     e0 = np.zeros(2 * params.k + 1)
     e0[0] = 1.0
@@ -687,7 +519,7 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     _require_memory(params)
     basis = build_invariant_basis(params, marked)
     frame = (pair_vertex_table(params), basis.slots)
-    blocks = _step_blocks(params.degree)
+    blocks = arc_step.step_blocks(params.degree)
     reduced_step, target = _reduced_step(params)
     stages = [
         verify_spectral_closed_forms(basis),

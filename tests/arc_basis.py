@@ -12,14 +12,14 @@ and by the antisymmetric lift T with a minus sign, and the lifts are
 combined with the walk eigenphases into the columns (stationary, level-1
 plus, level-1 minus, ..., level-k plus, level-k minus).  :func:`rows` then
 reads every certification row that reads the basis from the A x (2k+1)
-matrix, stepping each column through the engine or the coin blocks, as
-``certify`` did before it moved to the classes.  It holds about eight
-words per arc and basis column, so it is meant for small instances.
+matrix, stepping each column, real and imaginary parts apart, through the
+engine or the coin blocks.  It holds about eight words per arc and basis
+column, so it is meant for small instances.
 """
 
 import numpy as np
 
-from jwalk import arc_engine, spectral, validation
+from jwalk import arc_engine, arc_step, spectral
 
 
 def lifts(basis):
@@ -74,8 +74,8 @@ def rows(basis, frame, blocks, target, reduced_step):
         "stationary_antisymmetric_lift": float(np.linalg.norm(antisym[0])),
     }
 
-    stepped = [validation._engine_step(params, frame, B.real[:, j])
-               + 1j * validation._engine_step(params, frame, B.imag[:, j])
+    stepped = [arc_step.engine_step(params, frame, B.real[:, j])
+               + 1j * arc_step.engine_step(params, frame, B.imag[:, j])
                for j in range(2 * k + 1)]
     terms = [np.linalg.norm(stepped[0] - B[:, 0])]
     for l in range(1, k + 1):
@@ -98,7 +98,7 @@ def rows(basis, frame, blocks, target, reduced_step):
     out["subspace_invariance"] = float(np.abs(image - B @ compressed).max())
     del image
 
-    target_arc = (basis.classes == 0) / np.sqrt(d)  # class (0, 1), the marked out-arcs
+    target_arc = (basis.classes == 0) / np.sqrt(d)  # the marked vertex's out-arcs
     psi0 = arc_engine.uniform_state(params).reshape(-1)[basis.slots]
     coords_initial = np.array([np.sum(B[:, j].conj() * psi0) for j in range(2 * k + 1)])
     e0 = np.eye(2 * k + 1)[0]

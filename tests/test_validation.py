@@ -11,7 +11,7 @@ import arc_basis
 import dense_step as dense
 import flat_layout as flat
 import orbit_walk
-from jwalk import arc_engine, cli, johnson, spectral, validation
+from jwalk import arc_engine, arc_step, cli, johnson, spectral, validation
 from jwalk.errors import CapacityError
 from jwalk.johnson import (arc_pair_slots, graph_params, intersection_numbers,
                            pair_vertex_table, rank_vertex, shell_size)
@@ -166,7 +166,7 @@ def test_dense_step_matches_engine_columns():
     p = graph_params(4, 2)
     frame = _frame(p)
     eye = np.eye(p.num_arcs)
-    stepped = np.column_stack([validation._engine_step(p, frame, e) for e in eye])
+    stepped = np.column_stack([arc_step.engine_step(p, frame, e) for e in eye])
     assert stepped.dtype == np.float64
     assert np.array_equal(stepped, _column_by_column(p))
     for marked, bound in ((None, 1e-15), (2, 1e-14)):
@@ -190,8 +190,8 @@ def test_invariant_basis_gram_identity(n, k):
 
 def test_arc_class_vector_norms():
     # |within|^2 = a_l * shell, |outward|^2 = b_l * shell, |inward|^2 = c_l * shell,
-    # and the basis's classes hold the marked vertex's outward and inward
-    # arcs bitwise, as classes (0, 1) and (1, 0)
+    # and the basis's classes 0 and 1 are the marked vertex's outward and
+    # inward arcs
     p = graph_params(6, 2)
     basis = validation.build_invariant_basis(p, marked=0)
     tails = np.arange(p.num_arcs) // p.degree
@@ -209,11 +209,9 @@ def test_arc_class_vector_norms():
         assert np.dot(outward, outward) == row.b * size
         assert np.dot(inward, inward) == row.c * size
         if l == 0:
-            assert np.array_equal(basis.classes == validation._class_of(basis, (0, 1)),
-                                  outward.astype(bool))
+            assert np.array_equal(basis.classes == 0, outward.astype(bool))
         if l == 1:
-            assert np.array_equal(basis.classes == validation._class_of(basis, (1, 0)),
-                                  inward.astype(bool))
+            assert np.array_equal(basis.classes == 1, inward.astype(bool))
 
 
 def test_stationary_projection_lifts():
@@ -257,7 +255,7 @@ def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_subspace_invariance(
-        basis, *_marked(basis, validation._step_blocks(p.degree)))
+        basis, *_marked(basis, arc_step.step_blocks(p.degree)))
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
 
@@ -279,7 +277,7 @@ def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_reduced_compression(
-        _marked(basis, validation._step_blocks(p.degree))[1], validation._reduced_step(p)[0])
+        _marked(basis, arc_step.step_blocks(p.degree))[1], validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
 
 
@@ -371,7 +369,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
     built = []
     bases = []
     walks = []
-    original = validation._step_blocks
+    original = arc_step.step_blocks
     original_basis = validation.build_invariant_basis
     original_terms = spectral.walk_terms
 
@@ -387,7 +385,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
         walks.append(params)
         return original_terms(params)
 
-    monkeypatch.setattr(validation, "_step_blocks", counting)
+    monkeypatch.setattr(arc_step, "step_blocks", counting)
     monkeypatch.setattr(validation, "build_invariant_basis", counting_basis)
     monkeypatch.setattr(spectral, "walk_terms", counting_terms)
     p = graph_params(6, 3)
@@ -489,7 +487,7 @@ def test_vertex_blocks_are_grover_and_marked(n, k):
     # the step holds two blocks, not N: every unmarked vertex's block built
     # from the definition is G bitwise, and the marked vertex's is B_marked
     p = graph_params(n, k)
-    grover, marked_block = validation._step_blocks(p.degree)
+    grover, marked_block = arc_step.step_blocks(p.degree)
     assert grover.shape == marked_block.shape == (p.degree, p.degree)
     assert grover.dtype == marked_block.dtype == np.float64
     for marked in (None, 0, p.num_vertices - 1):
@@ -513,10 +511,10 @@ def test_block_residuals_match_dense(n, k):
     p = graph_params(n, k)
     marked = p.num_vertices - 1
     opp = arc_pair_slots(p)[1]
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     for m, held in ((None, blocks[:1]), (marked, blocks)):
         per_vertex = dense.vertex_blocks(p, m)
-        residual = validation._unitarity_residual(*held)
+        residual = arc_step.unitarity_residual(*held)
         R = dense.from_blocks(p, per_vertex, np.arange(p.num_arcs))
         assert residual == _dense_unitarity(R)
         del R
@@ -545,12 +543,12 @@ def test_block_residuals_match_dense(n, k):
 def test_unitarity_residual_in_place(n, k, marked):
     # bitwise the full Gram of blockdiag(B_v), and the blocks are left as they were
     p = graph_params(n, k)
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     held = blocks[:1] if marked is None else blocks
     before = [block.copy() for block in held]
     per_vertex = dense.vertex_blocks(p, marked)
     want = _dense_unitarity(dense.from_blocks(p, per_vertex, np.arange(p.num_arcs)))
-    assert validation._unitarity_residual(*held) == want
+    assert arc_step.unitarity_residual(*held) == want
     assert all(np.array_equal(block, copy) for block, copy in zip(held, before))
 
 
@@ -578,9 +576,9 @@ def test_dense_step_from_engine_matches_column_loop(n, k):
     p = graph_params(n, k)
     frame = _frame(p)
     opp = arc_pair_slots(p)[1]
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     for marked in (None, p.num_vertices - 1):
-        residual = validation._engine_residual(p, frame, blocks, marked)
+        residual = arc_step.engine_residual(p, frame, blocks, marked)
         U = dense.from_blocks(p, dense.vertex_blocks(p, marked), opp)
         columns = _column_by_column(p, marked)
         np.subtract(U, columns, out=columns)
@@ -596,10 +594,10 @@ def test_engine_residual_holds_no_arc_space_matrix(marked):
     # and its step would hold 2 A d and more
     p = graph_params(12, 4)
     frame = _frame(p)
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     tracemalloc.start()
     try:
-        residual = validation._engine_residual(p, frame, blocks, marked)
+        residual = arc_step.engine_residual(p, frame, blocks, marked)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -613,13 +611,13 @@ def test_engine_residual_sees_a_swapped_vertex_table(monkeypatch, marked):
     # bins, so a coin mean of 2/d lands on the wrong rows; certify's frame
     # takes the table from pair_vertex_table, and fails the engine checks
     p = graph_params(6, 3)
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     table = pair_vertex_table(p).copy()
     first = (0, 0)
     second = tuple(np.argwhere(table != table[first])[0])
     table[first], table[second] = table[second], table[first]
     frame = (table, arc_pair_slots(p)[0])
-    assert validation._engine_residual(p, frame, blocks, marked) >= 2.0 / p.degree
+    assert arc_step.engine_residual(p, frame, blocks, marked) >= 2.0 / p.degree
     monkeypatch.setattr(validation, "pair_vertex_table", lambda params: table)
     report = validation.certify(p, marked=7 if marked is None else marked)
     failed = {c.name for c in report.checks if not c.passed}
@@ -635,8 +633,8 @@ def test_engine_residual_sees_stray_entry(monkeypatch, marked):
     p = graph_params(6, 3)
     frame = _frame(p)
     slots = frame[1]
-    blocks = validation._step_blocks(p.degree)
-    assert validation._engine_residual(p, frame, blocks, marked) <= 1e-15
+    blocks = arc_step.step_blocks(p.degree)
+    assert arc_step.engine_residual(p, frame, blocks, marked) <= 1e-15
     original = arc_engine.apply_coin
 
     def leaking(params, state, *args):
@@ -646,7 +644,7 @@ def test_engine_residual_sees_stray_entry(monkeypatch, marked):
         return out
 
     monkeypatch.setattr(arc_engine, "apply_coin", leaking)
-    assert validation._engine_residual(p, frame, blocks, marked) >= 1e-3 - 1e-15
+    assert arc_step.engine_residual(p, frame, blocks, marked) >= 1e-3 - 1e-15
 
 
 def test_certify_steps_the_engine_pair_passes(monkeypatch):
@@ -674,36 +672,36 @@ def test_unitarity_residual_dense_orthogonal(size):
     # a block with no zeros, one block or a stack of them: every entry is
     # multiplied, the full product
     q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
-    assert abs(validation._unitarity_residual(q) - _dense_unitarity(q)) <= 1e-15
+    assert abs(arc_step.unitarity_residual(q) - _dense_unitarity(q)) <= 1e-15
     want = max(_dense_unitarity(q[:30, :30]), _dense_unitarity(q[-30:, -30:]))
-    assert validation._unitarity_residual(q[:30, :30], q[-30:, -30:]) == want
+    assert arc_step.unitarity_residual(q[:30, :30], q[-30:, -30:]) == want
 
 
 def test_unitarity_residual_sees_stray_entry():
     # a 1e-3 perturbation of one entry of G, so of every unmarked vertex's
     # block, shows in unitarity and in the engine comparison
     p = graph_params(6, 3)
-    grover, marked_block = validation._step_blocks(p.degree)
+    grover, marked_block = arc_step.step_blocks(p.degree)
     grover[2, 3] += 1e-3
-    residual = validation._unitarity_residual(grover, marked_block)
+    residual = arc_step.unitarity_residual(grover, marked_block)
     per_vertex = dense.vertex_blocks(p, 7)
     per_vertex[np.arange(p.num_vertices) != 7, 2, 3] += 1e-3
     assert residual == _dense_unitarity(dense.from_blocks(p, per_vertex, np.arange(p.num_arcs)))
     assert residual >= 7e-4  # Gram entry (3, 2) moves by 1e-3 * |G[2, 2]| = 7/9 * 1e-3
     blocks = (grover, marked_block)
-    assert validation._engine_residual(p, _frame(p), blocks, 7) >= 1e-3 - 1e-15
+    assert arc_step.engine_residual(p, _frame(p), blocks, 7) >= 1e-3 - 1e-15
 
 
 def test_unitarity_residual_zero_column():
-    grover, marked_block = validation._step_blocks(graph_params(6, 3).degree)
+    grover, marked_block = arc_step.step_blocks(graph_params(6, 3).degree)
     grover[:, 6] = 0.0
-    assert validation._unitarity_residual(grover, marked_block) == 1.0
+    assert arc_step.unitarity_residual(grover, marked_block) == 1.0
 
 
 def test_unitarity_residual_zero_last_column():
-    grover, marked_block = validation._step_blocks(graph_params(6, 3).degree)
+    grover, marked_block = arc_step.step_blocks(graph_params(6, 3).degree)
     marked_block[:, -1] = 0.0
-    assert validation._unitarity_residual(grover, marked_block) == 1.0
+    assert arc_step.unitarity_residual(grover, marked_block) == 1.0
 
 
 @pytest.mark.parametrize("where", ["structural zero", "nonzero", "last"])
@@ -712,14 +710,14 @@ def test_unitarity_residual_nan_is_refused(where):
     # off-diagonal entry of B_marked, which the rank-1 update sets to
     # exactly 0, and "nonzero" an entry of G
     p = graph_params(6, 3)
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     which, *entry = {"structural zero": (1, 0, 1), "nonzero": (0, 4, 2),
                      "last": (1, -1, -1)}[where]
     assert (blocks[which][tuple(entry)] == 0) == (where == "structural zero")
     blocks[which][tuple(entry)] = np.nan
-    assert math.isnan(validation._unitarity_residual(*blocks))
-    assert math.isnan(validation._engine_residual(p, _frame(p), blocks, 7))
-    assert math.isnan(validation._det_residual(*blocks))
+    assert math.isnan(arc_step.unitarity_residual(*blocks))
+    assert math.isnan(arc_step.engine_residual(p, _frame(p), blocks, 7))
+    assert math.isnan(arc_step.det_residual(*blocks))
 
 
 def test_row_blocks_refuse_a_non_permutation():
@@ -730,7 +728,7 @@ def test_row_blocks_refuse_a_non_permutation():
     basis = validation.build_invariant_basis(p, 7)
     clash = basis.opposite.copy()
     clash[1] = clash[0]
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     bad = dataclasses.replace(basis, opposite=clash)
     with pytest.raises(ValueError, match="not a permutation"):
         validation._marked_class_step(bad, blocks)
@@ -785,10 +783,10 @@ def test_det_modulus_matches_full_lu(monkeypatch, n, k):
     # bitwise), and the row is the larger distance of the two from 1
     p = graph_params(n, k)
     opp = arc_pair_slots(p)[1]
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     with monkeypatch.context() as m:
         shapes = _guard_full_det(m, p.num_arcs)
-        residual = validation._det_residual(*blocks)
+        residual = arc_step.det_residual(*blocks)
     assert shapes == [(2, p.degree, p.degree)]
     grover, marked_block = (abs(np.linalg.det(block)) for block in blocks)
     assert residual == max(abs(grover - 1.0), abs(marked_block - 1.0)) <= 1e-14
@@ -803,7 +801,7 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
     # for a zero pivot and return det 0
     p = graph_params(n, k)
     for which in (0, 1):
-        blocks = validation._step_blocks(p.degree)
+        blocks = arc_step.step_blocks(p.degree)
         blocks[which][p.degree - 1, 0] = np.nan
         residuals = validation.verify_dense_step(p, marked, _frame(p), blocks)
         assert math.isnan(residuals["marked_step_det_modulus"])
@@ -812,7 +810,7 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
 def test_det_modulus_sees_scaled_block_column():
     p = graph_params(6, 3)
     for which in (0, 1):
-        blocks = validation._step_blocks(p.degree)
+        blocks = arc_step.step_blocks(p.degree)
         blocks[which][:, 1] *= 0.5  # one column of G or of B_marked, so its |det| = 0.5
         residuals = validation.verify_dense_step(p, 7, _frame(p), blocks)
         assert abs(residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
@@ -850,7 +848,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     args = {"verify_eigenbasis": (basis, _frame(p)),
             "verify_spectral_closed_forms": (basis,),
             "verify_subspace_invariance": (
-                basis, *_marked(basis, validation._step_blocks(p.degree)))}[stage]
+                basis, *_marked(basis, arc_step.step_blocks(p.degree)))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -1065,7 +1063,7 @@ def test_arc_basis_is_the_class_basis(n, k, marked):
     w = rank_vertex(p, marked or tuple(range(1, k + 1)))
     basis = validation.build_invariant_basis(p, w)
     assert np.abs(arc_basis.matrix(basis) - basis.coords[basis.classes]).max() <= 1e-13
-    blocks = validation._step_blocks(p.degree)
+    blocks = arc_step.step_blocks(p.degree)
     step, target = validation._reduced_step(p)
     oracle = arc_basis.rows(basis, _frame(p), blocks, target, step)
     report = {c.name: c.residual for c in validation.certify(p, marked=w).checks}
@@ -1079,20 +1077,20 @@ def test_certify_steps_the_basis_once(monkeypatch):
     # that need it; each step, unmarked and marked, steps each class
     # indicator once
     calls, indicators = [], []
-    original, original_step = validation._marked_class_step, validation._class_step
+    original, original_step = validation._marked_class_step, arc_step.class_step
 
     def counting(basis, blocks):
         calls.append(basis.marked)
         return original(basis, blocks)
 
-    def counting_step(basis, step):
+    def counting_step(classes, sizes, step):
         def recording(vector):
-            indicators.append(np.flatnonzero(np.bincount(basis.classes[vector])).tolist())
+            indicators.append(np.flatnonzero(np.bincount(classes[vector])).tolist())
             return step(vector)
-        return original_step(basis, recording)
+        return original_step(classes, sizes, recording)
 
     monkeypatch.setattr(validation, "_marked_class_step", counting)
-    monkeypatch.setattr(validation, "_class_step", counting_step)
+    monkeypatch.setattr(arc_step, "class_step", counting_step)
     p = graph_params(6, 3)
     assert validation.certify(p, marked=7).passed
     assert calls == [7]
