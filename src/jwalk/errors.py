@@ -19,7 +19,8 @@ class PrecisionError(ArithmeticError):
     """A result the working precision cannot resolve, so none is returned.
 
     Raised when a secular root of the reduced step lies closer to its pole
-    than 40 digits separate, or its polish does not settle.
+    than 40 digits separate, or its polish does not settle, and when the
+    reduced engine runs on a platform whose longdouble is not extended.
     """
 
 

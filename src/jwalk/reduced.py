@@ -92,10 +92,10 @@ absolute, and at t = 229,357, where p = 3.3e-12, the error of 2.5e-25 is
 621 ulp.  The evaluator needs an extended longdouble: ``evolve_series``
 and ``sweep_point`` refuse, with PrecisionError, a platform whose
 longdouble has fewer than 63 significand bits after the point
-(``_LONGDOUBLE_BITS``), where they would silently write other bytes.  On J(10^6, 2) the scan's p(t_run)
-equals a 60-digit evaluation to the last bit, while the tests' arc-class
-walk, iterated in longdouble, differs by 4.0e-15, its own drift over
-785,398 steps.
+(``_LONGDOUBLE_BITS``), where they would silently write other bytes.
+On J(10^6, 2) the scan's p(t_run) equals a 60-digit evaluation to the
+last bit, while the tests' arc-class walk, iterated in longdouble,
+differs by 4.0e-15, its own drift over 785,398 steps.
 """
 
 import math

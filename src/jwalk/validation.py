@@ -77,13 +77,13 @@ arc vectors and pair states at a time, about five words per arc, and
 nothing of size A x k, N x N, A x A or N x d x d
 (:func:`_battery_words`).  The engine is compared with the blocks through
 d probe states (``arc_step.engine_residual``), and the basis through 2K
-class indicators.  In-process, on a 2-core x86-64,
-``certify`` takes about 0.01 s on J(10,3) (A = 2,520), 0.02 s on J(12,4)
-(A = 15,840) and 0.1 s on J(20,3) (A = 58,140); 2.1 s on J(40,3)
-(A = 1,096,680), more than half of it the step stage, whose 222 probes
-each step a whole pair state, and 0.3 s each the 9 unmarked and 9 marked
-class-indicator steps; and about 60 s on J(40,4) (A = 13,160,160), 41 s of
-it the 288 probes.
+class indicators.  In-process, on a 2-core x86-64 with one BLAS thread
+(the host's speed varied), ``certify`` takes about 0.01 s on J(10,3)
+(A = 2,520), 0.03 s on J(12,4) (A = 15,840) and 0.1-0.17 s on J(20,3)
+(A = 58,140); 2.1-2.8 s on J(40,3) (A = 1,096,680), more than half of it
+the step stage, whose 222 probes each step a whole pair state, and
+0.4-0.6 s each the 9 unmarked and the 9 marked class-indicator steps; and
+60-68 s on J(40,4) (A = 13,160,160), about 41 s of it the 288 probes.
 """
 
 import math
@@ -512,7 +512,7 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     when its residual is within ``tol``, so a NaN fails.
     Refuses with CapacityError, before allocating, an instance whose words
     (:func:`_battery_words`) exceed ``MemAvailable``.  The count bounds the
-    tracemalloc peak within one word per arc: the peak is 7.4, 5.6, 5.2 and
+    tracemalloc peak within one word per arc: the peak is 7.5, 5.6, 5.2 and
     5.1 words per arc on J(10,3), J(12,4), J(20,3) and J(40,3), against
     8.3, 6.5, 6.2 and 6.0 counted.
     """

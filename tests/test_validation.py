@@ -879,6 +879,9 @@ def test_certify_checks_available_memory(monkeypatch):
 def _certify_peak_within_model(monkeypatch, n, k, marked):
     p = graph_params(n, k)
     A = p.num_arcs
+    # a first run fills the caches a run of this instance leaves, so the
+    # traced run counts what certify holds, whatever ran before it
+    assert validation.certify(p, marked=marked).passed
     growth = {}
     for name in ("verify_eigenbasis", "_marked_class_step", "verify_subspace_invariance",
                  "verify_target_and_initial"):
@@ -912,7 +915,7 @@ def test_certify_peak_memory_matches_model(monkeypatch):
     # per arc of it; the stages that read the basis, and the marked step on
     # the classes, each hold at most four arc vectors besides what certify
     # holds, where one arc-space basis column is two
-    for n, k, marked in ((10, 3, 5), (12, 4, 7), (20, 3, 11)):
+    for n, k, marked in ((10, 5, 100), (12, 4, 7), (20, 3, 11)):
         _certify_peak_within_model(monkeypatch, n, k, marked)
 
 
