@@ -170,7 +170,7 @@ def det_residual(*blocks: np.ndarray) -> float:
 
 
 def class_means(classes: np.ndarray, sizes: np.ndarray, vector: np.ndarray) -> tuple:
-    """The mean of an arc-order float64 ``vector`` on each class, and its largest deviation from them.
+    """The mean of an arc-order float64 ``vector`` on each class, and its largest deviation.
 
     ``classes`` holds each arc's class id and ``sizes`` each class's arc
     count.  ``vector`` is overwritten by its deviation.  np.bincount adds a

@@ -183,10 +183,10 @@ class InvariantBasis:
     classes numbered in that (tail, head) order.  Shell 0 reaches shell 1
     alone, and shell 1 reaches shell 0 first, so class 0 is (0, 1), the
     marked vertex's out-arcs, and class 1 is (1, 0), its in-arcs.  The
-    marked vertex's Lanczos spectrum
-    (:func:`_local_spectrum`), its projections and their shell averages,
-    and the shell indicators and sizes they were averaged with are kept for
-    certification, and so are the arc reversal and the arcs' pair slots.
+    marked vertex's Lanczos spectrum (:func:`_local_spectrum`), its
+    projections and their shell averages, and the shell indicators and
+    sizes they were averaged with are kept for certification, and so are
+    the arc reversal and the arcs' pair slots.
     """
 
     params: GraphParams
@@ -397,11 +397,12 @@ def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
 
 
 def _marked_class_step(basis: InvariantBasis, blocks: tuple) -> tuple:
-    """The marked step on the class coordinates, and its largest deviation (``arc_step.class_step``).
+    """The marked step on the class coordinates, and its images' largest deviation from them.
 
     Each class indicator is stepped through the coin ``blocks`` and the
-    arc reversal (``arc_step.marked_step``).  ValueError unless the arc
-    reversal is a permutation.
+    arc reversal (``arc_step.marked_step``) and read on the classes
+    (``arc_step.class_step``).  ValueError unless the arc reversal is a
+    permutation.
     """
     if not np.array_equal(np.sort(basis.opposite), np.arange(basis.params.num_arcs)):
         raise ValueError("the arc reversal is not a permutation of the arcs")

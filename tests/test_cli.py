@@ -420,8 +420,9 @@ def test_closed_pipe_exits_141():
     # as a success, and says nothing on stderr
     path = [str(Path(jwalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    child = subprocess.Popen([sys.executable, "-m", "jwalk", "simulate", "--n", "4000", "--k", "3"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "jwalk", "simulate", "--n", "4000", "--k", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
         assert child.stdout.readline() == b"t,p_succ,p_alt,norm\n"
         child.stdout.close()
