@@ -28,6 +28,8 @@ oracle's reflection through a real vector have no imaginary part, and the
 matrix-free engine they certify steps real float64 states too.  Nothing
 here is N x N, A x A or N x d x d: a step holds the blocks, one pair state
 and a few arc vectors.
+
+This module is internal to ``jwalk.validation``, not public API.
 """
 
 import math
@@ -37,18 +39,6 @@ import numpy as np
 
 from . import arc_engine
 from .johnson import GraphParams
-
-__all__ = [
-    "step_blocks",
-    "pair_state",
-    "engine_step",
-    "marked_step",
-    "engine_residual",
-    "unitarity_residual",
-    "det_residual",
-    "class_means",
-    "class_step",
-]
 
 
 def step_blocks(degree: int) -> tuple:

@@ -192,7 +192,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a short output is still in stdout's buffer: flush it here, where a
+        # closed pipe is caught, not in the interpreter's exit
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader is gone: point stdout at /dev/null, so that the flush at
         # exit cannot raise again, and say nothing

@@ -4,7 +4,7 @@ Each quantity is computed here directly from the graph or the walk,
 sharing none of the shortcuts of the formulas, the matrix-free engine or
 the reduced step matrix it checks.  The adjacency is read from the arc
 reversal; the walk step is U = P blockdiag(B_v), the arc reversal P and
-two distinct d x d coin blocks (``jwalk.arc_step``); the
+two distinct d x d coin blocks (``jwalk._arc_step``); the
 invariant-subspace basis is held in arc-class coordinates.
 
 The basis construction follows the lifting route: the marked vertex's
@@ -36,7 +36,7 @@ walk's step of one class indicator at a time, through the engine's pair
 passes and through the coin blocks and the arc reversal: each image's
 class means make the step on the classes, M with U C = C M, and its
 largest deviation from them, 0 in exact arithmetic, is a term of the row
-that reads M (``arc_step.class_step``).
+that reads M (``_arc_step.class_step``).
 
 The basis keeps the Lanczos eigenvalues, projector weights and closing
 beta it is built from, and the spectral stage compares them with the
@@ -68,7 +68,7 @@ the K x K step on the classes meets Y.
 Arc space here is numbered tail-major, as in ``jwalk.johnson``.  The
 basis keeps the arc reversal and each arc's slot in the engine's pair
 state, both from :func:`jwalk.johnson.arc_pair_slots`; with the engine's
-(x, a) -> vertex table the slots are the pair frame that ``arc_step``
+(x, a) -> vertex table the slots are the pair frame that ``_arc_step``
 steps the engine through, built once by ``certify``.
 
 Cost, with A = N d the arcs, d the degree and N the number of vertices:
@@ -76,7 +76,7 @@ the battery holds the arc tables (reversal, slots, class ids) and a few
 arc vectors and pair states at a time, about five words per arc, and
 nothing of size A x k, N x N, A x A or N x d x d
 (:func:`_battery_words`).  The engine is compared with the blocks through
-d probe states (``arc_step.engine_residual``), and the basis through 2K
+d probe states (``_arc_step.engine_residual``), and the basis through 2K
 class indicators.  In-process, on a 2-core x86-64 with one BLAS thread
 (the host's speed varied), ``certify`` takes about 0.01 s on J(10,3)
 (A = 2,520), 0.03 s on J(12,4) (A = 15,840) and 0.1-0.17 s on J(20,3)
@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from . import arc_engine, arc_step, spectral
+from . import _arc_step, arc_engine, spectral
 from .johnson import (GraphParams, _colex_subsets, arc_pair_slots, intersection_numbers,
                       pair_vertex_table, unrank_vertex)
 
@@ -330,21 +330,21 @@ def verify_dense_step(params: GraphParams, marked: int, frame: tuple, blocks: tu
     """Closed-form step versus the engine, plus unitarity and |det|.
 
     Each step is read from the coin ``blocks`` (G, B_marked)
-    (``arc_step.step_blocks``): the engine steps ``degree`` probe
-    states through the pair ``frame`` (``arc_step.engine_residual``),
+    (``_arc_step.step_blocks``): the engine steps ``degree`` probe
+    states through the pair ``frame`` (``_arc_step.engine_residual``),
     unitarity is
     max |B^T B - I| over the blocks a step holds, G alone unmarked, and the
     marked step's |det| is read from G and B_marked apart
-    (``arc_step.det_residual``).  The engine side runs the pair passes that
+    (``_arc_step.det_residual``).  The engine side runs the pair passes that
     ``simulate`` runs.
     """
     return {
-        "step_closed_form_vs_engine": arc_step.engine_residual(params, frame, blocks),
-        "step_unitarity": arc_step.unitarity_residual(blocks[0]),
+        "step_closed_form_vs_engine": _arc_step.engine_residual(params, frame, blocks),
+        "step_unitarity": _arc_step.unitarity_residual(blocks[0]),
         "marked_step_closed_form_vs_engine":
-            arc_step.engine_residual(params, frame, blocks, marked),
-        "marked_step_unitarity": arc_step.unitarity_residual(*blocks),
-        "marked_step_det_modulus": arc_step.det_residual(*blocks),
+            _arc_step.engine_residual(params, frame, blocks, marked),
+        "marked_step_unitarity": _arc_step.unitarity_residual(*blocks),
+        "marked_step_det_modulus": _arc_step.det_residual(*blocks),
     }
 
 
@@ -353,8 +353,8 @@ def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
 
     The Gram is Y^H diag(sizes) Y.  The engine steps each class indicator
     through the pair ``frame`` and the shift, the swap of x and y
-    (``arc_step.engine_step``), and the images' class means are the unmarked
-    step M on the classes (``arc_step.class_step``).  Each eigenrelation is the
+    (``_arc_step.engine_step``), and the images' class means are the unmarked
+    step M on the classes (``_arc_step.class_step``).  Each eigenrelation is the
     norm of C (M - e^{i phi}) y, and the images' largest deviation from
     their class means is a term of the same row, so the row also checks
     the shift against the arc reversal the classes are read from.  Also
@@ -371,8 +371,8 @@ def verify_eigenbasis(basis: InvariantBasis, frame: tuple) -> dict:
         "stationary_antisymmetric_lift": _class_norm(sizes, antisym[0]),
     }
 
-    step, deviation = arc_step.class_step(
-        basis.classes, sizes, lambda vector: arc_step.engine_step(params, frame, vector))
+    step, deviation = _arc_step.class_step(
+        basis.classes, sizes, lambda vector: _arc_step.engine_step(params, frame, vector))
     stepped = step @ Y
     eig_terms = [deviation, _class_norm(sizes, stepped[:, 0] - Y[:, 0])]
     for l in range(1, k + 1):
@@ -400,15 +400,15 @@ def _marked_class_step(basis: InvariantBasis, blocks: tuple) -> tuple:
     """The marked step on the class coordinates, and its images' largest deviation from them.
 
     Each class indicator is stepped through the coin ``blocks`` and the
-    arc reversal (``arc_step.marked_step``) and read on the classes
-    (``arc_step.class_step``).  ValueError unless the arc reversal is a
+    arc reversal (``_arc_step.marked_step``) and read on the classes
+    (``_arc_step.class_step``).  ValueError unless the arc reversal is a
     permutation.
     """
     if not np.array_equal(np.sort(basis.opposite), np.arange(basis.params.num_arcs)):
         raise ValueError("the arc reversal is not a permutation of the arcs")
-    return arc_step.class_step(
+    return _arc_step.class_step(
         basis.classes, basis.class_sizes,
-        lambda vector: arc_step.marked_step(basis.opposite, basis.marked, blocks, vector))
+        lambda vector: _arc_step.marked_step(basis.opposite, basis.marked, blocks, vector))
 
 
 def verify_subspace_invariance(basis: InvariantBasis, step: tuple,
@@ -434,7 +434,7 @@ def verify_subspace_invariance(basis: InvariantBasis, step: tuple,
     terms = []
     for vector, images in ((b0, (b0,)), (np.subtract(b0, c1, dtype=np.int8), (b0, c1))):
         state = arc_engine.apply_oracle(
-            params, arc_step.pair_state(params, basis.slots, vector), basis.marked)
+            params, _arc_step.pair_state(params, basis.slots, vector), basis.marked)
         reflected = state.reshape(-1)[basis.slots]
         del state
         for image in images:
@@ -472,13 +472,13 @@ def verify_target_and_initial(basis: InvariantBasis, target: np.ndarray) -> dict
     start is the first basis vector.  The arc target is uniform on the
     marked vertex's out-arcs, 1/sqrt(d) on class 0; the start is the
     engine's uniform state, read at the slots and averaged on the classes
-    (``arc_step.class_means``), whose largest deviation from its class means is
+    (``_arc_step.class_means``), whose largest deviation from its class means is
     a term of ``initial_in_subspace``.  A vector C x has basis coordinates
     Y^H diag(sizes) x.
     """
     params, Y, sizes = basis.params, basis.coords, basis.class_sizes
     target_arc = (np.arange(len(sizes)) == 0) / np.sqrt(params.degree)
-    start, deviation = arc_step.class_means(
+    start, deviation = _arc_step.class_means(
         basis.classes, sizes, arc_engine.uniform_state(params).reshape(-1)[basis.slots])
     coords_initial = Y.conj().T @ (sizes * start)
     e0 = np.zeros(2 * params.k + 1)
@@ -520,7 +520,7 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     _require_memory(params)
     basis = build_invariant_basis(params, marked)
     frame = (pair_vertex_table(params), basis.slots)
-    blocks = arc_step.step_blocks(params.degree)
+    blocks = _arc_step.step_blocks(params.degree)
     reduced_step, target = _reduced_step(params)
     stages = [
         verify_spectral_closed_forms(basis),

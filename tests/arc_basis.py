@@ -19,7 +19,7 @@ column, so it is meant for small instances.
 
 import numpy as np
 
-from jwalk import arc_engine, arc_step, spectral
+from jwalk import _arc_step, arc_engine, spectral
 
 
 def lifts(basis):
@@ -74,8 +74,8 @@ def rows(basis, frame, blocks, target, reduced_step):
         "stationary_antisymmetric_lift": float(np.linalg.norm(antisym[0])),
     }
 
-    stepped = [arc_step.engine_step(params, frame, B.real[:, j])
-               + 1j * arc_step.engine_step(params, frame, B.imag[:, j])
+    stepped = [_arc_step.engine_step(params, frame, B.real[:, j])
+               + 1j * _arc_step.engine_step(params, frame, B.imag[:, j])
                for j in range(2 * k + 1)]
     terms = [np.linalg.norm(stepped[0] - B[:, 0])]
     for l in range(1, k + 1):

@@ -12,7 +12,7 @@ import pytest
 
 from chunked import gather
 from eigenphases import eigenphases, verify_eigenphase_asymptotics
-from jwalk import arc_engine, arc_step, reduced, spectral, validation
+from jwalk import _arc_step, arc_engine, reduced, spectral, validation
 from jwalk.johnson import graph_params, intersection_numbers, pair_vertex_table
 from test_spectral import brute_adjacency
 
@@ -116,7 +116,7 @@ def test_criterion_3_eigenbasis_certification():
     for n, k in [(4, 2), (5, 2), (6, 2)]:
         p = graph_params(n, k)
         basis = validation.build_invariant_basis(p, marked=0)
-        blocks = arc_step.step_blocks(p.degree)
+        blocks = _arc_step.step_blocks(p.degree)
         res = validation.verify_eigenbasis(basis, (pair_vertex_table(p), basis.slots))
         step = validation._marked_class_step(basis, blocks)[0]
         Y = basis.coords

@@ -434,6 +434,26 @@ def test_closed_pipe_exits_141():
     assert err == b""
 
 
+def test_closed_pipe_exits_141_on_a_short_output():
+    # a report short enough to wait in stdout's buffer until the end of
+    # main(): its reader is gone before it starts, and the flush still
+    # exits 141 with nothing on stderr; stdout to a pipe is block-buffered
+    # unless PYTHONUNBUFFERED says otherwise
+    path = [str(Path(jwalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "jwalk", "validate", "--n", "6", "--k", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
 def test_reduced_engine_refuses_a_plain_longdouble(capsys, monkeypatch, tmp_path):
     # where longdouble is plain double the block evaluator would write other
     # bytes: simulate (reduced) and sweep exit 2 before solving the spectrum

@@ -1,8 +1,13 @@
 """The certification battery against dense oracles on small instances."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,8 @@ import arc_basis
 import dense_step as dense
 import flat_layout as flat
 import orbit_walk
-from jwalk import arc_engine, arc_step, cli, johnson, spectral, validation
+import jwalk
+from jwalk import _arc_step, arc_engine, cli, johnson, spectral, validation
 from jwalk.errors import CapacityError
 from jwalk.johnson import (arc_pair_slots, graph_params, intersection_numbers,
                            pair_vertex_table, rank_vertex, shell_size)
@@ -166,7 +172,7 @@ def test_dense_step_matches_engine_columns():
     p = graph_params(4, 2)
     frame = _frame(p)
     eye = np.eye(p.num_arcs)
-    stepped = np.column_stack([arc_step.engine_step(p, frame, e) for e in eye])
+    stepped = np.column_stack([_arc_step.engine_step(p, frame, e) for e in eye])
     assert stepped.dtype == np.float64
     assert np.array_equal(stepped, _column_by_column(p))
     for marked, bound in ((None, 1e-15), (2, 1e-14)):
@@ -255,7 +261,7 @@ def test_subspace_invariance_residual(n, k, bound):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_subspace_invariance(
-        basis, *_marked(basis, arc_step.step_blocks(p.degree)))
+        basis, *_marked(basis, _arc_step.step_blocks(p.degree)))
     assert residuals["subspace_invariance"] <= bound
     assert residuals["oracle_action_identities"] == 0.0  # exact reflection
 
@@ -277,7 +283,7 @@ def test_reduced_compression_is_reduced_matrix(n, k):
     p = graph_params(n, k)
     basis = validation.build_invariant_basis(p, marked=0)
     residuals = validation.verify_reduced_compression(
-        _marked(basis, arc_step.step_blocks(p.degree))[1], validation._reduced_step(p)[0])
+        _marked(basis, _arc_step.step_blocks(p.degree))[1], validation._reduced_step(p)[0])
     assert residuals["reduced_compression"] <= 1e-10
 
 
@@ -369,7 +375,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
     built = []
     bases = []
     walks = []
-    original = arc_step.step_blocks
+    original = _arc_step.step_blocks
     original_basis = validation.build_invariant_basis
     original_terms = spectral.walk_terms
 
@@ -385,7 +391,7 @@ def test_certify_builds_each_dense_step_once(monkeypatch):
         walks.append(params)
         return original_terms(params)
 
-    monkeypatch.setattr(arc_step, "step_blocks", counting)
+    monkeypatch.setattr(_arc_step, "step_blocks", counting)
     monkeypatch.setattr(validation, "build_invariant_basis", counting_basis)
     monkeypatch.setattr(spectral, "walk_terms", counting_terms)
     p = graph_params(6, 3)
@@ -487,7 +493,7 @@ def test_vertex_blocks_are_grover_and_marked(n, k):
     # the step holds two blocks, not N: every unmarked vertex's block built
     # from the definition is G bitwise, and the marked vertex's is B_marked
     p = graph_params(n, k)
-    grover, marked_block = arc_step.step_blocks(p.degree)
+    grover, marked_block = _arc_step.step_blocks(p.degree)
     assert grover.shape == marked_block.shape == (p.degree, p.degree)
     assert grover.dtype == marked_block.dtype == np.float64
     for marked in (None, 0, p.num_vertices - 1):
@@ -511,10 +517,10 @@ def test_block_residuals_match_dense(n, k):
     p = graph_params(n, k)
     marked = p.num_vertices - 1
     opp = arc_pair_slots(p)[1]
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     for m, held in ((None, blocks[:1]), (marked, blocks)):
         per_vertex = dense.vertex_blocks(p, m)
-        residual = arc_step.unitarity_residual(*held)
+        residual = _arc_step.unitarity_residual(*held)
         R = dense.from_blocks(p, per_vertex, np.arange(p.num_arcs))
         assert residual == _dense_unitarity(R)
         del R
@@ -543,12 +549,12 @@ def test_block_residuals_match_dense(n, k):
 def test_unitarity_residual_in_place(n, k, marked):
     # bitwise the full Gram of blockdiag(B_v), and the blocks are left as they were
     p = graph_params(n, k)
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     held = blocks[:1] if marked is None else blocks
     before = [block.copy() for block in held]
     per_vertex = dense.vertex_blocks(p, marked)
     want = _dense_unitarity(dense.from_blocks(p, per_vertex, np.arange(p.num_arcs)))
-    assert arc_step.unitarity_residual(*held) == want
+    assert _arc_step.unitarity_residual(*held) == want
     assert all(np.array_equal(block, copy) for block, copy in zip(held, before))
 
 
@@ -576,9 +582,9 @@ def test_dense_step_from_engine_matches_column_loop(n, k):
     p = graph_params(n, k)
     frame = _frame(p)
     opp = arc_pair_slots(p)[1]
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     for marked in (None, p.num_vertices - 1):
-        residual = arc_step.engine_residual(p, frame, blocks, marked)
+        residual = _arc_step.engine_residual(p, frame, blocks, marked)
         U = dense.from_blocks(p, dense.vertex_blocks(p, marked), opp)
         columns = _column_by_column(p, marked)
         np.subtract(U, columns, out=columns)
@@ -594,10 +600,10 @@ def test_engine_residual_holds_no_arc_space_matrix(marked):
     # and its step would hold 2 A d and more
     p = graph_params(12, 4)
     frame = _frame(p)
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     tracemalloc.start()
     try:
-        residual = arc_step.engine_residual(p, frame, blocks, marked)
+        residual = _arc_step.engine_residual(p, frame, blocks, marked)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -611,13 +617,13 @@ def test_engine_residual_sees_a_swapped_vertex_table(monkeypatch, marked):
     # bins, so a coin mean of 2/d lands on the wrong rows; certify's frame
     # takes the table from pair_vertex_table, and fails the engine checks
     p = graph_params(6, 3)
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     table = pair_vertex_table(p).copy()
     first = (0, 0)
     second = tuple(np.argwhere(table != table[first])[0])
     table[first], table[second] = table[second], table[first]
     frame = (table, arc_pair_slots(p)[0])
-    assert arc_step.engine_residual(p, frame, blocks, marked) >= 2.0 / p.degree
+    assert _arc_step.engine_residual(p, frame, blocks, marked) >= 2.0 / p.degree
     monkeypatch.setattr(validation, "pair_vertex_table", lambda params: table)
     report = validation.certify(p, marked=7 if marked is None else marked)
     failed = {c.name for c in report.checks if not c.passed}
@@ -633,8 +639,8 @@ def test_engine_residual_sees_stray_entry(monkeypatch, marked):
     p = graph_params(6, 3)
     frame = _frame(p)
     slots = frame[1]
-    blocks = arc_step.step_blocks(p.degree)
-    assert arc_step.engine_residual(p, frame, blocks, marked) <= 1e-15
+    blocks = _arc_step.step_blocks(p.degree)
+    assert _arc_step.engine_residual(p, frame, blocks, marked) <= 1e-15
     original = arc_engine.apply_coin
 
     def leaking(params, state, *args):
@@ -644,7 +650,7 @@ def test_engine_residual_sees_stray_entry(monkeypatch, marked):
         return out
 
     monkeypatch.setattr(arc_engine, "apply_coin", leaking)
-    assert arc_step.engine_residual(p, frame, blocks, marked) >= 1e-3 - 1e-15
+    assert _arc_step.engine_residual(p, frame, blocks, marked) >= 1e-3 - 1e-15
 
 
 def test_certify_steps_the_engine_pair_passes(monkeypatch):
@@ -672,36 +678,36 @@ def test_unitarity_residual_dense_orthogonal(size):
     # a block with no zeros, one block or a stack of them: every entry is
     # multiplied, the full product
     q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
-    assert abs(arc_step.unitarity_residual(q) - _dense_unitarity(q)) <= 1e-15
+    assert abs(_arc_step.unitarity_residual(q) - _dense_unitarity(q)) <= 1e-15
     want = max(_dense_unitarity(q[:30, :30]), _dense_unitarity(q[-30:, -30:]))
-    assert arc_step.unitarity_residual(q[:30, :30], q[-30:, -30:]) == want
+    assert _arc_step.unitarity_residual(q[:30, :30], q[-30:, -30:]) == want
 
 
 def test_unitarity_residual_sees_stray_entry():
     # a 1e-3 perturbation of one entry of G, so of every unmarked vertex's
     # block, shows in unitarity and in the engine comparison
     p = graph_params(6, 3)
-    grover, marked_block = arc_step.step_blocks(p.degree)
+    grover, marked_block = _arc_step.step_blocks(p.degree)
     grover[2, 3] += 1e-3
-    residual = arc_step.unitarity_residual(grover, marked_block)
+    residual = _arc_step.unitarity_residual(grover, marked_block)
     per_vertex = dense.vertex_blocks(p, 7)
     per_vertex[np.arange(p.num_vertices) != 7, 2, 3] += 1e-3
     assert residual == _dense_unitarity(dense.from_blocks(p, per_vertex, np.arange(p.num_arcs)))
     assert residual >= 7e-4  # Gram entry (3, 2) moves by 1e-3 * |G[2, 2]| = 7/9 * 1e-3
     blocks = (grover, marked_block)
-    assert arc_step.engine_residual(p, _frame(p), blocks, 7) >= 1e-3 - 1e-15
+    assert _arc_step.engine_residual(p, _frame(p), blocks, 7) >= 1e-3 - 1e-15
 
 
 def test_unitarity_residual_zero_column():
-    grover, marked_block = arc_step.step_blocks(graph_params(6, 3).degree)
+    grover, marked_block = _arc_step.step_blocks(graph_params(6, 3).degree)
     grover[:, 6] = 0.0
-    assert arc_step.unitarity_residual(grover, marked_block) == 1.0
+    assert _arc_step.unitarity_residual(grover, marked_block) == 1.0
 
 
 def test_unitarity_residual_zero_last_column():
-    grover, marked_block = arc_step.step_blocks(graph_params(6, 3).degree)
+    grover, marked_block = _arc_step.step_blocks(graph_params(6, 3).degree)
     marked_block[:, -1] = 0.0
-    assert arc_step.unitarity_residual(grover, marked_block) == 1.0
+    assert _arc_step.unitarity_residual(grover, marked_block) == 1.0
 
 
 @pytest.mark.parametrize("where", ["structural zero", "nonzero", "last"])
@@ -710,14 +716,14 @@ def test_unitarity_residual_nan_is_refused(where):
     # off-diagonal entry of B_marked, which the rank-1 update sets to
     # exactly 0, and "nonzero" an entry of G
     p = graph_params(6, 3)
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     which, *entry = {"structural zero": (1, 0, 1), "nonzero": (0, 4, 2),
                      "last": (1, -1, -1)}[where]
     assert (blocks[which][tuple(entry)] == 0) == (where == "structural zero")
     blocks[which][tuple(entry)] = np.nan
-    assert math.isnan(arc_step.unitarity_residual(*blocks))
-    assert math.isnan(arc_step.engine_residual(p, _frame(p), blocks, 7))
-    assert math.isnan(arc_step.det_residual(*blocks))
+    assert math.isnan(_arc_step.unitarity_residual(*blocks))
+    assert math.isnan(_arc_step.engine_residual(p, _frame(p), blocks, 7))
+    assert math.isnan(_arc_step.det_residual(*blocks))
 
 
 def test_row_blocks_refuse_a_non_permutation():
@@ -728,7 +734,7 @@ def test_row_blocks_refuse_a_non_permutation():
     basis = validation.build_invariant_basis(p, 7)
     clash = basis.opposite.copy()
     clash[1] = clash[0]
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     bad = dataclasses.replace(basis, opposite=clash)
     with pytest.raises(ValueError, match="not a permutation"):
         validation._marked_class_step(bad, blocks)
@@ -783,10 +789,10 @@ def test_det_modulus_matches_full_lu(monkeypatch, n, k):
     # bitwise), and the row is the larger distance of the two from 1
     p = graph_params(n, k)
     opp = arc_pair_slots(p)[1]
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     with monkeypatch.context() as m:
         shapes = _guard_full_det(m, p.num_arcs)
-        residual = arc_step.det_residual(*blocks)
+        residual = _arc_step.det_residual(*blocks)
     assert shapes == [(2, p.degree, p.degree)]
     grover, marked_block = (abs(np.linalg.det(block)) for block in blocks)
     assert residual == max(abs(grover - 1.0), abs(marked_block - 1.0)) <= 1e-14
@@ -801,7 +807,7 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
     # for a zero pivot and return det 0
     p = graph_params(n, k)
     for which in (0, 1):
-        blocks = arc_step.step_blocks(p.degree)
+        blocks = _arc_step.step_blocks(p.degree)
         blocks[which][p.degree - 1, 0] = np.nan
         residuals = validation.verify_dense_step(p, marked, _frame(p), blocks)
         assert math.isnan(residuals["marked_step_det_modulus"])
@@ -810,7 +816,7 @@ def test_det_modulus_nan_is_refused(n, k, marked, where):
 def test_det_modulus_sees_scaled_block_column():
     p = graph_params(6, 3)
     for which in (0, 1):
-        blocks = arc_step.step_blocks(p.degree)
+        blocks = _arc_step.step_blocks(p.degree)
         blocks[which][:, 1] *= 0.5  # one column of G or of B_marked, so its |det| = 0.5
         residuals = validation.verify_dense_step(p, 7, _frame(p), blocks)
         assert abs(residuals["marked_step_det_modulus"] - 0.5) <= 1e-13
@@ -848,7 +854,7 @@ def test_nan_after_first_residual_term_is_refused(monkeypatch, stage, module, na
     args = {"verify_eigenbasis": (basis, _frame(p)),
             "verify_spectral_closed_forms": (basis,),
             "verify_subspace_invariance": (
-                basis, *_marked(basis, arc_step.step_blocks(p.degree)))}[stage]
+                basis, *_marked(basis, _arc_step.step_blocks(p.degree)))}[stage]
     original = getattr(module, name)
     if module is spectral:
         def patched(params, level):
@@ -876,47 +882,32 @@ def test_certify_checks_available_memory(monkeypatch):
         validation.certify(big)
 
 
-def _certify_peak_within_model(monkeypatch, n, k, marked):
-    p = graph_params(n, k)
-    A = p.num_arcs
-    # a first run fills the caches a run of this instance leaves, so the
-    # traced run counts what certify holds, whatever ran before it
-    assert validation.certify(p, marked=marked).passed
-    growth = {}
-    for name in ("verify_eigenbasis", "_marked_class_step", "verify_subspace_invariance",
-                 "verify_target_and_initial"):
-        def traced(*args, _name=name, _original=getattr(validation, name)):
-            held, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            out = _original(*args)
-            growth[_name] = tracemalloc.get_traced_memory()[1] - held
-            # the outer peak survives the reset
-            tracemalloc_peaks.append(peak)
-            return out
-        monkeypatch.setattr(validation, name, traced)
-    tracemalloc_peaks = []
-    tracemalloc.start()
-    try:
-        report = validation.certify(p, marked=marked)
-        tracemalloc_peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    monkeypatch.undo()
-    peak = max(tracemalloc_peaks)
-    assert report.passed
-    counted = 8 * validation._battery_words(p)
-    assert counted - 2 * 8 * A <= peak <= counted
-    # an arc-space basis would be 2 (2k+1) words per arc
-    assert len(growth) == 4 and max(growth.values()) <= 8 * 4 * A
+def _certify_peak(n, k, marked):
+    """certify's traced peak and stage growth on its first run in a fresh interpreter."""
+    path = [str(Path(jwalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = Path(__file__).with_name("certify_peak.py")
+    done = subprocess.run([sys.executable, str(script), str(n), str(k), str(marked)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout)
 
 
-def test_certify_peak_memory_matches_model(monkeypatch):
-    # the byte check's count bounds the traced peak and is within two words
-    # per arc of it; the stages that read the basis, and the marked step on
-    # the classes, each hold at most four arc vectors besides what certify
-    # holds, where one arc-space basis column is two
-    for n, k, marked in ((10, 5, 100), (12, 4, 7), (20, 3, 11)):
-        _certify_peak_within_model(monkeypatch, n, k, marked)
+def test_certify_peak_memory_matches_model():
+    # the byte check's count bounds the traced peak of certify's first run in
+    # a fresh interpreter, as validate runs it; on J(10,3), J(12,4) and
+    # J(20,3) the count is within two words per arc of that peak.  The
+    # stages that read the basis, and the marked step on the classes, each
+    # hold at most four arc vectors besides what certify holds, where one
+    # arc-space basis column is two
+    for n, k, marked, tight in ((10, 3, 5, True), (8, 4, 3, False), (12, 4, 7, True),
+                                (20, 3, 11, True), (10, 5, 100, False)):
+        run = _certify_peak(n, k, marked)
+        A, peak, counted = run["arcs"], run["peak"], run["counted"]
+        assert run["passed"], (n, k)
+        assert peak <= counted, (n, k, peak / (8 * A), counted / (8 * A))
+        if tight:
+            assert counted - 2 * 8 * A <= peak, (n, k, peak / (8 * A), counted / (8 * A))
+        assert len(run["growth"]) == 4 and max(run["growth"].values()) <= 8 * 4 * A, (n, k)
 
 
 def test_certify_fails_impossible_tolerance():
@@ -1066,7 +1057,7 @@ def test_arc_basis_is_the_class_basis(n, k, marked):
     w = rank_vertex(p, marked or tuple(range(1, k + 1)))
     basis = validation.build_invariant_basis(p, w)
     assert np.abs(arc_basis.matrix(basis) - basis.coords[basis.classes]).max() <= 1e-13
-    blocks = arc_step.step_blocks(p.degree)
+    blocks = _arc_step.step_blocks(p.degree)
     step, target = validation._reduced_step(p)
     oracle = arc_basis.rows(basis, _frame(p), blocks, target, step)
     report = {c.name: c.residual for c in validation.certify(p, marked=w).checks}
@@ -1080,7 +1071,7 @@ def test_certify_steps_the_basis_once(monkeypatch):
     # that need it; each step, unmarked and marked, steps each class
     # indicator once
     calls, indicators = [], []
-    original, original_step = validation._marked_class_step, arc_step.class_step
+    original, original_step = validation._marked_class_step, _arc_step.class_step
 
     def counting(basis, blocks):
         calls.append(basis.marked)
@@ -1093,7 +1084,7 @@ def test_certify_steps_the_basis_once(monkeypatch):
         return original_step(classes, sizes, recording)
 
     monkeypatch.setattr(validation, "_marked_class_step", counting)
-    monkeypatch.setattr(arc_step, "class_step", counting_step)
+    monkeypatch.setattr(_arc_step, "class_step", counting_step)
     p = graph_params(6, 3)
     assert validation.certify(p, marked=7).passed
     assert calls == [7]
