@@ -186,12 +186,11 @@ def class_step(classes: np.ndarray, sizes: np.ndarray, step) -> tuple:
     Where the classes partition the arcs equitably for the step, each image
     is constant on every class in exact arithmetic, the deviation is 0, and
     the step of a vector C y constant on the classes is C (M y).  One
-    indicator and its image are held at a time.
+    indicator and its image are held at a time, and M and the deviations
+    are filled in place.
     """
-    columns, deviations = [], []
+    matrix, deviations = np.empty((len(sizes), len(sizes))), np.empty(len(sizes))
     for c in range(len(sizes)):
-        means, deviation = class_means(classes, sizes, step(classes == c))
-        columns.append(means)
-        deviations.append(deviation)
-    # folded with np.max, not Python's max, which drops a NaN after the first
-    return np.column_stack(columns), float(np.max(deviations))
+        matrix[:, c], deviations[c] = class_means(classes, sizes, step(classes == c))
+    # folded with ndarray.max, not Python's max, which drops a NaN after the first
+    return matrix, float(deviations.max())

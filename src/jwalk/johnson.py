@@ -22,8 +22,8 @@ decoders that read one flat arc index at a time, lives with the tests in
 ``tests/flat_layout.py``.
 """
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GraphParams:
+class GraphParams(NamedTuple):
     """Instance parameters of J(n, k) with derived sizes."""
 
     n: int
@@ -54,8 +53,7 @@ class GraphParams:
     num_arcs: int       # num_vertices * degree == 2 * |E|
 
 
-@dataclass(frozen=True)
-class IntersectionRow:
+class IntersectionRow(NamedTuple):
     """Neighbor counts of a vertex at distance ``level`` from a fixed vertex.
 
     ``a`` neighbors stay in the same distance shell, ``b`` move one shell

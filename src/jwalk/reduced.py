@@ -99,8 +99,7 @@ differs by 4.0e-15, its own drift over 785,398 steps.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import mpmath
 import numpy as np
@@ -131,8 +130,7 @@ _NEEDED_BITS = 63
 _MARGIN = mpmath.mpf(2) ** -40
 
 
-@dataclass(frozen=True)
-class SecularSpectrum:
+class SecularSpectrum(NamedTuple):
     """Marked-step spectrum at ``spectral._MP_DPS`` digits (mpmath numbers)."""
 
     phases: tuple       # walk phases -omega_k..-omega_1, 0, omega_1..omega_k
@@ -341,8 +339,7 @@ def _block(spec: SecularSpectrum, tables: tuple, start: int, count: int) -> np.n
     return (z.real * z.real + z.imag * z.imag).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class _TwoTermBound:
+class _TwoTermBound(NamedTuple):
     """sqrt(p(t)) <= |S(t)| + rest, with |S(t)|**2 = mean + swing cos(beat t + phase).
 
     S(t) is the sum of the two terms with the largest |a_m|; ``rest`` is the

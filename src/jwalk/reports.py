@@ -26,9 +26,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -64,8 +63,7 @@ _JSON_ROW = ('    {\n      "t": %s,\n      "p_succ": %s,\n      "p_alt": %s,\n'
              '      "norm": %s\n    }')
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     params: GraphParams
     marked: tuple            # 1-based element list
     engine: str              # "full" | "reduced"
@@ -74,8 +72,7 @@ class RunReport:
     series: Iterable[Series]  # the chunks, drawn once; p_alt is None for the reduced engine
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     t_run: int
     p_succ: float            # at t_run
@@ -84,8 +81,7 @@ class SweepRow:
     p_max: float
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     k: int
     rows: list
 

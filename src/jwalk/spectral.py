@@ -12,10 +12,9 @@ They, the walk terms of :func:`walk_terms` and the schedule are derived
 here only, at _MP_DPS (40) digits, and each float is rounded once.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 
@@ -38,8 +37,7 @@ __all__ = [
 _MP_DPS = 40
 
 
-@dataclass(frozen=True)
-class SpectralRow:
+class SpectralRow(NamedTuple):
     """Per-level spectral record of one instance."""
 
     level: int
@@ -53,8 +51,7 @@ class SpectralRow:
     c: int
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Measurement schedule of the search walk."""
 
     t_run: int

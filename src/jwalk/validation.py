@@ -87,7 +87,7 @@ the step stage, whose 222 probes each step a whole pair state, and
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -171,8 +171,7 @@ def _local_spectrum(heads: np.ndarray, start: int, steps: int) -> tuple:
             (vectors[0] * vectors).T @ lanczos[:steps])
 
 
-@dataclass(frozen=True)
-class InvariantBasis:
+class InvariantBasis(NamedTuple):
     """The invariant subspace's eigenbasis in arc-class coordinates, B = C·Y.
 
     C is the A x K indicator matrix of the arc classes, held as one class
@@ -201,9 +200,16 @@ class InvariantBasis:
     class_shells: np.ndarray         # (K, 2) int64 shells of each class's tails and heads
     class_sizes: np.ndarray          # (K,) int64 arcs in each class
     coords: np.ndarray               # (K, 2k+1) complex Y
-    classes: np.ndarray = field(repr=False)   # each arc's class id, tail-major
-    opposite: np.ndarray = field(repr=False)  # each arc's reverse, tail-major
-    slots: np.ndarray = field(repr=False)     # each arc's slot in a flat pair state
+    classes: np.ndarray              # (A,) each arc's class id, tail-major
+    opposite: np.ndarray             # (A,) each arc's reverse, tail-major
+    slots: np.ndarray                # (A,) each arc's slot in a flat pair state
+
+    def __repr__(self) -> str:
+        # the three arc tables by dtype and shape, not by their A entries each
+        shown = [f"{name}={value!r}" for name, value in zip(self._fields[:-3], self)]
+        shown += [f"{name}=<{value.dtype} array of shape {value.shape}>"
+                  for name, value in zip(self._fields[-3:], self[-3:])]
+        return f"InvariantBasis({', '.join(shown)})"
 
 
 def _class_lifts(shell_proj: np.ndarray, class_shells: np.ndarray) -> tuple:
@@ -274,16 +280,14 @@ def _class_norm(sizes: np.ndarray, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(sizes * np.abs(values) ** 2)))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     residual: float
     tol: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     params: GraphParams
     marked: int
     tol: float

@@ -1,6 +1,5 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
-import dataclasses
 import gc
 import json
 import os
@@ -347,7 +346,7 @@ def test_validate_intersection_mismatch_fails_with_a_report(capsys, monkeypatch)
 
     def shifted(params, level):
         row = original(params, level)
-        return dataclasses.replace(row, a=row.a + 1)
+        return row._replace(a=row.a + 1)
 
     monkeypatch.setattr(validation, "intersection_numbers", shifted)
     code, out, err = run_cli(capsys, "validate", "--n", "4", "--k", "2")

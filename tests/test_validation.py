@@ -1,6 +1,5 @@
 """The certification battery against dense oracles on small instances."""
 
-import dataclasses
 import json
 import math
 import os
@@ -735,7 +734,7 @@ def test_row_blocks_refuse_a_non_permutation():
     clash = basis.opposite.copy()
     clash[1] = clash[0]
     blocks = _arc_step.step_blocks(p.degree)
-    bad = dataclasses.replace(basis, opposite=clash)
+    bad = basis._replace(opposite=clash)
     with pytest.raises(ValueError, match="not a permutation"):
         validation._marked_class_step(bad, blocks)
 
@@ -929,8 +928,8 @@ def test_certify_capacity_error():
 
 def _basis_fields(basis):
     """Every field of an invariant basis, with the lists' arrays stacked."""
-    return {f.name: np.asarray(getattr(basis, f.name)) for f in dataclasses.fields(basis)
-            if f.name != "params"}
+    return {name: np.asarray(getattr(basis, name)) for name in basis._fields
+            if name != "params"}
 
 
 def test_intersection_mismatch_fails_shell_action_alone(monkeypatch):
@@ -943,7 +942,7 @@ def test_intersection_mismatch_fails_shell_action_alone(monkeypatch):
 
     def shifted(params, level):
         row = original(params, level)
-        return dataclasses.replace(row, a=row.a + 1)
+        return row._replace(a=row.a + 1)
 
     monkeypatch.setattr(validation, "intersection_numbers", shifted)
     before, after = _basis_fields(basis), _basis_fields(validation.build_invariant_basis(p, 0))
@@ -1044,6 +1043,24 @@ def test_arc_classes_match_orbit_walk(n, k, marked):
         count = {i - 1: row.c, i: row.a, i + 1: row.b}[j]
         assert type(size) is int and size == shell_size(p, i) * count
     assert basis.shell_sizes.tolist() == [shell_size(p, i) for i in range(k + 1)]
+
+
+def test_invariant_basis_repr_names_the_arc_tables_by_shape():
+    # the arc reversal, slots and class ids enter the repr by dtype and shape
+    # alone, so it does not grow with the arcs: 23 times the arcs from
+    # J(10,3) to J(20,3), and a repr of the same order
+    lengths = []
+    for n, k in ((10, 3), (20, 3)):
+        basis = validation.build_invariant_basis(graph_params(n, k), 0)
+        A = basis.params.num_arcs
+        text = repr(basis)
+        assert text.startswith("InvariantBasis(params=GraphParams(")
+        for name in ("classes", "opposite", "slots"):
+            table = getattr(basis, name)
+            assert f"{name}=<{table.dtype} array of shape ({A},)>" in text
+            assert repr(basis._replace(**{name: table[::-1].copy()})) == text
+        lengths.append(len(text))
+    assert max(lengths) < 10 * min(lengths), lengths
 
 
 @pytest.mark.parametrize("n,k,marked", [(7, 1, None), (9, 3, (2, 5, 9)), (10, 5, None),
