@@ -21,7 +21,7 @@ from . import arc_engine, reduced, reports, spectral, validation
 from .errors import CapacityError, PrecisionError
 from .johnson import graph_params, rank_vertex
 
-# the ~26,600 objects the imports made are never garbage; leaving them out of
+# the ~21,900 objects the imports made are never garbage; leaving them out of
 # every later collection, the exit's included, cut the exit of a `sweep --k 2`
 # process from 26-28 ms to 6.5-7.5 ms (median of 9, one pinned CPU)
 gc.freeze()
@@ -69,7 +69,23 @@ def _tolerance(raw: str) -> float:
     return tol
 
 
+def _load_mpmath() -> None:
+    """Import mpmath for a command that works at 40 digits, and freeze it too.
+
+    jwalk imports mpmath only in the functions that use it, so a full-engine
+    simulate never loads it.  Loaded after the import-time freeze, its
+    ~4,800 objects would stay in every later collection: a full collection
+    after a `sweep --k 2` took 0.8-1.1 ms with them, against 0.03-0.04 ms
+    with them frozen here (one pinned CPU).  Only the first import freezes,
+    so main() freezes nothing once mpmath is loaded.
+    """
+    if "mpmath" not in sys.modules:
+        import mpmath  # noqa: F401
+        gc.freeze()
+
+
 def cmd_spectrum(args) -> int:
+    _load_mpmath()
     params = graph_params(args.n, args.k)
     table = spectral.spectral_table(params)
     schedule = spectral.run_time(params)
@@ -93,6 +109,7 @@ def cmd_simulate(args) -> int:
         series = arc_engine.evolve_and_record(params, rank_vertex(params, marked), steps,
                                               stride=args.stride)
     else:
+        _load_mpmath()
         series = reduced.evolve_series(params, steps, stride=args.stride)
 
     report = reports.RunReport(params=params, marked=marked, engine=args.engine,
@@ -108,6 +125,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     n_values = _parse_n_list(args.n_list)
     instances = [graph_params(n, args.k) for n in n_values]  # reject before running
+    _load_mpmath()
     rows = []
     for params in instances:
         schedule = spectral.run_time(params)
@@ -127,6 +145,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     params = graph_params(args.n, args.k)
     marked = _parse_marked(args.marked, args.n, args.k)
+    _load_mpmath()
     report = validation.certify(params, marked=rank_vertex(params, marked),
                                 tol=args.tol)
     reports.write_output(reports.certification_to_json(report), args.out)

@@ -20,7 +20,9 @@ comes from them, and nothing here forms or iterates a step matrix:
 ``jwalk.validation`` rounds the same terms once into the step matrix it
 compares with the compression of the explicit step, and the tests certify
 the spectrum against a walk iterated on the 3k arc classes
-"shell i -> shell j", built from the intersection numbers alone.
+"shell i -> shell j", built from the intersection numbers alone.  The
+work at 40 digits is mpmath's, imported by each function that does it
+when it is called, so importing this module does not load mpmath.
 
 The marked step is a rank-one change of the diagonal unitary
 D = diag(e^{i phi_j}), so its eigenphases are the roots of the secular
@@ -101,7 +103,6 @@ differs by 4.0e-15, its own drift over 785,398 steps.
 import math
 from typing import Iterator, NamedTuple
 
-import mpmath
 import numpy as np
 
 from . import arc_engine, spectral
@@ -127,7 +128,7 @@ _NEEDED_BITS = 63
 # slack of the sweep's window: far above the one double rounding that
 # separates a scanned p from a 60-digit value, and above the longdouble
 # rounding of the amplitudes and rotations; a larger value only adds blocks
-_MARGIN = mpmath.mpf(2) ** -40
+_MARGIN = 2.0 ** -40
 
 
 class SecularSpectrum(NamedTuple):
@@ -193,6 +194,7 @@ def _rotations(roots: tuple, times) -> np.ndarray:
     roots' own last unit.  The residue's two nearest doubles come from int
     true division, and are rounded to longdouble as two arrays and one add.
     """
+    import mpmath
     times = [int(t) for t in times]  # a numpy integer has no bit_length, and overflows
     exact = [(-man if sign else man, exp)
              for sign, man, exp, _ in (theta._mpf_ for theta in roots)]
@@ -213,6 +215,7 @@ def _rotations(roots: tuple, times) -> np.ndarray:
 
 
 def _closer_than_resolved(pole_lo, pole_hi) -> PrecisionError:
+    import mpmath
     return PrecisionError(f"secular root in ({pole_lo}, {pole_hi}) is closer to a pole "
                           f"than {mpmath.mp.dps} digits resolve")
 
@@ -237,6 +240,7 @@ def _secular_root(phases: list, weights: list, m: int, start=None):
     split, if it does not settle within _MAX_NEWTON iterations, or if it
     leaves the gap.
     """
+    import mpmath
     dim = len(phases)
     up = (m + 1) % dim
     pole_lo = phases[m]
@@ -283,6 +287,7 @@ def _next_to_zero(phases: list, weights: list, k: int):
     -sum_{j != k} w_j**2 / (2 sin**2(phi_j/2)), so
     f(theta) ~ 2 w_0**2/theta + theta * slope there.
     """
+    import mpmath
     rest = mpmath.fsum(2 * w / mpmath.sin(phi / 2) ** 2
                        for phi, w in zip(phases[k + 1:], weights[k + 1:]))
     return mpmath.sqrt(4 * weights[k] / rest)
@@ -295,6 +300,7 @@ def spectrum(params: GraphParams) -> SecularSpectrum:
     never from a step matrix.  The two gaps beside the phase 0 start from
     :func:`_next_to_zero`, the others from their midpoints.
     """
+    import mpmath
     phases, weights = spectral.walk_terms(params)
     k = params.k
     with mpmath.workdps(spectral._MP_DPS):
@@ -354,6 +360,7 @@ class _TwoTermBound(NamedTuple):
 
 
 def _two_term_bound(spec: SecularSpectrum) -> _TwoTermBound:
+    import mpmath
     with mpmath.workdps(spectral._MP_DPS):
         order = sorted(range(len(spec.roots)), key=lambda m: abs(spec.amplitudes[m]),
                        reverse=True)
@@ -368,6 +375,7 @@ def _two_term_bound(spec: SecularSpectrum) -> _TwoTermBound:
 
 def _peak_times(bound: _TwoTermBound, steps: int) -> list:
     """The whole t below each maximum t = (2 pi j - phase)/beat of |S(t)| in [0, steps]."""
+    import mpmath
     with mpmath.workdps(spectral._MP_DPS):
         turn = 2 * mpmath.pi
         first = int(mpmath.ceil(bound.phase / turn))
@@ -385,6 +393,7 @@ def _window(bound: _TwoTermBound, p_best: float, steps: int) -> list:
     the bound excludes nothing (sqrt(p_best - _MARGIN) <= rest, or c <= -1)
     the arcs are whole turns and the intervals cover [0, steps].
     """
+    import mpmath
     with mpmath.workdps(spectral._MP_DPS):
         turn = 2 * mpmath.pi
         floor = mpmath.sqrt(max(mpmath.mpf(p_best) - _MARGIN, 0)) - bound.rest

@@ -9,14 +9,16 @@ state with the eigenspace projector ("projector weight") is the exact
 rational multiplicity / N.  The coin walk restricted to the search's
 invariant subspace has eigenphases omega_l = arccos(lambda_l / degree).
 They, the walk terms of :func:`walk_terms` and the schedule are derived
-here only, at _MP_DPS (40) digits, and each float is rounded once.
+here only, and each float is rounded once.  The phases and walk terms are
+computed at _MP_DPS (40) digits in mpmath, which the functions that use
+it import when first called; the schedule is exact, in Python integers
+(:func:`run_time`), so a run that needs only the schedule, such as
+``simulate --engine full``, never loads mpmath.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, isqrt
 from typing import NamedTuple, Optional
-
-import mpmath
 
 from .errors import DegenerateInstanceError
 from .johnson import GraphParams, _check_level, intersection_numbers, shell_size
@@ -94,6 +96,7 @@ def _omega(params: GraphParams, level: int):
     if lam <= -params.degree:
         raise DegenerateInstanceError(
             f"eigenvalue {lam} at level {level} is not above -degree")
+    import mpmath
     with mpmath.workdps(_MP_DPS):
         return mpmath.acos(mpmath.mpf(lam) / params.degree)
 
@@ -110,6 +113,7 @@ def walk_terms(params: GraphParams) -> tuple:
     the value :func:`eigenphase` rounds; each of +-omega_l weighs half the
     level-l projector weight, and 0 the level-0 weight.
     """
+    import mpmath
     k = params.k
     omegas = [_omega(params, l) for l in range(1, k + 1)]
     with mpmath.workdps(_MP_DPS):
@@ -140,20 +144,63 @@ def spectral_table(params: GraphParams) -> list:
     return rows
 
 
-def run_time(params: GraphParams) -> Schedule:
-    """Measurement step floor(x), x = pi * n**(k/2) / (2 sqrt(2 k!)).
+def _pi_bracket(bits: int) -> tuple:
+    """Integers (lo, hi) with lo < pi * 2**bits < hi, a few units apart.
 
-    x is evaluated with _MP_DPS significant digits, so that double
-    rounding near an integer boundary cannot flip the floor, and the
-    leading phase pi / (2x) = sqrt(2 k!) n**(-k/2) and 1/sqrt(n) are
-    rounded once from the same digits.
+    Machin's pi = 16 atan(1/5) - 4 atan(1/239), each series summed in
+    integers 16 bits below 2**-bits.  Each term is floor divisions of the
+    exact one, and the first term left out is below one unit, so every
+    term counted and the tail add one unit each to the slack.
+    """
+    guard = 16
+    one = 1 << (bits + guard)
+    total = slack = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, j = one // x, 1
+        while power:
+            total += (weight if j % 4 == 1 else -weight) * (power // j)
+            slack += abs(weight)
+            power //= x * x
+            j += 2
+        slack += abs(weight)
+    return (total - slack) >> guard, ((total + slack) >> guard) + 1
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for positive integers, rounded once to double.
+
+    r = floor(sqrt(num * 4**s / den)) has at least 64 bits, so no double
+    and no midpoint of two doubles lies strictly between r and r + 1 over
+    2**s; an inexact root lies strictly between them, and rounds as
+    r + 1/2 does.
+    """
+    s = max(0, (den.bit_length() - num.bit_length()) // 2) + 64
+    scaled, rest = divmod(num << 2 * s, den)
+    r = isqrt(scaled)
+    inexact = bool(rest) or r * r != scaled
+    return (2 * r + inexact) / (1 << (s + 1))
+
+
+def run_time(params: GraphParams) -> Schedule:
+    """Measurement step floor(x), x = pi * n**(k/2) / (2 sqrt(2 k!)), exact.
+
+    x = pi * sqrt(n**k / (8 k!)).  With pi between lo and hi over 2**bits
+    (:func:`_pi_bracket`), floor(x) lies between the integer square roots
+    of lo**2 and hi**2 times n**k / (8 k! 4**bits), and it is their common
+    value; x is irrational, so raising bits brings the two together.  bits
+    starts 32 above half the bit length of n**k, which leaves them apart
+    only when x is within 2**-29 of an integer.  The leading phase
+    pi / (2x) = sqrt(2 k!) n**(-k/2) and 1/sqrt(n) are each one integer
+    square root, rounded once (:func:`_sqrt_ratio`).
     """
     n, k = params.n, params.k
-    with mpmath.workdps(_MP_DPS):
-        x = mpmath.pi * mpmath.sqrt(mpmath.mpf(n) ** k)
-        x /= 2 * mpmath.sqrt(2 * mpmath.factorial(k))
-        return Schedule(
-            t_run=int(mpmath.floor(x)),
-            epsilon=float(1 / mpmath.sqrt(n)),
-            target_phase=float(mpmath.pi / (2 * x)),
-        )
+    power, den = n ** k, 8 * factorial(k)
+    bits = power.bit_length() // 2 + 32
+    while True:
+        lo, hi = _pi_bracket(bits)
+        t_lo, t_hi = (isqrt(p * p * power // (den << 2 * bits)) for p in (lo, hi))
+        if t_lo == t_hi:
+            break
+        bits *= 2
+    return Schedule(t_run=t_lo, epsilon=_sqrt_ratio(1, n),
+                    target_phase=_sqrt_ratio(2 * factorial(k), power))

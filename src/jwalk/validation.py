@@ -89,7 +89,6 @@ the step stage, whose 222 probes each step a whole pair state, and
 import math
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from . import _arc_step, arc_engine, spectral
@@ -457,6 +456,7 @@ def _reduced_step(params: GraphParams) -> tuple:
     at ``spectral._MP_DPS`` digits and rounded once, to complex128 and
     float64.
     """
+    import mpmath
     k = params.k
     phases, weights = spectral.walk_terms(params)
     order = [k] + [j for l in range(1, k + 1) for j in (k + l, k - l)]

@@ -1,19 +1,25 @@
 """Trace one certify run in a fresh interpreter, as ``jwalk validate`` runs it.
 
 Run as ``python tests/certify_peak.py N K MARKED`` with ``jwalk`` on the
-path.  It imports jwalk, starts tracemalloc, runs ``certify`` once and
-prints one JSON object: ``passed``, the traced ``peak`` in bytes, the
-``counted`` bytes of the memory check (8 words per counted word), the
+path.  It imports jwalk and mpmath, starts tracemalloc, runs ``certify``
+once and prints one JSON object: ``passed``, the traced ``peak`` in bytes,
+the ``counted`` bytes of the memory check (8 words per counted word), the
 arc count ``arcs``, and ``growth``: for each stage that reads the basis,
 and for the marked step on the classes, the traced bytes it held above
 what was held when it was called.  The run is the process's first, so the
 peak includes whatever a first run allocates that a later one would find
-in place.
+in place.  mpmath is imported before tracing starts, as ``jwalk validate``
+imports it before ``certify`` runs; ``certify`` called alone imports it in
+its first function that works at 40 digits, and the ~3.6 MB that import
+allocates would stand in the peak (3,817,276 B against 167,840 B counted
+on J(10,3)).
 """
 
 import json
 import sys
 import tracemalloc
+
+import mpmath  # noqa: F401  (imported before tracing starts)
 
 from jwalk import validation
 from jwalk.johnson import graph_params

@@ -23,14 +23,63 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_freezes_the_heap():
-    # in a fresh interpreter the import-time heap leaves every later collection
+def _fresh(code):
+    """What ``code`` prints in a fresh interpreter with this jwalk on the path."""
     path = [str(Path(jwalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import gc, jwalk.cli; print(gc.get_freeze_count())"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert int(done.stdout) > 0
+    return done.stdout
+
+
+def test_import_freezes_the_heap():
+    # in a fresh interpreter the import-time heap leaves every later collection
+    assert int(_fresh("import gc, jwalk.cli; print(gc.get_freeze_count())")) > 0
+
+
+def test_import_loads_every_layer_but_not_mpmath():
+    # perfbench's set-up marker hooks only the jwalk modules that importing
+    # jwalk.cli has loaded, so reduced and validation must be among them, or
+    # the set-up time of sweep, simulate and validate would read as their
+    # whole time; only the mpmath import is deferred, to the functions that
+    # work at 40 digits
+    code = ("import sys, jwalk.cli; "
+            "print(*[m for m in ('jwalk.reduced', 'jwalk.validation', 'mpmath') "
+            "if m in sys.modules])")
+    assert _fresh(code).split() == ["jwalk.reduced", "jwalk.validation"]
+
+
+def test_full_engine_simulate_does_not_import_mpmath(tmp_path):
+    # the schedule is exact in integers, so a full-engine run needs no mpmath;
+    # spectrum, which reports the 40-digit phases, loads it
+    out = tmp_path / "full.csv"
+    code = ("import sys, jwalk.cli; "
+            "code = jwalk.cli.main(['simulate', '--n', '20', '--k', '3', '--engine', 'full', "
+            f"'--out', {str(out)!r}]); "
+            "print(code, 'mpmath' in sys.modules); "
+            "jwalk.cli.main(['spectrum', '--n', '20', '--k', '3', '--out', '-']); "
+            "print('mpmath' in sys.modules)")
+    printed = _fresh(code).split()
+    assert printed[:2] == ["0", "False"] and printed[-1] == "True"
+    assert out.read_text().startswith("t,p_succ,p_alt,norm")
+
+
+def test_first_mpmath_import_is_frozen():
+    # mpmath loads after the import-time freeze, so the first command that
+    # needs it freezes again; a full-engine run needs none, and a second
+    # command finds it loaded and freezes nothing
+    code = """
+import gc, os, jwalk.cli
+def frozen_after(*argv):
+    assert jwalk.cli.main([*argv, '--out', os.devnull]) == 0
+    return gc.get_freeze_count()
+print(gc.get_freeze_count(),
+      frozen_after('simulate', '--n', '8', '--k', '2', '--engine', 'full'),
+      frozen_after('sweep', '--k', '2', '--n-list', '100'),
+      frozen_after('validate', '--n', '6', '--k', '2'))
+"""
+    imported, full, sweep, validate = map(int, _fresh(code).split())
+    assert full == imported and sweep - full > 4000 and validate == sweep
 
 
 def test_main_leaves_the_frozen_heap_alone(capsys):

@@ -211,6 +211,43 @@ def test_spectral_floats_are_rounded_once():
             assert schedule.epsilon == float(1 / mpmath.sqrt(p.n)), p.n
 
 
+def test_run_time_is_the_exact_floor():
+    # floor(pi * sqrt(n**k / (8 k!))) at 60 digits beyond n**k's own, on the
+    # grid and on instances whose schedule 40 digits floored wrongly
+    extra = [graph_params(10 ** 12, 8), graph_params(10 ** 9, 10), graph_params(10 ** 12, 7)]
+    for p in [*_grid(), *extra]:
+        power = p.n ** p.k
+        with mpmath.workdps(60 + 2 * len(str(power))):
+            x = mpmath.pi * mpmath.sqrt(mpmath.mpf(power) / (8 * mpmath.factorial(p.k)))
+            assert spectral.run_time(p).t_run == int(mpmath.floor(x)), (p.n, p.k)
+    assert spectral.run_time(extra[0]).t_run == 5531521662094300946645282502236970939476829154
+
+
+def test_pi_bracket_holds_pi():
+    for bits in (0, 1, 53, 200, 3000):
+        lo, hi = spectral._pi_bracket(bits)
+        with mpmath.workdps(bits // 3 + 30):
+            scaled = mpmath.pi * mpmath.mpf(2) ** bits
+            assert lo < scaled < hi and hi - lo <= 4, bits
+
+
+def test_run_time_raises_bits_until_the_floors_agree(monkeypatch):
+    # a bracket too wide to decide the floor is refined, not taken
+    p = graph_params(10 ** 12, 8)
+    exact = spectral.run_time(p).t_run
+    widths = []
+    original = spectral._pi_bracket
+
+    def wide_first(bits):
+        lo, hi = original(bits)
+        widths.append(bits)
+        return (lo - (1 << bits), hi) if len(widths) == 1 else (lo, hi)
+
+    monkeypatch.setattr(spectral, "_pi_bracket", wide_first)
+    assert spectral.run_time(p).t_run == exact
+    assert len(widths) == 2 and widths[1] > widths[0]
+
+
 def test_verify_eigenphase_asymptotics_reports():
     p = graph_params(100, 2)
     report = verify_eigenphase_asymptotics(p, eigenphases(p))
