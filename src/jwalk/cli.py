@@ -85,8 +85,8 @@ def _load_mpmath() -> None:
 
 
 def cmd_spectrum(args) -> int:
-    _load_mpmath()
     params = graph_params(args.n, args.k)
+    _load_mpmath()
     table = spectral.spectral_table(params)
     schedule = spectral.run_time(params)
     if args.format == "csv":

@@ -11,7 +11,7 @@ invariant subspace has eigenphases omega_l = arccos(lambda_l / degree).
 They, the walk terms of :func:`walk_terms` and the schedule are derived
 here only, and each float is rounded once.  The phases and walk terms are
 computed at _MP_DPS (40) digits in mpmath, which the functions that use
-it import when first called; the schedule is exact, in Python integers
+it import when called; the schedule is exact, in Python integers
 (:func:`run_time`), so a run that needs only the schedule, such as
 ``simulate --engine full``, never loads mpmath.
 """
