@@ -89,11 +89,8 @@ def cmd_spectrum(args) -> int:
     _load_mpmath()
     table = spectral.spectral_table(params)
     schedule = spectral.run_time(params)
-    if args.format == "csv":
-        text = reports.spectrum_to_csv(params, table, schedule)
-    else:
-        text = reports.spectrum_to_json(params, table, schedule)
-    reports.write_output(text, args.out)
+    to_text = reports.spectrum_to_csv if args.format == "csv" else reports.spectrum_to_json
+    reports.write_output(to_text(params, table, schedule), args.out)
     return EXIT_OK
 
 
@@ -114,11 +111,8 @@ def cmd_simulate(args) -> int:
 
     report = reports.RunReport(params=params, marked=marked, engine=args.engine,
                                t_run=schedule.t_run, stride=args.stride, series=series)
-    if args.format == "json":
-        chunks = reports.run_report_to_json(report)
-    else:
-        chunks = reports.run_report_to_csv(report)
-    reports.write_output(chunks, args.out)
+    to_chunks = reports.run_report_to_csv if args.format == "csv" else reports.run_report_to_json
+    reports.write_output(to_chunks(report), args.out)
     return EXIT_OK
 
 
@@ -133,12 +127,8 @@ def cmd_sweep(args) -> int:
         rows.append(reports.SweepRow(
             n=params.n, t_run=schedule.t_run, p_succ=p_run,
             deviation=abs(p_run - 0.5), t_opt=t_opt, p_max=p_max))
-    report = reports.SweepReport(k=args.k, rows=rows)
-    if args.format == "json":
-        text = reports.sweep_report_to_json(report)
-    else:
-        text = reports.sweep_report_to_csv(report)
-    reports.write_output(text, args.out)
+    to_text = reports.sweep_report_to_csv if args.format == "csv" else reports.sweep_report_to_json
+    reports.write_output(to_text(reports.SweepReport(k=args.k, rows=rows)), args.out)
     return EXIT_OK
 
 

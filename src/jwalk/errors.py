@@ -25,4 +25,9 @@ class PrecisionError(ArithmeticError):
 
 
 class CapacityError(RuntimeError):
-    """A run would hold more bytes than ``MemAvailable`` reports (or dense caps allow)."""
+    """A run too large to hold or to iterate, refused before it starts.
+
+    Refused by the memory rule, when its bytes would exceed what
+    ``MemAvailable`` reports, and by the 2^20 cap on a simulate series'
+    chunks and on a sweep's blocks (``arc_engine.MAX_CHUNKS``).
+    """

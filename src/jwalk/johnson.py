@@ -210,20 +210,33 @@ def arc_pair_slots(params: GraphParams) -> tuple:
     the removed element s_x has c = s_x - 1 - x elements of a below it, so
     it sits at index c of the tail, and the inserted s_y sits at index
     y - [x < y] of the tail's complement, which lacks s_x.
+
+    The arcs out of a vertex by the same removed index are the n - k
+    consecutive ones of one (x, a) pair, so the pairs are scattered once
+    to their rows, tail·k + c, and each row is filled in place across its
+    inserted indices.  Besides the two results the build holds one boolean
+    per arc and a few tables of m·C(n, k-1) entries.
     """
     n, k = params.n, params.k
-    m = n - k + 1
+    m, C = n - k + 1, comb(n, k - 1)
     tails, below = _pair_layout(params)                # below: c of each s_x
-    x, y = np.arange(m)[:, None, None], np.arange(m)[:, None]
-    arcs = (params.degree * tails + (n - k) * below)[:, None, :] \
-        + (y - (x < y))                                # (m, m, C); x = y is no arc
+    # row tail·k + c holds the pair (x, a) of the arcs that leave the tail
+    # by its c-th element, and column i the arc inserting at i = y - [x < y]
+    row = tails * k + below
+    x, a = np.empty(m * C, np.int64), np.empty(m * C, np.int64)
+    x[row], a[row] = np.arange(m)[:, None], np.arange(C)
+    del row
+    # the reversed arc's tail and removed index, read at (y, a)
+    reverse = params.degree * tails + (n - k) * below
     del tails, below
-    off = np.broadcast_to(x != y, arcs.shape)
-    held = arcs[off]
-    slots = np.empty_like(held)
-    slots[held] = np.flatnonzero(off)
-    opposite = np.empty_like(held)
-    opposite[held] = arcs.transpose(1, 0, 2)[off]
+    after = np.arange(n - k) >= x[:, None]             # i >= x: y = i + 1
+    slots = a[:, None] + np.arange(n - k) * C
+    np.add(slots, C, out=slots, where=after)           # y C + a
+    opposite = reverse.ravel()[slots]
+    opposite += x[:, None] - 1
+    np.add(opposite, 1, out=opposite, where=after)     # inserted s_x at x - [y < x]
+    slots += (x * (m * C))[:, None]                    # (x m + y) C + a
+    slots, opposite = slots.ravel(), opposite.ravel()
     slots.setflags(write=False)
     opposite.setflags(write=False)
     return slots, opposite

@@ -1,9 +1,17 @@
 """Report records and their CSV/JSON serialization.
 
+Each report is built once, as the document its JSON is
+(``json.dumps(doc, indent=2)`` and a newline), and its CSV is that
+document's rows under one cell rule, so each output column is named
+once: a sweep's and a spectrum level's from their records' fields, and a
+run series' from ``Series``' fields.  The spectrum's CSV repeats the
+schedule on each level's row.
+
 CSV uses LF newlines, '.' decimals, and floats printed with 17 significant
 digits so a parse-back reproduces every double bit-exactly; absent values
-are empty fields.  JSON documents carry a schema_version field.  Repeated
-runs with identical flags produce byte-identical output.
+are empty fields and ints are decimal.  JSON documents carry a
+schema_version field.  Repeated runs with identical flags produce
+byte-identical output.
 
 A run report's series can hold billions of rows, so it arrives as the
 engines yield it, in chunks of at most ``arc_engine.CHUNK`` rows, and its
@@ -33,7 +41,7 @@ import numpy as np
 
 from .arc_engine import Series
 from .johnson import GraphParams
-from .spectral import Schedule
+from .spectral import Schedule, SpectralRow
 from .validation import CertificationReport
 
 __all__ = [
@@ -54,13 +62,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_RUN_CSV_HEADER = "t,p_succ,p_alt,norm"
 _CSV_FLOAT = "%.17g"
 
-# one row's fields (t, p_succ, p_alt, norm) as json.dumps(doc, indent=2)
-# lays out one object of doc["rows"]
-_JSON_ROW = ('    {\n      "t": %s,\n      "p_succ": %s,\n      "p_alt": %s,\n'
-             '      "norm": %s\n    }')
+# one row of a run series, a %s per column of Series, as json.dumps(doc,
+# indent=2) lays out one object of doc["rows"]
+_JSON_ROW = "    {\n%s\n    }" % ",\n".join('      "%s": %%s' % name for name in Series._fields)
 
 
 class RunReport(NamedTuple):
@@ -90,6 +96,10 @@ def format_float(x: float) -> str:
     return _CSV_FLOAT % x
 
 
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _params_dict(params: GraphParams) -> dict:
     return {"n": params.n, "k": params.k,
             "num_vertices": params.num_vertices, "degree": params.degree}
@@ -97,26 +107,26 @@ def _params_dict(params: GraphParams) -> dict:
 
 def _chunk_cells(series: Iterable[Series], float_field: str, floats):
     """Yield each chunk of the series as its t values and one cell per float
-    column (p_succ, p_alt, norm).
+    column, the columns of Series after t.
 
     A missing column's cell is None, a column whose bits are constant over
     the chunk is the one spelling that ``float_field`` gives its values
     (``floats`` turns a column into the values of a ``float_field``), and
     any other column is the column itself.
     """
-    for chunk in series:
+    for t, *columns in series:
         cells = []
-        for column in (chunk.p_succ, chunk.p_alt, chunk.norm):
+        for column in columns:
             if column is not None:
                 bits = column.view(np.uint64)
                 if (bits == bits[0]).all():
                     column = float_field % tuple(floats(column[:1]))
             cells.append(column)
-        yield chunk.t, cells
+        yield t, cells
 
 
 def _template(t: np.ndarray, cells: list, float_field: str, floats, absent: str):
-    """A chunk's row-template fields (t, p_succ, p_alt, norm) and the values
+    """A chunk's row-template fields, one per column of Series, and the values
     that fill the template repeated once per row: a missing column is the
     literal ``absent`` and a constant one its spelling."""
     fields, columns = ["%d"], [t.tolist()]
@@ -259,7 +269,7 @@ def run_report_to_csv(report: RunReport):
     A chunk is :func:`_csv_rows` where that applies, and otherwise one
     ``%`` over its row template.
     """
-    yield _RUN_CSV_HEADER + "\n"
+    yield ",".join(Series._fields) + "\n"
     for t, cells in _chunk_cells(report.series, _CSV_FLOAT, np.ndarray.tolist):
         text = _csv_rows(t, cells)
         if text is None:
@@ -283,77 +293,79 @@ def run_report_to_json(report: RunReport):
     The chunks join to ``json.dumps(doc, indent=2)`` and a newline, with
     one object per row in ``doc["rows"]``.
     """
-    head = json.dumps({
+    # the text around the one null row of this document frames the rows
+    head, _, tail = _json_text({
         "schema_version": SCHEMA_VERSION,
         "params": _params_dict(report.params),
         "marked": list(report.marked),
         "engine": report.engine,
         "t_run": report.t_run,
         "stride": report.stride,
-        "rows": [],
-    }, indent=2)
-    yield head[:-len("]\n}")] + "\n"      # up to '"rows": [' and its newline
+        "rows": [None],
+    }).partition("    null")
+    yield head
     separator = ""
     for t, cells in _chunk_cells(report.series, "%s", _json_floats):
         fields, values = _template(t, cells, "%s", _json_floats, "null")
         yield separator + ",\n".join([_JSON_ROW % fields] * len(t)) % values
         separator = ",\n"
-    yield "\n  ]\n}\n"
+    yield tail
+
+
+def _columns(record: type, **renamed) -> tuple:
+    """A record type's fields as output names, with ``renamed`` ones replaced."""
+    return tuple(renamed.get(name, name) for name in record._fields)
+
+
+_SWEEP_COLUMNS = _columns(SweepRow, p_succ="p_succ_at_t_run", deviation="abs_dev_from_half")
+_LEVEL_COLUMNS = _columns(SpectralRow, shell="shell_size")
+
+
+def _csv_cell(value) -> str:
+    """A document value as a CSV field: None empty, a float its ``%.17g``, an int in decimal."""
+    if value is None:
+        return ""
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
+def _csv_text(columns: tuple, rows: list) -> str:
+    """The header of ``columns``, then one line of each row's values, a dict keyed by them."""
+    lines = [",".join(columns)] + [",".join(map(_csv_cell, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_rows(report: SweepReport) -> list:
+    return [dict(zip(_SWEEP_COLUMNS, row)) for row in report.rows]
 
 
 def sweep_report_to_csv(report: SweepReport) -> str:
-    lines = ["n,t_run,p_succ_at_t_run,abs_dev_from_half,t_opt,p_max"]
-    for r in report.rows:
-        lines.append(",".join([
-            str(r.n), str(r.t_run), format_float(r.p_succ),
-            format_float(r.deviation), str(r.t_opt), format_float(r.p_max)]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(_SWEEP_COLUMNS, _sweep_rows(report))
 
 
 def sweep_report_to_json(report: SweepReport) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "k": report.k,
-        "rows": [{"n": r.n, "t_run": r.t_run, "p_succ_at_t_run": r.p_succ,
-                  "abs_dev_from_half": r.deviation, "t_opt": r.t_opt,
-                  "p_max": r.p_max} for r in report.rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text({"schema_version": SCHEMA_VERSION, "k": report.k,
+                       "rows": _sweep_rows(report)})
+
+
+def _spectrum_doc(params: GraphParams, table: list, schedule: Schedule) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "params": _params_dict(params),
+            "levels": [dict(zip(_LEVEL_COLUMNS, row)) for row in table],
+            "schedule": schedule._asdict()}
 
 
 def spectrum_to_json(params: GraphParams, table: list, schedule: Schedule) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_dict(params),
-        "levels": [{
-            "level": r.level, "eigenvalue": r.eigenvalue,
-            "multiplicity": r.multiplicity, "weight_sq": r.weight_sq,
-            "phase": r.phase, "shell_size": r.shell,
-            "a": r.a, "b": r.b, "c": r.c,
-        } for r in table],
-        "schedule": {"t_run": schedule.t_run, "epsilon": schedule.epsilon,
-                     "target_phase": schedule.target_phase},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(_spectrum_doc(params, table, schedule))
 
 
 def spectrum_to_csv(params: GraphParams, table: list, schedule: Schedule) -> str:
-    # schedule columns are repeated per row so one flat file carries everything
-    lines = ["level,eigenvalue,multiplicity,weight_sq,phase,shell_size,a,b,c,"
-             "t_run,epsilon,target_phase"]
-    for r in table:
-        phase = "" if r.phase is None else format_float(r.phase)
-        lines.append(",".join([
-            str(r.level), str(r.eigenvalue), str(r.multiplicity),
-            format_float(r.weight_sq), phase, str(r.shell),
-            str(r.a), str(r.b), str(r.c),
-            str(schedule.t_run), format_float(schedule.epsilon),
-            format_float(schedule.target_phase)]))
-    return "\n".join(lines) + "\n"
+    # the schedule is repeated per row so one flat file carries everything
+    doc = _spectrum_doc(params, table, schedule)
+    return _csv_text(_LEVEL_COLUMNS + Schedule._fields,
+                     [{**level, **doc["schedule"]} for level in doc["levels"]])
 
 
 def certification_to_json(report: CertificationReport) -> str:
-    doc = {
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "params": _params_dict(report.params),
         "marked_rank": report.marked,
@@ -361,8 +373,7 @@ def certification_to_json(report: CertificationReport) -> str:
         "checks": [{"name": c.name, "residual": c.residual, "passed": c.passed}
                    for c in report.checks],
         "passed": report.passed,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 def write_output(text: Union[str, Iterable[str]], out: Optional[str]) -> None:

@@ -111,11 +111,10 @@ __all__ = [
 
 # 8-byte words that certify holds at most (:func:`_battery_words`): per arc,
 # the arc tables (reversal, slots, class ids), the engine's pair state, and
-# the arc vectors a class indicator is stepped and averaged through, or the
-# arc tables' build; per entry of a d x d coin block, the two blocks and the
-# stacks the step stage reads them through; and a fixed 32 KiB for the
-# vertex tables and the interpreter's own objects, which outweigh the arcs
-# below about 10^4 of them
+# the arc vectors a class indicator is stepped and averaged through; per
+# entry of a d x d coin block, the two blocks and the stacks the step stage
+# reads them through; and a fixed 32 KiB for the vertex tables and the
+# interpreter's own objects, which outweigh the arcs below about 10^4 of them
 _ARC_WORDS = 6
 _BLOCK_WORDS = 4
 _FIXED_WORDS = 2 ** 12
@@ -232,15 +231,16 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     shell_sizes = np.array([shell.sum() for shell in shell_indicators])
 
     slots, opp = arc_pair_slots(params)
-    heads = opp // d
+    heads = (opp // d).reshape(N, d)
     local_eigenvalues, local_weights, krylov_closure, proj_w = _local_spectrum(
-        heads.reshape(N, d), marked, k + 1)
+        heads, marked, k + 1)
 
     # an arc's pair of shells (i, j) as i (k+1) + j; the pairs that occur,
     # in increasing order, are the class ids
-    pairs = np.repeat(dist * (k + 1), d)
-    pairs += dist[heads]
+    pairs = dist[heads]
     del heads
+    pairs += (dist * (k + 1))[:, None]
+    pairs = pairs.ravel()
     counts = np.bincount(pairs, minlength=(k + 1) ** 2)
     present = np.flatnonzero(counts)
     ids = (np.cumsum(counts > 0) - 1).astype(np.min_scalar_type(len(present) - 1))
@@ -517,9 +517,9 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     when its residual is within ``tol``, so a NaN fails.
     Refuses with CapacityError, before allocating, an instance whose words
     (:func:`_battery_words`) exceed ``MemAvailable``.  The count bounds the
-    tracemalloc peak within one word per arc: the peak is 7.5, 5.6, 5.2 and
-    5.1 words per arc on J(10,3), J(12,4), J(20,3) and J(40,3), against
-    8.3, 6.5, 6.2 and 6.0 counted.
+    tracemalloc peak within one and a half words per arc: the peak is 7.5,
+    5.6, 4.9 and 4.7 words per arc on J(10,3), J(12,4), J(20,3) and
+    J(40,3), against 8.3, 6.5, 6.2 and 6.0 counted.
     """
     _require_memory(params)
     basis = build_invariant_basis(params, marked)

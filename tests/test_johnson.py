@@ -168,9 +168,8 @@ def test_arc_pair_slots_match_scalar(n, k):
 
 @pytest.mark.parametrize("n,k", [(6, 3), (40, 3), (130, 2), (600, 1), (20, 6)])
 def test_permutation_scratch_bound(n, k):
-    # besides its two outputs, building the arc table holds three int64 per
-    # pair slot (the arc index of every slot, and the arcs and their
-    # reverses in slot order), two (m, m) index tables, and 64 KiB of
+    # besides its two outputs, building the arc table holds no more than
+    # three int64 per pair slot, two (m, m) index tables and 64 KiB of
     # small tables; a temporary over arcs times n or m fails the bound
     p = johnson.graph_params(n, k)
     m = n - k + 1
@@ -182,6 +181,22 @@ def test_permutation_scratch_bound(n, k):
     finally:
         tracemalloc.stop()
     assert peak - slots.nbytes - opposite.nbytes <= bound
+
+
+@pytest.mark.parametrize("n,k", [(40, 3), (100, 2)])
+def test_arc_pair_slots_fill_their_tables_in_place(n, k):
+    # each vertex's k (x, a) pairs are scattered once and the arcs filled in
+    # place: besides its two outputs the build holds a boolean per arc and
+    # tables of m·C(n, k-1) entries, 0.18-0.24 words per arc here; one more
+    # int64 array over the arcs would take a whole word
+    p = johnson.graph_params(n, k)
+    tracemalloc.start()
+    try:
+        slots, opposite = johnson.arc_pair_slots(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - slots.nbytes - opposite.nbytes <= 8 * p.num_arcs
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (7, 1), (9, 3), (8, 4), (10, 5)])

@@ -330,6 +330,50 @@ def test_spectrum_serialization():
     assert lines[1].split(",")[4] == ""  # no phase at level 0
 
 
+def _json_rows(command: str, doc: dict) -> list:
+    """The rows a command's CSV flattens its JSON document into."""
+    if command == "spectrum":
+        return [{**level, **doc["schedule"]} for level in doc["levels"]]
+    return doc["rows"]
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--n", "7", "--k", "1"],
+    ["spectrum", "--n", "100", "--k", "2"],
+    ["spectrum", "--n", "100", "--k", "3"],
+    ["spectrum", "--n", str(10 ** 12), "--k", "7"],
+    ["sweep", "--k", "2", "--n-list", "100"],
+    ["sweep", "--k", "2", "--n-list", "100,10000,1000000"],
+    ["simulate", "--n", "8", "--k", "2", "--engine", "full"],
+    ["simulate", "--n", "100", "--k", "2", "--engine", "reduced", "--stride", "3"],
+])
+def test_csv_and_json_agree(tmp_path, args):
+    # the CSV is the JSON document's rows: its header is each row's keys (a
+    # run's are Series' fields), and every cell parses back to the JSON
+    # value, a float bit for bit and None as an empty field
+    paths = {fmt: str(tmp_path / f"report.{fmt}") for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert cli.main(args + ["--format", fmt, "--out", path]) == 0
+    with open(paths["csv"], newline="") as handle:
+        header, *lines = handle.read().splitlines()
+    with open(paths["json"]) as handle:
+        rows = _json_rows(args[0], json.load(handle))
+    if args[0] == "simulate":
+        assert header.split(",") == list(Series._fields)
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert header.split(",") == list(row)
+        for cell, value in zip(line.split(","), row.values(), strict=True):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell).hex() == value.hex(), (cell, value)
+            else:
+                assert type(value) is int and int(cell) == value, (cell, value)
+    if args[0] == "spectrum":
+        assert rows[0]["phase"] is None and lines[0].split(",")[4] == ""
+
+
 def test_certification_serialization():
     report = validation.certify(graph_params(4, 2), marked=0, tol=1e-10)
     doc = json.loads(reports.certification_to_json(report))
