@@ -64,8 +64,8 @@ __all__ = [
     "evolve_and_record",
 ]
 
-# Where /proc/meminfo cannot be read, a run is refused above this many 8-byte
-# words (64 MiB of float64) instead: the full engine's amplitudes.
+# Where /proc/meminfo cannot be read, the same bytes are held against this
+# many 8-byte words (64 MiB) instead.
 _UNMEASURED_CAPACITY = 2 ** 23
 # Rows per chunk of a series, and values per block of the reduced engine's
 # spectral scan; a perfect square, since that scan stores its rotations as
@@ -105,22 +105,19 @@ def _mem_available() -> Optional[int]:
     return None
 
 
-def _require_bytes(needed: int, what: str, remedy: str, words: int = 0) -> None:
+def _require_bytes(needed: int, what: str, remedy: str) -> None:
     """Refuse ``what`` with CapacityError if its ``needed`` bytes exceed ``MemAvailable``.
 
     The one memory rule of every capacity refusal.  Where /proc/meminfo
-    cannot be read, ``words`` (8-byte words) above ``_UNMEASURED_CAPACITY``
-    are refused.
+    cannot be read, the same bytes are held against ``_UNMEASURED_CAPACITY``
+    8-byte words.
     """
     available = _mem_available()
-    if available is None and words > _UNMEASURED_CAPACITY:
-        raise CapacityError(
-            f"{what} holds {words} 8-byte words, above the {_UNMEASURED_CAPACITY} "
-            f"allowed where available memory cannot be read; {remedy}")
-    if available is not None and needed > available:
-        raise CapacityError(
-            f"{what} needs {needed} bytes, above the {available} bytes of "
-            f"available memory; {remedy}")
+    limit = 8 * _UNMEASURED_CAPACITY if available is None else available
+    if needed > limit:
+        where = ("allowed where available memory cannot be read" if available is None
+                 else "bytes of available memory")
+        raise CapacityError(f"{what} needs {needed} bytes, above the {limit} {where}; {remedy}")
 
 
 def _check_capacity(params: GraphParams) -> None:
@@ -128,13 +125,13 @@ def _check_capacity(params: GraphParams) -> None:
 
     The walk holds 8 bytes per slot of the pair state, that is 8·m/(m-1)
     per arc, and ``_TABLE_WORDS`` 8-byte words per k·num_vertices for the
-    vertex table and the coin's row sums (:func:`_require_bytes`).  Where
-    memory cannot be read, the amplitudes are counted.  A series adds one
-    chunk of CHUNK rows, whatever its length, and is not counted.
+    vertex table and the coin's row sums, against the one memory rule of
+    :func:`_require_bytes`.  A series adds one chunk of CHUNK rows, whatever
+    its length, and is not counted.
     """
     needed = 8 * (prod(_pair_shape(params)) + _TABLE_WORDS * params.k * params.num_vertices)
     _require_bytes(needed, f"the full engine on J({params.n},{params.k})",
-                   "use the reduced engine instead", words=params.num_arcs)
+                   "use the reduced engine instead")
 
 
 class Series(NamedTuple):
@@ -173,13 +170,6 @@ def _grid_chunks(last: int, steps: int, stride: int) -> Iterator[np.ndarray]:
                         dtype=np.int64)
     if last != steps:
         yield np.array([steps], dtype=np.int64)
-
-
-def _check_vertex(params: GraphParams, v: int) -> None:
-    # a negative rank would wrap onto another block, and one past the end
-    # would read or reflect an empty slice
-    if not 0 <= v < params.num_vertices:
-        raise ValueError(f"vertex rank {v} out of range [0, {params.num_vertices})")
 
 
 def _pair_shape(params: GraphParams) -> tuple:
@@ -289,7 +279,6 @@ def apply_oracle(params: GraphParams, state: np.ndarray, marked: int,
     every other amplitude stays bitwise unchanged.  Returns ``state``.
     """
     _check_state(params, state, axis)
-    _check_vertex(params, marked)
     index, diagonal = _pair_block(params, marked)
     view = _blocks_along(state, axis)
     block = view[index]
@@ -309,7 +298,6 @@ def vertex_probability(params: GraphParams, state: np.ndarray, v: int,
     (k, m) slots ``v``'s k pairs (x, a) select, gathered across the state.
     """
     _check_state(params, state, axis)
-    _check_vertex(params, v)
     block = _blocks_along(state, axis)[_pair_block(params, v)[0]].ravel()
     return float(np.dot(block, block))
 
@@ -320,6 +308,9 @@ def _pair_block(params: GraphParams, v: int) -> tuple:
 
     Cached, with read-only index arrays: the paired loop reads the marked
     vertex's blocks on every step, and unranking it is Python work.
+    Unranking is also the engine's one range check of a vertex rank: a
+    negative rank would wrap onto another block, and one past the end would
+    read or reflect an empty slice.
     """
     a, x = vertex_pairs(params, v)
     rows = np.arange(params.k)
@@ -346,7 +337,7 @@ def evolve_and_record(params: GraphParams, marked: int, steps: int,
     chunk is yielded.
     """
     chunks = _chunk_times(steps, stride)
-    _check_vertex(params, marked)
+    _pair_block(params, marked)  # refuses a marked rank out of range
     state = uniform_state(params)
     return _record(params, marked, steps, state, pair_vertex_table(params), chunks)
 

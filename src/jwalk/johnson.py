@@ -109,19 +109,13 @@ def unrank_vertex(params: GraphParams, rank: int) -> tuple:
     if not 0 <= rank < params.num_vertices:
         raise ValueError(f"vertex rank {rank} out of range [0, {params.num_vertices})")
     out = []
-    r = rank
     for i in range(params.k, 0, -1):
-        # largest e with C(e-1, i) <= r
-        e = i  # smallest possible value of the i-th largest element
-        c = comb(e - 1, i)
-        while True:
-            c_next = comb(e, i)
-            if c_next > r:
-                break
+        # largest e with C(e-1, i) <= rank, from the smallest possible e = i
+        e = i
+        while comb(e, i) <= rank:
             e += 1
-            c = c_next
         out.append(e)
-        r -= c
+        rank -= comb(e - 1, i)
     return tuple(reversed(out))
 
 

@@ -127,10 +127,10 @@ def _battery_words(params: GraphParams) -> int:
 
 
 def _require_memory(params: GraphParams) -> None:
-    words = _battery_words(params)
     arc_engine._require_bytes(
-        8 * words, f"certify refuses J({params.n},{params.k}): the certification battery",
-        "certify a smaller instance", words=words)
+        8 * _battery_words(params),
+        f"certify refuses J({params.n},{params.k}): the certification battery",
+        "certify a smaller instance")
 
 
 def _local_spectrum(heads: np.ndarray, start: int, steps: int) -> tuple:
@@ -181,9 +181,9 @@ class InvariantBasis(NamedTuple):
     alone, and shell 1 reaches shell 0 first, so class 0 is (0, 1), the
     marked vertex's out-arcs, and class 1 is (1, 0), its in-arcs.  The
     marked vertex's Lanczos spectrum (:func:`_local_spectrum`), its
-    projections and their shell averages, and the shell indicators and
-    sizes they were averaged with are kept for certification, and so are
-    the arc reversal and the arcs' pair slots.
+    projections and their shell averages, and each vertex's shell ``dist``
+    and the shell sizes they were averaged with are kept for certification,
+    and so are the arc reversal and the arcs' pair slots.
     """
 
     params: GraphParams
@@ -191,7 +191,7 @@ class InvariantBasis(NamedTuple):
     local_eigenvalues: np.ndarray    # (k+1,) Lanczos eigenvalues, in level order
     local_weights: np.ndarray        # (k+1,) the marked vertex's projector weights
     krylov_closure: float            # the beta after the last Lanczos step
-    shell_indicators: list           # (N,) int64 indicator of each shell
+    dist: np.ndarray                 # (N,) int64 each vertex's shell, its distance from marked
     shell_sizes: np.ndarray          # (k+1,) int64 vertices in each shell
     proj_w: np.ndarray               # (k+1, N) eigenspace projections of the marked state
     shell_proj: np.ndarray           # (k+1, k+1) proj_w's average on each shell
@@ -227,8 +227,7 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
 
     # distance k - |v ∩ marked| of every vertex, from the colex k-subsets
     dist = k - np.isin(_colex_subsets(n, k), unrank_vertex(params, marked)).sum(axis=1)
-    shell_indicators = [(dist == l).astype(np.int64) for l in range(k + 1)]
-    shell_sizes = np.array([shell.sum() for shell in shell_indicators])
+    shell_sizes = np.bincount(dist, minlength=k + 1)
 
     slots, opp = arc_pair_slots(params)
     heads = (opp // d).reshape(N, d)
@@ -268,7 +267,7 @@ def build_invariant_basis(params: GraphParams, marked: int) -> InvariantBasis:
     return InvariantBasis(
         params=params, marked=marked, local_eigenvalues=local_eigenvalues,
         local_weights=local_weights, krylov_closure=krylov_closure,
-        shell_indicators=shell_indicators, shell_sizes=shell_sizes, proj_w=proj_w,
+        dist=dist, shell_sizes=shell_sizes, proj_w=proj_w,
         shell_proj=shell_proj, class_shells=class_shells, class_sizes=counts[present],
         coords=coords, classes=classes, opposite=opp, slots=slots,
     )
@@ -301,31 +300,30 @@ def verify_spectral_closed_forms(basis: InvariantBasis) -> dict:
     marked vertex that the basis was built from (:func:`_local_spectrum`)
     against lambda_l and m_l / N, and the beta after them, 0 when the
     Krylov space closes; and the exact integer three-term action of the
-    adjacency on shell indicators.  The adjacency is read from the basis's
-    arc reversal alone.
+    adjacency on shell indicators: each vertex's neighbours in each shell
+    against the (c, a, b) of its own shell.  The adjacency is read from the
+    basis's arc reversal alone.
     """
-    params, k = basis.params, basis.params.k
-    heads = (basis.opposite // params.degree).reshape(params.num_vertices, params.degree)
+    params, k, N = basis.params, basis.params.k, basis.params.num_vertices
     closed = np.array([spectral.eigenvalue(params, l) for l in range(k + 1)], dtype=float)
     weights = np.array([spectral.projector_weight(params, l) for l in range(k + 1)])
 
-    action_terms = []
-    zero = np.zeros(params.num_vertices, dtype=np.int64)
+    # each arc as its tail v and its head's shell, v (k+1) + shell, counted
+    pairs = basis.dist[(basis.opposite // params.degree).reshape(N, params.degree)]
+    pairs += np.arange(0, N * (k + 1), k + 1)[:, None]
+    got = np.bincount(pairs.ravel(), minlength=N * (k + 1)).reshape(N, k + 1)
+    del pairs
+    # row s holds shell s's neighbours in shells s - 1, s and s + 1
+    table = np.zeros((k + 1, k + 3), dtype=np.int64)
     for l in range(k + 1):
         r = intersection_numbers(params, l)
-        above = basis.shell_indicators[l + 1] if l < k else zero
-        below = basis.shell_indicators[l - 1] if l > 0 else zero
-        got = basis.shell_indicators[l][heads].sum(axis=1)
-        want = (intersection_numbers(params, l + 1).c if l < k else 0) * above \
-            + r.a * basis.shell_indicators[l] \
-            + (intersection_numbers(params, l - 1).b if l > 0 else 0) * below
-        action_terms.append(np.abs(got - want).max())
+        table[l, l:l + 3] = r.c, r.a, r.b
 
     return {
         "local_eigenvalues": float(np.abs(basis.local_eigenvalues - closed).max()),
         "local_weights": float(np.abs(basis.local_weights - weights).max()),
         "krylov_closure": basis.krylov_closure,
-        "shell_action_identity": float(np.max(action_terms)),
+        "shell_action_identity": float(np.abs(got - table[:, 1:-1][basis.dist]).max()),
     }
 
 
@@ -517,8 +515,8 @@ def certify(params: GraphParams, marked: int = 0, tol: float = 1e-10) -> Certifi
     when its residual is within ``tol``, so a NaN fails.
     Refuses with CapacityError, before allocating, an instance whose words
     (:func:`_battery_words`) exceed ``MemAvailable``.  The count bounds the
-    tracemalloc peak within one and a half words per arc: the peak is 7.5,
-    5.6, 4.9 and 4.7 words per arc on J(10,3), J(12,4), J(20,3) and
+    tracemalloc peak within one and a half words per arc: the peak is 7.3,
+    5.4, 4.9 and 4.6 words per arc on J(10,3), J(12,4), J(20,3) and
     J(40,3), against 8.3, 6.5, 6.2 and 6.0 counted.
     """
     _require_memory(params)

@@ -43,7 +43,7 @@ def test_uniform_state_is_stationary_basis_vector():
 
 def test_capacity_refusal(monkeypatch):
     # one rule: the bytes against MemAvailable, and where that cannot be
-    # read, 2^23 amplitudes
+    # read, against 2^23 words
     p = graph_params(40, 4)  # 13,160,160 amplitudes, about 126 MB
     needed = _capacity_model(p)
     for available in (needed - 1, 2 ** 20):
@@ -160,6 +160,32 @@ def test_oracle_changes_only_marked_block():
 def _pair_slots(params):
     m = params.n - params.k + 1
     return comb(params.n, params.k - 1) * m * m
+
+
+def test_unreadable_memory_counts_the_vertex_tables(monkeypatch):
+    # where /proc/meminfo cannot be read, the same bytes are held against
+    # 2^23 words: J(36,4)'s 7,539,840 amplitudes are within it, but its pair
+    # state and six words per k·N, 9,189,180 words, are not; both calls
+    # refuse before the walk is allocated
+    p = graph_params(36, 4)
+    assert p.num_arcs == 7539840 < arc_engine._UNMEASURED_CAPACITY
+    assert _capacity_model(p) == 8 * 9189180 > 8 * arc_engine._UNMEASURED_CAPACITY
+    monkeypatch.setattr(arc_engine, "_mem_available", lambda: None)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the capacity check")
+
+    monkeypatch.setattr(arc_engine, "pair_vertex_table", no_allocation)
+    for call in (lambda: arc_engine.uniform_state(p),
+                 lambda: arc_engine.evolve_and_record(p, 0, 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="cannot be read.*reduced engine"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # not the 62 MB of the pair state
 
 
 def _capacity_model(params):
@@ -599,10 +625,14 @@ def test_pair_passes_refuse_bad_states_and_axes():
 def test_pair_passes_allocate_row_tables_only():
     # the coin holds a few tables of one float per (x, a) pair, the norm one
     # such table, and the oracle touches only the marked vertex's k rows;
-    # a temporary the size of the state fails every bound
+    # a temporary the size of the state fails every bound.  The marked
+    # block's index is built once, as the paired loop builds it, before the
+    # passes are traced: inserting it into the full cache can rebuild the
+    # cache's dict, 4.6 kB, depending on how many tests ran before
     p = graph_params(20, 3)
     vertices = pair_vertex_table(p)
     pair = arc_engine.uniform_state(p)
+    arc_engine._pair_block(p, 0)
     for axis in (1, 0):
         _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, pair, vertices, axis))
         assert peak <= 0.25 * pair.nbytes
@@ -718,6 +748,28 @@ def test_vertex_probabilities_reject_out_of_range_vertex(v):
     for axis in (1, 0):
         with pytest.raises(ValueError):
             arc_engine.vertex_probability(p, state, v, axis)
+
+
+@pytest.mark.parametrize("v", [-1, -2, 15])
+def test_every_entry_refuses_a_rank_out_of_range(monkeypatch, v):
+    # unranking is the one range check: the oracle, both axes of the block
+    # mass, and the record, which refuses before the walk is built
+    p = graph_params(6, 2)
+    state = arc_engine.uniform_state(p)
+    message = rf"vertex rank {v} out of range \[0, 15\)"
+    with pytest.raises(ValueError, match=message):
+        arc_engine.apply_oracle(p, state, v)
+    for axis in (1, 0):
+        with pytest.raises(ValueError, match=message):
+            arc_engine.vertex_probability(p, state, v, axis)
+
+    def no_walk(*args):
+        raise AssertionError("built the walk before the range check")
+
+    monkeypatch.setattr(arc_engine, "uniform_state", no_walk)
+    monkeypatch.setattr(arc_engine, "pair_vertex_table", no_walk)
+    with pytest.raises(ValueError, match=message):
+        arc_engine.evolve_and_record(p, v, 5)
 
 
 def test_batched_passes_refuse_bad_batches():

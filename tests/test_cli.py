@@ -306,6 +306,14 @@ def test_simulate_marked_flag_rejects(capsys, marked):
     assert "--marked" in err
 
 
+@pytest.mark.parametrize("engine", ["reduced", "full"])
+def test_simulate_refuses_negative_steps(capsys, engine):
+    code, out, err = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
+                             "--engine", engine, "--steps", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --steps must be >= 0\n"
+
+
 def test_simulate_stride(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "8", "--k", "2",
                            "--steps", "10", "--stride", "4")

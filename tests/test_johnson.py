@@ -1,5 +1,6 @@
 """Combinatorics layer: ranking, arcs, shells, intersection numbers."""
 
+import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -63,6 +64,17 @@ def test_rank_unrank_bijection_exhaustive(n, k):
         assert johnson.rank_vertex(p, sub) == r
         seen.add(sub)
     assert seen == set(all_subsets(n, k))
+
+
+@pytest.mark.parametrize("n,k", [(10 ** 6, 3), (1000, 8), (100, 16)])
+def test_rank_unrank_round_trip_at_large_n(n, k):
+    # the first and last ranks and 50 seeded draws, where counting every
+    # subset is out of reach; J(1000,8) has more than 2^64 vertices
+    p = johnson.graph_params(n, k)
+    draws = random.Random(n + k)
+    ranks = [0, p.num_vertices - 1] + [draws.randrange(p.num_vertices) for _ in range(50)]
+    for r in ranks:
+        assert johnson.rank_vertex(p, johnson.unrank_vertex(p, r)) == r
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (7, 3)])

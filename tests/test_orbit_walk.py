@@ -30,7 +30,7 @@ def _class_vectors(params, marked):
     basis = validation.build_invariant_basis(params, marked)
     tails = np.arange(params.num_arcs) // params.degree
     heads = basis.opposite // params.degree
-    shells = basis.shell_indicators
+    shells = [(basis.dist == l).astype(np.int64) for l in range(params.k + 1)]
     indicators = [shells[i][tails] * shells[j][heads] for i, j in orbit_walk.classes(params)]
     return np.array([v / np.sqrt(v.sum()) for v in indicators])
 

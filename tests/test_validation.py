@@ -202,7 +202,8 @@ def test_arc_class_vector_norms():
     tails = np.arange(p.num_arcs) // p.degree
     heads = basis.opposite // p.degree
     zero = np.zeros(p.num_vertices, dtype=np.int64)
-    shells = [zero] + basis.shell_indicators + [zero]  # shell l is shells[l + 1]
+    # shell l is shells[l + 1]
+    shells = [zero] + [(basis.dist == l).astype(np.int64) for l in range(3)] + [zero]
     for l in range(3):
         row = intersection_numbers(p, l)
         size = shell_size(p, l)
@@ -1011,9 +1012,8 @@ def test_distance_shells_match_distance_class(n, k, marked):
     w = rank_vertex(p, marked)
     want = [flat.distance_class(p, v, w) for v in range(p.num_vertices)]
     basis = validation.build_invariant_basis(p, w)
-    got = sum(l * shell for l, shell in enumerate(basis.shell_indicators))
-    assert got.tolist() == want
-    assert all(shell.dtype == np.int64 for shell in basis.shell_indicators)
+    assert basis.dist.tolist() == want
+    assert basis.dist.dtype == np.int64
 
 
 # CI's validate instances up to J(20,3), with the marked vertex CI uses
