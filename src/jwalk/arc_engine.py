@@ -52,7 +52,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import CapacityError
-from .johnson import GraphParams, pair_vertex_table, vertex_pairs
+from .johnson import GraphParams, pair_vertex_table, unrank_vertex, vertex_pairs
 
 __all__ = [
     "uniform_state",
@@ -337,7 +337,9 @@ def evolve_and_record(params: GraphParams, marked: int, steps: int,
     chunk is yielded.
     """
     chunks = _chunk_times(steps, stride)
-    _pair_block(params, marked)  # refuses a marked rank out of range
+    # refuses a marked rank out of range; uncached, so a walk refused for
+    # memory leaves _pair_block's cache as it was
+    unrank_vertex(params, marked)
     state = uniform_state(params)
     return _record(params, marked, steps, state, pair_vertex_table(params), chunks)
 

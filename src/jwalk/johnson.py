@@ -108,14 +108,18 @@ def unrank_vertex(params: GraphParams, rank: int) -> tuple:
     """Inverse of :func:`rank_vertex`; returns the sorted 1-based subset."""
     if not 0 <= rank < params.num_vertices:
         raise ValueError(f"vertex rank {rank} out of range [0, {params.num_vertices})")
-    out = []
+    out, hi = [], params.n + 1
     for i in range(params.k, 0, -1):
-        # largest e with C(e-1, i) <= rank, from the smallest possible e = i
-        e = i
-        while comb(e, i) <= rank:
-            e += 1
-        out.append(e)
-        rank -= comb(e - 1, i)
+        # largest e < hi with C(e-1, i) <= rank, by bisection over [i, hi):
+        # C(lo-1, i) <= rank < C(hi-1, i) holds throughout, and the next
+        # element lies below this one
+        lo = i
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if comb(mid - 1, i) <= rank else (lo, mid)
+        out.append(lo)
+        rank -= comb(lo - 1, i)
+        hi = lo
     return tuple(reversed(out))
 
 

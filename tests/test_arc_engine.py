@@ -333,12 +333,22 @@ def test_evolve_and_record_peak_memory():
 
 
 @pytest.mark.parametrize("marked", [-2, -1, 15])
-def test_oracle_rejects_out_of_range_marked(marked):
+def test_oracle_rejects_out_of_range_marked(monkeypatch, marked):
     # J(6,2) has 15 vertices: a negative rank would wrap onto another block,
-    # and rank 15 would reflect an empty slice
+    # and rank 15 would reflect an empty slice; the record refuses the rank
+    # before the walk is built
     p = graph_params(6, 2)
-    with pytest.raises(ValueError):
+    message = rf"vertex rank {marked} out of range \[0, 15\)"
+    with pytest.raises(ValueError, match=message):
         arc_engine.apply_oracle(p, arc_engine.uniform_state(p), marked)
+
+    def no_walk(*args):
+        raise AssertionError("built the walk before the range check")
+
+    monkeypatch.setattr(arc_engine, "uniform_state", no_walk)
+    monkeypatch.setattr(arc_engine, "pair_vertex_table", no_walk)
+    with pytest.raises(ValueError, match=message):
+        arc_engine.evolve_and_record(p, marked, 5)
 
 
 def test_oracle_involution_on_random_states():
@@ -625,14 +635,10 @@ def test_pair_passes_refuse_bad_states_and_axes():
 def test_pair_passes_allocate_row_tables_only():
     # the coin holds a few tables of one float per (x, a) pair, the norm one
     # such table, and the oracle touches only the marked vertex's k rows;
-    # a temporary the size of the state fails every bound.  The marked
-    # block's index is built once, as the paired loop builds it, before the
-    # passes are traced: inserting it into the full cache can rebuild the
-    # cache's dict, 4.6 kB, depending on how many tests ran before
+    # a temporary the size of the state fails every bound
     p = graph_params(20, 3)
     vertices = pair_vertex_table(p)
     pair = arc_engine.uniform_state(p)
-    arc_engine._pair_block(p, 0)
     for axis in (1, 0):
         _, peak = _peak_bytes(lambda: arc_engine.apply_coin(p, pair, vertices, axis))
         assert peak <= 0.25 * pair.nbytes
@@ -746,30 +752,8 @@ def test_vertex_probabilities_reject_out_of_range_vertex(v):
     p = graph_params(6, 2)
     state = arc_engine.uniform_state(p)
     for axis in (1, 0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"vertex rank {v} out of range \[0, 15\)"):
             arc_engine.vertex_probability(p, state, v, axis)
-
-
-@pytest.mark.parametrize("v", [-1, -2, 15])
-def test_every_entry_refuses_a_rank_out_of_range(monkeypatch, v):
-    # unranking is the one range check: the oracle, both axes of the block
-    # mass, and the record, which refuses before the walk is built
-    p = graph_params(6, 2)
-    state = arc_engine.uniform_state(p)
-    message = rf"vertex rank {v} out of range \[0, 15\)"
-    with pytest.raises(ValueError, match=message):
-        arc_engine.apply_oracle(p, state, v)
-    for axis in (1, 0):
-        with pytest.raises(ValueError, match=message):
-            arc_engine.vertex_probability(p, state, v, axis)
-
-    def no_walk(*args):
-        raise AssertionError("built the walk before the range check")
-
-    monkeypatch.setattr(arc_engine, "uniform_state", no_walk)
-    monkeypatch.setattr(arc_engine, "pair_vertex_table", no_walk)
-    with pytest.raises(ValueError, match=message):
-        arc_engine.evolve_and_record(p, v, 5)
 
 
 def test_batched_passes_refuse_bad_batches():
